@@ -12,7 +12,7 @@
 use criterion::{black_box, Criterion};
 use rv_core::batch::{mix_seed, Campaign, RunRecord};
 use rv_core::cache::{CacheKey, CachedExecutor, ResultCache};
-use rv_core::exec::{Executor, LocalExecutor, PoolExecutor, SubprocessExecutor, WorkerCommand};
+use rv_core::exec::{Executor, LocalExecutor, PoolExecutor, WorkerCommand};
 use rv_core::shard::{CampaignSpec, SolverSpec};
 use rv_core::{
     almost_universal_rv, json, par_map, wire, Aur, Budget, Dedicated, FixedPair, Solver,
@@ -312,12 +312,11 @@ fn locate_rv_shard() -> Option<PathBuf> {
 }
 
 /// The executor backends head to head on one seeded campaign: the
-/// in-process threaded engine vs. the subprocess scatter/gather (spawn +
-/// wire round-trip + gather overhead on top of the same simulation
-/// work). The subprocess entries need a release `rv-shard` binary
-/// (`cargo build --release -p rv-experiments`, or `RV_SHARD_BIN`);
-/// without one they are skipped loudly so a missing group in the JSON
-/// artifact is explained.
+/// in-process threaded engine vs. the worker pool (wire round-trip +
+/// gather overhead on top of the same simulation work). The pool
+/// entries need a release `rv-shard` binary (`cargo build --release -p
+/// rv-experiments`, or `RV_SHARD_BIN`); without one they are skipped
+/// loudly so a missing group in the JSON artifact is explained.
 fn bench_exec_backends(c: &mut Criterion) {
     let mut g = c.benchmark_group("exec_backends");
     // Each sample is a full 64-instance campaign (~150ms); 20 samples
@@ -340,35 +339,16 @@ fn bench_exec_backends(c: &mut Criterion) {
     match locate_rv_shard() {
         Some(worker) => {
             let cores = std::thread::available_parallelism().map_or(1, |c| c.get());
-            for shards in [2usize, 4] {
+            for workers in [2usize, 4] {
                 // Split the cores across the concurrent workers (as
                 // runner::worker_command does), so the comparison against
                 // the local backend measures gather overhead rather than
-                // a shards-fold oversubscribed CPU.
-                let threads = (cores / shards).max(1);
-                let exec = SubprocessExecutor::new(
-                    WorkerCommand::new(&worker)
-                        .arg("worker")
-                        .arg("--threads")
-                        .arg(threads.to_string()),
-                )
-                .shards(shards);
-                g.bench_function(format!("subprocess_64x20k_{shards}shards"), |b| {
-                    b.iter(|| {
-                        black_box(exec.execute(&spec, seed, n, None).expect("subprocess"))
-                            .stats
-                            .met
-                    })
-                });
-            }
-            for workers in [2usize, 4] {
+                // a workers-fold oversubscribed CPU.
                 let threads = (cores / workers).max(1);
                 // The pool executor lives OUTSIDE b.iter: its persistent
                 // sessions survive across iterations, so this measures
                 // the steady state the pool exists for — per-campaign
-                // wire/gather overhead with the per-shard spawn cost
-                // amortized away (the overhead that made 4 one-shot
-                // shards *slower* than 2 at this size).
+                // wire/gather overhead with spawn cost amortized away.
                 // A fixed unit size keeps the protocol work identical
                 // across worker counts, so the rows compare pool sizes,
                 // not unit plans.
@@ -395,7 +375,7 @@ fn bench_exec_backends(c: &mut Criterion) {
         }
         None => eprintln!(
             "exec_backends: no rv-shard binary found (RV_SHARD_BIN or a release build); \
-             skipping the subprocess entries"
+             skipping the pool entries"
         ),
     }
     g.finish();

@@ -548,10 +548,9 @@ impl ResultCache {
 ///
 /// This is the right wrapper when the inner backend has no shard
 /// structure to exploit ([`crate::exec::LocalExecutor`]) or when the
-/// campaign is re-run as a unit. The subprocess and pool backends also
-/// take a cache directly ([`crate::exec::SubprocessExecutor::cache`],
-/// [`crate::exec::PoolExecutor::cache`]) for shard-granular reuse —
-/// there a spec tweak re-executes only the shards whose key changed.
+/// campaign is re-run as a unit. The pool takes a cache directly
+/// ([`crate::exec::PoolExecutor::cache`]) for unit-granular reuse —
+/// there a spec tweak re-executes only the units whose key changed.
 ///
 /// Note the memory trade: a cold `execute_stats` materialises the
 /// record list once to populate the cache, so it holds O(n) memory

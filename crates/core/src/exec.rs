@@ -1,51 +1,45 @@
 //! The executor layer: one fault-tolerant surface over every way to run
-//! a campaign — in-process threads, worker subprocesses, or remote
-//! workers behind an arbitrary command wrapper.
+//! a campaign — in-process threads, or persistent worker processes that
+//! may sit behind an arbitrary command wrapper on other hosts.
 //!
 //! [`Executor::execute`] takes the same reconstructible
 //! `(spec, seed, n)` triple everywhere and returns a full
 //! [`CampaignReport`]; which machinery ran the runs is a deployment
 //! choice, not an API fork:
 //!
-//! - [`LocalExecutor`] — today's threaded [`Campaign`](crate::Campaign)
+//! - [`LocalExecutor`] — the threaded [`Campaign`](crate::Campaign)
 //!   engine, in this process.
-//! - [`SubprocessExecutor`] — the scatter/gather driver: shards `0..n`
-//!   with [`crate::shard::plan`], spawns one worker process per shard
-//!   ([`WorkerCommand`]), and merges the gathered accumulators.
-//! - [`CommandExecutor`] — the same scatter/gather with every worker
-//!   invocation wrapped in a user-supplied command prefix (`ssh host --`,
-//!   a container runner, …). Because the worker protocol is pure
-//!   stdin/stdout JSON lines, any prefix that forwards standard streams
-//!   turns it into a remote transport for free.
-//! - [`PoolExecutor`] — persistent worker processes plus driver-side
-//!   work stealing: `workers` long-lived subprocesses each hold one
-//!   session (a `campaign_spec` line once, then a stream of `task`
-//!   lines), pulling small index units off a shared queue. Spawn cost
-//!   amortizes across the whole campaign (and across repeated
-//!   `execute` calls — sessions survive between runs of the same
-//!   executor value), and heterogeneous workers self-balance because
-//!   fast ones simply steal more units. Each unit answers with record
-//!   lines, a `unit_telemetry` line (wall time + attempt — a side
+//! - [`PoolExecutor`] — the one scatter engine: `workers` long-lived
+//!   worker processes each hold one session (a `campaign_spec` line
+//!   once, then a stream of `task` lines), pulling index units off a
+//!   shared queue. Spawn cost amortizes across the whole campaign (and
+//!   across repeated `execute` calls — sessions survive between runs of
+//!   the same executor value), and heterogeneous workers self-balance
+//!   because fast ones simply steal more units. Each unit answers with
+//!   record lines, a `unit_telemetry` line (wall time + attempt — a side
 //!   channel, see [`PoolExecutor::take_telemetry`]), and a `unit_done`
 //!   accumulator line.
 //!
+//! A classic K-shard scatter is a pool of K workers with unit
+//! ⌈n/K⌉ ([`crate::shard::shard_unit`]), and a remote transport is a
+//! pool whose [`WorkerCommand`] is wrapped in `ssh host --` or similar
+//! ([`WorkerCommand::wrap`]): the worker protocol is pure stdin/stdout
+//! JSON lines, so any prefix that forwards standard streams works.
+//!
 //! # Fault tolerance
 //!
-//! The scatter/gather core retries failed shards: each shard has an
-//! attempt budget (`1 + `[`SubprocessExecutor::retries`]), worker
-//! commands observed failing are tracked and avoided while alternatives
-//! survive (so a dead host's ranges re-scatter onto the remaining ones),
-//! and every spawn carries the attempt number in the [`ATTEMPT_ENV`]
-//! environment variable so workers can implement deterministic failure
-//! injection (the `rv-shard` binary's `--flaky` mode). A shard's records
-//! are buffered per attempt and released to the caller's
-//! [`RecordSink`] only when that shard *succeeds* — a failed attempt's
-//! partial stream is discarded wholesale, so the exactly-once-per-index
-//! sink contract survives retries.
-//!
-//! Concurrency is bounded by [`SubprocessExecutor::max_inflight`]: at
-//! most that many workers run at once (`0` = one per shard), so a
-//! 256-shard scatter on an 8-core host does not fork-bomb it.
+//! Each unit has an attempt budget (`1 + `[`PoolExecutor::retries`]),
+//! and every `task` line carries its attempt number so workers can
+//! implement deterministic failure injection (the `rv-shard` binary's
+//! `--flaky` mode). A failed unit re-queues with the next attempt
+//! number; the slot that ran it is torn down and respawns onto a worker
+//! command not yet observed failing ([`PoolExecutor::add_command`]), so
+//! a dead host's units re-scatter onto the survivors. A unit's records
+//! are buffered per attempt and released to the caller's [`RecordSink`]
+//! only when the unit *succeeds* — a failed attempt's partial stream is
+//! discarded wholesale, so the exactly-once-per-index sink contract
+//! survives retries. The first unit to exhaust its budget kills every
+//! in-flight worker and fails the run.
 //!
 //! # Determinism
 //!
@@ -54,15 +48,13 @@
 //! `(spec, seed, index)`, the accumulator merge is partition-invariant,
 //! and retries re-run the same pure function — so retry/re-scatter can
 //! never change a single output byte. The `executor_differential` suite
-//! pins all three backends (and recovery after injected failures)
-//! against the single-process run.
+//! pins both backends (and recovery after injected failures) against
+//! the single-process run.
 
 use crate::batch::{CampaignReport, CampaignStats, RunRecord, StatsAccumulator};
 use crate::cache::ResultCache;
 use crate::json;
-use crate::shard::{
-    plan, plan_units, CampaignSpec, ShardError, ShardResult, ShardSpec, UnitTask, UnitTelemetry,
-};
+use crate::shard::{plan_units, CampaignSpec, ShardError, UnitTask, UnitTelemetry};
 use crate::stream::RecordSink;
 use crate::wire::{self, Line};
 use std::collections::VecDeque;
@@ -74,12 +66,6 @@ use std::process::{Child, ChildStdin, ChildStdout, Command, Stdio};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
-
-/// Environment variable carrying the zero-based attempt number to each
-/// spawned worker. Production workers ignore it; test workers use it for
-/// deterministic fault injection (`rv-shard worker --flaky` fails iff it
-/// reads attempt `0`).
-pub const ATTEMPT_ENV: &str = "RV_SHARD_ATTEMPT";
 
 /// A uniform way to run the seeded campaign `(spec, seed, 0..n)`.
 ///
@@ -99,9 +85,9 @@ pub trait Executor {
 
     /// [`Executor::execute`] without materialising the record list —
     /// what stats-only callers (the `rv-shard campaign` CLI, sweeps that
-    /// stream records through `sink` instead) should use. The subprocess
-    /// backends override this to drop each shard's buffer after its sink
-    /// release, keeping driver memory O(shard size), not O(n).
+    /// stream records through `sink` instead) should use. The pool
+    /// overrides this to drop each unit's buffer after its sink release,
+    /// keeping driver memory O(unit size), not O(n).
     fn execute_stats(
         &self,
         spec: &CampaignSpec,
@@ -116,30 +102,30 @@ pub trait Executor {
     fn name(&self) -> &'static str;
 }
 
-/// Why an execution failed for good. Transient shard failures are
+/// Why an execution failed for good. Transient unit failures are
 /// retried inside the executor; this surfaces only once recovery is
 /// exhausted (or an integrity check no retry can fix trips).
 #[derive(Debug)]
 pub enum ExecError {
-    /// A shard failed on every attempt its budget allowed.
+    /// A unit failed on every attempt its budget allowed.
     Exhausted {
-        /// Which shard gave up.
+        /// Which unit gave up (its `task_id`).
         shard_id: u32,
         /// How many attempts were made (`1 + retries`).
         attempts: u32,
         /// The last attempt's failure.
         last: ShardError,
     },
-    /// The gathered shards did not reassemble into exactly `0..n`
-    /// records (a cross-shard integrity failure no retry can repair).
+    /// The gathered units did not reassemble into exactly `0..n`
+    /// records (a cross-unit integrity failure no retry can repair).
     Coverage {
         /// What failed to reconcile.
         what: String,
     },
     /// The caller's [`RecordSink`] reported itself closed
     /// ([`RecordSink::is_closed`]) mid-campaign: its consumer hung up and
-    /// can never observe another record, so the subprocess backends abort
-    /// the remaining work through the kill switch instead of draining it
+    /// can never observe another record, so the pool aborts the
+    /// remaining work through the kill switch instead of draining it
     /// into the void. No retry can help — the observer is gone.
     SinkClosed,
 }
@@ -223,7 +209,7 @@ fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
 /// Cooperative abort for a scatter/gather in progress. The first fatal
 /// error flips the switch and kills every registered in-flight worker
 /// child, so a failed run returns promptly instead of waiting out
-/// healthy workers whose results can no longer matter (a shard that
+/// healthy workers whose results can no longer matter (a unit that
 /// exhausted its budget already doomed the run).
 #[derive(Default)]
 struct KillSwitch {
@@ -263,9 +249,10 @@ impl KillSwitch {
 }
 
 /// One worker invocation: a program plus fixed arguments. The command
-/// must speak the schema-3 worker protocol (see `WIRE.md`): read one
-/// `shard_spec` line from stdin, stream `record` lines plus a final
-/// `shard_result` line to stdout, exit 0.
+/// must speak the schema-3 session protocol (see `WIRE.md`): a
+/// `campaign_spec` line opens a session on stdin, each `task` line is
+/// answered on stdout by `record` lines, one `unit_telemetry` line and
+/// one `unit_done` line, and stdin EOF ends the session with exit 0.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct WorkerCommand {
     program: PathBuf,
@@ -318,10 +305,9 @@ impl WorkerCommand {
         line
     }
 
-    fn command(&self, attempt: u32) -> Command {
+    fn command(&self) -> Command {
         let mut cmd = Command::new(&self.program);
         cmd.args(&self.args)
-            .env(ATTEMPT_ENV, attempt.to_string())
             .stdin(Stdio::piped())
             .stdout(Stdio::piped())
             .stderr(Stdio::piped());
@@ -329,402 +315,20 @@ impl WorkerCommand {
     }
 }
 
-/// The fault-tolerant scatter/gather executor: plans `shards` contiguous
-/// ranges, runs each in a worker subprocess, retries failures within an
-/// attempt budget (re-scattering onto surviving worker commands when
-/// more than one is registered), and merges the gathered accumulators
-/// into a report byte-identical to the single-process run.
-///
-/// ```no_run
-/// use rv_core::exec::{Executor, SubprocessExecutor, WorkerCommand};
-/// use rv_core::shard::{CampaignSpec, SolverSpec};
-/// use rv_model::TargetClass;
-///
-/// let spec = CampaignSpec::new(SolverSpec::Aur, vec![TargetClass::Type3], 60_000);
-/// let report = SubprocessExecutor::new(
-///     WorkerCommand::new("target/release/rv-shard").arg("worker"),
-/// )
-/// .shards(8)
-/// .retries(2)
-/// .max_inflight(4)
-/// .execute(&spec, 42, 1_000, None)
-/// .expect("scatter/gather");
-/// assert_eq!(report.stats.n, 1_000);
-/// ```
-#[derive(Clone, Debug)]
-pub struct SubprocessExecutor {
-    workers: Vec<WorkerCommand>,
-    shards: usize,
-    retries: u32,
-    max_inflight: usize,
-    cache: Option<Arc<ResultCache>>,
-}
-
-impl SubprocessExecutor {
-    /// Executor scattering over subprocesses of `worker` (one shard, no
-    /// retries, unbounded in-flight — tune with the builder methods).
-    pub fn new(worker: WorkerCommand) -> SubprocessExecutor {
-        SubprocessExecutor {
-            workers: vec![worker],
-            shards: 1,
-            retries: 0,
-            max_inflight: 0,
-            cache: None,
-        }
-    }
-
-    /// Registers an additional worker command. Shards prefer commands not
-    /// yet observed failing, so extra commands are both load-spreading
-    /// targets and failover capacity.
-    pub fn add_worker(mut self, worker: WorkerCommand) -> SubprocessExecutor {
-        self.workers.push(worker);
-        self
-    }
-
-    /// Sets how many shards to plan (clamped to `1..=n` at execute time).
-    pub fn shards(mut self, shards: usize) -> SubprocessExecutor {
-        self.shards = shards;
-        self
-    }
-
-    /// Sets the per-shard retry budget: a shard may fail `retries` times
-    /// and still succeed on a later attempt; failure `retries + 1` aborts
-    /// the whole execution with [`ExecError::Exhausted`].
-    pub fn retries(mut self, retries: u32) -> SubprocessExecutor {
-        self.retries = retries;
-        self
-    }
-
-    /// Caps how many worker processes run concurrently (`0` = one per
-    /// shard). With `k` in-flight slots, at most `k` subprocesses exist
-    /// at any moment regardless of the shard count.
-    pub fn max_inflight(mut self, max_inflight: usize) -> SubprocessExecutor {
-        self.max_inflight = max_inflight;
-        self
-    }
-
-    /// Attaches a content-addressed result cache
-    /// ([`crate::cache::ResultCache`]): shards whose
-    /// `(spec, seed, range)` key is already stored replay through the
-    /// caller's sink without spawning a worker, and shards that do run
-    /// write their outcome through on success. A spec tweak re-executes
-    /// only the shards whose key changed.
-    pub fn cache(mut self, cache: Arc<ResultCache>) -> SubprocessExecutor {
-        self.cache = Some(cache);
-        self
-    }
-
-    /// The scatter/gather core. One drain thread per in-flight slot pulls
-    /// shard tasks off a shared queue, runs each in a subprocess, and
-    /// either stores the shard's outcome or re-queues the task with the
-    /// next attempt number (excluding the failed worker command while
-    /// alternatives survive). The first shard to exhaust its budget
-    /// aborts the run. With `keep_records` false, each shard's record
-    /// buffer is dropped right after its sink release, so stats-only
-    /// gathers hold O(shard size) memory instead of O(n).
-    fn scatter_gather(
-        &self,
-        spec: &CampaignSpec,
-        seed: u64,
-        n: usize,
-        sink: Option<Arc<dyn RecordSink>>,
-        keep_records: bool,
-    ) -> Result<Vec<Option<ShardOutcome>>, ExecError> {
-        assert!(!self.workers.is_empty(), "executor needs a worker command");
-        if sink.as_ref().is_some_and(|s| s.is_closed()) {
-            // The consumer is already gone; don't replay cached shards
-            // (or spawn workers) into the void.
-            return Err(ExecError::SinkClosed);
-        }
-        let specs = plan(spec, seed, n, self.shards);
-
-        // Cache fast path: cached shards are replayed into their slots
-        // (and the sink) before any worker spawns; only the misses are
-        // queued, so a fully warm run forks nothing.
-        let ranges: Vec<Range<usize>> = specs.iter().map(|s| s.range.clone()).collect();
-        let mut slot_init: Vec<Option<ShardOutcome>> = vec![None; specs.len()];
-        let pending = cache_prepass(
-            self.cache.as_deref(),
-            spec,
-            seed,
-            &ranges,
-            &sink,
-            keep_records,
-            &mut slot_init,
-        )?;
-        let pending_len = pending.len();
-
-        // task = (index into specs, attempt number)
-        let queue: Mutex<VecDeque<(usize, u32)>> = Mutex::new(pending);
-        let slots: Mutex<Vec<Option<ShardOutcome>>> = Mutex::new(slot_init);
-        let failed_workers: Mutex<Vec<bool>> = Mutex::new(vec![false; self.workers.len()]);
-        let fatal: Mutex<Option<ExecError>> = Mutex::new(None);
-        let kills = KillSwitch::new();
-
-        let drains = match self.max_inflight {
-            0 => pending_len,
-            cap => cap.min(pending_len),
-        };
-
-        std::thread::scope(|scope| {
-            for _ in 0..drains.max(1) {
-                scope.spawn(|| loop {
-                    let (task, attempt) = {
-                        if lock(&fatal).is_some() {
-                            break;
-                        }
-                        // A closed sink means the consumer is gone for
-                        // good: fail the run and kill in-flight workers
-                        // rather than drain the rest of the queue into
-                        // the void.
-                        if sink.as_ref().is_some_and(|s| s.is_closed()) {
-                            let mut f = lock(&fatal);
-                            if f.is_none() {
-                                *f = Some(ExecError::SinkClosed);
-                                drop(f);
-                                kills.abort();
-                            }
-                            break;
-                        }
-                        match lock(&queue).pop_front() {
-                            Some(t) => t,
-                            None => break,
-                        }
-                    };
-                    let shard = &specs[task];
-                    let widx = self.pick_worker(shard.shard_id, attempt, &failed_workers);
-                    match run_shard_attempt(&self.workers[widx], shard, attempt, &kills) {
-                        Ok(mut outcome) => {
-                            // Success releases the shard's buffered records
-                            // to the caller's sink exactly once; a failed
-                            // attempt's partial stream was never forwarded.
-                            if let Some(sink) = &sink {
-                                for (index, rec) in &outcome.records {
-                                    sink.record(*index, rec);
-                                }
-                            }
-                            // Write-through before the buffer drops; a
-                            // full disk must not fail the run, so store
-                            // errors are ignored.
-                            if let Some(cache) = &self.cache {
-                                let _ = cache.store(
-                                    spec,
-                                    seed,
-                                    &shard.range,
-                                    &outcome.records,
-                                    &outcome.result.acc,
-                                );
-                            }
-                            if !keep_records {
-                                outcome.records = Vec::new();
-                            }
-                            lock(&slots)[task] = Some(outcome);
-                        }
-                        Err(last) => {
-                            lock(&failed_workers)[widx] = true;
-                            if attempt >= self.retries {
-                                let mut f = lock(&fatal);
-                                if f.is_none() {
-                                    *f = Some(ExecError::Exhausted {
-                                        shard_id: shard.shard_id,
-                                        attempts: attempt + 1,
-                                        last,
-                                    });
-                                    // In-flight siblings are killed, not
-                                    // waited out: the run is already lost.
-                                    drop(f);
-                                    kills.abort();
-                                }
-                                break;
-                            }
-                            lock(&queue).push_back((task, attempt + 1));
-                        }
-                    }
-                });
-            }
-        });
-
-        if let Some(err) = fatal.into_inner().unwrap_or_else(|e| e.into_inner()) {
-            return Err(err);
-        }
-        Ok(slots.into_inner().unwrap_or_else(|e| e.into_inner()))
-    }
-
-    /// Picks the worker command for `(shard_id, attempt)`: round-robin by
-    /// `shard_id + attempt`, skipping commands already observed failing
-    /// while at least one survivor remains (so retries re-scatter a dead
-    /// host's range instead of hammering it).
-    ///
-    /// When *every* command has been observed failing, the blacklist is
-    /// cleared: a retry round with no survivors gets a fresh chance at
-    /// every command instead of falling back onto one known-failed pick
-    /// for the rest of the attempt budget — a transiently-failing sole
-    /// worker (or a fleet that all hiccuped at once) can still recover.
-    fn pick_worker(&self, shard_id: u32, attempt: u32, failed: &Mutex<Vec<bool>>) -> usize {
-        let len = self.workers.len();
-        let start = (shard_id as usize + attempt as usize) % len;
-        let mut failed = lock(failed);
-        if failed.iter().all(|&f| f) {
-            failed.iter_mut().for_each(|f| *f = false);
-        }
-        (0..len)
-            .map(|k| (start + k) % len)
-            .find(|&idx| !failed[idx])
-            // rv-lint: allow(panic) — unreachable: the all-failed branch
-            // above just cleared the blacklist, so at least one index is
-            // not failed.
-            .expect("blacklist was cleared if it was full")
-    }
-}
-
-impl Executor for SubprocessExecutor {
-    fn execute(
-        &self,
-        spec: &CampaignSpec,
-        seed: u64,
-        n: usize,
-        sink: Option<Arc<dyn RecordSink>>,
-    ) -> Result<CampaignReport, ExecError> {
-        self.scatter_gather(spec, seed, n, sink, true)
-            .and_then(|slots| assemble(n, slots))
-    }
-
-    fn execute_stats(
-        &self,
-        spec: &CampaignSpec,
-        seed: u64,
-        n: usize,
-        sink: Option<Arc<dyn RecordSink>>,
-    ) -> Result<CampaignStats, ExecError> {
-        self.scatter_gather(spec, seed, n, sink, false)
-            .and_then(|slots| assemble_stats(n, slots))
-    }
-
-    fn name(&self) -> &'static str {
-        "subprocess"
-    }
-}
-
-/// [`SubprocessExecutor`] with every worker invocation wrapped in a
-/// command prefix — the remote transport. Each registered host is one
-/// prefix; a host observed failing has its ranges re-scattered onto the
-/// surviving hosts (within the retry budget).
-///
-/// ```no_run
-/// use rv_core::exec::{CommandExecutor, Executor, WorkerCommand};
-/// use rv_core::shard::{CampaignSpec, SolverSpec};
-/// use rv_model::TargetClass;
-///
-/// let worker = WorkerCommand::new("/opt/rv/bin/rv-shard").arg("worker");
-/// let spec = CampaignSpec::new(SolverSpec::Aur, vec![TargetClass::Type3], 60_000);
-/// let report = CommandExecutor::new(["ssh", "hostA", "--"], worker)
-///     .host(["ssh", "hostB", "--"])
-///     .shards(16)
-///     .retries(3)
-///     .execute(&spec, 42, 100_000, None)
-///     .expect("remote scatter/gather");
-/// assert_eq!(report.stats.n, 100_000);
-/// ```
-#[derive(Clone, Debug)]
-pub struct CommandExecutor {
-    inner: SubprocessExecutor,
-    worker: WorkerCommand,
-}
-
-impl CommandExecutor {
-    /// Executor running `worker` behind the `wrap` prefix (e.g.
-    /// `["ssh", "host", "--"]`; `["/usr/bin/env"]` is the identity
-    /// wrapper). Panics on an empty prefix.
-    pub fn new<I, S>(wrap: I, worker: WorkerCommand) -> CommandExecutor
-    where
-        I: IntoIterator<Item = S>,
-        S: Into<String>,
-    {
-        CommandExecutor {
-            inner: SubprocessExecutor::new(worker.clone().wrap(wrap)),
-            worker,
-        }
-    }
-
-    /// Registers an additional host (one more wrap prefix around the same
-    /// worker command).
-    pub fn host<I, S>(mut self, wrap: I) -> CommandExecutor
-    where
-        I: IntoIterator<Item = S>,
-        S: Into<String>,
-    {
-        self.inner = self.inner.add_worker(self.worker.clone().wrap(wrap));
-        self
-    }
-
-    /// Sets how many shards to plan (clamped to `1..=n` at execute time).
-    pub fn shards(mut self, shards: usize) -> CommandExecutor {
-        self.inner = self.inner.shards(shards);
-        self
-    }
-
-    /// Sets the per-shard retry budget (see
-    /// [`SubprocessExecutor::retries`]).
-    pub fn retries(mut self, retries: u32) -> CommandExecutor {
-        self.inner = self.inner.retries(retries);
-        self
-    }
-
-    /// Caps concurrent worker processes (see
-    /// [`SubprocessExecutor::max_inflight`]).
-    pub fn max_inflight(mut self, max_inflight: usize) -> CommandExecutor {
-        self.inner = self.inner.max_inflight(max_inflight);
-        self
-    }
-
-    /// Attaches a content-addressed result cache (see
-    /// [`SubprocessExecutor::cache`]).
-    pub fn cache(mut self, cache: Arc<ResultCache>) -> CommandExecutor {
-        self.inner = self.inner.cache(cache);
-        self
-    }
-}
-
-impl Executor for CommandExecutor {
-    fn execute(
-        &self,
-        spec: &CampaignSpec,
-        seed: u64,
-        n: usize,
-        sink: Option<Arc<dyn RecordSink>>,
-    ) -> Result<CampaignReport, ExecError> {
-        self.inner.execute(spec, seed, n, sink)
-    }
-
-    fn execute_stats(
-        &self,
-        spec: &CampaignSpec,
-        seed: u64,
-        n: usize,
-        sink: Option<Arc<dyn RecordSink>>,
-    ) -> Result<CampaignStats, ExecError> {
-        self.inner.execute_stats(spec, seed, n, sink)
-    }
-
-    fn name(&self) -> &'static str {
-        "command"
-    }
-}
-
-/// The persistent-pool executor: `workers` long-lived worker
+/// The process-backed executor: `workers` long-lived worker
 /// subprocesses, each holding one protocol *session* (a `campaign_spec`
-/// line opens it; a stream of `task` lines follows), fed small index
-/// units from a shared queue — driver-side work stealing. A fast worker
+/// line opens it; a stream of `task` lines follows), fed index units
+/// from a shared queue — driver-side work stealing. A fast worker
 /// simply steals more units, so heterogeneous workers self-balance
 /// without any up-front split, and spawn cost amortizes across the
 /// campaign *and* across repeated [`Executor::execute`] calls on the
 /// same executor value (sessions survive between runs).
 ///
-/// Fault tolerance matches [`SubprocessExecutor`]: per-unit retry
-/// budgets, exactly-once sink release on unit success, and prompt
-/// kill-on-abort. A worker that dies mid-unit is torn down and its slot
-/// respawned on the next unit; the failed unit re-queues with the next
-/// attempt number.
+/// Fault tolerance: per-unit retry budgets, exactly-once sink release
+/// on unit success, prompt kill-on-abort, and failover across the
+/// registered worker commands. A worker that dies mid-unit is torn down
+/// and its slot respawned on the next unit; the failed unit re-queues
+/// with the next attempt number.
 ///
 /// ```no_run
 /// use rv_core::exec::{Executor, PoolExecutor, WorkerCommand};
@@ -732,7 +336,9 @@ impl Executor for CommandExecutor {
 /// use rv_model::TargetClass;
 ///
 /// let spec = CampaignSpec::new(SolverSpec::Aur, vec![TargetClass::Type3], 60_000);
-/// let pool = PoolExecutor::new(WorkerCommand::new("target/release/rv-shard").arg("worker"))
+/// let worker = WorkerCommand::new("/opt/rv/bin/rv-shard").arg("worker");
+/// let pool = PoolExecutor::new(worker.clone().wrap(["ssh", "hostA", "--"]))
+///     .add_command(worker.wrap(["ssh", "hostB", "--"]))
 ///     .workers(4)
 ///     .unit(250)
 ///     .retries(2);
@@ -740,7 +346,9 @@ impl Executor for CommandExecutor {
 /// assert_eq!(report.stats.n, 1_000);
 /// ```
 pub struct PoolExecutor {
-    worker: WorkerCommand,
+    /// The worker commands slots spawn from; index 0 is the one given
+    /// to [`PoolExecutor::new`].
+    commands: Vec<WorkerCommand>,
     workers: usize,
     unit: usize,
     retries: u32,
@@ -760,7 +368,7 @@ impl PoolExecutor {
     /// retries — tune with the builder methods.
     pub fn new(worker: WorkerCommand) -> PoolExecutor {
         PoolExecutor {
-            worker,
+            commands: vec![worker],
             workers: 1,
             unit: 0,
             retries: 0,
@@ -768,6 +376,16 @@ impl PoolExecutor {
             pool: Mutex::new(Vec::new()),
             telemetry: Mutex::new(Vec::new()),
         }
+    }
+
+    /// Registers another worker command — typically the same worker
+    /// behind a second host's wrapper. Slots spawn round-robin over the
+    /// command list, and a slot whose unit failed respawns onto a
+    /// command not yet observed failing, so extra commands are both
+    /// load-spreading targets and failover capacity.
+    pub fn add_command(mut self, worker: WorkerCommand) -> PoolExecutor {
+        self.commands.push(worker);
+        self
     }
 
     /// Sets the number of persistent worker processes (clamped to at
@@ -785,19 +403,21 @@ impl PoolExecutor {
         self
     }
 
-    /// Sets the per-unit retry budget (see
-    /// [`SubprocessExecutor::retries`]; here the unit of failure is a
-    /// task, not a shard).
+    /// Sets the per-unit retry budget: a unit may fail `retries` times
+    /// and still succeed on a later attempt; failure `retries + 1` aborts
+    /// the whole execution with [`ExecError::Exhausted`].
     pub fn retries(mut self, retries: u32) -> PoolExecutor {
         self.retries = retries;
         self
     }
 
-    /// Attaches a content-addressed result cache (see
-    /// [`SubprocessExecutor::cache`]); here the cacheable unit of work
-    /// is an index unit. Cached units spawn no worker and emit no
-    /// telemetry line (nothing ran, so there is no wall time to
-    /// report).
+    /// Attaches a content-addressed result cache
+    /// ([`crate::cache::ResultCache`]): units whose `(spec, seed, range)`
+    /// key is already stored replay through the caller's sink without
+    /// feeding a worker, and units that do run write their outcome
+    /// through on success. A spec tweak re-executes only the units whose
+    /// key changed. Cached units emit no telemetry line (nothing ran, so
+    /// there is no wall time to report).
     pub fn cache(mut self, cache: Arc<ResultCache>) -> PoolExecutor {
         self.cache = Some(cache);
         self
@@ -824,12 +444,40 @@ impl PoolExecutor {
         t
     }
 
-    /// The pooled scatter/gather core: one drain thread per worker slot,
-    /// each pulling `(unit, attempt)` tasks off the shared queue and
-    /// feeding them to its persistent worker (spawning/respawning the
-    /// worker as needed). Unit outcomes land in `slots` indexed by unit,
-    /// so the assemble step is exactly the shard one — units are
-    /// contiguous and ascending by construction.
+    /// Picks the worker command a slot spawns for `(slot, attempt)`:
+    /// round-robin by `slot + attempt`, skipping commands already
+    /// observed failing while at least one survivor remains (so a dead
+    /// host's units re-scatter instead of hammering it).
+    ///
+    /// When *every* command has been observed failing, the blacklist is
+    /// cleared: a retry round with no survivors gets a fresh chance at
+    /// every command instead of falling back onto one known-failed pick
+    /// for the rest of the attempt budget — a transiently-failing sole
+    /// worker (or a fleet that all hiccuped at once) can still recover.
+    fn pick_worker(&self, slot: u32, attempt: u32, failed: &Mutex<Vec<bool>>) -> usize {
+        let len = self.commands.len();
+        let start = (slot as usize + attempt as usize) % len;
+        let mut failed = lock(failed);
+        if failed.iter().all(|&f| f) {
+            failed.iter_mut().for_each(|f| *f = false);
+        }
+        (0..len)
+            .map(|k| (start + k) % len)
+            .find(|&idx| !failed[idx])
+            // rv-lint: allow(panic) — unreachable: the all-failed branch
+            // above just cleared the blacklist, so at least one index is
+            // not failed.
+            .expect("blacklist was cleared if it was full")
+    }
+
+    /// The scatter/gather core: one drain thread per worker slot, each
+    /// pulling `(unit, attempt)` tasks off the shared queue and feeding
+    /// them to its persistent worker (spawning/respawning the worker as
+    /// needed). Unit outcomes land in `slots` indexed by unit, which are
+    /// contiguous and ascending by construction. With `keep_records`
+    /// false, each unit's record buffer is dropped right after its sink
+    /// release, so stats-only gathers hold O(unit size) memory instead
+    /// of O(n).
     fn scatter_gather(
         &self,
         spec: &CampaignSpec,
@@ -837,10 +485,10 @@ impl PoolExecutor {
         n: usize,
         sink: Option<Arc<dyn RecordSink>>,
         keep_records: bool,
-    ) -> Result<Vec<Option<ShardOutcome>>, ExecError> {
+    ) -> Result<Vec<Option<UnitOutcome>>, ExecError> {
         if sink.as_ref().is_some_and(|s| s.is_closed()) {
-            // Same early-out as the one-shot backend: never replay
-            // cached units (or feed workers) for a consumer that hung up.
+            // The consumer is already gone; never replay cached units
+            // (or feed workers) into the void.
             return Err(ExecError::SinkClosed);
         }
         let unit = match self.unit {
@@ -860,7 +508,7 @@ impl PoolExecutor {
         // Cache fast path: cached units replay into their slots before
         // any worker is fed; a fully warm run touches no worker session
         // (and spawns none that were not already running).
-        let mut slot_init: Vec<Option<ShardOutcome>> = vec![None; units.len()];
+        let mut slot_init: Vec<Option<UnitOutcome>> = vec![None; units.len()];
         let pending = cache_prepass(
             self.cache.as_deref(),
             spec,
@@ -873,27 +521,29 @@ impl PoolExecutor {
 
         // task = (index into units, attempt number)
         let queue: Mutex<VecDeque<(usize, u32)>> = Mutex::new(pending);
-        let slots: Mutex<Vec<Option<ShardOutcome>>> = Mutex::new(slot_init);
+        let slots: Mutex<Vec<Option<UnitOutcome>>> = Mutex::new(slot_init);
+        let failed: Mutex<Vec<bool>> = Mutex::new(vec![false; self.commands.len()]);
         let fatal: Mutex<Option<ExecError>> = Mutex::new(None);
         let kills = KillSwitch::new();
 
         std::thread::scope(|scope| {
             let queue = &queue;
             let slots = &slots;
+            let failed = &failed;
             let fatal = &fatal;
             let kills = &kills;
             let units = &units;
             let sink = &sink;
-            let telemetry = &self.telemetry;
             for (widx, slot) in pool.iter_mut().enumerate() {
                 scope.spawn(move || loop {
                     let (k, attempt) = {
                         if lock(fatal).is_some() {
                             break;
                         }
-                        // Same contract as the one-shot backend: a
-                        // closed sink aborts the run promptly through
-                        // the kill switch.
+                        // A closed sink means the consumer is gone for
+                        // good: fail the run and kill in-flight workers
+                        // rather than drain the rest of the queue into
+                        // the void.
                         if sink.as_ref().is_some_and(|s| s.is_closed()) {
                             let mut f = lock(fatal);
                             if f.is_none() {
@@ -913,34 +563,41 @@ impl PoolExecutor {
                         attempt,
                         range: units[k].clone(),
                     };
-                    match run_pool_unit(slot, &self.worker, spec, seed, &task, kills) {
+                    let spawn = || {
+                        let command = self.pick_worker(widx as u32, attempt, failed);
+                        PoolWorker::spawn(&self.commands[command], command, kills)
+                            .map_err(|e| (command, e))
+                    };
+                    match run_pool_unit(slot, &spawn, spec, seed, &task, kills) {
                         Ok((mut outcome, unit_telemetry)) => {
-                            // Same exactly-once contract as the one-shot
-                            // backend: success releases the unit's buffer
-                            // to the sink; failed attempts never forward.
+                            // Success releases the unit's buffered records
+                            // to the caller's sink exactly once; a failed
+                            // attempt's partial stream was never forwarded.
                             if let Some(sink) = sink {
                                 for (index, rec) in &outcome.records {
                                     sink.record(*index, rec);
                                 }
                             }
-                            // Write-through before the buffer drops;
-                            // store errors must not fail the run.
+                            // Write-through before the buffer drops; a
+                            // full disk must not fail the run, so store
+                            // errors are ignored.
                             if let Some(cache) = &self.cache {
                                 let _ = cache.store(
                                     spec,
                                     seed,
                                     &units[k],
                                     &outcome.records,
-                                    &outcome.result.acc,
+                                    &outcome.acc,
                                 );
                             }
                             if !keep_records {
                                 outcome.records = Vec::new();
                             }
                             lock(slots)[k] = Some(outcome);
-                            lock(telemetry).push((widx, unit_telemetry));
+                            lock(&self.telemetry).push((widx, unit_telemetry));
                         }
-                        Err(last) => {
+                        Err((command, last)) => {
+                            lock(failed)[command] = true;
                             if attempt >= self.retries {
                                 let mut f = lock(fatal);
                                 if f.is_none() {
@@ -949,6 +606,8 @@ impl PoolExecutor {
                                         attempts: attempt + 1,
                                         last,
                                     });
+                                    // In-flight siblings are killed, not
+                                    // waited out: the run is already lost.
                                     drop(f);
                                     kills.abort();
                                 }
@@ -1095,6 +754,9 @@ impl UtilizationReport {
 /// worker said), and the child handle itself lives behind the run's
 /// [`KillSwitch`].
 struct PoolWorker {
+    /// Index of the [`WorkerCommand`] this worker was spawned from (the
+    /// one marked failing if a unit on it fails).
+    command: usize,
     child: Arc<Mutex<Child>>,
     /// `Some` until shutdown; taken in `Drop` so closing stdin (session
     /// EOF — the graceful stop signal) precedes the kill/reap.
@@ -1108,11 +770,14 @@ struct PoolWorker {
 }
 
 impl PoolWorker {
-    /// Spawns a fresh worker (attempt env fixed at 0 — in a session the
-    /// attempt number travels on each task line) and registers it with
-    /// the run's kill switch.
-    fn spawn(worker: &WorkerCommand, kills: &KillSwitch) -> Result<PoolWorker, ShardError> {
-        let mut spawned = worker.command(0).spawn().map_err(ShardError::Spawn)?;
+    /// Spawns a fresh worker from `commands[command]` (passed as
+    /// `worker`) and registers it with the run's kill switch.
+    fn spawn(
+        worker: &WorkerCommand,
+        command: usize,
+        kills: &KillSwitch,
+    ) -> Result<PoolWorker, ShardError> {
+        let mut spawned = worker.command().spawn().map_err(ShardError::Spawn)?;
         // `WorkerCommand::command` pipes all three streams unconditionally,
         // so `take()` on a freshly spawned child always yields them.
         // rv-lint: allow(panic) — unreachable: command() pipes stdin
@@ -1137,6 +802,7 @@ impl PoolWorker {
         });
 
         Ok(PoolWorker {
+            command,
             child,
             stdin: Some(stdin),
             stdout: BufReader::new(stdout),
@@ -1177,13 +843,12 @@ impl Drop for PoolWorker {
     }
 }
 
-/// Runs one unit on the drain thread's persistent worker: spawn it if
-/// the slot is empty, (re-)open the session if the campaign changed,
-/// write the task line, and read record lines until the `unit_done`
-/// line, validating identity, counts, and index coverage exactly like
-/// the one-shot gather. Any failure tears the worker down (`*slot =
-/// None` — its `Drop` kills and reaps), so the next unit on this thread
-/// starts from a fresh process.
+/// Runs one unit on the drain thread's persistent worker: spawn it (via
+/// `spawn`) if the slot is empty, (re-)open the session if the campaign
+/// changed, write the task line, and gather the answer
+/// ([`gather_unit`]). A failure carries the index of the worker command
+/// it happened on, so the caller can steer the slot's respawn away from
+/// it.
 ///
 /// One transparent respawn: a *reused* worker may have died between
 /// units (its host rebooted, an operator killed it), which surfaces as a
@@ -1191,21 +856,16 @@ impl Drop for PoolWorker {
 /// a fresh worker failing the same write is a real error.
 fn run_pool_unit(
     slot: &mut Option<PoolWorker>,
-    worker: &WorkerCommand,
+    spawn: &dyn Fn() -> Result<PoolWorker, (usize, ShardError)>,
     spec: &CampaignSpec,
     seed: u64,
     task: &UnitTask,
     kills: &KillSwitch,
-) -> Result<(ShardOutcome, UnitTelemetry), ShardError> {
-    let shard_id = task.task_id;
-    let io = |source| ShardError::Io { shard_id, source };
-    let protocol = |what: String| ShardError::Protocol { shard_id, what };
-
-    let mut respawned = false;
-    loop {
+) -> Result<(UnitOutcome, UnitTelemetry), (usize, ShardError)> {
+    let command = loop {
         let fresh = slot.is_none();
         if fresh {
-            *slot = Some(PoolWorker::spawn(worker, kills)?);
+            *slot = Some(spawn()?);
         }
         // rv-lint: allow(panic) — unreachable: the `fresh` branch above
         // fills the slot before this runs.
@@ -1218,7 +878,7 @@ fn run_pool_unit(
         lines.push_str(&wire::encode_task(task));
         lines.push('\n');
         // rv-lint: allow(panic) — unreachable: `stdin` is Some from spawn
-        // until `shutdown` takes it, and shutdown consumes the worker.
+        // until `Drop` takes it, and dropping consumes the worker.
         let stdin = w.stdin.as_mut().expect("stdin open until shutdown");
         match stdin
             .write_all(lines.as_bytes())
@@ -1226,17 +886,46 @@ fn run_pool_unit(
         {
             Ok(()) => {
                 w.session = Some((spec.clone(), seed));
-                break;
+                break w.command;
             }
+            // A fresh worker that died before reading its task breaks
+            // the pipe; the exit status the gather reaps below is
+            // strictly more informative than EPIPE.
+            Err(e) if fresh && e.kind() == std::io::ErrorKind::BrokenPipe => break w.command,
             Err(e) => {
+                let command = w.command;
                 *slot = None;
-                if fresh || respawned {
-                    return Err(io(e));
+                if fresh {
+                    let shard_id = task.task_id;
+                    return Err((
+                        command,
+                        ShardError::Io {
+                            shard_id,
+                            source: e,
+                        },
+                    ));
                 }
-                respawned = true;
+                // The next pass respawns (fresh), so this costs one
+                // respawn, never more.
             }
         }
-    }
+    };
+    gather_unit(slot, task, kills).map_err(|e| (command, e))
+}
+
+/// Reads one unit's answer off the slot's live worker — record lines
+/// until the `unit_done` line — and validates identity, counts, and
+/// exactly-once index coverage against the task. Any failure tears the
+/// worker down (`*slot = None` — its `Drop` kills and reaps it), so the
+/// next unit on this thread starts from a fresh process.
+fn gather_unit(
+    slot: &mut Option<PoolWorker>,
+    task: &UnitTask,
+    kills: &KillSwitch,
+) -> Result<(UnitOutcome, UnitTelemetry), ShardError> {
+    let shard_id = task.task_id;
+    let io = |source| ShardError::Io { shard_id, source };
+    let protocol = |what: String| ShardError::Protocol { shard_id, what };
 
     enum ReadFail {
         /// The worker closed stdout mid-unit (it died or bailed).
@@ -1244,8 +933,8 @@ fn run_pool_unit(
         Fail(ShardError),
     }
 
-    // rv-lint: allow(panic) — unreachable: the handshake loop above only
-    // breaks with the slot filled.
+    // rv-lint: allow(panic) — unreachable: the caller's handshake only
+    // returns with the slot filled.
     let w = slot.as_mut().expect("worker is live after handshake");
     let streamed = (|| {
         let mut unit_telemetry: Option<UnitTelemetry> = None;
@@ -1371,37 +1060,31 @@ fn run_pool_unit(
         }
     }
     Ok((
-        ShardOutcome {
-            result: ShardResult {
-                shard_id: done.task_id,
-                start: done.start,
-                acc: done.acc,
-            },
+        UnitOutcome {
+            acc: done.acc,
             records,
         },
         unit_telemetry,
     ))
 }
 
-/// One successfully gathered shard: its accumulator plus the buffered
-/// records (sorted by global index, verified contiguous over the owned
-/// range).
+/// One successfully gathered (or cache-replayed) unit: its accumulator
+/// plus the buffered records (sorted by global index, verified
+/// contiguous over the unit's range).
 #[derive(Clone)]
-struct ShardOutcome {
-    result: ShardResult,
+struct UnitOutcome {
+    acc: StatsAccumulator,
     records: Vec<(usize, RunRecord)>,
 }
 
-/// The scatter backends' shared cache fast path: probes each planned
-/// range, replays hits straight into `slots` (releasing their records
-/// to `sink` exactly once, just as a gathered shard would), and returns
-/// the queue of misses still needing execution. Corrupt entries were
-/// already evicted by [`ResultCache::lookup`], so they come back as
-/// plain misses. Both planners assign ids `0..len`, so slot `k` is
-/// shard/task id `k`.
+/// The cache fast path: probes each planned unit range, replays hits
+/// straight into `slots` (releasing their records to `sink` exactly
+/// once, just as a gathered unit would), and returns the queue of
+/// misses still needing execution. Corrupt entries were already evicted
+/// by [`ResultCache::lookup`], so they come back as plain misses.
 ///
 /// The drain loops' sink contract holds here too: `sink.is_closed()`
-/// is checked per shard, so a consumer that hangs up mid-replay of a
+/// is checked per unit, so a consumer that hangs up mid-replay of a
 /// large warm run aborts with [`ExecError::SinkClosed`] instead of
 /// receiving the rest of the replay.
 fn cache_prepass(
@@ -1411,7 +1094,7 @@ fn cache_prepass(
     ranges: &[Range<usize>],
     sink: &Option<Arc<dyn RecordSink>>,
     keep_records: bool,
-    slots: &mut [Option<ShardOutcome>],
+    slots: &mut [Option<UnitOutcome>],
 ) -> Result<VecDeque<(usize, u32)>, ExecError> {
     let Some(cache) = cache else {
         return Ok((0..ranges.len()).map(|k| (k, 0)).collect());
@@ -1434,12 +1117,8 @@ fn cache_prepass(
                     Vec::new()
                 };
                 if let Some(slot) = slots.get_mut(k) {
-                    *slot = Some(ShardOutcome {
-                        result: ShardResult {
-                            shard_id: k as u32,
-                            start: range.start,
-                            acc: hit.acc,
-                        },
+                    *slot = Some(UnitOutcome {
+                        acc: hit.acc,
                         records,
                     });
                 }
@@ -1450,18 +1129,18 @@ fn cache_prepass(
     Ok(misses)
 }
 
-/// Reassembles the per-shard outcomes into the campaign report: records
-/// concatenated in shard order (each shard's slice is already sorted and
-/// contiguous, and shards partition `0..n`), stats from the accumulator
-/// merge in shard order — exactly the single-process bytes.
-fn assemble(n: usize, slots: Vec<Option<ShardOutcome>>) -> Result<CampaignReport, ExecError> {
+/// Reassembles the per-unit outcomes into the campaign report: records
+/// concatenated in unit order (each unit's slice is already sorted and
+/// contiguous, and units partition `0..n`), stats from the accumulator
+/// merge in unit order — exactly the single-process bytes.
+fn assemble(n: usize, slots: Vec<Option<UnitOutcome>>) -> Result<CampaignReport, ExecError> {
     let mut merged = StatsAccumulator::new();
     let mut records = Vec::with_capacity(n);
     for (k, slot) in slots.into_iter().enumerate() {
         let outcome = slot.ok_or_else(|| ExecError::Coverage {
-            what: format!("shard {k} finished without a result"),
+            what: format!("unit {k} finished without a result"),
         })?;
-        merged = merged.merge(outcome.result.acc);
+        merged = merged.merge(outcome.acc);
         records.extend(outcome.records.into_iter().map(|(_, rec)| rec));
     }
     if records.len() != n || merged.len() != n {
@@ -1480,16 +1159,16 @@ fn assemble(n: usize, slots: Vec<Option<ShardOutcome>>) -> Result<CampaignReport
 }
 
 /// [`assemble`] without the record list: merges the accumulators in
-/// shard order and finishes once. Per-shard index coverage was already
-/// validated against each work order at gather time, so `merged.len()`
-/// is the remaining cross-shard check.
-fn assemble_stats(n: usize, slots: Vec<Option<ShardOutcome>>) -> Result<CampaignStats, ExecError> {
+/// unit order and finishes once. Per-unit index coverage was already
+/// validated against each task at gather time, so `merged.len()` is the
+/// remaining cross-unit check.
+fn assemble_stats(n: usize, slots: Vec<Option<UnitOutcome>>) -> Result<CampaignStats, ExecError> {
     let mut merged = StatsAccumulator::new();
     for (k, slot) in slots.into_iter().enumerate() {
         let outcome = slot.ok_or_else(|| ExecError::Coverage {
-            what: format!("shard {k} finished without a result"),
+            what: format!("unit {k} finished without a result"),
         })?;
-        merged = merged.merge(outcome.result.acc);
+        merged = merged.merge(outcome.acc);
     }
     if merged.len() != n {
         return Err(ExecError::Coverage {
@@ -1497,163 +1176,6 @@ fn assemble_stats(n: usize, slots: Vec<Option<ShardOutcome>>) -> Result<Campaign
         });
     }
     Ok(merged.finish())
-}
-
-/// Runs one attempt of one shard: spawn the worker, hand it the spec on
-/// stdin, drain stdout into a per-attempt record buffer (stderr drains on
-/// a side thread so a chatty worker cannot deadlock), reap the child, and
-/// validate identity, counts, and index coverage against the work order.
-/// On a stream error the child is killed and reaped before returning, so
-/// failed attempts leave neither zombies nor orphaned CPU burn. The child
-/// is registered with `kills` so an abort elsewhere in the run terminates
-/// it promptly instead of letting it run to completion.
-fn run_shard_attempt(
-    worker: &WorkerCommand,
-    spec: &ShardSpec,
-    attempt: u32,
-    kills: &KillSwitch,
-) -> Result<ShardOutcome, ShardError> {
-    let shard_id = spec.shard_id;
-    let io = |source| ShardError::Io { shard_id, source };
-    let protocol = |what: String| ShardError::Protocol { shard_id, what };
-
-    let mut spawned = worker.command(attempt).spawn().map_err(ShardError::Spawn)?;
-    // rv-lint: allow(panic) — unreachable: command() pipes stdin
-    let mut stdin = spawned.stdin.take().expect("stdin was piped");
-    let stderr_pipe = spawned.stderr.take();
-    // rv-lint: allow(panic) — unreachable: command() pipes stdout
-    let stdout = spawned.stdout.take().expect("stdout was piped");
-    // Pipes are detached above, so holding the child lock never blocks a
-    // reader: the lock only guards kill/wait.
-    let child = Arc::new(Mutex::new(spawned));
-    kills.register(&child);
-    let stop = |child: &Arc<Mutex<Child>>| {
-        let mut child = lock(child);
-        let _ = child.kill();
-        let _ = child.wait();
-    };
-
-    let handed_over = stdin
-        .write_all(wire::encode_shard_spec(spec).as_bytes())
-        .and_then(|()| stdin.write_all(b"\n"));
-    // A worker that died before reading its spec breaks this pipe; swallow
-    // that case — the exit status reported below is strictly more
-    // informative than EPIPE.
-    if let Err(e) = handed_over {
-        if e.kind() != std::io::ErrorKind::BrokenPipe {
-            stop(&child);
-            return Err(io(e));
-        }
-    }
-    drop(stdin); // EOF: the worker reads exactly one line
-
-    let stderr_thread = std::thread::spawn(move || {
-        let mut text = String::new();
-        if let Some(mut pipe) = stderr_pipe {
-            let _ = pipe.read_to_string(&mut text);
-        }
-        text
-    });
-    let streamed = (|| {
-        let mut result = None;
-        let mut records: Vec<(usize, RunRecord)> = Vec::with_capacity(spec.range.len());
-        for line in BufReader::new(stdout).lines() {
-            let line = line.map_err(io)?;
-            if line.trim().is_empty() {
-                continue;
-            }
-            match wire::decode_line(&line)
-                .map_err(|source| ShardError::Wire { shard_id, source })?
-            {
-                Line::Record { index, record } => {
-                    if !spec.range.contains(&index) {
-                        return Err(protocol(format!(
-                            "record index {index} outside owned range {:?}",
-                            spec.range
-                        )));
-                    }
-                    records.push((index, record));
-                }
-                Line::ShardResult(r) => {
-                    if result.replace(r).is_some() {
-                        return Err(protocol("duplicate shard_result line".into()));
-                    }
-                }
-                other => {
-                    return Err(protocol(format!("unexpected line kind: {other:?}")));
-                }
-            }
-        }
-        Ok((result, records))
-    })();
-
-    let (result, mut records) = match streamed {
-        Ok(ok) => ok,
-        Err(e) => {
-            // A misbehaving worker is stopped, not abandoned.
-            stop(&child);
-            let _ = stderr_thread.join();
-            return Err(e);
-        }
-    };
-
-    // stdout already hit EOF, so the worker has exited (or is exiting);
-    // this wait is a reap, not a stall, and the lock is held only briefly.
-    let status = lock(&child).wait().map_err(io)?;
-    let stderr = stderr_thread.join().unwrap_or_default();
-    if kills.aborted() {
-        // The run was aborted while this attempt was in flight; its exit
-        // status (likely a kill) says nothing about the worker itself.
-        return Err(protocol("attempt aborted by a failing sibling".into()));
-    }
-    if !status.success() {
-        return Err(ShardError::Worker {
-            shard_id,
-            code: status.code(),
-            stderr: stderr.trim().to_string(),
-        });
-    }
-    let result = result.ok_or_else(|| protocol("missing shard_result line".into()))?;
-    if result.shard_id != shard_id {
-        return Err(protocol(format!(
-            "shard_result identifies as shard {}",
-            result.shard_id
-        )));
-    }
-    if result.start != spec.range.start {
-        return Err(protocol(format!(
-            "shard_result start {} != owned start {}",
-            result.start, spec.range.start
-        )));
-    }
-    if result.acc.len() != spec.range.len() {
-        return Err(protocol(format!(
-            "expected {} accumulated records, got {}",
-            spec.range.len(),
-            result.acc.len()
-        )));
-    }
-    // The buffered stream must be a permutation of exactly the owned
-    // range — one record per index, no duplicates, no gaps.
-    records.sort_by_key(|(index, _)| *index);
-    for (k, (index, _)) in records.iter().enumerate() {
-        let expect = spec.range.start + k;
-        if *index != expect {
-            return Err(protocol(format!(
-                "streamed indices do not cover {:?} exactly once (position {k} holds \
-                 index {index}, expected {expect})",
-                spec.range
-            )));
-        }
-    }
-    if records.len() != spec.range.len() {
-        return Err(protocol(format!(
-            "expected {} record lines, streamed {}",
-            spec.range.len(),
-            records.len()
-        )));
-    }
-    Ok(ShardOutcome { result, records })
 }
 
 #[cfg(test)]
@@ -1699,8 +1221,13 @@ mod tests {
 
     #[test]
     fn spawn_failure_exhausts_the_attempt_budget() {
-        let exec = SubprocessExecutor::new(WorkerCommand::new("/nonexistent/rv-shard-worker"))
-            .shards(2)
+        // Every registered command fails to spawn: failover walks the
+        // list, the blacklist resets once it is full, and the unit still
+        // gives up after exactly 1 + retries attempts.
+        let exec = PoolExecutor::new(WorkerCommand::new("/nonexistent/rv-shard-worker-a"))
+            .add_command(WorkerCommand::new("/nonexistent/rv-shard-worker-b"))
+            .workers(2)
+            .unit(2)
             .retries(2);
         let err = exec.execute(&spec(), 1, 4, None).unwrap_err();
         match err {
@@ -1718,14 +1245,14 @@ mod tests {
 
     #[test]
     fn failing_workers_are_excluded_in_favor_of_survivors() {
-        let exec = SubprocessExecutor::new(WorkerCommand::new("/nonexistent/a"))
-            .add_worker(WorkerCommand::new("/nonexistent/b"));
+        let exec = PoolExecutor::new(WorkerCommand::new("/nonexistent/a"))
+            .add_command(WorkerCommand::new("/nonexistent/b"));
         let failed = Mutex::new(vec![false, false]);
-        // Fresh state: round-robin by shard_id + attempt.
+        // Fresh state: round-robin by slot + attempt.
         assert_eq!(exec.pick_worker(0, 0, &failed), 0);
         assert_eq!(exec.pick_worker(1, 0, &failed), 1);
         assert_eq!(exec.pick_worker(0, 1, &failed), 1);
-        // Worker 0 observed failing: everything prefers worker 1.
+        // Command 0 observed failing: every slot prefers command 1.
         failed.lock().unwrap()[0] = true;
         assert_eq!(exec.pick_worker(0, 0, &failed), 1);
         assert_eq!(exec.pick_worker(2, 0, &failed), 1);
@@ -1745,7 +1272,7 @@ mod tests {
         // the executor itself considered dead. The blacklist must clear
         // when it fills, so the sole worker's transient failure still
         // leaves it eligible for the next attempt.
-        let exec = SubprocessExecutor::new(WorkerCommand::new("/nonexistent/only"));
+        let exec = PoolExecutor::new(WorkerCommand::new("/nonexistent/only"));
         let failed = Mutex::new(vec![true]);
         assert_eq!(exec.pick_worker(7, 3, &failed), 0);
         assert_eq!(*failed.lock().unwrap(), vec![false]);
@@ -1773,14 +1300,6 @@ mod tests {
     #[test]
     fn executor_names_are_stable() {
         assert_eq!(LocalExecutor::new().name(), "local");
-        assert_eq!(
-            SubprocessExecutor::new(WorkerCommand::new("w")).name(),
-            "subprocess"
-        );
-        assert_eq!(
-            CommandExecutor::new(["/usr/bin/env"], WorkerCommand::new("w")).name(),
-            "command"
-        );
         assert_eq!(PoolExecutor::new(WorkerCommand::new("w")).name(), "pool");
     }
 
@@ -1848,17 +1367,10 @@ mod tests {
         let pool = PoolExecutor::new(WorkerCommand::new("/nonexistent/rv-shard-worker"))
             .workers(2)
             .unit(1);
-        let err = pool
-            .execute(&spec(), 1, 64, Some(Arc::clone(&sink)))
-            .unwrap_err();
+        let err = pool.execute(&spec(), 1, 64, Some(sink)).unwrap_err();
         assert!(matches!(err, ExecError::SinkClosed), "{err}");
         assert!(err.to_string().contains("sink closed"), "{err}");
         assert!(std::error::Error::source(&err).is_none());
-
-        let one_shot =
-            SubprocessExecutor::new(WorkerCommand::new("/nonexistent/rv-shard-worker")).shards(4);
-        let err = one_shot.execute(&spec(), 1, 64, Some(sink)).unwrap_err();
-        assert!(matches!(err, ExecError::SinkClosed), "{err}");
     }
 
     #[test]
@@ -1866,12 +1378,8 @@ mod tests {
         let err = assemble(3, vec![None]).unwrap_err();
         assert!(matches!(err, ExecError::Coverage { .. }), "{err}");
 
-        let outcome = ShardOutcome {
-            result: ShardResult {
-                shard_id: 0,
-                start: 0,
-                acc: StatsAccumulator::new(),
-            },
+        let outcome = UnitOutcome {
+            acc: StatsAccumulator::new(),
             records: Vec::new(),
         };
         let err = assemble(3, vec![Some(outcome)]).unwrap_err();

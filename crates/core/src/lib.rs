@@ -71,13 +71,13 @@ pub use aur::{
 pub use batch::{Campaign, CampaignReport, CampaignStats, ClassStats, RunRecord, StatsAccumulator};
 pub use cache::{CacheError, CacheKey, CacheStats, CachedExecutor, CachedShard, ResultCache};
 pub use exec::{
-    CommandExecutor, ExecError, Executor, LocalExecutor, PoolExecutor, SubprocessExecutor,
-    UtilizationReport, WorkerCommand, WorkerUtilization,
+    ExecError, Executor, LocalExecutor, PoolExecutor, UtilizationReport, WorkerCommand,
+    WorkerUtilization,
 };
 pub use parallel::{par_map, par_map_indexed};
 pub use shard::{
-    CampaignRequest, CampaignSpec, ShardError, ShardResult, ShardSpec, SolverSpec, TransportSpec,
-    UnitDone, UnitTask, UnitTelemetry, UnknownSolver, UnknownTransport,
+    CampaignRequest, CampaignSpec, ShardError, SolverSpec, TransportSpec, UnitDone, UnitTask,
+    UnitTelemetry, UnknownSolver, UnknownTransport,
 };
 pub use solver::{Aur, Closure, Dedicated, FixedPair, Solver, Visibility};
 pub use stream::{ChannelSink, JsonLinesSink, RecordSink, VecSink};

@@ -1,31 +1,32 @@
-//! Cross-process campaign sharding: split a seeded campaign's index range
-//! into [`ShardSpec`] work orders that worker subprocesses execute.
+//! Cross-process campaign splitting: a reconstructible [`CampaignSpec`]
+//! plus the index units worker processes execute against it.
 //!
 //! The protocol is deliberately tiny, built entirely on [`crate::wire`]
-//! (schema-3 JSON lines; the normative line grammar lives in `WIRE.md` at
-//! the repository root):
+//! (schema-3 JSON lines; the normative session grammar lives in
+//! `WIRE.md` at the repository root):
 //!
-//! 1. **Scatter** — [`plan`] splits `0..n` into contiguous balanced
-//!    ranges; an executor (see [`crate::exec`]) spawns one worker process
-//!    per shard and writes each its [`ShardSpec`] as a single line on
-//!    stdin.
-//! 2. **Stream** — each worker executes its shard
-//!    ([`ShardSpec::execute`]) and streams one `record` line per finished
-//!    run to stdout (through a [`crate::JsonLinesSink`]), tagged with the
-//!    *global* campaign index, followed by a final `shard_result` line
-//!    carrying its folded [`StatsAccumulator`].
+//! 1. **Scatter** — [`plan_units`] splits `0..n` into contiguous units;
+//!    the pool (see [`crate::exec::PoolExecutor`]) opens a session on
+//!    each worker with one `campaign_spec` line and hands out units as
+//!    [`UnitTask`] lines.
+//! 2. **Stream** — a worker executes each unit
+//!    ([`CampaignSpec::run_range`]) and streams one `record` line per
+//!    finished run to stdout (through a [`crate::JsonLinesSink`]),
+//!    tagged with the *global* campaign index, then a [`UnitTelemetry`]
+//!    line and a [`UnitDone`] line carrying its folded
+//!    [`StatsAccumulator`].
 //! 3. **Gather** — the executor forwards record lines to an optional
-//!    [`crate::RecordSink`], merges the shard accumulators in shard
-//!    order, and [`StatsAccumulator::finish`]es the merge.
+//!    [`crate::RecordSink`], merges the unit accumulators in unit order,
+//!    and [`StatsAccumulator::finish`]es the merge.
 //!
 //! **Determinism guarantee:** a campaign is a pure function of
 //! `(spec, seed, n)` — instances come from
 //! [`generate_seeded`]`(`[`mix_seed`]`(seed, index), class)`, records are
 //! folded in index order, and the accumulator merge is partition-
 //! invariant — so the gathered stats are **byte-identical** to the
-//! single-process [`CampaignSpec::run_local`] run for *any* shard count,
+//! single-process [`CampaignSpec::run_local`] run for *any* unit plan,
 //! on *any* [`crate::exec::Executor`] backend, even after worker failures
-//! and re-scattered ranges. The `executor_differential` suite pins
+//! and re-scattered units. The `executor_differential` suite pins
 //! exactly that, subprocesses and fault injection included.
 
 use crate::api::Budget;
@@ -108,7 +109,9 @@ pub enum TransportSpec {
     /// [`crate::exec::PoolExecutor`] — persistent session workers with
     /// driver-side work stealing.
     Pool,
-    /// [`crate::exec::SubprocessExecutor`] — one-shot shard workers.
+    /// A `workers`-shard scatter: a [`crate::exec::PoolExecutor`] of
+    /// that many workers with unit [`shard_unit`]`(n, workers)`, so each
+    /// worker gets one contiguous range.
     Subprocess,
 }
 
@@ -173,12 +176,13 @@ pub struct CampaignRequest {
     pub n: usize,
     /// Which executor backend runs the campaign.
     pub transport: TransportSpec,
-    /// Worker count for the subprocess transports (pool workers or
-    /// scatter shards; `0` = server default). Ignored by `local`.
+    /// Worker process count for the `pool` and `subprocess` transports
+    /// (`0` = one worker). `subprocess` also sizes its units from it, one
+    /// ⌈n/workers⌉ range per worker. Ignored by `local`.
     pub workers: usize,
     /// Steal-unit size in indices for the pool transport (`0` = auto).
     pub unit: usize,
-    /// Per-shard/per-unit retry budget for the subprocess transports.
+    /// Per-unit retry budget for the process-backed transports.
     pub retries: u32,
     /// Opaque result-cache *name* (`None` = uncached). The server
     /// validates it against a safe charset and joins it under its own
@@ -236,28 +240,43 @@ impl CampaignSpec {
     }
 
     /// The single-process reference run over indices `0..n` (what the
-    /// sharded scatter/gather must reproduce byte-for-byte).
+    /// pooled scatter/gather must reproduce byte-for-byte).
     pub fn run_local(&self, seed: u64, n: usize) -> CampaignReport {
         self.campaign().run_seeded(n, |i| self.instance(seed, i))
     }
+
+    /// Executes the global indices `range` of the seeded campaign
+    /// in-process — what a worker does with one unit — reporting every
+    /// record to `sink` *as it lands* (tagged with its global index) and
+    /// returning the range's folded accumulator. `threads` caps the
+    /// campaign threads (`0` = all cores): K same-host workers should
+    /// each run `cores / K` so the scatter does not oversubscribe the
+    /// CPU K-fold. Thread count never changes a single output byte.
+    pub fn run_range(
+        &self,
+        seed: u64,
+        range: Range<usize>,
+        sink: Arc<dyn RecordSink>,
+        threads: usize,
+    ) -> StatsAccumulator {
+        let offset = OffsetSink {
+            base: range.start,
+            inner: sink,
+        };
+        let report = self
+            .campaign()
+            .threads(threads)
+            .sink(offset)
+            .run_seeded(range.len(), |i| self.instance(seed, range.start + i));
+        let mut acc = StatsAccumulator::new();
+        for rec in &report.records {
+            acc.push(rec);
+        }
+        acc
+    }
 }
 
-/// One shard's work order: a campaign spec plus the global index range
-/// this shard owns.
-#[derive(Clone, Debug, PartialEq)]
-pub struct ShardSpec {
-    /// What to run.
-    pub campaign: CampaignSpec,
-    /// The campaign seed (shared by all shards; per-index seeds derive
-    /// from it via [`mix_seed`]).
-    pub seed: u64,
-    /// Global index range `start..end` this shard executes.
-    pub range: Range<usize>,
-    /// Position of this shard in the scatter (0-based).
-    pub shard_id: u32,
-}
-
-/// Re-indexes a shard-local sink stream to global campaign indices.
+/// Re-indexes a range-local sink stream to global campaign indices.
 struct OffsetSink {
     base: usize,
     inner: Arc<dyn RecordSink>,
@@ -269,54 +288,13 @@ impl RecordSink for OffsetSink {
     }
 }
 
-impl ShardSpec {
-    /// Executes the shard in-process: runs the campaign over the owned
-    /// range, reporting every record to `sink` *as it lands* (tagged with
-    /// its global index), and folds the shard's accumulator. Uses all
-    /// available cores; see [`ShardSpec::execute_threads`] when several
-    /// shard workers share one host.
-    pub fn execute(&self, sink: Arc<dyn RecordSink>) -> ShardResult {
-        self.execute_threads(sink, 0)
-    }
-
-    /// [`ShardSpec::execute`] with an explicit worker-thread count
-    /// (`0` = all available cores). K same-host workers should each run
-    /// `cores / K` threads so the scatter does not oversubscribe the CPU
-    /// K-fold; thread count never changes a single output byte.
-    pub fn execute_threads(&self, sink: Arc<dyn RecordSink>, threads: usize) -> ShardResult {
-        let offset = OffsetSink {
-            base: self.range.start,
-            inner: sink,
-        };
-        let report = self
-            .campaign
-            .campaign()
-            .threads(threads)
-            .sink(offset)
-            .run_seeded(self.range.len(), |i| {
-                self.campaign.instance(self.seed, self.range.start + i)
-            });
-        let mut acc = StatsAccumulator::new();
-        for rec in &report.records {
-            acc.push(rec);
-        }
-        ShardResult {
-            shard_id: self.shard_id,
-            start: self.range.start,
-            acc,
-        }
-    }
-}
-
-/// One work unit of a persistent-worker pool session: a global index
-/// range, identified by `task_id`, carrying the attempt number so a
-/// worker can implement deterministic fault injection per unit (the
-/// session analogue of the one-shot [`crate::exec::ATTEMPT_ENV`]).
-///
-/// Unlike a [`ShardSpec`], a task line carries no campaign — the session
-/// opened with a `campaign_spec` line established that once, which is
-/// what makes units cheap enough to hand out in small, steal-friendly
-/// chunks (see [`crate::exec::PoolExecutor`]).
+/// One work unit of a pool session: a global index range, identified by
+/// `task_id`, carrying the attempt number so a worker can implement
+/// deterministic fault injection per unit. A task line carries no
+/// campaign — the session opened with a `campaign_spec` line
+/// established that once, which is what makes units cheap enough to
+/// hand out in small, steal-friendly chunks (see
+/// [`crate::exec::PoolExecutor`]).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct UnitTask {
     /// Position of this unit in the campaign's unit plan (0-based).
@@ -343,8 +321,8 @@ pub struct UnitTelemetry {
 }
 
 /// What a pool worker sends back at the end of each unit: the unit's
-/// identity plus its folded accumulator (the session analogue of
-/// [`ShardResult`]).
+/// identity plus its folded accumulator (the mergeable monoid state,
+/// *not* finished stats — finishing happens once, after the gather).
 #[derive(Clone, Debug, PartialEq)]
 pub struct UnitDone {
     /// Echo of [`UnitTask::task_id`].
@@ -369,43 +347,15 @@ pub fn plan_units(n: usize, unit: usize) -> Vec<Range<usize>> {
         .collect()
 }
 
-/// What a shard sends back: its identity plus the folded accumulator
-/// (the mergeable monoid state, *not* finished stats — finishing happens
-/// once, after the gather).
-#[derive(Clone, Debug, PartialEq)]
-pub struct ShardResult {
-    /// Echo of [`ShardSpec::shard_id`].
-    pub shard_id: u32,
-    /// Echo of the owned range's start (integrity check for the gather).
-    pub start: usize,
-    /// The shard's folded aggregation state.
-    pub acc: StatsAccumulator,
+/// The unit size that turns a `shards`-way scatter of `0..n` into a
+/// pool plan: ⌈n / shards⌉ with `shards` clamped to `1..=max(n, 1)`, so
+/// [`plan_units`] yields at most `shards` non-empty contiguous ranges —
+/// exactly `n / shards` each whenever `shards` divides `n`.
+pub fn shard_unit(n: usize, shards: usize) -> usize {
+    n.div_ceil(shards.clamp(1, n.max(1))).max(1)
 }
 
-/// Splits the seeded campaign `0..n` into `shards` contiguous balanced
-/// work orders (the first `n % shards` shards get one extra index).
-/// `shards` is clamped to `1..=max(n, 1)`, so empty shards never spawn.
-pub fn plan(campaign: &CampaignSpec, seed: u64, n: usize, shards: usize) -> Vec<ShardSpec> {
-    let shards = shards.clamp(1, n.max(1));
-    let base = n / shards;
-    let extra = n % shards;
-    let mut start = 0;
-    (0..shards)
-        .map(|k| {
-            let len = base + usize::from(k < extra);
-            let spec = ShardSpec {
-                campaign: campaign.clone(),
-                seed,
-                range: start..start + len,
-                shard_id: k as u32,
-            };
-            start += len;
-            spec
-        })
-        .collect()
-}
-
-/// Why one shard attempt failed. Worker misbehavior surfaces as typed
+/// Why one unit attempt failed. Worker misbehavior surfaces as typed
 /// errors; the gather never panics on worker output. Executors (see
 /// [`crate::exec`]) treat every variant as retryable — the attempt
 /// budget, not the variant, bounds recovery.
@@ -436,7 +386,7 @@ pub enum ShardError {
         /// Captured stderr (trimmed).
         stderr: String,
     },
-    /// A worker's output violated the protocol (missing result line,
+    /// A worker's output violated the protocol (missing telemetry line,
     /// identity or count mismatch, unexpected line kind).
     Protocol {
         /// Which shard.
@@ -497,26 +447,24 @@ mod tests {
 
     #[test]
     fn plan_covers_the_range_exactly_once() {
-        let c = spec();
-        for n in [0usize, 1, 7, 16] {
-            for shards in [1usize, 2, 3, 5, 16, 100] {
-                let specs = plan(&c, 9, n, shards);
-                assert!(!specs.is_empty());
-                assert!(specs.len() <= shards.max(1));
+        // A `shards`-way scatter is the unit plan at `shard_unit`: at most
+        // `shards` non-empty contiguous ranges covering `0..n`, equal
+        // lengths whenever `shards` divides `n`.
+        for n in [0usize, 1, 7, 16, 24] {
+            for shards in [0usize, 1, 2, 3, 4, 5, 16, 100] {
+                let units = plan_units(n, shard_unit(n, shards));
+                assert!(units.len() <= shards.max(1), "n = {n}, shards = {shards}");
                 let mut next = 0;
-                for (k, s) in specs.iter().enumerate() {
-                    assert_eq!(s.shard_id, k as u32);
-                    assert_eq!(s.range.start, next);
-                    assert!(!s.range.is_empty() || n == 0);
-                    assert_eq!(s.seed, 9);
-                    assert_eq!(s.campaign, c);
-                    next = s.range.end;
+                for r in &units {
+                    assert_eq!(r.start, next);
+                    assert!(!r.is_empty());
+                    next = r.end;
                 }
                 assert_eq!(next, n, "n = {n}, shards = {shards}");
-                // Balanced: lengths differ by at most one.
-                let lens: Vec<usize> = specs.iter().map(|s| s.range.len()).collect();
-                let (lo, hi) = (lens.iter().min().unwrap(), lens.iter().max().unwrap());
-                assert!(hi - lo <= 1);
+                if shards > 0 && n % shards == 0 && n >= shards {
+                    assert_eq!(units.len(), shards);
+                    assert!(units.iter().all(|r| r.len() == n / shards));
+                }
             }
         }
     }
@@ -578,17 +526,9 @@ mod tests {
         let seed = 0x5EED;
         let n = 10;
         let local = c.run_local(seed, n);
-        let shard = ShardSpec {
-            campaign: c,
-            seed,
-            range: 4..9,
-            shard_id: 1,
-        };
         let sink = Arc::new(VecSink::new());
-        let result = shard.execute(sink.clone());
-        assert_eq!(result.shard_id, 1);
-        assert_eq!(result.start, 4);
-        assert_eq!(result.acc.len(), 5);
+        let acc = c.run_range(seed, 4..9, sink.clone(), 0);
+        assert_eq!(acc.len(), 5);
         let mut seen = sink.take();
         seen.sort_by_key(|(i, _)| *i);
         let indices: Vec<usize> = seen.iter().map(|(i, _)| *i).collect();

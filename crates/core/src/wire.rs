@@ -10,8 +10,6 @@
 //! | `record`         | one [`RunRecord`] plus its campaign index        |
 //! | `class_stats`    | one [`ClassStats`] breakdown row                 |
 //! | `acc`            | a whole [`StatsAccumulator`] (mergeable state)   |
-//! | `shard_spec`     | a [`ShardSpec`] work order                       |
-//! | `shard_result`   | a [`ShardResult`] (id, range, accumulator)       |
 //! | `campaign_spec`  | a [`CampaignSpec`] + seed (opens a pool session) |
 //! | `task`           | a [`UnitTask`] (one pool work unit)              |
 //! | `unit_telemetry` | a [`UnitTelemetry`] (per-unit wall time)         |
@@ -21,12 +19,13 @@
 //! | `error`          | an [`ErrorLine`] (typed service failure)         |
 //!
 //! The `campaign_spec`/`task`/`unit_telemetry`/`unit_done` kinds form the
-//! persistent-worker session protocol of [`crate::exec::PoolExecutor`]
-//! (spec once, then a task/answer stream — see `WIRE.md` for the session
-//! grammar). The last three kinds belong to the TCP campaign service
-//! (`rv-serve`): a client sends `campaign_spec` + `request`, the server
-//! answers with streamed `record`s and a final `campaign_report`, or an
-//! `error` line.
+//! worker session protocol of [`crate::exec::PoolExecutor`] (spec once,
+//! then a task/answer stream — see `WIRE.md` for the session grammar).
+//! The two retired kinds of the old one-shot worker protocol decode to a
+//! typed [`WireError::Retired`] (`WIRE.md`, "Retired kinds"). The last
+//! three kinds belong to the TCP campaign service (`rv-serve`): a client
+//! sends `campaign_spec` + `request`, the server answers with streamed
+//! `record`s and a final `campaign_report`, or an `error` line.
 //!
 //! Numbers are lossless: `u64`/`usize` are emitted as decimal integers and
 //! re-parsed from the raw lexeme (never through `f64`), finite floats use
@@ -49,8 +48,7 @@
 use crate::batch::{CampaignStats, ClassStats, RunRecord, StatsAccumulator, CLASS_ORDER};
 use crate::json;
 use crate::shard::{
-    CampaignRequest, CampaignSpec, ShardResult, ShardSpec, SolverSpec, TransportSpec, UnitDone,
-    UnitTask, UnitTelemetry,
+    CampaignRequest, CampaignSpec, SolverSpec, TransportSpec, UnitDone, UnitTask, UnitTelemetry,
 };
 use rv_model::{Classification, TargetClass};
 use std::fmt;
@@ -98,6 +96,13 @@ pub enum WireError {
         /// The kind found, or `"missing"`.
         found: String,
     },
+    /// The `"kind"` header names a kind this schema no longer speaks
+    /// (the one-shot worker protocol's work order and answer, replaced
+    /// by sessions — see `WIRE.md`, "Retired kinds").
+    Retired {
+        /// The retired kind.
+        kind: &'static str,
+    },
     /// A payload field is missing or has the wrong type/value.
     Field {
         /// The field name (dotted path for nested payloads).
@@ -122,6 +127,9 @@ impl fmt::Display for WireError {
                 write!(f, "wire schema mismatch: expected {SCHEMA}, found {found}")
             }
             WireError::Kind { found } => write!(f, "unexpected wire kind: {found}"),
+            WireError::Retired { kind } => {
+                write!(f, "retired wire kind {kind:?}: workers speak sessions only")
+            }
             WireError::Field { field, what } => write!(f, "field {field:?}: {what}"),
         }
     }
@@ -881,7 +889,7 @@ fn acc_of(v: &Value) -> Result<StatsAccumulator, WireError> {
 }
 
 /// Encodes a whole accumulator (the mergeable aggregation state) as a
-/// `kind: "acc"` line — the payload shards ship back to the gatherer.
+/// `kind: "acc"` line — a whole mergeable accumulator.
 pub fn encode_accumulator(acc: &StatsAccumulator) -> String {
     let body = acc_body(acc);
     format!("{{\"schema\": {SCHEMA}, \"kind\": \"acc\", \"acc\": {body}}}",)
@@ -893,7 +901,7 @@ pub fn decode_accumulator(line: &str) -> Result<StatsAccumulator, WireError> {
 }
 
 // ---------------------------------------------------------------------------
-// ShardSpec / ShardResult
+// Campaign bodies
 // ---------------------------------------------------------------------------
 
 fn campaign_body(spec: &CampaignSpec) -> String {
@@ -939,61 +947,6 @@ fn campaign_of(v: &Value) -> Result<CampaignSpec, WireError> {
         solver,
         segments: get_u64(v, "segments")?,
         classes,
-    })
-}
-
-/// Encodes a shard work order as a `kind: "shard_spec"` line — what the
-/// driver writes to each worker's stdin.
-pub fn encode_shard_spec(spec: &ShardSpec) -> String {
-    format!(
-        "{{\"schema\": {SCHEMA}, \"kind\": \"shard_spec\", \"shard_id\": {}, \
-         \"seed\": {}, \"start\": {}, \"end\": {}, \"campaign\": {}}}",
-        spec.shard_id,
-        spec.seed,
-        spec.range.start,
-        spec.range.end,
-        campaign_body(&spec.campaign),
-    )
-}
-
-/// Decodes a `kind: "shard_spec"` line.
-pub fn decode_shard_spec(line: &str) -> Result<ShardSpec, WireError> {
-    let v = header(line, "shard_spec")?;
-    let start = get_usize(&v, "start")?;
-    let end = get_usize(&v, "end")?;
-    if end < start {
-        return Err(WireError::Field {
-            field: "end",
-            what: format!("range end {end} before start {start}"),
-        });
-    }
-    Ok(ShardSpec {
-        campaign: campaign_of(field(&v, "campaign")?)?,
-        seed: get_u64(&v, "seed")?,
-        range: start..end,
-        shard_id: get_u32(&v, "shard_id")?,
-    })
-}
-
-/// Encodes a shard's gathered output as a `kind: "shard_result"` line —
-/// the last line a worker writes to stdout.
-pub fn encode_shard_result(result: &ShardResult) -> String {
-    format!(
-        "{{\"schema\": {SCHEMA}, \"kind\": \"shard_result\", \"shard_id\": {}, \
-         \"start\": {}, \"acc\": {}}}",
-        result.shard_id,
-        result.start,
-        acc_body(&result.acc),
-    )
-}
-
-/// Decodes a `kind: "shard_result"` line.
-pub fn decode_shard_result(line: &str) -> Result<ShardResult, WireError> {
-    let v = header(line, "shard_result")?;
-    Ok(ShardResult {
-        shard_id: get_u32(&v, "shard_id")?,
-        start: get_usize(&v, "start")?,
-        acc: acc_of(field(&v, "acc")?)?,
     })
 }
 
@@ -1365,7 +1318,7 @@ pub fn decode_error(line: &str) -> Result<ErrorLine, WireError> {
 // ---------------------------------------------------------------------------
 
 /// One decoded wire line, dispatched on its `"kind"` header. This is what
-/// stream consumers (the scatter/gather driver reading worker stdout)
+/// stream consumers (the pool driver reading worker stdout)
 /// use; the per-kind decoders are for callers that already know the kind.
 #[derive(Clone, Debug, PartialEq)]
 pub enum Line {
@@ -1380,10 +1333,6 @@ pub enum Line {
     ClassStats(ClassStats),
     /// A whole accumulator.
     Accumulator(StatsAccumulator),
-    /// A shard work order.
-    ShardSpec(ShardSpec),
-    /// A shard's gathered output.
-    ShardResult(ShardResult),
     /// A pool session opener: campaign spec plus seed.
     CampaignSpec {
         /// The campaign every subsequent task executes against.
@@ -1412,8 +1361,10 @@ pub fn decode_line(line: &str) -> Result<Line, WireError> {
         "record" => record_of(&v).map(|(index, record)| Line::Record { index, record }),
         "class_stats" => decode_class_stats(line).map(Line::ClassStats),
         "acc" => decode_accumulator(line).map(Line::Accumulator),
-        "shard_spec" => decode_shard_spec(line).map(Line::ShardSpec),
-        "shard_result" => decode_shard_result(line).map(Line::ShardResult),
+        "shard_spec" => Err(WireError::Retired { kind: "shard_spec" }),
+        "shard_result" => Err(WireError::Retired {
+            kind: "shard_result",
+        }),
         "campaign_spec" => {
             decode_campaign_spec(line).map(|(spec, seed)| Line::CampaignSpec { spec, seed })
         }

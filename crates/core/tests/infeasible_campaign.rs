@@ -1,14 +1,15 @@
-//! Infeasible-heavy campaigns through the new shard surface: the
+//! Infeasible-heavy campaigns through the unit surface: the
 //! `Recommendation { feasible: false }` path must stay visible all the
 //! way to gathered stats (`infeasible == n`), and every wire artifact a
-//! shard emits for such a campaign must be valid schema-3 JSON. Also
-//! proves the *in-process* scatter/gather differential over the wire:
-//! encode spec → decode → execute → encode result → decode → merge is
+//! worker emits for such a campaign must be valid schema-3 JSON. Also
+//! proves the *in-process* scatter/gather differential over the session
+//! wire: encode campaign_spec → decode, then per unit encode task →
+//! decode → execute → encode unit_done → decode → merge is
 //! byte-identical to the single-process run (the subprocess version lives
-//! in `rv-experiments`' `shard_differential` suite, next to the
+//! in `rv-experiments`' `executor_differential` suite, next to the
 //! `rv-shard` binary).
 
-use rv_core::shard::{plan, CampaignSpec, SolverSpec};
+use rv_core::shard::{plan_units, shard_unit, CampaignSpec, SolverSpec, UnitDone, UnitTask};
 use rv_core::stream::VecSink;
 use rv_core::wire::{self, Line, Value};
 use rv_core::{CampaignStats, StatsAccumulator};
@@ -67,7 +68,7 @@ fn all_infeasible_campaign_emits_valid_schema_3_wire_lines() {
         assert_eq!((i2, &rec2), (i, rec));
     }
 
-    // The shard-result accumulator round-trips, and its per-class stats
+    // The unit_done accumulator round-trips, and its per-class stats
     // line is valid too.
     let mut acc = StatsAccumulator::new();
     report.records.iter().for_each(|r| acc.push(r));
@@ -112,26 +113,43 @@ fn in_process_scatter_gather_over_the_wire_is_byte_identical() {
         "workload must include infeasible"
     );
 
+    // The session opener, as a worker would receive it.
+    let (session, session_seed) =
+        match wire::decode_line(&wire::encode_campaign_spec(&spec, seed)).unwrap() {
+            Line::CampaignSpec { spec, seed } => (spec, seed),
+            other => panic!("wrong kind: {other:?}"),
+        };
+    assert_eq!((&session, session_seed), (&spec, seed));
+
     for shards in [1usize, 2, 4] {
         let sink = Arc::new(VecSink::new());
         let mut merged = StatsAccumulator::new();
-        for shard in plan(&spec, seed, n, shards) {
-            // Full wire trip in both directions, as the subprocess
-            // protocol would do it.
-            let sent = wire::encode_shard_spec(&shard);
-            let decoded = match wire::decode_line(&sent).unwrap() {
-                Line::ShardSpec(s) => s,
+        for (k, range) in plan_units(n, shard_unit(n, shards)).into_iter().enumerate() {
+            // Full wire trip in both directions, as the session protocol
+            // would do it.
+            let sent = UnitTask {
+                task_id: k as u32,
+                attempt: 0,
+                range,
+            };
+            let task = match wire::decode_line(&wire::encode_task(&sent)).unwrap() {
+                Line::Task(t) => t,
                 other => panic!("wrong kind: {other:?}"),
             };
-            assert_eq!(decoded, shard);
-            let result = decoded.execute(sink.clone());
-            let returned = wire::encode_shard_result(&result);
-            let result = match wire::decode_line(&returned).unwrap() {
-                Line::ShardResult(r) => r,
+            assert_eq!(task, sent);
+            let acc = session.run_range(session_seed, task.range.clone(), sink.clone(), 0);
+            let returned = wire::encode_unit_done(&UnitDone {
+                task_id: task.task_id,
+                start: task.range.start,
+                acc,
+            });
+            let done = match wire::decode_line(&returned).unwrap() {
+                Line::UnitDone(d) => d,
                 other => panic!("wrong kind: {other:?}"),
             };
-            assert_eq!(result.acc.len(), shard.range.len());
-            merged = merged.merge(result.acc);
+            assert_eq!((done.task_id, done.start), (sent.task_id, sent.range.start));
+            assert_eq!(done.acc.len(), sent.range.len());
+            merged = merged.merge(done.acc);
         }
         assert_byte_identical(&merged.finish(), &local.stats, &format!("{shards} shards"));
 

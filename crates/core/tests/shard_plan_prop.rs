@@ -1,63 +1,53 @@
-//! Property tests for `shard::plan`: for arbitrary `(n, shards)` the
-//! planned ranges are contiguous, disjoint, cover exactly `0..n`, and
-//! differ in length by at most one — the partition invariants every
-//! executor backend's byte-identity rests on.
+//! Property tests for `shard::plan_units` and `shard::shard_unit`: for
+//! arbitrary `(n, unit)` the planned units are contiguous, disjoint,
+//! non-empty, cover exactly `0..n` in order, and only the last may be
+//! short; a `shards`-way scatter (`unit = shard_unit(n, shards)`) never
+//! plans more units than shards — the partition invariants the pool's
+//! byte-identity and cache keys rest on.
 //!
 //! Case counts are capped for CI-friendly wall time; override with
 //! `PROPTEST_CASES` for a deep run.
 
 use proptest::prelude::*;
-use rv_core::shard::{plan, CampaignSpec, SolverSpec};
-use rv_model::TargetClass;
-
-fn spec() -> CampaignSpec {
-    CampaignSpec::new(SolverSpec::Aur, vec![TargetClass::Type3], 1_000)
-}
+use rv_core::shard::{plan_units, shard_unit};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
     #[test]
-    fn plan_partitions_0_to_n_into_balanced_contiguous_ranges(
+    fn plan_units_partitions_0_to_n_into_contiguous_units(
         n in 0usize..3_000,
+        unit in 0usize..4_000,
         shards in 0usize..4_000,
-        seed in any::<u64>(),
     ) {
-        let campaign = spec();
-        let specs = plan(&campaign, seed, n, shards);
+        let units = plan_units(n, unit);
+        let width = unit.max(1);
 
-        // The shard count clamps to 1..=max(n, 1): never zero specs,
-        // never more specs than indices (so no shard is ever empty for
-        // n > 0), and never more than asked for.
-        prop_assert!(!specs.is_empty());
-        prop_assert!(specs.len() <= shards.max(1));
-        prop_assert!(specs.len() <= n.max(1));
-
-        // Contiguous, disjoint, covering exactly 0..n, in shard order:
-        // each range starts where the previous one ended.
+        // Contiguous, disjoint, non-empty, covering exactly 0..n in
+        // ascending order: each unit starts where the previous one ended.
+        prop_assert_eq!(units.len(), n.div_ceil(width));
         let mut next = 0;
-        for (k, s) in specs.iter().enumerate() {
-            prop_assert_eq!(s.shard_id as usize, k);
-            prop_assert_eq!(s.range.start, next);
-            prop_assert!(s.range.end >= s.range.start);
-            prop_assert!(!s.range.is_empty() || n == 0);
-            prop_assert_eq!(s.seed, seed);
-            prop_assert_eq!(&s.campaign, &campaign);
-            next = s.range.end;
+        for r in &units {
+            prop_assert_eq!(r.start, next);
+            prop_assert!(!r.is_empty());
+            next = r.end;
         }
         prop_assert_eq!(next, n);
 
-        // Balanced: lengths differ by at most one, and the long shards
-        // come first (the first n % shards ranges carry the extra index).
-        let lens: Vec<usize> = specs.iter().map(|s| s.range.len()).collect();
-        let lo = *lens.iter().min().unwrap();
-        let hi = *lens.iter().max().unwrap();
-        prop_assert!(hi - lo <= 1);
-        let first_short = lens.iter().position(|&l| l == lo).unwrap_or(0);
-        prop_assert!(
-            lens[first_short..].iter().all(|&l| l == lo),
-            "short shards must form a suffix: {:?}",
-            lens
-        );
+        // Full-width units, with only the last allowed to be short.
+        if let Some((last, full)) = units.split_last() {
+            prop_assert!(full.iter().all(|r| r.len() == width));
+            prop_assert!(last.len() <= width);
+        }
+
+        // The scatter shape: at most `shards` units (clamped to 1..=n),
+        // all of equal length whenever `shards` divides `n`.
+        let scattered = plan_units(n, shard_unit(n, shards));
+        prop_assert!(scattered.len() <= shards.clamp(1, n.max(1)));
+        prop_assert_eq!(scattered.iter().map(|r| r.len()).sum::<usize>(), n);
+        if shards > 0 && n >= shards && n % shards == 0 {
+            prop_assert_eq!(scattered.len(), shards);
+            prop_assert!(scattered.iter().all(|r| r.len() == n / shards));
+        }
     }
 }

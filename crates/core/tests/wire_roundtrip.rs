@@ -10,9 +10,7 @@
 use proptest::collection::vec;
 use proptest::prelude::*;
 use rv_core::batch::{ClassStats, RunRecord, StatsAccumulator};
-use rv_core::shard::{
-    CampaignSpec, ShardResult, ShardSpec, SolverSpec, UnitDone, UnitTask, UnitTelemetry,
-};
+use rv_core::shard::{CampaignSpec, SolverSpec, UnitDone, UnitTask, UnitTelemetry};
 use rv_core::wire::{self, Line, Value, WireError, MAX_DEPTH};
 use rv_model::{Classification, TargetClass};
 
@@ -139,38 +137,6 @@ proptest! {
     }
 
     #[test]
-    fn shard_spec_encoding_is_a_fixed_point(
-        campaign in campaign_strategy(),
-        seed in any::<u64>(),
-        start in 0usize..1_000_000,
-        len in 0usize..1_000_000,
-        shard_id in any::<u32>(),
-    ) {
-        let spec = ShardSpec { campaign, seed, range: start..start + len, shard_id };
-        let line = wire::encode_shard_spec(&spec);
-        let spec2 = wire::decode_shard_spec(&line).expect("own encoding must decode");
-        prop_assert_eq!(&spec2, &spec);
-        prop_assert_eq!(wire::encode_shard_spec(&spec2), line);
-    }
-
-    #[test]
-    fn shard_result_encoding_is_a_fixed_point(
-        records in vec(record_strategy(), 0..30),
-        shard_id in any::<u32>(),
-        start in any::<usize>(),
-    ) {
-        let mut acc = StatsAccumulator::new();
-        for r in &records {
-            acc.push(r);
-        }
-        let result = ShardResult { shard_id, start, acc };
-        let line = wire::encode_shard_result(&result);
-        let result2 = wire::decode_shard_result(&line).expect("own encoding must decode");
-        prop_assert_eq!(format!("{result2:?}"), format!("{result:?}"));
-        prop_assert_eq!(wire::encode_shard_result(&result2), line);
-    }
-
-    #[test]
     fn campaign_spec_encoding_is_a_fixed_point(
         campaign in campaign_strategy(),
         seed in any::<u64>(),
@@ -245,8 +211,6 @@ proptest! {
         let _ = wire::decode_line(&text);
         let _ = wire::decode_record(&text);
         let _ = wire::decode_accumulator(&text);
-        let _ = wire::decode_shard_spec(&text);
-        let _ = wire::decode_shard_result(&text);
         let _ = wire::decode_campaign_spec(&text);
         let _ = wire::decode_task(&text);
         let _ = wire::decode_unit_telemetry(&text);
@@ -385,27 +349,17 @@ fn adversarial_nesting_is_depth_limited_not_a_stack_overflow() {
 
 #[test]
 fn empty_class_lists_are_rejected_not_panicking() {
-    let spec = ShardSpec {
-        campaign: CampaignSpec::new(SolverSpec::Aur, vec![TargetClass::Type3], 1000),
-        seed: 1,
-        range: 0..4,
-        shard_id: 0,
-    };
-    let line = wire::encode_shard_spec(&spec);
+    let spec = CampaignSpec::new(SolverSpec::Aur, vec![TargetClass::Type3], 1000);
+    let line = wire::encode_campaign_spec(&spec, 1);
     let empty = line.replace("[\"type3\"]", "[]");
     assert!(matches!(
-        wire::decode_shard_spec(&empty),
+        wire::decode_campaign_spec(&empty),
         Err(WireError::Field {
             field: "classes",
             ..
         })
     ));
-    let inverted = line.replace("\"start\": 0, \"end\": 4", "\"start\": 4, \"end\": 0");
-    assert!(matches!(
-        wire::decode_shard_spec(&inverted),
-        Err(WireError::Field { field: "end", .. })
-    ));
-    // Task lines enforce the same range sanity.
+    // Task lines reject inverted ranges.
     let task = UnitTask {
         task_id: 0,
         attempt: 0,
@@ -421,36 +375,66 @@ fn empty_class_lists_are_rejected_not_panicking() {
 
 #[test]
 fn oversized_shard_ids_are_field_errors_not_truncations() {
-    // Regression: `as u32` would have decoded 2^32 as shard 0, letting a
-    // corrupted shard_result impersonate shard 0 past the gather check.
-    let spec = ShardSpec {
-        campaign: CampaignSpec::new(SolverSpec::Aur, vec![TargetClass::Type3], 1000),
-        seed: 1,
+    // Regression: `as u32` would have decoded 2^32 as unit 0, letting a
+    // corrupted unit_done impersonate unit 0 past the gather check.
+    let task = UnitTask {
+        task_id: 0,
+        attempt: 0,
         range: 0..4,
-        shard_id: 0,
     };
-    let line =
-        wire::encode_shard_spec(&spec).replace("\"shard_id\": 0", "\"shard_id\": 4294967296");
+    let line = wire::encode_task(&task).replace("\"task_id\": 0", "\"task_id\": 4294967296");
     assert!(matches!(
-        wire::decode_shard_spec(&line),
+        wire::decode_task(&line),
         Err(WireError::Field {
-            field: "shard_id",
+            field: "task_id",
             ..
         })
     ));
-    let result = ShardResult {
-        shard_id: 0,
+    let done = UnitDone {
+        task_id: 0,
         start: 0,
         acc: StatsAccumulator::new(),
     };
-    let line =
-        wire::encode_shard_result(&result).replace("\"shard_id\": 0", "\"shard_id\": 4294967296");
+    let line = wire::encode_unit_done(&done).replace("\"task_id\": 0", "\"task_id\": 4294967296");
     assert!(matches!(
-        wire::decode_shard_result(&line),
+        wire::decode_unit_done(&line),
         Err(WireError::Field {
-            field: "shard_id",
+            field: "task_id",
             ..
         })
+    ));
+}
+
+#[test]
+fn retired_one_shot_kinds_are_typed_refusals() {
+    // The one-shot protocol's work order and answer, byte-for-byte as its
+    // drivers and workers emitted them: decoding is a typed refusal
+    // naming the kind, never a panic and never a silent misparse.
+    let shard_spec = "{\"schema\": 3, \"kind\": \"shard_spec\", \"shard_id\": 0, \"seed\": 1, \
+                      \"start\": 0, \"end\": 4, \"campaign\": {\"solver\": \"aur\", \
+                      \"segments\": 1000, \"classes\": [\"type3\"]}}";
+    let shard_result = wire::encode_unit_done(&UnitDone {
+        task_id: 0,
+        start: 0,
+        acc: StatsAccumulator::new(),
+    })
+    .replace(
+        "\"unit_done\", \"task_id\"",
+        "\"shard_result\", \"shard_id\"",
+    );
+    for (line, kind) in [
+        (shard_spec.to_string(), "shard_spec"),
+        (shard_result, "shard_result"),
+    ] {
+        let err = wire::decode_line(&line).unwrap_err();
+        assert_eq!(err, WireError::Retired { kind }, "{line}");
+        assert!(err.to_string().contains(kind), "{err}");
+    }
+    // A retired kind with a wrong schema is still a schema error first.
+    let old_schema = shard_spec.replace("\"schema\": 3", "\"schema\": 2");
+    assert!(matches!(
+        wire::decode_line(&old_schema),
+        Err(WireError::Schema { .. })
     ));
 }
 

@@ -1,55 +1,48 @@
-//! `rv-shard` — the cross-process campaign shard worker and its
-//! executor-backed driver CLI (the schema-3 wire protocol; see
-//! `rv_core::exec`, `rv_core::shard`, and `WIRE.md`).
+//! `rv-shard` — the cross-process campaign worker and its executor-backed
+//! driver CLI (the schema-3 wire protocol; see `rv_core::exec`,
+//! `rv_core::shard`, and `WIRE.md`).
 //!
 //! ```text
 //! rv-shard worker [--threads T] [--flaky]
-//!     Speak the schema-3 worker protocol on stdin/stdout. A first line
-//!     of kind shard_spec runs the one-shot protocol: execute the
-//!     shard, stream one record line per finished run, then the final
-//!     shard_result line. A first line of kind campaign_spec opens a
-//!     persistent *session*: each subsequent task line executes one
-//!     index unit (record lines, then a unit_telemetry line, then a
-//!     unit_done line), a new campaign_spec line re-keys the session,
-//!     and stdin EOF ends it with exit 0. Exit 0 on success, 2 on a
-//!     bad spec. With --flaky, deterministically fail (exit 3, after
-//!     streaming one genuine record) on first attempts — the one-shot
-//!     protocol reads the attempt from the RV_SHARD_ATTEMPT environment
-//!     variable, a session reads it from each task line — a test mode
-//!     proving driver retry works.
+//!     Speak the schema-3 session protocol on stdin/stdout. The first
+//!     line must be a campaign_spec line, which opens the session; each
+//!     subsequent task line executes one index unit (record lines, then
+//!     a unit_telemetry line, then a unit_done line), a new
+//!     campaign_spec line re-keys the session, and stdin EOF ends it
+//!     with exit 0. A bad or missing opener — including the retired
+//!     one-shot work order — exits 2. With --flaky, every task
+//!     whose line carries attempt 0 fails deterministically (exit 3,
+//!     after streaming one genuine record) — a test mode proving driver
+//!     retry works.
 //!
 //! rv-shard campaign --n N [--shards K] [--seed S] [--solver aur|dedicated]
 //!                   [--classes type3,s1,...] [--segments M]
 //!                   [--transport local|subprocess|command|pool] [--local]
-//!                   [--retries R] [--max-inflight M] [--unit U]
-//!                   [--wrap "ssh host --"] [--utilization] [--cache DIR]
+//!                   [--retries R] [--unit U] [--wrap "ssh host --"]
+//!                   [--utilization] [--cache DIR]
 //!     Run the seeded campaign through the chosen executor backend and
 //!     print the gathered CampaignStats JSON — byte-identical on every
-//!     backend. --local is shorthand for --transport local; --wrap
-//!     (which implies --transport command) prefixes every worker
-//!     invocation with the given command, e.g. an ssh hop. With
-//!     --transport pool, --shards sets the persistent worker count and
-//!     --unit the steal-unit size in indices (0 = auto), and
-//!     --utilization prints a second JSON line after the stats — the
-//!     per-worker utilization fold of the pool's unit telemetry
-//!     (UtilizationReport; idle workers report zero units). The stats
-//!     line itself is unaffected. --utilization with any other
-//!     transport is a usage error (only the pool has worker slots).
-//!     --cache DIR attaches a content-addressed result cache (created
-//!     if missing): a warm re-run replays finished shards from DIR
-//!     byte-identically and only re-executes shards whose spec hash
-//!     changed. A DIR that exists but is not a directory is a usage
-//!     error (exit 2).
+//!     backend. --local is shorthand for --transport local. Every other
+//!     transport runs on a pool of persistent rv-shard workers:
+//!     subprocess is a K-shard scatter (K = --shards workers, one
+//!     contiguous ceil(n/K) range each), command is the same behind the
+//!     --wrap prefix (which implies it), e.g. an ssh hop, and pool takes
+//!     --shards as the worker count and --unit as the steal-unit size in
+//!     indices (0 = auto). --utilization prints a second JSON line after
+//!     the stats — the per-worker utilization fold of the pool's unit
+//!     telemetry (UtilizationReport; idle workers report zero units) —
+//!     and is a usage error with the local transport. --cache DIR
+//!     attaches a content-addressed result cache (created if missing): a
+//!     warm re-run replays finished units from DIR byte-identically and
+//!     only re-executes units whose spec hash changed. A DIR that exists
+//!     but is not a directory is a usage error (exit 2).
 //! ```
 
 use rv_core::cache::{CacheError, CachedExecutor, ResultCache};
-use rv_core::exec::{
-    CommandExecutor, Executor, LocalExecutor, PoolExecutor, SubprocessExecutor, UtilizationReport,
-    ATTEMPT_ENV,
-};
-use rv_core::shard::{CampaignSpec, ShardResult, ShardSpec, SolverSpec, UnitDone, UnitTelemetry};
+use rv_core::exec::{ExecError, Executor, LocalExecutor, PoolExecutor, UtilizationReport};
+use rv_core::shard::{shard_unit, CampaignSpec, SolverSpec, UnitDone, UnitTelemetry};
 use rv_core::wire::Line;
-use rv_core::{wire, JsonLinesSink, RecordSink};
+use rv_core::{wire, CampaignStats, JsonLinesSink, RecordSink};
 use rv_experiments::runner::worker_command;
 use rv_model::TargetClass;
 use std::io::{BufRead, StdinLock};
@@ -66,7 +59,7 @@ fn main() {
                  rv-shard campaign --n N [--shards K] [--seed S] [--solver aur|dedicated] \
                  [--classes a,b,...] [--segments M] \
                  [--transport local|subprocess|command|pool] \
-                 [--local] [--retries R] [--max-inflight M] [--unit U] [--wrap CMD] \
+                 [--local] [--retries R] [--unit U] [--wrap CMD] \
                  [--utilization] [--cache DIR]"
             );
             std::process::exit(2);
@@ -74,12 +67,11 @@ fn main() {
     }
 }
 
-/// Worker mode: a shard spec in, record lines + shard result out — or,
-/// when the first line is a campaign spec, a persistent session serving
-/// task lines until stdin EOF. `--threads T` caps this worker's
-/// campaign threads (0 = all cores) so K same-host workers can split
-/// the CPU instead of oversubscribing it. `--flaky` injects
-/// deterministic first-attempt failures (see below).
+/// Worker mode: a campaign spec opens a persistent session serving task
+/// lines until stdin EOF. `--threads T` caps this worker's campaign
+/// threads (0 = all cores) so K same-host workers can split the CPU
+/// instead of oversubscribing it. `--flaky` injects deterministic
+/// first-attempt failures (see [`session`]).
 fn worker(args: &[String]) {
     // Validate the full flag set up front: an unknown flag silently
     // ignored here would make a typo'd driver invocation (say
@@ -108,10 +100,11 @@ fn worker(args: &[String]) {
         std::process::exit(2);
     }
     match wire::decode_line(line.trim()) {
-        Ok(Line::ShardSpec(spec)) => one_shot(spec, threads, flaky),
         Ok(Line::CampaignSpec { spec, seed }) => session(input, spec, seed, threads, flaky),
         Ok(other) => {
-            eprintln!("rv-shard worker: bad shard spec: expected a shard_spec or campaign_spec line, got {other:?}");
+            eprintln!(
+                "rv-shard worker: bad shard spec: expected a campaign_spec line, got {other:?}"
+            );
             std::process::exit(2);
         }
         Err(e) => {
@@ -121,42 +114,20 @@ fn worker(args: &[String]) {
     }
 }
 
-/// The one-shot worker protocol: execute the single handed-over shard,
-/// stream its records, print the final `shard_result` line.
-fn one_shot(spec: ShardSpec, threads: usize, flaky: bool) {
-    // Records stream as wire lines the moment each run lands; Stdout is
-    // line-buffered and the sink flushes, so the parent sees them live.
-    let sink = Arc::new(JsonLinesSink::new(std::io::stdout()));
-    if flaky && attempt_number() == 0 {
-        // Fault-injection mode: stream ONE genuine record (a partial
-        // stream the driver must discard wholesale — replaying it would
-        // double-deliver the index), then die. Attempts >= 1 run clean,
-        // so exactly one retry per shard recovers the campaign.
-        if !spec.range.is_empty() {
-            let first = ShardSpec {
-                range: spec.range.start..spec.range.start + 1,
-                ..spec.clone()
-            };
-            let _ = first.execute_threads(sink.clone() as Arc<dyn RecordSink>, 1);
-        }
-        eprintln!("rv-shard worker: injected flaky failure (attempt 0)");
-        std::process::exit(3);
-    }
-    let result: ShardResult = spec.execute_threads(sink.clone() as Arc<dyn RecordSink>, threads);
-    if sink.failed() {
-        eprintln!("rv-shard worker: record stream write failed");
-        std::process::exit(1);
-    }
-    println!("{}", wire::encode_shard_result(&result));
-}
-
-/// The persistent-session worker protocol (the `PoolExecutor` side):
-/// keyed by the opening `campaign_spec` line, each `task` line executes
-/// one index unit and answers with record lines, one `unit_telemetry`
-/// line, and one `unit_done` line. A fresh `campaign_spec` line re-keys
-/// the session in place; stdin EOF is the graceful shutdown (exit 0).
+/// The session worker protocol (the `PoolExecutor` side): keyed by the
+/// opening `campaign_spec` line, each `task` line executes one index
+/// unit and answers with record lines, one `unit_telemetry` line, and
+/// one `unit_done` line. A fresh `campaign_spec` line re-keys the
+/// session in place; stdin EOF is the graceful shutdown (exit 0).
+///
+/// With `flaky`, a task line carrying attempt 0 streams ONE genuine
+/// record (a partial stream the driver must discard wholesale —
+/// replaying it would double-deliver the index) and exits 3. Attempts
+/// >= 1 run clean, so exactly one retry per unit recovers the campaign.
 fn session(mut input: StdinLock<'_>, spec: CampaignSpec, seed: u64, threads: usize, flaky: bool) {
     let mut session = (spec, seed);
+    // Records stream as wire lines the moment each run lands; Stdout is
+    // line-buffered and the sink flushes, so the driver sees them live.
     let sink = Arc::new(JsonLinesSink::new(std::io::stdout()));
     let mut line = String::new();
     loop {
@@ -178,30 +149,22 @@ fn session(mut input: StdinLock<'_>, spec: CampaignSpec, seed: u64, threads: usi
         match wire::decode_line(trimmed) {
             Ok(Line::CampaignSpec { spec, seed }) => session = (spec, seed),
             Ok(Line::Task(task)) => {
+                let (spec, seed) = &session;
                 if flaky && task.attempt == 0 {
-                    // Session-mode fault injection: same contract as the
-                    // one-shot worker, with the attempt number read off
-                    // the task line instead of the environment.
+                    let start = task.range.start;
                     if !task.range.is_empty() {
-                        let first = ShardSpec {
-                            campaign: session.0.clone(),
-                            seed: session.1,
-                            range: task.range.start..task.range.start + 1,
-                            shard_id: task.task_id,
-                        };
-                        let _ = first.execute_threads(sink.clone() as Arc<dyn RecordSink>, 1);
+                        let _ = spec.run_range(*seed, start..start + 1, sink.clone(), 1);
                     }
                     eprintln!("rv-shard worker: injected flaky failure (attempt 0)");
                     std::process::exit(3);
                 }
                 let started = std::time::Instant::now();
-                let shard = ShardSpec {
-                    campaign: session.0.clone(),
-                    seed: session.1,
-                    range: task.range.clone(),
-                    shard_id: task.task_id,
-                };
-                let result = shard.execute_threads(sink.clone() as Arc<dyn RecordSink>, threads);
+                let acc = spec.run_range(
+                    *seed,
+                    task.range.clone(),
+                    sink.clone() as Arc<dyn RecordSink>,
+                    threads,
+                );
                 let telemetry = UnitTelemetry {
                     task_id: task.task_id,
                     attempt: task.attempt,
@@ -210,8 +173,8 @@ fn session(mut input: StdinLock<'_>, spec: CampaignSpec, seed: u64, threads: usi
                 sink.write_line(&wire::encode_unit_telemetry(&telemetry));
                 sink.write_line(&wire::encode_unit_done(&UnitDone {
                     task_id: task.task_id,
-                    start: result.start,
-                    acc: result.acc,
+                    start: task.range.start,
+                    acc,
                 }));
                 if sink.failed() {
                     eprintln!("rv-shard worker: record stream write failed");
@@ -228,15 +191,6 @@ fn session(mut input: StdinLock<'_>, spec: CampaignSpec, seed: u64, threads: usi
             }
         }
     }
-}
-
-/// The zero-based attempt number the executor put in the environment
-/// (absent or unparseable counts as the first attempt).
-fn attempt_number() -> u32 {
-    std::env::var(ATTEMPT_ENV)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(0)
 }
 
 /// The operand following `name`, or `None` when the flag is absent. A
@@ -284,7 +238,6 @@ fn campaign(args: &[String]) {
     let seed: u64 = parsed_flag(args, "--seed", 0);
     let segments: u64 = parsed_flag(args, "--segments", 60_000);
     let retries: u32 = parsed_flag(args, "--retries", 0);
-    let max_inflight: usize = parsed_flag(args, "--max-inflight", 0);
     let unit: usize = parsed_flag(args, "--unit", 0);
     let solver_name = flag_value(args, "--solver").unwrap_or("aur");
     let solver = SolverSpec::from_name(solver_name).unwrap_or_else(|e| {
@@ -313,18 +266,28 @@ fn campaign(args: &[String]) {
         } else {
             "subprocess"
         });
-
+    if !matches!(transport, "local" | "subprocess" | "command" | "pool") {
+        eprintln!(
+            "rv-shard campaign: unknown transport {transport:?} \
+             (local | subprocess | command | pool)"
+        );
+        std::process::exit(2);
+    }
     if wrap.is_some() && transport != "command" {
         // A wrapper the chosen transport would silently drop means the
         // run would execute somewhere other than where the user asked.
         eprintln!("rv-shard campaign: --wrap conflicts with --transport {transport} (or --local)");
         std::process::exit(2);
     }
+    if transport == "command" && wrap.as_ref().is_none_or(|w| w.is_empty()) {
+        eprintln!("rv-shard campaign: --transport command needs --wrap CMD");
+        std::process::exit(2);
+    }
     let utilization = args.iter().any(|a| a == "--utilization");
-    if utilization && transport != "pool" {
-        // Only the pool has persistent worker slots to report on;
-        // silently ignoring the flag would look like "all workers idle".
-        eprintln!("rv-shard campaign: --utilization requires --transport pool");
+    if utilization && transport == "local" {
+        // Only a worker pool has slots to report on; silently ignoring
+        // the flag would look like "all workers idle".
+        eprintln!("rv-shard campaign: --utilization needs a worker transport, not local");
         std::process::exit(2);
     }
     // The cache opens (creating DIR if needed) before any worker spawns
@@ -342,94 +305,59 @@ fn campaign(args: &[String]) {
                 std::process::exit(1);
             }
         });
-    // Split the host's cores over the workers that actually run at once:
-    // the in-flight cap when one is set, else one worker per planned
-    // shard (plan clamps the shard count to n, so clamp here too).
-    let planned = shards.min(n.max(1)).max(1);
-    let concurrency = match max_inflight {
-        0 => planned,
-        cap => planned.min(cap),
-    };
-    let executor: Box<dyn Executor> = match transport {
-        // The local engine has no shard structure to reuse, so --cache
-        // wraps it: the whole campaign is one cache entry.
-        "local" => match &cache {
-            Some(cache) => Box::new(CachedExecutor::new(LocalExecutor::new(), Arc::clone(cache))),
-            None => Box::new(LocalExecutor::new()),
-        },
-        "subprocess" => {
-            let mut exec = SubprocessExecutor::new(worker_command(&own_binary(), concurrency))
-                .shards(shards)
-                .retries(retries)
-                .max_inflight(max_inflight);
-            if let Some(cache) = &cache {
-                exec = exec.cache(Arc::clone(cache));
-            }
-            Box::new(exec)
-        }
-        "command" => {
-            let wrap = wrap.filter(|w| !w.is_empty()).unwrap_or_else(|| {
-                eprintln!("rv-shard campaign: --transport command needs --wrap CMD");
-                std::process::exit(2);
-            });
-            let mut exec = CommandExecutor::new(wrap, worker_command(&own_binary(), concurrency))
-                .shards(shards)
-                .retries(retries)
-                .max_inflight(max_inflight);
-            if let Some(cache) = &cache {
-                exec = exec.cache(Arc::clone(cache));
-            }
-            Box::new(exec)
-        }
-        // Pool transport: --shards is the persistent worker count and
-        // --unit the steal-unit size; max_inflight has no meaning (the
-        // pool is its own concurrency bound, one unit per worker). Kept
-        // concrete (not boxed) so --utilization can read the
-        // worker-tagged telemetry back off the executor afterwards.
-        "pool" => {
-            let mut pool = PoolExecutor::new(worker_command(&own_binary(), concurrency))
-                .workers(shards)
-                .unit(unit)
-                .retries(retries);
-            if let Some(cache) = &cache {
-                pool = pool.cache(Arc::clone(cache));
-            }
-            match pool.execute_stats(&spec, seed, n, None) {
-                Ok(stats) => {
-                    println!("{}", stats.to_json());
-                    if utilization {
-                        // One row per pool slot, idle workers included —
-                        // the slot count mirrors PoolExecutor::workers'
-                        // clamp to at least one.
-                        let report = UtilizationReport::from_worker_telemetry(
-                            shards.max(1),
-                            &pool.take_worker_telemetry(),
-                        );
-                        println!("{}", report.to_json());
-                    }
-                }
-                Err(e) => {
-                    eprintln!("rv-shard campaign [{}]: {e}", pool.name());
-                    std::process::exit(1);
-                }
-            }
-            return;
-        }
-        other => {
-            eprintln!(
-                "rv-shard campaign: unknown transport {other:?} \
-                 (local | subprocess | command | pool)"
-            );
-            std::process::exit(2);
-        }
-    };
 
-    // Stats-only path: execute_stats keeps driver memory at O(shard
+    // Stats-only paths: execute_stats keeps driver memory at O(unit
     // size) even for huge campaigns (records are never materialised).
-    match executor.execute_stats(&spec, seed, n, None) {
+    if transport == "local" {
+        // The local engine has no unit structure to reuse, so --cache
+        // wraps it: the whole campaign is one cache entry.
+        let local = LocalExecutor::new();
+        print_stats(
+            transport,
+            match cache {
+                Some(cache) => {
+                    CachedExecutor::new(local, cache).execute_stats(&spec, seed, n, None)
+                }
+                None => local.execute_stats(&spec, seed, n, None),
+            },
+        );
+        return;
+    }
+    let (workers, unit) = match transport {
+        "pool" => (shards.max(1), unit),
+        // A K-shard scatter: K workers, one contiguous ceil(n/K) range each.
+        _ => (shards.clamp(1, n), shard_unit(n, shards)),
+    };
+    // Split the host's cores over the workers that can run at once.
+    let mut worker = worker_command(&own_binary(), shards.clamp(1, n));
+    if let Some(wrap) = wrap {
+        worker = worker.wrap(wrap);
+    }
+    let mut pool = PoolExecutor::new(worker)
+        .workers(workers)
+        .unit(unit)
+        .retries(retries);
+    if let Some(cache) = cache {
+        pool = pool.cache(cache);
+    }
+    print_stats(transport, pool.execute_stats(&spec, seed, n, None));
+    if utilization {
+        // One row per pool slot, idle workers included.
+        let telemetry = pool.take_worker_telemetry();
+        println!(
+            "{}",
+            UtilizationReport::from_worker_telemetry(workers, &telemetry).to_json()
+        );
+    }
+}
+
+/// Prints the gathered stats JSON, or reports the failure under the
+/// transport's label and exits 1.
+fn print_stats(transport: &str, stats: Result<CampaignStats, ExecError>) {
+    match stats {
         Ok(stats) => println!("{}", stats.to_json()),
         Err(e) => {
-            eprintln!("rv-shard campaign [{}]: {e}", executor.name());
+            eprintln!("rv-shard campaign [{transport}]: {e}");
             std::process::exit(1);
         }
     }

@@ -15,20 +15,15 @@ use std::path::Path;
 pub use rv_core::batch::{
     Campaign, CampaignReport, CampaignStats as Summary, RunRecord as RunResult, StatsAccumulator,
 };
-pub use rv_core::exec::{
-    CommandExecutor, ExecError, Executor, LocalExecutor, PoolExecutor, SubprocessExecutor,
-    WorkerCommand,
-};
-pub use rv_core::shard::{plan as plan_shards, CampaignSpec, ShardError, SolverSpec};
+pub use rv_core::exec::{ExecError, Executor, LocalExecutor, PoolExecutor, WorkerCommand};
+pub use rv_core::shard::{CampaignSpec, ShardError, SolverSpec};
 pub use rv_core::{Aur, Closure, Dedicated, FixedPair, Solver, Visibility};
 
 /// The standard worker invocation for an `rv-shard` binary at `worker`:
 /// `worker` mode with the host's cores split across `concurrency`
 /// same-host workers (`cores / concurrency`, minimum 1 thread each) so a
-/// local scatter does not oversubscribe the CPU. Pass the number of
-/// workers that actually run at once — the in-flight cap when one is
-/// set, else the shard count. Thread counts never change a single
-/// output byte.
+/// local scatter does not oversubscribe the CPU. Pass the pool's worker
+/// count. Thread counts never change a single output byte.
 pub fn worker_command(worker: &Path, concurrency: usize) -> WorkerCommand {
     let cores = std::thread::available_parallelism().map_or(1, |c| c.get());
     let per_worker = (cores / concurrency.max(1)).max(1);
@@ -38,28 +33,12 @@ pub fn worker_command(worker: &Path, concurrency: usize) -> WorkerCommand {
         .arg(per_worker.to_string())
 }
 
-/// The `--shards N` execution path: scatters the seeded campaign
-/// `(spec, seed, 0..n)` over `shards` subprocesses of `worker` (an
-/// `rv-shard` binary, invoked via [`worker_command`]) through a
-/// [`SubprocessExecutor`] and gathers the merged stats — byte-identical
-/// to [`CampaignSpec::run_local`] by the executor determinism guarantee.
-pub fn run_sharded(
-    worker: &Path,
-    spec: &CampaignSpec,
-    seed: u64,
-    n: usize,
-    shards: usize,
-) -> Result<rv_core::CampaignStats, ExecError> {
-    SubprocessExecutor::new(worker_command(worker, shards.min(n.max(1))))
-        .shards(shards)
-        .execute_stats(spec, seed, n, None)
-}
-
-/// The persistent-pool execution path: `workers` long-lived `rv-shard`
+/// The process-backed execution path: `workers` long-lived `rv-shard`
 /// session workers steal `unit`-sized index units (`0` = auto) off a
 /// shared queue until the campaign drains — byte-identical to
-/// [`CampaignSpec::run_local`] like every backend, but with spawn cost
-/// paid once per worker instead of once per shard. For repeated
+/// [`CampaignSpec::run_local`] like every backend, with spawn cost paid
+/// once per worker. A K-shard scatter is `workers = K` with
+/// `unit = `[`rv_core::shard::shard_unit`]`(n, K)`. For repeated
 /// campaigns, build one [`PoolExecutor`] and call `execute_stats`
 /// yourself: the pool's sessions survive between calls.
 pub fn run_pooled(

@@ -1,27 +1,25 @@
 //! The headline differential: the same seeded campaign run through every
-//! `Executor` backend — `LocalExecutor`, `SubprocessExecutor` over 1/2/4
-//! real `rv-shard` worker subprocesses, `CommandExecutor` behind an
-//! identity command wrapper, and `PoolExecutor` over 1/2/4 persistent
-//! session workers — must produce byte-identical `CampaignStats`
+//! `Executor` backend — `LocalExecutor`, and `PoolExecutor` over real
+//! `rv-shard` session workers in every shape the CLI and the service
+//! build (a K-shard scatter of one ⌈n/K⌉ unit per worker, a
+//! work-stealing pool of small units, and a pool behind an identity
+//! command wrapper) — must produce byte-identical `CampaignStats`
 //! (struct, Debug rendering, and `to_json` artifact) and identical
 //! record streams. Fault tolerance is proven the hard way: the worker's
 //! `--flaky` mode deterministically kills every first attempt (after
 //! leaking a partial record stream the driver must discard), so a retry
 //! budget of 1 recovers byte-identically while a budget of 0 fails
-//! typed — for one-shot shards and for pool sessions alike. Driver
-//! failure paths, abort promptness, the exactly-once sink contract
-//! under concurrent retries, and the CLI transports are exercised
-//! against real processes too.
+//! typed. Driver failure paths, failover onto surviving worker
+//! commands, abort promptness, the exactly-once sink contract under
+//! concurrent retries, and the CLI transports are exercised against real
+//! processes too.
 
 use rv_core::cache::ResultCache;
-use rv_core::exec::{
-    CommandExecutor, ExecError, Executor, LocalExecutor, PoolExecutor, SubprocessExecutor,
-    WorkerCommand,
-};
-use rv_core::shard::{CampaignSpec, ShardError, SolverSpec, UnitTask};
+use rv_core::exec::{ExecError, Executor, LocalExecutor, PoolExecutor, WorkerCommand};
+use rv_core::shard::{shard_unit, CampaignSpec, ShardError, SolverSpec, UnitTask};
 use rv_core::stream::VecSink;
 use rv_core::{wire, CampaignReport, CampaignStats, RecordSink};
-use rv_experiments::runner::{run_pooled, run_sharded};
+use rv_experiments::runner::{run_pooled, worker_command};
 use rv_model::TargetClass;
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -46,6 +44,15 @@ fn mixed_spec() -> CampaignSpec {
 
 fn worker_cmd() -> WorkerCommand {
     WorkerCommand::new(WORKER).arg("worker")
+}
+
+/// A `shards`-way scatter of `0..n` over `worker`: one worker per shard,
+/// one contiguous ⌈n/shards⌉ unit each — what `--transport subprocess`
+/// builds.
+fn scatter(worker: WorkerCommand, n: usize, shards: usize) -> PoolExecutor {
+    PoolExecutor::new(worker)
+        .workers(shards)
+        .unit(shard_unit(n, shards))
 }
 
 fn assert_byte_identical(a: &CampaignStats, b: &CampaignStats, ctx: &str) {
@@ -81,70 +88,16 @@ fn assert_backend_matches(
     }
 }
 
-#[test]
-fn local_executor_is_byte_identical_to_single_process() {
-    let spec = mixed_spec();
-    assert_backend_matches(&LocalExecutor::new(), &spec, 0xD1FF_5EED, 24, "local");
-}
-
-#[test]
-fn subprocess_executor_is_byte_identical_for_1_2_4_shards() {
-    let spec = mixed_spec();
-    let seed = 0xD1FF_5EED;
-    let n = 24;
-    let local = spec.run_local(seed, n);
-    assert!(local.stats.met > 0, "workload must exercise real runs");
-    assert!(
-        local.stats.infeasible > 0,
-        "workload must include infeasible instances"
-    );
-    for shards in [1usize, 2, 4] {
-        let exec = SubprocessExecutor::new(worker_cmd()).shards(shards);
-        assert_backend_matches(&exec, &spec, seed, n, &format!("{shards} shards"));
-    }
-}
-
-#[test]
-fn command_executor_identity_wrapper_is_byte_identical() {
-    if !Path::new("/usr/bin/env").exists() {
-        eprintln!("skipping: /usr/bin/env not available");
-        return;
-    }
-    let spec = mixed_spec();
-    // `env worker args...` execs the worker unchanged: the identity
-    // wrapper, standing in for `ssh host --`.
-    let exec = CommandExecutor::new(["/usr/bin/env"], worker_cmd()).shards(3);
-    assert_backend_matches(&exec, &spec, 0xD1FF_5EED, 24, "command(env)");
-}
-
-#[test]
-fn max_inflight_caps_do_not_change_bytes() {
-    let spec = mixed_spec();
-    for cap in [1usize, 2] {
-        let exec = SubprocessExecutor::new(worker_cmd())
-            .shards(4)
-            .max_inflight(cap);
-        assert_backend_matches(&exec, &spec, 7, 13, &format!("4 shards, inflight {cap}"));
-    }
-}
-
-#[test]
-fn flaky_workers_recover_byte_identically_with_one_retry() {
-    let spec = mixed_spec();
-    let seed = 0xF1A6;
-    let n = 16;
-    let flaky = WorkerCommand::new(WORKER).arg("worker").arg("--flaky");
-
-    // Without a retry budget every shard's first attempt dies (exit 3,
-    // after leaking one genuine record line the driver must discard):
-    // typed exhaustion, not a panic and not a partial result.
-    let err = SubprocessExecutor::new(flaky.clone())
-        .shards(2)
-        .execute(&spec, seed, n, None)
-        .unwrap_err();
+/// Asserts `err` is exhaustion after `attempts` attempts whose last
+/// failure is the `--flaky` worker's injected exit 3.
+fn assert_flaky_exhaustion(err: ExecError, attempts: u32) {
     match err {
-        ExecError::Exhausted { attempts, last, .. } => {
-            assert_eq!(attempts, 1);
+        ExecError::Exhausted {
+            attempts: made,
+            last,
+            ..
+        } => {
+            assert_eq!(made, attempts);
             match last {
                 ShardError::Worker { code, stderr, .. } => {
                     assert_eq!(code, Some(3));
@@ -158,17 +111,12 @@ fn flaky_workers_recover_byte_identically_with_one_retry() {
         }
         other => panic!("expected Exhausted, got {other}"),
     }
+}
 
-    // With one retry, attempt 1 (RV_SHARD_ATTEMPT=1) runs clean on every
-    // shard and the gathered bytes — including the sink stream, which
-    // must not contain the failed attempts' partial records — are
-    // identical to the single-process run.
-    for shards in [1usize, 2, 4] {
-        let exec = SubprocessExecutor::new(flaky.clone())
-            .shards(shards)
-            .retries(1);
-        assert_backend_matches(&exec, &spec, seed, n, &format!("flaky, {shards} shards"));
-    }
+#[test]
+fn local_executor_is_byte_identical_to_single_process() {
+    let spec = mixed_spec();
+    assert_backend_matches(&LocalExecutor::new(), &spec, 0xD1FF_5EED, 24, "local");
 }
 
 #[test]
@@ -176,7 +124,18 @@ fn pool_executor_is_byte_identical_for_1_2_4_workers() {
     let spec = mixed_spec();
     let seed = 0xD1FF_5EED;
     let n = 24;
+    let local = spec.run_local(seed, n);
+    assert!(local.stats.met > 0, "workload must exercise real runs");
+    assert!(
+        local.stats.infeasible > 0,
+        "workload must include infeasible instances"
+    );
     for workers in [1usize, 2, 4] {
+        // Scatter shape: one contiguous range per worker.
+        let exec = scatter(worker_cmd(), n, workers);
+        assert_backend_matches(&exec, &spec, seed, n, &format!("{workers} shards"));
+
+        // Work-stealing shape: many small units per worker.
         let exec = PoolExecutor::new(worker_cmd()).workers(workers).unit(3);
         assert_backend_matches(&exec, &spec, seed, n, &format!("pool, {workers} workers"));
         // The pool's sessions survive between executions: a second run
@@ -200,41 +159,42 @@ fn pool_executor_is_byte_identical_for_1_2_4_workers() {
 }
 
 #[test]
-fn pool_transport_flaky_workers_recover_byte_identically() {
+fn command_executor_identity_wrapper_is_byte_identical() {
+    if !Path::new("/usr/bin/env").exists() {
+        eprintln!("skipping: /usr/bin/env not available");
+        return;
+    }
+    let spec = mixed_spec();
+    // `env worker args...` execs the worker unchanged: the identity
+    // wrapper, standing in for `ssh host --`.
+    let exec = scatter(worker_cmd().wrap(["/usr/bin/env"]), 24, 3);
+    assert_backend_matches(&exec, &spec, 0xD1FF_5EED, 24, "command(env)");
+}
+
+#[test]
+fn flaky_workers_recover_byte_identically_with_one_retry() {
     let spec = mixed_spec();
     let seed = 0xF1A6;
     let n = 16;
     let flaky = WorkerCommand::new(WORKER).arg("worker").arg("--flaky");
 
-    // No retry budget: the first unit's attempt-0 failure (exit 3 after
-    // leaking one genuine record the driver must discard) is typed
-    // exhaustion carrying the worker's stderr.
-    let err = PoolExecutor::new(flaky.clone())
-        .workers(2)
-        .unit(4)
+    // Without a retry budget every unit's first attempt dies (exit 3,
+    // after leaking one genuine record line the driver must discard):
+    // typed exhaustion carrying the worker's stderr, not a panic and not
+    // a partial result.
+    let err = scatter(flaky.clone(), n, 2)
         .execute(&spec, seed, n, None)
         .unwrap_err();
-    match err {
-        ExecError::Exhausted { attempts, last, .. } => {
-            assert_eq!(attempts, 1);
-            match last {
-                ShardError::Worker { code, stderr, .. } => {
-                    assert_eq!(code, Some(3));
-                    assert!(
-                        stderr.contains("injected flaky failure"),
-                        "stderr: {stderr}"
-                    );
-                }
-                other => panic!("expected Worker error, got {other}"),
-            }
-        }
-        other => panic!("expected Exhausted, got {other}"),
-    }
+    assert_flaky_exhaustion(err, 1);
 
-    // With one retry every unit recovers (each task line carries its
-    // attempt number, so the respawned session runs attempt 1 clean) and
-    // the result — report, stats, and sink stream — is byte-identical.
+    // With one retry, attempt 1 (read off each task line) runs clean on
+    // a respawned session and the gathered bytes — including the sink
+    // stream, which must not contain the failed attempts' partial
+    // records — are identical to the single-process run, in the scatter
+    // shape and the work-stealing shape alike.
     for workers in [1usize, 2, 4] {
+        let exec = scatter(flaky.clone(), n, workers).retries(1);
+        assert_backend_matches(&exec, &spec, seed, n, &format!("flaky, {workers} shards"));
         let exec = PoolExecutor::new(flaky.clone())
             .workers(workers)
             .unit(4)
@@ -274,20 +234,25 @@ fn flaky_workers_exactly_once_delivery_stress() {
     // The exactly-once sink contract under fire: flaky workers fail every
     // first attempt after leaking a genuine record, several drain threads
     // retry concurrently, and the sink must still see every index exactly
-    // once — for the one-shot backend at every inflight cap, and for the
-    // pool. The `flaky_workers` name marker routes this test into CI's
+    // once — from one worker draining everything to one worker per unit.
+    // The `flaky_workers` name marker routes this test into CI's
     // dedicated fault-injection step (see `.github/workflows/ci.yml`).
     let spec = mixed_spec();
     let (seed, n) = (0x5789, 16);
     let local = spec.run_local(seed, n);
     let flaky = WorkerCommand::new(WORKER).arg("worker").arg("--flaky");
 
-    let assert_exactly_once = |exec: &dyn Executor, ctx: &str| {
+    for workers in [1usize, 2, 4, 6] {
+        let exec = PoolExecutor::new(flaky.clone())
+            .workers(workers)
+            .unit(3)
+            .retries(1);
+        let ctx = format!("{workers} workers");
         let sink = Arc::new(VecSink::new());
         let stats = exec
             .execute_stats(&spec, seed, n, Some(sink.clone() as Arc<dyn RecordSink>))
             .unwrap_or_else(|e| panic!("{ctx}: {e}"));
-        assert_byte_identical(&stats, &local.stats, ctx);
+        assert_byte_identical(&stats, &local.stats, &ctx);
         // Raw arrival order: count per-index deliveries before sorting.
         let raw = sink.take();
         let mut seen = vec![0usize; n];
@@ -301,21 +266,6 @@ fn flaky_workers_exactly_once_delivery_stress() {
                 "{ctx}: index {idx} delivered {count} times, not exactly once"
             );
         }
-    };
-
-    for max_inflight in [0usize, 1, 2] {
-        let exec = SubprocessExecutor::new(flaky.clone())
-            .shards(6)
-            .retries(1)
-            .max_inflight(max_inflight);
-        assert_exactly_once(&exec, &format!("subprocess, inflight {max_inflight}"));
-    }
-    for workers in [2usize, 4] {
-        let exec = PoolExecutor::new(flaky.clone())
-            .workers(workers)
-            .unit(3)
-            .retries(1);
-        assert_exactly_once(&exec, &format!("pool, {workers} workers"));
     }
 }
 
@@ -326,13 +276,15 @@ fn abort_kills_in_flight_workers_promptly() {
         return;
     }
     let spec = mixed_spec();
-    // Worker 0 wedges for 30s (sleep ignores the protocol, so its stdout
-    // just stays open); worker 1 fails to spawn instantly and, with no
-    // retry budget, dooms the run. The driver must kill the wedged child
-    // on abort instead of waiting out its 30 seconds.
-    let exec = SubprocessExecutor::new(WorkerCommand::new("/bin/sleep").arg("30"))
-        .add_worker(WorkerCommand::new("/nonexistent/rv-shard-dead"))
-        .shards(2)
+    // Slot 0 spawns command 0, which wedges for 30s (sleep ignores the
+    // protocol, so its stdout just stays open); slot 1 spawns command 1,
+    // which fails to spawn instantly and, with no retry budget, dooms
+    // the run. The driver must kill the wedged child on abort instead of
+    // waiting out its 30 seconds.
+    let exec = PoolExecutor::new(WorkerCommand::new("/bin/sleep").arg("30"))
+        .add_command(WorkerCommand::new("/nonexistent/rv-shard-dead"))
+        .workers(2)
+        .unit(4)
         .retries(0);
     let started = std::time::Instant::now();
     let err = exec.execute(&spec, 3, 8, None).unwrap_err();
@@ -348,10 +300,10 @@ fn abort_kills_in_flight_workers_promptly() {
 fn execute_stats_matches_execute_and_still_streams_exactly_once() {
     let spec = mixed_spec();
     let (seed, n) = (21, 10);
-    let exec = SubprocessExecutor::new(worker_cmd()).shards(3);
+    let exec = scatter(worker_cmd(), n, 3);
     let report = exec.execute(&spec, seed, n, None).expect("full report");
 
-    // The stats-only path (what the CLI uses — O(shard) driver memory)
+    // The stats-only path (what the CLI uses — O(unit) driver memory)
     // must produce the same bytes as the full-report path, and its sink
     // contract is unchanged: every index delivered exactly once.
     let sink = Arc::new(VecSink::new());
@@ -372,19 +324,19 @@ fn failed_ranges_rescatter_onto_surviving_workers() {
     let spec = mixed_spec();
     let seed = 11;
     let n = 12;
-    // Worker command 0 always fails before speaking the protocol; the
-    // executor must mark it failed and re-scatter its ranges onto the
-    // surviving real worker within the retry budget.
+    // Worker command 0 always fails before speaking the protocol, and
+    // slots 0 and 2 spawn it first; the pool must mark it failed and
+    // respawn those slots onto the surviving real worker command within
+    // the retry budget, re-running the dead host's units there.
     let dead = WorkerCommand::new("/nonexistent/rv-shard-on-a-dead-host");
     let local = spec.run_local(seed, n);
-    let report = SubprocessExecutor::new(dead)
-        .add_worker(worker_cmd())
-        .shards(4)
-        .retries(1)
+    let exec = scatter(dead, n, 4).add_command(worker_cmd()).retries(1);
+    let report = exec
         .execute(&spec, seed, n, None)
         .expect("survivor absorbs the dead worker's ranges");
     assert_byte_identical(&report.stats, &local.stats, "re-scatter onto survivor");
     assert_eq!(report.records, local.records);
+    assert_eq!(exec.take_telemetry().len(), 4, "every unit ran once, clean");
 }
 
 #[test]
@@ -394,7 +346,8 @@ fn aur_campaigns_run_sharded_identically_too() {
     let n = 10;
     let local = spec.run_local(seed, n).stats;
     assert_eq!(local.met, n, "type 3 is AUR-guaranteed");
-    let sharded = run_sharded(Path::new(WORKER), &spec, seed, n, 2).expect("2-shard run");
+    let sharded =
+        run_pooled(Path::new(WORKER), &spec, seed, n, 2, shard_unit(n, 2)).expect("2-shard run");
     assert_byte_identical(&sharded, &local, "aur 2 shards");
     let pooled = run_pooled(Path::new(WORKER), &spec, seed, n, 2, 3).expect("2-worker pool run");
     assert_byte_identical(&pooled, &local, "aur 2-worker pool");
@@ -404,8 +357,11 @@ fn aur_campaigns_run_sharded_identically_too() {
 fn shard_counts_beyond_n_clamp_instead_of_spawning_empty_workers() {
     let spec = mixed_spec();
     let local = spec.run_local(3, 5).stats;
-    let sharded = run_sharded(Path::new(WORKER), &spec, 3, 5, 64).expect("clamped run");
+    let exec = scatter(worker_command(Path::new(WORKER), 64), 5, 64);
+    let sharded = exec.execute_stats(&spec, 3, 5, None).expect("clamped run");
     assert_byte_identical(&sharded, &local, "clamped shards");
+    // 64 shards of 5 indices plan 5 one-index units, not 64 ranges.
+    assert_eq!(exec.take_telemetry().len(), 5);
 }
 
 #[test]
@@ -413,8 +369,7 @@ fn driver_failure_paths_are_typed_not_panics() {
     let spec = mixed_spec();
 
     // Nonexistent worker binary: exhausted with Spawn as the last error.
-    let err = SubprocessExecutor::new(WorkerCommand::new("/nonexistent/rv-shard"))
-        .shards(2)
+    let err = scatter(WorkerCommand::new("/nonexistent/rv-shard"), 4, 2)
         .execute(&spec, 1, 4, None)
         .unwrap_err();
     match err {
@@ -425,8 +380,7 @@ fn driver_failure_paths_are_typed_not_panics() {
     }
 
     // Real binary, wrong mode: exits non-zero with usage on stderr.
-    let err = SubprocessExecutor::new(WorkerCommand::new(WORKER).arg("not-a-mode"))
-        .shards(2)
+    let err = scatter(WorkerCommand::new(WORKER).arg("not-a-mode"), 4, 2)
         .execute(&spec, 1, 4, None)
         .unwrap_err();
     match err {
@@ -440,10 +394,10 @@ fn driver_failure_paths_are_typed_not_panics() {
         other => panic!("expected Worker exhaustion, got {other}"),
     }
 
-    // A worker that echoes the spec back (cat) violates the protocol:
-    // the driver must reject the unexpected shard_spec line, typed.
+    // A worker that echoes its input back (cat) violates the protocol:
+    // the driver must reject the echoed campaign_spec line, typed.
     if Path::new("/bin/cat").exists() {
-        let err = SubprocessExecutor::new(WorkerCommand::new("/bin/cat"))
+        let err = PoolExecutor::new(WorkerCommand::new("/bin/cat"))
             .execute(&spec, 1, 4, None)
             .unwrap_err();
         match err {
@@ -458,27 +412,33 @@ fn driver_failure_paths_are_typed_not_panics() {
 #[test]
 fn worker_rejects_garbage_specs_with_exit_2() {
     use std::io::Write;
-    let mut child = Command::new(WORKER)
-        .arg("worker")
-        .stdin(std::process::Stdio::piped())
-        .stdout(std::process::Stdio::piped())
-        .stderr(std::process::Stdio::piped())
-        .spawn()
-        .expect("spawn worker");
-    child
-        .stdin
-        .take()
-        .unwrap()
-        .write_all(b"{\"schema\": 2, \"kind\": \"shard_spec\"}\n")
-        .unwrap();
-    let out = child.wait_with_output().unwrap();
-    assert_eq!(out.status.code(), Some(2));
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(stderr.contains("bad shard spec"), "stderr: {stderr}");
-    assert!(
-        stderr.contains("schema"),
-        "error should name the schema mismatch: {stderr}"
-    );
+    // A wrong-schema opener, and the retired one-shot `shard_spec` work
+    // order: both are refused typed, before any execution.
+    let retired = "{\"schema\": 3, \"kind\": \"shard_spec\", \"shard_id\": 0, \"seed\": 1, \
+                   \"start\": 0, \"end\": 4, \"campaign\": {\"solver\": \"aur\", \
+                   \"segments\": 1000, \"classes\": [\"type3\"]}}";
+    for (input, needle) in [
+        ("{\"schema\": 2, \"kind\": \"shard_spec\"}", "schema"),
+        (retired, "retired wire kind \"shard_spec\""),
+    ] {
+        let mut child = Command::new(WORKER)
+            .arg("worker")
+            .stdin(std::process::Stdio::piped())
+            .stdout(std::process::Stdio::piped())
+            .stderr(std::process::Stdio::piped())
+            .spawn()
+            .expect("spawn worker");
+        writeln!(child.stdin.take().unwrap(), "{input}").unwrap();
+        let out = child.wait_with_output().unwrap();
+        assert_eq!(out.status.code(), Some(2), "{input}");
+        assert!(out.stdout.is_empty(), "{input}: no records on a bad spec");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains("bad shard spec"), "stderr: {stderr}");
+        assert!(
+            stderr.contains(needle),
+            "error should contain {needle:?}: {stderr}"
+        );
+    }
 }
 
 #[test]
@@ -526,16 +486,18 @@ fn cli_transports_match_byte_for_byte() {
 
     let local = run(&["--local"]);
     let explicit_local = run(&["--transport", "local"]);
-    let subprocess = run(&["--shards", "3"]);
-    let with_knobs = run(&["--shards", "3", "--retries", "2", "--max-inflight", "2"]);
+    let subprocess = run(&["--transport", "subprocess", "--shards", "3"]);
+    let default_transport = run(&["--shards", "5"]);
+    let with_knobs = run(&["--shards", "3", "--retries", "2"]);
     let pool = run(&["--transport", "pool", "--shards", "2", "--unit", "5"]);
     let pool_auto = run(&["--transport", "pool", "--shards", "3"]);
     assert_eq!(explicit_local, local, "--transport local == --local");
     assert_eq!(subprocess, local, "subprocess transport must match local");
     assert_eq!(
-        with_knobs, local,
-        "retry/inflight knobs must not change bytes"
+        default_transport, local,
+        "the default (subprocess) transport must match local"
     );
+    assert_eq!(with_knobs, local, "the retry knob must not change bytes");
     assert_eq!(pool, local, "pool transport must match local");
     assert_eq!(pool_auto, local, "auto unit sizing must not change bytes");
     if Path::new("/usr/bin/env").exists() {
@@ -668,6 +630,7 @@ fn session_worker_serves_units_and_exits_0_on_eof() {
     // graceful shutdown the pool relies on.
     let spec = mixed_spec();
     let seed = 77;
+    let tasks = [(0u32, 0..3), (1u32, 3..5)];
     let mut child = Command::new(WORKER)
         .arg("worker")
         .stdin(std::process::Stdio::piped())
@@ -677,7 +640,7 @@ fn session_worker_serves_units_and_exits_0_on_eof() {
         .expect("spawn worker");
     let mut stdin = child.stdin.take().unwrap();
     writeln!(stdin, "{}", wire::encode_campaign_spec(&spec, seed)).unwrap();
-    for (task_id, range) in [(0u32, 0..3), (1u32, 3..5)] {
+    for (task_id, range) in tasks.clone() {
         let task = UnitTask {
             task_id,
             attempt: 0,
@@ -696,28 +659,42 @@ fn session_worker_serves_units_and_exits_0_on_eof() {
     );
     let stdout = String::from_utf8(out.stdout).unwrap();
     let local = spec.run_local(seed, 5);
-    let mut records = Vec::new();
+    // Records within a unit arrive in any order (WIRE.md: `index` is the
+    // reordering key), but a unit's records are exactly its range and
+    // all precede that unit's telemetry and unit_done lines.
+    let mut unit_records = Vec::new();
     let mut telemetry = Vec::new();
     let mut done = Vec::new();
     for line in stdout.lines().filter(|l| !l.trim().is_empty()) {
         match wire::decode_line(line).expect("worker speaks valid wire lines") {
             wire::Line::Record { index, record } => {
                 assert_eq!(record, local.records[index], "index {index}");
-                records.push(index);
+                assert_eq!(telemetry.len(), done.len(), "record after telemetry");
+                unit_records.push(index);
             }
             wire::Line::UnitTelemetry(t) => telemetry.push(t),
-            wire::Line::UnitDone(d) => done.push(d),
+            wire::Line::UnitDone(d) => {
+                let (task_id, range) = &tasks[done.len()];
+                unit_records.sort_unstable();
+                assert_eq!(
+                    unit_records,
+                    range.clone().collect::<Vec<_>>(),
+                    "task {task_id}: records must be exactly its range"
+                );
+                unit_records.clear();
+                assert_eq!(telemetry.len(), done.len() + 1, "telemetry before done");
+                assert_eq!((d.task_id, d.start), (*task_id, range.start));
+                done.push(d);
+            }
             other => panic!("unexpected session answer: {other:?}"),
         }
     }
-    assert_eq!(records, vec![0, 1, 2, 3, 4]);
+    assert!(unit_records.is_empty(), "records after the last unit_done");
     assert_eq!(
         telemetry.iter().map(|t| t.task_id).collect::<Vec<_>>(),
         vec![0, 1]
     );
     assert_eq!(done.len(), 2);
-    assert_eq!((done[0].task_id, done[0].start), (0, 0));
-    assert_eq!((done[1].task_id, done[1].start), (1, 3));
     assert_eq!(done[0].acc.clone().merge(done[1].acc.clone()).len(), 5);
     // A session re-keyed by a second campaign_spec line is exercised
     // end-to-end by the pool differential (same executor, new seed).
@@ -762,25 +739,22 @@ fn cache_warm_reruns_replay_byte_identically_and_execute_zero_shards() {
     let (seed, n) = (0xCAC4E, 24);
     let dir = cache_dir("warm");
 
-    // Cold: four real worker subprocesses fill the cache while producing
-    // the reference bytes (stats, report records, and sink stream are all
-    // checked against the single-process run inside the helper).
+    // Cold: a 4-shard scatter over real workers fills the cache while
+    // producing the reference bytes (stats, report records, and sink
+    // stream are all checked against the single-process run inside the
+    // helper).
     let cold_cache = Arc::new(ResultCache::open(&dir).expect("open cold"));
-    let exec = SubprocessExecutor::new(worker_cmd())
-        .shards(4)
-        .cache(Arc::clone(&cold_cache));
-    assert_backend_matches(&exec, &spec, seed, n, "cold subprocess");
+    let exec = scatter(worker_cmd(), n, 4).cache(Arc::clone(&cold_cache));
+    assert_backend_matches(&exec, &spec, seed, n, "cold 4 shards");
     let cold = cold_cache.stats();
     assert_eq!((cold.hits, cold.misses, cold.stores), (0, 4, 4), "{cold:?}");
 
-    // Warm, same transport — but the worker binary does not exist, so the
-    // run can only succeed if zero shards are re-executed.
+    // Warm, same shape — but the worker binary does not exist, so the
+    // run can only succeed if zero units are re-executed.
     let warm_cache = Arc::new(ResultCache::open(&dir).expect("open warm"));
     let broken = WorkerCommand::new("/nonexistent/rv-shard-warm-proof");
-    let exec = SubprocessExecutor::new(broken.clone())
-        .shards(4)
-        .cache(Arc::clone(&warm_cache));
-    assert_backend_matches(&exec, &spec, seed, n, "warm subprocess, broken worker");
+    let exec = scatter(broken.clone(), n, 4).cache(Arc::clone(&warm_cache));
+    assert_backend_matches(&exec, &spec, seed, n, "warm 4 shards, broken worker");
     let warm = warm_cache.stats();
     assert_eq!(
         (warm.hits, warm.misses, warm.evictions),
@@ -788,10 +762,10 @@ fn cache_warm_reruns_replay_byte_identically_and_execute_zero_shards() {
         "{warm:?}"
     );
 
-    // Warm across the *other* transport: the pool's 6-instance units
-    // address exactly the (spec, seed, range) entries the subprocess
-    // wrote, so no session worker is ever spawned — with the same broken
-    // binary, success again proves zero executions.
+    // Warm on a different worker count: 6-instance units address exactly
+    // the (spec, seed, range) entries the scatter wrote, so no session
+    // worker is ever spawned — with the same broken binary, success
+    // again proves zero executions.
     let pool_cache = Arc::new(ResultCache::open(&dir).expect("open pool"));
     let exec = PoolExecutor::new(broken)
         .workers(2)
@@ -815,9 +789,7 @@ fn cache_spec_tweak_reexecutes_exactly_the_changed_shards() {
 
     // Cold: n = 24 over 4 shards caches the ranges 0..6 … 18..24.
     let cold_cache = Arc::new(ResultCache::open(&dir).expect("open cold"));
-    let exec = SubprocessExecutor::new(worker_cmd())
-        .shards(4)
-        .cache(Arc::clone(&cold_cache));
+    let exec = scatter(worker_cmd(), 24, 4).cache(Arc::clone(&cold_cache));
     assert_backend_matches(&exec, &spec, seed, 24, "cold n=24");
     assert_eq!(cold_cache.stats().stores, 4);
 
@@ -825,9 +797,7 @@ fn cache_spec_tweak_reexecutes_exactly_the_changed_shards() {
     // ranges byte-for-byte and appends 24..30. Exactly that one new shard
     // misses, executes, and is stored; the rest replay from disk.
     let warm_cache = Arc::new(ResultCache::open(&dir).expect("open warm"));
-    let exec = SubprocessExecutor::new(worker_cmd())
-        .shards(5)
-        .cache(Arc::clone(&warm_cache));
+    let exec = scatter(worker_cmd(), 30, 5).cache(Arc::clone(&warm_cache));
     assert_backend_matches(&exec, &spec, seed, 30, "tweaked n=30");
     let s = warm_cache.stats();
     assert_eq!((s.hits, s.misses, s.stores), (4, 1, 1), "{s:?}");
@@ -837,9 +807,7 @@ fn cache_spec_tweak_reexecutes_exactly_the_changed_shards() {
     let mut other = spec.clone();
     other.segments += 1;
     let moved_cache = Arc::new(ResultCache::open(&dir).expect("open moved"));
-    let exec = SubprocessExecutor::new(worker_cmd())
-        .shards(4)
-        .cache(Arc::clone(&moved_cache));
+    let exec = scatter(worker_cmd(), 24, 4).cache(Arc::clone(&moved_cache));
     assert_backend_matches(&exec, &other, seed, 24, "segments-tweaked n=24");
     let m = moved_cache.stats();
     assert_eq!((m.hits, m.misses, m.stores), (0, 4, 4), "{m:?}");
@@ -887,7 +855,7 @@ fn cache_cli_cold_warm_and_cross_transport_runs_match_byte_for_byte() {
     assert_eq!(warm, reference, "warm run must replay identical bytes");
 
     // The pool transport with aligned 4-instance units replays the same
-    // entries the subprocess transport wrote.
+    // entries the 3-shard subprocess transport wrote.
     let pool = run(&[
         "--transport",
         "pool",

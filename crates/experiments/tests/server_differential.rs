@@ -4,7 +4,7 @@
 //! `CampaignSpec::run_local`'s records line for line, and the decoded
 //! `campaign_report`'s `CampaignStats::to_json` matches the local
 //! artifact byte for byte — on the local, pool, and subprocess
-//! transports, for concurrent clients, and across serial re-keyed
+//! transports (the last a K-shard scatter on the pool), for concurrent clients, and across serial re-keyed
 //! campaigns on one connection. The overload and hangup paths are
 //! pinned too: a full server answers a typed `busy` error, and a client
 //! that hangs up mid-stream frees its campaign slot promptly (the
@@ -62,6 +62,19 @@ fn with_worker() -> ServeConfig {
     }
 }
 
+/// A run's raw record lines paired with their indices, in index order
+/// (arrival order is unspecified; `index` is the reordering key).
+fn lines_by_index(run: &CampaignRun) -> Vec<(usize, &String)> {
+    let mut lines: Vec<(usize, &String)> = run
+        .records
+        .iter()
+        .map(|(i, _)| *i)
+        .zip(run.record_lines.iter())
+        .collect();
+    lines.sort_by_key(|(i, _)| *i);
+    lines
+}
+
 /// The byte-identity check: streamed record lines == locally encoded
 /// record lines (after index reordering), and the decoded report's
 /// to_json == the local stats artifact.
@@ -74,13 +87,7 @@ fn assert_served_matches_local(
 ) {
     let local = spec.run_local(seed, n);
 
-    let mut streamed: Vec<(usize, &String)> = run
-        .records
-        .iter()
-        .map(|(i, _)| *i)
-        .zip(run.record_lines.iter())
-        .collect();
-    streamed.sort_by_key(|(i, _)| *i);
+    let streamed = lines_by_index(run);
     assert_eq!(streamed.len(), n, "{ctx}: record count");
     for (expect, (index, line)) in streamed.iter().enumerate() {
         assert_eq!(*index, expect, "{ctx}: exactly-once index coverage");
@@ -140,6 +147,10 @@ fn served_subprocess_campaign_is_byte_identical() {
         .run_campaign(&spec(), 9, &request(32, TransportSpec::Subprocess, 2))
         .expect("served subprocess campaign");
     assert_served_matches_local(&run, &spec(), 9, 32, "subprocess transport");
+    // A 2-shard scatter is a 2-worker pool with one 16-index unit each,
+    // so the answer carries one telemetry line per shard.
+    let units: Vec<u32> = run.telemetry.iter().map(|t| t.task_id).collect();
+    assert_eq!(units, vec![0, 1], "one unit_telemetry line per shard");
     drop(client);
     handle.shutdown();
     join.join().expect("join");
@@ -234,8 +245,12 @@ fn served_cached_campaigns_replay_byte_identically_and_bad_cache_names_are_typed
     );
     let warm = client.run_campaign(&spec(), 42, &req).expect("warm");
     assert_served_matches_local(&warm, &spec(), 42, 48, "cached local (warm)");
+    // A cold run streams records in completion order and a warm replay
+    // in index order (WIRE.md: "any order; `index` is the reordering
+    // key"), so the lines are compared keyed by index, each byte-equal.
     assert_eq!(
-        cold.record_lines, warm.record_lines,
+        lines_by_index(&cold),
+        lines_by_index(&warm),
         "warm replay streams the same wire bytes"
     );
 

@@ -5,7 +5,7 @@
 //! connects, sends one `campaign_spec` line (the spec plus the session
 //! seed) followed by one `request` line (`n`, transport, workers, unit,
 //! retries), and the server streams back `record` lines as runs finish,
-//! then any `unit_telemetry` lines (pool transport), then one
+//! then any `unit_telemetry` lines (pool and subprocess transports), then one
 //! `campaign_report` line carrying the full [`CampaignStats`]. Failures
 //! are answered with a single typed `error` line and the connection is
 //! closed — the server never panics on client input and never strands a
@@ -73,10 +73,8 @@ pub mod signal;
 
 use rv_core::batch::{CampaignStats, RunRecord};
 use rv_core::cache::{CachedExecutor, ResultCache};
-use rv_core::exec::{
-    ExecError, Executor, LocalExecutor, PoolExecutor, SubprocessExecutor, WorkerCommand,
-};
-use rv_core::shard::{CampaignRequest, CampaignSpec, TransportSpec, UnitTelemetry};
+use rv_core::exec::{ExecError, Executor, LocalExecutor, PoolExecutor, WorkerCommand};
+use rv_core::shard::{shard_unit, CampaignRequest, CampaignSpec, TransportSpec, UnitTelemetry};
 use rv_core::stream::RecordSink;
 use rv_core::wire::{self, ErrorCode, ErrorLine, WireError};
 use std::io::{self, BufRead, BufReader, ErrorKind, Read, Write};
@@ -547,7 +545,7 @@ fn handle_connection(stream: TcpStream, config: &ServeConfig, state: &ServerStat
 }
 
 /// Executes one admitted campaign on the requested transport, streaming
-/// records into `out`. Pool campaigns also return their unit telemetry
+/// records into `out`. Worker-backed campaigns also return their unit telemetry
 /// (sorted, worker tags stripped) for the client-visible tail.
 fn run_campaign(
     spec: &CampaignSpec,
@@ -588,11 +586,17 @@ fn run_campaign(
             .map(|stats| (stats, Vec::new()))
             .map_err(|e| client_gone(&out, e))
         }
-        TransportSpec::Pool => {
+        TransportSpec::Pool | TransportSpec::Subprocess => {
             let workers = req.workers.max(1);
+            // `subprocess` is a `workers`-shard scatter: one contiguous
+            // ceil(n/workers) unit per worker.
+            let unit = match req.transport {
+                TransportSpec::Subprocess => shard_unit(req.n, workers),
+                _ => req.unit,
+            };
             let mut pool = PoolExecutor::new(worker_command(config, workers)?)
                 .workers(workers)
-                .unit(req.unit)
+                .unit(unit)
                 .retries(req.retries);
             if let Some(cache) = cache {
                 pool = pool.cache(cache);
@@ -601,18 +605,6 @@ fn run_campaign(
                 .execute_stats(spec, seed, req.n, Some(sink))
                 .map_err(|e| client_gone(&out, e))?;
             Ok((stats, pool.take_telemetry()))
-        }
-        TransportSpec::Subprocess => {
-            let shards = req.workers.max(1);
-            let mut exec = SubprocessExecutor::new(worker_command(config, shards)?)
-                .shards(shards)
-                .retries(req.retries);
-            if let Some(cache) = cache {
-                exec = exec.cache(cache);
-            }
-            exec.execute_stats(spec, seed, req.n, Some(sink))
-                .map(|stats| (stats, Vec::new()))
-                .map_err(|e| client_gone(&out, e))
         }
     }
 }
@@ -694,7 +686,8 @@ pub struct CampaignRun {
     /// The raw `record` wire lines as received (for byte-identity
     /// checks against a local [`wire::encode_record`] stream).
     pub record_lines: Vec<String>,
-    /// Unit telemetry rows (pool transport; empty otherwise).
+    /// Unit telemetry rows (pool and subprocess transports; empty for
+    /// local).
     pub telemetry: Vec<UnitTelemetry>,
     /// The decoded final report.
     pub stats: CampaignStats,
