@@ -137,6 +137,64 @@ proptest! {
     }
 
     #[test]
+    fn shard_spec_lines_are_typed_retired_refusals(
+        campaign in campaign_strategy(),
+        seed in any::<u64>(),
+        start in 0usize..1_000_000,
+        len in 0usize..1_000_000,
+        shard_id in any::<u32>(),
+    ) {
+        // The retired one-shot work order, byte-for-byte as its drivers
+        // emitted it: decoding is a typed refusal naming the kind, never
+        // a panic and never a silent misparse as a session opener.
+        let line = wire::encode_campaign_spec(&campaign, seed).replace(
+            "\"kind\": \"campaign_spec\", \"seed\"",
+            &format!(
+                "\"kind\": \"shard_spec\", \"shard_id\": {shard_id}, \"seed\""
+            ),
+        ).replace(
+            ", \"campaign\"",
+            &format!(", \"start\": {start}, \"end\": {}, \"campaign\"", start + len),
+        );
+        let err = wire::decode_line(&line).unwrap_err();
+        prop_assert_eq!(&err, &WireError::Retired { kind: "shard_spec" }, "{}", line);
+        prop_assert!(err.to_string().contains("shard_spec"), "{}", err);
+        let kind_err = matches!(
+            wire::decode_campaign_spec(&line),
+            Err(WireError::Kind { .. })
+        );
+        prop_assert!(kind_err);
+        // A retired kind with a wrong schema is still a schema error first.
+        let old_schema = line.replace("\"schema\": 3", "\"schema\": 2");
+        let schema_err = matches!(
+            wire::decode_line(&old_schema),
+            Err(WireError::Schema { .. })
+        );
+        prop_assert!(schema_err);
+    }
+
+    #[test]
+    fn shard_result_lines_are_typed_retired_refusals(
+        records in vec(record_strategy(), 0..30),
+        shard_id in any::<u32>(),
+        start in any::<usize>(),
+    ) {
+        // The retired one-shot answer, byte-for-byte as its workers
+        // emitted it: a typed refusal, never a misparse as a unit answer.
+        let mut acc = StatsAccumulator::new();
+        for r in &records {
+            acc.push(r);
+        }
+        let line = wire::encode_unit_done(&UnitDone { task_id: shard_id, start, acc })
+            .replace("\"unit_done\", \"task_id\"", "\"shard_result\", \"shard_id\"");
+        let err = wire::decode_line(&line).unwrap_err();
+        prop_assert_eq!(&err, &WireError::Retired { kind: "shard_result" }, "{}", line);
+        prop_assert!(err.to_string().contains("shard_result"), "{}", err);
+        let kind_err = matches!(wire::decode_unit_done(&line), Err(WireError::Kind { .. }));
+        prop_assert!(kind_err);
+    }
+
+    #[test]
     fn campaign_spec_encoding_is_a_fixed_point(
         campaign in campaign_strategy(),
         seed in any::<u64>(),
@@ -402,39 +460,6 @@ fn oversized_shard_ids_are_field_errors_not_truncations() {
             field: "task_id",
             ..
         })
-    ));
-}
-
-#[test]
-fn retired_one_shot_kinds_are_typed_refusals() {
-    // The one-shot protocol's work order and answer, byte-for-byte as its
-    // drivers and workers emitted them: decoding is a typed refusal
-    // naming the kind, never a panic and never a silent misparse.
-    let shard_spec = "{\"schema\": 3, \"kind\": \"shard_spec\", \"shard_id\": 0, \"seed\": 1, \
-                      \"start\": 0, \"end\": 4, \"campaign\": {\"solver\": \"aur\", \
-                      \"segments\": 1000, \"classes\": [\"type3\"]}}";
-    let shard_result = wire::encode_unit_done(&UnitDone {
-        task_id: 0,
-        start: 0,
-        acc: StatsAccumulator::new(),
-    })
-    .replace(
-        "\"unit_done\", \"task_id\"",
-        "\"shard_result\", \"shard_id\"",
-    );
-    for (line, kind) in [
-        (shard_spec.to_string(), "shard_spec"),
-        (shard_result, "shard_result"),
-    ] {
-        let err = wire::decode_line(&line).unwrap_err();
-        assert_eq!(err, WireError::Retired { kind }, "{line}");
-        assert!(err.to_string().contains(kind), "{err}");
-    }
-    // A retired kind with a wrong schema is still a schema error first.
-    let old_schema = shard_spec.replace("\"schema\": 3", "\"schema\": 2");
-    assert!(matches!(
-        wire::decode_line(&old_schema),
-        Err(WireError::Schema { .. })
     ));
 }
 

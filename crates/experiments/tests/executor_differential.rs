@@ -120,7 +120,9 @@ fn local_executor_is_byte_identical_to_single_process() {
 }
 
 #[test]
-fn pool_executor_is_byte_identical_for_1_2_4_workers() {
+fn subprocess_executor_is_byte_identical_for_1_2_4_shards() {
+    // The K-shard scatter `--transport subprocess` builds: one worker per
+    // shard, one contiguous ⌈n/K⌉ unit each.
     let spec = mixed_spec();
     let seed = 0xD1FF_5EED;
     let n = 24;
@@ -130,11 +132,18 @@ fn pool_executor_is_byte_identical_for_1_2_4_workers() {
         local.stats.infeasible > 0,
         "workload must include infeasible instances"
     );
-    for workers in [1usize, 2, 4] {
-        // Scatter shape: one contiguous range per worker.
-        let exec = scatter(worker_cmd(), n, workers);
-        assert_backend_matches(&exec, &spec, seed, n, &format!("{workers} shards"));
+    for shards in [1usize, 2, 4] {
+        let exec = scatter(worker_cmd(), n, shards);
+        assert_backend_matches(&exec, &spec, seed, n, &format!("{shards} shards"));
+    }
+}
 
+#[test]
+fn pool_executor_is_byte_identical_for_1_2_4_workers() {
+    let spec = mixed_spec();
+    let seed = 0xD1FF_5EED;
+    let n = 24;
+    for workers in [1usize, 2, 4] {
         // Work-stealing shape: many small units per worker.
         let exec = PoolExecutor::new(worker_cmd()).workers(workers).unit(3);
         assert_backend_matches(&exec, &spec, seed, n, &format!("pool, {workers} workers"));
@@ -178,7 +187,7 @@ fn flaky_workers_recover_byte_identically_with_one_retry() {
     let n = 16;
     let flaky = WorkerCommand::new(WORKER).arg("worker").arg("--flaky");
 
-    // Without a retry budget every unit's first attempt dies (exit 3,
+    // Without a retry budget every shard's first attempt dies (exit 3,
     // after leaking one genuine record line the driver must discard):
     // typed exhaustion carrying the worker's stderr, not a panic and not
     // a partial result.
@@ -190,11 +199,34 @@ fn flaky_workers_recover_byte_identically_with_one_retry() {
     // With one retry, attempt 1 (read off each task line) runs clean on
     // a respawned session and the gathered bytes — including the sink
     // stream, which must not contain the failed attempts' partial
-    // records — are identical to the single-process run, in the scatter
-    // shape and the work-stealing shape alike.
+    // records — are identical to the single-process run.
+    for shards in [1usize, 2, 4] {
+        let exec = scatter(flaky.clone(), n, shards).retries(1);
+        assert_backend_matches(&exec, &spec, seed, n, &format!("flaky, {shards} shards"));
+    }
+}
+
+#[test]
+fn pool_transport_flaky_workers_recover_byte_identically() {
+    let spec = mixed_spec();
+    let seed = 0xF1A6;
+    let n = 16;
+    let flaky = WorkerCommand::new(WORKER).arg("worker").arg("--flaky");
+
+    // No retry budget: the first unit's attempt-0 failure (exit 3 after
+    // leaking one genuine record the driver must discard) is typed
+    // exhaustion carrying the worker's stderr.
+    let err = PoolExecutor::new(flaky.clone())
+        .workers(2)
+        .unit(4)
+        .execute(&spec, seed, n, None)
+        .unwrap_err();
+    assert_flaky_exhaustion(err, 1);
+
+    // With one retry every unit recovers (each task line carries its
+    // attempt number, so the respawned session runs attempt 1 clean) and
+    // the result — report, stats, and sink stream — is byte-identical.
     for workers in [1usize, 2, 4] {
-        let exec = scatter(flaky.clone(), n, workers).retries(1);
-        assert_backend_matches(&exec, &spec, seed, n, &format!("flaky, {workers} shards"));
         let exec = PoolExecutor::new(flaky.clone())
             .workers(workers)
             .unit(4)
