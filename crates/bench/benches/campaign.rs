@@ -11,8 +11,8 @@
 
 use criterion::{black_box, Criterion};
 use rv_core::batch::{mix_seed, Campaign, RunRecord};
-use rv_core::cache::{CacheKey, CachedExecutor, ResultCache};
-use rv_core::exec::{Executor, LocalExecutor, PoolExecutor, WorkerCommand};
+use rv_core::cache::{CacheKey, ResultCache};
+use rv_core::exec::{worker_command, Executor, LocalExecutor, PoolExecutor, WorkerCommand};
 use rv_core::shard::{CampaignSpec, SolverSpec};
 use rv_core::{
     almost_universal_rv, json, par_map, wire, Aur, Budget, Dedicated, FixedPair, Solver,
@@ -253,7 +253,7 @@ fn bench_shard_gather(c: &mut Criterion) {
 /// The content-addressed result cache head to head with itself: the cold
 /// path (lookup miss + full local run + write-through store) against the
 /// warm path (decode + validate + replay, no simulation at all). Both use
-/// `CachedExecutor<LocalExecutor>`, so the rows never need a worker
+/// `LocalExecutor::cache`, so the rows never need a worker
 /// binary and the warm/cold ratio the bench guard watches is exactly the
 /// replay speedup the cache exists for.
 fn bench_cache(c: &mut Criterion) {
@@ -269,7 +269,7 @@ fn bench_cache(c: &mut Criterion) {
     let _ = std::fs::remove_dir_all(&dir);
     let cache = Arc::new(ResultCache::open(&dir).expect("bench cache dir"));
     let entry = cache.entry_path(CacheKey::derive(&spec, seed, &(0..n)));
-    let exec = CachedExecutor::new(LocalExecutor::new(), Arc::clone(&cache));
+    let exec = LocalExecutor::new().cache(Arc::clone(&cache));
 
     // Cold: evict the entry each iteration so every sample pays the
     // miss, the simulation, and the atomic write-through publish.
@@ -338,13 +338,7 @@ fn bench_exec_backends(c: &mut Criterion) {
     });
     match locate_rv_shard() {
         Some(worker) => {
-            let cores = std::thread::available_parallelism().map_or(1, |c| c.get());
             for workers in [2usize, 4] {
-                // Split the cores across the concurrent workers (as
-                // runner::worker_command does), so the comparison against
-                // the local backend measures gather overhead rather than
-                // a workers-fold oversubscribed CPU.
-                let threads = (cores / workers).max(1);
                 // The pool executor lives OUTSIDE b.iter: its persistent
                 // sessions survive across iterations, so this measures
                 // the steady state the pool exists for — per-campaign
@@ -352,14 +346,13 @@ fn bench_exec_backends(c: &mut Criterion) {
                 // A fixed unit size keeps the protocol work identical
                 // across worker counts, so the rows compare pool sizes,
                 // not unit plans.
-                let exec = PoolExecutor::new(
-                    WorkerCommand::new(&worker)
-                        .arg("worker")
-                        .arg("--threads")
-                        .arg(threads.to_string()),
-                )
-                .workers(workers)
-                .unit(8);
+                // `worker_command` splits the cores across the concurrent
+                // workers, so the comparison against the local backend
+                // measures gather overhead rather than a workers-fold
+                // oversubscribed CPU.
+                let exec = PoolExecutor::new(worker_command(WorkerCommand::new(&worker), workers))
+                    .workers(workers)
+                    .unit(8);
                 // One warmup campaign spawns the sessions, so every
                 // sample measures the amortized steady state rather than
                 // folding worker startup into the first one.

@@ -8,6 +8,12 @@
 //! the last float lexeme, because the schema-3 wire encoding is a fixed
 //! point (encode ∘ decode ∘ encode = encode).
 //!
+//! Executors take a cache through `.cache(..)`
+//! ([`crate::exec::PoolExecutor::cache`],
+//! [`crate::exec::LocalExecutor::cache`]) and share one replay prepass
+//! and one write-through path: the pool keeps one entry per executed
+//! unit, the local backend one entry for the whole campaign `0..n`.
+//!
 //! # Entry layout
 //!
 //! One entry per `(spec, seed, start..end)`, stored as a schema-3
@@ -59,10 +65,8 @@
 //! assert!(cache.lookup(&spec, 42, &(0..100)).is_none()); // cold
 //! ```
 
-use crate::batch::{CampaignReport, CampaignStats, RunRecord, StatsAccumulator};
-use crate::exec::{ExecError, Executor};
+use crate::batch::{RunRecord, StatsAccumulator};
 use crate::shard::{CampaignSpec, UnitDone};
-use crate::stream::RecordSink;
 use crate::wire::{self, Line, WireError};
 use std::fmt;
 use std::fs;
@@ -70,7 +74,6 @@ use std::io;
 use std::ops::Range;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 
 const FNV_OFFSET: u128 = 0x6c62_272e_07bb_0142_62b8_2175_6295_c58d;
 const FNV_PRIME: u128 = 0x0000_0000_0100_0000_0000_0000_0000_013b;
@@ -540,129 +543,14 @@ impl ResultCache {
     }
 }
 
-/// Whole-campaign caching over any inner [`Executor`]: the full
-/// `0..n` range is one cache entry. A warm `execute` (or
-/// `execute_stats`) replays the entry through the caller's sink and
-/// never touches the inner executor; a cold one runs the inner executor
-/// with records materialised, stores the result, and returns it.
-///
-/// This is the right wrapper when the inner backend has no shard
-/// structure to exploit ([`crate::exec::LocalExecutor`]) or when the
-/// campaign is re-run as a unit. The pool takes a cache directly
-/// ([`crate::exec::PoolExecutor::cache`]) for unit-granular reuse —
-/// there a spec tweak re-executes only the units whose key changed.
-///
-/// Note the memory trade: a cold `execute_stats` materialises the
-/// record list once to populate the cache, so it holds O(n) memory
-/// where the uncached path holds O(shard).
-pub struct CachedExecutor<E> {
-    inner: E,
-    cache: Arc<ResultCache>,
-}
-
-impl<E: Executor> CachedExecutor<E> {
-    /// Wraps `inner`, storing and replaying whole campaigns in `cache`.
-    pub fn new(inner: E, cache: Arc<ResultCache>) -> CachedExecutor<E> {
-        CachedExecutor { inner, cache }
-    }
-
-    /// The wrapped cache (for stats and explicit eviction).
-    pub fn cache(&self) -> &Arc<ResultCache> {
-        &self.cache
-    }
-
-    /// The inner executor.
-    pub fn inner(&self) -> &E {
-        &self.inner
-    }
-
-    /// Replays a hit through `sink`, exactly once per index.
-    fn replay(hit: &CachedShard, sink: &Option<Arc<dyn RecordSink>>) {
-        if let Some(sink) = sink {
-            for (index, rec) in &hit.records {
-                sink.record(*index, rec);
-            }
-        }
-    }
-
-    /// Runs the inner executor cold and write-through-caches the result.
-    fn execute_cold(
-        &self,
-        spec: &CampaignSpec,
-        seed: u64,
-        n: usize,
-        sink: Option<Arc<dyn RecordSink>>,
-    ) -> Result<CampaignReport, ExecError> {
-        let report = self.inner.execute(spec, seed, n, sink)?;
-        // Records arrive in index order; rebuilding the accumulator in
-        // that order reproduces the single-process accumulator bytes.
-        let mut acc = StatsAccumulator::new();
-        let mut pairs = Vec::with_capacity(report.records.len());
-        for (index, rec) in report.records.iter().enumerate() {
-            acc.push(rec);
-            pairs.push((index, rec.clone()));
-        }
-        // Best-effort write-through: a full disk must not fail the run.
-        let _ = self.cache.store(spec, seed, &(0..n), &pairs, &acc);
-        Ok(report)
-    }
-}
-
-impl<E: Executor> Executor for CachedExecutor<E> {
-    fn execute(
-        &self,
-        spec: &CampaignSpec,
-        seed: u64,
-        n: usize,
-        sink: Option<Arc<dyn RecordSink>>,
-    ) -> Result<CampaignReport, ExecError> {
-        if let Some(sink) = &sink {
-            if sink.is_closed() {
-                return Err(ExecError::SinkClosed);
-            }
-        }
-        if let Some(hit) = self.cache.lookup(spec, seed, &(0..n)) {
-            Self::replay(&hit, &sink);
-            return Ok(CampaignReport {
-                records: hit.records.into_iter().map(|(_, rec)| rec).collect(),
-                stats: hit.acc.finish(),
-            });
-        }
-        self.execute_cold(spec, seed, n, sink)
-    }
-
-    fn execute_stats(
-        &self,
-        spec: &CampaignSpec,
-        seed: u64,
-        n: usize,
-        sink: Option<Arc<dyn RecordSink>>,
-    ) -> Result<CampaignStats, ExecError> {
-        if let Some(sink) = &sink {
-            if sink.is_closed() {
-                return Err(ExecError::SinkClosed);
-            }
-        }
-        if let Some(hit) = self.cache.lookup(spec, seed, &(0..n)) {
-            Self::replay(&hit, &sink);
-            return Ok(hit.acc.finish());
-        }
-        self.execute_cold(spec, seed, n, sink)
-            .map(|report| report.stats)
-    }
-
-    fn name(&self) -> &'static str {
-        "cached"
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::exec::LocalExecutor;
+    use crate::exec::{Executor, LocalExecutor};
     use crate::shard::SolverSpec;
-    use crate::stream::VecSink;
+    use crate::stream::{RecordSink, VecSink};
     use rv_model::TargetClass;
+    use std::sync::Arc;
 
     fn spec() -> CampaignSpec {
         CampaignSpec::new(
@@ -749,8 +637,8 @@ mod tests {
         let spec = spec();
         let baseline = spec.run_local(5, 12);
         let cache = Arc::new(ResultCache::open(&dir).unwrap());
-        let exec = CachedExecutor::new(LocalExecutor::new(), Arc::clone(&cache));
-        assert_eq!(exec.name(), "cached");
+        let exec = LocalExecutor::new().cache(Arc::clone(&cache));
+        assert_eq!(exec.name(), "local");
 
         let cold = exec.execute(&spec, 5, 12, None).unwrap();
         assert_eq!(cold.stats.to_json(), baseline.stats.to_json());

@@ -17,12 +17,16 @@
 //!   the same executor value), and heterogeneous workers self-balance
 //!   because fast ones simply steal more units. Each unit answers with
 //!   record lines, a `unit_telemetry` line (wall time + attempt — a side
-//!   channel, see [`PoolExecutor::take_telemetry`]), and a `unit_done`
+//!   channel, see [`Executor::take_worker_telemetry`]), and a `unit_done`
 //!   accumulator line.
 //!
-//! A classic K-shard scatter is a pool of K workers with unit
-//! ⌈n/K⌉ ([`crate::shard::shard_unit`]), and a remote transport is a
-//! pool whose [`WorkerCommand`] is wrapped in `ssh host --` or similar
+//! Both take a result cache ([`crate::cache`]) through `.cache(..)`;
+//! the local engine's whole campaign is one unit `0..n`.
+//!
+//! [`backend`] turns a [`CampaignRequest`] into one of the two: a classic
+//! K-shard scatter (`subprocess`) is a pool of K workers with unit ⌈n/K⌉
+//! ([`crate::shard::shard_unit`]), and a remote transport is a pool whose
+//! [`WorkerCommand`] is wrapped in `ssh host --` or similar
 //! ([`WorkerCommand::wrap`]): the worker protocol is pure stdin/stdout
 //! JSON lines, so any prefix that forwards standard streams works.
 //!
@@ -54,7 +58,10 @@
 use crate::batch::{CampaignReport, CampaignStats, RunRecord, StatsAccumulator};
 use crate::cache::ResultCache;
 use crate::json;
-use crate::shard::{plan_units, CampaignSpec, ShardError, UnitTask, UnitTelemetry};
+use crate::shard::{
+    plan_units, shard_unit, CampaignRequest, CampaignSpec, ShardError, TransportSpec, UnitTask,
+    UnitTelemetry,
+};
 use crate::stream::RecordSink;
 use crate::wire::{self, Line};
 use std::collections::VecDeque;
@@ -100,6 +107,17 @@ pub trait Executor {
 
     /// Stable backend name (for labels, artifacts, and CLI selection).
     fn name(&self) -> &'static str;
+
+    /// Takes the telemetry collected by the most recent execution: one
+    /// line per unit a worker process ran successfully, tagged with the
+    /// worker slot index that ran it (the raw material of a
+    /// [`UtilizationReport`]) and sorted by `(task_id, attempt)`. Timing
+    /// is worker-side wall time. Backends without worker processes, and
+    /// cache replays, report none. A side channel: nothing here feeds the
+    /// campaign report.
+    fn take_worker_telemetry(&self) -> Vec<(usize, UnitTelemetry)> {
+        Vec::new()
+    }
 }
 
 /// Why an execution failed for good. Transient unit failures are
@@ -160,10 +178,12 @@ impl std::error::Error for ExecError {
 
 /// Runs the campaign on this process's own threads — the plain
 /// [`Campaign`](crate::Campaign) engine behind the [`Executor`] surface.
-/// Infallible in practice; `execute` never returns `Err`.
-#[derive(Clone, Copy, Debug, Default)]
+/// Uncached, `execute` never returns `Err`; cached, it fails only with
+/// [`ExecError::SinkClosed`] when the sink is already closed.
+#[derive(Clone, Debug, Default)]
 pub struct LocalExecutor {
     threads: usize,
+    cache: Option<Arc<ResultCache>>,
 }
 
 impl LocalExecutor {
@@ -178,6 +198,52 @@ impl LocalExecutor {
         self.threads = threads;
         self
     }
+
+    /// Attaches a content-addressed result cache, as
+    /// [`PoolExecutor::cache`] does, with the whole campaign `0..n` as
+    /// its one unit: a warm run replays the stored entry through the
+    /// caller's sink without solving anything, and a cold run writes its
+    /// outcome through.
+    pub fn cache(mut self, cache: Arc<ResultCache>) -> LocalExecutor {
+        self.cache = Some(cache);
+        self
+    }
+
+    /// Runs the campaign as the one-unit plan `0..n` through the pool's
+    /// [`cache_prepass`] and [`UnitOutcome::write_through`], so a cache
+    /// entry is keyed, stored and replayed exactly as a pool unit over
+    /// the same range would be.
+    fn run_unit(
+        &self,
+        spec: &CampaignSpec,
+        seed: u64,
+        n: usize,
+        sink: Option<Arc<dyn RecordSink>>,
+        keep_records: bool,
+    ) -> Result<Vec<Option<UnitOutcome>>, ExecError> {
+        let whole = 0..n;
+        let cache = self.cache.as_deref();
+        let mut slots = vec![None];
+        let units = std::slice::from_ref(&whole);
+        if cache_prepass(cache, spec, seed, units, &sink, keep_records, &mut slots)?.is_empty() {
+            return Ok(slots);
+        }
+        let mut campaign = spec.campaign().threads(self.threads);
+        if let Some(sink) = sink {
+            campaign = campaign.sink_arc(sink);
+        }
+        // Records arrive in index order; folding them in that order
+        // reproduces the single-process accumulator bytes.
+        let mut acc = StatsAccumulator::new();
+        let records = (campaign.run_seeded(n, |i| spec.instance(seed, i)).records)
+            .into_iter()
+            .enumerate()
+            .inspect(|(_, rec)| acc.push(rec))
+            .collect();
+        let outcome = UnitOutcome { acc, records };
+        slots[0] = Some(outcome.write_through(cache, spec, seed, &whole, keep_records));
+        Ok(slots)
+    }
 }
 
 impl Executor for LocalExecutor {
@@ -188,11 +254,19 @@ impl Executor for LocalExecutor {
         n: usize,
         sink: Option<Arc<dyn RecordSink>>,
     ) -> Result<CampaignReport, ExecError> {
-        let mut campaign = spec.campaign().threads(self.threads);
-        if let Some(sink) = sink {
-            campaign = campaign.sink_arc(sink);
-        }
-        Ok(campaign.run_seeded(n, |i| spec.instance(seed, i)))
+        self.run_unit(spec, seed, n, sink, true)
+            .and_then(|slots| assemble(n, slots))
+    }
+
+    fn execute_stats(
+        &self,
+        spec: &CampaignSpec,
+        seed: u64,
+        n: usize,
+        sink: Option<Arc<dyn RecordSink>>,
+    ) -> Result<CampaignStats, ExecError> {
+        self.run_unit(spec, seed, n, sink, false)
+            .and_then(|slots| assemble_stats(n, slots))
     }
 
     fn name(&self) -> &'static str {
@@ -423,27 +497,6 @@ impl PoolExecutor {
         self
     }
 
-    /// Takes the telemetry collected by the most recent execution,
-    /// sorted by `(task_id, attempt)`. One line per *successful* unit;
-    /// timing is worker-side wall time. A side channel: nothing here
-    /// feeds the campaign report.
-    pub fn take_telemetry(&self) -> Vec<UnitTelemetry> {
-        self.take_worker_telemetry()
-            .into_iter()
-            .map(|(_, u)| u)
-            .collect()
-    }
-
-    /// [`PoolExecutor::take_telemetry`] keeping the worker slot index
-    /// each unit ran on — the raw material of a per-worker
-    /// [`UtilizationReport`]. Sorted by `(task_id, attempt)` like the
-    /// untagged form.
-    pub fn take_worker_telemetry(&self) -> Vec<(usize, UnitTelemetry)> {
-        let mut t = std::mem::take(&mut *lock(&self.telemetry));
-        t.sort_by_key(|(_, u)| (u.task_id, u.attempt));
-        t
-    }
-
     /// Picks the worker command a slot spawns for `(slot, attempt)`:
     /// round-robin by `slot + attempt`, skipping commands already
     /// observed failing while at least one survivor remains (so a dead
@@ -569,7 +622,7 @@ impl PoolExecutor {
                             .map_err(|e| (command, e))
                     };
                     match run_pool_unit(slot, &spawn, spec, seed, &task, kills) {
-                        Ok((mut outcome, unit_telemetry)) => {
+                        Ok((outcome, unit_telemetry)) => {
                             // Success releases the unit's buffered records
                             // to the caller's sink exactly once; a failed
                             // attempt's partial stream was never forwarded.
@@ -578,22 +631,13 @@ impl PoolExecutor {
                                     sink.record(*index, rec);
                                 }
                             }
-                            // Write-through before the buffer drops; a
-                            // full disk must not fail the run, so store
-                            // errors are ignored.
-                            if let Some(cache) = &self.cache {
-                                let _ = cache.store(
-                                    spec,
-                                    seed,
-                                    &units[k],
-                                    &outcome.records,
-                                    &outcome.acc,
-                                );
-                            }
-                            if !keep_records {
-                                outcome.records = Vec::new();
-                            }
-                            lock(slots)[k] = Some(outcome);
+                            lock(slots)[k] = Some(outcome.write_through(
+                                self.cache.as_deref(),
+                                spec,
+                                seed,
+                                &units[k],
+                                keep_records,
+                            ));
                             lock(&self.telemetry).push((widx, unit_telemetry));
                         }
                         Err((command, last)) => {
@@ -659,6 +703,86 @@ impl Executor for PoolExecutor {
     fn name(&self) -> &'static str {
         "pool"
     }
+
+    fn take_worker_telemetry(&self) -> Vec<(usize, UnitTelemetry)> {
+        let mut t = std::mem::take(&mut *lock(&self.telemetry));
+        t.sort_by_key(|(_, u)| (u.task_id, u.attempt));
+        t
+    }
+}
+
+/// The standard session-worker invocation: `worker` (an
+/// `rv-shard`-compatible binary, possibly behind a
+/// [`WorkerCommand::wrap`] prefix) in `worker` mode, with the host's
+/// cores split across `concurrency` same-host workers (`cores /
+/// concurrency`, at least 1 thread each) so a scatter does not
+/// oversubscribe the CPU. Thread counts never change a single output
+/// byte.
+pub fn worker_command(worker: WorkerCommand, concurrency: usize) -> WorkerCommand {
+    let cores = std::thread::available_parallelism().map_or(1, |c| c.get());
+    let per_worker = (cores / concurrency.max(1)).max(1);
+    worker
+        .arg("worker")
+        .arg("--threads")
+        .arg(per_worker.to_string())
+}
+
+/// Why [`backend`] cannot serve a request: it names a process-backed
+/// transport, but no worker command was given.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct NoWorker {
+    /// The transport that needed a worker.
+    pub transport: TransportSpec,
+}
+
+impl fmt::Display for NoWorker {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let name = self.transport.name();
+        write!(
+            f,
+            "no worker binary for the {name:?} transport; only \"local\" runs without one"
+        )
+    }
+}
+
+impl std::error::Error for NoWorker {}
+
+/// Builds the backend a [`CampaignRequest`] asks for — the one mapping
+/// from transport to executor, shared by `rv-serve` and `rv-shard
+/// campaign`. `local` is a [`LocalExecutor`] on `local_threads` threads;
+/// `pool` is a [`PoolExecutor`] of K = [`CampaignRequest::worker_count`]
+/// workers stealing `req.unit`-sized units; `subprocess` is a K-shard
+/// scatter, the same pool with one [`shard_unit`]`(n, K)` unit per
+/// worker. Workers run [`worker_command`]`(worker, K)`; without a
+/// `worker` the process transports are a [`NoWorker`] error. `cache`
+/// attaches to either backend (`req.cache` is a name for the caller to
+/// resolve, and is not read here).
+pub fn backend(
+    req: &CampaignRequest,
+    worker: Option<WorkerCommand>,
+    local_threads: usize,
+    cache: Option<Arc<ResultCache>>,
+) -> Result<Box<dyn Executor>, NoWorker> {
+    let transport = req.transport;
+    if transport == TransportSpec::Local {
+        return Ok(Box::new(LocalExecutor {
+            threads: local_threads,
+            cache,
+        }));
+    }
+    let worker = worker.ok_or(NoWorker { transport })?;
+    let workers = req.worker_count();
+    let unit = match transport {
+        TransportSpec::Subprocess => shard_unit(req.n, workers),
+        _ => req.unit,
+    };
+    Ok(Box::new(PoolExecutor {
+        cache,
+        ..PoolExecutor::new(worker_command(worker, workers))
+            .workers(workers)
+            .unit(unit)
+            .retries(req.retries)
+    }))
 }
 
 /// How much work one pool worker slot did during an execution — folded
@@ -1077,6 +1201,29 @@ struct UnitOutcome {
     records: Vec<(usize, RunRecord)>,
 }
 
+impl UnitOutcome {
+    /// Settles a freshly executed unit: writes it through to `cache`
+    /// under `(spec, seed, range)`, then drops the record buffer unless
+    /// the caller keeps records. A full disk must not fail the run, so
+    /// store errors are ignored.
+    fn write_through(
+        mut self,
+        cache: Option<&ResultCache>,
+        spec: &CampaignSpec,
+        seed: u64,
+        range: &Range<usize>,
+        keep_records: bool,
+    ) -> UnitOutcome {
+        if let Some(cache) = cache {
+            let _ = cache.store(spec, seed, range, &self.records, &self.acc);
+        }
+        if !keep_records {
+            self.records = Vec::new();
+        }
+        self
+    }
+}
+
 /// The cache fast path: probes each planned unit range, replays hits
 /// straight into `slots` (releasing their records to `sink` exactly
 /// once, just as a gathered unit would), and returns the queue of
@@ -1304,6 +1451,34 @@ mod tests {
     }
 
     #[test]
+    fn backend_maps_transports_and_refuses_process_transports_without_a_worker() {
+        let req = |transport| CampaignRequest {
+            n: 4,
+            transport,
+            workers: 9,
+            unit: 0,
+            retries: 0,
+            cache: None,
+        };
+        let local = backend(&req(TransportSpec::Local), None, 1, None).expect("local");
+        assert_eq!(local.name(), "local");
+        assert!(
+            local.take_worker_telemetry().is_empty(),
+            "local reports none"
+        );
+        for transport in [TransportSpec::Pool, TransportSpec::Subprocess] {
+            let worker = Some(WorkerCommand::new("/nonexistent/rv-shard"));
+            let pool = backend(&req(transport), worker, 1, None).expect("with a worker");
+            assert_eq!(pool.name(), "pool");
+            let err = backend(&req(transport), None, 1, None).err();
+            assert_eq!(err, Some(NoWorker { transport }));
+            assert!(err.is_some_and(|e| e.to_string().contains(transport.name())));
+        }
+        // Nine requested workers over four indices clamp to four.
+        assert_eq!(req(TransportSpec::Pool).worker_count(), 4);
+    }
+
+    #[test]
     fn pool_spawn_failure_exhausts_the_attempt_budget() {
         let exec = PoolExecutor::new(WorkerCommand::new("/nonexistent/rv-shard-worker"))
             .workers(2)
@@ -1319,7 +1494,7 @@ mod tests {
             }
             ref other => panic!("expected Exhausted, got {other}"),
         }
-        assert!(exec.take_telemetry().is_empty());
+        assert!(exec.take_worker_telemetry().is_empty());
     }
 
     #[test]

@@ -69,7 +69,7 @@ pub use aur::{
     MAX_PHASE,
 };
 pub use batch::{Campaign, CampaignReport, CampaignStats, ClassStats, RunRecord, StatsAccumulator};
-pub use cache::{CacheError, CacheKey, CacheStats, CachedExecutor, CachedShard, ResultCache};
+pub use cache::{CacheError, CacheKey, CacheStats, CachedShard, ResultCache};
 pub use exec::{
     ExecError, Executor, LocalExecutor, PoolExecutor, UtilizationReport, WorkerCommand,
     WorkerUtilization,

@@ -176,9 +176,10 @@ pub struct CampaignRequest {
     pub n: usize,
     /// Which executor backend runs the campaign.
     pub transport: TransportSpec,
-    /// Worker process count for the `pool` and `subprocess` transports
-    /// (`0` = one worker). `subprocess` also sizes its units from it, one
-    /// ⌈n/workers⌉ range per worker. Ignored by `local`.
+    /// Worker process count for the `pool` and `subprocess` transports,
+    /// clamped to `1..=n` ([`CampaignRequest::worker_count`]).
+    /// `subprocess` also sizes its units from it, one ⌈n/workers⌉ range
+    /// per worker. Ignored by `local`.
     pub workers: usize,
     /// Steal-unit size in indices for the pool transport (`0` = auto).
     pub unit: usize,
@@ -191,6 +192,16 @@ pub struct CampaignRequest {
     /// client never names a filesystem path. See the "Cached results"
     /// section of `WIRE.md`.
     pub cache: Option<String>,
+}
+
+impl CampaignRequest {
+    /// Worker processes a process-backed transport runs: `workers`
+    /// clamped to `1..=max(n, 1)` — never zero, and never more workers
+    /// than indices to hand out. Worker count never changes a single
+    /// output byte.
+    pub fn worker_count(&self) -> usize {
+        self.workers.clamp(1, self.n.max(1))
+    }
 }
 
 /// A reconstructible description of a seeded campaign: everything a

@@ -897,7 +897,11 @@ pub fn encode_accumulator(acc: &StatsAccumulator) -> String {
 
 /// Decodes a `kind: "acc"` line.
 pub fn decode_accumulator(line: &str) -> Result<StatsAccumulator, WireError> {
-    acc_of(field(&header(line, "acc")?, "acc")?)
+    accumulator_of(&header(line, "acc")?)
+}
+
+fn accumulator_of(v: &Value) -> Result<StatsAccumulator, WireError> {
+    acc_of(field(v, "acc")?)
 }
 
 // ---------------------------------------------------------------------------
@@ -967,8 +971,11 @@ pub fn encode_campaign_spec(spec: &CampaignSpec, seed: u64) -> String {
 
 /// Decodes a `kind: "campaign_spec"` line back into `(spec, seed)`.
 pub fn decode_campaign_spec(line: &str) -> Result<(CampaignSpec, u64), WireError> {
-    let v = header(line, "campaign_spec")?;
-    Ok((campaign_of(field(&v, "campaign")?)?, get_u64(&v, "seed")?))
+    campaign_spec_of(&header(line, "campaign_spec")?)
+}
+
+fn campaign_spec_of(v: &Value) -> Result<(CampaignSpec, u64), WireError> {
+    Ok((campaign_of(field(v, "campaign")?)?, get_u64(v, "seed")?))
 }
 
 /// Encodes one pool work unit as a `kind: "task"` line — what the driver
@@ -983,9 +990,12 @@ pub fn encode_task(task: &UnitTask) -> String {
 
 /// Decodes a `kind: "task"` line.
 pub fn decode_task(line: &str) -> Result<UnitTask, WireError> {
-    let v = header(line, "task")?;
-    let start = get_usize(&v, "start")?;
-    let end = get_usize(&v, "end")?;
+    task_of(&header(line, "task")?)
+}
+
+fn task_of(v: &Value) -> Result<UnitTask, WireError> {
+    let start = get_usize(v, "start")?;
+    let end = get_usize(v, "end")?;
     if end < start {
         return Err(WireError::Field {
             field: "end",
@@ -993,8 +1003,8 @@ pub fn decode_task(line: &str) -> Result<UnitTask, WireError> {
         });
     }
     Ok(UnitTask {
-        task_id: get_u32(&v, "task_id")?,
-        attempt: get_u32(&v, "attempt")?,
+        task_id: get_u32(v, "task_id")?,
+        attempt: get_u32(v, "attempt")?,
         range: start..end,
     })
 }
@@ -1012,11 +1022,14 @@ pub fn encode_unit_telemetry(t: &UnitTelemetry) -> String {
 
 /// Decodes a `kind: "unit_telemetry"` line.
 pub fn decode_unit_telemetry(line: &str) -> Result<UnitTelemetry, WireError> {
-    let v = header(line, "unit_telemetry")?;
+    unit_telemetry_of(&header(line, "unit_telemetry")?)
+}
+
+fn unit_telemetry_of(v: &Value) -> Result<UnitTelemetry, WireError> {
     Ok(UnitTelemetry {
-        task_id: get_u32(&v, "task_id")?,
-        attempt: get_u32(&v, "attempt")?,
-        wall_ns: get_u64(&v, "wall_ns")?,
+        task_id: get_u32(v, "task_id")?,
+        attempt: get_u32(v, "attempt")?,
+        wall_ns: get_u64(v, "wall_ns")?,
     })
 }
 
@@ -1034,11 +1047,14 @@ pub fn encode_unit_done(done: &UnitDone) -> String {
 
 /// Decodes a `kind: "unit_done"` line.
 pub fn decode_unit_done(line: &str) -> Result<UnitDone, WireError> {
-    let v = header(line, "unit_done")?;
+    unit_done_of(&header(line, "unit_done")?)
+}
+
+fn unit_done_of(v: &Value) -> Result<UnitDone, WireError> {
     Ok(UnitDone {
-        task_id: get_u32(&v, "task_id")?,
-        start: get_usize(&v, "start")?,
-        acc: acc_of(field(&v, "acc")?)?,
+        task_id: get_u32(v, "task_id")?,
+        start: get_usize(v, "start")?,
+        acc: accumulator_of(v)?,
     })
 }
 
@@ -1074,9 +1090,12 @@ pub fn encode_request(req: &CampaignRequest) -> String {
 /// validation is the server's job, not the decoder's: the wire layer
 /// stays a pure codec.
 pub fn decode_request(line: &str) -> Result<CampaignRequest, WireError> {
-    let v = header(line, "request")?;
+    request_of(&header(line, "request")?)
+}
+
+fn request_of(v: &Value) -> Result<CampaignRequest, WireError> {
     let transport =
-        TransportSpec::from_name(get_str(&v, "transport")?).map_err(|e| WireError::Field {
+        TransportSpec::from_name(get_str(v, "transport")?).map_err(|e| WireError::Field {
             field: "transport",
             what: e.to_string(),
         })?;
@@ -1091,11 +1110,11 @@ pub fn decode_request(line: &str) -> Result<CampaignRequest, WireError> {
         }
     };
     Ok(CampaignRequest {
-        n: get_usize(&v, "n")?,
+        n: get_usize(v, "n")?,
         transport,
-        workers: get_usize(&v, "workers")?,
-        unit: get_usize(&v, "unit")?,
-        retries: get_u32(&v, "retries")?,
+        workers: get_usize(v, "workers")?,
+        unit: get_usize(v, "unit")?,
+        retries: get_u32(v, "retries")?,
         cache,
     })
 }
@@ -1181,7 +1200,11 @@ pub fn encode_campaign_report(stats: &CampaignStats) -> String {
 
 /// Decodes a `kind: "campaign_report"` line.
 pub fn decode_campaign_report(line: &str) -> Result<CampaignStats, WireError> {
-    stats_of(field(&header(line, "campaign_report")?, "stats")?)
+    campaign_report_of(&header(line, "campaign_report")?)
+}
+
+fn campaign_report_of(v: &Value) -> Result<CampaignStats, WireError> {
+    stats_of(field(v, "stats")?)
 }
 
 /// Machine-readable category of a campaign-service failure. The code is
@@ -1301,15 +1324,18 @@ pub fn encode_error(err: &ErrorLine) -> String {
 
 /// Decodes a `kind: "error"` line.
 pub fn decode_error(line: &str) -> Result<ErrorLine, WireError> {
-    let v = header(line, "error")?;
-    let code_name = get_str(&v, "code")?;
+    error_of(&header(line, "error")?)
+}
+
+fn error_of(v: &Value) -> Result<ErrorLine, WireError> {
+    let code_name = get_str(v, "code")?;
     let code = ErrorCode::from_name(code_name).ok_or_else(|| WireError::Field {
         field: "code",
         what: format!("unknown error code {code_name:?}"),
     })?;
     Ok(ErrorLine {
         code,
-        message: get_str(&v, "message")?.to_string(),
+        message: get_str(v, "message")?.to_string(),
     })
 }
 
@@ -1354,26 +1380,28 @@ pub enum Line {
     Error(ErrorLine),
 }
 
-/// Decodes any schema-3 line by its `"kind"` header.
+/// Decodes any schema-3 line by its `"kind"` header. The line is parsed
+/// once; each kind's payload is read off the parsed value by the same
+/// helper its per-kind decoder uses.
 pub fn decode_line(line: &str) -> Result<Line, WireError> {
     let v = parse_headed(line)?;
     match get_str(&v, "kind")? {
         "record" => record_of(&v).map(|(index, record)| Line::Record { index, record }),
-        "class_stats" => decode_class_stats(line).map(Line::ClassStats),
-        "acc" => decode_accumulator(line).map(Line::Accumulator),
+        "class_stats" => class_stats_of(&v).map(Line::ClassStats),
+        "acc" => accumulator_of(&v).map(Line::Accumulator),
         "shard_spec" => Err(WireError::Retired { kind: "shard_spec" }),
         "shard_result" => Err(WireError::Retired {
             kind: "shard_result",
         }),
         "campaign_spec" => {
-            decode_campaign_spec(line).map(|(spec, seed)| Line::CampaignSpec { spec, seed })
+            campaign_spec_of(&v).map(|(spec, seed)| Line::CampaignSpec { spec, seed })
         }
-        "task" => decode_task(line).map(Line::Task),
-        "unit_telemetry" => decode_unit_telemetry(line).map(Line::UnitTelemetry),
-        "unit_done" => decode_unit_done(line).map(Line::UnitDone),
-        "request" => decode_request(line).map(Line::Request),
-        "campaign_report" => decode_campaign_report(line).map(Line::CampaignReport),
-        "error" => decode_error(line).map(Line::Error),
+        "task" => task_of(&v).map(Line::Task),
+        "unit_telemetry" => unit_telemetry_of(&v).map(Line::UnitTelemetry),
+        "unit_done" => unit_done_of(&v).map(Line::UnitDone),
+        "request" => request_of(&v).map(Line::Request),
+        "campaign_report" => campaign_report_of(&v).map(Line::CampaignReport),
+        "error" => error_of(&v).map(Line::Error),
         other => Err(WireError::Kind {
             found: other.to_string(),
         }),

@@ -4,7 +4,7 @@
 //! tmp-file + atomic rename. Exactly-once sink delivery holds on cold,
 //! warm, and mixed runs.
 
-use rv_core::cache::{CachedExecutor, ResultCache};
+use rv_core::cache::ResultCache;
 use rv_core::exec::{Executor, LocalExecutor};
 use rv_core::shard::{CampaignSpec, SolverSpec};
 use rv_core::stream::{RecordSink, VecSink};
@@ -34,7 +34,7 @@ fn tmp_dir(tag: &str) -> PathBuf {
 fn run_and_check(cache: &Arc<ResultCache>, seed: u64, n: usize, ctx: &str) {
     let baseline = spec().run_local(seed, n);
     let sink = Arc::new(VecSink::new());
-    let exec = CachedExecutor::new(LocalExecutor::new(), Arc::clone(cache));
+    let exec = LocalExecutor::new().cache(Arc::clone(cache));
     let report = exec
         .execute(&spec(), seed, n, Some(sink.clone() as Arc<dyn RecordSink>))
         .expect(ctx);

@@ -6,7 +6,7 @@
 //! [`ResultCache::lookup`] evicts the corpse, and the recomputed run is
 //! byte-identical to an uncached one.
 
-use rv_core::cache::{CacheError, CacheKey, CachedExecutor, ResultCache};
+use rv_core::cache::{CacheError, CacheKey, ResultCache};
 use rv_core::exec::{Executor, LocalExecutor};
 use rv_core::shard::{CampaignSpec, SolverSpec};
 use rv_core::stream::{RecordSink, VecSink};
@@ -75,7 +75,7 @@ fn assert_recovers(cache: Arc<ResultCache>, path: &Path, check: impl FnOnce(&Cac
 
     let baseline = spec().run_local(SEED, N);
     let sink = Arc::new(VecSink::new());
-    let exec = CachedExecutor::new(LocalExecutor::new(), Arc::clone(&cache));
+    let exec = LocalExecutor::new().cache(Arc::clone(&cache));
     let report = exec
         .execute(&spec(), SEED, N, Some(sink.clone() as Arc<dyn RecordSink>))
         .expect("recompute");

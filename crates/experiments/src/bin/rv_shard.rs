@@ -20,30 +20,35 @@
 //!                   [--transport local|subprocess|command|pool] [--local]
 //!                   [--retries R] [--unit U] [--wrap "ssh host --"]
 //!                   [--utilization] [--cache DIR]
-//!     Run the seeded campaign through the chosen executor backend and
+//!     Run the seeded campaign through the backend rv_core::exec::backend
+//!     builds for the request (the same front door rv-serve uses) and
 //!     print the gathered CampaignStats JSON — byte-identical on every
 //!     backend. --local is shorthand for --transport local. Every other
-//!     transport runs on a pool of persistent rv-shard workers:
-//!     subprocess is a K-shard scatter (K = --shards workers, one
-//!     contiguous ceil(n/K) range each), command is the same behind the
-//!     --wrap prefix (which implies it), e.g. an ssh hop, and pool takes
-//!     --shards as the worker count and --unit as the steal-unit size in
-//!     indices (0 = auto). --utilization prints a second JSON line after
-//!     the stats — the per-worker utilization fold of the pool's unit
-//!     telemetry (UtilizationReport; idle workers report zero units) —
-//!     and is a usage error with the local transport. --cache DIR
-//!     attaches a content-addressed result cache (created if missing): a
-//!     warm re-run replays finished units from DIR byte-identically and
-//!     only re-executes units whose spec hash changed. A DIR that exists
-//!     but is not a directory is a usage error (exit 2).
+//!     transport runs on a pool of persistent rv-shard workers, at most
+//!     N of them: subprocess is a K-shard scatter (K = --shards workers,
+//!     one contiguous ceil(n/K) range each), command is the subprocess
+//!     transport with the worker behind the --wrap prefix (which implies
+//!     it), e.g. an ssh hop, and pool takes --shards as the worker count
+//!     and --unit as the steal-unit size in indices (0 = auto).
+//!     --utilization prints a second JSON line after the stats — the
+//!     per-worker utilization fold of the pool's unit telemetry
+//!     (UtilizationReport; idle workers report zero units) — and is a
+//!     usage error with the local transport. --cache DIR attaches a
+//!     content-addressed result cache (created if missing) to any
+//!     transport: a warm re-run replays finished units (the whole
+//!     campaign, for local) from DIR byte-identically and only
+//!     re-executes units whose spec hash changed. A DIR that exists but
+//!     is not a directory is a usage error (exit 2), and so is any flag
+//!     not listed above.
 //! ```
 
-use rv_core::cache::{CacheError, CachedExecutor, ResultCache};
-use rv_core::exec::{ExecError, Executor, LocalExecutor, PoolExecutor, UtilizationReport};
-use rv_core::shard::{shard_unit, CampaignSpec, SolverSpec, UnitDone, UnitTelemetry};
+use rv_core::cache::{CacheError, ResultCache};
+use rv_core::exec::{self, UtilizationReport, WorkerCommand};
+use rv_core::shard::{
+    CampaignRequest, CampaignSpec, SolverSpec, TransportSpec, UnitDone, UnitTelemetry,
+};
 use rv_core::wire::Line;
-use rv_core::{wire, CampaignStats, JsonLinesSink, RecordSink};
-use rv_experiments::runner::worker_command;
+use rv_core::{wire, JsonLinesSink, RecordSink};
 use rv_model::TargetClass;
 use std::io::{BufRead, StdinLock};
 use std::sync::Arc;
@@ -222,6 +227,21 @@ fn parsed_flag<T: std::str::FromStr>(args: &[String], name: &str, default: T) ->
 /// Driver mode: build the requested executor backend, run the campaign
 /// through it, print the stats JSON (byte-identical on every backend).
 fn campaign(args: &[String]) {
+    // Validate the full flag set up front, as worker mode does: a typo
+    // (`--shard 4`) or a retired flag silently ignored here would run
+    // with defaults and *look* healthy.
+    let mut i = 0;
+    while i < args.len() {
+        match args[i].as_str() {
+            "--local" | "--utilization" => i += 1,
+            "--n" | "--shards" | "--seed" | "--solver" | "--classes" | "--segments"
+            | "--transport" | "--retries" | "--unit" | "--wrap" | "--cache" => i += 2,
+            other => {
+                eprintln!("rv-shard campaign: unknown flag {other:?} (run rv-shard for usage)");
+                std::process::exit(2);
+            }
+        }
+    }
     if !args.iter().any(|a| a == "--n") {
         // Without this check the default would be n = 0 — an "empty
         // campaign" that prints all-zero stats and exits 0, which reads
@@ -306,60 +326,43 @@ fn campaign(args: &[String]) {
             }
         });
 
-    // Stats-only paths: execute_stats keeps driver memory at O(unit
-    // size) even for huge campaigns (records are never materialised).
-    if transport == "local" {
-        // The local engine has no unit structure to reuse, so --cache
-        // wraps it: the whole campaign is one cache entry.
-        let local = LocalExecutor::new();
-        print_stats(
-            transport,
-            match cache {
-                Some(cache) => {
-                    CachedExecutor::new(local, cache).execute_stats(&spec, seed, n, None)
-                }
-                None => local.execute_stats(&spec, seed, n, None),
-            },
-        );
-        return;
-    }
-    let (workers, unit) = match transport {
-        "pool" => (shards.max(1), unit),
-        // A K-shard scatter: K workers, one contiguous ceil(n/K) range each.
-        _ => (shards.clamp(1, n), shard_unit(n, shards)),
+    let request = CampaignRequest {
+        n,
+        transport: match transport {
+            "local" => TransportSpec::Local,
+            "pool" => TransportSpec::Pool,
+            // `command` is the subprocess scatter with a wrapped worker.
+            _ => TransportSpec::Subprocess,
+        },
+        workers: shards,
+        unit,
+        retries,
+        cache: None,
     };
-    // Split the host's cores over the workers that can run at once.
-    let mut worker = worker_command(&own_binary(), shards.clamp(1, n));
+    let mut worker = WorkerCommand::new(own_binary());
     if let Some(wrap) = wrap {
         worker = worker.wrap(wrap);
     }
-    let mut pool = PoolExecutor::new(worker)
-        .workers(workers)
-        .unit(unit)
-        .retries(retries);
-    if let Some(cache) = cache {
-        pool = pool.cache(cache);
-    }
-    print_stats(transport, pool.execute_stats(&spec, seed, n, None));
-    if utilization {
-        // One row per pool slot, idle workers included.
-        let telemetry = pool.take_worker_telemetry();
-        println!(
-            "{}",
-            UtilizationReport::from_worker_telemetry(workers, &telemetry).to_json()
-        );
-    }
-}
-
-/// Prints the gathered stats JSON, or reports the failure under the
-/// transport's label and exits 1.
-fn print_stats(transport: &str, stats: Result<CampaignStats, ExecError>) {
-    match stats {
+    let exec = exec::backend(&request, Some(worker), 0, cache).unwrap_or_else(|e| {
+        eprintln!("rv-shard campaign: {e}");
+        std::process::exit(2);
+    });
+    // Stats-only: execute_stats keeps pool driver memory at O(unit size)
+    // even for huge campaigns (records are never materialised).
+    match exec.execute_stats(&spec, seed, n, None) {
         Ok(stats) => println!("{}", stats.to_json()),
         Err(e) => {
             eprintln!("rv-shard campaign [{transport}]: {e}");
             std::process::exit(1);
         }
+    }
+    if utilization {
+        // One row per pool slot, idle workers included.
+        let telemetry = exec.take_worker_telemetry();
+        println!(
+            "{}",
+            UtilizationReport::from_worker_telemetry(request.worker_count(), &telemetry).to_json()
+        );
     }
 }
 

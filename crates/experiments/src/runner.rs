@@ -10,50 +10,11 @@
 //! display helpers for tables.
 
 use crate::util::fnum;
-use std::path::Path;
 
 pub use rv_core::batch::{
     Campaign, CampaignReport, CampaignStats as Summary, RunRecord as RunResult, StatsAccumulator,
 };
-pub use rv_core::exec::{ExecError, Executor, LocalExecutor, PoolExecutor, WorkerCommand};
-pub use rv_core::shard::{CampaignSpec, ShardError, SolverSpec};
 pub use rv_core::{Aur, Closure, Dedicated, FixedPair, Solver, Visibility};
-
-/// The standard worker invocation for an `rv-shard` binary at `worker`:
-/// `worker` mode with the host's cores split across `concurrency`
-/// same-host workers (`cores / concurrency`, minimum 1 thread each) so a
-/// local scatter does not oversubscribe the CPU. Pass the pool's worker
-/// count. Thread counts never change a single output byte.
-pub fn worker_command(worker: &Path, concurrency: usize) -> WorkerCommand {
-    let cores = std::thread::available_parallelism().map_or(1, |c| c.get());
-    let per_worker = (cores / concurrency.max(1)).max(1);
-    WorkerCommand::new(worker)
-        .arg("worker")
-        .arg("--threads")
-        .arg(per_worker.to_string())
-}
-
-/// The process-backed execution path: `workers` long-lived `rv-shard`
-/// session workers steal `unit`-sized index units (`0` = auto) off a
-/// shared queue until the campaign drains — byte-identical to
-/// [`CampaignSpec::run_local`] like every backend, with spawn cost paid
-/// once per worker. A K-shard scatter is `workers = K` with
-/// `unit = `[`rv_core::shard::shard_unit`]`(n, K)`. For repeated
-/// campaigns, build one [`PoolExecutor`] and call `execute_stats`
-/// yourself: the pool's sessions survive between calls.
-pub fn run_pooled(
-    worker: &Path,
-    spec: &CampaignSpec,
-    seed: u64,
-    n: usize,
-    workers: usize,
-    unit: usize,
-) -> Result<rv_core::CampaignStats, ExecError> {
-    PoolExecutor::new(worker_command(worker, workers.max(1)))
-        .workers(workers)
-        .unit(unit)
-        .execute_stats(spec, seed, n, None)
-}
 
 /// Table-display helpers for [`Summary`] (kept out of `rv-core`, which
 /// stays formatting-free).

@@ -15,11 +15,14 @@
 //! processes too.
 
 use rv_core::cache::ResultCache;
-use rv_core::exec::{ExecError, Executor, LocalExecutor, PoolExecutor, WorkerCommand};
-use rv_core::shard::{shard_unit, CampaignSpec, ShardError, SolverSpec, UnitTask};
+use rv_core::exec::{
+    backend, worker_command, ExecError, Executor, LocalExecutor, PoolExecutor, WorkerCommand,
+};
+use rv_core::shard::{
+    shard_unit, CampaignRequest, CampaignSpec, ShardError, SolverSpec, TransportSpec, UnitTask,
+};
 use rv_core::stream::VecSink;
 use rv_core::{wire, CampaignReport, CampaignStats, RecordSink};
-use rv_experiments::runner::{run_pooled, worker_command};
 use rv_model::TargetClass;
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -247,7 +250,11 @@ fn pool_telemetry_reports_every_unit_exactly_once() {
     let (seed, n, unit) = (5, 23, 5);
     let exec = PoolExecutor::new(worker_cmd()).workers(2).unit(unit);
     exec.execute_stats(&spec, seed, n, None).expect("pool run");
-    let telemetry = exec.take_telemetry();
+    let telemetry: Vec<_> = exec
+        .take_worker_telemetry()
+        .into_iter()
+        .map(|(_, t)| t)
+        .collect();
     assert_eq!(telemetry.len(), n.div_ceil(unit), "one line per unit");
     for (k, t) in telemetry.iter().enumerate() {
         assert_eq!(t.task_id, k as u32);
@@ -257,8 +264,9 @@ fn pool_telemetry_reports_every_unit_exactly_once() {
         telemetry.iter().any(|t| t.wall_ns > 0),
         "worker-side wall time must be measured"
     );
-    // take_telemetry drains: a second take is empty until the next run.
-    assert!(exec.take_telemetry().is_empty());
+    // take_worker_telemetry drains: a second take is empty until the
+    // next run.
+    assert!(exec.take_worker_telemetry().is_empty());
 }
 
 #[test]
@@ -368,7 +376,11 @@ fn failed_ranges_rescatter_onto_surviving_workers() {
         .expect("survivor absorbs the dead worker's ranges");
     assert_byte_identical(&report.stats, &local.stats, "re-scatter onto survivor");
     assert_eq!(report.records, local.records);
-    assert_eq!(exec.take_telemetry().len(), 4, "every unit ran once, clean");
+    assert_eq!(
+        exec.take_worker_telemetry().len(),
+        4,
+        "every unit ran once, clean"
+    );
 }
 
 #[test]
@@ -378,22 +390,34 @@ fn aur_campaigns_run_sharded_identically_too() {
     let n = 10;
     let local = spec.run_local(seed, n).stats;
     assert_eq!(local.met, n, "type 3 is AUR-guaranteed");
-    let sharded =
-        run_pooled(Path::new(WORKER), &spec, seed, n, 2, shard_unit(n, 2)).expect("2-shard run");
-    assert_byte_identical(&sharded, &local, "aur 2 shards");
-    let pooled = run_pooled(Path::new(WORKER), &spec, seed, n, 2, 3).expect("2-worker pool run");
-    assert_byte_identical(&pooled, &local, "aur 2-worker pool");
+    // Through the request front door both the CLI and the server use.
+    let run = |transport, unit| {
+        let req = CampaignRequest {
+            n,
+            transport,
+            workers: 2,
+            unit,
+            retries: 0,
+            cache: None,
+        };
+        backend(&req, Some(WorkerCommand::new(WORKER)), 0, None)
+            .expect("a worker was given")
+            .execute_stats(&spec, seed, n, None)
+            .expect("process-backed run")
+    };
+    assert_byte_identical(&run(TransportSpec::Subprocess, 0), &local, "aur 2 shards");
+    assert_byte_identical(&run(TransportSpec::Pool, 3), &local, "aur 2-worker pool");
 }
 
 #[test]
 fn shard_counts_beyond_n_clamp_instead_of_spawning_empty_workers() {
     let spec = mixed_spec();
     let local = spec.run_local(3, 5).stats;
-    let exec = scatter(worker_command(Path::new(WORKER), 64), 5, 64);
+    let exec = scatter(worker_command(WorkerCommand::new(WORKER), 64), 5, 64);
     let sharded = exec.execute_stats(&spec, 3, 5, None).expect("clamped run");
     assert_byte_identical(&sharded, &local, "clamped shards");
     // 64 shards of 5 indices plan 5 one-index units, not 64 ranges.
-    assert_eq!(exec.take_telemetry().len(), 5);
+    assert_eq!(exec.take_worker_telemetry().len(), 5);
 }
 
 #[test]
@@ -587,6 +611,38 @@ fn campaign_cli_rejects_missing_n_and_dangling_flag_values() {
     usage_error(&["--n", "12", "--seed", "--local"], "--seed needs a value");
     usage_error(&["--n", "12", "--shards"], "--shards needs a value");
     usage_error(&["--n", "12", "--unit", "--local"], "--unit needs a value");
+}
+
+#[test]
+fn campaign_cli_rejects_unknown_flags() {
+    // A typo (`--shard 4`), the retired `--max-inflight` and a stray
+    // operand are usage errors before any campaign runs: ignoring them
+    // would run the defaults and look healthy.
+    for (args, flag) in [
+        (&["--n", "8", "--shard", "4"][..], "--shard"),
+        (
+            &["--n", "8", "--shards", "2", "--max-inflight", "2"][..],
+            "--max-inflight",
+        ),
+        (&["--n", "8", "--local", "stray"][..], "stray"),
+    ] {
+        let out = Command::new(WORKER)
+            .arg("campaign")
+            .args(args)
+            .output()
+            .expect("campaign mode");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(
+            out.status.code(),
+            Some(2),
+            "{args:?} must exit 2, stderr: {stderr}"
+        );
+        assert!(
+            stderr.contains(&format!("unknown flag {flag:?}")),
+            "{args:?} stderr should name {flag:?}: {stderr}"
+        );
+        assert!(out.stdout.is_empty(), "{args:?} must not print stats");
+    }
 }
 
 #[test]
@@ -807,7 +863,7 @@ fn cache_warm_reruns_replay_byte_identically_and_execute_zero_shards() {
     let pool = pool_cache.stats();
     assert_eq!((pool.hits, pool.misses), (4, 0), "{pool:?}");
     assert!(
-        exec.take_telemetry().is_empty(),
+        exec.take_worker_telemetry().is_empty(),
         "cached units never ran, so none may report telemetry"
     );
     let _ = fs::remove_dir_all(&dir);
@@ -843,6 +899,37 @@ fn cache_spec_tweak_reexecutes_exactly_the_changed_shards() {
     assert_backend_matches(&exec, &other, seed, 24, "segments-tweaked n=24");
     let m = moved_cache.stats();
     assert_eq!((m.hits, m.misses, m.stores), (0, 4, 4), "{m:?}");
+    let _ = fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn cache_local_runs_store_and_replay_the_whole_campaign_entry() {
+    // A cached local run is the one-unit plan `0..n`: its entry sits at
+    // the whole-campaign key, so cache directories written by earlier
+    // local runs keep replaying.
+    let spec = mixed_spec();
+    let (seed, n) = (0xC0DE, 12);
+    let dir = cache_dir("local");
+
+    let cold_cache = Arc::new(ResultCache::open(&dir).expect("open cold"));
+    let exec = LocalExecutor::new().cache(Arc::clone(&cold_cache));
+    assert_backend_matches(&exec, &spec, seed, n, "cold local");
+    let cold = cold_cache.stats();
+    assert_eq!((cold.hits, cold.misses, cold.stores), (0, 1, 1), "{cold:?}");
+
+    let probe = ResultCache::open(&dir).expect("open probe");
+    let entry = probe.lookup(&spec, seed, &(0..n)).expect("entry at 0..n");
+    assert_eq!(entry.records.len(), n);
+
+    let warm_cache = Arc::new(ResultCache::open(&dir).expect("open warm"));
+    let exec = LocalExecutor::new().cache(Arc::clone(&warm_cache));
+    assert_backend_matches(&exec, &spec, seed, n, "warm local");
+    let warm = warm_cache.stats();
+    assert_eq!((warm.hits, warm.stores), (1, 0), "{warm:?}");
+    let stats = exec
+        .execute_stats(&spec, seed, n, None)
+        .expect("warm stats");
+    assert_byte_identical(&stats, &spec.run_local(seed, n).stats, "warm stats");
     let _ = fs::remove_dir_all(&dir);
 }
 

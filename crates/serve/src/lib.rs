@@ -21,9 +21,9 @@
 //!
 //! - **Byte identity.** The streamed `record` lines and the decoded
 //!   report's [`CampaignStats::to_json`] are byte-identical to an
-//!   in-process [`LocalExecutor`] run of the same `(spec, seed, n)` —
-//!   the transport moves bytes, it never rounds them. Pinned by the
-//!   `server_differential` suite.
+//!   in-process [`rv_core::exec::LocalExecutor`] run of the same
+//!   `(spec, seed, n)` — the transport moves bytes, it never rounds
+//!   them. Pinned by the `server_differential` suite.
 //! - **Bounded admission.** At most [`ServeConfig::max_campaigns`]
 //!   campaigns execute at once; the next request is refused with a
 //!   typed `busy` error instead of queueing without bound.
@@ -72,9 +72,9 @@ pub mod bench;
 pub mod signal;
 
 use rv_core::batch::{CampaignStats, RunRecord};
-use rv_core::cache::{CachedExecutor, ResultCache};
-use rv_core::exec::{ExecError, Executor, LocalExecutor, PoolExecutor, WorkerCommand};
-use rv_core::shard::{shard_unit, CampaignRequest, CampaignSpec, TransportSpec, UnitTelemetry};
+use rv_core::cache::ResultCache;
+use rv_core::exec::{self, ExecError, WorkerCommand};
+use rv_core::shard::{CampaignRequest, CampaignSpec, UnitTelemetry};
 use rv_core::stream::RecordSink;
 use rv_core::wire::{self, ErrorCode, ErrorLine, WireError};
 use std::io::{self, BufRead, BufReader, ErrorKind, Read, Write};
@@ -544,9 +544,10 @@ fn handle_connection(stream: TcpStream, config: &ServeConfig, state: &ServerStat
     }
 }
 
-/// Executes one admitted campaign on the requested transport, streaming
-/// records into `out`. Worker-backed campaigns also return their unit telemetry
-/// (sorted, worker tags stripped) for the client-visible tail.
+/// Executes one admitted campaign on the backend the request names
+/// ([`exec::backend`]), streaming records into `out`. Worker-backed
+/// campaigns also return their unit telemetry (sorted, worker tags
+/// stripped) for the client-visible tail; local ones return none.
 fn run_campaign(
     spec: &CampaignSpec,
     seed: u64,
@@ -554,15 +555,6 @@ fn run_campaign(
     config: &ServeConfig,
     out: Arc<SocketSink>,
 ) -> Result<(CampaignStats, Vec<UnitTelemetry>), ErrorLine> {
-    let client_gone = |out: &SocketSink, e: ExecError| {
-        // A campaign aborted because this client hung up needs no error
-        // line (nobody is listening); anything else is a real failure.
-        if out.is_closed() {
-            ErrorLine::new(ErrorCode::Exec, ExecError::SinkClosed)
-        } else {
-            ErrorLine::new(ErrorCode::Exec, e)
-        }
-    };
     // A requested cache name resolves (creating if needed) to a
     // server-side content-addressed result store under the configured
     // cache root. A name the server cannot honour is a typed error
@@ -571,42 +563,24 @@ fn run_campaign(
         None => None,
         Some(name) => Some(resolve_cache(config, name)?),
     };
+    let worker = config.worker.as_ref().map(WorkerCommand::new);
+    let exec = exec::backend(req, worker, config.local_threads, cache)
+        .map_err(|e| ErrorLine::new(ErrorCode::Unsupported, e))?;
     let sink: Arc<dyn RecordSink> = Arc::clone(&out) as Arc<dyn RecordSink>;
-    match req.transport {
-        TransportSpec::Local => {
-            let local = LocalExecutor::new().threads(config.local_threads);
-            // The local engine has no shard structure to reuse, so the
-            // whole campaign is one cache entry via the wrapper.
-            match cache {
-                Some(cache) => {
-                    CachedExecutor::new(local, cache).execute_stats(spec, seed, req.n, Some(sink))
-                }
-                None => local.execute_stats(spec, seed, req.n, Some(sink)),
+    let stats = exec
+        .execute_stats(spec, seed, req.n, Some(sink))
+        .map_err(|e| {
+            // A campaign aborted because this client hung up needs no
+            // error line (nobody is listening); anything else is a real
+            // failure.
+            if out.is_closed() {
+                ErrorLine::new(ErrorCode::Exec, ExecError::SinkClosed)
+            } else {
+                ErrorLine::new(ErrorCode::Exec, e)
             }
-            .map(|stats| (stats, Vec::new()))
-            .map_err(|e| client_gone(&out, e))
-        }
-        TransportSpec::Pool | TransportSpec::Subprocess => {
-            let workers = req.workers.max(1);
-            // `subprocess` is a `workers`-shard scatter: one contiguous
-            // ceil(n/workers) unit per worker.
-            let unit = match req.transport {
-                TransportSpec::Subprocess => shard_unit(req.n, workers),
-                _ => req.unit,
-            };
-            let mut pool = PoolExecutor::new(worker_command(config, workers)?)
-                .workers(workers)
-                .unit(unit)
-                .retries(req.retries);
-            if let Some(cache) = cache {
-                pool = pool.cache(cache);
-            }
-            let stats = pool
-                .execute_stats(spec, seed, req.n, Some(sink))
-                .map_err(|e| client_gone(&out, e))?;
-            Ok((stats, pool.take_telemetry()))
-        }
-    }
+        })?;
+    let telemetry = exec.take_worker_telemetry().into_iter().map(|(_, t)| t);
+    Ok((stats, telemetry.collect()))
 }
 
 /// The bounds a wire-supplied cache name must satisfy before it is
@@ -652,26 +626,6 @@ fn resolve_cache(config: &ServeConfig, name: &str) -> Result<Arc<ResultCache>, E
     ResultCache::open(root.join(name))
         .map(Arc::new)
         .map_err(|e| ErrorLine::new(ErrorCode::Protocol, e))
-}
-
-/// The worker invocation for process-backed transports: the configured
-/// `rv-shard`-compatible binary in `worker` mode, its in-process thread
-/// count sized so `concurrency` simultaneous workers share the cores.
-fn worker_command(config: &ServeConfig, concurrency: usize) -> Result<WorkerCommand, ErrorLine> {
-    let Some(path) = &config.worker else {
-        return Err(ErrorLine::new(
-            ErrorCode::Unsupported,
-            "no worker binary configured; only the \"local\" transport is served",
-        ));
-    };
-    let cores = std::thread::available_parallelism()
-        .map(|c| c.get())
-        .unwrap_or(1);
-    let threads = (cores / concurrency.max(1)).max(1);
-    Ok(WorkerCommand::new(path)
-        .arg("worker")
-        .arg("--threads")
-        .arg(threads.to_string()))
 }
 
 // ---------------------------------------------------------------------------
@@ -805,7 +759,7 @@ impl Client {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rv_core::shard::SolverSpec;
+    use rv_core::shard::{SolverSpec, TransportSpec};
     use rv_model::TargetClass;
 
     fn spec() -> CampaignSpec {
