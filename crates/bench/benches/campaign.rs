@@ -47,14 +47,15 @@ fn bench_par_map(c: &mut Criterion) {
     // implementation took a global lock per item here).
     let items: Vec<u64> = (0..100_000).collect();
     g.bench_function("cheap_100k", |b| {
-        b.iter(|| par_map(&items, |&x| mix_seed(x, 1)))
+        b.iter(|| par_map(0, items.len(), |i| mix_seed(items[i], 1)))
     });
     // Skewed closure: chunk stealing must keep all cores busy.
     let skewed: Vec<u64> = (0..512).collect();
     g.bench_function("skewed_512", |b| {
         b.iter(|| {
-            par_map(&skewed, |&x| {
-                let spin = if x % 64 == 0 { 20_000 } else { 500 };
+            par_map(0, skewed.len(), |i| {
+                let x = skewed[i];
+                let spin = if x.is_multiple_of(64) { 20_000 } else { 500 };
                 let mut acc = x;
                 for k in 0..spin {
                     acc = acc.wrapping_mul(6364136223846793005).wrapping_add(k);

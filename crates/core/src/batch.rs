@@ -20,18 +20,18 @@
 //! processes and hosts (and to re-scatter failed shards) without changing
 //! a single output byte.
 //!
-//! Determinism: records land in *input order* (the parallel map writes by
-//! index, see [`crate::parallel`]), every instance is identified by its
-//! index, and all statistics are folded from that ordered record stream —
-//! so a campaign's output is a pure function of `(instances, budget,
-//! solver)`, independent of the number of threads or how the OS schedules
-//! them. Seed-indexed workloads should derive per-index seeds with
-//! [`mix_seed`], which (unlike a plain xor) maps distinct `(seed, index)`
-//! pairs to well-separated RNG seeds.
+//! Determinism: records land in *input order* (the parallel map returns
+//! results in index order, see [`crate::parallel`]), every instance is
+//! identified by its index, and all statistics are folded from that
+//! ordered record stream — so a campaign's output is a pure function of
+//! `(instances, budget, solver)`, independent of the number of threads or
+//! how the OS schedules them. Seed-indexed workloads should derive
+//! per-index seeds with [`mix_seed`], which (unlike a plain xor) maps
+//! distinct `(seed, index)` pairs to well-separated RNG seeds.
 
 use crate::api::Budget;
 use crate::json;
-use crate::parallel::par_map_indexed_with;
+use crate::parallel::par_map;
 use crate::solver::{Aur, Closure, Dedicated, Solver};
 use crate::stream::RecordSink;
 use rv_model::{classify, Classification, Instance};
@@ -166,12 +166,18 @@ pub struct ClassStats {
 impl ClassStats {
     /// Renders the class breakdown as a JSON object.
     pub fn to_json(&self) -> String {
+        format!("{{{}}}", self.json_fields(json::opt_f64))
+    }
+
+    /// The breakdown's JSON fields, without braces, with `opt` rendering
+    /// the optional float (shared with the wire's `class_stats` line).
+    pub(crate) fn json_fields(&self, opt: fn(Option<f64>) -> String) -> String {
         format!(
-            "{{\"class\": {}, \"n\": {}, \"met\": {}, \"median_time\": {}}}",
+            "\"class\": {}, \"n\": {}, \"met\": {}, \"median_time\": {}",
             json::string(&self.class.to_string()),
             self.n,
             self.met,
-            json::opt_f64(self.median_time)
+            opt(self.median_time)
         )
     }
 }
@@ -411,7 +417,23 @@ impl CampaignStats {
     /// Renders the aggregate as a JSON object (schema 2: includes the
     /// `infeasible` count; non-finite floats become `null`).
     pub fn to_json(&self) -> String {
-        let per_class: Vec<String> = self.per_class.iter().map(ClassStats::to_json).collect();
+        self.json_with(json::f64, json::opt_f64)
+    }
+
+    /// Renders the aggregate as a JSON object with `float` and `opt`
+    /// rendering its floats: the artifact form above passes the
+    /// `null`-collapsing [`json`] encoders, the wire's `campaign_report`
+    /// line its lossless sentinels.
+    pub(crate) fn json_with(
+        &self,
+        float: fn(f64) -> String,
+        opt: fn(Option<f64>) -> String,
+    ) -> String {
+        let per_class: Vec<String> = self
+            .per_class
+            .iter()
+            .map(|cs| format!("{{{}}}", cs.json_fields(opt)))
+            .collect();
         format!(
             "{{\"n\": {}, \"met\": {}, \"infeasible\": {}, \
              \"median_time\": {}, \"p90_time\": {}, \"max_time\": {}, \
@@ -420,13 +442,13 @@ impl CampaignStats {
             self.n,
             self.met,
             self.infeasible,
-            json::opt_f64(self.median_time),
-            json::opt_f64(self.p90_time),
-            json::opt_f64(self.max_time),
+            opt(self.median_time),
+            opt(self.p90_time),
+            opt(self.max_time),
             self.median_segments,
             self.p90_segments,
             self.max_segments,
-            json::f64(self.min_dist_over_r),
+            float(self.min_dist_over_r),
             per_class.join(", ")
         )
     }
@@ -570,7 +592,7 @@ impl Campaign {
 
     /// Runs the campaign over a materialised instance slice.
     pub fn run(&self, instances: &[Instance]) -> CampaignReport {
-        CampaignReport::of(par_map_indexed_with(self.threads, instances.len(), |i| {
+        CampaignReport::of(par_map(self.threads, instances.len(), |i| {
             self.run_one(i, &instances[i])
         }))
     }
@@ -583,9 +605,7 @@ impl Campaign {
     where
         G: Fn(usize) -> Instance + Sync,
     {
-        CampaignReport::of(par_map_indexed_with(self.threads, n, |i| {
-            self.run_one(i, &gen(i))
-        }))
+        CampaignReport::of(par_map(self.threads, n, |i| self.run_one(i, &gen(i))))
     }
 }
 

@@ -41,7 +41,7 @@
 //! assert!(bound >= 1); // Lemma 3.4's explicit formula
 //! ```
 
-#![deny(unsafe_code)]
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod analysis;
@@ -51,9 +51,6 @@ pub mod batch;
 pub mod cache;
 pub mod exec;
 pub mod json;
-// The one audited unsafe core in the workspace: `par_map`'s disjoint
-// MaybeUninit writes. Everything else is `deny(unsafe_code)` above.
-#[allow(unsafe_code)]
 pub mod parallel;
 pub mod shard;
 pub mod solver;
@@ -74,7 +71,7 @@ pub use exec::{
     ExecError, Executor, LocalExecutor, PoolExecutor, UtilizationReport, WorkerCommand,
     WorkerUtilization,
 };
-pub use parallel::{par_map, par_map_indexed};
+pub use parallel::par_map;
 pub use shard::{
     CampaignRequest, CampaignSpec, ShardError, SolverSpec, TransportSpec, UnitDone, UnitTask,
     UnitTelemetry, UnknownSolver, UnknownTransport,

@@ -2,103 +2,47 @@
 //!
 //! Workers claim *chunks* of the index range from a single atomic counter
 //! (dynamic load balancing — fast workers steal the chunks slow workers
-//! never reach) and write results straight into disjoint regions of one
-//! pre-allocated output buffer. There is no per-item lock anywhere on the
-//! hot path: the only shared mutable state is the chunk counter and a
-//! panic slot that is touched exclusively while unwinding.
+//! never reach) and append their results to a buffer of their own. There
+//! is no per-item lock anywhere on the hot path: the only shared mutable
+//! state is the chunk counter and a poison flag set while unwinding.
 //!
-//! Output order equals input order, so anything derived from the result
-//! vector is independent of thread scheduling — the property
-//! [`crate::batch`] builds its determinism guarantee on.
+//! The counter hands chunks out in increasing order, so every worker's
+//! buffer is already in index order; after the workers finish, the output
+//! is stitched together chunk by chunk. Output order therefore equals
+//! index order, and anything derived from the result vector is
+//! independent of thread scheduling — the property [`crate::batch`]
+//! builds its determinism guarantee on.
 
-use std::mem::{ManuallyDrop, MaybeUninit};
+use std::any::Any;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::Mutex;
 
 /// Upper bound on items per claimed chunk. Small enough for good load
 /// balance on skewed workloads (one simulation can cost 10^6× another),
 /// large enough that counter traffic is negligible for cheap closures.
 const MAX_CHUNK: usize = 64;
 
-/// Pointer to the shared output buffer. Workers write disjoint index
-/// ranges, which is why handing the raw pointer to every thread is sound.
-struct OutPtr<R>(*mut MaybeUninit<R>);
-
-// SAFETY: OutPtr is only ever used to write disjoint index ranges (one
-// chunk per worker), so sending it across threads cannot race.
-unsafe impl<R: Send> Send for OutPtr<R> {}
-// SAFETY: shared access is sound for the same reason — writes through
-// `&OutPtr` target indices owned exclusively by the writing thread.
-unsafe impl<R: Send> Sync for OutPtr<R> {}
-
-impl<R> OutPtr<R> {
-    /// # Safety
-    ///
-    /// `idx` must be in bounds and written by exactly one thread.
-    unsafe fn write(&self, idx: usize, value: R) {
-        self.0.add(idx).write(MaybeUninit::new(value));
-    }
+/// One worker's output: its results in index order, the ids of the
+/// chunks they came from, and the first panic it caught, if any.
+struct Slot<R> {
+    out: Vec<R>,
+    chunks: Vec<usize>,
+    panic: Option<(usize, Box<dyn Any + Send>)>,
 }
 
-/// What the unwinding bookkeeping records: which prefix of which chunk
-/// was initialised before a worker's closure panicked, plus the first
-/// panic payload (later ones are dropped, matching rayon's behaviour).
-struct PanicLog {
-    first: Option<(usize, Box<dyn std::any::Any + Send>)>,
-    /// `(chunk_start, failed_index)` per panicked chunk: items in
-    /// `chunk_start..failed_index` are initialised and must be dropped.
-    partial: Vec<(usize, usize)>,
-}
-
-/// Applies `f` to every item in parallel, preserving input order in the
-/// output. Uses all available cores; see [`par_map_with`] for an explicit
-/// thread count.
+/// Applies `f` to every index in `0..n` on `threads` workers (`0` = all
+/// available cores) and returns the results in index order.
 ///
 /// # Panics
 ///
-/// If `f` panics for some item, the panic is propagated to the caller
-/// with a message naming the failing index.
-pub fn par_map<T, R, F>(items: &[T], f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(&T) -> R + Sync,
-{
-    par_map_with(0, items, f)
-}
-
-/// [`par_map`] with an explicit worker count (`0` = all available cores).
-pub fn par_map_with<T, R, F>(threads: usize, items: &[T], f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(&T) -> R + Sync,
-{
-    par_map_indexed_with(threads, items.len(), |i| f(&items[i]))
-}
-
-/// Index-driven variant: applies `f` to every index in `0..n` in
-/// parallel, returning results in index order. This is the primitive the
-/// batch engine uses to run seed-indexed workloads without materialising
-/// them first.
-pub fn par_map_indexed<R, F>(n: usize, f: F) -> Vec<R>
+/// If `f` panics for some index, the panic is propagated to the caller
+/// with a message naming the failing index. Every result already built
+/// is dropped exactly once on the way out.
+pub fn par_map<R, F>(threads: usize, n: usize, f: F) -> Vec<R>
 where
     R: Send,
     F: Fn(usize) -> R + Sync,
 {
-    par_map_indexed_with(0, n, f)
-}
-
-/// [`par_map_indexed`] with an explicit worker count (`0` = all cores).
-pub fn par_map_indexed_with<R, F>(threads: usize, n: usize, f: F) -> Vec<R>
-where
-    R: Send,
-    F: Fn(usize) -> R + Sync,
-{
-    if n == 0 {
-        return Vec::new();
-    }
     let workers = if threads == 0 {
         std::thread::available_parallelism()
             .map(|p| p.get())
@@ -107,120 +51,92 @@ where
         threads
     }
     .min(n);
-    if workers <= 1 {
-        // Same contract as the parallel path: a panic is re-raised naming
-        // the failing index.
-        let mut out = Vec::with_capacity(n);
-        for i in 0..n {
-            match catch_unwind(AssertUnwindSafe(|| f(i))) {
-                Ok(value) => out.push(value),
-                Err(payload) => {
-                    let msg = payload_message(payload.as_ref());
-                    panic!("par_map: worker panicked at item {i}: {msg}");
-                }
-            }
-        }
-        return out;
+    if workers == 0 {
+        return Vec::new();
     }
 
     // ~8 chunks per worker keeps the tail balanced without hammering the
     // counter; cap so skewed items cannot hide inside huge chunks.
     let chunk = (n / (workers * 8)).clamp(1, MAX_CHUNK);
     let n_chunks = n.div_ceil(chunk);
-
-    let mut out: Vec<MaybeUninit<R>> = (0..n).map(|_| MaybeUninit::uninit()).collect();
-    let out_ptr = OutPtr(out.as_mut_ptr());
+    let bounds = |c: usize| c * chunk..((c + 1) * chunk).min(n);
     let next_chunk = AtomicUsize::new(0);
     let poisoned = AtomicBool::new(false);
-    let chunk_done: Vec<AtomicBool> = (0..n_chunks).map(|_| AtomicBool::new(false)).collect();
-    let panic_log = Mutex::new(PanicLog {
-        first: None,
-        partial: Vec::new(),
-    });
 
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| {
-                loop {
-                    if poisoned.load(Ordering::Relaxed) {
-                        break;
-                    }
-                    let c = next_chunk.fetch_add(1, Ordering::Relaxed);
-                    if c >= n_chunks {
-                        break;
-                    }
-                    let start = c * chunk;
-                    let end = ((c + 1) * chunk).min(n);
-                    let mut cursor = start;
-                    let run = catch_unwind(AssertUnwindSafe(|| {
-                        while cursor < end {
-                            let value = f(cursor);
-                            // SAFETY: disjoint-region write — index `cursor`
-                            // belongs to this chunk, this chunk was claimed
-                            // by exactly this worker via the atomic counter,
-                            // and `cursor < end <= n` keeps it in bounds.
-                            unsafe { out_ptr.write(cursor, value) };
-                            cursor += 1;
-                        }
-                    }));
-                    match run {
-                        Ok(()) => {
-                            chunk_done[c].store(true, Ordering::Release);
-                        }
-                        Err(payload) => {
-                            poisoned.store(true, Ordering::Relaxed);
-                            let mut log = panic_log.lock().unwrap_or_else(|e| e.into_inner());
-                            log.partial.push((start, cursor));
-                            if log.first.is_none() {
-                                log.first = Some((cursor, payload));
-                            }
-                            break;
-                        }
-                    }
+    // Each worker fills a slot local to its own thread and hands it over
+    // once at the end: pushing into slots that sit side by side in one
+    // Vec would make the workers fight over shared cache lines.
+    let empty = || Slot {
+        out: Vec::new(),
+        chunks: Vec::new(),
+        panic: None,
+    };
+    let work = || {
+        let mut slot = Slot {
+            out: Vec::with_capacity(n.div_ceil(workers)),
+            ..empty()
+        };
+        while !poisoned.load(Ordering::Relaxed) {
+            let c = next_chunk.fetch_add(1, Ordering::Relaxed);
+            if c >= n_chunks {
+                break;
+            }
+            let range = bounds(c);
+            let mut i = range.start;
+            let run = catch_unwind(AssertUnwindSafe(|| {
+                while i < range.end {
+                    slot.out.push(f(i));
+                    i += 1;
                 }
-            });
+            }));
+            if let Err(payload) = run {
+                poisoned.store(true, Ordering::Relaxed);
+                slot.panic = Some((i, payload));
+                break;
+            }
+            slot.chunks.push(c);
         }
-    });
+        slot
+    };
 
-    let log = panic_log.into_inner().unwrap_or_else(|e| e.into_inner());
-    if let Some((failed_idx, payload)) = log.first {
-        // Drop everything that *was* initialised, then re-panic naming the
-        // failing index so the caller can find the bad input.
-        for (c, done) in chunk_done.iter().enumerate() {
-            if done.load(Ordering::Acquire) {
-                let start = c * chunk;
-                let end = ((c + 1) * chunk).min(n);
-                for slot in &mut out[start..end] {
-                    // SAFETY: `chunk_done[c]` was stored with Release only
-                    // after every slot in the chunk was written, and the
-                    // Acquire load above synchronizes with it.
-                    unsafe { slot.assume_init_drop() };
-                }
+    let mut slots: Vec<Slot<R>> = (0..workers).map(|_| empty()).collect();
+    if workers == 1 {
+        slots[0] = work();
+    } else {
+        let work = &work;
+        std::thread::scope(|scope| {
+            for slot in &mut slots {
+                scope.spawn(move || *slot = work());
             }
-        }
-        for (start, failed) in &log.partial {
-            for slot in &mut out[*start..*failed] {
-                // SAFETY: the panic log records exactly the initialised
-                // prefix `start..failed` of each panicked chunk; the Mutex
-                // write happened-before this post-join read.
-                unsafe { slot.assume_init_drop() };
-            }
-        }
-        let msg = payload_message(payload.as_ref());
-        panic!("par_map: worker panicked at item {failed_idx}: {msg}");
+        });
     }
 
-    debug_assert!(chunk_done.iter().all(|d| d.load(Ordering::Acquire)));
-    let mut out = ManuallyDrop::new(out);
-    // SAFETY: every chunk completed (no panic reached this point), so every
-    // slot is initialised; `MaybeUninit<R>` has the same layout as `R`, and
-    // `ManuallyDrop` keeps the original Vec from freeing the buffer we
-    // reinterpret — length, capacity, and allocator are carried over as-is.
-    unsafe { Vec::from_raw_parts(out.as_mut_ptr().cast::<R>(), out.len(), out.capacity()) }
+    if let Some((i, payload)) = slots
+        .iter_mut()
+        .filter_map(|s| s.panic.take())
+        .min_by_key(|(i, _)| *i)
+    {
+        let msg = payload_message(payload.as_ref());
+        panic!("par_map: worker panicked at item {i}: {msg}");
+    }
+
+    // No panic, so every chunk was claimed and completed exactly once.
+    let mut owner = vec![0; n_chunks];
+    for (w, slot) in slots.iter().enumerate() {
+        for &c in &slot.chunks {
+            owner[c] = w;
+        }
+    }
+    let mut buffers: Vec<_> = slots.into_iter().map(|s| s.out.into_iter()).collect();
+    let mut out = Vec::with_capacity(n);
+    for (c, &w) in owner.iter().enumerate() {
+        out.extend(buffers[w].by_ref().take(bounds(c).len()));
+    }
+    out
 }
 
 /// Best-effort extraction of a human-readable panic message.
-fn payload_message(payload: &(dyn std::any::Any + Send)) -> &str {
+fn payload_message(payload: &(dyn Any + Send)) -> &str {
     if let Some(s) = payload.downcast_ref::<&str>() {
         s
     } else if let Some(s) = payload.downcast_ref::<String>() {
@@ -233,40 +149,37 @@ fn payload_message(payload: &(dyn std::any::Any + Send)) -> &str {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicUsize;
 
     #[test]
     fn maps_in_order() {
-        let items: Vec<u64> = (0..1000).collect();
-        let out = par_map(&items, |x| x * 2);
-        assert_eq!(out, (0..1000).map(|x| x * 2).collect::<Vec<_>>());
+        let out = par_map(0, 1000, |i| i as u64 * 2);
+        assert_eq!(out, (0..1000).map(|x| x * 2).collect::<Vec<u64>>());
     }
 
     #[test]
     fn empty_input() {
-        let out: Vec<u64> = par_map(&[] as &[u64], |x: &u64| *x);
+        let out: Vec<u64> = par_map(0, 0, |i| i as u64);
         assert!(out.is_empty());
     }
 
     #[test]
     fn single_item() {
-        assert_eq!(par_map(&[7u64], |x| x + 1), vec![8]);
+        assert_eq!(par_map(0, 1, |i| i as u64 + 8), vec![8]);
     }
 
     #[test]
     fn indexed_matches_slice_map() {
         let items: Vec<u64> = (0..257).map(|i| i * 3 + 1).collect();
-        let a = par_map(&items, |x| x + 1);
-        let b = par_map_indexed(items.len(), |i| items[i] + 1);
-        assert_eq!(a, b);
+        let seq: Vec<u64> = (0..items.len()).map(|i| items[i] + 1).collect();
+        assert_eq!(par_map(0, items.len(), |i| items[i] + 1), seq);
     }
 
     #[test]
     fn explicit_thread_counts_agree() {
-        let items: Vec<u64> = (0..500).collect();
-        let seq = par_map_with(1, &items, |x| x ^ 0xABCD);
-        for threads in [2, 3, 8] {
-            assert_eq!(par_map_with(threads, &items, |x| x ^ 0xABCD), seq);
+        let f = |i: usize| i as u64 ^ 0xABCD;
+        let seq: Vec<u64> = (0..500).map(f).collect();
+        for threads in [1, 2, 3, 8] {
+            assert_eq!(par_map(threads, 500, f), seq, "threads={threads}");
         }
     }
 
@@ -274,8 +187,8 @@ mod tests {
     fn heavy_skewed_closure_is_correct() {
         // Item 0 is ~1000× the others: chunk stealing must still cover
         // everything exactly once.
-        let items: Vec<u64> = (0..300).collect();
-        let out = par_map(&items, |&x| {
+        let out = par_map(0, 300, |i| {
+            let x = i as u64;
             let spin = if x == 0 { 1_000_000 } else { 1_000 };
             let mut acc = x;
             for k in 0..spin {
@@ -283,13 +196,12 @@ mod tests {
             }
             (x, acc).0
         });
-        assert_eq!(out, items);
+        assert_eq!(out, (0..300).collect::<Vec<u64>>());
     }
 
     #[test]
     fn non_copy_results_survive() {
-        let items: Vec<u64> = (0..100).collect();
-        let out = par_map(&items, |x| vec![*x; 3]);
+        let out = par_map(0, 100, |i| vec![i as u64; 3]);
         for (i, v) in out.iter().enumerate() {
             assert_eq!(v, &vec![i as u64; 3]);
         }
@@ -300,13 +212,12 @@ mod tests {
         // `0` (auto, may be sequential on a 1-core box), `1` (explicitly
         // sequential) and `4` (parallel) must all surface the same shape.
         for threads in [0, 1, 4] {
-            let items: Vec<u64> = (0..64).collect();
             let err = std::panic::catch_unwind(|| {
-                par_map_with(threads, &items, |&x| {
-                    if x == 37 {
-                        panic!("boom on {x}");
+                par_map(threads, 64, |i| {
+                    if i == 37 {
+                        panic!("boom on {i}");
                     }
-                    x
+                    i
                 })
             })
             .expect_err("must propagate the panic");
@@ -318,30 +229,37 @@ mod tests {
 
     #[test]
     fn panic_drops_completed_results() {
-        // Count drops of completed results to catch leaks/double-drops on
-        // the unwind path.
+        // Every value `f` built must be dropped exactly once on the unwind
+        // path: no leak, no double drop.
+        static BUILT: AtomicUsize = AtomicUsize::new(0);
         static DROPS: AtomicUsize = AtomicUsize::new(0);
-        struct Counted(#[allow(dead_code)] u64);
+        struct Counted;
         impl Drop for Counted {
             fn drop(&mut self) {
                 DROPS.fetch_add(1, Ordering::Relaxed);
             }
         }
-        DROPS.store(0, Ordering::Relaxed);
-        let items: Vec<u64> = (0..128).collect();
-        let result = std::panic::catch_unwind(|| {
-            par_map_with(2, &items, |&x| {
-                if x == 100 {
-                    panic!("dropped");
-                }
-                Counted(x)
-            })
-        });
-        assert!(result.is_err());
-        // Exactly the constructed survivors are dropped — we cannot know
-        // how many chunks completed, but every drop must be unique and
-        // below the item count (item 100 never constructed a value).
-        let drops = DROPS.load(Ordering::Relaxed);
-        assert!(drops < 128, "dropped {drops} of 128");
+        for threads in [1, 2, 4] {
+            BUILT.store(0, Ordering::Relaxed);
+            DROPS.store(0, Ordering::Relaxed);
+            let result = std::panic::catch_unwind(|| {
+                par_map(threads, 128, |i| {
+                    if i == 100 {
+                        panic!("dropped");
+                    }
+                    BUILT.fetch_add(1, Ordering::Relaxed);
+                    Counted
+                })
+            });
+            assert!(result.is_err());
+            let built = BUILT.load(Ordering::Relaxed);
+            let drops = DROPS.load(Ordering::Relaxed);
+            // Item 100 never constructed a value.
+            assert!(built < 128, "threads={threads}: built {built} of 128");
+            assert_eq!(
+                drops, built,
+                "threads={threads}: built {built}, dropped {drops}"
+            );
+        }
     }
 }

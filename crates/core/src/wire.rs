@@ -639,24 +639,10 @@ fn get_arr<'v>(obj: &'v Value, name: &'static str) -> Result<&'v [Value], WireEr
     }
 }
 
-fn classification_from_name(name: &str) -> Option<Classification> {
-    [
-        Classification::Trivial,
-        Classification::Type1,
-        Classification::Type2,
-        Classification::Type3,
-        Classification::Type4,
-        Classification::ExceptionS1,
-        Classification::ExceptionS2,
-        Classification::Infeasible,
-    ]
-    .into_iter()
-    .find(|c| c.to_string() == name)
-}
-
 fn get_classification(obj: &Value, name: &'static str) -> Result<Classification, WireError> {
     let s = get_str(obj, name)?;
-    classification_from_name(s).ok_or_else(|| WireError::Field {
+    let found = CLASS_ORDER.into_iter().find(|c| c.to_string() == s);
+    found.ok_or_else(|| WireError::Field {
         field: name,
         what: format!("unknown classification {s:?}"),
     })
@@ -744,12 +730,8 @@ pub fn decode_record(line: &str) -> Result<(usize, RunRecord), WireError> {
 /// Encodes one per-class breakdown row as a `kind: "class_stats"` line.
 pub fn encode_class_stats(cs: &ClassStats) -> String {
     format!(
-        "{{\"schema\": {SCHEMA}, \"kind\": \"class_stats\", \"class\": {}, \
-         \"n\": {}, \"met\": {}, \"median_time\": {}}}",
-        json::string(&cs.class.to_string()),
-        cs.n,
-        cs.met,
-        opt_float(cs.median_time),
+        "{{\"schema\": {SCHEMA}, \"kind\": \"class_stats\", {}}}",
+        cs.json_fields(opt_float)
     )
 }
 
@@ -1119,39 +1101,6 @@ fn request_of(v: &Value) -> Result<CampaignRequest, WireError> {
     })
 }
 
-fn stats_body(stats: &CampaignStats) -> String {
-    let per_class: Vec<String> = stats
-        .per_class
-        .iter()
-        .map(|cs| {
-            format!(
-                "{{\"class\": {}, \"n\": {}, \"met\": {}, \"median_time\": {}}}",
-                json::string(&cs.class.to_string()),
-                cs.n,
-                cs.met,
-                opt_float(cs.median_time),
-            )
-        })
-        .collect();
-    format!(
-        "{{\"n\": {}, \"met\": {}, \"infeasible\": {}, \"median_time\": {}, \
-         \"p90_time\": {}, \"max_time\": {}, \"median_segments\": {}, \
-         \"p90_segments\": {}, \"max_segments\": {}, \"min_dist_over_r\": {}, \
-         \"per_class\": [{}]}}",
-        stats.n,
-        stats.met,
-        stats.infeasible,
-        opt_float(stats.median_time),
-        opt_float(stats.p90_time),
-        opt_float(stats.max_time),
-        stats.median_segments,
-        stats.p90_segments,
-        stats.max_segments,
-        float(stats.min_dist_over_r),
-        per_class.join(", "),
-    )
-}
-
 fn stats_of(v: &Value) -> Result<CampaignStats, WireError> {
     let per_class = get_arr(v, "per_class")?
         .iter()
@@ -1194,7 +1143,7 @@ fn stats_of(v: &Value) -> Result<CampaignStats, WireError> {
 pub fn encode_campaign_report(stats: &CampaignStats) -> String {
     format!(
         "{{\"schema\": {SCHEMA}, \"kind\": \"campaign_report\", \"stats\": {}}}",
-        stats_body(stats),
+        stats.json_with(float, opt_float),
     )
 }
 
@@ -1568,6 +1517,64 @@ mod tests {
             assert_eq!(format!("{back:?}"), format!("{stats:?}"));
             assert_eq!(encode_campaign_report(&back), line, "fixed point");
             assert_eq!(back.to_json(), stats.to_json(), "artifact byte-identity");
+        }
+    }
+
+    #[test]
+    fn stats_json_and_report_bytes_are_pinned() {
+        // The empty campaign's `inf` ratio and the NaN meeting time are
+        // where the artifact (`null`) and wire (sentinel) encoders differ.
+        let rec = |class, feasible, time: Option<f64>, segments, min_dist, radius| RunRecord {
+            class,
+            feasible,
+            met: time.is_some(),
+            time,
+            segments,
+            min_dist,
+            radius,
+        };
+        let empty = CampaignStats::of(&[]);
+        let populated = CampaignStats::of(&[
+            rec(Classification::Type3, true, Some(2.5), 10, 1.0, 2.0),
+            rec(Classification::Type3, true, None, 40, 3.0, 2.0),
+            rec(Classification::Type1, true, Some(0.75), 7, 0.5, 1.0),
+            rec(
+                Classification::ExceptionS1,
+                true,
+                Some(f64::NAN),
+                3,
+                2.0,
+                1.0,
+            ),
+            rec(Classification::Infeasible, false, None, 100, 4.0, 1.0),
+        ]);
+        for (got, want) in [
+            (
+                empty.to_json(),
+                r#"{"n": 0, "met": 0, "infeasible": 0, "median_time": null, "p90_time": null, "max_time": null, "median_segments": 0, "p90_segments": 0, "max_segments": 0, "min_dist_over_r": null, "per_class": []}"#,
+            ),
+            (
+                encode_campaign_report(&empty),
+                r#"{"schema": 3, "kind": "campaign_report", "stats": {"n": 0, "met": 0, "infeasible": 0, "median_time": null, "p90_time": null, "max_time": null, "median_segments": 0, "p90_segments": 0, "max_segments": 0, "min_dist_over_r": "inf", "per_class": []}}"#,
+            ),
+            (
+                populated.to_json(),
+                r#"{"n": 5, "met": 3, "infeasible": 1, "median_time": 2.5, "p90_time": null, "max_time": null, "median_segments": 10, "p90_segments": 100, "max_segments": 100, "min_dist_over_r": 0.5, "per_class": [{"class": "type 1", "n": 1, "met": 1, "median_time": 0.75}, {"class": "type 3", "n": 2, "met": 1, "median_time": 2.5}, {"class": "exception S1", "n": 1, "met": 1, "median_time": null}, {"class": "infeasible", "n": 1, "met": 0, "median_time": null}]}"#,
+            ),
+            (
+                encode_campaign_report(&populated),
+                r#"{"schema": 3, "kind": "campaign_report", "stats": {"n": 5, "met": 3, "infeasible": 1, "median_time": 2.5, "p90_time": "nan", "max_time": "nan", "median_segments": 10, "p90_segments": 100, "max_segments": 100, "min_dist_over_r": 0.5, "per_class": [{"class": "type 1", "n": 1, "met": 1, "median_time": 0.75}, {"class": "type 3", "n": 2, "met": 1, "median_time": 2.5}, {"class": "exception S1", "n": 1, "met": 1, "median_time": "nan"}, {"class": "infeasible", "n": 1, "met": 0, "median_time": null}]}}"#,
+            ),
+            (
+                populated.per_class[2].to_json(),
+                r#"{"class": "exception S1", "n": 1, "met": 1, "median_time": null}"#,
+            ),
+            (
+                encode_class_stats(&populated.per_class[2]),
+                r#"{"schema": 3, "kind": "class_stats", "class": "exception S1", "n": 1, "met": 1, "median_time": "nan"}"#,
+            ),
+        ] {
+            assert_eq!(got, want);
         }
     }
 

@@ -2,7 +2,7 @@
 //!
 //! The stack's headline guarantees (a panic-free wire parser,
 //! byte-identical campaign results across executor backends, a single
-//! audited `unsafe` core) are contracts on the *source*, not just on
+//! audited `unsafe` module) are contracts on the *source*, not just on
 //! test outcomes. This crate machine-checks them with three rule
 //! families over a comment/string-aware line scan:
 //!
@@ -11,12 +11,12 @@
 //!   wire parser, shard planner, JSON encoder, and worker protocol
 //!   loops). Proven-unreachable cases carry an inline waiver:
 //!   `// rv-lint: allow(panic) — <justification>`.
-//! - **`unsafe`** — `unsafe` only in allowlisted files (today
-//!   `core/parallel.rs` and `serve/signal.rs`), every site immediately
-//!   preceded by a `// SAFETY:` comment, and every other crate root
-//!   carrying `#![forbid(unsafe_code)]` (crates with an audited unsafe
-//!   module — `rv-core`'s `parallel`, `rv-serve`'s `signal` — get
-//!   `#![deny(unsafe_code)]` plus a module-scoped `#[allow]` instead).
+//! - **`unsafe`** — `unsafe` only in allowlisted files (today just
+//!   `serve/signal.rs`), every site immediately preceded by a
+//!   `// SAFETY:` comment, and every other crate root carrying
+//!   `#![forbid(unsafe_code)]` (the crate with the audited unsafe module,
+//!   `rv-serve` with `signal`, gets `#![deny(unsafe_code)]` plus a
+//!   module-scoped `#[allow]` instead).
 //! - **`determinism`** — no `HashMap`/`HashSet`, no `Instant::now` /
 //!   `SystemTime::now`, and no direct `{}`-formatting of
 //!   float-typed values in the report-feeding modules; canonical float
@@ -128,10 +128,7 @@ impl Default for Config {
                 "crates/serve/src/bench.rs".into(),
                 "crates/serve/src/bin/rv_serve.rs".into(),
             ],
-            unsafe_allow: vec![
-                "crates/core/src/parallel.rs".into(),
-                "crates/serve/src/signal.rs".into(),
-            ],
+            unsafe_allow: vec!["crates/serve/src/signal.rs".into()],
             determinism_zone: vec![
                 "crates/core/src/batch.rs".into(),
                 "crates/core/src/solver.rs".into(),
@@ -143,10 +140,7 @@ impl Default for Config {
                 "crates/trajectory/src/kinematics.rs".into(),
                 "crates/core/src/aur.rs".into(),
             ],
-            deny_unsafe_roots: vec![
-                ("crates/core/src/lib.rs".into(), "parallel".into()),
-                ("crates/serve/src/lib.rs".into(), "signal".into()),
-            ],
+            deny_unsafe_roots: vec![("crates/serve/src/lib.rs".into(), "signal".into())],
         }
     }
 }
@@ -860,18 +854,25 @@ mod tests {
         let f = scan_file("crates/core/src/stream.rs", src, &cfg());
         assert_eq!(f.len(), 1);
         assert_eq!(f[0].rule, rules::UNSAFE);
+        // rv-core has no unsafe module: `unsafe` in its parallel map is
+        // outside the allowlist even with a SAFETY comment.
+        let covered = "// SAFETY: regions are disjoint by construction.\nunsafe { ptr.write(v) }\n";
+        let f = scan_file("crates/core/src/parallel.rs", covered, &cfg());
+        assert_eq!(f.len(), 1);
+        assert_eq!(f[0].rule, rules::UNSAFE);
+        assert!(f[0].message.contains("allowlist"));
     }
 
     #[test]
     fn unsafe_with_safety_comment_in_allowlisted_file_is_clean() {
         let src = "// SAFETY: regions are disjoint by construction.\nunsafe { ptr.write(v) }\n";
-        assert!(scan_file("crates/core/src/parallel.rs", src, &cfg()).is_empty());
+        assert!(scan_file("crates/serve/src/signal.rs", src, &cfg()).is_empty());
     }
 
     #[test]
     fn unsafe_without_safety_comment_fires_even_in_allowlisted_file() {
         let src = "fn f() { unsafe { g() } }\n";
-        let f = scan_file("crates/core/src/parallel.rs", src, &cfg());
+        let f = scan_file("crates/serve/src/signal.rs", src, &cfg());
         assert_eq!(f.len(), 1);
         assert_eq!(f[0].rule, rules::UNSAFE);
         assert!(f[0].message.contains("SAFETY"));
@@ -880,7 +881,7 @@ mod tests {
     #[test]
     fn rustdoc_safety_section_covers_unsafe_fn() {
         let src = "/// Writes without bounds checks.\n///\n/// # Safety\n///\n/// `i` must be in bounds.\npub unsafe fn write(i: usize) {}\n";
-        assert!(scan_file("crates/core/src/parallel.rs", src, &cfg()).is_empty());
+        assert!(scan_file("crates/serve/src/signal.rs", src, &cfg()).is_empty());
     }
 
     #[test]
@@ -973,19 +974,26 @@ mod tests {
     }
 
     #[test]
-    fn core_root_needs_deny_plus_module_allow() {
+    fn core_root_needs_forbid_not_deny_plus_module_allow() {
         let bad = "pub mod parallel;\n";
         let f = check_crate_root("crates/core/src/lib.rs", bad, &cfg());
-        assert_eq!(f.len(), 2);
-        let good = "#![deny(unsafe_code)]\n#[allow(unsafe_code)]\npub mod parallel;\n";
+        assert_eq!(f.len(), 1);
+        assert_eq!(f[0].rule, rules::FORBID);
+        // The deny + module-allow split is reserved for the roots in
+        // `deny_unsafe_roots`; rv-core is no longer one of them.
+        let deny_allow = "#![deny(unsafe_code)]\n#[allow(unsafe_code)]\npub mod parallel;\n";
+        let f = check_crate_root("crates/core/src/lib.rs", deny_allow, &cfg());
+        assert_eq!(f.len(), 1);
+        assert_eq!(f[0].rule, rules::FORBID);
+        assert!(f[0].message.contains("forbid(unsafe_code)"));
+        let good = "#![forbid(unsafe_code)]\npub mod parallel;\n";
         assert!(check_crate_root("crates/core/src/lib.rs", good, &cfg()).is_empty());
     }
 
     #[test]
     fn serve_root_needs_deny_plus_signal_module_allow() {
-        // The second deny/allow pair: rv-serve's crate root with its
-        // `signal` module. A `parallel`-style allow is not accepted —
-        // the module name is part of the pair.
+        // The one deny/allow pair: rv-serve's crate root with its
+        // `signal` module. The module name is part of the pair.
         let bad = "#![deny(unsafe_code)]\npub mod signal;\n";
         let f = check_crate_root("crates/serve/src/lib.rs", bad, &cfg());
         assert_eq!(f.len(), 1);

@@ -51,9 +51,10 @@ fn violating_tree_fires_once_per_planted_violation() {
     has("crates/core/src/wire.rs", rules::WAIVER, "no justification");
 
     // unsafe family: missing SAFETY in the allowlisted file, any unsafe
-    // outside it.
-    has("crates/core/src/parallel.rs", rules::UNSAFE, "SAFETY");
+    // outside it (rv-core's parallel map included).
+    has("crates/serve/src/signal.rs", rules::UNSAFE, "SAFETY");
     has("crates/core/src/stream.rs", rules::UNSAFE, "allowlist");
+    has("crates/core/src/parallel.rs", rules::UNSAFE, "allowlist");
 
     // determinism family: hash collections, wall clock, float formatting.
     has("crates/core/src/batch.rs", rules::DETERMINISM, "HashMap");
@@ -64,14 +65,24 @@ fn violating_tree_fires_once_per_planted_violation() {
     );
     has("crates/core/src/json.rs", rules::DETERMINISM, "float `v`");
 
-    // forbid family: missing blanket forbid, missing deny + module allow.
+    // forbid family: missing blanket forbid, missing deny + module allow,
+    // and a deny + module allow on a root that must forbid.
     has(
         "crates/other/src/lib.rs",
         rules::FORBID,
         "forbid(unsafe_code)",
     );
-    has("crates/core/src/lib.rs", rules::FORBID, "deny(unsafe_code)");
-    has("crates/core/src/lib.rs", rules::FORBID, "mod parallel");
+    has(
+        "crates/serve/src/lib.rs",
+        rules::FORBID,
+        "deny(unsafe_code)",
+    );
+    has("crates/serve/src/lib.rs", rules::FORBID, "mod signal");
+    has(
+        "crates/core/src/lib.rs",
+        rules::FORBID,
+        "forbid(unsafe_code)",
+    );
 
     // The unjustified waiver must NOT have suppressed its finding.
     let waived_line = findings

@@ -1,7 +1,8 @@
-//! Violating fixture: `unsafe` in the allowlisted file but with no
-//! `SAFETY:` comment anywhere near it.
+//! Violating fixture: `unsafe` in rv-core's parallel map, which is not
+//! allowlisted (even WITH a SAFETY comment).
 
-/// Reads the first item with no safety documentation.
+/// Should be safe code.
 pub fn read_first(items: &[u32]) -> u32 {
+    // SAFETY: bounds irrelevant — this file may not use unsafe at all.
     unsafe { *items.as_ptr() }
 }
