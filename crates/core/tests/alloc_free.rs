@@ -10,6 +10,10 @@
 //! deeper run. Equality therefore pins "zero heap allocations in the
 //! steady-state event loop" without brittle absolute thresholds.
 //!
+//! Agent B runs in a rotated, mirrored frame (`φ = 3π/8`, `χ = −1`), so
+//! the misses of B's direction table run the general `φ − θ` transform
+//! under the counter, not only agent A's identity fast path.
+//!
 //! The compiled AUR cache is warmed to the deeper run's depth first —
 //! cache *extension* allocates by design (that is the once-per-process
 //! compile); replay must not.
@@ -18,6 +22,7 @@
 //! muddies the counter.
 
 use rv_core::{Aur, Budget, Solver};
+use rv_geometry::{Angle, Chirality};
 use rv_model::Instance;
 use rv_numeric::ratio;
 use rv_sim::{BudgetReason, Outcome};
@@ -61,6 +66,8 @@ fn steady_state_event_loop_allocates_nothing() {
         .position(ratio(5_000, 1), ratio(1, 2))
         .r(ratio(1, 2))
         .tau(ratio(2, 1))
+        .phi(Angle::pi_frac(3, 8))
+        .chirality(Chirality::Minus)
         .build()
         .unwrap();
     let shallow = Budget::default().segments(10_000);

@@ -107,12 +107,15 @@ impl Angle {
     /// crate to decide boundary membership (`t = dist(proj_A, proj_B) − r`)
     /// exactly via half-angle identities.
     pub fn cos_sin_exact(&self) -> Option<(Ratio, Ratio)> {
-        // q ∈ {0, 1/2, 1, 3/2} after normalization.
-        let two_q = &self.q * &Ratio::from_int(2);
-        if !two_q.is_integer() {
-            return None;
-        }
-        let k = two_q.numer().to_i128()?;
+        // q ∈ {0, 1/2, 1, 3/2} after normalization: `q` is in lowest
+        // terms, so it is a quarter multiple iff its denominator is 1 or 2,
+        // and `k = 2q` counts the quarter turns.
+        let numer = self.q.numer().to_i128()?;
+        let k = match self.q.denom().to_i128()? {
+            1 => 2 * numer,
+            2 => numer,
+            _ => return None,
+        };
         let one = Ratio::one();
         let zero = Ratio::zero();
         Some(match k.rem_euclid(4) {
@@ -257,6 +260,32 @@ mod tests {
         assert_eq!(Compass::North.angle().unit(), Vec2::new(0.0, 1.0));
         assert_eq!(Compass::West.angle().unit(), Vec2::new(-1.0, 0.0));
         assert_eq!(Compass::South.angle().unit(), Vec2::new(0.0, -1.0));
+    }
+
+    #[test]
+    fn exact_cos_sin_only_on_quarter_turns() {
+        let quarters = [
+            (Angle::zero(), (1, 0)),
+            (Angle::quarter(), (0, 1)),
+            (Angle::half(), (-1, 0)),
+            (Angle::three_quarters(), (0, -1)),
+        ];
+        for (a, (c, s)) in quarters {
+            let expected = (Ratio::from_int(c), Ratio::from_int(s));
+            assert_eq!(a.cos_sin_exact(), Some(expected), "{a}");
+        }
+        let others = [
+            Angle::pi_frac(1, 4),
+            Angle::pi_frac(3, 4),
+            Angle::pi_frac(7, 4),
+            Angle::pi_frac(1, 8),
+            Angle::pi_frac(13, 16),
+            Angle::pi_frac(1, 1 << 40),
+            Angle::from_ratio_pi(Ratio::pow2(-200)),
+        ];
+        for a in others {
+            assert_eq!(a.cos_sin_exact(), None, "{a}");
+        }
     }
 
     #[test]

@@ -255,7 +255,10 @@ where
             None => f64::INFINITY,
             Some(be) => (be - &cur).to_f64(),
         };
-        tracer.record(cur.to_f64(), pa, pb);
+        // Campaign runs trace nothing: skip the exact-to-f64 projection.
+        if tracer.cap > 0 {
+            tracer.record(cur.to_f64(), pa, pb);
+        }
 
         // --- Threshold detection. ---
         let detect_r = if big_pending {

@@ -9,6 +9,26 @@
 //!
 //! Event times are exact rationals; positions are `f64` accumulated per
 //! segment (cardinal directions contribute exact displacements).
+//!
+//! # Direction table
+//!
+//! Programs draw their directions from a small alphabet: Algorithm 1 only
+//! ever moves along the axes of the frames `Rot(jπ/2^i)`, so a 20k-segment
+//! AUR run uses 16 distinct local directions. Each [`Motion`] therefore
+//! keeps a fixed-capacity inline table from a local direction to the
+//! absolute unit vector it produces. Its contract:
+//!
+//! - **Exact key.** An entry is keyed by the `(numer, denom)` of the local
+//!   angle's `q` (the angle is `q·π`) as two `i128`, so two keys match
+//!   only when the directions are exactly equal.
+//! - **Same f64 bits.** A miss computes the vector with the one formula
+//!   the table replaces, `orientation.to_absolute(dir).unit()`, and a hit
+//!   returns that stored vector. Every segment is bit-identical to
+//!   evaluating the formula on each `go`.
+//! - **Fixed capacity.** [`DIR_SLOTS`] Copy entries live inline in the
+//!   `Motion`: no heap, no drop glue, no knob.
+//! - **Fallback.** A direction whose key does not fit in `i128`, or that
+//!   arrives once the table is full, is computed directly on every `go`.
 
 use crate::instr::Instr;
 use rv_geometry::{Angle, Chirality, Orientation, Vec2};
@@ -107,11 +127,51 @@ impl Segment {
     }
 }
 
+/// Capacity of a [`Motion`]'s direction table (see the module docs).
+/// AUR reaches 32 distinct directions only after about 100k instructions.
+pub const DIR_SLOTS: usize = 32;
+
+/// The direction table: `(numer, denom)` of a local direction's `q` and
+/// the absolute unit vector it maps to, filled in first-use order.
+struct DirTable {
+    len: usize,
+    slots: [(i128, i128, Vec2); DIR_SLOTS],
+}
+
+impl DirTable {
+    fn new() -> DirTable {
+        DirTable {
+            len: 0,
+            slots: [(0, 0, Vec2::ZERO); DIR_SLOTS],
+        }
+    }
+
+    /// The absolute unit vector of local direction `dir` under
+    /// `orientation`, bit for bit `orientation.to_absolute(dir).unit()`.
+    fn unit(&mut self, orientation: &Orientation, dir: &Angle) -> Vec2 {
+        let q = dir.ratio_pi();
+        let (Some(numer), Some(denom)) = (q.numer().to_i128(), q.denom().to_i128()) else {
+            return orientation.to_absolute(dir).unit();
+        };
+        let filled = &self.slots[..self.len];
+        if let Some(&(_, _, unit)) = filled.iter().find(|&&(n, d, _)| n == numer && d == denom) {
+            return unit;
+        }
+        let unit = orientation.to_absolute(dir).unit();
+        if self.len < DIR_SLOTS {
+            self.slots[self.len] = (numer, denom, unit);
+            self.len += 1;
+        }
+        unit
+    }
+}
+
 /// Lazily compiles a program into motion segments.
 pub struct Motion<P> {
     program: P,
     attrs: AgentAttrs,
     orientation: Orientation,
+    dirs: DirTable,
     unit_len_f64: f64,
     speed_f64: f64,
     /// True when `attrs.tau == 1`, letting local durations pass through
@@ -139,6 +199,7 @@ impl<P: Iterator<Item = Instr>> Motion<P> {
             program,
             attrs,
             orientation,
+            dirs: DirTable::new(),
             unit_len_f64,
             speed_f64,
             tau_is_one,
@@ -212,8 +273,7 @@ impl<P: Iterator<Item = Instr>> Iterator for Motion<P> {
                     });
                 }
                 Some(Instr::Go { dir, dist }) => {
-                    let abs_dir = self.orientation.to_absolute(&dir);
-                    let unit = abs_dir.unit();
+                    let unit = self.dirs.unit(&self.orientation, &dir);
                     let abs_len = dist.to_f64() * self.unit_len_f64;
                     let abs_dur = if self.tau_is_one {
                         dist
@@ -379,6 +439,28 @@ mod tests {
         assert_eq!(segs.len(), 1);
         assert_eq!(segs[0].end, None);
         assert_eq!(segs[0].from, Vec2::ZERO);
+    }
+
+    #[test]
+    fn direction_table_stores_each_i128_key_once_up_to_capacity() {
+        // Slots used by a program that goes, twice over, along a direction
+        // whose `q` has a denominator beyond i128 and along `n` distinct
+        // i128-keyed directions. (tests/motion_differential.rs compares
+        // Motion's segments against the per-`go` formula.)
+        let slots_used = |n: i64| {
+            let wide = Angle::from_ratio_pi(Ratio::pow2(-200));
+            let dirs = std::iter::once(wide).chain((0..n).map(|k| Angle::pi_frac(k, 64)));
+            let prog: Vec<_> = dirs
+                .clone()
+                .chain(dirs)
+                .map(|dir| Instr::go_angle(dir, ratio(1, 1)))
+                .collect();
+            let mut m = Motion::new(attrs_b(), prog.into_iter());
+            m.by_ref().for_each(drop);
+            m.dirs.len
+        };
+        assert_eq!(slots_used(5), 5);
+        assert_eq!(slots_used(DIR_SLOTS as i64 + 1), DIR_SLOTS);
     }
 
     #[test]
