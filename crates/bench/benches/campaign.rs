@@ -146,6 +146,24 @@ fn bench_hotpath(c: &mut Criterion) {
             black_box(below)
         })
     });
+    // Agent B's clock step on dyadic times (53-bit denominators, as on
+    // the benchmark's AUR sweep): `end = clock + dur·τ`, then the engine's
+    // `(end − start).to_f64()` offset.
+    let wake = Ratio::new(Int::from((1i64 << 53) - 5), Int::pow2(53));
+    let durs: Vec<Ratio> = (0..64i64).map(|k| Ratio::pow2(k % 12 - 6)).collect();
+    let tau = ratio(3, 4);
+    g.bench_function("ratio_clock_dyadic_64", |b| {
+        b.iter(|| {
+            let mut clock = wake.clone();
+            let mut span = 0.0;
+            for dur in &durs {
+                let end = &clock + &(dur * &tau);
+                span += (&end - &clock).to_f64();
+                clock = end;
+            }
+            black_box((clock, span))
+        })
+    });
     g.bench_function("int_gcd_64", |b| {
         let ints: Vec<Int> = (1..=64i64)
             .map(|k| Int::from(k * 2 * 3 * 5 * 7 * 11 + (k % 5)))

@@ -56,6 +56,10 @@ use std::fmt;
 /// The wire schema version emitted and accepted by this module.
 pub const SCHEMA: u64 = 3;
 
+/// `SCHEMA` as the number lexeme a decoded header must carry, so header
+/// checks compare without formatting (pinned to `SCHEMA` by a unit test).
+const SCHEMA_LEXEME: &str = "3";
+
 /// Maximum JSON nesting depth the decoder accepts (guards the recursive
 /// parser against stack exhaustion on adversarial input).
 pub const MAX_DEPTH: usize = 64;
@@ -665,7 +669,7 @@ fn header(line: &str, kind: &'static str) -> Result<Value, WireError> {
 fn parse_headed(line: &str) -> Result<Value, WireError> {
     let v = Value::parse(line)?;
     match v.get("schema") {
-        Some(Value::Num(raw)) if raw == &SCHEMA.to_string() => {}
+        Some(Value::Num(raw)) if raw == SCHEMA_LEXEME => {}
         Some(other) => {
             let found = match other {
                 Value::Num(raw) => raw.clone(),
@@ -1610,6 +1614,11 @@ mod tests {
             assert_eq!(decode_line(&line), Ok(Line::Error(err)));
         }
         assert_eq!(ErrorCode::from_name("panic"), None);
+    }
+
+    #[test]
+    fn schema_lexeme_is_schema() {
+        assert_eq!(SCHEMA_LEXEME, SCHEMA.to_string());
     }
 
     #[test]

@@ -1,14 +1,15 @@
-//! Differential property tests for the allocation-free `Ratio` fast
-//! paths added for the hot-path PR: `cmp_ref`, `min_ref`, and the
-//! in-place `+=` / `-=` / `*=` small paths must agree *exactly* with the
-//! allocating reference operations on every operand mix — both inline
-//! (`i128`) components, both big, and the promotion boundary where an
-//! i128 result spills to limbs.
+//! Differential property tests for `Ratio`'s allocation-free paths:
+//! `cmp_ref`, `min_ref`, and the two i128 kernels behind `+ − *` and
+//! `+= −= *=`. Results must agree *exactly*, value and canonical form,
+//! on every operand mix: both inline (`i128`) components, dyadic
+//! `k/2^e` operands up to `e = 126`, numerators near ±2^127, big
+//! operands, and the promotion boundary where an i128 result spills to
+//! limbs.
 //!
-//! The reference implementations are the borrowed binary operators
-//! (`&a + &b`, cross-multiplied `cmp`), which the existing `props.rs`
-//! suite already ties to the field axioms. Anything that diverges here is
-//! a silent ordering or rounding bug on the solver's per-event path.
+//! The arithmetic reference is built from `Int` operations only
+//! (`Ratio::new(a·d + c·b, b·d)`, normalised by `Int::gcd`), so it shares
+//! no code with the kernels it checks. Anything that diverges here is a
+//! silent ordering or rounding bug on the solver's per-event path.
 
 use proptest::prelude::*;
 use rv_numeric::{Int, Ratio};
@@ -37,6 +38,110 @@ fn ratio_strategy() -> impl Strategy<Value = Ratio> {
         int_strategy().prop_filter("nonzero", |d| !d.is_zero()),
     )
         .prop_map(|(n, d)| Ratio::new(n, d))
+}
+
+/// Numerators for the kernel tests: machine-sized, full-width, and
+/// within 1024 of ±2^127.
+fn numer_strategy() -> impl Strategy<Value = i128> {
+    prop_oneof![
+        any::<i64>().prop_map(i128::from),
+        any::<i128>(),
+        (0i128..1024).prop_map(|k| i128::MAX - k),
+        (0i128..1024).prop_map(|k| i128::MIN + k),
+    ]
+}
+
+/// Dyadic `n / 2^e` for every `e` an i128 denominator holds (0–126),
+/// with `e` often near 53 (agent B's clocks) so that two operands share
+/// an exponent and their sum must be reduced. An odd numerator keeps the
+/// full `2^e` after normalisation.
+fn dyadic_strategy() -> impl Strategy<Value = Ratio> {
+    let exp = prop_oneof![0u64..=126, 50u64..=55];
+    (numer_strategy(), exp, any::<bool>()).prop_map(|(n, e, odd)| {
+        let n = if odd { n | 1 } else { n };
+        Ratio::new(Int::from(n), Int::pow2(e))
+    })
+}
+
+/// Operands for the kernel tests: mostly dyadic (the clock case), mixed
+/// with general small, near-overflow and big ratios.
+fn kernel_strategy() -> impl Strategy<Value = Ratio> {
+    prop_oneof![
+        3 => dyadic_strategy(),
+        1 => (numer_strategy(), 1i128..1 << 40)
+            .prop_map(|(n, d)| Ratio::new(Int::from(n), Int::from(d))),
+        1 => ratio_strategy(),
+    ]
+}
+
+/// `a/b + c/d` from `Int` operations only.
+fn int_add(x: &Ratio, y: &Ratio) -> Ratio {
+    Ratio::new(
+        &(x.numer() * y.denom()) + &(y.numer() * x.denom()),
+        x.denom() * y.denom(),
+    )
+}
+
+/// `a/b − c/d` from `Int` operations only.
+fn int_sub(x: &Ratio, y: &Ratio) -> Ratio {
+    Ratio::new(
+        &(x.numer() * y.denom()) - &(y.numer() * x.denom()),
+        x.denom() * y.denom(),
+    )
+}
+
+/// `(a/b)·(c/d)` from `Int` operations only.
+fn int_mul(x: &Ratio, y: &Ratio) -> Ratio {
+    Ratio::new(x.numer() * y.numer(), x.denom() * y.denom())
+}
+
+/// True iff `x` uses `Int`'s canonical representation: `Small` whenever
+/// the value fits in i128.
+fn int_canonical(x: &Int) -> bool {
+    match x {
+        Int::Small(_) => true,
+        Int::Big { neg, mag } => {
+            let is_min = *neg && mag[..] == [0, 1 << 63];
+            mag.last().is_some_and(|&l| l != 0) && x.bits() >= 128 && !is_min
+        }
+    }
+}
+
+/// Asserts `got` equals `want` and is in lowest terms with a positive
+/// denominator and canonical components (zero is `0/1`).
+fn assert_canonical(op: &str, got: &Ratio, want: &Ratio) -> Result<(), TestCaseError> {
+    prop_assert_eq!(got, want, "{} value", op);
+    prop_assert!(got.denom().is_positive(), "{} denominator {:?}", op, got);
+    prop_assert!(
+        got.numer().gcd(got.denom()) == Int::ONE,
+        "{} not in lowest terms: {:?}",
+        op,
+        got
+    );
+    prop_assert!(
+        int_canonical(got.numer()) && int_canonical(got.denom()),
+        "{} non-canonical Int: {:?}",
+        op,
+        got
+    );
+    Ok(())
+}
+
+/// Every binary and in-place arithmetic form against the `Int` reference.
+fn assert_kernels(a: &Ratio, b: &Ratio) -> Result<(), TestCaseError> {
+    let (sum, diff, prod) = (int_add(a, b), int_sub(a, b), int_mul(a, b));
+    assert_canonical("+", &(a + b), &sum)?;
+    assert_canonical("-", &(a - b), &diff)?;
+    assert_canonical("*", &(a * b), &prod)?;
+    let mut acc = a.clone();
+    acc += b;
+    assert_canonical("+=", &acc, &sum)?;
+    let mut acc = a.clone();
+    acc -= b;
+    assert_canonical("-=", &acc, &diff)?;
+    let mut acc = a.clone();
+    acc *= b;
+    assert_canonical("*=", &acc, &prod)
 }
 
 /// The definitional comparison via the allocating subtraction path:
@@ -113,6 +218,17 @@ proptest! {
         let reference = &(&(&a + &b) * &c) - &b;
         prop_assert_eq!(acc, reference);
     }
+
+    #[test]
+    fn kernels_match_int_reference(a in kernel_strategy(), b in kernel_strategy()) {
+        assert_kernels(&a, &b)?;
+        assert_kernels(&b, &a)?;
+    }
+
+    #[test]
+    fn dyadic_kernels_match_int_reference(a in dyadic_strategy(), b in dyadic_strategy()) {
+        assert_kernels(&a, &b)?;
+    }
 }
 
 #[test]
@@ -159,4 +275,34 @@ fn assign_overflow_falls_back_to_big() {
     let reference_mul = &acc * &c;
     acc *= &c;
     assert_eq!(acc, reference_mul);
+}
+
+#[test]
+fn dyadic_kernel_edges_match_int_reference() {
+    let dy = |n: i128, e: u64| Ratio::new(Int::from(n), Int::pow2(e));
+    let cases = [
+        // Sums that cancel to an integer or to zero.
+        (dy(1, 126), dy(-1, 126)),
+        (dy(3, 1), dy(1, 1)),
+        (dy(1, 126), dy(i128::MAX, 126)),
+        // Alignment shifts that overflow i128.
+        (dy(1, 0), dy(1, 126)),
+        (dy(i128::MAX, 0), dy(1, 1)),
+        (dy(i128::MIN, 0), dy(1, 126)),
+        (dy(i128::MIN, 0), dy(i128::MIN, 0)),
+        // Products whose denominator passes 2^126.
+        (dy(1, 64), dy(1, 63)),
+        (dy(3, 100), dy(5, 30)),
+        // Products that cross-reduce to an integer.
+        (dy(1 << 100, 0), dy(1, 100)),
+        // Dyadic against non-dyadic and big operands.
+        (dy(7, 53), Ratio::frac(1, 3)),
+        (dy(7, 53), Ratio::new(Int::ONE, Int::pow2(200))),
+        (dy(-5, 9), Ratio::new(Int::ONE.shl(130), Int::ONE)),
+    ];
+    for (a, b) in &cases {
+        if let Err(e) = assert_kernels(a, b).and_then(|()| assert_kernels(b, a)) {
+            panic!("{a:?} ∘ {b:?}: {e:?}");
+        }
+    }
 }

@@ -175,7 +175,8 @@ pub struct Motion<P> {
     unit_len_f64: f64,
     speed_f64: f64,
     /// True when `attrs.tau == 1`, letting local durations pass through
-    /// without the (gcd-heavy) rational multiply.
+    /// without a rational multiply (a gcd-free dyadic kernel call when τ
+    /// is a power of two, a cross-reduced gcd multiply otherwise).
     tau_is_one: bool,
     clock: Ratio,
     pos: Vec2,

@@ -1,0 +1,131 @@
+//! Golden record digests: the wire bytes of fixed campaigns, pinned
+//! across commits.
+//!
+//! The executor and server differentials compare backends of one build,
+//! and `motion_differential`'s reference stepper shares `Ratio`'s
+//! operators with the code it checks, so neither notices a change to
+//! exact arithmetic that moves a record byte. This suite hashes
+//! (FNV-1a, 64-bit) `wire::encode_record(i, r)` for every record of a
+//! campaign, then `wire::encode_campaign_report` of its stats, and
+//! compares against constants computed before the `Ratio` kernels were
+//! rewritten:
+//! - the benchmark's `sweep_aur` spec (AUR, the five Theorem 3.2 classes,
+//!   20k segments), seeds 1–3 at n = 64;
+//! - its `resweep_pool` spec (Dedicated, `type1,type2,s1,s2`, 2k
+//!   segments), seed 1 at n = 1024;
+//! - the records of the first 16 type-3 instances from `mix_seed(3, i)`
+//!   whose clock rate τ is not dyadic, run through `sweep_aur`'s
+//!   campaign.
+//!
+//! Directions other than quarter turns take `cos`/`sin` from the
+//! platform's libm, whose last bit may differ between platforms, so the
+//! constants are asserted on x86_64 Linux (the CI runner) only; elsewhere
+//! the suite still runs every campaign and prints the digests.
+
+use rv_core::batch::mix_seed;
+use rv_core::wire::{encode_campaign_report, encode_record};
+use rv_core::{CampaignReport, CampaignSpec, Instance, SolverSpec};
+use rv_model::{generate_seeded, TargetClass};
+
+/// Incremental 64-bit FNV-1a.
+struct Fnv(u64);
+
+impl Fnv {
+    fn new() -> Fnv {
+        Fnv(0xcbf2_9ce4_8422_2325)
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 ^= u64::from(b);
+            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+}
+
+/// Digest of every record line of `report`, then (with `with_stats`)
+/// its `campaign_report` line.
+fn digest(report: &CampaignReport, with_stats: bool) -> u64 {
+    let mut h = Fnv::new();
+    for (i, rec) in report.records.iter().enumerate() {
+        h.write(encode_record(i, rec).as_bytes());
+    }
+    if with_stats {
+        h.write(encode_campaign_report(&report.stats).as_bytes());
+    }
+    h.0
+}
+
+fn check(label: &str, got: u64, want: u64) {
+    println!("{label}: {got:016x}");
+    if cfg!(all(target_arch = "x86_64", target_os = "linux")) {
+        assert_eq!(got, want, "{label}: digest {got:016x}, pinned {want:016x}");
+    }
+}
+
+/// The five classes `AlmostUniversalRV` is guaranteed on (Theorem 3.2).
+const AUR_CLASSES: [TargetClass; 5] = [
+    TargetClass::Type1,
+    TargetClass::Type2,
+    TargetClass::Type3,
+    TargetClass::Type4Speed,
+    TargetClass::Type4Rotation,
+];
+
+fn sweep_aur_spec() -> CampaignSpec {
+    CampaignSpec::new(SolverSpec::Aur, AUR_CLASSES.to_vec(), 20_000)
+}
+
+#[test]
+fn sweep_aur_spec_digests_are_pinned() {
+    let spec = sweep_aur_spec();
+    for (seed, want) in [
+        (1, 0x464a_05d0_ffe2_2cde),
+        (2, 0x3bf7_65b3_efc8_f3d4),
+        (3, 0x7040_d075_041d_6f6f),
+    ] {
+        let report = spec.run_local(seed, 64);
+        check(
+            &format!("sweep_aur seed {seed}"),
+            digest(&report, true),
+            want,
+        );
+    }
+}
+
+#[test]
+fn resweep_pool_spec_digest_is_pinned() {
+    let classes = vec![
+        TargetClass::Type1,
+        TargetClass::Type2,
+        TargetClass::S1,
+        TargetClass::S2,
+    ];
+    let spec = CampaignSpec::new(SolverSpec::Dedicated, classes, 2_000);
+    let report = spec.run_local(1, 1024);
+    check(
+        "resweep_pool seed 1",
+        digest(&report, true),
+        0x69e8_5261_1bbf_bc7e,
+    );
+}
+
+#[test]
+fn non_dyadic_tau_type3_digest_is_pinned() {
+    let insts: Vec<Instance> = (0..)
+        .map(|i| generate_seeded(mix_seed(3, i), TargetClass::Type3))
+        .filter(|inst| {
+            inst.tau
+                .denom()
+                .to_i128()
+                .is_none_or(|d| d.count_ones() != 1)
+        })
+        .take(16)
+        .collect();
+    let report = sweep_aur_spec().campaign().run(&insts);
+    check(
+        "type-3 non-dyadic τ",
+        digest(&report, false),
+        0xa970_4ca0_9a14_a190,
+    );
+}
