@@ -47,7 +47,7 @@ pub fn almost_universal_rv() -> impl Iterator<Item = Instr> + Send {
 /// each agent's private frame, applied later by the kinematic compiler),
 /// so every run of every campaign can replay the same shared compiled
 /// stream instead of regenerating phases — the generator arithmetic is
-/// paid once, cursors after that are cache replays. See
+/// paid once, replays after that read the cache. See
 /// [`rv_trajectory::CompiledProgram`] for the caching/fallback contract.
 pub fn compiled_aur() -> &'static CompiledProgram {
     static COMPILED: OnceLock<CompiledProgram> = OnceLock::new();

@@ -53,8 +53,8 @@ use crate::aur::almost_universal_rv;
 use rv_baselines::{beeline, canonical_march};
 use rv_model::Instance;
 use rv_numeric::Ratio;
-use rv_sim::{simulate, SimReport};
-use rv_trajectory::Instr;
+use rv_sim::{simulate, simulate_motions, SimReport};
+use rv_trajectory::{Instr, Motion};
 use std::sync::Arc;
 
 /// A rendezvous-solving strategy: maps one instance (under a budget) to a
@@ -136,13 +136,12 @@ impl Solver for Aur {
     fn solve(&self, inst: &Instance, budget: &Budget) -> SimReport {
         let cfg = budget.sim_config(inst.r.clone(), inst.r.clone());
         // Replay the process-wide compiled program instead of
-        // regenerating it — the instruction stream is identical.
+        // regenerating it — the instruction stream is identical — and
+        // borrow each cached instruction rather than clone it.
         let program = crate::aur::compiled_aur();
-        simulate(
-            inst.agent_a(),
-            program.cursor(),
-            inst.agent_b(),
-            program.cursor(),
+        simulate_motions(
+            Motion::new(inst.agent_a(), program.iter()),
+            Motion::new(inst.agent_b(), program.iter()),
             &cfg,
         )
     }

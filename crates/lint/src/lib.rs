@@ -22,13 +22,13 @@
 //!   float-typed values in the report-feeding modules; canonical float
 //!   encoding must go through the `json.rs` helpers (which are
 //!   themselves the waived canonical sites).
-//! - **`hot`** — no `.clone()`, `Vec::new()`, or `.collect()` in the
-//!   designated hot modules (the sim engine loop, the kinematic
-//!   compiler, and the AUR block builders): per-event allocation and
-//!   value copying is exactly what the profile-guided pass removed, and
-//!   this rule keeps it out. Sites that provably run once per process
-//!   (e.g. inside the compiled-program cache fill) carry
-//!   `// rv-lint: allow(hot) — <justification>`.
+//! - **`hot`** — no `.clone()`, `into_owned`, `Vec::new()`, or
+//!   `.collect()` in the designated hot modules (the sim engine loop, the
+//!   kinematic compiler, the compiled-program cache, and the AUR block
+//!   builders): per-event allocation and value copying is exactly what
+//!   the profile-guided pass removed, and this rule keeps it out. Sites
+//!   that provably run once per process (e.g. inside the compiled-program
+//!   cache fill) carry `// rv-lint: allow(hot) — <justification>`.
 //!
 //! Waivers are fail-closed: a waiver without a justification does not
 //! suppress anything and instead adds a `waiver` finding of its own.
@@ -138,6 +138,7 @@ impl Default for Config {
             hot_zone: vec![
                 "crates/sim/src/engine.rs".into(),
                 "crates/trajectory/src/kinematics.rs".into(),
+                "crates/trajectory/src/compiled.rs".into(),
                 "crates/core/src/aur.rs".into(),
             ],
             deny_unsafe_roots: vec![("crates/serve/src/lib.rs".into(), "signal".into())],
@@ -570,13 +571,13 @@ pub fn scan_file(rel_path: &str, source: &str, cfg: &Config) -> Vec<Finding> {
 
         // --- hot zones --------------------------------------------------
         if cfg.in_hot_zone(rel_path) {
-            if has_call(code, "clone") {
+            if has_call(code, "clone") || has_word(code, "into_owned") {
                 push_with_waiver(
                     &mut findings,
                     &map,
                     idx,
                     rules::HOT,
-                    "`.clone()` in a hot-path module: exact-arithmetic clones \
+                    "`.clone()` or `into_owned` in a hot-path module: exact-arithmetic clones \
                      heap-allocate once values outgrow i128; borrow, move, or \
                      take() instead, or add \
                      `// rv-lint: allow(hot) — <justification>`"
@@ -902,6 +903,18 @@ mod tests {
         assert_eq!(f[0].rule, rules::HOT);
         // Same line outside a hot zone is fine.
         assert!(scan_file("crates/core/src/exec.rs", src, &cfg()).is_empty());
+    }
+
+    #[test]
+    fn into_owned_in_hot_zone_fires() {
+        for src in [
+            "fn f() { let i = cow.into_owned(); }\n",
+            "fn f() { it.map(Cow::into_owned) }\n",
+        ] {
+            let f = scan_file("crates/trajectory/src/compiled.rs", src, &cfg());
+            assert_eq!(f.len(), 1, "src: {src}");
+            assert_eq!(f[0].rule, rules::HOT);
+        }
     }
 
     #[test]

@@ -23,6 +23,24 @@
 //! - **Overflow falls back.** If an i128 step overflows, the kernel gives
 //!   up and the `Int` path computes the result. `Big` operands always
 //!   take the `Int` path.
+//!
+//! # Projections to `f64`
+//!
+//! The engine projects exact offsets (`cur − start`, `end − cur`) to
+//! `f64` on every interval. [`Ratio::sub_to_f64`] fuses the subtraction
+//! and the projection, bit-identical to `(a − b).to_f64()`:
+//! - **Dyadic operands** are aligned by the same checked shift as the add
+//!   kernel, subtracted with checked arithmetic, and scaled:
+//!   `(n as f64)·2^−e`. Rounding commutes with a power-of-two scale and
+//!   the result stays normal for `e ≤ 126`, so this is the rounding of
+//!   the exact difference, which is what the canonical `Ratio` projects
+//!   to. No `Ratio` is built.
+//! - **Anything else** (a non-dyadic or `Big` operand, or an i128
+//!   overflow) builds the difference and projects it.
+//!
+//! [`Ratio::to_f64`] of an all-inline ratio divides the two components'
+//! nearest doubles, as the `Int` path does, converting through `i64`
+//! whenever a component fits (the same double, without the i128 helper).
 
 use crate::int::Int;
 use std::cmp::Ordering;
@@ -297,6 +315,9 @@ impl Ratio {
     /// exponent — so asymmetric sizes like `2^601 / 1` or `53-bit / 2^1050`
     /// convert accurately instead of saturating.
     pub fn to_f64(&self) -> f64 {
+        if let (Int::Small(n), Int::Small(d)) = (&self.num, &self.den) {
+            return small_to_f64(*n) / small_to_f64(*d);
+        }
         if self.num.is_zero() {
             return 0.0;
         }
@@ -311,6 +332,40 @@ impl Ratio {
         let dtop = self.den.shr_magnitude(ds).to_f64();
         scale_by_pow2(ntop / dtop, ns as i64 - ds as i64)
     }
+
+    /// `(self − other).to_f64()`, bit for bit, without building the
+    /// difference when both operands are inline dyadics (see the module
+    /// docs).
+    pub fn sub_to_f64(&self, other: &Ratio) -> f64 {
+        if let Some(v) =
+            small_parts(self, other).and_then(|(a, b, c, d)| dyadic_sub_f64(a, b, c, d))
+        {
+            return v;
+        }
+        (self - other).to_f64()
+    }
+}
+
+/// The nearest double to `v`; through `i64` when it fits (the same
+/// value: both conversions round to nearest, ties to even).
+fn small_to_f64(v: i128) -> f64 {
+    match i64::try_from(v) {
+        Ok(w) => w as f64,
+        Err(_) => v as f64,
+    }
+}
+
+/// `a/b − c/d` projected to `f64` for power-of-two `b`, `d`, or `None`
+/// if either is not a power of two or the aligned difference leaves i128.
+fn dyadic_sub_f64(a: i128, b: i128, c: i128, d: i128) -> Option<f64> {
+    if !(is_pow2(b) && is_pow2(d)) {
+        return None;
+    }
+    let (eb, ed) = (b.trailing_zeros(), d.trailing_zeros());
+    let (x, y) = align_dyadic(a, eb, c, ed)?;
+    // 2^−e for e ≤ 126 is a normal double: biased exponent 1023 − e.
+    let scale = f64::from_bits(u64::from(1023 - eb.max(ed)) << 52);
+    Some(small_to_f64(x.checked_sub(y)?) * scale)
 }
 
 /// `x · y` as a 256-bit `(hi, lo)` pair — exact products of unsigned
@@ -510,6 +565,16 @@ fn shl_exact(v: i128, k: u32) -> Option<i128> {
     (s >> k == v).then_some(s)
 }
 
+/// The numerators of `a/2^eb` and `c/2^ed` over `2^max(eb, ed)`, or
+/// `None` if the shift leaves i128.
+fn align_dyadic(a: i128, eb: u32, c: i128, ed: u32) -> Option<(i128, i128)> {
+    if eb >= ed {
+        Some((a, shl_exact(c, eb - ed)?))
+    } else {
+        Some((shl_exact(a, ed - eb)?, c))
+    }
+}
+
 /// All-small components of `(lhs, rhs)`, if both ratios are inline.
 fn small_parts(lhs: &Ratio, rhs: &Ratio) -> Option<(i128, i128, i128, i128)> {
     match (&lhs.num, &lhs.den, &rhs.num, &rhs.den) {
@@ -524,12 +589,8 @@ fn small_add(a: i128, b: i128, c: i128, d: i128) -> Option<Ratio> {
     if is_pow2(b) && is_pow2(d) {
         // Align to the larger power of two; no gcd, no division.
         let (eb, ed) = (b.trailing_zeros(), d.trailing_zeros());
-        let n = if eb >= ed {
-            a.checked_add(shl_exact(c, eb - ed)?)?
-        } else {
-            shl_exact(a, ed - eb)?.checked_add(c)?
-        };
-        return Some(from_dyadic(n, eb.max(ed)));
+        let (x, y) = align_dyadic(a, eb, c, ed)?;
+        return Some(from_dyadic(x.checked_add(y)?, eb.max(ed)));
     }
     let (n, den) = if b == d {
         (a.checked_add(c)?, b)

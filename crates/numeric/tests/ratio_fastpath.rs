@@ -1,8 +1,9 @@
 //! Differential property tests for `Ratio`'s allocation-free paths:
-//! `cmp_ref`, `min_ref`, and the two i128 kernels behind `+ − *` and
-//! `+= −= *=`. Results must agree *exactly*, value and canonical form,
-//! on every operand mix: both inline (`i128`) components, dyadic
-//! `k/2^e` operands up to `e = 126`, numerators near ±2^127, big
+//! `cmp_ref`, `min_ref`, the two i128 kernels behind `+ − *` and
+//! `+= −= *=`, and the projections `to_f64` and `sub_to_f64`. Results
+//! must agree *exactly* (value and canonical form, or `f64` bits) on
+//! every operand mix: both inline (`i128`) components, dyadic `k/2^e`
+//! operands up to `e = 126`, numerators near ±2^127 and ±2^63, big
 //! operands, and the promotion boundary where an i128 result spills to
 //! limbs.
 //!
@@ -144,6 +145,32 @@ fn assert_kernels(a: &Ratio, b: &Ratio) -> Result<(), TestCaseError> {
     assert_canonical("*=", &acc, &prod)
 }
 
+/// `x.to_f64()` from `Int` projections only, for components of at most
+/// 500 bits (wider ones are rescaled before dividing).
+fn int_to_f64(x: &Ratio) -> Option<f64> {
+    (x.numer().bits() <= 500 && x.denom().bits() <= 500)
+        .then(|| x.numer().to_f64() / x.denom().to_f64())
+}
+
+/// `sub_to_f64` against the built difference, and `to_f64` against the
+/// `Int` projections, bit for bit.
+fn assert_projections(a: &Ratio, b: &Ratio) -> Result<(), TestCaseError> {
+    let diff = a - b;
+    prop_assert_eq!(
+        a.sub_to_f64(b).to_bits(),
+        diff.to_f64().to_bits(),
+        "sub_to_f64({:?}, {:?})",
+        a,
+        b
+    );
+    for x in [a, b, &diff] {
+        if let Some(want) = int_to_f64(x) {
+            prop_assert_eq!(x.to_f64().to_bits(), want.to_bits(), "to_f64({:?})", x);
+        }
+    }
+    Ok(())
+}
+
 /// The definitional comparison via the allocating subtraction path:
 /// a/b vs c/d has the sign of a/b − c/d.
 fn cmp_reference(lhs: &Ratio, rhs: &Ratio) -> Ordering {
@@ -229,6 +256,18 @@ proptest! {
     fn dyadic_kernels_match_int_reference(a in dyadic_strategy(), b in dyadic_strategy()) {
         assert_kernels(&a, &b)?;
     }
+
+    #[test]
+    fn projections_match_reference_bits(a in kernel_strategy(), b in kernel_strategy()) {
+        assert_projections(&a, &b)?;
+        assert_projections(&b, &a)?;
+        assert_projections(&a, &a)?;
+    }
+
+    #[test]
+    fn dyadic_projections_match_reference_bits(a in dyadic_strategy(), b in dyadic_strategy()) {
+        assert_projections(&a, &b)?;
+    }
 }
 
 #[test]
@@ -303,6 +342,70 @@ fn dyadic_kernel_edges_match_int_reference() {
     for (a, b) in &cases {
         if let Err(e) = assert_kernels(a, b).and_then(|()| assert_kernels(b, a)) {
             panic!("{a:?} ∘ {b:?}: {e:?}");
+        }
+    }
+}
+
+#[test]
+fn projection_edges_match_reference_bits() {
+    let dy = |n: i128, e: u64| Ratio::new(Int::from(n), Int::pow2(e));
+    let p63 = 1i128 << 63;
+    let numerators = [
+        0,
+        1,
+        -1,
+        3,
+        -7,
+        // Around ±2^63, where the conversion switches from i64 to i128.
+        p63 - 1,
+        p63,
+        p63 + 1,
+        -p63 + 1,
+        -p63,
+        -p63 - 1,
+        // Near ±2^127: aligned differences overflow and fall back.
+        i128::MAX,
+        i128::MAX - 2,
+        i128::MIN,
+        i128::MIN + 1,
+    ];
+    let mut operands = Vec::new();
+    for e in 0..=126 {
+        for &n in &numerators {
+            operands.push(dy(n, e));
+        }
+    }
+    // The engine's equal operands: the difference is `+0.0`.
+    for a in &operands {
+        assert_eq!(
+            a.sub_to_f64(a).to_bits(),
+            0.0f64.to_bits(),
+            "{a:?} − itself"
+        );
+    }
+    let others = [
+        Ratio::frac(1, 3),
+        Ratio::frac(-5, 7),
+        Ratio::new(Int::from(i128::MAX), Int::from(3)),
+        Ratio::new(Int::ONE, Int::pow2(200)),
+        Ratio::new(Int::ONE.shl(130), Int::ONE),
+        Ratio::new(-&Int::ONE.shl(140), Int::from(3)),
+    ];
+    // Every pair of dyadics sharing or straddling an exponent, and each
+    // dyadic against non-dyadic and big operands.
+    for (i, a) in operands.iter().enumerate() {
+        let nearby = operands[i.saturating_sub(2 * numerators.len())..]
+            .iter()
+            .take(4 * numerators.len());
+        for b in nearby.chain(&others) {
+            if let Err(e) = assert_projections(a, b).and_then(|()| assert_projections(b, a)) {
+                panic!("{a:?} − {b:?}: {e:?}");
+            }
+        }
+    }
+    for (a, b) in others.iter().zip(others.iter().rev()) {
+        if let Err(e) = assert_projections(a, b) {
+            panic!("{a:?} − {b:?}: {e:?}");
         }
     }
 }

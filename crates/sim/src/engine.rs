@@ -20,26 +20,34 @@ use rv_geometry::{first_within, min_dist_on_interval, Vec2};
 use rv_numeric::Ratio;
 use rv_trajectory::{AgentAttrs, Instr, Motion, Segment};
 
-struct AgentState<P: Iterator<Item = Instr>> {
-    motion: Motion<P>,
+struct AgentState<M> {
+    motion: M,
     seg: Segment,
-    frozen: bool,
+    /// True when `seg.start` is the engine's current time: the agent
+    /// was just initialized, advanced, or frozen.
+    starts_now: bool,
 }
 
-impl<P: Iterator<Item = Instr>> AgentState<P> {
-    fn new(attrs: AgentAttrs, program: P) -> (AgentState<P>, u64) {
-        let mut motion = Motion::new(attrs, program);
+impl<M: Iterator<Item = Segment>> AgentState<M> {
+    /// The agent at time zero, where its first segment starts.
+    fn new(mut motion: M) -> AgentState<M> {
         let seg = motion
             .next()
             .expect("a motion always yields at least the halt segment");
-        (
-            AgentState {
-                motion,
-                seg,
-                frozen: false,
-            },
-            1,
-        )
+        debug_assert!(seg.start.is_zero());
+        AgentState {
+            motion,
+            seg,
+            starts_now: true,
+        }
+    }
+
+    /// Moves to the next segment.
+    fn advance(&mut self) {
+        self.seg = self
+            .motion
+            .next()
+            .expect("finite segments always have a successor");
     }
 
     /// Position at exact time `cur` (must lie within the current segment).
@@ -49,11 +57,19 @@ impl<P: Iterator<Item = Instr>> AgentState<P> {
             // subtraction (which allocates once clocks go past i128).
             return self.seg.from;
         }
-        let offset = (cur - &self.seg.start).to_f64();
+        // A segment that starts now has offset exactly zero; the f64
+        // operations below stay the same, only the subtraction goes.
+        debug_assert!(!self.starts_now || self.seg.start == *cur);
+        let offset = if self.starts_now {
+            0.0
+        } else {
+            cur.sub_to_f64(&self.seg.start)
+        };
         self.seg.pos_at_offset(offset)
     }
 
-    /// Replaces the remaining motion with an eternal halt at `pos`/`time`.
+    /// Replaces the remaining motion with an eternal halt at `pos`/`time`
+    /// (the new current time).
     fn freeze(&mut self, time: Ratio, pos: Vec2) {
         self.seg = Segment {
             start: time,
@@ -61,7 +77,7 @@ impl<P: Iterator<Item = Instr>> AgentState<P> {
             from: pos,
             vel: Vec2::ZERO,
         };
-        self.frozen = true;
+        self.starts_now = true;
     }
 }
 
@@ -150,6 +166,9 @@ impl Tracer {
 }
 
 /// Simulates the two agents until rendezvous or budget exhaustion.
+///
+/// Compiles each program into its [`Motion`] and runs
+/// [`simulate_motions`].
 pub fn simulate<PA, PB>(
     attrs_a: AgentAttrs,
     prog_a: PA,
@@ -163,14 +182,29 @@ where
 {
     debug_assert!(attrs_a.validate().is_ok());
     debug_assert!(attrs_b.validate().is_ok());
+    simulate_motions(
+        Motion::new(attrs_a, prog_a),
+        Motion::new(attrs_b, prog_b),
+        cfg,
+    )
+}
+
+/// Simulates two agents given as segment streams (each a [`Motion`], or
+/// anything yielding the same contiguous segments from time zero on)
+/// until rendezvous or budget exhaustion.
+pub fn simulate_motions<MA, MB>(motion_a: MA, motion_b: MB, cfg: &SimConfig) -> SimReport
+where
+    MA: Iterator<Item = Segment>,
+    MB: Iterator<Item = Segment>,
+{
     assert!(
         cfg.radius_a.is_positive() && cfg.radius_b.is_positive(),
         "visibility radii must be positive"
     );
 
-    let (mut a, pulled_a) = AgentState::new(attrs_a, prog_a);
-    let (mut b, pulled_b) = AgentState::new(attrs_b, prog_b);
-    let mut segments: u64 = pulled_a + pulled_b;
+    let mut a = AgentState::new(motion_a);
+    let mut b = AgentState::new(motion_b);
+    let mut segments: u64 = 2;
 
     let r_small = cfg.radius_small();
     let r_big = cfg.radius_big();
@@ -253,7 +287,7 @@ where
         let rel_vel = b.seg.vel - a.seg.vel;
         let dt = match bound {
             None => f64::INFINITY,
-            Some(be) => (be - &cur).to_f64(),
+            Some(be) => be.sub_to_f64(&cur),
         };
         // Campaign runs trace nothing: skip the exact-to-f64 projection.
         if tracer.cap > 0 {
@@ -301,9 +335,11 @@ where
                 // rv-lint: allow(hot) — asymmetric freeze fires at most once
                 // per run (big_pending is cleared right below).
                 a.freeze(t_hit.clone(), hit_a);
+                b.starts_now = false;
             } else {
                 // rv-lint: allow(hot) — same at-most-once freeze as above.
                 b.freeze(t_hit.clone(), hit_b);
+                a.starts_now = false;
             }
             big_pending = false;
             cur = t_hit;
@@ -348,29 +384,20 @@ where
         // not clone — its segment is replaced right after anyway.
         if a_ends {
             cur = a.seg.end.take().expect("a_ends ⇒ end present");
-            a.seg = a
-                .motion
-                .next()
-                .expect("finite segments always have a successor");
+            a.advance();
             debug_assert_eq!(a.seg.start, cur);
             segments += 1;
         }
         if b_ends {
-            if a_ends {
-                b.seg = b
-                    .motion
-                    .next()
-                    .expect("finite segments always have a successor");
-            } else {
+            if !a_ends {
                 cur = b.seg.end.take().expect("b_ends ⇒ end present");
-                b.seg = b
-                    .motion
-                    .next()
-                    .expect("finite segments always have a successor");
             }
+            b.advance();
             debug_assert_eq!(b.seg.start, cur);
             segments += 1;
         }
+        a.starts_now = a_ends;
+        b.starts_now = b_ends;
         if segments > cfg.max_segments {
             return report(
                 Outcome::Budget(BudgetReason::Segments),

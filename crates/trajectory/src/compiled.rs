@@ -4,22 +4,29 @@
 //! comes out every time — yet the solver used to regenerate it from
 //! scratch for **every run** of a campaign (twice per run: once per
 //! agent). [`CompiledProgram`] compiles a program once per process into
-//! shared chunks; [`Cursor`]s then replay it by cloning instructions out
-//! of the cache, which for the AUR program's inline-`i128` rationals is a
-//! flat `memcpy` with no generator arithmetic behind it.
+//! shared chunks, and replays it two ways:
+//! - [`iter`](CompiledProgram::iter) lends each cached instruction as a
+//!   `Cow::Borrowed` reference into the cache: no clone, no drop, no
+//!   generator arithmetic. The engine's hot path steps through this.
+//! - [`cursor`](CompiledProgram::cursor) yields owned `Instr`s, cloning
+//!   each one out of the cache (four `Int` clones, later four drops), for
+//!   callers that need a plain `Iterator<Item = Instr>`.
 //!
 //! The cache extends lazily, chunk by chunk, exactly as far as the
-//! deepest cursor has walked — a 100-instruction probe materializes one
-//! chunk, not phase 30. Past [`MAX_MATERIALIZED`] instructions the cache
-//! stops growing and a cursor falls back to a fresh generator skipped
-//! forward to its position: the stream is byte-identical either way, the
-//! deep tail just is not cached. This bounds resident memory for
-//! pathological budgets while keeping the common campaign depths
-//! (tens of thousands of instructions) fully cached.
+//! deepest reader has walked — a 100-instruction probe materializes one
+//! chunk, not phase 30. Each chunk lives in a fixed `OnceLock` slot that
+//! is filled once, under the generator mutex, and read lock-free after
+//! that. Past [`MAX_MATERIALIZED`] instructions the cache stops growing
+//! and a reader falls back to a fresh generator skipped forward to its
+//! position, yielding owned instructions: the stream is identical either
+//! way, the deep tail just is not cached. This bounds resident memory for
+//! pathological budgets while keeping the common campaign depths (tens of
+//! thousands of instructions) fully cached.
 
 use crate::instr::Instr;
 use crate::program::BoxProgram;
-use std::sync::{Arc, Mutex, RwLock};
+use std::borrow::Cow;
+use std::sync::{Mutex, OnceLock};
 
 /// Instructions per cache chunk.
 const CHUNK: usize = 1024;
@@ -29,20 +36,33 @@ const CHUNK: usize = 1024;
 /// replays a fresh generator for the tail).
 pub const MAX_MATERIALIZED: usize = 262_144;
 
+/// Chunk slots in the cache.
+const SLOTS: usize = MAX_MATERIALIZED / CHUNK;
+
 /// A program compiled once and shared across runs and threads.
 ///
 /// Built from a *factory* (so the tail past the materialization cap can
-/// be regenerated on demand); hand out [`Cursor`]s with
-/// [`cursor`](CompiledProgram::cursor).
+/// be regenerated on demand); replay it with
+/// [`iter`](CompiledProgram::iter) or [`cursor`](CompiledProgram::cursor).
 pub struct CompiledProgram {
     factory: Box<dyn Fn() -> BoxProgram + Send + Sync>,
-    /// The single live generator feeding the cache; `None` once drained.
-    generator: Mutex<Option<BoxProgram>>,
-    chunks: RwLock<Vec<Arc<[Instr]>>>,
+    /// The generator feeding the cache. Its mutex serializes extension.
+    source: Mutex<Source>,
+    /// Chunk `k` holds instructions `k·CHUNK..`; chunks are filled in
+    /// order, and every filled chunk but the program's last is full.
+    chunks: [OnceLock<Box<[Instr]>>; SLOTS],
 }
 
-enum Fetch {
-    Chunk(Arc<[Instr]>),
+/// The generator behind the cache.
+struct Source {
+    /// The live generator; `None` before the first pull and once drained.
+    generator: Option<BoxProgram>,
+    /// The program has ended: no chunk past the filled ones will exist.
+    drained: bool,
+}
+
+enum Fetch<'a> {
+    Chunk(&'a [Instr]),
     /// The underlying program ended before this chunk.
     Exhausted,
     /// The materialization cap cuts the cache off before this chunk.
@@ -51,130 +71,135 @@ enum Fetch {
 
 impl CompiledProgram {
     /// Compiles the program produced by `factory`. Nothing is generated
-    /// until the first cursor pulls.
+    /// until the first reader pulls.
     pub fn new<F>(factory: F) -> CompiledProgram
     where
         F: Fn() -> BoxProgram + Send + Sync + 'static,
     {
         CompiledProgram {
             factory: Box::new(factory),
-            generator: Mutex::new(None),
-            chunks: RwLock::new(Vec::new()),
+            source: Mutex::new(Source {
+                generator: None,
+                drained: false,
+            }),
+            chunks: [const { OnceLock::new() }; SLOTS],
         }
     }
 
-    /// A fresh iterator over the program from the beginning.
-    pub fn cursor(&self) -> Cursor<'_> {
-        Cursor {
+    /// A fresh iterator over the program from the beginning, lending
+    /// cached instructions and owning only the tail past the cap.
+    pub fn iter(&self) -> Replay<'_> {
+        Replay {
             program: self,
-            chunk: None,
-            chunk_idx: 0,
-            offset: 0,
-            pos: 0,
+            chunk: [].iter(),
+            next_chunk: 0,
             overflow: None,
         }
     }
 
-    /// Number of instructions materialized so far (cache growth probe).
-    pub fn materialized(&self) -> usize {
-        self.chunks.read().unwrap().iter().map(|c| c.len()).sum()
+    /// A fresh iterator over the program from the beginning that yields
+    /// owned instructions: [`iter`](CompiledProgram::iter), cloned.
+    pub fn cursor(&self) -> Cursor<'_> {
+        Cursor(self.iter())
     }
 
-    fn fetch(&self, idx: usize) -> Fetch {
+    /// Number of instructions materialized so far (cache growth probe).
+    pub fn materialized(&self) -> usize {
+        self.chunks
+            .iter()
+            .map_while(OnceLock::get)
+            .map(|chunk| chunk.len())
+            .sum()
+    }
+
+    fn fetch(&self, idx: usize) -> Fetch<'_> {
+        let Some(slot) = self.chunks.get(idx) else {
+            return Fetch::Capped;
+        };
+        if let Some(chunk) = slot.get() {
+            return Fetch::Chunk(chunk);
+        }
+        let mut source = self
+            .source
+            .lock()
+            .expect("the program's generator panicked while filling the cache");
+        // Re-check under the lock: a racing extender may have filled it.
+        if let Some(chunk) = slot.get() {
+            return Fetch::Chunk(chunk);
+        }
+        if source.drained {
+            return Fetch::Exhausted;
+        }
+        // Readers walk chunks in order, so the slot before an empty one
+        // is full and the generator stands exactly at this chunk.
+        debug_assert!(idx == 0 || self.chunks[idx - 1].get().map(|c| c.len()) == Some(CHUNK));
+        let generator = source.generator.get_or_insert_with(|| (self.factory)());
+        // rv-lint: allow(hot) — cache fill: runs once per chunk per
+        // process, not per replayed instruction.
+        let buf: Box<[Instr]> = generator.by_ref().take(CHUNK).collect();
+        if buf.len() < CHUNK {
+            source.generator = None;
+            source.drained = true;
+        }
+        if buf.is_empty() {
+            return Fetch::Exhausted;
+        }
+        Fetch::Chunk(slot.get_or_init(|| buf))
+    }
+}
+
+/// An iterator replaying a [`CompiledProgram`] from the start, borrowing
+/// every cached instruction (see [`CompiledProgram::iter`]).
+pub struct Replay<'a> {
+    program: &'a CompiledProgram,
+    /// The rest of the current chunk.
+    chunk: std::slice::Iter<'a, Instr>,
+    /// Index of the chunk to fetch once `chunk` runs out.
+    next_chunk: usize,
+    /// Fallback generator once past the materialization cap.
+    overflow: Option<BoxProgram>,
+}
+
+impl<'a> Iterator for Replay<'a> {
+    type Item = Cow<'a, Instr>;
+
+    fn next(&mut self) -> Option<Cow<'a, Instr>> {
         loop {
-            {
-                let chunks = self.chunks.read().unwrap();
-                if idx < chunks.len() {
-                    return Fetch::Chunk(chunks[idx].clone());
+            if let Some(instr) = self.chunk.next() {
+                return Some(Cow::Borrowed(instr));
+            }
+            if let Some(tail) = self.overflow.as_mut() {
+                return tail.next().map(Cow::Owned);
+            }
+            match self.program.fetch(self.next_chunk) {
+                Fetch::Chunk(chunk) => {
+                    self.chunk = chunk.iter();
+                    self.next_chunk += 1;
+                }
+                Fetch::Exhausted => return None,
+                Fetch::Capped => {
+                    // Replay a fresh generator skipped past the (full)
+                    // cache; identical stream, uncached tail.
+                    let mut tail = (self.program.factory)();
+                    tail.by_ref().take(MAX_MATERIALIZED).for_each(drop);
+                    self.overflow = Some(tail);
                 }
             }
-            if idx >= MAX_MATERIALIZED / CHUNK {
-                return Fetch::Capped;
-            }
-            // Extend by one chunk. The generator mutex serializes
-            // extension; re-check under it so a racing extender's chunk
-            // is picked up instead of pulled twice.
-            let mut generator = self.generator.lock().unwrap();
-            if idx < self.chunks.read().unwrap().len() {
-                continue;
-            }
-            let gen = match generator.as_mut() {
-                Some(g) => g,
-                None if self.materialized() == 0 => {
-                    *generator = Some((self.factory)());
-                    generator.as_mut().unwrap()
-                }
-                None => return Fetch::Exhausted,
-            };
-            let mut buf = Vec::with_capacity(CHUNK);
-            let mut drained = false;
-            for _ in 0..CHUNK {
-                match gen.next() {
-                    Some(instr) => buf.push(instr),
-                    None => {
-                        drained = true;
-                        break;
-                    }
-                }
-            }
-            if drained {
-                *generator = None;
-            }
-            if buf.is_empty() {
-                return Fetch::Exhausted;
-            }
-            self.chunks.write().unwrap().push(Arc::from(buf));
         }
     }
 }
 
-/// An iterator replaying a [`CompiledProgram`] from the start.
-pub struct Cursor<'a> {
-    program: &'a CompiledProgram,
-    chunk: Option<Arc<[Instr]>>,
-    chunk_idx: usize,
-    offset: usize,
-    /// Absolute instruction index (= instructions already yielded).
-    pos: usize,
-    /// Fallback generator once past the materialization cap.
-    overflow: Option<BoxProgram>,
-}
+/// An iterator replaying a [`CompiledProgram`] from the start as owned
+/// instructions (see [`CompiledProgram::cursor`]).
+pub struct Cursor<'a>(Replay<'a>);
 
 impl Iterator for Cursor<'_> {
     type Item = Instr;
 
     fn next(&mut self) -> Option<Instr> {
-        if let Some(tail) = self.overflow.as_mut() {
-            return tail.next();
-        }
-        loop {
-            if let Some(chunk) = &self.chunk {
-                if self.offset < chunk.len() {
-                    let instr = chunk[self.offset].clone();
-                    self.offset += 1;
-                    self.pos += 1;
-                    return Some(instr);
-                }
-                self.chunk = None;
-                self.chunk_idx += 1;
-                self.offset = 0;
-            }
-            match self.program.fetch(self.chunk_idx) {
-                Fetch::Chunk(c) => self.chunk = Some(c),
-                Fetch::Exhausted => return None,
-                Fetch::Capped => {
-                    // Replay a fresh generator skipped to our position;
-                    // identical stream, uncached tail.
-                    let mut tail = (self.program.factory)();
-                    for _ in 0..self.pos {
-                        tail.next();
-                    }
-                    let instr = tail.next();
-                    self.overflow = Some(tail);
-                    return instr;
-                }
-            }
-        }
+        // rv-lint: allow(hot) — the owned replay's contract: one clone per
+        // instruction; the engine steps through the borrowing `iter()`.
+        self.0.next().map(Cow::into_owned)
     }
 }
 
@@ -182,9 +207,16 @@ impl Iterator for Cursor<'_> {
 mod tests {
     use super::*;
     use rv_numeric::ratio;
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::Arc;
 
     fn counting_program(upto: i64) -> BoxProgram {
         Box::new((1..=upto).map(|k| Instr::wait(ratio(k, 1))))
+    }
+
+    /// The borrowing replay, cloned into a list.
+    fn replayed(compiled: &CompiledProgram) -> Vec<Instr> {
+        compiled.iter().map(Cow::into_owned).collect()
     }
 
     #[test]
@@ -196,6 +228,7 @@ mod tests {
         // A second cursor replays from the cache, same stream.
         let again: Vec<Instr> = compiled.cursor().collect();
         assert_eq!(again, direct);
+        assert_eq!(replayed(&compiled), direct);
     }
 
     #[test]
@@ -206,44 +239,87 @@ mod tests {
         assert_eq!(first.len(), 10);
         // One chunk, not a million instructions.
         assert_eq!(compiled.materialized(), CHUNK);
-        let _ = compiled.cursor().take(3 * CHUNK + 1).last();
+        let _ = compiled.iter().take(3 * CHUNK + 1).last();
         assert_eq!(compiled.materialized(), 4 * CHUNK);
     }
 
     #[test]
     fn capped_cursor_falls_back_to_fresh_generator() {
-        let n = (MAX_MATERIALIZED + 2 * CHUNK) as i64;
+        let n = (MAX_MATERIALIZED + 2 * CHUNK + 5) as i64;
         let compiled = CompiledProgram::new(move || counting_program(n));
-        let replay: Vec<Instr> = compiled.cursor().collect();
         let direct: Vec<Instr> = counting_program(n).collect();
-        assert_eq!(replay, direct);
+        // The cached head is lent, the tail past the cap is owned.
+        let mut lent = 0;
+        let mut owned = 0;
+        for (k, instr) in compiled.iter().enumerate() {
+            assert_eq!(*instr, direct[k], "instruction {k}");
+            match instr {
+                Cow::Borrowed(_) => lent += 1,
+                Cow::Owned(_) => owned += 1,
+            }
+        }
+        assert_eq!(
+            (lent, owned),
+            (MAX_MATERIALIZED, direct.len() - MAX_MATERIALIZED)
+        );
+        assert_eq!(compiled.cursor().collect::<Vec<_>>(), direct);
         // Cache stopped at the cap; the tail came from the fallback.
         assert_eq!(compiled.materialized(), MAX_MATERIALIZED);
     }
 
     #[test]
     fn concurrent_cursors_see_identical_streams() {
-        let compiled = std::sync::Arc::new(CompiledProgram::new(|| counting_program(20_000)));
-        let direct: Vec<Instr> = counting_program(20_000).collect();
+        let n = (MAX_MATERIALIZED + CHUNK / 2) as i64;
+        let compiled = Arc::new(CompiledProgram::new(move || counting_program(n)));
+        let direct: Vec<Instr> = counting_program(n).collect();
         std::thread::scope(|scope| {
-            for _ in 0..4 {
-                let compiled = std::sync::Arc::clone(&compiled);
+            for reader in 0..4 {
+                let compiled = Arc::clone(&compiled);
                 let direct = &direct;
                 scope.spawn(move || {
-                    let replay: Vec<Instr> = compiled.cursor().collect();
-                    assert_eq!(&replay, direct);
+                    let replay: Vec<Instr> = if reader % 2 == 0 {
+                        replayed(&compiled)
+                    } else {
+                        compiled.cursor().collect()
+                    };
+                    assert!(replay == *direct, "reader {reader} diverged");
                 });
             }
         });
+        assert_eq!(compiled.materialized(), MAX_MATERIALIZED);
     }
 
     #[test]
     fn exhausted_program_yields_none_forever() {
-        let compiled = CompiledProgram::new(|| counting_program(3));
-        let mut cursor = compiled.cursor();
-        assert_eq!(cursor.by_ref().count(), 3);
-        assert!(cursor.next().is_none());
-        let empty = CompiledProgram::new(|| counting_program(0));
-        assert!(empty.cursor().next().is_none());
+        for n in [0, 3, CHUNK as i64, MAX_MATERIALIZED as i64 + 1] {
+            let compiled = CompiledProgram::new(move || counting_program(n));
+            let mut cursor = compiled.cursor();
+            let mut iter = compiled.iter();
+            assert_eq!(cursor.by_ref().count(), n as usize);
+            assert_eq!(iter.by_ref().count(), n as usize);
+            for _ in 0..3 {
+                assert!(cursor.next().is_none(), "cursor, {n} instructions");
+                assert!(iter.next().is_none(), "iter, {n} instructions");
+            }
+        }
+    }
+
+    #[test]
+    fn short_programs_run_their_factory_once() {
+        for n in [0, 3, CHUNK as i64] {
+            let calls = Arc::new(AtomicUsize::new(0));
+            let counter = Arc::clone(&calls);
+            let compiled = CompiledProgram::new(move || {
+                counter.fetch_add(1, Ordering::Relaxed);
+                counting_program(n)
+            });
+            for _ in 0..4 {
+                assert_eq!(compiled.iter().count(), n as usize);
+                let mut cursor = compiled.cursor();
+                assert_eq!(cursor.by_ref().count(), n as usize);
+                assert!(cursor.next().is_none());
+            }
+            assert_eq!(calls.load(Ordering::Relaxed), 1, "{n} instructions");
+        }
     }
 }

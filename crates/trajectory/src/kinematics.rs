@@ -33,6 +33,7 @@
 use crate::instr::Instr;
 use rv_geometry::{Angle, Chirality, Orientation, Vec2};
 use rv_numeric::Ratio;
+use std::borrow::Borrow;
 
 /// The private attributes of an agent (Section 1.2).
 #[derive(Clone, Debug)]
@@ -166,7 +167,9 @@ impl DirTable {
     }
 }
 
-/// Lazily compiles a program into motion segments.
+/// Lazily compiles a program into motion segments. The program may yield
+/// owned or borrowed instructions: `Instr`, `&Instr`, or the
+/// `Cow<Instr>` of [`CompiledProgram::iter`](crate::CompiledProgram::iter).
 pub struct Motion<P> {
     program: P,
     attrs: AgentAttrs,
@@ -186,7 +189,11 @@ pub struct Motion<P> {
     emitted_wake: bool,
 }
 
-impl<P: Iterator<Item = Instr>> Motion<P> {
+impl<P> Motion<P>
+where
+    P: Iterator,
+    P::Item: Borrow<Instr>,
+{
     /// Builds the motion of `attrs` executing `program`.
     pub fn new(attrs: AgentAttrs, program: P) -> Motion<P> {
         let orientation = attrs.orientation();
@@ -222,7 +229,11 @@ impl<P: Iterator<Item = Instr>> Motion<P> {
     }
 }
 
-impl<P: Iterator<Item = Instr>> Iterator for Motion<P> {
+impl<P> Iterator for Motion<P>
+where
+    P: Iterator,
+    P::Item: Borrow<Instr>,
+{
     type Item = Segment;
 
     fn next(&mut self) -> Option<Segment> {
@@ -242,26 +253,25 @@ impl<P: Iterator<Item = Instr>> Iterator for Motion<P> {
             }
         }
         loop {
-            match self.program.next() {
-                None => {
-                    self.halted = true;
-                    return Some(Segment {
-                        // rv-lint: allow(hot) — final halt segment, once
-                        // per run.
-                        start: self.clock.clone(),
-                        end: None,
-                        from: self.pos,
-                        vel: Vec2::ZERO,
-                    });
-                }
-                Some(instr) if instr.is_empty() => continue,
-                Some(Instr::Wait { dur }) => {
-                    let abs_dur = if self.tau_is_one {
-                        dur
+            let Some(item) = self.program.next() else {
+                self.halted = true;
+                return Some(Segment {
+                    // rv-lint: allow(hot) — final halt segment, once per
+                    // run.
+                    start: self.clock.clone(),
+                    end: None,
+                    from: self.pos,
+                    vel: Vec2::ZERO,
+                });
+            };
+            match item.borrow() {
+                instr if instr.is_empty() => continue,
+                Instr::Wait { dur } => {
+                    let end = if self.tau_is_one {
+                        &self.clock + dur
                     } else {
-                        &dur * &self.attrs.tau
+                        &self.clock + &(dur * &self.attrs.tau)
                     };
-                    let end = &self.clock + &abs_dur;
                     let start = std::mem::replace(&mut self.clock, end);
                     return Some(Segment {
                         start,
@@ -273,16 +283,15 @@ impl<P: Iterator<Item = Instr>> Iterator for Motion<P> {
                         vel: Vec2::ZERO,
                     });
                 }
-                Some(Instr::Go { dir, dist }) => {
-                    let unit = self.dirs.unit(&self.orientation, &dir);
+                Instr::Go { dir, dist } => {
+                    let unit = self.dirs.unit(&self.orientation, dir);
                     let abs_len = dist.to_f64() * self.unit_len_f64;
-                    let abs_dur = if self.tau_is_one {
-                        dist
+                    let end = if self.tau_is_one {
+                        &self.clock + dist
                     } else {
-                        &dist * &self.attrs.tau
+                        &self.clock + &(dist * &self.attrs.tau)
                     };
                     let from = self.pos;
-                    let end = &self.clock + &abs_dur;
                     let start = std::mem::replace(&mut self.clock, end);
                     self.pos = from + unit * abs_len;
                     return Some(Segment {
@@ -436,7 +445,8 @@ mod tests {
 
     #[test]
     fn empty_program_halts_at_origin() {
-        let segs: Vec<_> = Motion::new(AgentAttrs::reference(), std::iter::empty()).collect();
+        let segs: Vec<_> =
+            Motion::new(AgentAttrs::reference(), std::iter::empty::<Instr>()).collect();
         assert_eq!(segs.len(), 1);
         assert_eq!(segs[0].end, None);
         assert_eq!(segs[0].from, Vec2::ZERO);

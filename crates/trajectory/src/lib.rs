@@ -16,7 +16,7 @@ mod instr;
 mod kinematics;
 mod program;
 
-pub use compiled::{CompiledProgram, Cursor};
+pub use compiled::{CompiledProgram, Cursor, Replay};
 pub use instr::Instr;
 pub use kinematics::{AgentAttrs, Motion, Segment, DIR_SLOTS};
 pub use program::{

@@ -8,6 +8,8 @@
 //! - every instance of the benchmark's `sweep_aur` spec (AUR, the five
 //!   Theorem 3.2 classes, 20k segments) and `resweep_pool` spec
 //!   (Dedicated, `type1,type2,s1,s2`, 2k segments), seeds 1–3 at n = 64;
+//!   on `sweep_aur`'s, `Motion` steps through both the owned replay
+//!   (`cursor()`) and the borrowed one the solver uses (`iter()`);
 //! - type-3 instances with `τ ≠ 1`;
 //! - a mirrored, rotated frame (`χ = −1`, `φ ≠ 0`);
 //! - a program with more distinct directions than the table holds;
@@ -23,6 +25,7 @@ use rv_geometry::{Angle, Chirality, Orientation, Vec2};
 use rv_model::{generate_seeded, TargetClass};
 use rv_numeric::{ratio, Ratio};
 use rv_trajectory::{AgentAttrs, Instr, Motion, Segment, DIR_SLOTS};
+use std::borrow::Borrow;
 
 /// The per-`go` stepper `Motion` replaced: the same kinematics with the
 /// direction mapped through the frame on every `go`.
@@ -125,8 +128,19 @@ where
     P: Iterator<Item = Instr>,
     F: Fn() -> P,
 {
-    let memo = Motion::new(attrs.clone(), make());
-    let reference = Reference::new(attrs.clone(), make());
+    assert_steps_over(label, attrs, make(), make(), segments);
+}
+
+/// Steps `Motion` over `program` and the reference over `same`, a second
+/// copy of the same instruction stream.
+fn assert_steps_over<P, Q>(label: &str, attrs: &AgentAttrs, program: P, same: Q, segments: usize)
+where
+    P: Iterator,
+    P::Item: Borrow<Instr>,
+    Q: Iterator<Item = Instr>,
+{
+    let memo = Motion::new(attrs.clone(), program);
+    let reference = Reference::new(attrs.clone(), same);
     let mut stepped = 0;
     for (k, (m, r)) in memo.zip(reference).take(segments).enumerate() {
         assert!(
@@ -191,6 +205,15 @@ fn sweep_aur_spec_steps_identically() {
     let segments = spec.segments as usize;
     each_spec_instance(&spec, |label, inst| {
         assert_instance(label, inst, || compiled_aur().cursor(), segments);
+        for (agent, attrs) in [("A", inst.agent_a()), ("B", inst.agent_b())] {
+            assert_steps_over(
+                &format!("{label} {agent} borrowed"),
+                &attrs,
+                compiled_aur().iter(),
+                compiled_aur().cursor(),
+                segments,
+            );
+        }
     });
 }
 

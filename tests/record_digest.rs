@@ -15,7 +15,11 @@
 //!   segments), seed 1 at n = 1024;
 //! - the records of the first 16 type-3 instances from `mix_seed(3, i)`
 //!   whose clock rate τ is not dyadic, run through `sweep_aur`'s
-//!   campaign.
+//!   campaign;
+//! - the records of the first 8 type-3 instances from `mix_seed(3, i)`
+//!   running `wait(2^140)` then `planar_cow_walk(3)`, so every clock and
+//!   every offset the engine projects lies outside `i128` (AUR's first
+//!   such wait is instruction 22,987, past `sweep_aur`'s budget).
 //!
 //! Directions other than quarter turns take `cos`/`sin` from the
 //! platform's libm, whose last bit may differ between platforms, so the
@@ -24,8 +28,12 @@
 
 use rv_core::batch::mix_seed;
 use rv_core::wire::{encode_campaign_report, encode_record};
-use rv_core::{CampaignReport, CampaignSpec, Instance, SolverSpec};
+use rv_core::{
+    planar_cow_walk, solve_pair, CampaignReport, CampaignSpec, Instance, RunRecord, SolverSpec,
+};
 use rv_model::{generate_seeded, TargetClass};
+use rv_numeric::Ratio;
+use rv_trajectory::Instr;
 
 /// Incremental 64-bit FNV-1a.
 struct Fnv(u64);
@@ -127,5 +135,22 @@ fn non_dyadic_tau_type3_digest_is_pinned() {
         "type-3 non-dyadic τ",
         digest(&report, false),
         0xa970_4ca0_9a14_a190,
+    );
+}
+
+#[test]
+fn big_clock_cow_walk_digest_is_pinned() {
+    let budget = sweep_aur_spec().budget();
+    let mut h = Fnv::new();
+    for i in 0..8 {
+        let inst = generate_seeded(mix_seed(3, i), TargetClass::Type3);
+        let program = || std::iter::once(Instr::wait(Ratio::pow2(140))).chain(planar_cow_walk(3));
+        let report = solve_pair(&inst, program(), program(), &budget);
+        h.write(encode_record(i as usize, &RunRecord::from_report(&inst, &report)).as_bytes());
+    }
+    check(
+        "type-3 wait(2^140) + planar_cow_walk(3)",
+        h.0,
+        0x44b6_736d_3daf_7be2,
     );
 }
