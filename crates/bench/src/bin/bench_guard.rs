@@ -108,7 +108,7 @@ fn entries(path: &str) -> Vec<(String, f64)> {
         .iter()
         .map(|row| {
             let id = match row.get("id") {
-                Some(Value::Str(id)) => id.clone(),
+                Some(Value::Str(id)) => id.to_string(),
                 _ => fail(&format!("{path}: entry without a string \"id\"")),
             };
             let median = match row.get("median_ns") {

@@ -109,7 +109,7 @@ impl RunRecord {
         format!(
             "{{\"class\": {}, \"feasible\": {}, \"met\": {}, \"time\": {}, \
              \"segments\": {}, \"min_dist_over_r\": {}}}",
-            json::string(&self.class.to_string()),
+            json::string(self.class.name()),
             self.feasible,
             self.met,
             json::opt_f64(self.time),
@@ -174,7 +174,7 @@ impl ClassStats {
     pub(crate) fn json_fields(&self, opt: fn(Option<f64>) -> String) -> String {
         format!(
             "\"class\": {}, \"n\": {}, \"met\": {}, \"median_time\": {}",
-            json::string(&self.class.to_string()),
+            json::string(self.class.name()),
             self.n,
             self.met,
             opt(self.median_time)

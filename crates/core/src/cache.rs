@@ -507,18 +507,13 @@ impl ResultCache {
             });
         }
 
-        let mut body = String::new();
-        body.push_str(&wire::encode_campaign_spec(spec, seed));
+        let mut body = wire::encode_campaign_spec(spec, seed);
         body.push('\n');
         for (index, rec) in records {
-            body.push_str(&wire::encode_record(*index, rec));
+            wire::push_record(&mut body, *index, rec);
             body.push('\n');
         }
-        body.push_str(&wire::encode_unit_done(&UnitDone {
-            task_id: 0,
-            start: range.start,
-            acc: acc.clone(),
-        }));
+        wire::push_unit_done(&mut body, 0, range.start, acc);
         body.push('\n');
 
         // Unique per process *and* per call, so concurrent writers never

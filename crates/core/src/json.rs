@@ -3,9 +3,17 @@
 //! the experiment artifact emitters; output is strict JSON (non-finite
 //! floats become `null`, strings are escaped).
 
+use std::fmt::Write as _;
+
 /// Renders `s` as a JSON string literal (escaped, quoted).
 pub fn string(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
+    push_string(&mut out, s);
+    out
+}
+
+/// Appends `s` to `out` as a JSON string literal (escaped, quoted).
+pub fn push_string(out: &mut String, s: &str) {
     out.push('"');
     for ch in s.chars() {
         match ch {
@@ -14,12 +22,13 @@ pub fn string(s: &str) -> String {
             '\n' => out.push_str("\\n"),
             '\r' => out.push_str("\\r"),
             '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+            c if (c as u32) < 0x20 => {
+                let _ = write!(out, "\\u{:04x}", c as u32);
+            }
             c => out.push(c),
         }
     }
     out.push('"');
-    out
 }
 
 /// Renders a float as a JSON number, or `null` when non-finite.

@@ -9,12 +9,12 @@
 //!    the pool (see [`crate::exec::PoolExecutor`]) opens a session on
 //!    each worker with one `campaign_spec` line and hands out units as
 //!    [`UnitTask`] lines.
-//! 2. **Stream** — a worker executes each unit
-//!    ([`CampaignSpec::run_range`]) and streams one `record` line per
-//!    finished run to stdout (through a [`crate::JsonLinesSink`]),
-//!    tagged with the *global* campaign index, then a [`UnitTelemetry`]
-//!    line and a [`UnitDone`] line carrying its folded
-//!    [`StatsAccumulator`].
+//! 2. **Answer** — a worker executes each unit
+//!    ([`CampaignSpec::run_range`]) and answers on stdout with one
+//!    `record` line per finished run, tagged with the *global* campaign
+//!    index, then a [`UnitTelemetry`] line and a [`UnitDone`] line
+//!    carrying its folded [`StatsAccumulator`] — rendered into one
+//!    [`crate::JsonLinesSink`] buffer and written once per unit.
 //! 3. **Gather** — the executor forwards record lines to an optional
 //!    [`crate::RecordSink`], merges the unit accumulators in unit order,
 //!    and [`StatsAccumulator::finish`]es the merge.

@@ -140,7 +140,9 @@ impl RecordSink for VecSink {
 /// A [`RecordSink`] that writes every record as a schema-3 wire line
 /// ([`wire::encode_record`], newline-terminated, flushed) to a writer —
 /// the stdout streaming half of the shard worker protocol
-/// (see [`crate::shard`]).
+/// (see [`crate::shard`]). Over a `Vec<u8>` it is a batch buffer: the
+/// session worker renders a whole unit answer into one and hands it to
+/// stdout with [`JsonLinesSink::drain_to`], one write per unit.
 ///
 /// Writes from concurrent campaign workers are serialised behind a mutex,
 /// so lines never interleave. Write failures cannot propagate out of a
@@ -182,6 +184,18 @@ impl<W: Write + Send> JsonLinesSink<W> {
     /// Unwraps the writer.
     pub fn into_inner(self) -> W {
         self.out.into_inner().unwrap_or_else(|e| e.into_inner())
+    }
+}
+
+impl JsonLinesSink<Vec<u8>> {
+    /// Writes every buffered line to `out` with one `write_all` and one
+    /// `flush`, then empties the buffer (keeping its capacity). The lines
+    /// keep the order they were buffered in.
+    pub fn drain_to(&self, out: &mut impl Write) -> std::io::Result<()> {
+        let mut buf = self.out.lock().unwrap_or_else(|e| e.into_inner());
+        let wrote = out.write_all(&buf).and_then(|()| out.flush());
+        buf.clear();
+        wrote
     }
 }
 
@@ -260,6 +274,42 @@ mod tests {
         assert_eq!(lines.len(), 2);
         assert_eq!(wire::decode_record(lines[0]).unwrap(), (3, rec(7)));
         assert_eq!(wire::decode_record(lines[1]).unwrap(), (4, rec(8)));
+    }
+
+    /// Counts `write` calls, keeping every byte.
+    #[derive(Default)]
+    struct Writes {
+        bytes: Vec<u8>,
+        calls: usize,
+    }
+
+    impl Write for Writes {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.calls += 1;
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn drain_to_writes_a_batch_once_in_order() {
+        let sink = JsonLinesSink::new(Vec::new());
+        sink.record(3, &rec(7));
+        sink.record(4, &rec(8));
+        sink.write_line("tail");
+        let mut out = Writes::default();
+        sink.drain_to(&mut out).unwrap();
+        assert_eq!(out.calls, 1, "one write per batch");
+        let want = format!(
+            "{}\n{}\ntail\n",
+            wire::encode_record(3, &rec(7)),
+            wire::encode_record(4, &rec(8))
+        );
+        assert_eq!(String::from_utf8(out.bytes).unwrap(), want);
+        assert!(sink.into_inner().is_empty(), "a drain empties the buffer");
     }
 
     /// A writer that always fails, to exercise the failure latch.

@@ -40,6 +40,15 @@
 //! typed [`WireError`], never a panic. That makes the format safe to read
 //! from subprocess pipes and untrusted files.
 //!
+//! Decoding borrows from the line instead of copying it, validating while
+//! it scans (the principle of simdjson: Langdale & Lemire, "Parsing
+//! Gigabytes of JSON per Second", 2019). A parsed [`Value`] keeps number
+//! lexemes, keys and strings as slices of the input; only a string that
+//! carries an escape is unescaped into an owned copy. Each object reserves
+//! room for the widest payload in one allocation, so decoding a record
+//! line allocates once. Encoders append to a single `String` (see
+//! [`push_float`]), so encoding a record line allocates only its output.
+//!
 //! The normative specification — the full line grammar, the
 //! `"inf"`/`"-inf"`/`"nan"` sentinels, and the worker stdin/stdout
 //! protocol the executors drive (see [`crate::exec`]) — lives in
@@ -51,7 +60,8 @@ use crate::shard::{
     CampaignRequest, CampaignSpec, SolverSpec, TransportSpec, UnitDone, UnitTask, UnitTelemetry,
 };
 use rv_model::{Classification, TargetClass};
-use std::fmt;
+use std::borrow::Cow;
+use std::fmt::{self, Write as _};
 
 /// The wire schema version emitted and accepted by this module.
 pub const SCHEMA: u64 = 3;
@@ -63,6 +73,15 @@ const SCHEMA_LEXEME: &str = "3";
 /// Maximum JSON nesting depth the decoder accepts (guards the recursive
 /// parser against stack exhaustion on adversarial input).
 pub const MAX_DEPTH: usize = 64;
+
+/// Pairs every parsed object reserves up front: the widest object any
+/// kind encodes (a `campaign_report`'s stats, 11 keys), so a line of any
+/// kind fills each object's pair buffer without growing it.
+const OBJECT_PAIRS: usize = 11;
+
+/// Bytes `encode_record` reserves: a record line with typical floats fits,
+/// so the line is the encoder's only allocation.
+const RECORD_LINE: usize = 256;
 
 /// Typed decoding failure. Every malformed input maps to one of these —
 /// the decoder has no panicking paths.
@@ -141,29 +160,32 @@ impl fmt::Display for WireError {
 
 impl std::error::Error for WireError {}
 
-/// A parsed JSON value. Number lexemes are kept verbatim
-/// ([`Value::Num`] holds the raw token) so integers up to `u64::MAX`
-/// survive decoding without a lossy trip through `f64`.
+/// A parsed JSON value, borrowing from the text it was parsed from.
+/// Number lexemes are kept verbatim ([`Value::Num`] is the raw token) so
+/// integers up to `u64::MAX` survive decoding without a lossy trip
+/// through `f64`. Strings and keys borrow the input unless they carry an
+/// escape, which is unescaped into an owned copy; either way the derived
+/// `Debug` prints the unescaped text.
 #[derive(Clone, Debug, PartialEq)]
-pub enum Value {
+pub enum Value<'a> {
     /// `null`.
     Null,
     /// `true` / `false`.
     Bool(bool),
     /// A number, as its raw lexeme (e.g. `"-12.5e3"`).
-    Num(String),
+    Num(&'a str),
     /// A string (unescaped).
-    Str(String),
+    Str(Cow<'a, str>),
     /// An array.
-    Arr(Vec<Value>),
+    Arr(Vec<Value<'a>>),
     /// An object, as key/value pairs in document order.
-    Obj(Vec<(String, Value)>),
+    Obj(Vec<(Cow<'a, str>, Value<'a>)>),
 }
 
-impl Value {
+impl<'a> Value<'a> {
     /// Parses exactly one JSON value spanning the whole input
     /// (surrounding whitespace allowed, trailing data rejected).
-    pub fn parse(text: &str) -> Result<Value, WireError> {
+    pub fn parse(text: &'a str) -> Result<Value<'a>, WireError> {
         let mut p = Parser {
             text,
             bytes: text.as_bytes(),
@@ -178,7 +200,7 @@ impl Value {
     }
 
     /// Looks up a key in an object (`None` for non-objects too).
-    pub fn get(&self, key: &str) -> Option<&Value> {
+    pub fn get(&self, key: &str) -> Option<&Value<'a>> {
         match self {
             Value::Obj(pairs) => pairs.iter().find(|(k, _)| k == key).map(|(_, v)| v),
             _ => None,
@@ -199,7 +221,7 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn value(&mut self, depth: usize) -> Result<Value, WireError> {
+    fn value(&mut self, depth: usize) -> Result<Value<'a>, WireError> {
         if depth >= MAX_DEPTH {
             return Err(WireError::TooDeep { offset: self.pos });
         }
@@ -220,7 +242,7 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn literal(&mut self, lit: &'static str, val: Value) -> Result<Value, WireError> {
+    fn literal(&mut self, lit: &'static str, val: Value<'a>) -> Result<Value<'a>, WireError> {
         let rest = &self.bytes[self.pos..];
         if rest.starts_with(lit.as_bytes()) {
             self.pos += lit.len();
@@ -258,7 +280,36 @@ impl<'a> Parser<'a> {
         Ok(code)
     }
 
-    fn string(&mut self) -> Result<String, WireError> {
+    /// A string starting at the opening quote under `pos`: borrowed from
+    /// the input when it holds no escape and no control byte, else
+    /// [`Parser::unescape`]d.
+    fn string(&mut self) -> Result<Cow<'a, str>, WireError> {
+        let open = self.pos;
+        let mut end = open + 1;
+        while let Some(&c) = self.bytes.get(end) {
+            match c {
+                b'"' => {
+                    // Both ends sit on ASCII quotes, so the slice is on
+                    // char boundaries; `get` keeps that unchecked claim
+                    // from ever panicking.
+                    if let Some(s) = self.text.get(open + 1..end) {
+                        self.pos = end + 1;
+                        return Ok(Cow::Borrowed(s));
+                    }
+                    break;
+                }
+                b'\\' => break,
+                c if c < 0x20 => break,
+                _ => end += 1,
+            }
+        }
+        // An escape, a raw control byte or the end of the input: rescan
+        // from the opening quote, so every error keeps its offset.
+        self.unescape().map(Cow::Owned)
+    }
+
+    /// The unescaping string loop, from the opening quote under `pos`.
+    fn unescape(&mut self) -> Result<String, WireError> {
         self.pos += 1; // opening quote
         let mut out = String::new();
         loop {
@@ -373,7 +424,7 @@ impl<'a> Parser<'a> {
         self.pos - start
     }
 
-    fn number(&mut self) -> Result<Value, WireError> {
+    fn number(&mut self) -> Result<Value<'a>, WireError> {
         let start = self.pos;
         if self.bytes.get(self.pos) == Some(&b'-') {
             self.pos += 1;
@@ -425,10 +476,10 @@ impl<'a> Parser<'a> {
                 };
             }
         }
-        Ok(Value::Num(self.text[start..self.pos].to_string()))
+        Ok(Value::Num(&self.text[start..self.pos]))
     }
 
-    fn array(&mut self, depth: usize) -> Result<Value, WireError> {
+    fn array(&mut self, depth: usize) -> Result<Value<'a>, WireError> {
         self.pos += 1; // '['
         let mut items = Vec::new();
         self.skip_ws();
@@ -456,14 +507,14 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn object(&mut self, depth: usize) -> Result<Value, WireError> {
+    fn object(&mut self, depth: usize) -> Result<Value<'a>, WireError> {
         self.pos += 1; // '{'
-        let mut pairs = Vec::new();
         self.skip_ws();
         if self.bytes.get(self.pos) == Some(&b'}') {
             self.pos += 1;
-            return Ok(Value::Obj(pairs));
+            return Ok(Value::Obj(Vec::new()));
         }
+        let mut pairs = Vec::with_capacity(OBJECT_PAIRS);
         loop {
             self.skip_ws();
             match self.bytes.get(self.pos) {
@@ -512,41 +563,58 @@ impl<'a> Parser<'a> {
 // Lossless float / integer helpers
 // ---------------------------------------------------------------------------
 
-/// Renders an `f64` as a wire token: finite values as shortest-roundtrip
+/// Appends an `f64` as a wire token: finite values as shortest-roundtrip
 /// JSON numbers, non-finite values as the string sentinels `"inf"`,
 /// `"-inf"`, `"nan"` (strict JSON has no tokens for them; the sentinels
 /// keep the encoding lossless where the schema-2 artifact form
 /// [`json::f64`] collapses them to `null`).
-pub fn float(v: f64) -> String {
+pub fn push_float(out: &mut String, v: f64) {
     if v.is_finite() {
         // rv-lint: allow(determinism) — this IS a canonical float encoder:
         // `{}` on a finite f64 is Rust's shortest-roundtrip Grisu/Ryū
         // rendering, identical on every platform, and all wire output
         // funnels through here.
-        format!("{v}")
+        let _ = write!(out, "{v}");
     } else if v.is_nan() {
-        "\"nan\"".into()
+        out.push_str("\"nan\"");
     } else if v > 0.0 {
-        "\"inf\"".into()
+        out.push_str("\"inf\"");
     } else {
-        "\"-inf\"".into()
+        out.push_str("\"-inf\"");
+    }
+}
+
+/// [`push_float`] into a fresh `String`.
+pub fn float(v: f64) -> String {
+    let mut out = String::new();
+    push_float(&mut out, v);
+    out
+}
+
+/// Appends an optional `f64`: `null` for `None`, else [`push_float`].
+fn push_opt_float(out: &mut String, v: Option<f64>) {
+    match v {
+        Some(v) => push_float(out, v),
+        None => out.push_str("null"),
     }
 }
 
 /// Renders an optional `f64`: `null` for `None`, else [`float`]. The
 /// sentinels keep `Some(NAN)` distinguishable from `None`.
 pub fn opt_float(v: Option<f64>) -> String {
-    v.map(float).unwrap_or_else(|| "null".into())
+    let mut out = String::new();
+    push_opt_float(&mut out, v);
+    out
 }
 
-fn field<'v>(obj: &'v Value, name: &'static str) -> Result<&'v Value, WireError> {
-    obj.get(name).ok_or(WireError::Field {
+fn field<'v, 'a>(obj: &'v Value<'a>, name: &'static str) -> Result<&'v Value<'a>, WireError> {
+    obj.get(name).ok_or_else(|| WireError::Field {
         field: name,
         what: "missing".into(),
     })
 }
 
-fn get_bool(obj: &Value, name: &'static str) -> Result<bool, WireError> {
+fn get_bool(obj: &Value<'_>, name: &'static str) -> Result<bool, WireError> {
     match field(obj, name)? {
         Value::Bool(b) => Ok(*b),
         other => Err(WireError::Field {
@@ -556,7 +624,7 @@ fn get_bool(obj: &Value, name: &'static str) -> Result<bool, WireError> {
     }
 }
 
-fn get_u64(obj: &Value, name: &'static str) -> Result<u64, WireError> {
+fn get_u64(obj: &Value<'_>, name: &'static str) -> Result<u64, WireError> {
     match field(obj, name)? {
         Value::Num(raw) => raw.parse().map_err(|_| WireError::Field {
             field: name,
@@ -569,7 +637,7 @@ fn get_u64(obj: &Value, name: &'static str) -> Result<u64, WireError> {
     }
 }
 
-fn get_u32(obj: &Value, name: &'static str) -> Result<u32, WireError> {
+fn get_u32(obj: &Value<'_>, name: &'static str) -> Result<u32, WireError> {
     let wide = get_u64(obj, name)?;
     u32::try_from(wide).map_err(|_| WireError::Field {
         field: name,
@@ -577,7 +645,7 @@ fn get_u32(obj: &Value, name: &'static str) -> Result<u32, WireError> {
     })
 }
 
-fn get_usize(obj: &Value, name: &'static str) -> Result<usize, WireError> {
+fn get_usize(obj: &Value<'_>, name: &'static str) -> Result<usize, WireError> {
     match field(obj, name)? {
         Value::Num(raw) => raw.parse().map_err(|_| WireError::Field {
             field: name,
@@ -590,7 +658,7 @@ fn get_usize(obj: &Value, name: &'static str) -> Result<usize, WireError> {
     }
 }
 
-fn get_str<'v>(obj: &'v Value, name: &'static str) -> Result<&'v str, WireError> {
+fn get_str<'v>(obj: &'v Value<'_>, name: &'static str) -> Result<&'v str, WireError> {
     match field(obj, name)? {
         Value::Str(s) => Ok(s),
         other => Err(WireError::Field {
@@ -600,13 +668,13 @@ fn get_str<'v>(obj: &'v Value, name: &'static str) -> Result<&'v str, WireError>
     }
 }
 
-fn float_of(v: &Value, name: &'static str) -> Result<f64, WireError> {
+fn float_of(v: &Value<'_>, name: &'static str) -> Result<f64, WireError> {
     match v {
         Value::Num(raw) => raw.parse().map_err(|_| WireError::Field {
             field: name,
             what: format!("unparseable number {raw:?}"),
         }),
-        Value::Str(s) => match s.as_str() {
+        Value::Str(s) => match s.as_ref() {
             "inf" => Ok(f64::INFINITY),
             "-inf" => Ok(f64::NEG_INFINITY),
             "nan" => Ok(f64::NAN),
@@ -622,18 +690,18 @@ fn float_of(v: &Value, name: &'static str) -> Result<f64, WireError> {
     }
 }
 
-fn get_f64(obj: &Value, name: &'static str) -> Result<f64, WireError> {
+fn get_f64(obj: &Value<'_>, name: &'static str) -> Result<f64, WireError> {
     float_of(field(obj, name)?, name)
 }
 
-fn get_opt_f64(obj: &Value, name: &'static str) -> Result<Option<f64>, WireError> {
+fn get_opt_f64(obj: &Value<'_>, name: &'static str) -> Result<Option<f64>, WireError> {
     match field(obj, name)? {
         Value::Null => Ok(None),
         other => float_of(other, name).map(Some),
     }
 }
 
-fn get_arr<'v>(obj: &'v Value, name: &'static str) -> Result<&'v [Value], WireError> {
+fn get_arr<'v, 'a>(obj: &'v Value<'a>, name: &'static str) -> Result<&'v [Value<'a>], WireError> {
     match field(obj, name)? {
         Value::Arr(items) => Ok(items),
         other => Err(WireError::Field {
@@ -643,9 +711,9 @@ fn get_arr<'v>(obj: &'v Value, name: &'static str) -> Result<&'v [Value], WireEr
     }
 }
 
-fn get_classification(obj: &Value, name: &'static str) -> Result<Classification, WireError> {
+fn get_classification(obj: &Value<'_>, name: &'static str) -> Result<Classification, WireError> {
     let s = get_str(obj, name)?;
-    let found = CLASS_ORDER.into_iter().find(|c| c.to_string() == s);
+    let found = CLASS_ORDER.into_iter().find(|c| c.name() == s);
     found.ok_or_else(|| WireError::Field {
         field: name,
         what: format!("unknown classification {s:?}"),
@@ -654,7 +722,7 @@ fn get_classification(obj: &Value, name: &'static str) -> Result<Classification,
 
 /// Parses a line as a JSON object and checks the `"schema"`/`"kind"`
 /// headers, returning the object for payload extraction.
-fn header(line: &str, kind: &'static str) -> Result<Value, WireError> {
+fn header<'a>(line: &'a str, kind: &'static str) -> Result<Value<'a>, WireError> {
     let v = parse_headed(line)?;
     let found = get_str(&v, "kind")?;
     if found != kind {
@@ -666,13 +734,13 @@ fn header(line: &str, kind: &'static str) -> Result<Value, WireError> {
 }
 
 /// Parses a line and checks only the schema header (any kind).
-fn parse_headed(line: &str) -> Result<Value, WireError> {
+fn parse_headed(line: &str) -> Result<Value<'_>, WireError> {
     let v = Value::parse(line)?;
     match v.get("schema") {
-        Some(Value::Num(raw)) if raw == SCHEMA_LEXEME => {}
+        Some(Value::Num(raw)) if *raw == SCHEMA_LEXEME => {}
         Some(other) => {
             let found = match other {
-                Value::Num(raw) => raw.clone(),
+                Value::Num(raw) => raw.to_string(),
                 other => format!("{other:?}"),
             };
             return Err(WireError::Schema { found });
@@ -693,21 +761,32 @@ fn parse_headed(line: &str) -> Result<Value, WireError> {
 /// Encodes one campaign record (with its global campaign index) as a
 /// `kind: "record"` line.
 pub fn encode_record(index: usize, rec: &RunRecord) -> String {
-    format!(
-        "{{\"schema\": {SCHEMA}, \"kind\": \"record\", \"index\": {index}, \
-         \"class\": {}, \"feasible\": {}, \"met\": {}, \"time\": {}, \
-         \"segments\": {}, \"min_dist\": {}, \"radius\": {}}}",
-        json::string(&rec.class.to_string()),
-        rec.feasible,
-        rec.met,
-        opt_float(rec.time),
-        rec.segments,
-        float(rec.min_dist),
-        float(rec.radius),
-    )
+    let mut out = String::with_capacity(RECORD_LINE);
+    push_record(&mut out, index, rec);
+    out
 }
 
-fn record_of(v: &Value) -> Result<(usize, RunRecord), WireError> {
+/// Appends [`encode_record`]'s line (without a newline) to `out`.
+pub(crate) fn push_record(out: &mut String, index: usize, rec: &RunRecord) {
+    let _ = write!(
+        out,
+        "{{\"schema\": {SCHEMA}, \"kind\": \"record\", \"index\": {index}, \"class\": "
+    );
+    json::push_string(out, rec.class.name());
+    let _ = write!(
+        out,
+        ", \"feasible\": {}, \"met\": {}, \"time\": ",
+        rec.feasible, rec.met
+    );
+    push_opt_float(out, rec.time);
+    let _ = write!(out, ", \"segments\": {}, \"min_dist\": ", rec.segments);
+    push_float(out, rec.min_dist);
+    out.push_str(", \"radius\": ");
+    push_float(out, rec.radius);
+    out.push('}');
+}
+
+fn record_of(v: &Value<'_>) -> Result<(usize, RunRecord), WireError> {
     Ok((
         get_usize(v, "index")?,
         RunRecord {
@@ -739,7 +818,7 @@ pub fn encode_class_stats(cs: &ClassStats) -> String {
     )
 }
 
-fn class_stats_of(v: &Value) -> Result<ClassStats, WireError> {
+fn class_stats_of(v: &Value<'_>) -> Result<ClassStats, WireError> {
     Ok(ClassStats {
         class: get_classification(v, "class")?,
         n: get_usize(v, "n")?,
@@ -757,36 +836,52 @@ pub fn decode_class_stats(line: &str) -> Result<ClassStats, WireError> {
 // StatsAccumulator
 // ---------------------------------------------------------------------------
 
-fn float_list(values: &[f64]) -> String {
-    let items: Vec<String> = values.iter().map(|&v| float(v)).collect();
-    format!("[{}]", items.join(", "))
+/// Appends `values` as a JSON array of wire floats.
+fn float_list(out: &mut String, values: &[f64]) {
+    out.push('[');
+    for (i, &v) in values.iter().enumerate() {
+        if i > 0 {
+            out.push_str(", ");
+        }
+        push_float(out, v);
+    }
+    out.push(']');
 }
 
-fn acc_body(acc: &StatsAccumulator) -> String {
-    let segments: Vec<String> = acc.segments.iter().map(u64::to_string).collect();
-    let buckets: Vec<String> = acc
-        .buckets
-        .iter()
-        .map(|(n, met, times)| format!("[{n}, {met}, {}]", float_list(times)))
-        .collect();
-    format!(
-        "{{\"n\": {}, \"met\": {}, \"infeasible\": {}, \"times\": {}, \
-         \"segments\": [{}], \"min_ratio\": {}, \"buckets\": [{}]}}",
-        acc.n,
-        acc.met,
-        acc.infeasible,
-        float_list(&acc.times),
-        segments.join(", "),
-        float(acc.min_ratio),
-        buckets.join(", "),
-    )
+/// Appends the accumulator's JSON object to `out`.
+fn acc_body(out: &mut String, acc: &StatsAccumulator) {
+    let _ = write!(
+        out,
+        "{{\"n\": {}, \"met\": {}, \"infeasible\": {}, \"times\": ",
+        acc.n, acc.met, acc.infeasible
+    );
+    float_list(out, &acc.times);
+    out.push_str(", \"segments\": [");
+    for (i, segments) in acc.segments.iter().enumerate() {
+        if i > 0 {
+            out.push_str(", ");
+        }
+        let _ = write!(out, "{segments}");
+    }
+    out.push_str("], \"min_ratio\": ");
+    push_float(out, acc.min_ratio);
+    out.push_str(", \"buckets\": [");
+    for (i, (n, met, times)) in acc.buckets.iter().enumerate() {
+        if i > 0 {
+            out.push_str(", ");
+        }
+        let _ = write!(out, "[{n}, {met}, ");
+        float_list(out, times);
+        out.push(']');
+    }
+    out.push_str("]}");
 }
 
-fn floats_of(items: &[Value], name: &'static str) -> Result<Vec<f64>, WireError> {
+fn floats_of(items: &[Value<'_>], name: &'static str) -> Result<Vec<f64>, WireError> {
     items.iter().map(|v| float_of(v, name)).collect()
 }
 
-fn bucket_of(raw: &Value) -> Result<(usize, usize, Vec<f64>), WireError> {
+fn bucket_of(raw: &Value<'_>) -> Result<(usize, usize, Vec<f64>), WireError> {
     let bad = |what: String| WireError::Field {
         field: "buckets",
         what,
@@ -814,7 +909,7 @@ fn bucket_of(raw: &Value) -> Result<(usize, usize, Vec<f64>), WireError> {
     }
 }
 
-fn acc_of(v: &Value) -> Result<StatsAccumulator, WireError> {
+fn acc_of(v: &Value<'_>) -> Result<StatsAccumulator, WireError> {
     let times = floats_of(get_arr(v, "times")?, "times")?;
     let segments = get_arr(v, "segments")?
         .iter()
@@ -877,8 +972,11 @@ fn acc_of(v: &Value) -> Result<StatsAccumulator, WireError> {
 /// Encodes a whole accumulator (the mergeable aggregation state) as a
 /// `kind: "acc"` line — a whole mergeable accumulator.
 pub fn encode_accumulator(acc: &StatsAccumulator) -> String {
-    let body = acc_body(acc);
-    format!("{{\"schema\": {SCHEMA}, \"kind\": \"acc\", \"acc\": {body}}}",)
+    let mut out = String::new();
+    let _ = write!(out, "{{\"schema\": {SCHEMA}, \"kind\": \"acc\", \"acc\": ");
+    acc_body(&mut out, acc);
+    out.push('}');
+    out
 }
 
 /// Decodes a `kind: "acc"` line.
@@ -886,7 +984,7 @@ pub fn decode_accumulator(line: &str) -> Result<StatsAccumulator, WireError> {
     accumulator_of(&header(line, "acc")?)
 }
 
-fn accumulator_of(v: &Value) -> Result<StatsAccumulator, WireError> {
+fn accumulator_of(v: &Value<'_>) -> Result<StatsAccumulator, WireError> {
     acc_of(field(v, "acc")?)
 }
 
@@ -908,7 +1006,7 @@ fn campaign_body(spec: &CampaignSpec) -> String {
     )
 }
 
-fn campaign_of(v: &Value) -> Result<CampaignSpec, WireError> {
+fn campaign_of(v: &Value<'_>) -> Result<CampaignSpec, WireError> {
     let solver_name = get_str(v, "solver")?;
     let solver = SolverSpec::from_name(solver_name).map_err(|e| WireError::Field {
         field: "solver",
@@ -960,7 +1058,7 @@ pub fn decode_campaign_spec(line: &str) -> Result<(CampaignSpec, u64), WireError
     campaign_spec_of(&header(line, "campaign_spec")?)
 }
 
-fn campaign_spec_of(v: &Value) -> Result<(CampaignSpec, u64), WireError> {
+fn campaign_spec_of(v: &Value<'_>) -> Result<(CampaignSpec, u64), WireError> {
     Ok((campaign_of(field(v, "campaign")?)?, get_u64(v, "seed")?))
 }
 
@@ -979,7 +1077,7 @@ pub fn decode_task(line: &str) -> Result<UnitTask, WireError> {
     task_of(&header(line, "task")?)
 }
 
-fn task_of(v: &Value) -> Result<UnitTask, WireError> {
+fn task_of(v: &Value<'_>) -> Result<UnitTask, WireError> {
     let start = get_usize(v, "start")?;
     let end = get_usize(v, "end")?;
     if end < start {
@@ -1011,7 +1109,7 @@ pub fn decode_unit_telemetry(line: &str) -> Result<UnitTelemetry, WireError> {
     unit_telemetry_of(&header(line, "unit_telemetry")?)
 }
 
-fn unit_telemetry_of(v: &Value) -> Result<UnitTelemetry, WireError> {
+fn unit_telemetry_of(v: &Value<'_>) -> Result<UnitTelemetry, WireError> {
     Ok(UnitTelemetry {
         task_id: get_u32(v, "task_id")?,
         attempt: get_u32(v, "attempt")?,
@@ -1022,13 +1120,21 @@ fn unit_telemetry_of(v: &Value) -> Result<UnitTelemetry, WireError> {
 /// Encodes a unit's gathered output as a `kind: "unit_done"` line — the
 /// last line a session worker writes for each unit.
 pub fn encode_unit_done(done: &UnitDone) -> String {
-    format!(
-        "{{\"schema\": {SCHEMA}, \"kind\": \"unit_done\", \"task_id\": {}, \
-         \"start\": {}, \"acc\": {}}}",
-        done.task_id,
-        done.start,
-        acc_body(&done.acc),
-    )
+    let mut out = String::new();
+    push_unit_done(&mut out, done.task_id, done.start, &done.acc);
+    out
+}
+
+/// Appends [`encode_unit_done`]'s line (without a newline) for the unit
+/// `task_id` starting at `start` to `out`, borrowing the accumulator.
+pub(crate) fn push_unit_done(out: &mut String, task_id: u32, start: usize, acc: &StatsAccumulator) {
+    let _ = write!(
+        out,
+        "{{\"schema\": {SCHEMA}, \"kind\": \"unit_done\", \"task_id\": {task_id}, \
+         \"start\": {start}, \"acc\": "
+    );
+    acc_body(out, acc);
+    out.push('}');
 }
 
 /// Decodes a `kind: "unit_done"` line.
@@ -1036,7 +1142,7 @@ pub fn decode_unit_done(line: &str) -> Result<UnitDone, WireError> {
     unit_done_of(&header(line, "unit_done")?)
 }
 
-fn unit_done_of(v: &Value) -> Result<UnitDone, WireError> {
+fn unit_done_of(v: &Value<'_>) -> Result<UnitDone, WireError> {
     Ok(UnitDone {
         task_id: get_u32(v, "task_id")?,
         start: get_usize(v, "start")?,
@@ -1079,7 +1185,7 @@ pub fn decode_request(line: &str) -> Result<CampaignRequest, WireError> {
     request_of(&header(line, "request")?)
 }
 
-fn request_of(v: &Value) -> Result<CampaignRequest, WireError> {
+fn request_of(v: &Value<'_>) -> Result<CampaignRequest, WireError> {
     let transport =
         TransportSpec::from_name(get_str(v, "transport")?).map_err(|e| WireError::Field {
             field: "transport",
@@ -1087,7 +1193,7 @@ fn request_of(v: &Value) -> Result<CampaignRequest, WireError> {
         })?;
     let cache = match v.get("cache") {
         None | Some(Value::Null) => None,
-        Some(Value::Str(name)) => Some(name.clone()),
+        Some(Value::Str(name)) => Some(name.to_string()),
         Some(other) => {
             return Err(WireError::Field {
                 field: "cache",
@@ -1105,7 +1211,7 @@ fn request_of(v: &Value) -> Result<CampaignRequest, WireError> {
     })
 }
 
-fn stats_of(v: &Value) -> Result<CampaignStats, WireError> {
+fn stats_of(v: &Value<'_>) -> Result<CampaignStats, WireError> {
     let per_class = get_arr(v, "per_class")?
         .iter()
         .map(class_stats_of)
@@ -1156,7 +1262,7 @@ pub fn decode_campaign_report(line: &str) -> Result<CampaignStats, WireError> {
     campaign_report_of(&header(line, "campaign_report")?)
 }
 
-fn campaign_report_of(v: &Value) -> Result<CampaignStats, WireError> {
+fn campaign_report_of(v: &Value<'_>) -> Result<CampaignStats, WireError> {
     stats_of(field(v, "stats")?)
 }
 
@@ -1280,7 +1386,7 @@ pub fn decode_error(line: &str) -> Result<ErrorLine, WireError> {
     error_of(&header(line, "error")?)
 }
 
-fn error_of(v: &Value) -> Result<ErrorLine, WireError> {
+fn error_of(v: &Value<'_>) -> Result<ErrorLine, WireError> {
     let code_name = get_str(v, "code")?;
     let code = ErrorCode::from_name(code_name).ok_or_else(|| WireError::Field {
         field: "code",
@@ -1369,14 +1475,11 @@ mod tests {
     fn value_parses_scalars_and_containers() {
         assert_eq!(Value::parse("null"), Ok(Value::Null));
         assert_eq!(Value::parse(" true "), Ok(Value::Bool(true)));
-        assert_eq!(Value::parse("-12.5e3"), Ok(Value::Num("-12.5e3".into())));
+        assert_eq!(Value::parse("-12.5e3"), Ok(Value::Num("-12.5e3")));
         assert_eq!(Value::parse("\"a\\nb\""), Ok(Value::Str("a\nb".into())));
         assert_eq!(
             Value::parse("[1, \"x\"]"),
-            Ok(Value::Arr(vec![
-                Value::Num("1".into()),
-                Value::Str("x".into())
-            ]))
+            Ok(Value::Arr(vec![Value::Num("1"), Value::Str("x".into())]))
         );
         let obj = Value::parse("{\"k\": [true, null]}").unwrap();
         assert_eq!(

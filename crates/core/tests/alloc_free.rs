@@ -1,4 +1,5 @@
-//! Proof that the solver's per-step loop is allocation-free.
+//! Allocation gates: the solver's per-step loop allocates nothing, and
+//! the schema-3 record codec allocates at most once per line.
 //!
 //! A counting global allocator wraps the system allocator; the test
 //! compares total allocation counts between two single-threaded AUR runs
@@ -18,26 +19,44 @@
 //! cache *extension* allocates by design (that is the once-per-process
 //! compile); replay must not.
 //!
-//! This file must stay a single `#[test]` so no parallel test thread
-//! muddies the counter.
+//! The codec gate counts exact allocations: `encode_record` makes one
+//! (its output), decoding a record line makes at most one (the pair
+//! buffer of its object), and loading a 128-record cache entry of the
+//! benchmark's `resweep_pool` spec stays within two per record.
+//!
+//! The counter is per thread, so the tests may run in parallel and each
+//! counts only its own allocations. Everything measured here (one solve,
+//! one encode or decode, one cache load) runs on the calling thread.
 
-use rv_core::{Aur, Budget, Solver};
+use rv_core::shard::{CampaignSpec, SolverSpec};
+use rv_core::wire::{self, Line};
+use rv_core::{Aur, Budget, ResultCache, RunRecord, Solver, VecSink};
 use rv_geometry::{Angle, Chirality};
-use rv_model::Instance;
+use rv_model::{Classification, Instance, TargetClass};
 use rv_numeric::ratio;
 use rv_sim::{BudgetReason, Outcome};
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
+use std::sync::Arc;
 
 struct CountingAlloc;
 
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    // Const-initialized and without a destructor, so reading it never
+    // allocates or registers a thread-exit hook.
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count() {
+    let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
+}
 
 // SAFETY: delegates every operation unchanged to the system allocator;
-// the counter is a relaxed atomic with no effect on allocation behavior.
+// the counter is a plain thread-local cell with no effect on allocation
+// behavior.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count();
         unsafe { System.alloc(layout) }
     }
 
@@ -46,7 +65,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count();
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
@@ -55,7 +74,14 @@ unsafe impl GlobalAlloc for CountingAlloc {
 static GLOBAL: CountingAlloc = CountingAlloc;
 
 fn allocs() -> u64 {
-    ALLOCS.load(Ordering::Relaxed)
+    ALLOCS.with(Cell::get)
+}
+
+/// Allocations `f` makes on this thread, with its result.
+fn counted<T>(f: impl FnOnce() -> T) -> (u64, T) {
+    let before = allocs();
+    let out = f();
+    (allocs() - before, out)
 }
 
 #[test]
@@ -101,5 +127,64 @@ fn steady_state_event_loop_allocates_nothing() {
         shallow_allocs, deep_allocs,
         "10k extra steps changed the allocation count: the per-step loop \
          is no longer allocation-free"
+    );
+}
+
+#[test]
+fn record_codec_allocates_at_most_once_per_line() {
+    let rec = RunRecord {
+        class: Classification::ExceptionS2,
+        feasible: true,
+        met: true,
+        time: Some(13.062_5),
+        segments: 4,
+        min_dist: 0.046_875,
+        radius: 0.375,
+    };
+    let (n, line) = counted(|| wire::encode_record(1_023, &rec));
+    assert_eq!(n, 1, "encode_record must allocate only its output");
+
+    let (n, decoded) = counted(|| wire::decode_record(&line));
+    assert_eq!(decoded, Ok((1_023, rec.clone())));
+    assert!(n <= 1, "decode_record made {n} allocations");
+
+    let (n, decoded) = counted(|| wire::decode_line(&line));
+    assert_eq!(
+        decoded,
+        Ok(Line::Record {
+            index: 1_023,
+            record: rec
+        })
+    );
+    assert!(n <= 1, "decode_line made {n} allocations");
+
+    // A full unit of the benchmark's resweep_pool spec, replayed from
+    // the cache.
+    let spec = CampaignSpec::new(
+        SolverSpec::Dedicated,
+        vec![
+            TargetClass::Type1,
+            TargetClass::Type2,
+            TargetClass::S1,
+            TargetClass::S2,
+        ],
+        2_000,
+    );
+    let range = 0..128;
+    let sink = Arc::new(VecSink::new());
+    let acc = spec.run_range(1, range.clone(), sink.clone(), 1);
+    let records = sink.take_sorted();
+    let dir = std::env::temp_dir().join(format!("rv-alloc-free-{}", std::process::id()));
+    let cache = ResultCache::open(&dir).expect("cache dir");
+    cache
+        .store(&spec, 1, &range, &records, &acc)
+        .expect("store a full unit");
+    let (n, hit) = counted(|| cache.load(&spec, 1, &range));
+    let _ = std::fs::remove_dir_all(&dir);
+    let hit = hit.expect("valid entry").expect("stored entry");
+    assert_eq!(hit.records, records);
+    assert!(
+        n <= 256,
+        "loading a 128-record entry made {n} allocations (cap 256)"
     );
 }

@@ -63,7 +63,7 @@ fn all_infeasible_campaign_emits_valid_schema_3_wire_lines() {
     for (i, rec) in report.records.iter().enumerate() {
         let line = wire::encode_record(i, rec);
         let v = Value::parse(&line).expect("record line must be strict JSON");
-        assert_eq!(v.get("schema"), Some(&Value::Num("3".into())));
+        assert_eq!(v.get("schema"), Some(&Value::Num("3")));
         let (i2, rec2) = wire::decode_record(&line).unwrap();
         assert_eq!((i2, &rec2), (i, rec));
     }

@@ -526,3 +526,298 @@ fn empty_accumulator_round_trips_including_infinite_min_ratio() {
     assert_eq!(format!("{acc2:?}"), format!("{acc:?}"));
     assert_eq!(wire::encode_accumulator(&acc2), line);
 }
+
+/// A valid record line the error corpus below mutates.
+const CORPUS_BASE: &str = "{\"schema\": 3, \"kind\": \"record\", \"index\": 7, \
+     \"class\": \"type 3\", \"feasible\": true, \"met\": true, \"time\": 1.5, \
+     \"segments\": 12, \"min_dist\": 0.5, \"radius\": 1}";
+
+fn corpus_line(from: &str, to: &str) -> String {
+    assert!(
+        CORPUS_BASE.contains(from),
+        "corpus edit {from:?} must apply"
+    );
+    CORPUS_BASE.replacen(from, to, 1)
+}
+
+/// `CORPUS_BASE` cut right after `marker`, then `tail`: a truncated line.
+fn cut_after(marker: &str, tail: &str) -> String {
+    let at = CORPUS_BASE.find(marker).expect("corpus marker") + marker.len();
+    format!("{}{tail}", &CORPUS_BASE[..at])
+}
+
+fn field_err(field: &'static str, what: &str) -> WireError {
+    WireError::Field {
+        field,
+        what: what.into(),
+    }
+}
+
+/// A decoder under test, returning the error it must raise.
+type Decoder = fn(&str) -> WireError;
+
+fn record_err(line: &str) -> WireError {
+    wire::decode_record(line).expect_err("corpus lines are malformed")
+}
+
+fn line_err(line: &str) -> WireError {
+    wire::decode_line(line).expect_err("corpus lines are malformed")
+}
+
+#[test]
+fn error_corpus_identity_is_pinned() {
+    assert_eq!(
+        wire::encode_record(
+            7,
+            &RunRecord {
+                class: Classification::Type3,
+                feasible: true,
+                met: true,
+                time: Some(1.5),
+                segments: 12,
+                min_dist: 0.5,
+                radius: 1.0,
+            }
+        ),
+        CORPUS_BASE
+    );
+    // (label, malformed line, decoder, the exact error it must raise);
+    // every expected value was computed by the owned-tree decoder.
+    let cases: [(&str, String, Decoder, WireError); 31] = [
+        (
+            "escaped unknown class",
+            corpus_line("\"type 3\"", "\"type \\\"3\\\"\""),
+            record_err,
+            field_err("class", "unknown classification \"type \\\"3\\\"\""),
+        ),
+        (
+            "escaped key, mistyped value",
+            corpus_line("\"feasible\": true", "\"fe\\u0061sible\": \"yes\""),
+            record_err,
+            field_err("feasible", "expected bool, found Str(\"yes\")"),
+        ),
+        (
+            "mistyped bool, escaped text",
+            corpus_line("\"met\": true", "\"met\": \"a\\\"b\\u00e9\\n\""),
+            record_err,
+            field_err("met", "expected bool, found Str(\"a\\\"bé\\n\")"),
+        ),
+        (
+            "mistyped float, array",
+            corpus_line("\"time\": 1.5", "\"time\": [1.5, null]"),
+            record_err,
+            field_err("time", "expected float, found Arr([Num(\"1.5\"), Null])"),
+        ),
+        (
+            "mistyped number, object",
+            corpus_line("\"segments\": 12", "\"segments\": {\"a\": -1e3}"),
+            record_err,
+            field_err(
+                "segments",
+                "expected number, found Obj([(\"a\", Num(\"-1e3\"))])",
+            ),
+        ),
+        (
+            "mistyped usize",
+            corpus_line("\"index\": 7", "\"index\": 7.5"),
+            record_err,
+            field_err("index", "expected usize, found \"7.5\""),
+        ),
+        (
+            "unknown float sentinel",
+            corpus_line("\"min_dist\": 0.5", "\"min_dist\": \"-nan\""),
+            record_err,
+            field_err("min_dist", "expected float sentinel, found \"-nan\""),
+        ),
+        (
+            "raw control byte",
+            corpus_line("\"type 3\"", "\"type\u{1}3\""),
+            record_err,
+            WireError::Syntax {
+                offset: 58,
+                what: "raw control character in string",
+            },
+        ),
+        (
+            "raw control byte after an escape",
+            corpus_line("\"type 3\"", "\"ty\\tpe\u{1f}\""),
+            record_err,
+            WireError::Syntax {
+                offset: 60,
+                what: "raw control character in string",
+            },
+        ),
+        (
+            "raw control byte after a multi-byte char",
+            corpus_line("\"type 3\"", "\"t\u{ff}pe\n\""),
+            record_err,
+            WireError::Syntax {
+                offset: 59,
+                what: "raw control character in string",
+            },
+        ),
+        (
+            "raw control byte in a key",
+            corpus_line("\"class\"", "\"cl\u{7}ass\""),
+            record_err,
+            WireError::Syntax {
+                offset: 47,
+                what: "raw control character in string",
+            },
+        ),
+        (
+            "lone high surrogate",
+            corpus_line("\"type 3\"", "\"\\ud83d\""),
+            record_err,
+            WireError::Syntax {
+                offset: 54,
+                what: "lone high surrogate",
+            },
+        ),
+        (
+            "high surrogate, other escape",
+            corpus_line("\"type 3\"", "\"\\ud83d\\n\""),
+            record_err,
+            WireError::Syntax {
+                offset: 54,
+                what: "lone high surrogate",
+            },
+        ),
+        (
+            "invalid surrogate pair",
+            corpus_line("\"type 3\"", "\"\\ud83d\\u0041\""),
+            record_err,
+            WireError::Syntax {
+                offset: 54,
+                what: "invalid surrogate pair",
+            },
+        ),
+        (
+            "lone low surrogate",
+            corpus_line("\"type 3\"", "\"\\udc00\""),
+            record_err,
+            WireError::Syntax {
+                offset: 54,
+                what: "invalid unicode escape",
+            },
+        ),
+        (
+            "bad hex digit",
+            corpus_line("\"type 3\"", "\"\\u00zz\""),
+            record_err,
+            WireError::Syntax {
+                offset: 58,
+                what: "invalid \\u escape",
+            },
+        ),
+        (
+            "invalid escape",
+            corpus_line("\"type 3\"", "\"type\\x3\""),
+            record_err,
+            WireError::Syntax {
+                offset: 59,
+                what: "invalid escape",
+            },
+        ),
+        (
+            "truncated inside a string",
+            cut_after("\"class\": ", "\"typ"),
+            record_err,
+            WireError::Truncated { offset: 57 },
+        ),
+        (
+            "truncated after a backslash",
+            cut_after("\"class\": ", "\"type\\"),
+            record_err,
+            WireError::Truncated { offset: 59 },
+        ),
+        (
+            "truncated inside a \\u escape",
+            cut_after("\"class\": ", "\"\\u00"),
+            record_err,
+            WireError::Truncated { offset: 58 },
+        ),
+        (
+            "truncated after a minus",
+            cut_after("\"index\": ", "-"),
+            record_err,
+            WireError::Truncated { offset: 42 },
+        ),
+        (
+            "truncated inside a fraction",
+            cut_after("\"time\": ", "1."),
+            record_err,
+            WireError::Truncated { offset: 104 },
+        ),
+        (
+            "truncated inside an exponent",
+            cut_after("\"time\": ", "1e+"),
+            record_err,
+            WireError::Truncated { offset: 105 },
+        ),
+        (
+            "leading zero",
+            corpus_line("\"index\": 7", "\"index\": 07"),
+            record_err,
+            WireError::Syntax {
+                offset: 41,
+                what: "leading zero",
+            },
+        ),
+        (
+            "trailing data",
+            format!("{CORPUS_BASE} x"),
+            record_err,
+            WireError::Trailing { offset: 153 },
+        ),
+        (
+            "unknown class",
+            corpus_line("\"type 3\"", "\"type 9\""),
+            record_err,
+            field_err("class", "unknown classification \"type 9\""),
+        ),
+        (
+            "wrong kind",
+            corpus_line("\"record\"", "\"acc\""),
+            record_err,
+            WireError::Kind {
+                found: "acc".into(),
+            },
+        ),
+        (
+            "unknown kind",
+            corpus_line("\"record\"", "\"rec\\u006frds\""),
+            line_err,
+            WireError::Kind {
+                found: "records".into(),
+            },
+        ),
+        (
+            "retired kind",
+            corpus_line("\"record\"", "\"shard_result\""),
+            line_err,
+            WireError::Retired {
+                kind: "shard_result",
+            },
+        ),
+        (
+            "wrong schema",
+            corpus_line("\"schema\": 3", "\"schema\": 3.0"),
+            line_err,
+            WireError::Schema {
+                found: "3.0".into(),
+            },
+        ),
+        (
+            "string schema",
+            corpus_line("\"schema\": 3", "\"schema\": \"3\""),
+            line_err,
+            WireError::Schema {
+                found: "Str(\"3\")".into(),
+            },
+        ),
+    ];
+    for (label, line, decode, want) in cases {
+        assert_eq!(decode(&line), want, "{label}: {line:?}");
+    }
+}

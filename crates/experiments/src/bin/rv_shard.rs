@@ -12,7 +12,7 @@
 //!     with exit 0. A bad or missing opener — including the retired
 //!     one-shot work order — exits 2. With --flaky, every task
 //!     whose line carries attempt 0 fails deterministically (exit 3,
-//!     after streaming one genuine record) — a test mode proving driver
+//!     after writing one genuine record) — a test mode proving driver
 //!     retry works.
 //!
 //! rv-shard campaign --n N [--shards K] [--seed S] [--solver aur|dedicated]
@@ -125,15 +125,22 @@ fn worker(args: &[String]) {
 /// one `unit_done` line. A fresh `campaign_spec` line re-keys the
 /// session in place; stdin EOF is the graceful shutdown (exit 0).
 ///
-/// With `flaky`, a task line carrying attempt 0 streams ONE genuine
+/// Each unit's answer is rendered into one buffer and written to stdout
+/// with a single `write_all` and `flush`: the driver holds a unit's
+/// records until its `unit_done` anyway, so batching changes neither the
+/// bytes nor their order, only the number of writes (one per unit, not
+/// one per record).
+///
+/// With `flaky`, a task line carrying attempt 0 writes ONE genuine
 /// record (a partial stream the driver must discard wholesale —
 /// replaying it would double-deliver the index) and exits 3. Attempts
 /// >= 1 run clean, so exactly one retry per unit recovers the campaign.
 fn session(mut input: StdinLock<'_>, spec: CampaignSpec, seed: u64, threads: usize, flaky: bool) {
     let mut session = (spec, seed);
-    // Records stream as wire lines the moment each run lands; Stdout is
-    // line-buffered and the sink flushes, so the driver sees them live.
-    let sink = Arc::new(JsonLinesSink::new(std::io::stdout()));
+    // The per-unit answer buffer; records land in it as each run
+    // finishes, from whichever campaign thread computed them.
+    let sink = Arc::new(JsonLinesSink::new(Vec::new()));
+    let mut stdout = std::io::stdout().lock();
     let mut line = String::new();
     loop {
         line.clear();
@@ -160,6 +167,7 @@ fn session(mut input: StdinLock<'_>, spec: CampaignSpec, seed: u64, threads: usi
                     if !task.range.is_empty() {
                         let _ = spec.run_range(*seed, start..start + 1, sink.clone(), 1);
                     }
+                    let _ = sink.drain_to(&mut stdout);
                     eprintln!("rv-shard worker: injected flaky failure (attempt 0)");
                     std::process::exit(3);
                 }
@@ -181,8 +189,8 @@ fn session(mut input: StdinLock<'_>, spec: CampaignSpec, seed: u64, threads: usi
                     start: task.range.start,
                     acc,
                 }));
-                if sink.failed() {
-                    eprintln!("rv-shard worker: record stream write failed");
+                if let Err(e) = sink.drain_to(&mut stdout) {
+                    eprintln!("rv-shard worker: unit answer write failed: {e}");
                     std::process::exit(1);
                 }
             }

@@ -65,11 +65,11 @@ impl Classification {
             Classification::ExceptionS1 | Classification::ExceptionS2
         )
     }
-}
 
-impl fmt::Display for Classification {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let s = match self {
+    /// The class's display name (what `Display` prints and the wire and
+    /// JSON encoders write).
+    pub fn name(self) -> &'static str {
+        match self {
             Classification::Trivial => "trivial",
             Classification::Type1 => "type 1",
             Classification::Type2 => "type 2",
@@ -78,8 +78,13 @@ impl fmt::Display for Classification {
             Classification::ExceptionS1 => "exception S1",
             Classification::ExceptionS2 => "exception S2",
             Classification::Infeasible => "infeasible",
-        };
-        f.write_str(s)
+        }
+    }
+}
+
+impl fmt::Display for Classification {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(self.name())
     }
 }
 

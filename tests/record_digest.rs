@@ -21,15 +21,29 @@
 //!   every offset the engine projects lies outside `i128` (AUR's first
 //!   such wait is instruction 22,987, past `sweep_aur`'s budget).
 //!
+//! A second group pins the bytes of every encoder that renders into one
+//! growing buffer rather than through `format!` and `join` (constants
+//! computed before that rewrite):
+//! - the entry file `ResultCache::store` writes for `resweep_pool`'s spec,
+//!   seed 1, indices `0..128`;
+//! - the `unit_done`, `acc`, `class_stats` and `campaign_report` lines
+//!   over `sweep_aur`'s spec, seeds 1–3 at n = 64;
+//! - an empty accumulator's `acc` and `unit_done` lines (the `"inf"`
+//!   sentinel of its `min_ratio`).
+//!
 //! Directions other than quarter turns take `cos`/`sin` from the
 //! platform's libm, whose last bit may differ between platforms, so the
 //! constants are asserted on x86_64 Linux (the CI runner) only; elsewhere
 //! the suite still runs every campaign and prints the digests.
 
 use rv_core::batch::mix_seed;
-use rv_core::wire::{encode_campaign_report, encode_record};
+use rv_core::shard::UnitDone;
+use rv_core::wire::{
+    encode_accumulator, encode_campaign_report, encode_class_stats, encode_record, encode_unit_done,
+};
 use rv_core::{
-    planar_cow_walk, solve_pair, CampaignReport, CampaignSpec, Instance, RunRecord, SolverSpec,
+    planar_cow_walk, solve_pair, CampaignReport, CampaignSpec, Instance, ResultCache, RunRecord,
+    SolverSpec, StatsAccumulator, VecSink,
 };
 use rv_model::{generate_seeded, TargetClass};
 use rv_numeric::Ratio;
@@ -84,6 +98,23 @@ fn sweep_aur_spec() -> CampaignSpec {
     CampaignSpec::new(SolverSpec::Aur, AUR_CLASSES.to_vec(), 20_000)
 }
 
+fn resweep_pool_spec() -> CampaignSpec {
+    let classes = vec![
+        TargetClass::Type1,
+        TargetClass::Type2,
+        TargetClass::S1,
+        TargetClass::S2,
+    ];
+    CampaignSpec::new(SolverSpec::Dedicated, classes, 2_000)
+}
+
+/// One-shot FNV-1a of `bytes`.
+fn fnv(bytes: &[u8]) -> u64 {
+    let mut h = Fnv::new();
+    h.write(bytes);
+    h.0
+}
+
 #[test]
 fn sweep_aur_spec_digests_are_pinned() {
     let spec = sweep_aur_spec();
@@ -103,14 +134,7 @@ fn sweep_aur_spec_digests_are_pinned() {
 
 #[test]
 fn resweep_pool_spec_digest_is_pinned() {
-    let classes = vec![
-        TargetClass::Type1,
-        TargetClass::Type2,
-        TargetClass::S1,
-        TargetClass::S2,
-    ];
-    let spec = CampaignSpec::new(SolverSpec::Dedicated, classes, 2_000);
-    let report = spec.run_local(1, 1024);
+    let report = resweep_pool_spec().run_local(1, 1024);
     check(
         "resweep_pool seed 1",
         digest(&report, true),
@@ -153,4 +177,69 @@ fn big_clock_cow_walk_digest_is_pinned() {
         h.0,
         0x44b6_736d_3daf_7be2,
     );
+}
+
+#[test]
+fn cache_entry_bytes_are_pinned() {
+    let spec = resweep_pool_spec();
+    let range = 0..128;
+    let sink = std::sync::Arc::new(VecSink::new());
+    let acc = spec.run_range(1, range.clone(), sink.clone(), 1);
+    let records = sink.take_sorted();
+    let dir = std::env::temp_dir().join(format!("rv-record-digest-{}", std::process::id()));
+    let cache = ResultCache::open(&dir).expect("cache dir");
+    let key = cache
+        .store(&spec, 1, &range, &records, &acc)
+        .expect("store a full unit");
+    let bytes = std::fs::read(cache.entry_path(key)).expect("read the stored entry");
+    let _ = std::fs::remove_dir_all(&dir);
+    check(
+        "resweep_pool cache entry, seed 1, 0..128",
+        fnv(&bytes),
+        0xfdf6_6c8d_0e24_5a67,
+    );
+}
+
+#[test]
+fn accumulator_and_report_lines_are_pinned() {
+    let spec = sweep_aur_spec();
+    for (seed, want) in [
+        (1, 0xa1bd_00d8_4167_5038),
+        (2, 0xfd72_57ab_a9f5_f99a),
+        (3, 0xbe14_e1ba_f251_ac80),
+    ] {
+        let acc = spec.run_range(seed, 0..64, std::sync::Arc::new(VecSink::new()), 0);
+        let stats = acc.clone().finish();
+        let mut h = Fnv::new();
+        h.write(
+            encode_unit_done(&UnitDone {
+                task_id: 5,
+                start: 0,
+                acc: acc.clone(),
+            })
+            .as_bytes(),
+        );
+        h.write(encode_accumulator(&acc).as_bytes());
+        for cs in &stats.per_class {
+            h.write(encode_class_stats(cs).as_bytes());
+        }
+        h.write(encode_campaign_report(&stats).as_bytes());
+        check(&format!("sweep_aur seed {seed} lines"), h.0, want);
+    }
+}
+
+#[test]
+fn empty_accumulator_lines_are_pinned() {
+    let acc = StatsAccumulator::new();
+    let mut h = Fnv::new();
+    h.write(encode_accumulator(&acc).as_bytes());
+    h.write(
+        encode_unit_done(&UnitDone {
+            task_id: 0,
+            start: 9,
+            acc,
+        })
+        .as_bytes(),
+    );
+    check("empty accumulator lines", h.0, 0xac77_a531_fee3_0333);
 }
