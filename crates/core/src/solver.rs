@@ -53,8 +53,8 @@ use crate::aur::almost_universal_rv;
 use rv_baselines::{beeline, canonical_march};
 use rv_model::Instance;
 use rv_numeric::Ratio;
-use rv_sim::{simulate, simulate_motions, SimReport};
-use rv_trajectory::{Instr, Motion};
+use rv_sim::{simulate, simulate_programs, SimReport};
+use rv_trajectory::Instr;
 use std::sync::Arc;
 
 /// A rendezvous-solving strategy: maps one instance (under a budget) to a
@@ -139,9 +139,11 @@ impl Solver for Aur {
         // regenerating it — the instruction stream is identical — and
         // borrow each cached instruction rather than clone it.
         let program = crate::aur::compiled_aur();
-        simulate_motions(
-            Motion::new(inst.agent_a(), program.iter()),
-            Motion::new(inst.agent_b(), program.iter()),
+        simulate_programs(
+            inst.agent_a(),
+            program.iter(),
+            inst.agent_b(),
+            program.iter(),
             &cfg,
         )
     }

@@ -13,7 +13,9 @@
 //!
 //! Agent B runs in a rotated, mirrored frame (`φ = 3π/8`, `χ = −1`), so
 //! the misses of B's direction table run the general `φ − θ` transform
-//! under the counter, not only agent A's identity fast path.
+//! under the counter, not only agent A's identity fast path. It runs
+//! twice: with `τ = 2`, and with `τ = 5/3`, whose run the engine counts
+//! in units of `1/5` (its scaled time path).
 //!
 //! The compiled AUR cache is warmed to the deeper run's depth first —
 //! cache *extension* allocates by design (that is the once-per-process
@@ -33,7 +35,7 @@ use rv_core::wire::{self, Line};
 use rv_core::{Aur, Budget, ResultCache, RunRecord, Solver, VecSink};
 use rv_geometry::{Angle, Chirality};
 use rv_model::{Classification, Instance, TargetClass};
-use rv_numeric::ratio;
+use rv_numeric::{ratio, Ratio};
 use rv_sim::{BudgetReason, Outcome};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -86,12 +88,19 @@ fn counted<T>(f: impl FnOnce() -> T) -> (u64, T) {
 
 #[test]
 fn steady_state_event_loop_allocates_nothing() {
+    for tau in [ratio(2, 1), ratio(5, 3)] {
+        assert_event_loop_allocates_nothing(tau);
+    }
+}
+
+/// The allocation comparison for agent B with clock rate `tau`.
+fn assert_event_loop_allocates_nothing(tau: Ratio) {
     // Far-apart agents: AUR cannot meet this early, so both runs exhaust
     // exactly their segment budget and the step counts differ by 10k.
     let inst = Instance::builder()
         .position(ratio(5_000, 1), ratio(1, 2))
         .r(ratio(1, 2))
-        .tau(ratio(2, 1))
+        .tau(tau)
         .phi(Angle::pi_frac(3, 8))
         .chirality(Chirality::Minus)
         .build()
@@ -125,8 +134,9 @@ fn steady_state_event_loop_allocates_nothing() {
 
     assert_eq!(
         shallow_allocs, deep_allocs,
-        "10k extra steps changed the allocation count: the per-step loop \
-         is no longer allocation-free"
+        "τ = {}: 10k extra steps changed the allocation count: the \
+         per-step loop is no longer allocation-free",
+        inst.tau
     );
 }
 

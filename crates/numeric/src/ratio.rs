@@ -27,16 +27,27 @@
 //! # Projections to `f64`
 //!
 //! The engine projects exact offsets (`cur − start`, `end − cur`) to
-//! `f64` on every interval. [`Ratio::sub_to_f64`] fuses the subtraction
-//! and the projection, bit-identical to `(a − b).to_f64()`:
+//! `f64` on every interval, in clock units of `1/σ` for an integer time
+//! scale `σ ≥ 1`. [`Ratio::sub_div_to_f64`] fuses the subtraction, the
+//! unscaling and the projection, bit-identical to
+//! `((a − b)/σ).to_f64()`:
 //! - **Dyadic operands** are aligned by the same checked shift as the add
-//!   kernel, subtracted with checked arithmetic, and scaled:
-//!   `(n as f64)·2^−e`. Rounding commutes with a power-of-two scale and
-//!   the result stays normal for `e ≤ 126`, so this is the rounding of
-//!   the exact difference, which is what the canonical `Ratio` projects
-//!   to. No `Ratio` is built.
-//! - **Anything else** (a non-dyadic or `Big` operand, or an i128
-//!   overflow) builds the difference and projects it.
+//!   kernel and subtracted with checked arithmetic, giving the exact
+//!   difference `N·2^−e`. Then:
+//!   - for `σ = 1` it returns `(N as f64)·2^−e`. Rounding commutes with a
+//!     power-of-two scale and the result stays normal for `e ≤ 126`, so
+//!     this is the rounding of the exact difference, which is what the
+//!     canonical `Ratio` projects to;
+//!   - for `σ > 1` and `|N| ≤ 2^53` it returns `(N as f64)·2^−e / σ`.
+//!     Both operands of the division are exact doubles, so it rounds the
+//!     exact quotient once. The canonical quotient `n/d` has `|n| ≤ |N|`
+//!     and `d = 2^k·(odd part of σ)`, both exact doubles, so its
+//!     projection rounds the same exact value. A wider `N` would round
+//!     twice, so it falls back.
+//!
+//!   No `Ratio` is built.
+//! - **Anything else** (a non-dyadic or `Big` operand, an i128 overflow,
+//!   or the wide `N` above) builds the quotient and projects it.
 //!
 //! [`Ratio::to_f64`] of an all-inline ratio divides the two components'
 //! nearest doubles, as the `Int` path does, converting through `i64`
@@ -333,16 +344,22 @@ impl Ratio {
         scale_by_pow2(ntop / dtop, ns as i64 - ds as i64)
     }
 
-    /// `(self − other).to_f64()`, bit for bit, without building the
-    /// difference when both operands are inline dyadics (see the module
-    /// docs).
-    pub fn sub_to_f64(&self, other: &Ratio) -> f64 {
+    /// `((self − other)/sigma).to_f64()`, bit for bit, without building
+    /// the quotient when both operands are inline dyadics whose aligned
+    /// difference fits in 53 bits, or `sigma == 1` (see the module docs).
+    /// Panics if `sigma == 0`.
+    pub fn sub_div_to_f64(&self, other: &Ratio, sigma: u32) -> f64 {
+        assert!(sigma > 0, "time scale must be positive");
         if let Some(v) =
-            small_parts(self, other).and_then(|(a, b, c, d)| dyadic_sub_f64(a, b, c, d))
+            small_parts(self, other).and_then(|(a, b, c, d)| dyadic_sub_div_f64(a, b, c, d, sigma))
         {
             return v;
         }
-        (self - other).to_f64()
+        let diff = self - other;
+        if sigma == 1 {
+            return diff.to_f64();
+        }
+        (&diff / &Ratio::from_int(u64::from(sigma))).to_f64()
     }
 }
 
@@ -355,17 +372,22 @@ fn small_to_f64(v: i128) -> f64 {
     }
 }
 
-/// `a/b − c/d` projected to `f64` for power-of-two `b`, `d`, or `None`
-/// if either is not a power of two or the aligned difference leaves i128.
-fn dyadic_sub_f64(a: i128, b: i128, c: i128, d: i128) -> Option<f64> {
+/// `(a/b − c/d)/sigma` projected to `f64` for power-of-two `b`, `d`, or
+/// `None` if either is not a power of two, the aligned difference leaves
+/// i128, or `sigma > 1` and the difference is wider than 53 bits.
+fn dyadic_sub_div_f64(a: i128, b: i128, c: i128, d: i128, sigma: u32) -> Option<f64> {
     if !(is_pow2(b) && is_pow2(d)) {
         return None;
     }
     let (eb, ed) = (b.trailing_zeros(), d.trailing_zeros());
     let (x, y) = align_dyadic(a, eb, c, ed)?;
+    let n = x.checked_sub(y)?;
+    if sigma > 1 && n.unsigned_abs() > 1 << 53 {
+        return None;
+    }
     // 2^−e for e ≤ 126 is a normal double: biased exponent 1023 − e.
     let scale = f64::from_bits(u64::from(1023 - eb.max(ed)) << 52);
-    Some(small_to_f64(x.checked_sub(y)?) * scale)
+    Some(small_to_f64(n) * scale / f64::from(sigma))
 }
 
 /// `x · y` as a 256-bit `(hi, lo)` pair — exact products of unsigned

@@ -1,6 +1,7 @@
 //! Differential property tests for `Ratio`'s allocation-free paths:
 //! `cmp_ref`, `min_ref`, the two i128 kernels behind `+ − *` and
-//! `+= −= *=`, and the projections `to_f64` and `sub_to_f64`. Results
+//! `+= −= *=`, and the projections `to_f64` and `sub_div_to_f64` (the
+//! difference `a − b`, and the time-scaled one `(a − b)/σ`). Results
 //! must agree *exactly* (value and canonical form, or `f64` bits) on
 //! every operand mix: both inline (`i128`) components, dyadic `k/2^e`
 //! operands up to `e = 126`, numerators near ±2^127 and ±2^63, big
@@ -152,14 +153,14 @@ fn int_to_f64(x: &Ratio) -> Option<f64> {
         .then(|| x.numer().to_f64() / x.denom().to_f64())
 }
 
-/// `sub_to_f64` against the built difference, and `to_f64` against the
+/// `sub_div_to_f64(b, 1)` against the built difference, and `to_f64` against the
 /// `Int` projections, bit for bit.
 fn assert_projections(a: &Ratio, b: &Ratio) -> Result<(), TestCaseError> {
     let diff = a - b;
     prop_assert_eq!(
-        a.sub_to_f64(b).to_bits(),
+        a.sub_div_to_f64(b, 1).to_bits(),
         diff.to_f64().to_bits(),
-        "sub_to_f64({:?}, {:?})",
+        "sub_div_to_f64({:?}, {:?}, 1)",
         a,
         b
     );
@@ -169,6 +170,62 @@ fn assert_projections(a: &Ratio, b: &Ratio) -> Result<(), TestCaseError> {
         }
     }
     Ok(())
+}
+
+/// `sub_div_to_f64(σ)` against the built quotient `((a − b)/σ)` and
+/// against its `Int`-only projection, bit for bit.
+fn assert_scaled_projection(a: &Ratio, b: &Ratio, sigma: u32) -> Result<(), TestCaseError> {
+    let diff = a - b;
+    let quotient = Ratio::new(
+        diff.numer().clone(),
+        diff.denom() * &Int::from(u64::from(sigma)),
+    );
+    let got = a.sub_div_to_f64(b, sigma).to_bits();
+    prop_assert_eq!(
+        got,
+        (&diff / &Ratio::from_int(u64::from(sigma)))
+            .to_f64()
+            .to_bits(),
+        "sub_div_to_f64({:?}, {:?}, {})",
+        a,
+        b,
+        sigma
+    );
+    if let Some(want) = int_to_f64(&quotient) {
+        prop_assert_eq!(
+            got,
+            want.to_bits(),
+            "Int-only ({:?} − {:?})/{}",
+            a,
+            b,
+            sigma
+        );
+    }
+    Ok(())
+}
+
+/// Time scales: 1, small odd factors (the generator's clock rates), any
+/// odd scale up to 2^16, and arbitrary ones.
+fn sigma_strategy() -> impl Strategy<Value = u32> {
+    prop_oneof![
+        Just(1u32),
+        prop_oneof![Just(3u32), Just(5), Just(7), Just(9), Just(11), Just(3465)],
+        (0u32..1 << 15).prop_map(|k| 2 * k + 1),
+        1u32..=u32::MAX,
+    ]
+}
+
+/// Dyadic pairs whose aligned difference `N` lies within `2^55` of zero
+/// (the engine's within-segment offsets), so both sides of the `2^53`
+/// guard are hit.
+fn narrow_dyadic_pair() -> impl Strategy<Value = (Ratio, Ratio)> {
+    let exp = prop_oneof![0u64..=126, 30u64..=60];
+    (numer_strategy(), -(1i128 << 55)..1i128 << 55, exp).prop_map(|(n, k, e)| {
+        let n = n.clamp(i128::MIN + (1 << 56), i128::MAX - (1 << 56));
+        let b = Ratio::new(Int::from(n), Int::pow2(e));
+        let a = Ratio::new(Int::from(n + k), Int::pow2(e));
+        (a, b)
+    })
 }
 
 /// The definitional comparison via the allocating subtraction path:
@@ -267,6 +324,26 @@ proptest! {
     #[test]
     fn dyadic_projections_match_reference_bits(a in dyadic_strategy(), b in dyadic_strategy()) {
         assert_projections(&a, &b)?;
+    }
+
+    #[test]
+    fn scaled_projections_match_reference_bits(
+        a in kernel_strategy(),
+        b in kernel_strategy(),
+        sigma in sigma_strategy(),
+    ) {
+        assert_scaled_projection(&a, &b, sigma)?;
+        assert_scaled_projection(&b, &a, sigma)?;
+        assert_scaled_projection(&a, &a, sigma)?;
+    }
+
+    #[test]
+    fn narrow_scaled_projections_match_reference_bits(
+        (a, b) in narrow_dyadic_pair(),
+        sigma in sigma_strategy(),
+    ) {
+        assert_scaled_projection(&a, &b, sigma)?;
+        assert_scaled_projection(&b, &a, sigma)?;
     }
 }
 
@@ -378,7 +455,7 @@ fn projection_edges_match_reference_bits() {
     // The engine's equal operands: the difference is `+0.0`.
     for a in &operands {
         assert_eq!(
-            a.sub_to_f64(a).to_bits(),
+            a.sub_div_to_f64(a, 1).to_bits(),
             0.0f64.to_bits(),
             "{a:?} − itself"
         );
@@ -407,5 +484,74 @@ fn projection_edges_match_reference_bits() {
         if let Err(e) = assert_projections(a, b) {
             panic!("{a:?} − {b:?}: {e:?}");
         }
+    }
+}
+
+#[test]
+fn scaled_projection_edges_match_reference_bits() {
+    let dy = |n: i128, e: u64| Ratio::new(Int::from(n), Int::pow2(e));
+    let p53 = 1i128 << 53;
+    // Aligned differences on both sides of the 2^53 guard, where a
+    // double-rounding shortcut would first differ, and far past it.
+    let diffs = [
+        0,
+        1,
+        -1,
+        3,
+        p53 - 1,
+        p53,
+        p53 + 1,
+        p53 + 3,
+        -(p53 - 1),
+        -p53,
+        -(p53 + 1),
+        3 * p53 + 5,
+        i128::MAX,
+        i128::MIN + 1,
+    ];
+    let bases = [0i128, 1, -7, 1 << 60, -(1 << 70) + 1];
+    let mut sigmas: Vec<u32> = (0..1u32 << 15).map(|k| 2 * k + 1).collect();
+    sigmas.extend([2, 6, 12, 1 << 20, (1 << 31) - 1, u32::MAX]);
+    let others = [
+        Ratio::frac(1, 3),
+        Ratio::frac(-5, 7),
+        Ratio::new(Int::from(i128::MAX), Int::from(3)),
+        Ratio::new(Int::ONE, Int::pow2(200)),
+        Ratio::new(Int::ONE.shl(130), Int::ONE),
+        Ratio::new(-&Int::ONE.shl(140), Int::from(3)),
+    ];
+    let check = |a: &Ratio, b: &Ratio, sigma: u32| {
+        if let Err(e) = assert_scaled_projection(a, b, sigma) {
+            panic!("({a:?} − {b:?})/{sigma}: {e:?}");
+        }
+    };
+    for e in 0..=126u64 {
+        // Every exponent with a few scales; the full odd range below.
+        for &sigma in [1, 3, 5, 11, 3465, 65_535, u32::MAX].iter() {
+            for &base in &bases {
+                for &n in &diffs {
+                    let (Some(top), b) = (base.checked_add(n), dy(base, e)) else {
+                        continue;
+                    };
+                    check(&dy(top, e), &b, sigma);
+                    // Straddling exponents: `b` over a smaller power of two.
+                    check(&dy(top, e), &dy(base, e / 2), sigma);
+                }
+            }
+            for o in &others {
+                check(&dy(p53 + 1, e), o, sigma);
+                check(o, &dy(-3, e), sigma);
+            }
+        }
+    }
+    // Every odd scale up to 2^16, and a few even and huge ones, at the
+    // guard.
+    for &sigma in &sigmas {
+        for n in [p53 - 1, p53, p53 + 1] {
+            check(&dy(n, 40), &Ratio::zero(), sigma);
+        }
+    }
+    for (a, b) in others.iter().zip(others.iter().rev()) {
+        check(a, b, 3);
     }
 }

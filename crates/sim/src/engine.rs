@@ -13,12 +13,59 @@
 //! radii (Section 5 of the paper), the agent with the larger radius `r1`
 //! sees first and freezes; the simulation continues until the distance
 //! reaches the smaller radius `r2`, which is the rendezvous.
+//!
+//! # Time scale
+//!
+//! Each run counts time in units of `1/σ` for one integer `σ`: the lcm of
+//! the odd parts of the denominators of both agents' `τ` and wake time,
+//! or 1 if any of these is `Big` or the lcm exceeds `MAX_TIME_SCALE`.
+//! Both [`Motion`]s are built with [`Motion::scaled`], so every clock is
+//! dyadic (AUR's durations are) and stays on `Ratio`'s gcd-free kernels
+//! even when `τ` is not. `σ = 1` is the same loop. The contract:
+//! - **Exact order.** Scaling by `σ > 0` preserves the order of event
+//!   times; the time cap is scaled once, and the Section 5 freeze
+//!   happens at `cur + σ·s`.
+//! - **Same f64 bits.** Every offset is projected by
+//!   [`Ratio::sub_div_to_f64`], bit-identical to `((a − b)/σ).to_f64()`,
+//!   which is the unscaled offset's projection.
+//! - **Unscaled outputs.** The meeting's `base` is the exact `cur/σ`;
+//!   `min_dist_time` and trace times project `cur/σ`. No report byte
+//!   depends on `σ`.
 
 use crate::config::{BudgetReason, SimConfig};
 use crate::outcome::{Meeting, Outcome, SimReport, SimTime, TraceSample};
 use rv_geometry::{first_within, min_dist_on_interval, Vec2};
 use rv_numeric::Ratio;
 use rv_trajectory::{AgentAttrs, Instr, Motion, Segment};
+use std::borrow::Borrow;
+
+/// The largest time scale a run uses. Scaling adds at most 16 bits to
+/// the exact clocks; the generator's clock rates need at most 11.
+const MAX_TIME_SCALE: u32 = 1 << 16;
+
+/// The time scale `σ` of a run (see the module docs).
+fn time_scale(a: &AgentAttrs, b: &AgentAttrs) -> u32 {
+    let gcd = |mut x: u64, mut y: u64| {
+        while y != 0 {
+            (x, y) = (y, x % y);
+        }
+        x
+    };
+    let mut sigma = 1u64;
+    for r in [&a.tau, &a.wake, &b.tau, &b.wake] {
+        let (Some(_), Some(den)) = (r.numer().to_i128(), r.denom().to_i128()) else {
+            return 1;
+        };
+        let Ok(odd) = u64::try_from(den >> den.trailing_zeros()) else {
+            return 1;
+        };
+        sigma = sigma / gcd(sigma, odd) * odd;
+        if sigma > u64::from(MAX_TIME_SCALE) {
+            return 1;
+        }
+    }
+    sigma as u32
+}
 
 struct AgentState<M> {
     motion: M,
@@ -50,8 +97,9 @@ impl<M: Iterator<Item = Segment>> AgentState<M> {
             .expect("finite segments always have a successor");
     }
 
-    /// Position at exact time `cur` (must lie within the current segment).
-    fn pos_at(&self, cur: &Ratio) -> Vec2 {
+    /// Position at exact time `cur` (in units of `1/sigma`; must lie
+    /// within the current segment).
+    fn pos_at(&self, cur: &Ratio, sigma: u32) -> Vec2 {
         if self.seg.is_stationary() {
             // Idle segment: the offset is irrelevant; skip the exact
             // subtraction (which allocates once clocks go past i128).
@@ -63,7 +111,7 @@ impl<M: Iterator<Item = Segment>> AgentState<M> {
         let offset = if self.starts_now {
             0.0
         } else {
-            cur.sub_to_f64(&self.seg.start)
+            cur.sub_div_to_f64(&self.seg.start, sigma)
         };
         self.seg.pos_at_offset(offset)
     }
@@ -167,8 +215,7 @@ impl Tracer {
 
 /// Simulates the two agents until rendezvous or budget exhaustion.
 ///
-/// Compiles each program into its [`Motion`] and runs
-/// [`simulate_motions`].
+/// [`simulate_programs`] over owned instructions.
 pub fn simulate<PA, PB>(
     attrs_a: AgentAttrs,
     prog_a: PA,
@@ -180,30 +227,42 @@ where
     PA: Iterator<Item = Instr>,
     PB: Iterator<Item = Instr>,
 {
-    debug_assert!(attrs_a.validate().is_ok());
-    debug_assert!(attrs_b.validate().is_ok());
-    simulate_motions(
-        Motion::new(attrs_a, prog_a),
-        Motion::new(attrs_b, prog_b),
-        cfg,
-    )
+    simulate_programs(attrs_a, prog_a, attrs_b, prog_b, cfg)
 }
 
-/// Simulates two agents given as segment streams (each a [`Motion`], or
-/// anything yielding the same contiguous segments from time zero on)
-/// until rendezvous or budget exhaustion.
-pub fn simulate_motions<MA, MB>(motion_a: MA, motion_b: MB, cfg: &SimConfig) -> SimReport
+/// Simulates the two agents until rendezvous or budget exhaustion, each
+/// running a program of owned or borrowed instructions (`Instr`, `&Instr`,
+/// or the `Cow<Instr>` of a compiled program's replay). Picks the run's
+/// time scale and compiles each program into its scaled [`Motion`] (see
+/// the module docs).
+pub fn simulate_programs<PA, PB>(
+    attrs_a: AgentAttrs,
+    prog_a: PA,
+    attrs_b: AgentAttrs,
+    prog_b: PB,
+    cfg: &SimConfig,
+) -> SimReport
 where
-    MA: Iterator<Item = Segment>,
-    MB: Iterator<Item = Segment>,
+    PA: Iterator,
+    PA::Item: Borrow<Instr>,
+    PB: Iterator,
+    PB::Item: Borrow<Instr>,
 {
+    debug_assert!(attrs_a.validate().is_ok());
+    debug_assert!(attrs_b.validate().is_ok());
     assert!(
         cfg.radius_a.is_positive() && cfg.radius_b.is_positive(),
         "visibility radii must be positive"
     );
 
-    let mut a = AgentState::new(motion_a);
-    let mut b = AgentState::new(motion_b);
+    let sigma = time_scale(&attrs_a, &attrs_b);
+    let scale = Ratio::from_int(u64::from(sigma));
+    // Projects a (scaled) time to absolute f64 seconds.
+    let zero = Ratio::zero();
+    let unscaled_f64 = |t: &Ratio| t.sub_div_to_f64(&zero, sigma);
+    let max_time = cfg.max_time.as_ref().map(|t| t * &scale);
+    let mut a = AgentState::new(Motion::scaled(attrs_a, prog_a, sigma));
+    let mut b = AgentState::new(Motion::scaled(attrs_b, prog_b, sigma));
     let mut segments: u64 = 2;
 
     let r_small = cfg.radius_small();
@@ -234,7 +293,7 @@ where
 
     loop {
         // --- Time budget check at the interval boundary. ---
-        if let Some(mt) = &cfg.max_time {
+        if let Some(mt) = &max_time {
             if &cur >= mt {
                 return report(
                     Outcome::Budget(BudgetReason::Time),
@@ -271,7 +330,7 @@ where
             b.seg.end.as_ref()
         };
         let mut time_capped = false;
-        let bound: Option<&Ratio> = match (&cfg.max_time, seg_bound) {
+        let bound: Option<&Ratio> = match (&max_time, seg_bound) {
             (Some(mt), Some(be)) if be <= mt => Some(be),
             (Some(mt), _) => {
                 time_capped = true;
@@ -281,17 +340,17 @@ where
         };
 
         // --- Geometry of the interval. ---
-        let pa = a.pos_at(&cur);
-        let pb = b.pos_at(&cur);
+        let pa = a.pos_at(&cur, sigma);
+        let pb = b.pos_at(&cur, sigma);
         let rel0 = pb - pa;
         let rel_vel = b.seg.vel - a.seg.vel;
         let dt = match bound {
             None => f64::INFINITY,
-            Some(be) => be.sub_to_f64(&cur),
+            Some(be) => be.sub_div_to_f64(&cur, sigma),
         };
         // Campaign runs trace nothing: skip the exact-to-f64 projection.
         if tracer.cap > 0 {
-            tracer.record(cur.to_f64(), pa, pb);
+            tracer.record(unscaled_f64(&cur), pa, pb);
         }
 
         // --- Threshold detection. ---
@@ -306,13 +365,12 @@ where
             let d = hit_a.dist(hit_b);
             if d < min_dist {
                 min_dist = d;
-                min_dist_time = cur.to_f64() + s;
+                min_dist_time = unscaled_f64(&cur) + s;
             }
             if !big_pending {
                 let time = SimTime {
-                    // rv-lint: allow(hot) — rendezvous exit: runs once per
-                    // simulation, at the meeting.
-                    base: cur.clone(),
+                    // Rendezvous exit: runs once per simulation.
+                    base: &cur / &scale,
                     offset: s,
                 };
                 tracer.record_final(time.to_f64(), hit_a, hit_b);
@@ -330,7 +388,8 @@ where
                 );
             }
             // Section 5: the far-sighted agent sees first and freezes.
-            let t_hit = &cur + &Ratio::from_f64_exact(s).unwrap_or_else(Ratio::zero);
+            let s_exact = Ratio::from_f64_exact(s).unwrap_or_else(Ratio::zero);
+            let t_hit = &cur + &(&scale * &s_exact);
             if cfg.radius_a >= cfg.radius_b {
                 // rv-lint: allow(hot) — asymmetric freeze fires at most once
                 // per run (big_pending is cleared right below).
@@ -350,7 +409,7 @@ where
         let m = min_dist_on_interval(rel0, rel_vel, dt);
         if m.min_dist < min_dist {
             min_dist = m.min_dist;
-            min_dist_time = cur.to_f64() + m.argmin;
+            min_dist_time = unscaled_f64(&cur) + m.argmin;
             // Improvements are exactly the points figure F9 needs; record
             // them (capped like all samples).
             tracer.record(

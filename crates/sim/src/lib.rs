@@ -16,5 +16,5 @@ mod engine;
 mod outcome;
 
 pub use config::{BudgetReason, SimConfig};
-pub use engine::{simulate, simulate_motions};
+pub use engine::{simulate, simulate_programs};
 pub use outcome::{Meeting, Outcome, SimReport, SimTime, TraceSample};

@@ -10,6 +10,17 @@
 //! Event times are exact rationals; positions are `f64` accumulated per
 //! segment (cardinal directions contribute exact displacements).
 //!
+//! # Time scale
+//!
+//! A [`Motion`] built by [`Motion::scaled`] with an integer time scale
+//! `σ ≥ 1` keeps its exact clock in units of `1/σ`: it starts at
+//! `wake·σ` and each instruction advances it by `d·(τσ)`. Every segment
+//! `start`/`end` is then exactly `σ` times the one [`Motion::new`]
+//! (`σ = 1`) yields; `from` and `vel` do not depend on `σ`. A simulator
+//! that picks `σ` as the lcm of the odd parts of its agents' clock-rate
+//! and wake denominators keeps every clock dyadic, on `Ratio`'s gcd-free
+//! kernels, even when `τ` is not.
+//!
 //! # Direction table
 //!
 //! Programs draw their directions from a small alphabet: Algorithm 1 only
@@ -172,15 +183,18 @@ impl DirTable {
 /// `Cow<Instr>` of [`CompiledProgram::iter`](crate::CompiledProgram::iter).
 pub struct Motion<P> {
     program: P,
-    attrs: AgentAttrs,
     orientation: Orientation,
     dirs: DirTable,
     unit_len_f64: f64,
     speed_f64: f64,
-    /// True when `attrs.tau == 1`, letting local durations pass through
-    /// without a rational multiply (a gcd-free dyadic kernel call when τ
-    /// is a power of two, a cross-reduced gcd multiply otherwise).
-    tau_is_one: bool,
+    /// Clock units per local time unit: `τσ`.
+    rate: Ratio,
+    /// True when `rate == 1` (`τ = 1/σ`), letting local durations pass
+    /// through without a rational multiply (otherwise a gcd-free dyadic
+    /// kernel call when `τσ` is dyadic, a cross-reduced gcd multiply when
+    /// it is not).
+    rate_is_one: bool,
+    /// The exact clock, in units of `1/σ`.
     clock: Ratio,
     pos: Vec2,
     /// Set once the final infinite segment has been emitted.
@@ -194,25 +208,28 @@ where
     P: Iterator,
     P::Item: Borrow<Instr>,
 {
-    /// Builds the motion of `attrs` executing `program`.
+    /// Builds the motion of `attrs` executing `program`, in absolute time
+    /// (`Motion::scaled(attrs, program, 1)`).
     pub fn new(attrs: AgentAttrs, program: P) -> Motion<P> {
-        let orientation = attrs.orientation();
-        let unit_len_f64 = attrs.unit_len().to_f64();
-        let speed_f64 = attrs.speed.to_f64();
-        let tau_is_one = attrs.tau == Ratio::one();
-        // rv-lint: allow(hot) — once per Motion construction.
-        let clock = attrs.wake.clone();
-        let pos = attrs.origin;
+        Motion::scaled(attrs, program, 1)
+    }
+
+    /// Builds the motion of `attrs` executing `program`, with its clock in
+    /// units of `1/sigma` (see the module docs). Panics if `sigma == 0`.
+    pub fn scaled(attrs: AgentAttrs, program: P, sigma: u32) -> Motion<P> {
+        assert!(sigma > 0, "time scale must be positive");
+        let sigma = Ratio::from_int(u64::from(sigma));
+        let rate = &attrs.tau * &sigma;
         Motion {
             program,
-            attrs,
-            orientation,
+            orientation: attrs.orientation(),
             dirs: DirTable::new(),
-            unit_len_f64,
-            speed_f64,
-            tau_is_one,
-            clock,
-            pos,
+            unit_len_f64: attrs.unit_len().to_f64(),
+            speed_f64: attrs.speed.to_f64(),
+            rate_is_one: rate.is_one(),
+            rate,
+            clock: &attrs.wake * &sigma,
+            pos: attrs.origin,
             halted: false,
             emitted_wake: false,
         }
@@ -223,7 +240,7 @@ where
         self.pos
     }
 
-    /// Current absolute clock (start of the next segment).
+    /// Current clock, in units of `1/σ` (start of the next segment).
     pub fn clock(&self) -> &Ratio {
         &self.clock
     }
@@ -242,12 +259,13 @@ where
         }
         if !self.emitted_wake {
             self.emitted_wake = true;
-            if self.attrs.wake.is_positive() {
+            // The clock still reads the (scaled) wake time.
+            if self.clock.is_positive() {
                 return Some(Segment {
                     start: Ratio::zero(),
                     // rv-lint: allow(hot) — wake segment, once per run.
-                    end: Some(self.attrs.wake.clone()),
-                    from: self.attrs.origin,
+                    end: Some(self.clock.clone()),
+                    from: self.pos,
                     vel: Vec2::ZERO,
                 });
             }
@@ -267,10 +285,10 @@ where
             match item.borrow() {
                 instr if instr.is_empty() => continue,
                 Instr::Wait { dur } => {
-                    let end = if self.tau_is_one {
+                    let end = if self.rate_is_one {
                         &self.clock + dur
                     } else {
-                        &self.clock + &(dur * &self.attrs.tau)
+                        &self.clock + &(dur * &self.rate)
                     };
                     let start = std::mem::replace(&mut self.clock, end);
                     return Some(Segment {
@@ -286,10 +304,10 @@ where
                 Instr::Go { dir, dist } => {
                     let unit = self.dirs.unit(&self.orientation, dir);
                     let abs_len = dist.to_f64() * self.unit_len_f64;
-                    let end = if self.tau_is_one {
+                    let end = if self.rate_is_one {
                         &self.clock + dist
                     } else {
-                        &self.clock + &(dist * &self.attrs.tau)
+                        &self.clock + &(dist * &self.rate)
                     };
                     let from = self.pos;
                     let start = std::mem::replace(&mut self.clock, end);

@@ -17,6 +17,13 @@
 //!
 //! Each agent is stepped for the spec's whole segment budget, more than
 //! the engine pulls from either agent in one run.
+//!
+//! A second differential checks the time scale the engine runs in: on
+//! every `sweep_aur` instance whose clock rate τ is not dyadic,
+//! `Motion::scaled(attrs, program, σ)` (σ the odd part of the τ and wake
+//! denominators' lcm, as the engine picks it) must yield segments whose
+//! `start`/`end` are exactly `σ` times those of `Motion::new`, with
+//! bit-identical `from` and `vel`.
 
 use rv_baselines::{beeline, canonical_march};
 use rv_core::batch::mix_seed;
@@ -26,6 +33,7 @@ use rv_model::{generate_seeded, TargetClass};
 use rv_numeric::{ratio, Ratio};
 use rv_trajectory::{AgentAttrs, Instr, Motion, Segment, DIR_SLOTS};
 use std::borrow::Borrow;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// The per-`go` stepper `Motion` replaced: the same kinematics with the
 /// direction mapped through the frame on every `go`.
@@ -215,6 +223,52 @@ fn sweep_aur_spec_steps_identically() {
             );
         }
     });
+}
+
+/// The odd part of `r`'s denominator (which fits: the generator's are at
+/// most 12).
+fn odd_denominator(r: &Ratio) -> u32 {
+    let d = r.denom().to_i128().expect("small denominator");
+    u32::try_from(d >> d.trailing_zeros()).expect("small denominator")
+}
+
+fn gcd(mut x: u32, mut y: u32) -> u32 {
+    while y != 0 {
+        (x, y) = (y, x % y);
+    }
+    x
+}
+
+#[test]
+fn sweep_aur_non_dyadic_tau_steps_scale_exactly() {
+    let spec = CampaignSpec::new(SolverSpec::Aur, AUR_CLASSES.to_vec(), 20_000);
+    let segments = spec.segments as usize;
+    let scaled_runs = AtomicUsize::new(0);
+    each_spec_instance(&spec, |label, inst| {
+        let odd_tau = odd_denominator(&inst.tau);
+        if odd_tau == 1 {
+            return;
+        }
+        let odd_wake = odd_denominator(&inst.t);
+        let sigma = odd_tau / gcd(odd_tau, odd_wake) * odd_wake;
+        let factor = Ratio::from_int(u64::from(sigma));
+        let times = |t: &Ratio| t * &factor;
+        for (agent, attrs) in [("A", inst.agent_a()), ("B", inst.agent_b())] {
+            let scaled = Motion::scaled(attrs.clone(), compiled_aur().iter(), sigma);
+            let unit = Motion::new(attrs, compiled_aur().iter());
+            for (k, (s, u)) in scaled.zip(unit).take(segments).enumerate() {
+                assert!(
+                    s.start == times(&u.start)
+                        && s.end == u.end.as_ref().map(times)
+                        && same_bits(s.from, u.from)
+                        && same_bits(s.vel, u.vel),
+                    "{label} {agent} σ={sigma}: segment {k} differs\n  scaled: {s:?}\n  σ = 1:  {u:?}"
+                );
+            }
+        }
+        scaled_runs.fetch_add(1, Ordering::Relaxed);
+    });
+    assert!(scaled_runs.into_inner() > 0, "no non-dyadic τ instance");
 }
 
 #[test]

@@ -16,6 +16,12 @@
 //! - the records of the first 16 type-3 instances from `mix_seed(3, i)`
 //!   whose clock rate τ is not dyadic, run through `sweep_aur`'s
 //!   campaign;
+//! - on those 16 instances, the full `SimReport` (the meeting's exact
+//!   `base` and the f64 bits of its `offset`, `min_dist`, `min_dist_time`
+//!   and every `TraceSample`) of three engine paths that no campaign
+//!   record reaches: a non-dyadic time cap (`Budget::time`), the
+//!   Section 5 freeze (AUR under `Visibility::Scaled` radii, both ways
+//!   round) and the distance tracer;
 //! - the records of the first 8 type-3 instances from `mix_seed(3, i)`
 //!   running `wait(2^140)` then `planar_cow_walk(3)`, so every clock and
 //!   every offset the engine projects lies outside `i128` (AUR's first
@@ -42,11 +48,13 @@ use rv_core::wire::{
     encode_accumulator, encode_campaign_report, encode_class_stats, encode_record, encode_unit_done,
 };
 use rv_core::{
-    planar_cow_walk, solve_pair, CampaignReport, CampaignSpec, Instance, ResultCache, RunRecord,
-    SolverSpec, StatsAccumulator, VecSink,
+    almost_universal_rv, planar_cow_walk, solve_pair, Aur, Budget, CampaignReport, CampaignSpec,
+    FixedPair, Instance, Outcome, ResultCache, RunRecord, SimReport, Solver, SolverSpec,
+    StatsAccumulator, VecSink, Visibility,
 };
+use rv_geometry::Vec2;
 use rv_model::{generate_seeded, TargetClass};
-use rv_numeric::Ratio;
+use rv_numeric::{ratio, Ratio};
 use rv_trajectory::Instr;
 
 /// Incremental 64-bit FNV-1a.
@@ -142,9 +150,10 @@ fn resweep_pool_spec_digest_is_pinned() {
     );
 }
 
-#[test]
-fn non_dyadic_tau_type3_digest_is_pinned() {
-    let insts: Vec<Instance> = (0..)
+/// The first 16 type-3 instances from `mix_seed(3, i)` whose clock rate
+/// τ is not dyadic.
+fn non_dyadic_type3() -> Vec<Instance> {
+    (0..)
         .map(|i| generate_seeded(mix_seed(3, i), TargetClass::Type3))
         .filter(|inst| {
             inst.tau
@@ -153,12 +162,106 @@ fn non_dyadic_tau_type3_digest_is_pinned() {
                 .is_none_or(|d| d.count_ones() != 1)
         })
         .take(16)
-        .collect();
+        .collect()
+}
+
+#[test]
+fn non_dyadic_tau_type3_digest_is_pinned() {
+    let insts = non_dyadic_type3();
     let report = sweep_aur_spec().campaign().run(&insts);
     check(
         "type-3 non-dyadic τ",
         digest(&report, false),
         0xa970_4ca0_9a14_a190,
+    );
+}
+
+fn write_f64(h: &mut Fnv, v: f64) {
+    h.write(&v.to_bits().to_le_bytes());
+}
+
+fn write_vec2(h: &mut Fnv, v: Vec2) {
+    write_f64(h, v.x);
+    write_f64(h, v.y);
+}
+
+/// Feeds `report` to `h`: the outcome, with a meeting's exact `base`
+/// (as text) and the bits of its `offset`, positions and distance; the
+/// bits of `min_dist` and `min_dist_time`; the segment count; and every
+/// trace sample.
+fn write_report(h: &mut Fnv, report: &SimReport) {
+    match &report.outcome {
+        Outcome::Met(m) => {
+            h.write(format!("met {}", m.time.base).as_bytes());
+            write_f64(h, m.time.offset);
+            write_vec2(h, m.pos_a);
+            write_vec2(h, m.pos_b);
+            write_f64(h, m.dist);
+        }
+        Outcome::Budget(reason) => h.write(format!("{reason:?}").as_bytes()),
+    }
+    write_f64(h, report.min_dist);
+    write_f64(h, report.min_dist_time);
+    h.write(&report.segments.to_le_bytes());
+    for s in &report.trace {
+        write_f64(h, s.time);
+        write_vec2(h, s.pos_a);
+        write_vec2(h, s.pos_b);
+        write_f64(h, s.dist);
+    }
+}
+
+/// Digest of `solver`'s reports on the non-dyadic-τ type-3 instances,
+/// under each budget in turn.
+fn engine_digest(solver: &dyn Solver, budgets: &[Budget]) -> u64 {
+    let mut h = Fnv::new();
+    for inst in non_dyadic_type3() {
+        for budget in budgets {
+            write_report(&mut h, &solver.solve(&inst, budget));
+        }
+    }
+    h.0
+}
+
+#[test]
+fn non_dyadic_tau_time_cap_digest_is_pinned() {
+    // Non-dyadic caps, one below most meeting times and one above.
+    let budget = sweep_aur_spec().budget();
+    let caps = [ratio(100, 3), ratio(3001, 7)];
+    let budgets: Vec<Budget> = caps
+        .iter()
+        .map(|t| budget.clone().time(t.clone()))
+        .collect();
+    check(
+        "type-3 non-dyadic τ, time cap",
+        engine_digest(&Aur, &budgets),
+        0x4167_e380_8540_135a,
+    );
+}
+
+#[test]
+fn non_dyadic_tau_freeze_digest_is_pinned() {
+    let budget = sweep_aur_spec().budget().trace(16);
+    let mut h = Fnv::new();
+    for (a, b) in [(ratio(3, 1), ratio(1, 1)), (ratio(1, 2), ratio(5, 2))] {
+        let solver = FixedPair::symmetric("aur", |_| almost_universal_rv())
+            .visibility(Visibility::Scaled { a, b });
+        h.write(&engine_digest(&solver, std::slice::from_ref(&budget)).to_le_bytes());
+    }
+    check(
+        "type-3 non-dyadic τ, Section 5 freeze",
+        h.0,
+        0x03e4_fb69_6428_0cf0,
+    );
+}
+
+#[test]
+fn non_dyadic_tau_trace_digest_is_pinned() {
+    let budget = sweep_aur_spec().budget().trace(64);
+    check(
+        "type-3 non-dyadic τ, trace",
+        engine_digest(&Aur, &[budget]),
+        0x69b2_6290_8e80_1b40,
     );
 }
 
