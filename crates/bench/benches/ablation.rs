@@ -1,4 +1,4 @@
-//! B6 — ablations of the design choices called out in DESIGN.md §6:
+//! B6 — ablations of two design choices:
 //! exact rational scheduling vs f64 scheduling, and lazy vs materialized
 //! program streams.
 

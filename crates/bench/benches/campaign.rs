@@ -1,45 +1,20 @@
-//! B7 — the batch-campaign engine: parallel-map overhead and end-to-end
-//! campaign throughput (the primitive every sweep and future sharding PR
-//! sits on).
+//! B7 — the per-layer hot path and the campaign engine's building
+//! blocks: the `hotpath/` rows `bench-guard` watches, parallel-map
+//! overhead, and the shard gather codec. End-to-end campaign throughput
+//! is `rvbench`'s job (`BENCHMARK.json`), not this suite's.
 //!
 //! Unlike the other suites this one has a hand-written `main`: after the
 //! criterion groups run it exports `target/BENCH_campaign.json` (median /
-//! mean / min ns per iteration for every benchmark), so the perf
-//! trajectory of the campaign hot path is machine-readable across PRs.
-//! Override the output path with the `BENCH_CAMPAIGN_OUT` environment
-//! variable.
+//! mean / min ns per iteration for every benchmark, plus the fingerprint
+//! of the machine that measured them).
 
 use criterion::{black_box, Criterion};
-use rv_core::batch::{mix_seed, Campaign, RunRecord};
-use rv_core::cache::{CacheKey, ResultCache};
-use rv_core::exec::{worker_command, Executor, LocalExecutor, PoolExecutor, WorkerCommand};
-use rv_core::shard::{CampaignSpec, SolverSpec};
-use rv_core::{
-    almost_universal_rv, json, par_map, wire, Aur, Budget, Dedicated, FixedPair, Solver,
-    StatsAccumulator,
-};
-use rv_model::{Classification, Instance, TargetClass};
+use rv_core::batch::{mix_seed, RunRecord};
+use rv_core::{compiled_aur, json, par_map, wire, Aur, Budget, Solver, StatsAccumulator};
+use rv_model::{generate_seeded, Classification, Instance, TargetClass};
 use rv_numeric::{ratio, Int, Ratio};
+use rv_sim::{BudgetReason, Outcome};
 use rv_trajectory::Motion;
-use std::path::PathBuf;
-use std::sync::Arc;
-
-/// A small type-3 pool (clock mismatch ⇒ AUR meets within a few phases).
-fn instances(n: usize) -> Vec<Instance> {
-    (0..n)
-        .map(|k| {
-            Instance::builder()
-                .position(
-                    &ratio(2, 1) + &(&ratio(1, 4) * &Ratio::from_int((k % 16) as i64)),
-                    ratio(1, 2),
-                )
-                .r(ratio(2, 1))
-                .tau(ratio(2, 1))
-                .build()
-                .unwrap()
-        })
-        .collect()
-}
 
 fn bench_par_map(c: &mut Criterion) {
     let mut g = c.benchmark_group("par_map");
@@ -67,41 +42,12 @@ fn bench_par_map(c: &mut Criterion) {
     g.finish();
 }
 
-fn bench_campaign(c: &mut Criterion) {
-    let mut g = c.benchmark_group("campaign");
-    g.sample_size(10);
-    let pool = instances(64);
-    let budget = Budget::default().segments(50_000);
-    g.bench_function("aur_64x50k_auto", |b| {
-        let campaign = Campaign::aur(budget.clone());
-        b.iter(|| black_box(campaign.run(&pool)).stats.met)
-    });
-    g.bench_function("aur_64x50k_1thread", |b| {
-        let campaign = Campaign::aur(budget.clone()).threads(1);
-        b.iter(|| black_box(campaign.run(&pool)).stats.met)
-    });
-    g.bench_function("dedicated_64x50k_auto", |b| {
-        let campaign = Campaign::new(Dedicated, budget.clone());
-        b.iter(|| black_box(campaign.run(&pool)).stats.met)
-    });
-    // Dyn-dispatch sanity: a FixedPair solver through the same engine
-    // (the Arc<dyn Solver> indirection must stay noise-level against the
-    // simulation cost).
-    g.bench_function("stay_put_64_auto", |b| {
-        let campaign = Campaign::new(
-            FixedPair::symmetric("stay-put", |_| std::iter::empty()),
-            budget.clone(),
-        );
-        b.iter(|| black_box(campaign.run(&pool)).stats.n)
-    });
-    g.finish();
-}
-
 /// Per-layer micro-rows for the solver hot path: the exact-rational
 /// primitives (`Ratio` add/mul/cmp, `Int` gcd), the kinematic compiler
-/// stepping the real AUR program, one full engine run at campaign budget,
-/// and the accumulator fold. Together they show *where* the milliseconds
-/// of a `campaign/*` row live, so a perf PR can prove which layer moved.
+/// stepping the compiled AUR program, whole engine runs that exhaust
+/// their budget, and the accumulator fold. Together they show *where* the
+/// time of an AUR campaign lives, so a perf PR can prove which layer
+/// moved.
 fn bench_hotpath(c: &mut Criterion) {
     let mut g = c.benchmark_group("hotpath");
 
@@ -177,13 +123,19 @@ fn bench_hotpath(c: &mut Criterion) {
         })
     });
 
-    // The kinematic compiler on the real strategy: step agent B's motion
-    // through the first 4096 segments of `AlmostUniversalRV`.
-    let inst = instances(1).remove(0);
+    // The kinematic compiler on what `Aur::solve` steps: agent B of a
+    // τ = 2 instance (so σ = 1) replaying the first 4096 segments of the
+    // shared compiled `AlmostUniversalRV` program.
+    let inst = Instance::builder()
+        .position(ratio(2, 1), ratio(1, 2))
+        .r(ratio(2, 1))
+        .tau(ratio(2, 1))
+        .build()
+        .expect("valid type-3 instance");
     g.bench_function("kinematics_4k", |b| {
         let attrs = inst.agent_b();
         b.iter(|| {
-            let mut m = Motion::new(attrs.clone(), almost_universal_rv());
+            let mut m = Motion::new(attrs.clone(), compiled_aur().iter());
             let mut x = 0.0;
             for _ in 0..4096 {
                 x = m.next().map_or(x, |s| s.from.x);
@@ -192,12 +144,24 @@ fn bench_hotpath(c: &mut Criterion) {
         })
     });
 
-    // One full engine run at the campaign budget — the unit of work every
-    // `campaign/*`, executor, and serve row multiplies.
-    let budget = Budget::default().segments(50_000);
-    g.bench_function("sim_engine_50k", |b| {
-        b.iter(|| black_box(Aur.solve(&inst, &budget)).segments)
-    });
+    // Whole AUR runs that exhaust their budget, on the first instance of
+    // `t1`'s infeasible-shift family (Theorem 3.1: it never meets). At
+    // 20k segments (`sweep_aur`'s budget) every clock fits in i128; at
+    // 200k (`t1`'s failure budget) the clocks leave i128 after about 46k
+    // segments.
+    let class = TargetClass::InfeasibleShift;
+    let infeasible = generate_seeded(mix_seed(0x71_0000 + class.expected() as u64, 0), class);
+    for segments in [20_000u64, 200_000] {
+        let budget = Budget::default().segments(segments);
+        let report = Aur.solve(&infeasible, &budget);
+        assert!(
+            matches!(report.outcome, Outcome::Budget(BudgetReason::Segments)),
+            "the {segments}-segment row must exhaust its segment budget"
+        );
+        g.bench_function(format!("aur_exhaust_{}k", segments / 1000), |b| {
+            b.iter(|| black_box(Aur.solve(&infeasible, &budget)).segments)
+        });
+    }
 
     // The accumulator fold: push 4096 synthetic records and finish.
     let records: Vec<RunRecord> = (0..4096u64)
@@ -269,135 +233,35 @@ fn bench_shard_gather(c: &mut Criterion) {
     g.finish();
 }
 
-/// The content-addressed result cache head to head with itself: the cold
-/// path (lookup miss + full local run + write-through store) against the
-/// warm path (decode + validate + replay, no simulation at all). Both use
-/// `LocalExecutor::cache`, so the rows never need a worker
-/// binary and the warm/cold ratio the bench guard watches is exactly the
-/// replay speedup the cache exists for.
-fn bench_cache(c: &mut Criterion) {
-    let mut g = c.benchmark_group("cache");
-    g.sample_size(10);
-    let spec = CampaignSpec::new(
-        SolverSpec::Dedicated,
-        vec![TargetClass::Type3, TargetClass::S1],
-        20_000,
-    );
-    let (seed, n) = (0xB7, 64);
-    let dir = std::env::temp_dir().join(format!("rv-bench-cache-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    let cache = Arc::new(ResultCache::open(&dir).expect("bench cache dir"));
-    let entry = cache.entry_path(CacheKey::derive(&spec, seed, &(0..n)));
-    let exec = LocalExecutor::new().cache(Arc::clone(&cache));
-
-    // Cold: evict the entry each iteration so every sample pays the
-    // miss, the simulation, and the atomic write-through publish.
-    g.bench_function("cold_64x20k", |b| {
-        b.iter(|| {
-            let _ = std::fs::remove_file(&entry);
-            black_box(exec.execute(&spec, seed, n, None).expect("cold"))
-                .stats
-                .met
+/// The shape of the machine that measured: available parallelism, CPU
+/// model and `rustc -V`. `bench-guard` compares raw medians only between
+/// artifacts with equal fingerprints.
+fn machine_fingerprint() -> String {
+    let cpus = std::thread::available_parallelism().map_or(0, |n| n.get());
+    let model = std::fs::read_to_string("/proc/cpuinfo")
+        .ok()
+        .and_then(|info| {
+            info.lines()
+                .find(|line| line.starts_with("model name"))
+                .and_then(|line| line.split_once(':'))
+                .map(|(_, model)| model.trim().to_string())
         })
-    });
-
-    // Warm: the last cold iteration left the entry published; every
-    // sample replays it byte-identically from disk.
-    exec.execute(&spec, seed, n, None).expect("prewarm");
-    g.bench_function("warm_64x20k", |b| {
-        b.iter(|| {
-            black_box(exec.execute(&spec, seed, n, None).expect("warm"))
-                .stats
-                .met
-        })
-    });
-    g.finish();
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-/// Locates a release-built `rv-shard` worker binary: `RV_SHARD_BIN`
-/// overrides; otherwise walk up from the bench executable (which lives
-/// in `target/release/deps`) looking for a sibling `rv-shard`.
-fn locate_rv_shard() -> Option<PathBuf> {
-    if let Ok(path) = std::env::var("RV_SHARD_BIN") {
-        let path = PathBuf::from(path);
-        return path.is_file().then_some(path);
-    }
-    let exe = std::env::current_exe().ok()?;
-    exe.ancestors()
-        .skip(1)
-        .map(|dir| dir.join("rv-shard"))
-        .find(|candidate| candidate.is_file())
-}
-
-/// The executor backends head to head on one seeded campaign: the
-/// in-process threaded engine vs. the worker pool (wire round-trip +
-/// gather overhead on top of the same simulation work). The pool
-/// entries need a release `rv-shard` binary (`cargo build --release -p
-/// rv-experiments`, or `RV_SHARD_BIN`); without one they are skipped
-/// loudly so a missing group in the JSON artifact is explained.
-fn bench_exec_backends(c: &mut Criterion) {
-    let mut g = c.benchmark_group("exec_backends");
-    // Each sample is a full 64-instance campaign (~150ms); 20 samples
-    // keep the medians stable enough for the bench-regression guard.
-    g.sample_size(20);
-    let spec = CampaignSpec::new(
-        SolverSpec::Dedicated,
-        vec![TargetClass::Type3, TargetClass::S1],
-        20_000,
-    );
-    let (seed, n) = (0xB7, 64);
-    g.bench_function("local_64x20k", |b| {
-        let exec = LocalExecutor::new();
-        b.iter(|| {
-            black_box(exec.execute(&spec, seed, n, None).expect("local"))
-                .stats
-                .met
-        })
-    });
-    match locate_rv_shard() {
-        Some(worker) => {
-            for workers in [2usize, 4] {
-                // The pool executor lives OUTSIDE b.iter: its persistent
-                // sessions survive across iterations, so this measures
-                // the steady state the pool exists for — per-campaign
-                // wire/gather overhead with spawn cost amortized away.
-                // A fixed unit size keeps the protocol work identical
-                // across worker counts, so the rows compare pool sizes,
-                // not unit plans.
-                // `worker_command` splits the cores across the concurrent
-                // workers, so the comparison against the local backend
-                // measures gather overhead rather than a workers-fold
-                // oversubscribed CPU.
-                let exec = PoolExecutor::new(worker_command(WorkerCommand::new(&worker), workers))
-                    .workers(workers)
-                    .unit(8);
-                // One warmup campaign spawns the sessions, so every
-                // sample measures the amortized steady state rather than
-                // folding worker startup into the first one.
-                exec.execute(&spec, seed, n, None).expect("pool warmup");
-                g.bench_function(format!("pool_64x20k_{workers}workers"), |b| {
-                    b.iter(|| {
-                        black_box(exec.execute(&spec, seed, n, None).expect("pool"))
-                            .stats
-                            .met
-                    })
-                });
-            }
-        }
-        None => eprintln!(
-            "exec_backends: no rv-shard binary found (RV_SHARD_BIN or a release build); \
-             skipping the pool entries"
-        ),
-    }
-    g.finish();
+        .unwrap_or_else(|| "unknown cpu".into());
+    let version = std::process::Command::new("rustc")
+        .arg("-V")
+        .output()
+        .map(|out| String::from_utf8_lossy(&out.stdout).trim().to_string())
+        .unwrap_or_default();
+    format!("{cpus} x {model} | {version}")
 }
 
 /// Renders the recorded measurements as the `BENCH_campaign.json`
 /// artifact (strict JSON, schema-versioned like the experiment stats).
 fn results_json(c: &Criterion) -> String {
-    let mut out =
-        String::from("{\n  \"schema\": 2,\n  \"bench\": \"campaign\",\n  \"results\": [\n");
+    let mut out = format!(
+        "{{\n  \"schema\": 2,\n  \"bench\": \"campaign\",\n  \"machine\": {},\n  \"results\": [\n",
+        json::string(&machine_fingerprint())
+    );
     let results = c.results();
     for (k, r) in results.iter().enumerate() {
         out.push_str(&format!(
@@ -420,19 +284,14 @@ fn main() {
     let mut criterion = Criterion::default();
     bench_par_map(&mut criterion);
     bench_hotpath(&mut criterion);
-    bench_campaign(&mut criterion);
     bench_shard_gather(&mut criterion);
-    bench_cache(&mut criterion);
-    bench_exec_backends(&mut criterion);
 
-    // Bench binaries run with CWD = the package dir; anchor the default
-    // to the *workspace* target dir so the artifact has a stable home.
-    let out = std::env::var("BENCH_CAMPAIGN_OUT").unwrap_or_else(|_| {
-        format!(
-            "{}/../../target/BENCH_campaign.json",
-            env!("CARGO_MANIFEST_DIR")
-        )
-    });
+    // Bench binaries run with CWD = the package dir; anchor the artifact
+    // to the *workspace* target dir so it has a stable home.
+    let out = format!(
+        "{}/../../target/BENCH_campaign.json",
+        env!("CARGO_MANIFEST_DIR")
+    );
     if let Some(dir) = std::path::Path::new(&out).parent() {
         let _ = std::fs::create_dir_all(dir);
     }

@@ -7,9 +7,7 @@
 //! artifact (`target/BENCH_serve.json` by default) with two stable
 //! entries:
 //!
-//! - `serve/campaign_1client` — single-connection round-trip latency,
-//!   the per-machine reference every other entry is normalized by in
-//!   `bench-guard`;
+//! - `serve/campaign_1client` — single-connection round-trip latency;
 //! - `serve/campaign_concurrent` — per-campaign latency under the full
 //!   concurrent client load.
 //!
@@ -116,8 +114,8 @@ fn quantile(sorted: &[u64], fraction: f64) -> f64 {
     sorted.get(pos).or(sorted.last()).copied().unwrap_or(0) as f64
 }
 
-/// One schema-2 results row (extra quantile fields are additive;
-/// `bench-guard` reads `id` and `median_ns` only).
+/// One schema-2 results row (`id`, `median_ns`, `mean_ns`, `min_ns`,
+/// plus the `p90_ns` and `max_ns` quantiles).
 fn results_row(id: &str, latencies: &mut [u64]) -> String {
     latencies.sort_unstable();
     let mean = if latencies.is_empty() {
