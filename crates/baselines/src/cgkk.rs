@@ -5,9 +5,8 @@
 //! or (2) `φ ≠ 0 ∧ χ = +1`; straight-segment moves only.
 //!
 //! The original paper's construction is not available to this
-//! reproduction; this module implements a procedure with the same contract
-//! (see `DESIGN.md` §3.1 for the substitution note). Two mechanisms are
-//! interleaved phase by phase:
+//! reproduction; this module implements a procedure with the same
+//! contract. Two mechanisms are interleaved phase by phase:
 //!
 //! 1. **Dense sweep** (`PlanarCowWalk(k)`): with `t = 0` and `τ = 1`, both
 //!    agents' positions are related by the *fixed* similarity

@@ -85,7 +85,8 @@ pub fn pcw_duration(i: u32) -> Ratio {
 ///
 /// The sweep exponent saturates at 2^40: positions beyond ~2^52 would
 /// exceed `f64`'s exact-integer range and silently lose unit-scale
-/// structure (see the precision policy in `DESIGN.md`). A 2^40-unit
+/// structure (see the precision policy in the `rv_numeric` crate docs).
+/// A 2^40-unit
 /// search range is far past any simulation budget, so the saturation is
 /// unobservable except as a guarantee.
 pub fn cow_path_search() -> impl Iterator<Item = Instr> + Send {

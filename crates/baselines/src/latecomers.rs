@@ -6,8 +6,8 @@
 //! shifts of each other) and delay `t > dist((0,0),(x,y)) − r`.
 //!
 //! The original construction is not available to this reproduction; this
-//! module implements a procedure with the same contract (`DESIGN.md`
-//! §3.2). With shifted frames and a common displacement function `f`,
+//! module implements a procedure with the same contract. With shifted
+//! frames and a common displacement function `f`,
 //! `pos_A(s) = f(s)` and `pos_B(s) = D + f(s−t)`, so rendezvous means
 //! `|D − (f(s) − f(s−t))| ≤ r` for some `s`. Phase `k` plays, for each of
 //! the `2^k` grid directions `u_m = (2πm/2^k)`:

@@ -11,8 +11,8 @@
 //! * [`beeline`] / [`canonical_march`] — the dedicated boundary-set
 //!   algorithms from the constructive proofs of Lemmas 3.8 and 3.9.
 //!
-//! See `DESIGN.md` §3 for the substitution notes and correctness sketches
-//! of the two reconstructions.
+//! The `cgkk` and `latecomers` module docs hold the substitution notes and
+//! correctness sketches of the two reconstructions.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

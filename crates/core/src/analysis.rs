@@ -78,7 +78,8 @@ pub fn type1_phase_bound(inst: &Instance) -> Option<u32> {
 
 /// Lemma 3.3 (type 2): `i = ⌈log₂(t + Δ)⌉` where `Δ` is the solo meeting
 /// time of `Latecomers` on the instance, estimated from the sliding-window
-/// analysis of the reconstruction (DESIGN.md §3.2): the meeting happens in
+/// analysis of the reconstruction (`rv-baselines`' `latecomers` module
+/// docs): the meeting happens in
 /// the first Latecomers phase `k` with `2^k ≥ t` and `π·t/2^k` below the
 /// feasibility slack.
 pub fn type2_phase_bound(inst: &Instance) -> Option<u32> {
@@ -124,7 +125,8 @@ pub fn type3_phase_bound(inst: &Instance) -> Option<u32> {
 
 /// Lemma 3.5 (type 4): `i = ⌈log₂(t + Δ + 4(v+1)/r)⌉` where `Δ` is the
 /// meeting time of the solo `CGKK` execution on `h(I)`, estimated from the
-/// similarity-fixed-point analysis of the reconstruction (DESIGN.md §3.1):
+/// similarity-fixed-point analysis of the reconstruction (`rv-baselines`'
+/// `cgkk` module docs):
 /// the sweep of phase `k*` meets once `2^k ≥ |c|` and
 /// `(1+τv)·√2·2^(−k) ≤ r/2`.
 pub fn type4_phase_bound(inst: &Instance) -> Option<u32> {

@@ -108,27 +108,6 @@ where
     simulate(inst.agent_a(), prog_a, inst.agent_b(), prog_b, &cfg)
 }
 
-/// Section 5 extension: different visibility radii. `r_a`/`r_b` override
-/// the instance radius; rendezvous means reaching the smaller radius.
-///
-/// Prefer [`crate::FixedPair`] with a [`crate::Visibility`] option — this
-/// wrapper exists for one-shot calls that already hold the iterators.
-pub fn solve_asymmetric<PA, PB>(
-    inst: &Instance,
-    r_a: Ratio,
-    r_b: Ratio,
-    prog_a: PA,
-    prog_b: PB,
-    budget: &Budget,
-) -> SimReport
-where
-    PA: Iterator<Item = Instr>,
-    PB: Iterator<Item = Instr>,
-{
-    let cfg = budget.sim_config(r_a, r_b);
-    simulate(inst.agent_a(), prog_a, inst.agent_b(), prog_b, &cfg)
-}
-
 /// The dedicated algorithm a full-knowledge solver would pick for this
 /// instance (the constructive side of Theorem 3.1).
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -180,12 +159,6 @@ pub fn recommend(inst: &Instance) -> Recommendation {
     }
 }
 
-/// Picks the dedicated algorithm per the constructive proofs. One-liner
-/// wrapper over [`recommend`] for callers that only need the choice.
-pub fn dedicated_choice(inst: &Instance) -> DedicatedChoice {
-    recommend(inst).solver
-}
-
 /// Runs the per-instance dedicated algorithm from the constructive side of
 /// Theorem 3.1 (both agents execute the same program, built from the
 /// instance they are both given). One-liner wrapper over the
@@ -223,7 +196,7 @@ mod tests {
             .delay(ratio(4, 1))
             .build()
             .unwrap();
-        assert_eq!(dedicated_choice(&s1), DedicatedChoice::Beeline);
+        assert_eq!(recommend(&s1).solver, DedicatedChoice::Beeline);
 
         let s2 = Instance::builder()
             .position(ratio(5, 1), Ratio::zero())
@@ -232,14 +205,14 @@ mod tests {
             .chirality(Chirality::Minus)
             .build()
             .unwrap();
-        assert_eq!(dedicated_choice(&s2), DedicatedChoice::CanonicalMarch);
+        assert_eq!(recommend(&s2).solver, DedicatedChoice::CanonicalMarch);
 
         let t3 = Instance::builder()
             .position(ratio(3, 1), Ratio::zero())
             .tau(ratio(2, 1))
             .build()
             .unwrap();
-        assert_eq!(dedicated_choice(&t3), DedicatedChoice::Aur);
+        assert_eq!(recommend(&t3).solver, DedicatedChoice::Aur);
     }
 
     #[test]
@@ -263,8 +236,6 @@ mod tests {
         let rec = recommend(&good);
         assert_eq!(rec.solver, DedicatedChoice::Aur);
         assert!(rec.feasible);
-        // The legacy helper stays a one-liner over recommend.
-        assert_eq!(dedicated_choice(&good), rec.solver);
     }
 
     #[test]

@@ -23,12 +23,12 @@
 //! Both take a result cache ([`crate::cache`]) through `.cache(..)`;
 //! the local engine's whole campaign is one unit `0..n`.
 //!
-//! [`backend`] turns a [`CampaignRequest`] into one of the two: a classic
-//! K-shard scatter (`subprocess`) is a pool of K workers with unit ⌈n/K⌉
-//! ([`crate::shard::shard_unit`]), and a remote transport is a pool whose
-//! [`WorkerCommand`] is wrapped in `ssh host --` or similar
-//! ([`WorkerCommand::wrap`]): the worker protocol is pure stdin/stdout
-//! JSON lines, so any prefix that forwards standard streams works.
+//! [`backend`] turns a [`CampaignRequest`] into one of the two. A classic
+//! K-shard scatter is a pool of K workers with unit ⌈n/K⌉, and a remote
+//! transport is a pool whose [`WorkerCommand`] is wrapped in `ssh host --`
+//! or similar ([`WorkerCommand::wrap`]): the worker protocol is pure
+//! stdin/stdout JSON lines, so any prefix that forwards standard streams
+//! works.
 //!
 //! # Fault tolerance
 //!
@@ -59,8 +59,7 @@ use crate::batch::{CampaignReport, CampaignStats, RunRecord, StatsAccumulator};
 use crate::cache::ResultCache;
 use crate::json;
 use crate::shard::{
-    plan_units, shard_unit, CampaignRequest, CampaignSpec, ShardError, TransportSpec, UnitTask,
-    UnitTelemetry,
+    plan_units, CampaignRequest, CampaignSpec, ShardError, TransportSpec, UnitTask, UnitTelemetry,
 };
 use crate::stream::RecordSink;
 use crate::wire::{self, Line};
@@ -727,7 +726,7 @@ pub fn worker_command(worker: WorkerCommand, concurrency: usize) -> WorkerComman
         .arg(per_worker.to_string())
 }
 
-/// Why [`backend`] cannot serve a request: it names a process-backed
+/// Why [`backend`] cannot serve a request: it names the `pool`
 /// transport, but no worker command was given.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct NoWorker {
@@ -751,10 +750,9 @@ impl std::error::Error for NoWorker {}
 /// from transport to executor, shared by `rv-serve` and `rv-shard
 /// campaign`. `local` is a [`LocalExecutor`] on `local_threads` threads;
 /// `pool` is a [`PoolExecutor`] of K = [`CampaignRequest::worker_count`]
-/// workers stealing `req.unit`-sized units; `subprocess` is a K-shard
-/// scatter, the same pool with one [`shard_unit`]`(n, K)` unit per
-/// worker. Workers run [`worker_command`]`(worker, K)`; without a
-/// `worker` the process transports are a [`NoWorker`] error. `cache`
+/// workers stealing `req.unit`-sized units (one range per worker at
+/// unit ⌈n/K⌉). Workers run [`worker_command`]`(worker, K)`; without a
+/// `worker`, `pool` is a [`NoWorker`] error. `cache`
 /// attaches to either backend (`req.cache` is a name for the caller to
 /// resolve, and is not read here).
 pub fn backend(
@@ -772,15 +770,11 @@ pub fn backend(
     }
     let worker = worker.ok_or(NoWorker { transport })?;
     let workers = req.worker_count();
-    let unit = match transport {
-        TransportSpec::Subprocess => shard_unit(req.n, workers),
-        _ => req.unit,
-    };
     Ok(Box::new(PoolExecutor {
         cache,
         ..PoolExecutor::new(worker_command(worker, workers))
             .workers(workers)
-            .unit(unit)
+            .unit(req.unit)
             .retries(req.retries)
     }))
 }
@@ -1466,14 +1460,13 @@ mod tests {
             local.take_worker_telemetry().is_empty(),
             "local reports none"
         );
-        for transport in [TransportSpec::Pool, TransportSpec::Subprocess] {
-            let worker = Some(WorkerCommand::new("/nonexistent/rv-shard"));
-            let pool = backend(&req(transport), worker, 1, None).expect("with a worker");
-            assert_eq!(pool.name(), "pool");
-            let err = backend(&req(transport), None, 1, None).err();
-            assert_eq!(err, Some(NoWorker { transport }));
-            assert!(err.is_some_and(|e| e.to_string().contains(transport.name())));
-        }
+        let transport = TransportSpec::Pool;
+        let worker = Some(WorkerCommand::new("/nonexistent/rv-shard"));
+        let pool = backend(&req(transport), worker, 1, None).expect("with a worker");
+        assert_eq!(pool.name(), "pool");
+        let err = backend(&req(transport), None, 1, None).err();
+        assert_eq!(err, Some(NoWorker { transport }));
+        assert!(err.is_some_and(|e| e.to_string().contains(transport.name())));
         // Nine requested workers over four indices clamp to four.
         assert_eq!(req(TransportSpec::Pool).worker_count(), 4);
     }

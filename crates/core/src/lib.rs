@@ -58,8 +58,7 @@ pub mod stream;
 pub mod wire;
 
 pub use api::{
-    dedicated_choice, recommend, solve, solve_asymmetric, solve_dedicated, solve_pair, Budget,
-    DedicatedChoice, Recommendation,
+    recommend, solve, solve_dedicated, solve_pair, Budget, DedicatedChoice, Recommendation,
 };
 pub use aur::{
     almost_universal_rv, aur_phase, block1, block2, block3, block4, compiled_aur, phase_duration,

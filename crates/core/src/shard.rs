@@ -107,18 +107,15 @@ pub enum TransportSpec {
     /// [`crate::exec::LocalExecutor`] — the server's own threads.
     Local,
     /// [`crate::exec::PoolExecutor`] — persistent session workers with
-    /// driver-side work stealing.
+    /// driver-side work stealing. One contiguous range per worker is the
+    /// pool at unit ⌈n/workers⌉.
     Pool,
-    /// A `workers`-shard scatter: a [`crate::exec::PoolExecutor`] of
-    /// that many workers with unit [`shard_unit`]`(n, workers)`, so each
-    /// worker gets one contiguous range.
-    Subprocess,
 }
 
 impl TransportSpec {
     /// Every valid wire name, in declaration order (what
     /// [`UnknownTransport`] lists back to the user).
-    pub const NAMES: [&'static str; 3] = ["local", "pool", "subprocess"];
+    pub const NAMES: [&'static str; 2] = ["local", "pool"];
 
     /// Stable wire name (round-trips through
     /// [`TransportSpec::from_name`]).
@@ -126,7 +123,6 @@ impl TransportSpec {
         match self {
             TransportSpec::Local => "local",
             TransportSpec::Pool => "pool",
-            TransportSpec::Subprocess => "subprocess",
         }
     }
 
@@ -137,7 +133,6 @@ impl TransportSpec {
         match name.to_ascii_lowercase().as_str() {
             "local" => Ok(TransportSpec::Local),
             "pool" => Ok(TransportSpec::Pool),
-            "subprocess" => Ok(TransportSpec::Subprocess),
             _ => Err(UnknownTransport {
                 given: name.to_string(),
             }),
@@ -176,14 +171,12 @@ pub struct CampaignRequest {
     pub n: usize,
     /// Which executor backend runs the campaign.
     pub transport: TransportSpec,
-    /// Worker process count for the `pool` and `subprocess` transports,
-    /// clamped to `1..=n` ([`CampaignRequest::worker_count`]).
-    /// `subprocess` also sizes its units from it, one ⌈n/workers⌉ range
-    /// per worker. Ignored by `local`.
+    /// Worker process count for the `pool` transport, clamped to
+    /// `1..=n` ([`CampaignRequest::worker_count`]). Ignored by `local`.
     pub workers: usize,
     /// Steal-unit size in indices for the pool transport (`0` = auto).
     pub unit: usize,
-    /// Per-unit retry budget for the process-backed transports.
+    /// Per-unit retry budget for the `pool` transport.
     pub retries: u32,
     /// Opaque result-cache *name* (`None` = uncached). The server
     /// validates it against a safe charset and joins it under its own
@@ -195,7 +188,7 @@ pub struct CampaignRequest {
 }
 
 impl CampaignRequest {
-    /// Worker processes a process-backed transport runs: `workers`
+    /// Worker processes the `pool` transport runs: `workers`
     /// clamped to `1..=max(n, 1)` — never zero, and never more workers
     /// than indices to hand out. Worker count never changes a single
     /// output byte.
@@ -358,14 +351,6 @@ pub fn plan_units(n: usize, unit: usize) -> Vec<Range<usize>> {
         .collect()
 }
 
-/// The unit size that turns a `shards`-way scatter of `0..n` into a
-/// pool plan: ⌈n / shards⌉ with `shards` clamped to `1..=max(n, 1)`, so
-/// [`plan_units`] yields at most `shards` non-empty contiguous ranges —
-/// exactly `n / shards` each whenever `shards` divides `n`.
-pub fn shard_unit(n: usize, shards: usize) -> usize {
-    n.div_ceil(shards.clamp(1, n.max(1))).max(1)
-}
-
 /// Why one unit attempt failed. Worker misbehavior surfaces as typed
 /// errors; the gather never panics on worker output. Executors (see
 /// [`crate::exec`]) treat every variant as retryable — the attempt
@@ -458,12 +443,12 @@ mod tests {
 
     #[test]
     fn plan_covers_the_range_exactly_once() {
-        // A `shards`-way scatter is the unit plan at `shard_unit`: at most
+        // A `shards`-way scatter is the unit plan at ⌈n/shards⌉: at most
         // `shards` non-empty contiguous ranges covering `0..n`, equal
         // lengths whenever `shards` divides `n`.
         for n in [0usize, 1, 7, 16, 24] {
             for shards in [0usize, 1, 2, 3, 4, 5, 16, 100] {
-                let units = plan_units(n, shard_unit(n, shards));
+                let units = plan_units(n, n.div_ceil(shards.max(1)));
                 assert!(units.len() <= shards.max(1), "n = {n}, shards = {shards}");
                 let mut next = 0;
                 for r in &units {

@@ -15,8 +15,7 @@
 //! * [`Dedicated`] — the per-instance algorithm from the constructive
 //!   side of Theorem 3.1 (see [`crate::recommend`]);
 //! * [`FixedPair`] — an arbitrary program (pair) run on the two agents,
-//!   with per-agent [`Visibility`] radii (Section 5), subsuming the old
-//!   `solve_pair` / `solve_asymmetric` free functions;
+//!   with per-agent [`Visibility`] radii (Section 5);
 //! * [`Closure`] — any `Fn(&Instance, &Budget) -> SimReport`.
 //!
 //! Any of them (or your own impl) plugs straight into a campaign:
@@ -208,8 +207,7 @@ type ProgFactory = Arc<dyn Fn(&Instance) -> Box<dyn Iterator<Item = Instr> + Sen
 /// An arbitrary fixed program pair run on the two agents, with optional
 /// per-agent [`Visibility`] radii.
 ///
-/// Subsumes the old `solve_pair` / `solve_asymmetric` free functions:
-/// anonymous algorithms use [`FixedPair::symmetric`] (same program twice),
+/// Anonymous algorithms use [`FixedPair::symmetric`] (same program twice),
 /// asymmetric what-ifs use [`FixedPair::asymmetric`], and Section 5's
 /// different-radii model is a [`visibility`](FixedPair::visibility) call
 /// instead of a separate entry point.
@@ -338,7 +336,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::api::{solve, solve_asymmetric, solve_dedicated, solve_pair};
+    use crate::api::{solve, solve_dedicated, solve_pair};
     use rv_numeric::ratio;
 
     fn type3() -> Instance {
@@ -399,7 +397,7 @@ mod tests {
     }
 
     #[test]
-    fn scaled_visibility_matches_solve_asymmetric() {
+    fn scaled_visibility_matches_direct_simulation() {
         let inst = type3();
         let budget = Budget::default().segments(400_000);
         let quarter = ratio(1, 4);
@@ -408,13 +406,12 @@ mod tests {
                 a: Ratio::one(),
                 b: quarter.clone(),
             });
-        let direct = solve_asymmetric(
-            &inst,
-            inst.r.clone(),
-            &inst.r * &quarter,
+        let direct = simulate(
+            inst.agent_a(),
             almost_universal_rv(),
+            inst.agent_b(),
             almost_universal_rv(),
-            &budget,
+            &budget.sim_config(inst.r.clone(), &inst.r * &quarter),
         );
         same_report(&pair.solve(&inst, &budget), &direct);
     }

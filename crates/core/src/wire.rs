@@ -1559,14 +1559,20 @@ mod tests {
         let line = encode_request(&req);
         assert_eq!(decode_request(&line), Ok(req.clone()));
         assert_eq!(decode_line(&line), Ok(Line::Request(req)));
-        let bad = line.replace("\"pool\"", "\"carrier-pigeon\"");
-        assert!(matches!(
-            decode_request(&bad),
-            Err(WireError::Field {
-                field: "transport",
-                ..
-            })
-        ));
+        // A retired transport name is as unknown as any other.
+        for unknown in ["carrier-pigeon", "subprocess"] {
+            let bad = line.replace("\"pool\"", &format!("\"{unknown}\""));
+            assert!(
+                matches!(
+                    decode_request(&bad),
+                    Err(WireError::Field {
+                        field: "transport",
+                        ..
+                    })
+                ),
+                "{unknown}"
+            );
+        }
 
         // `cache` is the one optional field: null and absent both mean
         // uncached, anything but a string is a typed field error.
@@ -1597,7 +1603,11 @@ mod tests {
             Ok(TransportSpec::Pool),
             "names are case-insensitive like SolverSpec"
         );
-        assert!(TransportSpec::from_name("tokio").is_err());
+        for unknown in ["tokio", "subprocess", "command"] {
+            let err = TransportSpec::from_name(unknown).unwrap_err();
+            assert_eq!(err.given, unknown);
+            assert!(err.to_string().contains("(valid: local, pool)"), "{err}");
+        }
     }
 
     #[test]

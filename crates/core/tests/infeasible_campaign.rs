@@ -5,11 +5,11 @@
 //! proves the *in-process* scatter/gather differential over the session
 //! wire: encode campaign_spec → decode, then per unit encode task →
 //! decode → execute → encode unit_done → decode → merge is
-//! byte-identical to the single-process run (the subprocess version lives
-//! in `rv-experiments`' `executor_differential` suite, next to the
+//! byte-identical to the single-process run (the worker-process version
+//! lives in `rv-experiments`' `executor_differential` suite, next to the
 //! `rv-shard` binary).
 
-use rv_core::shard::{plan_units, shard_unit, CampaignSpec, SolverSpec, UnitDone, UnitTask};
+use rv_core::shard::{plan_units, CampaignSpec, SolverSpec, UnitDone, UnitTask};
 use rv_core::stream::VecSink;
 use rv_core::wire::{self, Line, Value};
 use rv_core::{CampaignStats, StatsAccumulator};
@@ -124,7 +124,7 @@ fn in_process_scatter_gather_over_the_wire_is_byte_identical() {
     for shards in [1usize, 2, 4] {
         let sink = Arc::new(VecSink::new());
         let mut merged = StatsAccumulator::new();
-        for (k, range) in plan_units(n, shard_unit(n, shards)).into_iter().enumerate() {
+        for (k, range) in plan_units(n, n.div_ceil(shards)).into_iter().enumerate() {
             // Full wire trip in both directions, as the session protocol
             // would do it.
             let sent = UnitTask {

@@ -1,7 +1,7 @@
-//! Property tests for `shard::plan_units` and `shard::shard_unit`: for
-//! arbitrary `(n, unit)` the planned units are contiguous, disjoint,
-//! non-empty, cover exactly `0..n` in order, and only the last may be
-//! short; a `shards`-way scatter (`unit = shard_unit(n, shards)`) never
+//! Property tests for `shard::plan_units`: for arbitrary `(n, unit)` the
+//! planned units are contiguous, disjoint, non-empty, cover exactly
+//! `0..n` in order, and only the last may be short; a `shards`-way
+//! scatter (`unit = ⌈n/shards⌉`) never
 //! plans more units than shards — the partition invariants the pool's
 //! byte-identity and cache keys rest on.
 //!
@@ -9,7 +9,7 @@
 //! `PROPTEST_CASES` for a deep run.
 
 use proptest::prelude::*;
-use rv_core::shard::{plan_units, shard_unit};
+use rv_core::shard::plan_units;
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
@@ -42,7 +42,7 @@ proptest! {
 
         // The scatter shape: at most `shards` units (clamped to 1..=n),
         // all of equal length whenever `shards` divides `n`.
-        let scattered = plan_units(n, shard_unit(n, shards));
+        let scattered = plan_units(n, n.div_ceil(shards.max(1)));
         prop_assert!(scattered.len() <= shards.clamp(1, n.max(1)));
         prop_assert_eq!(scattered.iter().map(|r| r.len()).sum::<usize>(), n);
         if shards > 0 && n >= shards && n % shards == 0 {

@@ -17,19 +17,17 @@
 //!
 //! rv-shard campaign --n N [--shards K] [--seed S] [--solver aur|dedicated]
 //!                   [--classes type3,s1,...] [--segments M]
-//!                   [--transport local|subprocess|command|pool] [--local]
-//!                   [--retries R] [--unit U] [--wrap "ssh host --"]
-//!                   [--utilization] [--cache DIR]
+//!                   [--transport local|pool] [--retries R] [--unit U]
+//!                   [--wrap "ssh host --"] [--utilization] [--cache DIR]
 //!     Run the seeded campaign through the backend rv_core::exec::backend
 //!     builds for the request (the same front door rv-serve uses) and
 //!     print the gathered CampaignStats JSON — byte-identical on every
-//!     backend. --local is shorthand for --transport local. Every other
-//!     transport runs on a pool of persistent rv-shard workers, at most
-//!     N of them: subprocess is a K-shard scatter (K = --shards workers,
-//!     one contiguous ceil(n/K) range each), command is the subprocess
-//!     transport with the worker behind the --wrap prefix (which implies
-//!     it), e.g. an ssh hop, and pool takes --shards as the worker count
-//!     and --unit as the steal-unit size in indices (0 = auto).
+//!     backend. local runs the campaign on this process's threads. pool
+//!     (the default) runs it on at most N persistent rv-shard workers:
+//!     --shards is the worker count and --unit the steal-unit size in
+//!     indices (0 = auto; --unit ceil(n/K) gives one contiguous range per
+//!     worker). --wrap puts each pool worker behind a command prefix,
+//!     e.g. an ssh hop, and is a usage error with local.
 //!     --utilization prints a second JSON line after the stats — the
 //!     per-worker utilization fold of the pool's unit telemetry
 //!     (UtilizationReport; idle workers report zero units) — and is a
@@ -63,8 +61,7 @@ fn main() {
                 "usage: rv-shard worker [--threads T] [--flaky] | \
                  rv-shard campaign --n N [--shards K] [--seed S] [--solver aur|dedicated] \
                  [--classes a,b,...] [--segments M] \
-                 [--transport local|subprocess|command|pool] \
-                 [--local] [--retries R] [--unit U] [--wrap CMD] \
+                 [--transport local|pool] [--retries R] [--unit U] [--wrap CMD] \
                  [--utilization] [--cache DIR]"
             );
             std::process::exit(2);
@@ -241,7 +238,7 @@ fn campaign(args: &[String]) {
     let mut i = 0;
     while i < args.len() {
         match args[i].as_str() {
-            "--local" | "--utilization" => i += 1,
+            "--utilization" => i += 1,
             "--n" | "--shards" | "--seed" | "--solver" | "--classes" | "--segments"
             | "--transport" | "--retries" | "--unit" | "--wrap" | "--cache" => i += 2,
             other => {
@@ -284,35 +281,25 @@ fn campaign(args: &[String]) {
         .collect();
     let spec = CampaignSpec::new(solver, classes, segments);
 
+    let transport = TransportSpec::from_name(flag_value(args, "--transport").unwrap_or("pool"))
+        .unwrap_or_else(|e| {
+            eprintln!("rv-shard campaign: {e}");
+            std::process::exit(2);
+        });
     let wrap: Option<Vec<String>> =
         flag_value(args, "--wrap").map(|raw| raw.split_whitespace().map(String::from).collect());
-    let transport =
-        flag_value(args, "--transport").unwrap_or(if args.iter().any(|a| a == "--local") {
-            "local"
-        } else if wrap.is_some() {
-            "command"
-        } else {
-            "subprocess"
-        });
-    if !matches!(transport, "local" | "subprocess" | "command" | "pool") {
-        eprintln!(
-            "rv-shard campaign: unknown transport {transport:?} \
-             (local | subprocess | command | pool)"
-        );
-        std::process::exit(2);
-    }
-    if wrap.is_some() && transport != "command" {
+    if wrap.is_some() && transport == TransportSpec::Local {
         // A wrapper the chosen transport would silently drop means the
         // run would execute somewhere other than where the user asked.
-        eprintln!("rv-shard campaign: --wrap conflicts with --transport {transport} (or --local)");
+        eprintln!("rv-shard campaign: --wrap conflicts with --transport local");
         std::process::exit(2);
     }
-    if transport == "command" && wrap.as_ref().is_none_or(|w| w.is_empty()) {
-        eprintln!("rv-shard campaign: --transport command needs --wrap CMD");
+    if wrap.as_ref().is_some_and(|w| w.is_empty()) {
+        eprintln!("rv-shard campaign: --wrap needs a command");
         std::process::exit(2);
     }
     let utilization = args.iter().any(|a| a == "--utilization");
-    if utilization && transport == "local" {
+    if utilization && transport == TransportSpec::Local {
         // Only a worker pool has slots to report on; silently ignoring
         // the flag would look like "all workers idle".
         eprintln!("rv-shard campaign: --utilization needs a worker transport, not local");
@@ -336,12 +323,7 @@ fn campaign(args: &[String]) {
 
     let request = CampaignRequest {
         n,
-        transport: match transport {
-            "local" => TransportSpec::Local,
-            "pool" => TransportSpec::Pool,
-            // `command` is the subprocess scatter with a wrapped worker.
-            _ => TransportSpec::Subprocess,
-        },
+        transport,
         workers: shards,
         unit,
         retries,
@@ -360,7 +342,7 @@ fn campaign(args: &[String]) {
     match exec.execute_stats(&spec, seed, n, None) {
         Ok(stats) => println!("{}", stats.to_json()),
         Err(e) => {
-            eprintln!("rv-shard campaign [{transport}]: {e}");
+            eprintln!("rv-shard campaign [{}]: {e}", transport.name());
             std::process::exit(1);
         }
     }

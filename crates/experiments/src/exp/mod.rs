@@ -1,5 +1,5 @@
-//! The experiment suite: one module per table/figure family of
-//! `EXPERIMENTS.md` (see `DESIGN.md` §5 for the per-experiment index).
+//! The experiment suite: one module per table (`t1`..`t7`) or figure
+//! (`f1`..`f10`) family of the reproduction.
 
 pub mod f4_f5;
 pub mod f9_f10;

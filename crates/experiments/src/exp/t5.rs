@@ -91,7 +91,8 @@ pub fn run(ctx: &Ctx) -> ExperimentOutput {
 
     let markdown = format!(
         "Contract validation of the reconstructed CGKK procedure \
-         (DESIGN.md §3.1): rendezvous on all t = 0 instances that are \
+         (substitution note in crates/baselines/src/cgkk.rs): rendezvous on \
+         all t = 0 instances that are \
          non-synchronous or rotated with equal chirality; no rendezvous on \
          the excluded glide-reflection family.\n\n{}",
         table.to_markdown()

@@ -94,7 +94,8 @@ pub fn run(ctx: &Ctx) -> ExperimentOutput {
 
     let markdown = format!(
         "Contract validation of the reconstructed Latecomers procedure \
-         (DESIGN.md §3.2) with a sweep of the delay across the feasibility \
+         (substitution note in crates/baselines/src/latecomers.rs) with a \
+         sweep of the delay across the feasibility \
          boundary t = dist − r: failure below, success above — the \
          crossover the theory demands.\n\n{}",
         table.to_markdown()

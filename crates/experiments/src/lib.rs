@@ -1,7 +1,7 @@
 //! # rv-experiments — the evaluation harness
 //!
-//! Regenerates every table and figure of the reproduction (`EXPERIMENTS.md`
-//! and `DESIGN.md` §5): seeded workloads per instance family, batch
+//! Regenerates every table and figure of the reproduction (README, "The
+//! experiments binary"): seeded workloads per instance family, batch
 //! execution through [`rv_core::batch::Campaign`], Markdown/CSV/JSON
 //! rendering and self-contained SVG charts/canvases, plus one module per
 //! experiment.

@@ -46,7 +46,7 @@ pub struct Scale {
 }
 
 impl Scale {
-    /// Full scale (the EXPERIMENTS.md numbers).
+    /// Full scale (what the experiments binary runs without `--quick`).
     pub fn full() -> Scale {
         Scale {
             per_family: 200,

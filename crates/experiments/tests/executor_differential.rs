@@ -19,7 +19,7 @@ use rv_core::exec::{
     backend, worker_command, ExecError, Executor, LocalExecutor, PoolExecutor, WorkerCommand,
 };
 use rv_core::shard::{
-    shard_unit, CampaignRequest, CampaignSpec, ShardError, SolverSpec, TransportSpec, UnitTask,
+    CampaignRequest, CampaignSpec, ShardError, SolverSpec, TransportSpec, UnitTask,
 };
 use rv_core::stream::VecSink;
 use rv_core::{wire, CampaignReport, CampaignStats, RecordSink};
@@ -50,12 +50,12 @@ fn worker_cmd() -> WorkerCommand {
 }
 
 /// A `shards`-way scatter of `0..n` over `worker`: one worker per shard,
-/// one contiguous ⌈n/shards⌉ unit each — what `--transport subprocess`
-/// builds.
+/// one contiguous ⌈n/shards⌉ unit each — what `rv-shard campaign
+/// --shards K --unit ⌈n/K⌉` builds.
 fn scatter(worker: WorkerCommand, n: usize, shards: usize) -> PoolExecutor {
     PoolExecutor::new(worker)
         .workers(shards)
-        .unit(shard_unit(n, shards))
+        .unit(n.div_ceil(shards))
 }
 
 fn assert_byte_identical(a: &CampaignStats, b: &CampaignStats, ctx: &str) {
@@ -124,8 +124,8 @@ fn local_executor_is_byte_identical_to_single_process() {
 
 #[test]
 fn subprocess_executor_is_byte_identical_for_1_2_4_shards() {
-    // The K-shard scatter `--transport subprocess` builds: one worker per
-    // shard, one contiguous ⌈n/K⌉ unit each.
+    // The K-shard scatter: K worker subprocesses, one contiguous ⌈n/K⌉
+    // unit each.
     let spec = mixed_spec();
     let seed = 0xD1FF_5EED;
     let n = 24;
@@ -405,7 +405,11 @@ fn aur_campaigns_run_sharded_identically_too() {
             .execute_stats(&spec, seed, n, None)
             .expect("process-backed run")
     };
-    assert_byte_identical(&run(TransportSpec::Subprocess, 0), &local, "aur 2 shards");
+    assert_byte_identical(
+        &run(TransportSpec::Pool, n.div_ceil(2)),
+        &local,
+        "aur 2 shards",
+    );
     assert_byte_identical(&run(TransportSpec::Pool, 3), &local, "aur 2-worker pool");
 }
 
@@ -540,25 +544,24 @@ fn cli_transports_match_byte_for_byte() {
         String::from_utf8(out.stdout).unwrap()
     };
 
-    let local = run(&["--local"]);
-    let explicit_local = run(&["--transport", "local"]);
-    let subprocess = run(&["--transport", "subprocess", "--shards", "3"]);
+    let local = run(&["--transport", "local"]);
+    // One contiguous ⌈12/3⌉ = 4-index range per worker.
+    let scatter = run(&["--transport", "pool", "--shards", "3", "--unit", "4"]);
     let default_transport = run(&["--shards", "5"]);
-    let with_knobs = run(&["--shards", "3", "--retries", "2"]);
+    let with_knobs = run(&["--shards", "3", "--unit", "4", "--retries", "2"]);
     let pool = run(&["--transport", "pool", "--shards", "2", "--unit", "5"]);
     let pool_auto = run(&["--transport", "pool", "--shards", "3"]);
-    assert_eq!(explicit_local, local, "--transport local == --local");
-    assert_eq!(subprocess, local, "subprocess transport must match local");
+    assert_eq!(scatter, local, "one range per worker must match local");
     assert_eq!(
         default_transport, local,
-        "the default (subprocess) transport must match local"
+        "the default (pool) transport must match local"
     );
     assert_eq!(with_knobs, local, "the retry knob must not change bytes");
     assert_eq!(pool, local, "pool transport must match local");
     assert_eq!(pool_auto, local, "auto unit sizing must not change bytes");
     if Path::new("/usr/bin/env").exists() {
-        let command = run(&["--shards", "2", "--wrap", "/usr/bin/env"]);
-        assert_eq!(command, local, "command transport must match local");
+        let wrapped = run(&["--shards", "2", "--unit", "6", "--wrap", "/usr/bin/env"]);
+        assert_eq!(wrapped, local, "wrapped pool workers must match local");
     }
 
     // Sanity: it is the stats artifact, and it parses as strict JSON.
@@ -568,55 +571,93 @@ fn cli_transports_match_byte_for_byte() {
     // The solver name is accepted case-insensitively.
     let upper = Command::new(WORKER)
         .args(["campaign", "--solver", "DEDICATED", "--classes", "type3,s1"])
-        .args(["--n", "12", "--seed", "9", "--segments", "30000", "--local"])
+        .args(["--n", "12", "--seed", "9", "--segments", "30000"])
+        .args(["--transport", "local"])
         .output()
         .expect("campaign mode");
     assert!(upper.status.success());
     assert_eq!(String::from_utf8(upper.stdout).unwrap(), local);
 }
 
+/// Runs `rv-shard campaign ARGS` and asserts a usage error: exit 2, no
+/// stats on stdout, and `needle` on stderr.
+fn usage_error(args: &[&str], needle: &str) {
+    let out = Command::new(WORKER)
+        .arg("campaign")
+        .args(args)
+        .output()
+        .expect("campaign mode");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(
+        out.status.code(),
+        Some(2),
+        "{args:?} must exit 2, stderr: {stderr}"
+    );
+    assert!(
+        stderr.contains(needle),
+        "{args:?} stderr should contain {needle:?}: {stderr}"
+    );
+    assert!(
+        out.stdout.is_empty(),
+        "{args:?} must not print stats: {}",
+        String::from_utf8_lossy(&out.stdout)
+    );
+}
+
 #[test]
 fn campaign_cli_rejects_missing_n_and_dangling_flag_values() {
-    let usage_error = |args: &[&str], needle: &str| {
-        let out = Command::new(WORKER)
-            .arg("campaign")
-            .args(args)
-            .output()
-            .expect("campaign mode");
-        let stderr = String::from_utf8_lossy(&out.stderr);
-        assert_eq!(
-            out.status.code(),
-            Some(2),
-            "{args:?} must exit 2, stderr: {stderr}"
-        );
-        assert!(
-            stderr.contains(needle),
-            "{args:?} stderr should contain {needle:?}: {stderr}"
-        );
-        assert!(
-            out.stdout.is_empty(),
-            "{args:?} must not print stats: {}",
-            String::from_utf8_lossy(&out.stdout)
-        );
-    };
-
     // Omitting --n used to run an "empty campaign" (n defaulted to 0):
     // all-zero stats on stdout and exit 0 — success-shaped garbage.
-    usage_error(&["--seed", "5", "--local"], "--n N is required");
+    usage_error(
+        &["--seed", "5", "--transport", "local"],
+        "--n N is required",
+    );
     // An explicit zero is equally meaningless.
-    usage_error(&["--n", "0", "--local"], "--n N (> 0)");
+    usage_error(&["--n", "0", "--transport", "local"], "--n N (> 0)");
     // A dangling flag value (trailing flag, or a flag swallowed by the
     // next flag) used to silently fall back to the default.
     usage_error(&["--n", "12", "--seed"], "--seed needs a value");
-    usage_error(&["--n", "12", "--seed", "--local"], "--seed needs a value");
+    usage_error(
+        &["--n", "12", "--seed", "--utilization"],
+        "--seed needs a value",
+    );
     usage_error(&["--n", "12", "--shards"], "--shards needs a value");
-    usage_error(&["--n", "12", "--unit", "--local"], "--unit needs a value");
+    usage_error(
+        &["--n", "12", "--unit", "--utilization"],
+        "--unit needs a value",
+    );
+}
+
+#[test]
+fn campaign_cli_rejects_retired_transports_and_a_dropped_wrap() {
+    // Retired transport names are unknown, listed back with the valid
+    // set.
+    for name in ["subprocess", "command"] {
+        usage_error(
+            &["--n", "12", "--transport", name],
+            &format!("unknown transport \"{name}\" (valid: local, pool)"),
+        );
+    }
+    // A wrapper the local transport would silently drop, and an empty
+    // one, are refused before any worker spawns.
+    usage_error(
+        &[
+            "--n",
+            "12",
+            "--transport",
+            "local",
+            "--wrap",
+            "/usr/bin/env",
+        ],
+        "--wrap conflicts with --transport local",
+    );
+    usage_error(&["--n", "12", "--wrap", ""], "--wrap needs a command");
 }
 
 #[test]
 fn campaign_cli_rejects_unknown_flags() {
-    // A typo (`--shard 4`), the retired `--max-inflight` and a stray
-    // operand are usage errors before any campaign runs: ignoring them
+    // A typo (`--shard 4`), the retired `--max-inflight` and `--local`,
+    // and a stray operand are usage errors before any campaign runs: ignoring them
     // would run the defaults and look healthy.
     for (args, flag) in [
         (&["--n", "8", "--shard", "4"][..], "--shard"),
@@ -624,7 +665,9 @@ fn campaign_cli_rejects_unknown_flags() {
             &["--n", "8", "--shards", "2", "--max-inflight", "2"][..],
             "--max-inflight",
         ),
-        (&["--n", "8", "--local", "stray"][..], "stray"),
+        (&["--n", "8", "--utilization", "stray"][..], "stray"),
+        // The retired shorthand for `--transport local`.
+        (&["--n", "8", "--local"][..], "--local"),
     ] {
         let out = Command::new(WORKER)
             .arg("campaign")
@@ -806,7 +849,7 @@ fn cli_reports_exhaustion_when_the_wrapper_is_broken() {
         stderr.contains("failed all 2 attempt"),
         "stderr should report exhaustion: {stderr}"
     );
-    assert!(stderr.contains("[command]"), "stderr: {stderr}");
+    assert!(stderr.contains("[pool]"), "stderr: {stderr}");
 }
 
 // ---------------------------------------------------------------------------
@@ -954,10 +997,11 @@ fn cache_cli_cold_warm_and_cross_transport_runs_match_byte_for_byte() {
     };
 
     // Reference: an uncached local run of the same campaign.
-    let reference = run(&["--local"]);
+    let reference = run(&["--transport", "local"]);
 
-    // Cold CLI run fills the cache dir (created on demand).
-    let cold = run(&["--shards", "3", "--cache", &cache_arg]);
+    // Cold CLI run fills the cache dir (created on demand), one
+    // ⌈12/3⌉ = 4-index unit per worker.
+    let cold = run(&["--shards", "3", "--unit", "4", "--cache", &cache_arg]);
     assert_eq!(cold, reference, "cold cached run must not change bytes");
     assert!(dir.is_dir(), "--cache created the directory");
 
@@ -966,6 +1010,8 @@ fn cache_cli_cold_warm_and_cross_transport_runs_match_byte_for_byte() {
     let warm = run(&[
         "--shards",
         "3",
+        "--unit",
+        "4",
         "--cache",
         &cache_arg,
         "--wrap",
@@ -973,8 +1019,8 @@ fn cache_cli_cold_warm_and_cross_transport_runs_match_byte_for_byte() {
     ]);
     assert_eq!(warm, reference, "warm run must replay identical bytes");
 
-    // The pool transport with aligned 4-instance units replays the same
-    // entries the 3-shard subprocess transport wrote.
+    // Two workers on the same 4-instance units replay the entries the
+    // three-worker run wrote.
     let pool = run(&[
         "--transport",
         "pool",

@@ -3,9 +3,10 @@
 //! streamed `record` wire lines match `wire::encode_record` of
 //! `CampaignSpec::run_local`'s records line for line, and the decoded
 //! `campaign_report`'s `CampaignStats::to_json` matches the local
-//! artifact byte for byte — on the local, pool, and subprocess
-//! transports (the last a K-shard scatter on the pool), for concurrent clients, and across serial re-keyed
-//! campaigns on one connection. The overload and hangup paths are
+//! artifact byte for byte — on the local and pool transports (the pool
+//! also as a K-shard scatter, one ⌈n/K⌉ unit per worker), for 32
+//! concurrent clients, and across serial re-keyed campaigns on one
+//! connection. The overload and hangup paths are
 //! pinned too: a full server answers a typed `busy` error, and a client
 //! that hangs up mid-stream frees its campaign slot promptly (the
 //! sink-closed abort) instead of draining the rest of the campaign into
@@ -19,8 +20,8 @@ use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::time::{Duration, Instant};
 
-/// The worker binary for process-backed transports, built by cargo for
-/// this test run.
+/// The worker binary for the pool transport, built by cargo for this
+/// test run.
 const WORKER: &str = env!("CARGO_BIN_EXE_rv-shard");
 
 fn spec() -> CampaignSpec {
@@ -140,13 +141,15 @@ fn served_pool_campaign_is_byte_identical_with_telemetry() {
 }
 
 #[test]
-fn served_subprocess_campaign_is_byte_identical() {
+fn served_pool_with_one_unit_per_worker_is_byte_identical() {
     let (addr, handle, join) = start(with_worker());
     let mut client = Client::connect(addr).expect("connect");
+    let mut req = request(32, TransportSpec::Pool, 2);
+    req.unit = 32usize.div_ceil(2);
     let run = client
-        .run_campaign(&spec(), 9, &request(32, TransportSpec::Subprocess, 2))
-        .expect("served subprocess campaign");
-    assert_served_matches_local(&run, &spec(), 9, 32, "subprocess transport");
+        .run_campaign(&spec(), 9, &req)
+        .expect("served 2-shard campaign");
+    assert_served_matches_local(&run, &spec(), 9, 32, "2-shard pool");
     // A 2-shard scatter is a 2-worker pool with one 16-index unit each,
     // so the answer carries one telemetry line per shard.
     let units: Vec<u32> = run.telemetry.iter().map(|t| t.task_id).collect();
@@ -158,12 +161,16 @@ fn served_subprocess_campaign_is_byte_identical() {
 
 #[test]
 fn concurrent_clients_each_get_byte_identical_streams() {
+    // 32 clients at once, every one admitted: exactly-once, byte-identical
+    // delivery under concurrent load.
+    const CLIENTS: u64 = 32;
     let (addr, handle, join) = start(ServeConfig {
+        max_campaigns: CLIENTS as usize,
         local_threads: 1,
         ..ServeConfig::default()
     });
     let mut clients = Vec::new();
-    for c in 0..8u64 {
+    for c in 0..CLIENTS {
         clients.push(std::thread::spawn(move || {
             let mut client = Client::connect(addr).expect("connect");
             let n = 16 + (c as usize % 3) * 8;

@@ -93,7 +93,7 @@ impl Orientation {
 /// B's position is always the image of agent A's position under the fixed
 /// similarity `T(p) = origin + scale·R_φ·M_χ·p`; the fixed point of `T`
 /// drives the correctness of the reconstructed `CGKK` procedure (see
-/// `DESIGN.md` §3.1).
+/// the `cgkk` module docs in `rv-baselines`).
 #[derive(Clone, Debug)]
 pub struct Similarity {
     /// Orientation part.

@@ -5,7 +5,8 @@
 //! solver — everything geometric the SPAA 2020 rendezvous reproduction
 //! needs.
 //!
-//! Precision policy (see `DESIGN.md`): *directions and frame compositions
+//! Precision policy (the `rv_numeric` crate docs give the time side):
+//! *directions and frame compositions
 //! are exact* (angles are rationals `q` with value `q·π`, and the paper's
 //! `Rot(jπ/2^i)` systems compose exactly); *coordinates are `f64`*, with
 //! exact unit vectors on the four cardinal directions so that axis-aligned

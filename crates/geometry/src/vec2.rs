@@ -1,7 +1,8 @@
 //! Plane vectors in `f64`.
 //!
 //! Spatial quantities stay in `f64` throughout the reproduction (see the
-//! precision policy in `DESIGN.md`); the exactness budget is spent on time.
+//! precision policy in the `rv_numeric` crate docs); the exactness budget
+//! is spent on time.
 
 use std::fmt;
 use std::ops::{Add, AddAssign, Div, Mul, Neg, Sub, SubAssign};

@@ -125,7 +125,6 @@ impl Default for Config {
                 // back as typed error lines, never as a worker panic.
                 "crates/serve/src/lib.rs".into(),
                 "crates/serve/src/signal.rs".into(),
-                "crates/serve/src/bench.rs".into(),
                 "crates/serve/src/bin/rv_serve.rs".into(),
             ],
             unsafe_allow: vec!["crates/serve/src/signal.rs".into()],

@@ -34,8 +34,9 @@
 //! * Division is bitwise restoring long division: simple, obviously
 //!   correct, and cold (normalisation uses a shift-based binary GCD).
 //!
-//! Space (geometry) deliberately stays in `f64` — see the precision policy
-//! in `DESIGN.md`.
+//! Precision policy: time is exact, space is not. Geometry deliberately
+//! stays in `f64`, because the paper's claims are about the orderings of
+//! events in time; the exactness budget is spent there.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

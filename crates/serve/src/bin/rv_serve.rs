@@ -4,7 +4,6 @@
 //! rv-serve [--addr HOST:PORT] [--worker PATH] [--max-campaigns N]
 //!          [--read-timeout-secs S] [--max-line-bytes B] [--local-threads T]
 //!          [--cache-root DIR]
-//! rv-serve bench [--clients N] [--campaigns M] [--quick] [--out PATH]
 //! ```
 //!
 //! The default mode binds a TCP listener (port `0` picks a free port,
@@ -15,13 +14,11 @@
 //! caches (the `request` line's `cache` field); without it, cache
 //! requests are answered `unsupported`.
 //!
-//! `bench` runs the loopback loadtest and writes
-//! `target/BENCH_serve.json` (see [`rv_serve::bench`]).
+//! Served latency under load is measured by rvbench's `serve_closed`
+//! workload (`--connections N` concurrent clients).
 //!
-//! Exit codes: 0 = clean drain / loadtest passed, 1 = runtime failure,
-//! 2 = usage error.
+//! Exit codes: 0 = clean drain, 1 = runtime failure, 2 = usage error.
 
-use rv_serve::bench::{self, BenchArgs};
 use rv_serve::{signal, ServeConfig, Server};
 use std::io::Write;
 use std::path::PathBuf;
@@ -31,8 +28,7 @@ fn usage() -> ! {
     eprintln!(
         "usage: rv-serve [--addr HOST:PORT] [--worker PATH] [--max-campaigns N]\n\
          \x20               [--read-timeout-secs S] [--max-line-bytes B] [--local-threads T]\n\
-         \x20               [--cache-root DIR]\n\
-         \x20      rv-serve bench [--clients N] [--campaigns M] [--quick] [--out PATH]"
+         \x20               [--cache-root DIR]"
     );
     std::process::exit(2);
 }
@@ -63,21 +59,16 @@ fn parsed<T: std::str::FromStr>(raw: Option<String>, name: &str, default: T) -> 
     }
 }
 
-/// Rejects unknown or duplicate-style flags so typos fail loudly.
-fn check_flags(args: &[String], known_values: &[&str], known_switches: &[&str]) {
+/// Rejects unknown flags so typos fail loudly.
+fn check_flags(args: &[String], known_values: &[&str]) {
     let mut i = 0;
     while i < args.len() {
         let arg = &args[i];
-        if known_values.contains(&arg.as_str()) {
-            i += 2;
-            continue;
+        if !known_values.contains(&arg.as_str()) {
+            eprintln!("rv-serve: unknown argument {arg:?}");
+            usage();
         }
-        if known_switches.contains(&arg.as_str()) {
-            i += 1;
-            continue;
-        }
-        eprintln!("rv-serve: unknown argument {arg:?}");
-        usage();
+        i += 2;
     }
 }
 
@@ -93,7 +84,6 @@ fn serve(args: &[String]) -> ! {
             "--local-threads",
             "--cache-root",
         ],
-        &[],
     );
     let addr = flag_value(args, "--addr").unwrap_or_else(|| "127.0.0.1:0".to_string());
     let config = ServeConfig {
@@ -144,37 +134,9 @@ fn serve(args: &[String]) -> ! {
     }
 }
 
-fn bench_main(args: &[String]) -> ! {
-    check_flags(args, &["--clients", "--campaigns", "--out"], &["--quick"]);
-    let defaults = BenchArgs::default();
-    let bench_args = BenchArgs {
-        clients: parsed(flag_value(args, "--clients"), "--clients", defaults.clients),
-        campaigns: parsed(
-            flag_value(args, "--campaigns"),
-            "--campaigns",
-            defaults.campaigns,
-        ),
-        quick: args.iter().any(|a| a == "--quick"),
-        out: flag_value(args, "--out")
-            .map(PathBuf::from)
-            .unwrap_or(defaults.out),
-    };
-    match bench::run(&bench_args) {
-        Ok(report) => {
-            println!("{}", report.summary);
-            std::process::exit(0);
-        }
-        Err(e) => {
-            eprintln!("rv-serve bench: {e}");
-            std::process::exit(1);
-        }
-    }
-}
-
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match args.first().map(String::as_str) {
-        Some("bench") => bench_main(args.get(1..).unwrap_or(&[])),
         Some("serve") => serve(args.get(1..).unwrap_or(&[])),
         Some(flag) if flag.starts_with("--") => serve(&args),
         None => serve(&args),

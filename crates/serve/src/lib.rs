@@ -5,7 +5,7 @@
 //! connects, sends one `campaign_spec` line (the spec plus the session
 //! seed) followed by one `request` line (`n`, transport, workers, unit,
 //! retries), and the server streams back `record` lines as runs finish,
-//! then any `unit_telemetry` lines (pool and subprocess transports), then one
+//! then any `unit_telemetry` lines (pool transport), then one
 //! `campaign_report` line carrying the full [`CampaignStats`]. Failures
 //! are answered with a single typed `error` line and the connection is
 //! closed — the server never panics on client input and never strands a
@@ -65,7 +65,6 @@
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod bench;
 // The one unsafe site in this crate: registering the SIGTERM handler
 // through libc's `signal`. Everything else is `deny(unsafe_code)` above.
 #[allow(unsafe_code)]
@@ -113,9 +112,9 @@ pub struct ServeConfig {
     /// Longest accepted request line in bytes; anything longer is
     /// refused with an `oversized` error before buffering more.
     pub max_line_bytes: usize,
-    /// Worker binary (an `rv-shard`-compatible CLI) for the `pool` and
-    /// `subprocess` transports. `None` serves the `local` transport
-    /// only and answers other transports with an `unsupported` error.
+    /// Worker binary (an `rv-shard`-compatible CLI) for the `pool`
+    /// transport. `None` serves the `local` transport only and answers
+    /// `pool` with an `unsupported` error.
     pub worker: Option<PathBuf>,
     /// Threads per `local`-transport campaign (`0` = all cores). Loaded
     /// servers cap this so concurrent campaigns don't oversubscribe;
@@ -640,8 +639,7 @@ pub struct CampaignRun {
     /// The raw `record` wire lines as received (for byte-identity
     /// checks against a local [`wire::encode_record`] stream).
     pub record_lines: Vec<String>,
-    /// Unit telemetry rows (pool and subprocess transports; empty for
-    /// local).
+    /// Unit telemetry rows (pool transport; empty for local).
     pub telemetry: Vec<UnitTelemetry>,
     /// The decoded final report.
     pub stats: CampaignStats,

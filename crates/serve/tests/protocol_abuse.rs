@@ -148,6 +148,22 @@ fn second_campaign_spec_in_place_of_the_request_is_a_wire_error() {
 }
 
 #[test]
+fn retired_subprocess_transport_is_a_wire_error() {
+    let (addr, handle, join) = start();
+    let mut raw = TcpStream::connect(addr).expect("connect");
+    // A retired transport name is as unknown as any other.
+    let opener = wire::encode_campaign_spec(&spec(), 3);
+    let retired = wire::encode_request(&request(8)).replacen("\"local\"", "\"subprocess\"", 1);
+    assert!(retired.contains("\"subprocess\""), "{retired}");
+    raw.write_all(format!("{opener}\n{retired}\n").as_bytes())
+        .expect("send");
+    expect_error(raw, ErrorCode::Wire);
+    assert_healthy(addr);
+    handle.shutdown();
+    join.join().expect("join");
+}
+
+#[test]
 fn eof_before_the_request_line_is_a_protocol_error() {
     let (addr, handle, join) = start();
     let raw = TcpStream::connect(addr).expect("connect");

@@ -9,7 +9,7 @@
 //! cargo run --release --example asymmetric_radii
 //! ```
 
-use plane_rendezvous::core::{almost_universal_rv, solve_asymmetric};
+use plane_rendezvous::core::almost_universal_rv;
 use plane_rendezvous::prelude::*;
 
 fn main() {
@@ -28,14 +28,12 @@ fn main() {
     for (num, den) in [(1i64, 1i64), (1, 2), (1, 4), (1, 8)] {
         let r_a = inst.r.clone();
         let r_b = &inst.r * &ratio(num, den);
-        let report = solve_asymmetric(
-            &inst,
-            r_a.clone(),
-            r_b.clone(),
-            almost_universal_rv(),
-            almost_universal_rv(),
-            &budget,
-        );
+        let aur =
+            FixedPair::symmetric("aur", |_| almost_universal_rv()).visibility(Visibility::Fixed {
+                a: r_a.clone(),
+                b: r_b.clone(),
+            });
+        let report = aur.solve(&inst, &budget);
         print!("r_A = {r_a}, r_B = {r_b}: ");
         match report.meeting() {
             Some(m) => println!(
