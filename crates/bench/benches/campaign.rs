@@ -188,12 +188,13 @@ fn bench_hotpath(c: &mut Criterion) {
 }
 
 /// The gather half of the cross-process shard protocol: decode the
-/// accumulator lines the workers shipped, merge them, finish. Encoding is
-/// benched too — it is the per-shard egress cost.
+/// record lines the workers shipped, fold each unit's records, merge the
+/// unit accumulators, finish. Encoding one record line is benched too —
+/// it is the per-record egress cost.
 fn bench_shard_gather(c: &mut Criterion) {
     let mut g = c.benchmark_group("shard_gather");
-    // Synthetic record stream: 1024 records scattered over 4 shard
-    // accumulators, encoded as the wire lines a worker would emit.
+    // Synthetic record stream: 1024 records over 4 units of 256, encoded
+    // as the record lines a worker would emit.
     let records: Vec<RunRecord> = (0..1024u64)
         .map(|i| RunRecord {
             class: Classification::Type3,
@@ -205,27 +206,26 @@ fn bench_shard_gather(c: &mut Criterion) {
             radius: 2.0,
         })
         .collect();
-    let shard_accs: Vec<StatsAccumulator> = records
-        .chunks(records.len() / 4)
-        .map(|chunk| {
-            let mut acc = StatsAccumulator::new();
-            chunk.iter().for_each(|r| acc.push(r));
-            acc
-        })
+    let lines: Vec<String> = records
+        .iter()
+        .enumerate()
+        .map(|(i, r)| wire::encode_record(i, r))
         .collect();
-    let lines: Vec<String> = shard_accs.iter().map(wire::encode_accumulator).collect();
 
-    g.bench_function("decode_merge_finish_4x256", |b| {
+    g.bench_function("decode_fold_merge_finish_4x256", |b| {
         b.iter(|| {
             let merged = lines
-                .iter()
-                .map(|l| wire::decode_accumulator(l).expect("bench line"))
+                .chunks(lines.len() / 4)
+                .map(|unit| {
+                    let recs: Vec<RunRecord> = unit
+                        .iter()
+                        .map(|l| wire::decode_record(l).expect("bench line").1)
+                        .collect();
+                    StatsAccumulator::of(&recs)
+                })
                 .fold(StatsAccumulator::new(), StatsAccumulator::merge);
             black_box(merged.finish()).n
         })
-    });
-    g.bench_function("encode_acc_256", |b| {
-        b.iter(|| black_box(wire::encode_accumulator(&shard_accs[0])).len())
     });
     g.bench_function("encode_record_line", |b| {
         b.iter(|| black_box(wire::encode_record(512, &records[512])).len())

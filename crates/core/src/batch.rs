@@ -2,13 +2,13 @@
 //! parallel and aggregate the outcomes.
 //!
 //! A [`Campaign`] bundles a first-class solver (any [`Solver`] impl — the
-//! bundled [`crate::Aur`] / [`crate::Dedicated`] / [`crate::FixedPair`] /
-//! [`crate::Closure`], or your own), a per-run [`Budget`], a worker
-//! count, and an optional streaming [`RecordSink`]. Running it over an
-//! instance slice (or a seed-indexed generator, via
-//! [`Campaign::run_seeded`]) produces one distilled [`RunRecord`] per
-//! instance plus aggregate [`CampaignStats`]. Because the solver is type-
-//! erased behind an `Arc`, campaigns are plain storable, clonable values.
+//! bundled [`crate::Aur`] / [`crate::Dedicated`] / [`crate::FixedPair`],
+//! or your own), a per-run [`Budget`], a worker count, and an optional
+//! streaming [`RecordSink`]. Running it over an instance slice (or a
+//! seed-indexed generator, via [`Campaign::run_seeded`]) produces one
+//! distilled [`RunRecord`] per instance plus aggregate [`CampaignStats`].
+//! Because the solver is type-erased behind an `Arc`, campaigns are plain
+//! storable, clonable values.
 //!
 //! Aggregation is an explicit monoid: [`StatsAccumulator`] folds records
 //! one [`push`](StatsAccumulator::push) at a time, two accumulators
@@ -32,7 +32,7 @@
 use crate::api::Budget;
 use crate::json;
 use crate::parallel::par_map;
-use crate::solver::{Aur, Closure, Dedicated, Solver};
+use crate::solver::{Aur, Dedicated, Solver};
 use crate::stream::RecordSink;
 use rv_model::{classify, Classification, Instance};
 use rv_sim::SimReport;
@@ -170,7 +170,8 @@ impl ClassStats {
     }
 
     /// The breakdown's JSON fields, without braces, with `opt` rendering
-    /// the optional float (shared with the wire's `class_stats` line).
+    /// the optional float (shared with the wire's `campaign_report`
+    /// line).
     pub(crate) fn json_fields(&self, opt: fn(Option<f64>) -> String) -> String {
         format!(
             "\"class\": {}, \"n\": {}, \"met\": {}, \"median_time\": {}",
@@ -183,8 +184,8 @@ impl ClassStats {
 }
 
 /// Fixed presentation order for per-class breakdowns (deterministic
-/// regardless of which classes a workload happens to contain). The wire
-/// format's accumulator bucket array uses the same order.
+/// regardless of which classes a workload happens to contain), and the
+/// order of [`StatsAccumulator`]'s per-class buckets.
 pub(crate) const CLASS_ORDER: [Classification; 8] = [
     Classification::Trivial,
     Classification::Type1,
@@ -196,57 +197,36 @@ pub(crate) const CLASS_ORDER: [Classification; 8] = [
     Classification::Infeasible,
 ];
 
-/// The `k`-th order statistic under `total_cmp`, via linear-time
-/// selection instead of a full sort. Under a total order the `k`-th
-/// smallest element of a multiset is unique (bit-identical for `f64`:
-/// `total_cmp` equality means equal bits), so every quantile below
-/// matches what the former sort-then-index code produced.
-fn kth_f64(values: &mut [f64], k: usize) -> Option<f64> {
-    if values.is_empty() {
-        return None;
-    }
-    Some(*values.select_nth_unstable_by(k, f64::total_cmp).1)
-}
-
-fn kth_u64(values: &mut [u64], k: usize) -> Option<u64> {
-    if values.is_empty() {
-        return None;
-    }
-    Some(*values.select_nth_unstable(k).1)
-}
-
-/// Upper median (the `len/2`-th order statistic), matching the
-/// pre-campaign table code so refactored experiments report identical
-/// medians. `None` on empty input — callers decide how to render the
-/// absence, it is never silently a number.
-fn median_f64(values: &mut [f64]) -> Option<f64> {
-    kth_f64(values, values.len() / 2)
-}
-
 /// Nearest-rank quantile: the smallest value with at least `num/den` of
 /// the data at or below it (`⌈len·num/den⌉`-th smallest).
 fn rank(len: usize, num: usize, den: usize) -> usize {
     ((len * num).div_ceil(den)).saturating_sub(1)
 }
 
-fn p90_f64(values: &mut [f64]) -> Option<f64> {
-    kth_f64(values, rank(values.len(), 9, 10))
-}
+/// Upper median position (the `len/2`-th order statistic), matching the
+/// pre-campaign table code so refactored experiments report identical
+/// medians.
+const MEDIAN: fn(usize) -> usize = |len| len / 2;
+/// Nearest-rank 90th-percentile position.
+const P90: fn(usize) -> usize = |len| rank(len, 9, 10);
+/// Maximum position.
+const MAX: fn(usize) -> usize = |len| len - 1;
 
-fn max_f64(values: &mut [f64]) -> Option<f64> {
-    kth_f64(values, values.len().saturating_sub(1))
-}
-
-fn p90_u64(values: &mut [u64]) -> Option<u64> {
-    kth_u64(values, rank(values.len(), 9, 10))
-}
-
-fn median_u64(values: &mut [u64]) -> Option<u64> {
-    kth_u64(values, values.len() / 2)
-}
-
-fn max_u64(values: &mut [u64]) -> Option<u64> {
-    kth_u64(values, values.len().saturating_sub(1))
+/// The order statistic at position `at(len)` under `cmp`, via linear-time
+/// selection instead of a full sort. Under a total order (`Ord`, or
+/// `total_cmp` for `f64`, whose equality means equal bits) the `k`-th
+/// smallest element of a multiset is unique, so every quantile matches
+/// what sort-then-index produces. `None` on empty input — callers decide
+/// how to render the absence, it is never silently a number.
+fn select<T: Copy>(
+    values: &mut [T],
+    at: fn(usize) -> usize,
+    cmp: fn(&T, &T) -> std::cmp::Ordering,
+) -> Option<T> {
+    if values.is_empty() {
+        return None;
+    }
+    Some(*values.select_nth_unstable_by(at(values.len()), cmp).1)
 }
 
 /// Incremental, mergeable aggregation state over [`RunRecord`] streams.
@@ -261,14 +241,14 @@ fn max_u64(values: &mut [u64]) -> Option<u64> {
 /// one the `stats_merge` property suite pins down.
 #[derive(Clone, Debug, PartialEq)]
 pub struct StatsAccumulator {
-    pub(crate) n: usize,
-    pub(crate) met: usize,
-    pub(crate) infeasible: usize,
-    pub(crate) times: Vec<f64>,
-    pub(crate) segments: Vec<u64>,
-    pub(crate) min_ratio: f64,
+    n: usize,
+    met: usize,
+    infeasible: usize,
+    times: Vec<f64>,
+    segments: Vec<u64>,
+    min_ratio: f64,
     /// (n, met, times) per [`CLASS_ORDER`] slot.
-    pub(crate) buckets: [(usize, usize, Vec<f64>); CLASS_ORDER.len()],
+    buckets: [(usize, usize, Vec<f64>); CLASS_ORDER.len()],
 }
 
 impl Default for StatsAccumulator {
@@ -289,6 +269,23 @@ impl StatsAccumulator {
             min_ratio: f64::INFINITY,
             buckets: std::array::from_fn(|_| (0, 0, Vec::new())),
         }
+    }
+
+    /// Folds `records` into a fresh accumulator, in iteration order —
+    /// how every holder of a record stream (an in-process campaign, the
+    /// pool gather, a cache load) gets its stats.
+    pub fn of<'a, I>(records: I) -> StatsAccumulator
+    where
+        I: IntoIterator<Item = &'a RunRecord>,
+        I::IntoIter: ExactSizeIterator,
+    {
+        let records = records.into_iter();
+        let mut acc = StatsAccumulator::new();
+        acc.reserve(records.len());
+        for rec in records {
+            acc.push(rec);
+        }
+        acc
     }
 
     /// Pre-reserves push-side capacity for `additional` more records
@@ -374,7 +371,7 @@ impl StatsAccumulator {
                 class,
                 n: *cn,
                 met: *cmet,
-                median_time: median_f64(class_times),
+                median_time: select(class_times, MEDIAN, f64::total_cmp),
             })
             .collect();
 
@@ -382,15 +379,15 @@ impl StatsAccumulator {
             n,
             met,
             infeasible,
-            median_time: median_f64(&mut times),
-            p90_time: p90_f64(&mut times),
-            max_time: max_f64(&mut times),
+            median_time: select(&mut times, MEDIAN, f64::total_cmp),
+            p90_time: select(&mut times, P90, f64::total_cmp),
+            max_time: select(&mut times, MAX, f64::total_cmp),
             // The u64 quantiles are `None` only for an empty campaign;
             // the report schema renders that as 0 (an explicit decision
-            // here, not a default buried in the helpers).
-            median_segments: median_u64(&mut segments).unwrap_or(0),
-            p90_segments: p90_u64(&mut segments).unwrap_or(0),
-            max_segments: max_u64(&mut segments).unwrap_or(0),
+            // here, not a default buried in the helper).
+            median_segments: select(&mut segments, MEDIAN, u64::cmp).unwrap_or(0),
+            p90_segments: select(&mut segments, P90, u64::cmp).unwrap_or(0),
+            max_segments: select(&mut segments, MAX, u64::cmp).unwrap_or(0),
             min_dist_over_r: min_ratio,
             per_class,
         }
@@ -399,14 +396,9 @@ impl StatsAccumulator {
 
 impl CampaignStats {
     /// Folds the aggregate from an ordered record stream: one
-    /// [`StatsAccumulator`] pass plus the quantile sorts.
+    /// [`StatsAccumulator`] pass plus the quantile selections.
     pub fn of(records: &[RunRecord]) -> CampaignStats {
-        let mut acc = StatsAccumulator::new();
-        acc.reserve(records.len());
-        for rec in records {
-            acc.push(rec);
-        }
-        acc.finish()
+        StatsAccumulator::of(records).finish()
     }
 
     /// `met/n` as a display string.
@@ -517,13 +509,8 @@ pub struct Campaign {
 impl Campaign {
     /// Campaign running an arbitrary [`Solver`] value.
     pub fn new(solver: impl Solver + 'static, budget: Budget) -> Campaign {
-        Campaign::from_arc(Arc::new(solver), budget)
-    }
-
-    /// Campaign running an already-shared solver.
-    pub fn from_arc(solver: Arc<dyn Solver>, budget: Budget) -> Campaign {
         Campaign {
-            solver,
+            solver: Arc::new(solver),
             budget,
             threads: 0,
             sink: None,
@@ -540,15 +527,6 @@ impl Campaign {
     /// ([`crate::Dedicated`]).
     pub fn dedicated(budget: Budget) -> Campaign {
         Campaign::new(Dedicated, budget)
-    }
-
-    /// Campaign with an arbitrary solver closure (shorthand for
-    /// [`Campaign::new`] over a [`Closure`] named `"custom"`).
-    pub fn custom<F>(budget: Budget, solver: F) -> Campaign
-    where
-        F: Fn(&Instance, &Budget) -> SimReport + Send + Sync + 'static,
-    {
-        Campaign::new(Closure::new("custom", solver), budget)
     }
 
     /// Sets the worker count (`0` = all available cores, the default).
@@ -574,11 +552,6 @@ impl Campaign {
     /// The solver's machine-friendly name (for labels and artifacts).
     pub fn solver_name(&self) -> &str {
         self.solver.name()
-    }
-
-    /// The solver's human description (for report prose).
-    pub fn describe_solver(&self) -> String {
-        self.solver.describe()
     }
 
     /// One record: solve, distill, notify the sink.
@@ -612,7 +585,7 @@ impl Campaign {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::api::{solve_dedicated, solve_pair};
+    use crate::api::solve_dedicated;
     use crate::solver::FixedPair;
     use crate::stream::{ChannelSink, VecSink};
     use rv_numeric::{ratio, Ratio};
@@ -653,14 +626,11 @@ mod tests {
             Campaign::dedicated(budget.clone()),
             Campaign::new(
                 FixedPair::symmetric("stay-put", |_| std::iter::empty()),
-                budget.clone(),
+                budget,
             ),
-            Campaign::custom(budget, |inst, b| {
-                solve_pair(inst, std::iter::empty(), std::iter::empty(), b)
-            }),
         ];
         let names: Vec<&str> = fleet.iter().map(Campaign::solver_name).collect();
-        assert_eq!(names, ["aur", "dedicated", "stay-put", "custom"]);
+        assert_eq!(names, ["aur", "dedicated", "stay-put"]);
         let cloned = fleet[0].clone();
         let instances: Vec<Instance> = (0..3).map(type3).collect();
         assert_eq!(cloned.run(&instances), fleet[0].run(&instances));
@@ -702,9 +672,10 @@ mod tests {
             .r(Ratio::one())
             .build()
             .unwrap();
-        let report = Campaign::custom(Budget::default().segments(100), |inst, b| {
-            solve_pair(inst, std::iter::empty(), std::iter::empty(), b)
-        })
+        let report = Campaign::new(
+            FixedPair::symmetric("stay-put", |_| std::iter::empty()),
+            Budget::default().segments(100),
+        )
         .run(&[far, near]);
         assert_eq!(report.stats.met, 1);
         assert!(!report.records[0].met);
@@ -743,18 +714,15 @@ mod tests {
 
     #[test]
     fn empty_quantiles_are_none_not_zero() {
-        // The helpers must make the empty case explicit; the 0 in the
+        // The helper must make the empty case explicit; the 0 in the
         // report schema is finish()'s rendering decision, not a silent
         // default that could mask a lost shard.
-        assert_eq!(median_u64(&mut []), None);
-        assert_eq!(p90_u64(&mut []), None);
-        assert_eq!(max_u64(&mut []), None);
-        assert_eq!(median_f64(&mut []), None);
-        assert_eq!(p90_f64(&mut []), None);
-        assert_eq!(max_f64(&mut []), None);
-        // One record: every quantile is that record.
-        assert_eq!(median_u64(&mut [7]), Some(7));
-        assert_eq!(p90_u64(&mut [7]), Some(7));
+        for at in [MEDIAN, P90, MAX] {
+            assert_eq!(select(&mut [], at, u64::cmp), None);
+            assert_eq!(select(&mut [], at, f64::total_cmp), None);
+            // One record: every quantile is that record.
+            assert_eq!(select(&mut [7], at, u64::cmp), Some(7));
+        }
         let empty = StatsAccumulator::new().finish();
         assert_eq!(empty.median_segments, 0);
         assert_eq!(empty.p90_segments, 0);
@@ -774,24 +742,36 @@ mod tests {
             let mut sorted = vals.clone();
             sorted.sort_unstable();
             let mut scratch = vals.clone();
-            assert_eq!(median_u64(&mut scratch), Some(sorted[n / 2]), "n={n}");
+            assert_eq!(
+                select(&mut scratch, MEDIAN, u64::cmp),
+                Some(sorted[n / 2]),
+                "n={n}"
+            );
             let mut scratch = vals.clone();
-            assert_eq!(p90_u64(&mut scratch), Some(sorted[rank(n, 9, 10)]), "n={n}");
+            assert_eq!(
+                select(&mut scratch, P90, u64::cmp),
+                Some(sorted[rank(n, 9, 10)]),
+                "n={n}"
+            );
             let mut scratch = vals.clone();
-            assert_eq!(max_u64(&mut scratch), Some(sorted[n - 1]), "n={n}");
+            assert_eq!(
+                select(&mut scratch, MAX, u64::cmp),
+                Some(sorted[n - 1]),
+                "n={n}"
+            );
 
             let fvals: Vec<f64> = vals.iter().map(|&v| v as f64 / 3.0).collect();
             let mut fsorted = fvals.clone();
             fsorted.sort_by(f64::total_cmp);
             let mut scratch = fvals.clone();
             assert_eq!(
-                median_f64(&mut scratch).map(f64::to_bits),
+                select(&mut scratch, MEDIAN, f64::total_cmp).map(f64::to_bits),
                 Some(fsorted[n / 2].to_bits()),
                 "n={n}"
             );
             let mut scratch = fvals.clone();
             assert_eq!(
-                p90_f64(&mut scratch).map(f64::to_bits),
+                select(&mut scratch, P90, f64::total_cmp).map(f64::to_bits),
                 Some(fsorted[rank(n, 9, 10)].to_bits()),
                 "n={n}"
             );
@@ -827,6 +807,19 @@ mod tests {
             full.stats
         );
         assert_eq!(StatsAccumulator::new().merge(acc).finish(), full.stats);
+    }
+
+    #[test]
+    fn accumulator_of_matches_push_by_push_fold() {
+        let instances: Vec<Instance> = (0..7).map(type3).collect();
+        let report = Campaign::aur(Budget::default().segments(100_000)).run(&instances);
+        let mut pushed = StatsAccumulator::new();
+        report.records.iter().for_each(|r| pushed.push(r));
+        let folded = StatsAccumulator::of(&report.records);
+        assert_eq!(format!("{folded:?}"), format!("{pushed:?}"));
+        assert_eq!(folded.len(), report.records.len());
+        assert_eq!(folded.finish(), report.stats);
+        assert!(StatsAccumulator::of(&[]).is_empty());
     }
 
     #[test]
@@ -922,7 +915,10 @@ mod tests {
         let instances: Vec<Instance> = (0..4).map(type3).collect();
         let budget = Budget::default().segments(50_000);
         let via_campaign = Campaign::dedicated(budget.clone()).run(&instances);
-        let via_wrapper = Campaign::custom(budget, solve_dedicated).run(&instances);
-        assert_eq!(via_campaign.records, via_wrapper.records);
+        let via_wrapper: Vec<RunRecord> = instances
+            .iter()
+            .map(|inst| RunRecord::from_report(inst, &solve_dedicated(inst, &budget)))
+            .collect();
+        assert_eq!(via_campaign.records, via_wrapper);
     }
 }

@@ -23,8 +23,14 @@
 //! <dir>/<key:032x>.jsonl
 //!   line 1      — the canonical `campaign_spec` line (the key preimage)
 //!   lines 2..   — one `record` line per index, ascending over the range
-//!   last line   — a `unit_done` line (task_id 0) with the accumulator
+//!   last line   — a `unit_done` line (task_id 0) that ends the entry
 //! ```
+//!
+//! An entry stores no statistics: a load folds the shard's
+//! [`StatsAccumulator`] from its records, so the stats can never
+//! disagree with them. Entries written by older builds carry their
+//! folded accumulator as an `acc` field on the `unit_done` line; the
+//! reader ignores it and replays them all the same.
 //!
 //! Entries are written to a temporary file in the same directory and
 //! published with [`std::fs::rename`] — readers racing a writer observe
@@ -152,8 +158,8 @@ pub enum CacheError {
         /// The underlying wire error.
         source: WireError,
     },
-    /// The entry ended before the full record range and the accumulator
-    /// line arrived (truncation at a line boundary).
+    /// The entry ended before the full record range and the closing
+    /// `unit_done` line arrived (truncation at a line boundary).
     Truncated {
         /// The entry file.
         path: PathBuf,
@@ -169,8 +175,9 @@ pub enum CacheError {
         what: String,
     },
     /// The entry decoded but its shape is wrong: unexpected line kind,
-    /// out-of-range or out-of-order record index, or an accumulator
-    /// that does not cover the range.
+    /// out-of-range or out-of-order record index, a record count or
+    /// `unit_done` start that does not match the range — or, on
+    /// [`ResultCache::store`], inputs that do not cover the range.
     Layout {
         /// The entry file.
         path: PathBuf,
@@ -216,15 +223,24 @@ impl std::error::Error for CacheError {
     }
 }
 
-/// One cached shard, loaded and fully validated: records sorted and
-/// contiguous over the requested range, accumulator covering exactly
-/// that range.
+/// One finished shard: its records, sorted and contiguous over the
+/// shard's range, and the accumulator folded from them. What a cache
+/// load returns, and what the executors hold per gathered unit.
 #[derive(Clone, Debug)]
 pub struct CachedShard {
     /// The shard's records, `(global index, record)` in index order.
     pub records: Vec<(usize, RunRecord)>,
-    /// The shard's finished-state accumulator (mergeable).
+    /// The shard's mergeable accumulator, folded from `records`.
     pub acc: StatsAccumulator,
+}
+
+impl CachedShard {
+    /// The shard over `records` (in index order), with its accumulator
+    /// folded from them.
+    pub(crate) fn of(records: Vec<(usize, RunRecord)>) -> CachedShard {
+        let acc = StatsAccumulator::of(records.iter().map(|(_, rec)| rec));
+        CachedShard { records, acc }
+    }
 }
 
 /// Counters describing a cache's traffic since it was opened. Snapshot
@@ -379,7 +395,7 @@ impl ResultCache {
         let mut done: Option<UnitDone> = None;
         for (idx, line) in lines {
             if done.is_some() {
-                return Err(layout("lines after the unit_done accumulator".into()));
+                return Err(layout("lines after the unit_done line".into()));
             }
             match wire::decode_line(line).map_err(|source| CacheError::Wire {
                 path: path.to_path_buf(),
@@ -406,7 +422,7 @@ impl ResultCache {
             return Err(CacheError::Truncated {
                 path: path.to_path_buf(),
                 what: format!(
-                    "no unit_done accumulator after {} of {} records",
+                    "no unit_done line after {} of {} records",
                     records.len(),
                     range.len()
                 ),
@@ -419,19 +435,13 @@ impl ResultCache {
                 range.len()
             )));
         }
-        if done.start != range.start || done.acc.len() != range.len() {
+        if done.start != range.start {
             return Err(layout(format!(
-                "accumulator covers {} records from {}, expected {} from {}",
-                done.acc.len(),
-                done.start,
-                range.len(),
-                range.start
+                "unit_done starts at {}, expected {}",
+                done.start, range.start
             )));
         }
-        Ok(CachedShard {
-            records,
-            acc: done.acc,
-        })
+        Ok(CachedShard::of(records))
     }
 
     /// The total convenience path executors use: load, treating a
@@ -479,11 +489,13 @@ impl ResultCache {
     ///
     /// `records` must be the shard's full record list in index order and
     /// `acc` its accumulator — exactly what a validated gather holds.
-    /// Inputs that do not cover the range are rejected with
-    /// [`CacheError::Layout`] rather than poisoning the cache. The entry
-    /// is written to a temporary file and published with an atomic
-    /// rename, so concurrent readers (and writers racing on the same
-    /// key, which by content addressing write identical bytes) are safe.
+    /// Only the records are written (a load folds the stats from them);
+    /// `acc` is an input check. Inputs that do not cover the range are
+    /// rejected with [`CacheError::Layout`] rather than poisoning the
+    /// cache. The entry is written to a temporary file and published with
+    /// an atomic rename, so concurrent readers (and writers racing on the
+    /// same key, which by content addressing write identical bytes) are
+    /// safe.
     pub fn store(
         &self,
         spec: &CampaignSpec,
@@ -513,7 +525,7 @@ impl ResultCache {
             wire::push_record(&mut body, *index, rec);
             body.push('\n');
         }
-        wire::push_unit_done(&mut body, 0, range.start, acc);
+        wire::push_unit_done(&mut body, 0, range.start);
         body.push('\n');
 
         // Unique per process *and* per call, so concurrent writers never

@@ -18,7 +18,8 @@
 //!   because fast ones simply steal more units. Each unit answers with
 //!   record lines, a `unit_telemetry` line (wall time + attempt — a side
 //!   channel, see [`Executor::take_worker_telemetry`]), and a `unit_done`
-//!   accumulator line.
+//!   line that ends it. The driver folds each unit's stats from the
+//!   records it gathered; no statistics cross the pipe.
 //!
 //! Both take a result cache ([`crate::cache`]) through `.cache(..)`;
 //! the local engine's whole campaign is one unit `0..n`.
@@ -56,7 +57,7 @@
 //! the single-process run.
 
 use crate::batch::{CampaignReport, CampaignStats, RunRecord, StatsAccumulator};
-use crate::cache::ResultCache;
+use crate::cache::{CachedShard, ResultCache};
 use crate::json;
 use crate::shard::{
     plan_units, CampaignRequest, CampaignSpec, ShardError, TransportSpec, UnitTask, UnitTelemetry,
@@ -209,7 +210,7 @@ impl LocalExecutor {
     }
 
     /// Runs the campaign as the one-unit plan `0..n` through the pool's
-    /// [`cache_prepass`] and [`UnitOutcome::write_through`], so a cache
+    /// [`cache_prepass`] and [`CachedShard::write_through`], so a cache
     /// entry is keyed, stored and replayed exactly as a pool unit over
     /// the same range would be.
     fn run_unit(
@@ -219,7 +220,7 @@ impl LocalExecutor {
         n: usize,
         sink: Option<Arc<dyn RecordSink>>,
         keep_records: bool,
-    ) -> Result<Vec<Option<UnitOutcome>>, ExecError> {
+    ) -> Result<Vec<Option<CachedShard>>, ExecError> {
         let whole = 0..n;
         let cache = self.cache.as_deref();
         let mut slots = vec![None];
@@ -231,15 +232,11 @@ impl LocalExecutor {
         if let Some(sink) = sink {
             campaign = campaign.sink_arc(sink);
         }
-        // Records arrive in index order; folding them in that order
-        // reproduces the single-process accumulator bytes.
-        let mut acc = StatsAccumulator::new();
         let records = (campaign.run_seeded(n, |i| spec.instance(seed, i)).records)
             .into_iter()
             .enumerate()
-            .inspect(|(_, rec)| acc.push(rec))
             .collect();
-        let outcome = UnitOutcome { acc, records };
+        let outcome = CachedShard::of(records);
         slots[0] = Some(outcome.write_through(cache, spec, seed, &whole, keep_records));
         Ok(slots)
     }
@@ -537,7 +534,7 @@ impl PoolExecutor {
         n: usize,
         sink: Option<Arc<dyn RecordSink>>,
         keep_records: bool,
-    ) -> Result<Vec<Option<UnitOutcome>>, ExecError> {
+    ) -> Result<Vec<Option<CachedShard>>, ExecError> {
         if sink.as_ref().is_some_and(|s| s.is_closed()) {
             // The consumer is already gone; never replay cached units
             // (or feed workers) into the void.
@@ -560,7 +557,7 @@ impl PoolExecutor {
         // Cache fast path: cached units replay into their slots before
         // any worker is fed; a fully warm run touches no worker session
         // (and spawns none that were not already running).
-        let mut slot_init: Vec<Option<UnitOutcome>> = vec![None; units.len()];
+        let mut slot_init: Vec<Option<CachedShard>> = vec![None; units.len()];
         let pending = cache_prepass(
             self.cache.as_deref(),
             spec,
@@ -573,7 +570,7 @@ impl PoolExecutor {
 
         // task = (index into units, attempt number)
         let queue: Mutex<VecDeque<(usize, u32)>> = Mutex::new(pending);
-        let slots: Mutex<Vec<Option<UnitOutcome>>> = Mutex::new(slot_init);
+        let slots: Mutex<Vec<Option<CachedShard>>> = Mutex::new(slot_init);
         let failed: Mutex<Vec<bool>> = Mutex::new(vec![false; self.commands.len()]);
         let fatal: Mutex<Option<ExecError>> = Mutex::new(None);
         let kills = KillSwitch::new();
@@ -979,7 +976,7 @@ fn run_pool_unit(
     seed: u64,
     task: &UnitTask,
     kills: &KillSwitch,
-) -> Result<(UnitOutcome, UnitTelemetry), (usize, ShardError)> {
+) -> Result<(CachedShard, UnitTelemetry), (usize, ShardError)> {
     let command = loop {
         let fresh = slot.is_none();
         if fresh {
@@ -1032,15 +1029,16 @@ fn run_pool_unit(
 }
 
 /// Reads one unit's answer off the slot's live worker — record lines
-/// until the `unit_done` line — and validates identity, counts, and
-/// exactly-once index coverage against the task. Any failure tears the
-/// worker down (`*slot = None` — its `Drop` kills and reaps it), so the
-/// next unit on this thread starts from a fresh process.
+/// until the `unit_done` line — validates identity and exactly-once
+/// index coverage against the task, and folds the unit's accumulator
+/// from its records. Any failure tears the worker down (`*slot = None`
+/// — its `Drop` kills and reaps it), so the next unit on this thread
+/// starts from a fresh process.
 fn gather_unit(
     slot: &mut Option<PoolWorker>,
     task: &UnitTask,
     kills: &KillSwitch,
-) -> Result<(UnitOutcome, UnitTelemetry), ShardError> {
+) -> Result<(CachedShard, UnitTelemetry), ShardError> {
     let shard_id = task.task_id;
     let io = |source| ShardError::Io { shard_id, source };
     let protocol = |what: String| ShardError::Protocol { shard_id, what };
@@ -1147,13 +1145,6 @@ fn gather_unit(
             done.start, task.range.start
         )));
     }
-    if done.acc.len() != task.range.len() {
-        return Err(fail(format!(
-            "expected {} accumulated records, got {}",
-            task.range.len(),
-            done.acc.len()
-        )));
-    }
     let Some(unit_telemetry) = unit_telemetry else {
         return Err(fail("unit finished without a unit_telemetry line".into()));
     };
@@ -1177,25 +1168,10 @@ fn gather_unit(
             )));
         }
     }
-    Ok((
-        UnitOutcome {
-            acc: done.acc,
-            records,
-        },
-        unit_telemetry,
-    ))
+    Ok((CachedShard::of(records), unit_telemetry))
 }
 
-/// One successfully gathered (or cache-replayed) unit: its accumulator
-/// plus the buffered records (sorted by global index, verified
-/// contiguous over the unit's range).
-#[derive(Clone)]
-struct UnitOutcome {
-    acc: StatsAccumulator,
-    records: Vec<(usize, RunRecord)>,
-}
-
-impl UnitOutcome {
+impl CachedShard {
     /// Settles a freshly executed unit: writes it through to `cache`
     /// under `(spec, seed, range)`, then drops the record buffer unless
     /// the caller keeps records. A full disk must not fail the run, so
@@ -1207,7 +1183,7 @@ impl UnitOutcome {
         seed: u64,
         range: &Range<usize>,
         keep_records: bool,
-    ) -> UnitOutcome {
+    ) -> CachedShard {
         if let Some(cache) = cache {
             let _ = cache.store(spec, seed, range, &self.records, &self.acc);
         }
@@ -1235,7 +1211,7 @@ fn cache_prepass(
     ranges: &[Range<usize>],
     sink: &Option<Arc<dyn RecordSink>>,
     keep_records: bool,
-    slots: &mut [Option<UnitOutcome>],
+    slots: &mut [Option<CachedShard>],
 ) -> Result<VecDeque<(usize, u32)>, ExecError> {
     let Some(cache) = cache else {
         return Ok((0..ranges.len()).map(|k| (k, 0)).collect());
@@ -1246,22 +1222,17 @@ fn cache_prepass(
             return Err(ExecError::SinkClosed);
         }
         match cache.lookup(spec, seed, range) {
-            Some(hit) => {
+            Some(mut hit) => {
                 if let Some(sink) = sink {
                     for (index, rec) in &hit.records {
                         sink.record(*index, rec);
                     }
                 }
-                let records = if keep_records {
-                    hit.records
-                } else {
-                    Vec::new()
-                };
+                if !keep_records {
+                    hit.records = Vec::new();
+                }
                 if let Some(slot) = slots.get_mut(k) {
-                    *slot = Some(UnitOutcome {
-                        acc: hit.acc,
-                        records,
-                    });
+                    *slot = Some(hit);
                 }
             }
             None => misses.push_back((k, 0)),
@@ -1274,7 +1245,7 @@ fn cache_prepass(
 /// concatenated in unit order (each unit's slice is already sorted and
 /// contiguous, and units partition `0..n`), stats from the accumulator
 /// merge in unit order — exactly the single-process bytes.
-fn assemble(n: usize, slots: Vec<Option<UnitOutcome>>) -> Result<CampaignReport, ExecError> {
+fn assemble(n: usize, slots: Vec<Option<CachedShard>>) -> Result<CampaignReport, ExecError> {
     let mut merged = StatsAccumulator::new();
     let mut records = Vec::with_capacity(n);
     for (k, slot) in slots.into_iter().enumerate() {
@@ -1303,7 +1274,7 @@ fn assemble(n: usize, slots: Vec<Option<UnitOutcome>>) -> Result<CampaignReport,
 /// unit order and finishes once. Per-unit index coverage was already
 /// validated against each task at gather time, so `merged.len()` is the
 /// remaining cross-unit check.
-fn assemble_stats(n: usize, slots: Vec<Option<UnitOutcome>>) -> Result<CampaignStats, ExecError> {
+fn assemble_stats(n: usize, slots: Vec<Option<CachedShard>>) -> Result<CampaignStats, ExecError> {
     let mut merged = StatsAccumulator::new();
     for (k, slot) in slots.into_iter().enumerate() {
         let outcome = slot.ok_or_else(|| ExecError::Coverage {
@@ -1541,15 +1512,52 @@ mod tests {
         assert!(std::error::Error::source(&err).is_none());
     }
 
+    #[cfg(unix)]
+    #[test]
+    fn pool_folds_stats_from_records_not_from_a_shipped_acc() {
+        // A worker answering in the older layout, whose `unit_done` line
+        // still ships an accumulator — here one that contradicts its
+        // records. The gather ignores it and folds the records.
+        let (c, seed, n) = (spec(), 0x5EED, 6);
+        let reference = c.run_local(seed, n);
+        let mut answer = String::new();
+        for (i, rec) in reference.records.iter().enumerate() {
+            answer.push_str(&wire::encode_record(i, rec));
+            answer.push('\n');
+        }
+        answer.push_str(&wire::encode_unit_telemetry(&UnitTelemetry {
+            task_id: 0,
+            attempt: 0,
+            wall_ns: 1,
+        }));
+        answer.push('\n');
+        answer.push_str(
+            "{\"schema\": 3, \"kind\": \"unit_done\", \"task_id\": 0, \"start\": 0, \
+             \"acc\": {\"n\": 6, \"met\": 0, \"infeasible\": 6, \"times\": [], \
+             \"segments\": [1, 1, 1, 1, 1, 1], \"min_ratio\": 0, \"buckets\": []}}\n",
+        );
+        let file = std::env::temp_dir().join(format!("rv-legacy-answer-{}", std::process::id()));
+        std::fs::write(&file, answer).unwrap();
+        // Read the session opener and the one task, answer, then idle
+        // until the driver closes stdin.
+        let script = format!(
+            "read spec; read task; cat '{}'; while read line; do :; done",
+            file.display()
+        );
+        let worker = WorkerCommand::new("/bin/sh").arg("-c").arg(script);
+        let report = PoolExecutor::new(worker).unit(n).execute(&c, seed, n, None);
+        let _ = std::fs::remove_file(&file);
+        let report = report.expect("a legacy answer gathers");
+        assert_eq!(format!("{report:?}"), format!("{reference:?}"));
+        assert_eq!(report.stats.to_json(), reference.stats.to_json());
+    }
+
     #[test]
     fn assemble_rejects_missing_and_short_shards() {
         let err = assemble(3, vec![None]).unwrap_err();
         assert!(matches!(err, ExecError::Coverage { .. }), "{err}");
 
-        let outcome = UnitOutcome {
-            acc: StatsAccumulator::new(),
-            records: Vec::new(),
-        };
+        let outcome = CachedShard::of(Vec::new());
         let err = assemble(3, vec![Some(outcome)]).unwrap_err();
         assert!(err.to_string().contains("expected 3 records"), "{err}");
     }

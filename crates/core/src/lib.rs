@@ -75,7 +75,7 @@ pub use shard::{
     CampaignRequest, CampaignSpec, ShardError, SolverSpec, TransportSpec, UnitDone, UnitTask,
     UnitTelemetry, UnknownSolver, UnknownTransport,
 };
-pub use solver::{Aur, Closure, Dedicated, FixedPair, Solver, Visibility};
+pub use solver::{Aur, Dedicated, FixedPair, Solver, Visibility};
 pub use stream::{ChannelSink, JsonLinesSink, RecordSink, VecSink};
 pub use wire::WireError;
 

@@ -12,12 +12,14 @@
 //! 2. **Answer** — a worker executes each unit
 //!    ([`CampaignSpec::run_range`]) and answers on stdout with one
 //!    `record` line per finished run, tagged with the *global* campaign
-//!    index, then a [`UnitTelemetry`] line and a [`UnitDone`] line
-//!    carrying its folded [`StatsAccumulator`] — rendered into one
-//!    [`crate::JsonLinesSink`] buffer and written once per unit.
-//! 3. **Gather** — the executor forwards record lines to an optional
-//!    [`crate::RecordSink`], merges the unit accumulators in unit order,
-//!    and [`StatsAccumulator::finish`]es the merge.
+//!    index, then a [`UnitTelemetry`] line and a [`UnitDone`] line that
+//!    ends the unit — rendered into one [`crate::JsonLinesSink`] buffer
+//!    and written once per unit.
+//! 3. **Gather** — the executor checks that the unit's records cover its
+//!    range exactly once, forwards them to an optional
+//!    [`crate::RecordSink`], folds them into the unit's
+//!    [`crate::StatsAccumulator`], merges the unit accumulators in unit
+//!    order, and finishes the merge once.
 //!
 //! **Determinism guarantee:** a campaign is a pure function of
 //! `(spec, seed, n)` — instances come from
@@ -30,7 +32,7 @@
 //! exactly that, subprocesses and fault injection included.
 
 use crate::api::Budget;
-use crate::batch::{mix_seed, Campaign, CampaignReport, RunRecord, StatsAccumulator};
+use crate::batch::{mix_seed, Campaign, CampaignReport, RunRecord};
 use crate::stream::RecordSink;
 use crate::wire::WireError;
 use rv_model::{generate_seeded, Instance, TargetClass};
@@ -251,32 +253,26 @@ impl CampaignSpec {
 
     /// Executes the global indices `range` of the seeded campaign
     /// in-process — what a worker does with one unit — reporting every
-    /// record to `sink` *as it lands* (tagged with its global index) and
-    /// returning the range's folded accumulator. `threads` caps the
-    /// campaign threads (`0` = all cores): K same-host workers should
-    /// each run `cores / K` so the scatter does not oversubscribe the
-    /// CPU K-fold. Thread count never changes a single output byte.
+    /// record to `sink` *as it lands*, tagged with its global index.
+    /// `threads` caps the campaign threads (`0` = all cores): K
+    /// same-host workers should each run `cores / K` so the scatter does
+    /// not oversubscribe the CPU K-fold. Thread count never changes a
+    /// single output byte.
     pub fn run_range(
         &self,
         seed: u64,
         range: Range<usize>,
         sink: Arc<dyn RecordSink>,
         threads: usize,
-    ) -> StatsAccumulator {
+    ) {
         let offset = OffsetSink {
             base: range.start,
             inner: sink,
         };
-        let report = self
-            .campaign()
+        self.campaign()
             .threads(threads)
             .sink(offset)
             .run_seeded(range.len(), |i| self.instance(seed, range.start + i));
-        let mut acc = StatsAccumulator::new();
-        for rec in &report.records {
-            acc.push(rec);
-        }
-        acc
     }
 }
 
@@ -325,16 +321,15 @@ pub struct UnitTelemetry {
 }
 
 /// What a pool worker sends back at the end of each unit: the unit's
-/// identity plus its folded accumulator (the mergeable monoid state,
-/// *not* finished stats — finishing happens once, after the gather).
-#[derive(Clone, Debug, PartialEq)]
+/// identity, after its last record. It carries no statistics — the
+/// driver folds the unit's [`crate::StatsAccumulator`] from the records
+/// it already holds.
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct UnitDone {
     /// Echo of [`UnitTask::task_id`].
     pub task_id: u32,
     /// Echo of the unit range's start (integrity check for the gather).
     pub start: usize,
-    /// The unit's folded aggregation state.
-    pub acc: StatsAccumulator,
 }
 
 /// Splits `0..n` into contiguous units of `unit` indices each (the last
@@ -523,8 +518,7 @@ mod tests {
         let n = 10;
         let local = c.run_local(seed, n);
         let sink = Arc::new(VecSink::new());
-        let acc = c.run_range(seed, 4..9, sink.clone(), 0);
-        assert_eq!(acc.len(), 5);
+        c.run_range(seed, 4..9, sink.clone(), 0);
         let mut seen = sink.take();
         seen.sort_by_key(|(i, _)| *i);
         let indices: Vec<usize> = seen.iter().map(|(i, _)| *i).collect();

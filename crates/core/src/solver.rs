@@ -9,28 +9,35 @@
 //! Pelc asynchronous meeting) can plug in side-by-side without touching
 //! the campaign engine.
 //!
-//! The four bundled impls:
+//! The three bundled impls:
 //!
 //! * [`Aur`] — `AlmostUniversalRV` on both agents (Theorem 3.2);
 //! * [`Dedicated`] — the per-instance algorithm from the constructive
 //!   side of Theorem 3.1 (see [`crate::recommend`]);
-//! * [`FixedPair`] — an arbitrary program (pair) run on the two agents,
-//!   with per-agent [`Visibility`] radii (Section 5);
-//! * [`Closure`] — any `Fn(&Instance, &Budget) -> SimReport`.
+//! * [`FixedPair`] — an arbitrary program run on both agents, with
+//!   per-agent [`Visibility`] radii (Section 5).
 //!
 //! Any of them (or your own impl) plugs straight into a campaign:
 //!
 //! ```
 //! use rv_core::batch::Campaign;
-//! use rv_core::{solve, Budget, Closure};
+//! use rv_core::{solve, Budget, Solver, SimReport};
 //! use rv_model::Instance;
 //! use rv_numeric::ratio;
 //!
 //! // A custom solver: AUR, but never spend more than 300k segments per
 //! // run, whatever the campaign budget says.
-//! let frugal = Closure::new("capped-aur", |inst: &Instance, b: &Budget| {
-//!     solve(inst, &b.clone().segments(b.max_segments.min(300_000)))
-//! });
+//! struct CappedAur;
+//!
+//! impl Solver for CappedAur {
+//!     fn solve(&self, inst: &Instance, b: &Budget) -> SimReport {
+//!         solve(inst, &b.clone().segments(b.max_segments.min(300_000)))
+//!     }
+//!
+//!     fn name(&self) -> &str {
+//!         "capped-aur"
+//!     }
+//! }
 //!
 //! let instances: Vec<Instance> = (0..4)
 //!     .map(|k| {
@@ -41,7 +48,7 @@
 //!             .unwrap()
 //!     })
 //!     .collect();
-//! let campaign = Campaign::new(frugal, Budget::default());
+//! let campaign = Campaign::new(CappedAur, Budget::default());
 //! assert_eq!(campaign.solver_name(), "capped-aur");
 //! assert_eq!(campaign.run(&instances).stats.met, 4);
 //! ```
@@ -69,27 +76,6 @@ pub trait Solver: Send + Sync {
     /// Short machine-friendly identifier (stable across runs; used in
     /// labels and JSON artifacts).
     fn name(&self) -> &str;
-
-    /// One-line human description for reports. Defaults to [`name`].
-    ///
-    /// [`name`]: Solver::name
-    fn describe(&self) -> String {
-        self.name().to_string()
-    }
-}
-
-impl<S: Solver + ?Sized> Solver for Arc<S> {
-    fn solve(&self, inst: &Instance, budget: &Budget) -> SimReport {
-        (**self).solve(inst, budget)
-    }
-
-    fn name(&self) -> &str {
-        (**self).name()
-    }
-
-    fn describe(&self) -> String {
-        (**self).describe()
-    }
 }
 
 /// Per-agent visibility radii (Section 5 extension). Rendezvous means
@@ -150,10 +136,6 @@ impl Solver for Aur {
     fn name(&self) -> &str {
         "aur"
     }
-
-    fn describe(&self) -> String {
-        "AlmostUniversalRV (Theorem 3.2) on both agents".into()
-    }
 }
 
 /// The per-instance dedicated algorithm from the constructive side of
@@ -193,10 +175,6 @@ impl Solver for Dedicated {
     fn name(&self) -> &str {
         "dedicated"
     }
-
-    fn describe(&self) -> String {
-        "per-instance dedicated algorithm (Theorem 3.1, constructive side)".into()
-    }
 }
 
 /// A program factory: builds a fresh instruction stream for one run.
@@ -204,13 +182,10 @@ impl Solver for Dedicated {
 /// times must be able to mint them on demand.)
 type ProgFactory = Arc<dyn Fn(&Instance) -> Box<dyn Iterator<Item = Instr> + Send> + Send + Sync>;
 
-/// An arbitrary fixed program pair run on the two agents, with optional
-/// per-agent [`Visibility`] radii.
-///
-/// Anonymous algorithms use [`FixedPair::symmetric`] (same program twice),
-/// asymmetric what-ifs use [`FixedPair::asymmetric`], and Section 5's
-/// different-radii model is a [`visibility`](FixedPair::visibility) call
-/// instead of a separate entry point.
+/// An arbitrary fixed program run on both (anonymous) agents, with
+/// optional per-agent [`Visibility`] radii: Section 5's different-radii
+/// model is a [`visibility`](FixedPair::visibility) call instead of a
+/// separate entry point.
 ///
 /// ```
 /// use rv_core::{Budget, FixedPair, Solver};
@@ -228,8 +203,7 @@ type ProgFactory = Arc<dyn Fn(&Instance) -> Box<dyn Iterator<Item = Instr> + Sen
 #[derive(Clone)]
 pub struct FixedPair {
     name: String,
-    prog_a: ProgFactory,
-    prog_b: ProgFactory,
+    prog: ProgFactory,
     visibility: Visibility,
 }
 
@@ -245,30 +219,9 @@ impl FixedPair {
         I::IntoIter: Send + 'static,
         F: Fn(&Instance) -> I + Send + Sync + 'static,
     {
-        let factory: ProgFactory = Arc::new(move |inst| Box::new(prog(inst).into_iter()));
         FixedPair {
             name: name.into(),
-            prog_a: factory.clone(),
-            prog_b: factory,
-            visibility: Visibility::Symmetric,
-        }
-    }
-
-    /// Each agent runs its own program (experiments exploring asymmetric
-    /// what-ifs; anonymous algorithms should use [`FixedPair::symmetric`]).
-    pub fn asymmetric<IA, IB, FA, FB>(name: impl Into<String>, prog_a: FA, prog_b: FB) -> FixedPair
-    where
-        IA: IntoIterator<Item = Instr>,
-        IB: IntoIterator<Item = Instr>,
-        IA::IntoIter: Send + 'static,
-        IB::IntoIter: Send + 'static,
-        FA: Fn(&Instance) -> IA + Send + Sync + 'static,
-        FB: Fn(&Instance) -> IB + Send + Sync + 'static,
-    {
-        FixedPair {
-            name: name.into(),
-            prog_a: Arc::new(move |inst| Box::new(prog_a(inst).into_iter())),
-            prog_b: Arc::new(move |inst| Box::new(prog_b(inst).into_iter())),
+            prog: Arc::new(move |inst| Box::new(prog(inst).into_iter())),
             visibility: Visibility::Symmetric,
         }
     }
@@ -286,46 +239,11 @@ impl Solver for FixedPair {
         let cfg = budget.sim_config(r_a, r_b);
         simulate(
             inst.agent_a(),
-            (self.prog_a)(inst),
+            (self.prog)(inst),
             inst.agent_b(),
-            (self.prog_b)(inst),
+            (self.prog)(inst),
             &cfg,
         )
-    }
-
-    fn name(&self) -> &str {
-        &self.name
-    }
-}
-
-/// A solver from any `Fn(&Instance, &Budget) -> SimReport` — the escape
-/// hatch for strategies that do not fit the fixed-program shape (e.g.
-/// instance-adaptive hybrids).
-#[derive(Clone)]
-pub struct Closure<F> {
-    name: String,
-    f: F,
-}
-
-impl<F> Closure<F>
-where
-    F: Fn(&Instance, &Budget) -> SimReport + Send + Sync,
-{
-    /// Wraps `f` under a report-facing name.
-    pub fn new(name: impl Into<String>, f: F) -> Closure<F> {
-        Closure {
-            name: name.into(),
-            f,
-        }
-    }
-}
-
-impl<F> Solver for Closure<F>
-where
-    F: Fn(&Instance, &Budget) -> SimReport + Send + Sync,
-{
-    fn solve(&self, inst: &Instance, budget: &Budget) -> SimReport {
-        (self.f)(inst, budget)
     }
 
     fn name(&self) -> &str {
@@ -429,30 +347,9 @@ mod tests {
     }
 
     #[test]
-    fn closure_solver_delegates_and_names() {
-        let c = Closure::new("my-aur", solve);
-        assert_eq!(c.name(), "my-aur");
-        assert_eq!(c.describe(), "my-aur");
-        let inst = type3();
-        let budget = Budget::default().segments(300_000);
-        same_report(&c.solve(&inst, &budget), &solve(&inst, &budget));
-    }
-
-    #[test]
-    fn arc_dyn_solver_delegates() {
-        let solver: Arc<dyn Solver> = Arc::new(Aur);
-        assert_eq!(solver.name(), "aur");
-        let inst = type3();
-        let budget = Budget::default().segments(300_000);
-        same_report(&solver.solve(&inst, &budget), &solve(&inst, &budget));
-    }
-
-    #[test]
     fn solver_names_are_stable() {
         assert_eq!(Aur.name(), "aur");
         assert_eq!(Dedicated.name(), "dedicated");
-        assert!(Aur.describe().contains("Theorem 3.2"));
-        assert!(Dedicated.describe().contains("Theorem 3.1"));
         let p = FixedPair::symmetric("cgkk", |_| std::iter::empty());
         assert_eq!(p.name(), "cgkk");
     }

@@ -8,12 +8,10 @@
 //! | kind             | payload                                          |
 //! |------------------|--------------------------------------------------|
 //! | `record`         | one [`RunRecord`] plus its campaign index        |
-//! | `class_stats`    | one [`ClassStats`] breakdown row                 |
-//! | `acc`            | a whole [`StatsAccumulator`] (mergeable state)   |
 //! | `campaign_spec`  | a [`CampaignSpec`] + seed (opens a pool session) |
 //! | `task`           | a [`UnitTask`] (one pool work unit)              |
 //! | `unit_telemetry` | a [`UnitTelemetry`] (per-unit wall time)         |
-//! | `unit_done`      | a [`UnitDone`] (id, start, accumulator)          |
+//! | `unit_done`      | a [`UnitDone`] (id and start: the unit's end)    |
 //! | `request`        | a [`CampaignRequest`] (campaign-service ask)     |
 //! | `campaign_report`| a [`CampaignStats`] summary (service answer)     |
 //! | `error`          | an [`ErrorLine`] (typed service failure)         |
@@ -21,10 +19,13 @@
 //! The `campaign_spec`/`task`/`unit_telemetry`/`unit_done` kinds form the
 //! worker session protocol of [`crate::exec::PoolExecutor`] (spec once,
 //! then a task/answer stream — see `WIRE.md` for the session grammar).
-//! The two retired kinds of the old one-shot worker protocol decode to a
-//! typed [`WireError::Retired`] (`WIRE.md`, "Retired kinds"). The last
-//! three kinds belong to the TCP campaign service (`rv-serve`): a client
-//! sends `campaign_spec` + `request`, the server answers with streamed
+//! No line carries folded statistics between processes: every reader
+//! that holds a unit's records folds its [`crate::StatsAccumulator`]
+//! from them. The retired kinds — the old one-shot worker protocol's two
+//! and the standalone `acc` and `class_stats` lines — decode to a typed
+//! [`WireError::Retired`] (`WIRE.md`, "Retired kinds"). The last three
+//! kinds belong to the TCP campaign service (`rv-serve`): a client sends
+//! `campaign_spec` + `request`, the server answers with streamed
 //! `record`s and a final `campaign_report`, or an `error` line.
 //!
 //! Numbers are lossless: `u64`/`usize` are emitted as decimal integers and
@@ -54,7 +55,7 @@
 //! protocol the executors drive (see [`crate::exec`]) — lives in
 //! `WIRE.md` at the repository root.
 
-use crate::batch::{CampaignStats, ClassStats, RunRecord, StatsAccumulator, CLASS_ORDER};
+use crate::batch::{CampaignStats, ClassStats, RunRecord, CLASS_ORDER};
 use crate::json;
 use crate::shard::{
     CampaignRequest, CampaignSpec, SolverSpec, TransportSpec, UnitDone, UnitTask, UnitTelemetry,
@@ -119,9 +120,11 @@ pub enum WireError {
         /// The kind found, or `"missing"`.
         found: String,
     },
-    /// The `"kind"` header names a kind this schema no longer speaks
-    /// (the one-shot worker protocol's work order and answer, replaced
-    /// by sessions — see `WIRE.md`, "Retired kinds").
+    /// The `"kind"` header names a kind this schema no longer speaks:
+    /// the one-shot worker protocol's work order and answer (replaced by
+    /// sessions), and the standalone accumulator and per-class stats
+    /// lines (stats are folded from records) — see `WIRE.md`, "Retired
+    /// kinds".
     Retired {
         /// The retired kind.
         kind: &'static str,
@@ -151,7 +154,7 @@ impl fmt::Display for WireError {
             }
             WireError::Kind { found } => write!(f, "unexpected wire kind: {found}"),
             WireError::Retired { kind } => {
-                write!(f, "retired wire kind {kind:?}: workers speak sessions only")
+                write!(f, "retired wire kind {kind:?}")
             }
             WireError::Field { field, what } => write!(f, "field {field:?}: {what}"),
         }
@@ -807,188 +810,6 @@ pub fn decode_record(line: &str) -> Result<(usize, RunRecord), WireError> {
 }
 
 // ---------------------------------------------------------------------------
-// ClassStats
-// ---------------------------------------------------------------------------
-
-/// Encodes one per-class breakdown row as a `kind: "class_stats"` line.
-pub fn encode_class_stats(cs: &ClassStats) -> String {
-    format!(
-        "{{\"schema\": {SCHEMA}, \"kind\": \"class_stats\", {}}}",
-        cs.json_fields(opt_float)
-    )
-}
-
-fn class_stats_of(v: &Value<'_>) -> Result<ClassStats, WireError> {
-    Ok(ClassStats {
-        class: get_classification(v, "class")?,
-        n: get_usize(v, "n")?,
-        met: get_usize(v, "met")?,
-        median_time: get_opt_f64(v, "median_time")?,
-    })
-}
-
-/// Decodes a `kind: "class_stats"` line.
-pub fn decode_class_stats(line: &str) -> Result<ClassStats, WireError> {
-    class_stats_of(&header(line, "class_stats")?)
-}
-
-// ---------------------------------------------------------------------------
-// StatsAccumulator
-// ---------------------------------------------------------------------------
-
-/// Appends `values` as a JSON array of wire floats.
-fn float_list(out: &mut String, values: &[f64]) {
-    out.push('[');
-    for (i, &v) in values.iter().enumerate() {
-        if i > 0 {
-            out.push_str(", ");
-        }
-        push_float(out, v);
-    }
-    out.push(']');
-}
-
-/// Appends the accumulator's JSON object to `out`.
-fn acc_body(out: &mut String, acc: &StatsAccumulator) {
-    let _ = write!(
-        out,
-        "{{\"n\": {}, \"met\": {}, \"infeasible\": {}, \"times\": ",
-        acc.n, acc.met, acc.infeasible
-    );
-    float_list(out, &acc.times);
-    out.push_str(", \"segments\": [");
-    for (i, segments) in acc.segments.iter().enumerate() {
-        if i > 0 {
-            out.push_str(", ");
-        }
-        let _ = write!(out, "{segments}");
-    }
-    out.push_str("], \"min_ratio\": ");
-    push_float(out, acc.min_ratio);
-    out.push_str(", \"buckets\": [");
-    for (i, (n, met, times)) in acc.buckets.iter().enumerate() {
-        if i > 0 {
-            out.push_str(", ");
-        }
-        let _ = write!(out, "[{n}, {met}, ");
-        float_list(out, times);
-        out.push(']');
-    }
-    out.push_str("]}");
-}
-
-fn floats_of(items: &[Value<'_>], name: &'static str) -> Result<Vec<f64>, WireError> {
-    items.iter().map(|v| float_of(v, name)).collect()
-}
-
-fn bucket_of(raw: &Value<'_>) -> Result<(usize, usize, Vec<f64>), WireError> {
-    let bad = |what: String| WireError::Field {
-        field: "buckets",
-        what,
-    };
-    match raw {
-        Value::Arr(triple) if triple.len() == 3 => {
-            let n = match &triple[0] {
-                Value::Num(raw) => raw.parse().ok(),
-                _ => None,
-            };
-            let met = match &triple[1] {
-                Value::Num(raw) => raw.parse().ok(),
-                _ => None,
-            };
-            let times = match &triple[2] {
-                Value::Arr(items) => floats_of(items, "buckets").ok(),
-                _ => None,
-            };
-            match (n, met, times) {
-                (Some(n), Some(met), Some(times)) => Ok((n, met, times)),
-                _ => Err(bad("expected [n, met, [times]]".into())),
-            }
-        }
-        other => Err(bad(format!("expected [n, met, [times]], found {other:?}"))),
-    }
-}
-
-fn acc_of(v: &Value<'_>) -> Result<StatsAccumulator, WireError> {
-    let times = floats_of(get_arr(v, "times")?, "times")?;
-    let segments = get_arr(v, "segments")?
-        .iter()
-        .map(|item| match item {
-            Value::Num(raw) => raw.parse().map_err(|_| WireError::Field {
-                field: "segments",
-                what: format!("expected u64, found {raw:?}"),
-            }),
-            other => Err(WireError::Field {
-                field: "segments",
-                what: format!("expected number, found {other:?}"),
-            }),
-        })
-        .collect::<Result<Vec<u64>, WireError>>()?;
-    let raw_buckets = get_arr(v, "buckets")?;
-    if raw_buckets.len() != CLASS_ORDER.len() {
-        return Err(WireError::Field {
-            field: "buckets",
-            what: format!(
-                "expected {} class buckets, found {}",
-                CLASS_ORDER.len(),
-                raw_buckets.len()
-            ),
-        });
-    }
-    let mut buckets: [(usize, usize, Vec<f64>); CLASS_ORDER.len()] =
-        std::array::from_fn(|_| (0, 0, Vec::new()));
-    for (slot, raw) in buckets.iter_mut().zip(raw_buckets) {
-        *slot = bucket_of(raw)?;
-    }
-    let acc = StatsAccumulator {
-        n: get_usize(v, "n")?,
-        met: get_usize(v, "met")?,
-        infeasible: get_usize(v, "infeasible")?,
-        times,
-        segments,
-        min_ratio: get_f64(v, "min_ratio")?,
-        buckets,
-    };
-    // Internal consistency: this constructor bypasses every invariant
-    // `push()` maintains, so a corrupted-but-well-formed line (say, one
-    // deleted "segments" element) must not silently skew merged stats —
-    // the gather's only semantic cross-check reads `n`.
-    let inconsistent = acc.segments.len() != acc.n
-        || acc.times.len() > acc.n
-        || acc.met > acc.n
-        || acc.infeasible > acc.n
-        || acc.buckets.iter().map(|(bn, _, _)| bn).sum::<usize>() != acc.n
-        || acc.buckets.iter().map(|(_, bmet, _)| bmet).sum::<usize>() != acc.met
-        || acc.buckets.iter().map(|(_, _, bt)| bt.len()).sum::<usize>() != acc.times.len();
-    if inconsistent {
-        return Err(WireError::Field {
-            field: "acc",
-            what: "internally inconsistent accumulator (counts do not reconcile)".into(),
-        });
-    }
-    Ok(acc)
-}
-
-/// Encodes a whole accumulator (the mergeable aggregation state) as a
-/// `kind: "acc"` line — a whole mergeable accumulator.
-pub fn encode_accumulator(acc: &StatsAccumulator) -> String {
-    let mut out = String::new();
-    let _ = write!(out, "{{\"schema\": {SCHEMA}, \"kind\": \"acc\", \"acc\": ");
-    acc_body(&mut out, acc);
-    out.push('}');
-    out
-}
-
-/// Decodes a `kind: "acc"` line.
-pub fn decode_accumulator(line: &str) -> Result<StatsAccumulator, WireError> {
-    accumulator_of(&header(line, "acc")?)
-}
-
-fn accumulator_of(v: &Value<'_>) -> Result<StatsAccumulator, WireError> {
-    acc_of(field(v, "acc")?)
-}
-
-// ---------------------------------------------------------------------------
 // Campaign bodies
 // ---------------------------------------------------------------------------
 
@@ -1117,27 +938,27 @@ fn unit_telemetry_of(v: &Value<'_>) -> Result<UnitTelemetry, WireError> {
     })
 }
 
-/// Encodes a unit's gathered output as a `kind: "unit_done"` line — the
-/// last line a session worker writes for each unit.
+/// Encodes a unit's end marker as a `kind: "unit_done"` line — the last
+/// line a session worker writes for each unit.
 pub fn encode_unit_done(done: &UnitDone) -> String {
     let mut out = String::new();
-    push_unit_done(&mut out, done.task_id, done.start, &done.acc);
+    push_unit_done(&mut out, done.task_id, done.start);
     out
 }
 
 /// Appends [`encode_unit_done`]'s line (without a newline) for the unit
-/// `task_id` starting at `start` to `out`, borrowing the accumulator.
-pub(crate) fn push_unit_done(out: &mut String, task_id: u32, start: usize, acc: &StatsAccumulator) {
+/// `task_id` starting at `start` to `out`.
+pub(crate) fn push_unit_done(out: &mut String, task_id: u32, start: usize) {
     let _ = write!(
         out,
         "{{\"schema\": {SCHEMA}, \"kind\": \"unit_done\", \"task_id\": {task_id}, \
-         \"start\": {start}, \"acc\": "
+         \"start\": {start}}}"
     );
-    acc_body(out, acc);
-    out.push('}');
 }
 
-/// Decodes a `kind: "unit_done"` line.
+/// Decodes a `kind: "unit_done"` line. Any other key is ignored: lines
+/// from older builds carry the unit's folded accumulator as `acc`, which
+/// the reader never needs — it folds the unit's records itself.
 pub fn decode_unit_done(line: &str) -> Result<UnitDone, WireError> {
     unit_done_of(&header(line, "unit_done")?)
 }
@@ -1146,7 +967,6 @@ fn unit_done_of(v: &Value<'_>) -> Result<UnitDone, WireError> {
     Ok(UnitDone {
         task_id: get_u32(v, "task_id")?,
         start: get_usize(v, "start")?,
-        acc: accumulator_of(v)?,
     })
 }
 
@@ -1211,6 +1031,17 @@ fn request_of(v: &Value<'_>) -> Result<CampaignRequest, WireError> {
     })
 }
 
+/// Reads one per-class breakdown row of a `campaign_report`'s
+/// `per_class` array.
+fn class_stats_of(v: &Value<'_>) -> Result<ClassStats, WireError> {
+    Ok(ClassStats {
+        class: get_classification(v, "class")?,
+        n: get_usize(v, "n")?,
+        met: get_usize(v, "met")?,
+        median_time: get_opt_f64(v, "median_time")?,
+    })
+}
+
 fn stats_of(v: &Value<'_>) -> Result<CampaignStats, WireError> {
     let per_class = get_arr(v, "per_class")?
         .iter()
@@ -1229,8 +1060,8 @@ fn stats_of(v: &Value<'_>) -> Result<CampaignStats, WireError> {
         min_dist_over_r: get_f64(v, "min_dist_over_r")?,
         per_class,
     };
-    // Same spirit as the accumulator cross-check: a corrupted-but-
-    // well-formed report must not silently misreport its own counts.
+    // A corrupted-but-well-formed report must not silently misreport
+    // its own counts.
     let inconsistent = stats.met > stats.n
         || stats.infeasible > stats.n
         || stats.per_class.iter().map(|cs| cs.n).sum::<usize>() > stats.n
@@ -1414,10 +1245,6 @@ pub enum Line {
         /// The record itself.
         record: RunRecord,
     },
-    /// A per-class breakdown row.
-    ClassStats(ClassStats),
-    /// A whole accumulator.
-    Accumulator(StatsAccumulator),
     /// A pool session opener: campaign spec plus seed.
     CampaignSpec {
         /// The campaign every subsequent task executes against.
@@ -1446,11 +1273,13 @@ pub fn decode_line(line: &str) -> Result<Line, WireError> {
     let v = parse_headed(line)?;
     match get_str(&v, "kind")? {
         "record" => record_of(&v).map(|(index, record)| Line::Record { index, record }),
-        "class_stats" => class_stats_of(&v).map(Line::ClassStats),
-        "acc" => accumulator_of(&v).map(Line::Accumulator),
         "shard_spec" => Err(WireError::Retired { kind: "shard_spec" }),
         "shard_result" => Err(WireError::Retired {
             kind: "shard_result",
+        }),
+        "acc" => Err(WireError::Retired { kind: "acc" }),
+        "class_stats" => Err(WireError::Retired {
+            kind: "class_stats",
         }),
         "campaign_spec" => {
             campaign_spec_of(&v).map(|(spec, seed)| Line::CampaignSpec { spec, seed })
@@ -1686,10 +1515,6 @@ mod tests {
                 populated.per_class[2].to_json(),
                 r#"{"class": "exception S1", "n": 1, "met": 1, "median_time": null}"#,
             ),
-            (
-                encode_class_stats(&populated.per_class[2]),
-                r#"{"schema": 3, "kind": "class_stats", "class": "exception S1", "n": 1, "met": 1, "median_time": "nan"}"#,
-            ),
         ] {
             assert_eq!(got, want);
         }
@@ -1736,21 +1561,20 @@ mod tests {
 
     #[test]
     fn schema_and_kind_headers_are_enforced() {
-        let line = encode_class_stats(&ClassStats {
-            class: Classification::Type3,
-            n: 3,
-            met: 2,
-            median_time: Some(1.25),
+        let line = encode_unit_telemetry(&UnitTelemetry {
+            task_id: 3,
+            attempt: 2,
+            wall_ns: 125,
         });
-        assert!(decode_class_stats(&line).is_ok());
+        assert!(decode_unit_telemetry(&line).is_ok());
         let wrong_schema = line.replace("\"schema\": 3", "\"schema\": 2");
         assert_eq!(
-            decode_class_stats(&wrong_schema),
+            decode_unit_telemetry(&wrong_schema),
             Err(WireError::Schema { found: "2".into() })
         );
-        let wrong_kind = line.replace("class_stats", "bogus");
+        let wrong_kind = line.replace("unit_telemetry", "bogus");
         assert_eq!(
-            decode_class_stats(&wrong_kind),
+            decode_unit_telemetry(&wrong_kind),
             Err(WireError::Kind {
                 found: "bogus".into()
             })

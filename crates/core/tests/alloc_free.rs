@@ -22,17 +22,18 @@
 //! compile); replay must not.
 //!
 //! The codec gate counts exact allocations: `encode_record` makes one
-//! (its output), decoding a record line makes at most one (the pair
-//! buffer of its object), and loading a 128-record cache entry of the
-//! benchmark's `resweep_pool` spec stays within two per record.
+//! (its output), decoding a record or `unit_done` line makes at most one
+//! (the pair buffer of its object), and loading a 128-record cache entry
+//! of the benchmark's `resweep_pool` spec, stats folded from its records
+//! included, stays within two per record.
 //!
 //! The counter is per thread, so the tests may run in parallel and each
 //! counts only its own allocations. Everything measured here (one solve,
 //! one encode or decode, one cache load) runs on the calling thread.
 
-use rv_core::shard::{CampaignSpec, SolverSpec};
+use rv_core::shard::{CampaignSpec, SolverSpec, UnitDone};
 use rv_core::wire::{self, Line};
-use rv_core::{Aur, Budget, ResultCache, RunRecord, Solver, VecSink};
+use rv_core::{Aur, Budget, ResultCache, RunRecord, Solver, StatsAccumulator, VecSink};
 use rv_geometry::{Angle, Chirality};
 use rv_model::{Classification, Instance, TargetClass};
 use rv_numeric::{ratio, Ratio};
@@ -168,6 +169,19 @@ fn record_codec_allocates_at_most_once_per_line() {
     );
     assert!(n <= 1, "decode_line made {n} allocations");
 
+    // A unit's closing line carries only its identity.
+    let done = UnitDone {
+        task_id: 7,
+        start: 896,
+    };
+    let line = wire::encode_unit_done(&done);
+    let (n, decoded) = counted(|| wire::decode_line(&line));
+    assert_eq!(decoded, Ok(Line::UnitDone(done)));
+    assert!(
+        n <= 1,
+        "decode_line of a unit_done line made {n} allocations"
+    );
+
     // A full unit of the benchmark's resweep_pool spec, replayed from
     // the cache.
     let spec = CampaignSpec::new(
@@ -182,8 +196,9 @@ fn record_codec_allocates_at_most_once_per_line() {
     );
     let range = 0..128;
     let sink = Arc::new(VecSink::new());
-    let acc = spec.run_range(1, range.clone(), sink.clone(), 1);
+    spec.run_range(1, range.clone(), sink.clone(), 1);
     let records = sink.take_sorted();
+    let acc = StatsAccumulator::of(records.iter().map(|(_, rec)| rec));
     let dir = std::env::temp_dir().join(format!("rv-alloc-free-{}", std::process::id()));
     let cache = ResultCache::open(&dir).expect("cache dir");
     cache
@@ -193,6 +208,7 @@ fn record_codec_allocates_at_most_once_per_line() {
     let _ = std::fs::remove_dir_all(&dir);
     let hit = hit.expect("valid entry").expect("stored entry");
     assert_eq!(hit.records, records);
+    println!("loading a 128-record entry made {n} allocations");
     assert!(
         n <= 256,
         "loading a 128-record entry made {n} allocations (cap 256)"

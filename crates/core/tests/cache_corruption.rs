@@ -1,10 +1,11 @@
-//! Corruption-injection suite for `rv_core::cache` (see ISSUE 9): every
-//! artifact class in a cache entry — the `campaign_spec` preimage line,
-//! the `record` lines, and the `unit_done` accumulator line — is
-//! truncated, bit-flipped, re-schemaed, and key-mismatched, and every
-//! time the read comes back as a typed [`CacheError`] (never a panic),
-//! [`ResultCache::lookup`] evicts the corpse, and the recomputed run is
-//! byte-identical to an uncached one.
+//! Corruption-injection suite for `rv_core::cache`: every artifact class
+//! in a cache entry — the `campaign_spec` preimage line, the `record`
+//! lines, and the closing `unit_done` line — is truncated, bit-flipped,
+//! re-schemaed, and key-mismatched, and every time the read comes back
+//! as a typed [`CacheError`] (never a panic), [`ResultCache::lookup`]
+//! evicts the corpse, and the recomputed run is byte-identical to an
+//! uncached one. An entry in the older layout, whose `unit_done` line
+//! still carries an accumulator, replays from its records alone.
 
 use rv_core::cache::{CacheError, CacheKey, ResultCache};
 use rv_core::exec::{Executor, LocalExecutor};
@@ -226,6 +227,18 @@ fn junk_after_the_accumulator_is_typed_and_recovers() {
 }
 
 #[test]
+fn unit_done_for_another_start_is_typed_and_recovers() {
+    let (cache, path) = seeded_cache("start");
+    let text = fs::read_to_string(&path).unwrap();
+    let moved = text.replace("\"start\": 0}", "\"start\": 1}");
+    assert_ne!(moved, text, "the entry ends in a unit_done line");
+    fs::write(&path, moved).unwrap();
+    assert_recovers(cache, &path, |err| {
+        assert!(matches!(err, CacheError::Layout { .. }), "{err}");
+    });
+}
+
+#[test]
 fn shuffled_record_order_is_typed_and_recovers() {
     let (cache, path) = seeded_cache("order");
     let text = fs::read_to_string(&path).unwrap();
@@ -235,4 +248,46 @@ fn shuffled_record_order_is_typed_and_recovers() {
     assert_recovers(cache, &path, |err| {
         assert!(matches!(err, CacheError::Layout { .. }), "{err}");
     });
+}
+
+/// An empty accumulator as older builds encoded it on `unit_done` lines.
+const LEGACY_EMPTY_ACC: &str = "{\"n\": 0, \"met\": 0, \"infeasible\": 0, \"times\": [], \
+     \"segments\": [], \"min_ratio\": \"inf\", \"buckets\": [[0, 0, []], [0, 0, []], \
+     [0, 0, []], [0, 0, []], [0, 0, []], [0, 0, []], [0, 0, []], [0, 0, []]]}";
+
+#[test]
+fn legacy_entries_replay_from_their_records_ignoring_their_acc() {
+    // The older layout: the closing `unit_done` line carries the shard's
+    // folded accumulator as `acc`. This one contradicts the records (it
+    // is the empty accumulator), and the load must not read it.
+    let (cache, path) = seeded_cache("legacy");
+    let text = fs::read_to_string(&path).unwrap();
+    let legacy = text.replace(
+        "\"start\": 0}\n",
+        &format!("\"start\": 0, \"acc\": {LEGACY_EMPTY_ACC}}}\n"),
+    );
+    assert_ne!(legacy, text, "the entry ends in a unit_done line");
+    fs::write(&path, legacy).unwrap();
+
+    let baseline = spec().run_local(SEED, N);
+    let hit = cache
+        .load(&spec(), SEED, &(0..N))
+        .expect("a legacy entry is valid")
+        .expect("and present");
+    let records: Vec<_> = hit.records.iter().map(|(_, r)| r.clone()).collect();
+    assert_eq!(format!("{records:?}"), format!("{:?}", baseline.records));
+    assert_eq!(hit.acc.len(), N, "stats come from the records");
+    assert_eq!(hit.acc.finish().to_json(), baseline.stats.to_json());
+
+    let sink = Arc::new(VecSink::new());
+    let exec = LocalExecutor::new().cache(Arc::clone(&cache));
+    let report = exec
+        .execute(&spec(), SEED, N, Some(sink.clone() as Arc<dyn RecordSink>))
+        .expect("replay");
+    assert_eq!(format!("{report:?}"), format!("{baseline:?}"));
+    assert_eq!(report.stats.to_json(), baseline.stats.to_json());
+    assert_eq!(sink.take_sorted().len(), N, "one sink delivery per index");
+    let stats = cache.stats();
+    assert_eq!((stats.hits, stats.stores, stats.evictions), (1, 1, 0));
+    let _ = fs::remove_dir_all(cache.dir());
 }

@@ -4,8 +4,9 @@
 //! worker emits for such a campaign must be valid schema-3 JSON. Also
 //! proves the *in-process* scatter/gather differential over the session
 //! wire: encode campaign_spec → decode, then per unit encode task →
-//! decode → execute → encode unit_done → decode → merge is
-//! byte-identical to the single-process run (the worker-process version
+//! decode → execute → encode records and unit_done → decode → fold the
+//! records → merge is byte-identical to the single-process run (the
+//! worker-process version
 //! lives in `rv-experiments`' `executor_differential` suite, next to the
 //! `rv-shard` binary).
 
@@ -60,28 +61,31 @@ fn all_infeasible_campaign_emits_valid_schema_3_wire_lines() {
 
     // Every record line a worker would stream is strict JSON with the
     // schema-3 header, and decodes back to the record bit-for-bit.
+    let mut decoded = Vec::new();
     for (i, rec) in report.records.iter().enumerate() {
         let line = wire::encode_record(i, rec);
         let v = Value::parse(&line).expect("record line must be strict JSON");
         assert_eq!(v.get("schema"), Some(&Value::Num("3")));
         let (i2, rec2) = wire::decode_record(&line).unwrap();
         assert_eq!((i2, &rec2), (i, rec));
+        decoded.push(rec2);
     }
 
-    // The unit_done accumulator round-trips, and its per-class stats
-    // line is valid too.
-    let mut acc = StatsAccumulator::new();
-    report.records.iter().for_each(|r| acc.push(r));
-    let acc_line = wire::encode_accumulator(&acc);
-    Value::parse(&acc_line).expect("accumulator line must be strict JSON");
-    let stats = wire::decode_accumulator(&acc_line).unwrap().finish();
-    assert_byte_identical(&stats, &report.stats, "wire accumulator");
+    // The driver folds the decoded records into the local stats; the
+    // unit_done line that closes the unit is valid too, and so is the
+    // campaign_report line that carries the per-class rows.
+    let stats = StatsAccumulator::of(&decoded).finish();
+    assert_byte_identical(&stats, &report.stats, "driver-side fold");
     assert_eq!(stats.infeasible, n);
-    for cs in &stats.per_class {
-        let cs_line = wire::encode_class_stats(cs);
-        Value::parse(&cs_line).expect("class_stats line must be strict JSON");
-        assert_eq!(&wire::decode_class_stats(&cs_line).unwrap(), cs);
-    }
+    let done_line = wire::encode_unit_done(&UnitDone {
+        task_id: 0,
+        start: 0,
+    });
+    Value::parse(&done_line).expect("unit_done line must be strict JSON");
+    let report_line = wire::encode_campaign_report(&stats);
+    Value::parse(&report_line).expect("campaign_report line must be strict JSON");
+    let back = wire::decode_campaign_report(&report_line).unwrap();
+    assert_byte_identical(&back, &stats, "campaign_report");
 
     // And the schema-2 artifact JSON (null for the degenerate quantiles
     // of a campaign that never meets) parses strictly as well.
@@ -122,7 +126,7 @@ fn in_process_scatter_gather_over_the_wire_is_byte_identical() {
     assert_eq!((&session, session_seed), (&spec, seed));
 
     for shards in [1usize, 2, 4] {
-        let sink = Arc::new(VecSink::new());
+        let mut seen = Vec::new();
         let mut merged = StatsAccumulator::new();
         for (k, range) in plan_units(n, n.div_ceil(shards)).into_iter().enumerate() {
             // Full wire trip in both directions, as the session protocol
@@ -137,26 +141,44 @@ fn in_process_scatter_gather_over_the_wire_is_byte_identical() {
                 other => panic!("wrong kind: {other:?}"),
             };
             assert_eq!(task, sent);
-            let acc = session.run_range(session_seed, task.range.clone(), sink.clone(), 0);
-            let returned = wire::encode_unit_done(&UnitDone {
+            let sink = Arc::new(VecSink::new());
+            session.run_range(session_seed, task.range.clone(), sink.clone(), 0);
+            let mut lines: Vec<String> = sink
+                .take()
+                .iter()
+                .map(|(i, rec)| wire::encode_record(*i, rec))
+                .collect();
+            lines.push(wire::encode_unit_done(&UnitDone {
                 task_id: task.task_id,
                 start: task.range.start,
-                acc,
-            });
-            let done = match wire::decode_line(&returned).unwrap() {
-                Line::UnitDone(d) => d,
-                other => panic!("wrong kind: {other:?}"),
-            };
-            assert_eq!((done.task_id, done.start), (sent.task_id, sent.range.start));
-            assert_eq!(done.acc.len(), sent.range.len());
-            merged = merged.merge(done.acc);
+            }));
+            // The driver side: decode the unit's answer, check the
+            // unit_done identity, and fold the records it holds.
+            let mut records = Vec::new();
+            for line in &lines {
+                match wire::decode_line(line).unwrap() {
+                    Line::Record { index, record } => records.push((index, record)),
+                    Line::UnitDone(done) => {
+                        assert_eq!(
+                            done,
+                            UnitDone {
+                                task_id: sent.task_id,
+                                start: sent.range.start
+                            }
+                        );
+                    }
+                    other => panic!("wrong kind: {other:?}"),
+                }
+            }
+            records.sort_by_key(|(i, _)| *i);
+            assert_eq!(records.len(), sent.range.len());
+            merged = merged.merge(StatsAccumulator::of(records.iter().map(|(_, r)| r)));
+            seen.extend(records);
         }
         assert_byte_identical(&merged.finish(), &local.stats, &format!("{shards} shards"));
 
         // The streamed records cover 0..n exactly once with globally
         // correct indices, matching the single-process records.
-        let mut seen = sink.take();
-        seen.sort_by_key(|(i, _)| *i);
         assert_eq!(seen.len(), n, "{shards} shards");
         for (expect, (idx, rec)) in seen.iter().enumerate() {
             assert_eq!(*idx, expect);

@@ -9,7 +9,7 @@
 
 use proptest::collection::vec;
 use proptest::prelude::*;
-use rv_core::batch::{ClassStats, RunRecord, StatsAccumulator};
+use rv_core::batch::{RunRecord, StatsAccumulator};
 use rv_core::shard::{CampaignSpec, SolverSpec, UnitDone, UnitTask, UnitTelemetry};
 use rv_core::wire::{self, Line, Value, WireError, MAX_DEPTH};
 use rv_model::{Classification, TargetClass};
@@ -103,7 +103,49 @@ proptest! {
     }
 
     #[test]
-    fn class_stats_encoding_is_a_fixed_point(
+    fn accumulator_encoding_is_a_fixed_point(records in vec(record_strategy(), 0..50)) {
+        // No accumulator crosses the wire: a driver folds the records it
+        // decoded. That fold must finish into the same stats, down to the
+        // report bytes, as the fold of the records the worker encoded.
+        let mut decoded = Vec::new();
+        for (i, r) in records.iter().enumerate() {
+            let (_, rec) = wire::decode_record(&wire::encode_record(i, r))
+                .expect("own encoding must decode");
+            decoded.push(rec);
+        }
+        let a = StatsAccumulator::of(&records).finish();
+        let b = StatsAccumulator::of(&decoded).finish();
+        prop_assert_eq!(format!("{b:?}"), format!("{a:?}"));
+        prop_assert_eq!(b.to_json(), a.to_json());
+        prop_assert_eq!(wire::encode_campaign_report(&b), wire::encode_campaign_report(&a));
+    }
+
+    #[test]
+    fn acc_lines_are_typed_retired_refusals(records in vec(record_strategy(), 0..30)) {
+        // The retired standalone accumulator line, in the shape its
+        // encoder wrote: a typed refusal naming the kind.
+        let times: Vec<String> = records
+            .iter()
+            .filter_map(|r| r.time)
+            .map(wire::float)
+            .collect();
+        let segments: Vec<String> = records.iter().map(|r| r.segments.to_string()).collect();
+        let line = format!(
+            "{{\"schema\": 3, \"kind\": \"acc\", \"acc\": {{\"n\": {}, \"met\": 0, \
+             \"infeasible\": 0, \"times\": [{}], \"segments\": [{}], \"min_ratio\": \"inf\", \
+             \"buckets\": []}}}}",
+            records.len(),
+            times.join(", "),
+            segments.join(", "),
+        );
+        prop_assert!(Value::parse(&line).is_ok(), "{}", line);
+        let err = wire::decode_line(&line).unwrap_err();
+        prop_assert_eq!(&err, &WireError::Retired { kind: "acc" }, "{}", line);
+        prop_assert!(err.to_string().contains("acc"), "{}", err);
+    }
+
+    #[test]
+    fn class_stats_lines_are_typed_retired_refusals(
         class_idx in 0usize..CLASSES.len(),
         n in any::<usize>(),
         met in any::<usize>(),
@@ -113,27 +155,21 @@ proptest! {
             Just(Some(f64::NAN)),
         ],
     ) {
-        let cs = ClassStats { class: CLASSES[class_idx], n, met, median_time: median };
-        let line = wire::encode_class_stats(&cs);
-        let cs2 = wire::decode_class_stats(&line).expect("own encoding must decode");
-        prop_assert_eq!(format!("{cs2:?}"), format!("{cs:?}"));
-        prop_assert_eq!(wire::encode_class_stats(&cs2), line);
-    }
-
-    #[test]
-    fn accumulator_encoding_is_a_fixed_point(records in vec(record_strategy(), 0..50)) {
-        let mut acc = StatsAccumulator::new();
-        for r in &records {
-            acc.push(r);
-        }
-        let line = wire::encode_accumulator(&acc);
-        let acc2 = wire::decode_accumulator(&line).expect("own encoding must decode");
-        prop_assert_eq!(format!("{acc2:?}"), format!("{acc:?}"), "decode must be lossless");
-        prop_assert_eq!(wire::encode_accumulator(&acc2), line, "second encode must be byte-identical");
-        // And the decoded accumulator finishes into byte-identical stats.
-        let (a, b) = (acc.finish(), acc2.finish());
-        prop_assert_eq!(format!("{a:?}"), format!("{b:?}"));
-        prop_assert_eq!(a.to_json(), b.to_json());
+        // The retired per-class line, in the shape its encoder wrote.
+        let line = format!(
+            "{{\"schema\": 3, \"kind\": \"class_stats\", \"class\": \"{}\", \"n\": {n}, \
+             \"met\": {met}, \"median_time\": {}}}",
+            CLASSES[class_idx].name(),
+            wire::opt_float(median),
+        );
+        prop_assert!(Value::parse(&line).is_ok(), "{}", line);
+        let err = wire::decode_line(&line).unwrap_err();
+        prop_assert_eq!(&err, &WireError::Retired { kind: "class_stats" }, "{}", line);
+        prop_assert!(err.to_string().contains("class_stats"), "{}", err);
+        // A retired kind with a wrong schema is still a schema error first.
+        let old_schema = line.replace("\"schema\": 3", "\"schema\": 2");
+        let schema_err = matches!(wire::decode_line(&old_schema), Err(WireError::Schema { .. }));
+        prop_assert!(schema_err);
     }
 
     #[test]
@@ -175,17 +211,12 @@ proptest! {
 
     #[test]
     fn shard_result_lines_are_typed_retired_refusals(
-        records in vec(record_strategy(), 0..30),
         shard_id in any::<u32>(),
         start in any::<usize>(),
     ) {
-        // The retired one-shot answer, byte-for-byte as its workers
-        // emitted it: a typed refusal, never a misparse as a unit answer.
-        let mut acc = StatsAccumulator::new();
-        for r in &records {
-            acc.push(r);
-        }
-        let line = wire::encode_unit_done(&UnitDone { task_id: shard_id, start, acc })
+        // The retired one-shot answer's header: a typed refusal, never a
+        // misparse as a unit answer.
+        let line = wire::encode_unit_done(&UnitDone { task_id: shard_id, start })
             .replace("\"unit_done\", \"task_id\"", "\"shard_result\", \"shard_id\"");
         let err = wire::decode_line(&line).unwrap_err();
         prop_assert_eq!(&err, &WireError::Retired { kind: "shard_result" }, "{}", line);
@@ -244,19 +275,15 @@ proptest! {
 
     #[test]
     fn unit_done_encoding_is_a_fixed_point(
-        records in vec(record_strategy(), 0..30),
         task_id in any::<u32>(),
         start in any::<usize>(),
     ) {
-        let mut acc = StatsAccumulator::new();
-        for r in &records {
-            acc.push(r);
-        }
-        let done = UnitDone { task_id, start, acc };
+        let done = UnitDone { task_id, start };
         let line = wire::encode_unit_done(&done);
         let done2 = wire::decode_unit_done(&line).expect("own encoding must decode");
-        prop_assert_eq!(format!("{done2:?}"), format!("{done:?}"));
+        prop_assert_eq!(&done2, &done);
         prop_assert_eq!(wire::encode_unit_done(&done2), line);
+        prop_assert_eq!(wire::decode_line(&line).unwrap(), Line::UnitDone(done));
     }
 
     // ---- decoder totality ------------------------------------------------
@@ -268,7 +295,6 @@ proptest! {
         let _ = Value::parse(&text);
         let _ = wire::decode_line(&text);
         let _ = wire::decode_record(&text);
-        let _ = wire::decode_accumulator(&text);
         let _ = wire::decode_campaign_spec(&text);
         let _ = wire::decode_task(&text);
         let _ = wire::decode_unit_telemetry(&text);
@@ -451,7 +477,6 @@ fn oversized_shard_ids_are_field_errors_not_truncations() {
     let done = UnitDone {
         task_id: 0,
         start: 0,
-        acc: StatsAccumulator::new(),
     };
     let line = wire::encode_unit_done(&done).replace("\"task_id\": 0", "\"task_id\": 4294967296");
     assert!(matches!(
@@ -464,67 +489,22 @@ fn oversized_shard_ids_are_field_errors_not_truncations() {
 }
 
 #[test]
-fn internally_inconsistent_accumulators_are_rejected() {
-    // A corruption that deletes one "segments" element is still valid
-    // JSON and leaves n unchanged — the decoder must catch the
-    // reconciliation failure rather than let it skew merged stats.
-    let mut acc = StatsAccumulator::new();
-    let rec = RunRecord {
-        class: Classification::Type3,
-        feasible: true,
-        met: true,
-        time: Some(1.5),
-        segments: 42,
-        min_dist: 0.5,
-        radius: 1.0,
+fn legacy_unit_done_with_an_acc_field_decodes_to_its_identity() {
+    // A `unit_done` line as older builds wrote it, folded accumulator
+    // and all: the `acc` field is ignored, never read or checked.
+    let legacy = "{\"schema\": 3, \"kind\": \"unit_done\", \"task_id\": 4, \"start\": 512, \
+         \"acc\": {\"n\": 2, \"met\": 1, \"infeasible\": 0, \"times\": [1.5], \
+         \"segments\": [42, 7], \"min_ratio\": \"inf\", \"buckets\": [[0, 0, []], \
+         [0, 0, []], [0, 0, []], [2, 1, [1.5]], [0, 0, []], [0, 0, []], [0, 0, []], [0, 0, []]]}}";
+    let want = UnitDone {
+        task_id: 4,
+        start: 512,
     };
-    acc.push(&rec);
-    acc.push(&rec);
-    let line = wire::encode_accumulator(&acc);
-    assert!(wire::decode_accumulator(&line).is_ok());
-    for corrupted in [
-        line.replace("\"segments\": [42, 42]", "\"segments\": [42]"),
-        line.replace("\"met\": 2", "\"met\": 3"),
-        line.replace("\"n\": 2", "\"n\": 1"),
-        line.replace("[2, 2, [1.5, 1.5]]", "[2, 2, [1.5]]"),
-    ] {
-        assert!(
-            matches!(
-                wire::decode_accumulator(&corrupted),
-                Err(WireError::Field { field: "acc", .. })
-            ),
-            "must reject: {corrupted}"
-        );
-    }
-}
-
-#[test]
-fn accumulator_bucket_arity_is_enforced() {
-    let acc = StatsAccumulator::new();
-    let line = wire::encode_accumulator(&acc);
-    // Drop one bucket: 8 are required (one per taxonomy class).
-    let mutated = line.replacen("[0, 0, []], ", "", 1);
-    assert!(matches!(
-        wire::decode_accumulator(&mutated),
-        Err(WireError::Field {
-            field: "buckets",
-            ..
-        })
-    ));
-}
-
-#[test]
-fn empty_accumulator_round_trips_including_infinite_min_ratio() {
-    let acc = StatsAccumulator::new();
-    let line = wire::encode_accumulator(&acc);
-    assert!(
-        line.contains("\"min_ratio\": \"inf\""),
-        "empty accumulator's +inf identity must use the sentinel: {line}"
-    );
-    let acc2 = wire::decode_accumulator(&line).unwrap();
-    assert!(acc2.is_empty());
-    assert_eq!(format!("{acc2:?}"), format!("{acc:?}"));
-    assert_eq!(wire::encode_accumulator(&acc2), line);
+    assert_eq!(wire::decode_unit_done(legacy), Ok(want.clone()));
+    assert_eq!(wire::decode_line(legacy), Ok(Line::UnitDone(want.clone())));
+    // An `acc` that contradicts everything is just as ignored.
+    let contradicting = legacy.replace("\"n\": 2", "\"n\": 9000");
+    assert_eq!(wire::decode_unit_done(&contradicting), Ok(want));
 }
 
 /// A valid record line the error corpus below mutates.

@@ -162,14 +162,14 @@ fn session(mut input: StdinLock<'_>, spec: CampaignSpec, seed: u64, threads: usi
                 if flaky && task.attempt == 0 {
                     let start = task.range.start;
                     if !task.range.is_empty() {
-                        let _ = spec.run_range(*seed, start..start + 1, sink.clone(), 1);
+                        spec.run_range(*seed, start..start + 1, sink.clone(), 1);
                     }
                     let _ = sink.drain_to(&mut stdout);
                     eprintln!("rv-shard worker: injected flaky failure (attempt 0)");
                     std::process::exit(3);
                 }
                 let started = std::time::Instant::now();
-                let acc = spec.run_range(
+                spec.run_range(
                     *seed,
                     task.range.clone(),
                     sink.clone() as Arc<dyn RecordSink>,
@@ -184,7 +184,6 @@ fn session(mut input: StdinLock<'_>, spec: CampaignSpec, seed: u64, threads: usi
                 sink.write_line(&wire::encode_unit_done(&UnitDone {
                     task_id: task.task_id,
                     start: task.range.start,
-                    acc,
                 }));
                 if let Err(e) = sink.drain_to(&mut stdout) {
                     eprintln!("rv-shard worker: unit answer write failed: {e}");

@@ -14,7 +14,7 @@ use crate::util::fnum;
 pub use rv_core::batch::{
     Campaign, CampaignReport, CampaignStats as Summary, RunRecord as RunResult, StatsAccumulator,
 };
-pub use rv_core::{Aur, Closure, Dedicated, FixedPair, Solver, Visibility};
+pub use rv_core::{Aur, Dedicated, FixedPair, Solver, Visibility};
 
 /// Table-display helpers for [`Summary`] (kept out of `rv-core`, which
 /// stays formatting-free).
@@ -38,7 +38,7 @@ impl SummaryExt for Summary {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rv_core::{solve_dedicated, Budget};
+    use rv_core::Budget;
     use rv_model::TargetClass;
 
     #[test]
@@ -52,16 +52,5 @@ mod tests {
         assert!(s.median_time.is_some());
         assert_ne!(s.median_time_str(), "—");
         assert!(s.min_dist_over_r <= 1.0 + 1e-6);
-    }
-
-    #[test]
-    fn dedicated_constructor_matches_custom_closure() {
-        let instances = crate::workloads::sample(TargetClass::Type2, 4, 3);
-        let budget = Budget::default().segments(50_000);
-        let dedicated = Campaign::dedicated(budget.clone());
-        let custom = Campaign::custom(budget, solve_dedicated);
-        assert_eq!(dedicated.solver_name(), "dedicated");
-        assert_eq!(custom.solver_name(), "custom");
-        assert_eq!(dedicated.run(&instances), custom.run(&instances));
     }
 }

@@ -35,8 +35,8 @@ pub use rv_trajectory as trajectory;
 pub mod prelude {
     pub use rv_core::{
         classify, feasible, recommend, solve, solve_dedicated, solve_pair, Aur, Budget, Campaign,
-        CampaignSpec, Closure, Dedicated, Executor, FixedPair, LocalExecutor, PoolExecutor,
-        RecordSink, Solver, SolverSpec, StatsAccumulator, Visibility, WorkerCommand,
+        CampaignSpec, Dedicated, Executor, FixedPair, LocalExecutor, PoolExecutor, RecordSink,
+        Solver, SolverSpec, StatsAccumulator, Visibility, WorkerCommand,
     };
     pub use rv_geometry::{Angle, Vec2};
     pub use rv_model::{Chirality, Classification, Instance};

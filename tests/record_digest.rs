@@ -28,14 +28,15 @@
 //!   such wait is instruction 22,987, past `sweep_aur`'s budget).
 //!
 //! A second group pins the bytes of every encoder that renders into one
-//! growing buffer rather than through `format!` and `join` (constants
-//! computed before that rewrite):
+//! growing buffer rather than through `format!` and `join`, with stats
+//! folded from records the way a driver folds them (digests computed
+//! while workers still shipped their folded accumulators):
 //! - the entry file `ResultCache::store` writes for `resweep_pool`'s spec,
-//!   seed 1, indices `0..128`;
-//! - the `unit_done`, `acc`, `class_stats` and `campaign_report` lines
-//!   over `sweep_aur`'s spec, seeds 1–3 at n = 64;
-//! - an empty accumulator's `acc` and `unit_done` lines (the `"inf"`
-//!   sentinel of its `min_ratio`).
+//!   seed 1, indices `0..128`: the digest of its spec and record lines,
+//!   and its literal closing `unit_done` line;
+//! - the `campaign_report` line over `sweep_aur`'s spec, seeds 1–3 at
+//!   n = 64;
+//! - a literal `unit_done` line.
 //!
 //! Directions other than quarter turns take `cos`/`sin` from the
 //! platform's libm, whose last bit may differ between platforms, so the
@@ -44,9 +45,7 @@
 
 use rv_core::batch::mix_seed;
 use rv_core::shard::UnitDone;
-use rv_core::wire::{
-    encode_accumulator, encode_campaign_report, encode_class_stats, encode_record, encode_unit_done,
-};
+use rv_core::wire::{encode_campaign_report, encode_record, encode_unit_done};
 use rv_core::{
     almost_universal_rv, planar_cow_walk, solve_pair, Aur, Budget, CampaignReport, CampaignSpec,
     FixedPair, Instance, Outcome, ResultCache, RunRecord, SimReport, Solver, SolverSpec,
@@ -282,67 +281,75 @@ fn big_clock_cow_walk_digest_is_pinned() {
     );
 }
 
+/// The unit `range` of `spec` at `seed`, run in-process: its records in
+/// index order and the accumulator folded from them, as a driver gets
+/// them.
+fn run_unit(
+    spec: &CampaignSpec,
+    seed: u64,
+    range: std::ops::Range<usize>,
+) -> (Vec<(usize, RunRecord)>, StatsAccumulator) {
+    let sink = std::sync::Arc::new(VecSink::new());
+    spec.run_range(seed, range, sink.clone(), 1);
+    let records = sink.take_sorted();
+    let acc = StatsAccumulator::of(records.iter().map(|(_, rec)| rec));
+    (records, acc)
+}
+
 #[test]
 fn cache_entry_bytes_are_pinned() {
     let spec = resweep_pool_spec();
     let range = 0..128;
-    let sink = std::sync::Arc::new(VecSink::new());
-    let acc = spec.run_range(1, range.clone(), sink.clone(), 1);
-    let records = sink.take_sorted();
+    let (records, acc) = run_unit(&spec, 1, range.clone());
     let dir = std::env::temp_dir().join(format!("rv-record-digest-{}", std::process::id()));
     let cache = ResultCache::open(&dir).expect("cache dir");
     let key = cache
         .store(&spec, 1, &range, &records, &acc)
         .expect("store a full unit");
-    let bytes = std::fs::read(cache.entry_path(key)).expect("read the stored entry");
+    let text = std::fs::read_to_string(cache.entry_path(key)).expect("read the stored entry");
     let _ = std::fs::remove_dir_all(&dir);
+    let body = text.strip_suffix('\n').expect("entry ends in a newline");
+    let last = body.rfind('\n').map_or(0, |at| at + 1);
+    // The spec and record lines (with their newlines), digested before
+    // `unit_done` stopped carrying the accumulator.
     check(
-        "resweep_pool cache entry, seed 1, 0..128",
-        fnv(&bytes),
-        0xfdf6_6c8d_0e24_5a67,
+        "resweep_pool cache entry, seed 1, 0..128: spec and record lines",
+        fnv(&text.as_bytes()[..last]),
+        0x1822_3b9c_cf74_f2ab,
+    );
+    assert_eq!(
+        &body[last..],
+        r#"{"schema": 3, "kind": "unit_done", "task_id": 0, "start": 0}"#
     );
 }
 
 #[test]
 fn accumulator_and_report_lines_are_pinned() {
+    // The `campaign_report` line of stats folded from the unit's records,
+    // digested when workers still shipped their folded accumulators.
     let spec = sweep_aur_spec();
     for (seed, want) in [
-        (1, 0xa1bd_00d8_4167_5038),
-        (2, 0xfd72_57ab_a9f5_f99a),
-        (3, 0xbe14_e1ba_f251_ac80),
+        (1, 0x47fc_dac9_63a5_edb4),
+        (2, 0xa8d3_5be5_c22f_7670),
+        (3, 0xb676_d529_614d_a499),
     ] {
-        let acc = spec.run_range(seed, 0..64, std::sync::Arc::new(VecSink::new()), 0);
-        let stats = acc.clone().finish();
-        let mut h = Fnv::new();
-        h.write(
-            encode_unit_done(&UnitDone {
-                task_id: 5,
-                start: 0,
-                acc: acc.clone(),
-            })
-            .as_bytes(),
+        let (_, acc) = run_unit(&spec, seed, 0..64);
+        let line = encode_campaign_report(&acc.finish());
+        check(
+            &format!("sweep_aur seed {seed} lines"),
+            fnv(line.as_bytes()),
+            want,
         );
-        h.write(encode_accumulator(&acc).as_bytes());
-        for cs in &stats.per_class {
-            h.write(encode_class_stats(cs).as_bytes());
-        }
-        h.write(encode_campaign_report(&stats).as_bytes());
-        check(&format!("sweep_aur seed {seed} lines"), h.0, want);
     }
 }
 
 #[test]
 fn empty_accumulator_lines_are_pinned() {
-    let acc = StatsAccumulator::new();
-    let mut h = Fnv::new();
-    h.write(encode_accumulator(&acc).as_bytes());
-    h.write(
+    assert_eq!(
         encode_unit_done(&UnitDone {
             task_id: 0,
-            start: 9,
-            acc,
-        })
-        .as_bytes(),
+            start: 9
+        }),
+        r#"{"schema": 3, "kind": "unit_done", "task_id": 0, "start": 9}"#
     );
-    check("empty accumulator lines", h.0, 0xac77_a531_fee3_0333);
 }
