@@ -124,8 +124,9 @@ fn bench_hotpath(c: &mut Criterion) {
     });
 
     // The kinematic compiler on what `Aur::solve` steps: agent B of a
-    // τ = 2 instance (so σ = 1) replaying the first 4096 segments of the
-    // shared compiled `AlmostUniversalRV` program.
+    // τ = 2 instance (so σ = 1) over the first 4096 segments of the
+    // shared `AlmostUniversalRV` step tape, mapping direction ids through
+    // its direction table.
     let inst = Instance::builder()
         .position(ratio(2, 1), ratio(1, 2))
         .r(ratio(2, 1))
@@ -135,7 +136,7 @@ fn bench_hotpath(c: &mut Criterion) {
     g.bench_function("kinematics_4k", |b| {
         let attrs = inst.agent_b();
         b.iter(|| {
-            let mut m = Motion::new(attrs.clone(), compiled_aur().iter());
+            let mut m = Motion::new(attrs.clone(), compiled_aur().tape());
             let mut x = 0.0;
             for _ in 0..4096 {
                 x = m.next().map_or(x, |s| s.from.x);

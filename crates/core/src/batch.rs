@@ -578,7 +578,17 @@ impl Campaign {
     where
         G: Fn(usize) -> Instance + Sync,
     {
-        CampaignReport::of(par_map(self.threads, n, |i| self.run_one(i, &gen(i))))
+        CampaignReport::of(self.records_seeded(n, gen))
+    }
+
+    /// [`Campaign::run_seeded`] without the report: the records in index
+    /// order, for callers that fold their own stats (a worker's unit, an
+    /// executor's cache write-through).
+    pub fn records_seeded<G>(&self, n: usize, gen: G) -> Vec<RunRecord>
+    where
+        G: Fn(usize) -> Instance + Sync,
+    {
+        par_map(self.threads, n, |i| self.run_one(i, &gen(i)))
     }
 }
 
@@ -643,6 +653,8 @@ mod tests {
         let a = campaign.run(&instances);
         let b = campaign.run_seeded(instances.len(), |i| instances[i].clone());
         assert_eq!(a, b);
+        let records = campaign.records_seeded(instances.len(), |i| instances[i].clone());
+        assert_eq!(records, b.records);
     }
 
     #[test]

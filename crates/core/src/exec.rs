@@ -232,7 +232,8 @@ impl LocalExecutor {
         if let Some(sink) = sink {
             campaign = campaign.sink_arc(sink);
         }
-        let records = (campaign.run_seeded(n, |i| spec.instance(seed, i)).records)
+        let records = campaign
+            .records_seeded(n, |i| spec.instance(seed, i))
             .into_iter()
             .enumerate()
             .collect();

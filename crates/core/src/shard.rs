@@ -272,7 +272,7 @@ impl CampaignSpec {
         self.campaign()
             .threads(threads)
             .sink(offset)
-            .run_seeded(range.len(), |i| self.instance(seed, range.start + i));
+            .records_seeded(range.len(), |i| self.instance(seed, range.start + i));
     }
 }
 

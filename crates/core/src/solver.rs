@@ -120,15 +120,16 @@ pub struct Aur;
 impl Solver for Aur {
     fn solve(&self, inst: &Instance, budget: &Budget) -> SimReport {
         let cfg = budget.sim_config(inst.r.clone(), inst.r.clone());
-        // Replay the process-wide compiled program instead of
-        // regenerating it — the instruction stream is identical — and
-        // borrow each cached instruction rather than clone it.
+        // Step both agents over the process-wide tape of the compiled
+        // program instead of regenerating it: agent A, the reference
+        // agent, reads its positions off the tape, and agent B indexes
+        // its direction table by the tape's direction ids.
         let program = crate::aur::compiled_aur();
         simulate_programs(
             inst.agent_a(),
-            program.iter(),
+            program.tape(),
             inst.agent_b(),
-            program.iter(),
+            program.tape(),
             &cfg,
         )
     }

@@ -12,14 +12,21 @@
 //! steady-state event loop" without brittle absolute thresholds.
 //!
 //! Agent B runs in a rotated, mirrored frame (`φ = 3π/8`, `χ = −1`), so
-//! the misses of B's direction table run the general `φ − θ` transform
-//! under the counter, not only agent A's identity fast path. It runs
-//! twice: with `τ = 2`, and with `τ = 5/3`, whose run the engine counts
-//! in units of `1/5` (its scaled time path).
+//! the first use of each direction id in B's direction table runs the
+//! general `φ − θ` transform under the counter, while agent A, the
+//! reference agent, reads its positions off the tape. It runs twice:
+//! with `τ = 2`, and with `τ = 5/3`, whose run the engine counts in units
+//! of `1/5` (its scaled time path).
 //!
-//! The compiled AUR cache is warmed to the deeper run's depth first —
-//! cache *extension* allocates by design (that is the once-per-process
-//! compile); replay must not.
+//! Besides the comparison, each solve has an absolute cap of zero
+//! allocations, the count measured for both runs before the step tape
+//! existed. The per-run direction table lives inline in each `Motion`; a
+//! table that moved to the heap, or grew there as new direction ids
+//! arrive, would break the cap even where the two depths allocate alike.
+//!
+//! The compiled AUR tape is warmed to the deeper run's depth first —
+//! tape *extension* allocates by design (that is the once-per-process
+//! lowering); stepping it must not.
 //!
 //! The codec gate counts exact allocations: `encode_record` makes one
 //! (its output), decoding a record or `unit_done` line makes at most one
@@ -137,6 +144,11 @@ fn assert_event_loop_allocates_nothing(tau: Ratio) {
         shallow_allocs, deep_allocs,
         "τ = {}: 10k extra steps changed the allocation count: the \
          per-step loop is no longer allocation-free",
+        inst.tau
+    );
+    assert_eq!(
+        deep_allocs, 0,
+        "τ = {}: one solve allocated; the per-run cap is zero",
         inst.tau
     );
 }

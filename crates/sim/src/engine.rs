@@ -21,7 +21,10 @@
 //! or 1 if any of these is `Big` or the lcm exceeds `MAX_TIME_SCALE`.
 //! Both [`Motion`]s are built with [`Motion::scaled`], so every clock is
 //! dyadic (AUR's durations are) and stays on `Ratio`'s gcd-free kernels
-//! even when `τ` is not. `σ = 1` is the same loop. The contract:
+//! even when `τ` is not. `σ = 1` is the same loop. A motion computes each
+//! segment end as `wake·σ + (τσ)·P_k` from the prefix local time `P_k` of
+//! its step; for the reference agent at `σ = 1` that is the step's own
+//! `P_k`. The contract:
 //! - **Exact order.** Scaling by `σ > 0` preserves the order of event
 //!   times; the time cap is scaled once, and the Section 5 freeze
 //!   happens at `cur + σ·s`.
@@ -36,8 +39,7 @@ use crate::config::{BudgetReason, SimConfig};
 use crate::outcome::{Meeting, Outcome, SimReport, SimTime, TraceSample};
 use rv_geometry::{first_within, min_dist_on_interval, Vec2};
 use rv_numeric::Ratio;
-use rv_trajectory::{AgentAttrs, Instr, Motion, Segment};
-use std::borrow::Borrow;
+use rv_trajectory::{AgentAttrs, Instr, Motion, Segment, StepSource};
 
 /// The largest time scale a run uses. Scaling adds at most 16 bits to
 /// the exact clocks; the generator's clock rates need at most 11.
@@ -231,8 +233,8 @@ where
 }
 
 /// Simulates the two agents until rendezvous or budget exhaustion, each
-/// running a program of owned or borrowed instructions (`Instr`, `&Instr`,
-/// or the `Cow<Instr>` of a compiled program's replay). Picks the run's
+/// running a [`StepSource`]: a program of owned or borrowed instructions
+/// (`Instr`, `&Instr`), or the tape of a compiled program. Picks the run's
 /// time scale and compiles each program into its scaled [`Motion`] (see
 /// the module docs).
 pub fn simulate_programs<PA, PB>(
@@ -243,10 +245,8 @@ pub fn simulate_programs<PA, PB>(
     cfg: &SimConfig,
 ) -> SimReport
 where
-    PA: Iterator,
-    PA::Item: Borrow<Instr>,
-    PB: Iterator,
-    PB::Item: Borrow<Instr>,
+    PA: StepSource,
+    PB: StepSource,
 {
     debug_assert!(attrs_a.validate().is_ok());
     debug_assert!(attrs_b.validate().is_ok());

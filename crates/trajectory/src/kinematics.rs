@@ -13,33 +13,56 @@
 //! # Time scale
 //!
 //! A [`Motion`] built by [`Motion::scaled`] with an integer time scale
-//! `σ ≥ 1` keeps its exact clock in units of `1/σ`: it starts at
-//! `wake·σ` and each instruction advances it by `d·(τσ)`. Every segment
-//! `start`/`end` is then exactly `σ` times the one [`Motion::new`]
-//! (`σ = 1`) yields; `from` and `vel` do not depend on `σ`. A simulator
-//! that picks `σ` as the lcm of the odd parts of its agents' clock-rate
-//! and wake denominators keeps every clock dyadic, on `Ratio`'s gcd-free
-//! kernels, even when `τ` is not.
+//! `σ ≥ 1` keeps its exact clock in units of `1/σ`: instruction `k` ends
+//! at `wake·σ + (τσ)·P_k`, where `P_k` is the program's prefix local time
+//! through instruction `k`. Every segment `start`/`end` is then exactly
+//! `σ` times the one [`Motion::new`] (`σ = 1`) yields; `from` and `vel` do
+//! not depend on `σ`. A simulator that picks `σ` as the lcm of the odd
+//! parts of its agents' clock-rate and wake denominators keeps every clock
+//! dyadic, on `Ratio`'s gcd-free kernels, even when `τ` is not. The
+//! product equals the sequential sum `wake·σ + Σ d_i·(τσ)` exactly, so the
+//! clocks and their canonical `Ratio` bits are those of summing.
+//!
+//! # Steps
+//!
+//! A [`Motion`] does not step `Instr`s: one function lowers every
+//! instruction into a `Step` that holds
+//! - an interned direction id (into the lowering's directory of exact
+//!   angles, each with its unit vector), or a wait tag;
+//! - the f64 local length `dist.to_f64()`;
+//! - the exact prefix local time `P_k`;
+//! - the reference agent's f64 end position, accumulated exactly as the
+//!   stepper accumulates any agent's position.
+//!
+//! Zero-duration instructions are lowered too and yield no segment. A
+//! motion reads its steps from a [`StepSource`]: an iterator of `Instr`s,
+//! lowered on the fly into the motion's own lowering, or the tape of a
+//! [`CompiledProgram`](crate::CompiledProgram), lowered once per process
+//! by the same function. An agent whose attributes equal
+//! [`AgentAttrs::reference`] takes its positions from the steps and its
+//! velocities from the directory: no f64 arithmetic, and at `σ = 1` no
+//! exact arithmetic either. Any other agent maps directions through its
+//! direction table.
 //!
 //! # Direction table
 //!
 //! Programs draw their directions from a small alphabet: Algorithm 1 only
 //! ever moves along the axes of the frames `Rot(jπ/2^i)`, so a 20k-segment
-//! AUR run uses 16 distinct local directions. Each [`Motion`] therefore
-//! keeps a fixed-capacity inline table from a local direction to the
-//! absolute unit vector it produces. Its contract:
+//! AUR run uses 16 distinct local directions (32 after about 100k
+//! instructions). Each non-reference [`Motion`] keeps a table from a
+//! direction id to the absolute unit vector and velocity it produces. Its
+//! contract:
 //!
-//! - **Exact key.** An entry is keyed by the `(numer, denom)` of the local
-//!   angle's `q` (the angle is `q·π`) as two `i128`, so two keys match
-//!   only when the directions are exactly equal.
-//! - **Same f64 bits.** A miss computes the vector with the one formula
-//!   the table replaces, `orientation.to_absolute(dir).unit()`, and a hit
-//!   returns that stored vector. Every segment is bit-identical to
-//!   evaluating the formula on each `go`.
+//! - **Indexed.** The step's direction id is the table index: no key
+//!   conversion, no scan.
+//! - **Same f64 bits.** An empty slot is filled with the one formula the
+//!   table replaces, `orientation.to_absolute(dir).unit()` (and that times
+//!   the speed). Every segment is bit-identical to evaluating the formula
+//!   on each `go`.
 //! - **Fixed capacity.** [`DIR_SLOTS`] Copy entries live inline in the
 //!   `Motion`: no heap, no drop glue, no knob.
-//! - **Fallback.** A direction whose key does not fit in `i128`, or that
-//!   arrives once the table is full, is computed directly on every `go`.
+//! - **Fallback.** A direction whose id is past the table is mapped on
+//!   every `go`.
 
 use crate::instr::Instr;
 use rv_geometry::{Angle, Chirality, Orientation, Vec2};
@@ -139,57 +162,204 @@ impl Segment {
     }
 }
 
-/// Capacity of a [`Motion`]'s direction table (see the module docs).
+/// The direction id of a `wait` step.
+const WAIT: u32 = u32::MAX;
+
+/// One lowered instruction (see the module docs).
+#[derive(Clone, Debug)]
+pub struct Step {
+    /// Direction id of a `go` into the lowering's directory, or [`WAIT`].
+    dir: u32,
+    /// True for a zero-duration instruction, which yields no segment.
+    empty: bool,
+    /// The f64 local length of a `go`, `dist.to_f64()`; 0 for a `wait`.
+    len: f64,
+    /// The exact prefix local time `P_k`: the local durations of every
+    /// instruction up to and including this one.
+    pub(crate) prefix: Ratio,
+    /// The reference agent's position after this step.
+    ref_end: Vec2,
+}
+
+impl Step {
+    /// The instruction this step was lowered from, given the prefix time
+    /// of the step before it and the directory its id indexes.
+    pub(crate) fn instr(&self, before: &Ratio, dirs: &[Dir]) -> Instr {
+        let dur = &self.prefix - before;
+        match self.dir {
+            WAIT => Instr::wait(dur),
+            // rv-lint: allow(hot) — the owned replay's contract: one angle
+            // per rebuilt instruction; motions index the directory.
+            id => Instr::go_angle(dirs[id as usize].angle.clone(), dur),
+        }
+    }
+}
+
+/// An interned direction: the exact local angle and the reference
+/// agent's unit vector along it.
+#[derive(Clone, Debug)]
+pub struct Dir {
+    angle: Angle,
+    unit: Vec2,
+}
+
+/// Lowers instructions into steps, one at a time (see the module docs).
+#[derive(Debug)]
+pub struct Lowering {
+    /// Every direction interned so far; a step's id indexes it.
+    pub(crate) dirs: Vec<Dir>,
+    /// The last lowered step, which carries the running prefix time and
+    /// reference position.
+    pub(crate) step: Step,
+}
+
+impl Lowering {
+    /// A lowering at the start of a program.
+    pub(crate) fn new() -> Lowering {
+        Lowering {
+            // rv-lint: allow(hot) — once per Motion; allocates only when an
+            // on-the-fly program interns its first direction.
+            dirs: Vec::new(),
+            step: Step {
+                dir: WAIT,
+                empty: true,
+                len: 0.0,
+                prefix: Ratio::zero(),
+                ref_end: Vec2::ZERO,
+            },
+        }
+    }
+
+    /// Lowers the next instruction into `self.step`.
+    pub(crate) fn push(&mut self, instr: &Instr) {
+        let Lowering { dirs, step } = self;
+        step.empty = instr.is_empty();
+        match instr {
+            Instr::Wait { dur } => {
+                step.dir = WAIT;
+                step.len = 0.0;
+                if !step.empty {
+                    step.prefix = &step.prefix + dur;
+                }
+            }
+            Instr::Go { dir, dist } => {
+                let id = match dirs.iter().position(|d| d.angle == *dir) {
+                    Some(id) => id,
+                    None => {
+                        let unit = Orientation::identity().to_absolute(dir).unit();
+                        // rv-lint: allow(hot) — interning: once per distinct
+                        // direction of the program, not per instruction.
+                        let angle = dir.clone();
+                        dirs.push(Dir { angle, unit });
+                        dirs.len() - 1
+                    }
+                };
+                step.dir = u32::try_from(id).expect("fewer than 2^32 directions");
+                step.len = dist.to_f64();
+                if !step.empty {
+                    step.prefix = &step.prefix + dist;
+                    step.ref_end += dirs[id].unit * step.len;
+                }
+            }
+        }
+    }
+}
+
+/// Where a [`Motion`] reads its steps: any iterator of owned or borrowed
+/// instructions (`Instr`, `&Instr`), lowered on the fly, or the
+/// [`Tape`](crate::Tape) of a [`CompiledProgram`](crate::CompiledProgram).
+pub trait StepSource {
+    /// The next step and the directory its direction id indexes.
+    /// `lowering` is the motion's own, for a source lowered on the fly.
+    fn next_step<'s>(&'s mut self, lowering: &'s mut Lowering) -> Option<(&'s Step, &'s [Dir])>;
+}
+
+impl<I> StepSource for I
+where
+    I: Iterator,
+    I::Item: Borrow<Instr>,
+{
+    fn next_step<'s>(&'s mut self, lowering: &'s mut Lowering) -> Option<(&'s Step, &'s [Dir])> {
+        lowering.push(self.next()?.borrow());
+        Some((&lowering.step, &lowering.dirs))
+    }
+}
+
+/// Capacity of a [`Motion`]'s direction table (see the module docs):
 /// AUR reaches 32 distinct directions only after about 100k instructions.
 pub const DIR_SLOTS: usize = 32;
 
-/// The direction table: `(numer, denom)` of a local direction's `q` and
-/// the absolute unit vector it maps to, filled in first-use order.
+// One bit of `DirTable::filled` per slot.
+const _: () = assert!(DIR_SLOTS <= u32::BITS as usize);
+
+/// The direction table of a non-reference agent: for direction id `k`,
+/// the absolute unit vector and velocity, filled on first use.
 struct DirTable {
-    len: usize,
-    slots: [(i128, i128, Vec2); DIR_SLOTS],
+    orientation: Orientation,
+    unit_len_f64: f64,
+    speed_f64: f64,
+    /// Bit `k` is set once slot `k` holds direction `k`'s entry.
+    filled: u32,
+    slots: [(Vec2, Vec2); DIR_SLOTS],
 }
 
 impl DirTable {
-    fn new() -> DirTable {
+    fn new(attrs: &AgentAttrs) -> DirTable {
         DirTable {
-            len: 0,
-            slots: [(0, 0, Vec2::ZERO); DIR_SLOTS],
+            orientation: attrs.orientation(),
+            unit_len_f64: attrs.unit_len().to_f64(),
+            speed_f64: attrs.speed.to_f64(),
+            filled: 0,
+            slots: [(Vec2::ZERO, Vec2::ZERO); DIR_SLOTS],
         }
     }
 
-    /// The absolute unit vector of local direction `dir` under
-    /// `orientation`, bit for bit `orientation.to_absolute(dir).unit()`.
-    fn unit(&mut self, orientation: &Orientation, dir: &Angle) -> Vec2 {
-        let q = dir.ratio_pi();
-        let (Some(numer), Some(denom)) = (q.numer().to_i128(), q.denom().to_i128()) else {
-            return orientation.to_absolute(dir).unit();
-        };
-        let filled = &self.slots[..self.len];
-        if let Some(&(_, _, unit)) = filled.iter().find(|&&(n, d, _)| n == numer && d == denom) {
-            return unit;
+    /// The absolute unit vector and velocity of direction `id`, bit for
+    /// bit `orientation.to_absolute(dir).unit()` and that times the speed.
+    fn get(&mut self, id: u32, dirs: &[Dir]) -> (Vec2, Vec2) {
+        let id = id as usize;
+        if id < DIR_SLOTS && self.filled >> id & 1 == 1 {
+            return self.slots[id];
         }
-        let unit = orientation.to_absolute(dir).unit();
-        if self.len < DIR_SLOTS {
-            self.slots[self.len] = (numer, denom, unit);
-            self.len += 1;
+        let unit = self.orientation.to_absolute(&dirs[id].angle).unit();
+        let entry = (unit, unit * self.speed_f64);
+        if id < DIR_SLOTS {
+            self.slots[id] = entry;
+            self.filled |= 1 << id;
         }
-        unit
+        entry
     }
 }
 
-/// Lazily compiles a program into motion segments. The program may yield
-/// owned or borrowed instructions: `Instr`, `&Instr`, or the
-/// `Cow<Instr>` of [`CompiledProgram::iter`](crate::CompiledProgram::iter).
+/// True when `attrs` equal [`AgentAttrs::reference`], the origin bit for
+/// bit (a `-0.0` coordinate would change the positions' bits).
+fn is_reference(attrs: &AgentAttrs) -> bool {
+    attrs.origin.x.to_bits() == 0
+        && attrs.origin.y.to_bits() == 0
+        && attrs.phi.is_zero()
+        && attrs.chi.is_plus()
+        && attrs.tau.is_one()
+        && attrs.speed.is_one()
+        && attrs.wake.is_zero()
+}
+
+/// Lazily compiles a program into motion segments. The program is any
+/// [`StepSource`]: an iterator of `Instr` or `&Instr`, or a compiled
+/// program's [`Tape`](crate::Tape).
 pub struct Motion<P> {
     program: P,
-    orientation: Orientation,
-    dirs: DirTable,
-    unit_len_f64: f64,
-    speed_f64: f64,
+    /// Lowers the program's instructions on the fly (idle on a tape).
+    lowering: Lowering,
+    /// True for the reference agent, which takes its positions from the
+    /// steps and its velocities from the directory; any other agent maps
+    /// directions through `table`.
+    reference: bool,
+    table: DirTable,
+    /// The scaled wake time `wake·σ`.
+    base: Ratio,
     /// Clock units per local time unit: `τσ`.
     rate: Ratio,
-    /// True when `rate == 1` (`τ = 1/σ`), letting local durations pass
+    /// True when `rate == 1` (`τ = 1/σ`), letting prefix times pass
     /// through without a rational multiply (otherwise a gcd-free dyadic
     /// kernel call when `τσ` is dyadic, a cross-reduced gcd multiply when
     /// it is not).
@@ -203,11 +373,7 @@ pub struct Motion<P> {
     emitted_wake: bool,
 }
 
-impl<P> Motion<P>
-where
-    P: Iterator,
-    P::Item: Borrow<Instr>,
-{
+impl<P: StepSource> Motion<P> {
     /// Builds the motion of `attrs` executing `program`, in absolute time
     /// (`Motion::scaled(attrs, program, 1)`).
     pub fn new(attrs: AgentAttrs, program: P) -> Motion<P> {
@@ -220,15 +386,17 @@ where
         assert!(sigma > 0, "time scale must be positive");
         let sigma = Ratio::from_int(u64::from(sigma));
         let rate = &attrs.tau * &sigma;
+        let base = &attrs.wake * &sigma;
         Motion {
             program,
-            orientation: attrs.orientation(),
-            dirs: DirTable::new(),
-            unit_len_f64: attrs.unit_len().to_f64(),
-            speed_f64: attrs.speed.to_f64(),
+            lowering: Lowering::new(),
+            reference: is_reference(&attrs),
+            table: DirTable::new(&attrs),
+            // rv-lint: allow(hot) — once per Motion construction.
+            clock: base.clone(),
+            base,
             rate_is_one: rate.is_one(),
             rate,
-            clock: &attrs.wake * &sigma,
             pos: attrs.origin,
             halted: false,
             emitted_wake: false,
@@ -246,11 +414,7 @@ where
     }
 }
 
-impl<P> Iterator for Motion<P>
-where
-    P: Iterator,
-    P::Item: Borrow<Instr>,
-{
+impl<P: StepSource> Iterator for Motion<P> {
     type Item = Segment;
 
     fn next(&mut self) -> Option<Segment> {
@@ -271,7 +435,7 @@ where
             }
         }
         loop {
-            let Some(item) = self.program.next() else {
+            let Some((step, dirs)) = self.program.next_step(&mut self.lowering) else {
                 self.halted = true;
                 return Some(Segment {
                     // rv-lint: allow(hot) — final halt segment, once per
@@ -282,47 +446,55 @@ where
                     vel: Vec2::ZERO,
                 });
             };
-            match item.borrow() {
-                instr if instr.is_empty() => continue,
-                Instr::Wait { dur } => {
-                    let end = if self.rate_is_one {
-                        &self.clock + dur
-                    } else {
-                        &self.clock + &(dur * &self.rate)
-                    };
-                    let start = std::mem::replace(&mut self.clock, end);
-                    return Some(Segment {
-                        start,
-                        // rv-lint: allow(hot) — irreducible: the segment end
-                        // and the running clock are two owners of one value;
-                        // on the inline-i128 path this clone is a memcpy.
-                        end: Some(self.clock.clone()),
-                        from: self.pos,
-                        vel: Vec2::ZERO,
-                    });
-                }
-                Instr::Go { dir, dist } => {
-                    let unit = self.dirs.unit(&self.orientation, dir);
-                    let abs_len = dist.to_f64() * self.unit_len_f64;
-                    let end = if self.rate_is_one {
-                        &self.clock + dist
-                    } else {
-                        &self.clock + &(dist * &self.rate)
-                    };
-                    let from = self.pos;
-                    let start = std::mem::replace(&mut self.clock, end);
-                    self.pos = from + unit * abs_len;
-                    return Some(Segment {
-                        start,
-                        // rv-lint: allow(hot) — same two-owner clone as the
-                        // wait arm; memcpy on the inline path.
-                        end: Some(self.clock.clone()),
-                        from,
-                        vel: unit * self.speed_f64,
-                    });
-                }
+            if step.empty {
+                continue;
             }
+            let end = match (self.rate_is_one, self.base.is_zero()) {
+                // rv-lint: allow(hot) — the reference agent's whole clock at
+                // σ = 1: the end time is the step's prefix time; a memcpy on
+                // the inline-i128 path.
+                (true, true) => step.prefix.clone(),
+                (true, false) => &self.base + &step.prefix,
+                (false, true) => &step.prefix * &self.rate,
+                (false, false) => &self.base + &(&step.prefix * &self.rate),
+            };
+            let from = self.pos;
+            let vel = if step.dir == WAIT {
+                Vec2::ZERO
+            } else if self.reference {
+                self.pos = step.ref_end;
+                dirs[step.dir as usize].unit
+            } else {
+                let (unit, vel) = self.table.get(step.dir, dirs);
+                self.pos = from + unit * (step.len * self.table.unit_len_f64);
+                vel
+            };
+            let start = std::mem::replace(&mut self.clock, end);
+            return Some(Segment {
+                start,
+                // rv-lint: allow(hot) — irreducible: the segment end and the
+                // running clock are two owners of one value; on the
+                // inline-i128 path this clone is a memcpy.
+                end: Some(self.clock.clone()),
+                from,
+                vel,
+            });
         }
+    }
+}
+
+#[cfg(test)]
+impl Step {
+    /// Every field, the f64s as bits.
+    pub(crate) fn bits(&self) -> (u32, bool, u64, Ratio, [u64; 2]) {
+        let end = [self.ref_end.x.to_bits(), self.ref_end.y.to_bits()];
+        (
+            self.dir,
+            self.empty,
+            self.len.to_bits(),
+            self.prefix.clone(),
+            end,
+        )
     }
 }
 
@@ -471,14 +643,15 @@ mod tests {
     }
 
     #[test]
-    fn direction_table_stores_each_i128_key_once_up_to_capacity() {
-        // Slots used by a program that goes, twice over, along a direction
-        // whose `q` has a denominator beyond i128 and along `n` distinct
-        // i128-keyed directions. (tests/motion_differential.rs compares
-        // Motion's segments against the per-`go` formula.)
-        let slots_used = |n: i64| {
+    fn lowering_interns_each_direction_once_up_to_table_capacity() {
+        // A program that goes, twice over, along a direction whose `q` has
+        // a denominator beyond i128 and along `n` distinct directions:
+        // (directions interned, table slots filled). (tests/
+        // motion_differential.rs compares Motion's segments against the
+        // per-`go` formula.)
+        let interned = |n: i64| {
             let wide = Angle::from_ratio_pi(Ratio::pow2(-200));
-            let dirs = std::iter::once(wide).chain((0..n).map(|k| Angle::pi_frac(k, 64)));
+            let dirs = std::iter::once(wide).chain((0..n).map(|k| Angle::pi_frac(k, 128)));
             let prog: Vec<_> = dirs
                 .clone()
                 .chain(dirs)
@@ -486,10 +659,41 @@ mod tests {
                 .collect();
             let mut m = Motion::new(attrs_b(), prog.into_iter());
             m.by_ref().for_each(drop);
-            m.dirs.len
+            assert!(!m.reference);
+            (m.lowering.dirs.len(), m.table.filled.count_ones() as usize)
         };
-        assert_eq!(slots_used(5), 5);
-        assert_eq!(slots_used(DIR_SLOTS as i64 + 1), DIR_SLOTS);
+        assert_eq!(interned(5), (6, 6));
+        assert_eq!(interned(DIR_SLOTS as i64), (DIR_SLOTS + 1, DIR_SLOTS));
+    }
+
+    #[test]
+    fn only_the_exact_reference_attributes_step_as_the_reference() {
+        assert!(is_reference(&AgentAttrs::reference()));
+        let negative_zero = AgentAttrs {
+            origin: Vec2::new(-0.0, 0.0),
+            ..AgentAttrs::reference()
+        };
+        assert!(!is_reference(&negative_zero));
+        assert!(!is_reference(&AgentAttrs {
+            wake: ratio(1, 2),
+            ..AgentAttrs::reference()
+        }));
+        assert!(!is_reference(&attrs_b()));
+    }
+
+    #[test]
+    fn zero_duration_instructions_yield_no_segment() {
+        let prog = vec![
+            Instr::go(Compass::East, Ratio::zero()),
+            Instr::wait(Ratio::zero()),
+            Instr::go(Compass::North, ratio(1, 1)),
+        ];
+        for attrs in [AgentAttrs::reference(), attrs_b()] {
+            let segs: Vec<_> = Motion::new(attrs, prog.clone().into_iter()).collect();
+            // Wake (agent B only), the one `go`, halt.
+            assert_eq!(segs.iter().filter(|s| !s.is_stationary()).count(), 1);
+            assert!(segs.last().unwrap().end.is_none());
+        }
     }
 
     #[test]

@@ -16,9 +16,9 @@ mod instr;
 mod kinematics;
 mod program;
 
-pub use compiled::{CompiledProgram, Cursor, Replay};
+pub use compiled::{CompiledProgram, Cursor, Tape, MAX_MATERIALIZED};
 pub use instr::Instr;
-pub use kinematics::{AgentAttrs, Motion, Segment, DIR_SLOTS};
+pub use kinematics::{AgentAttrs, Motion, Segment, StepSource, DIR_SLOTS};
 pub use program::{
     backtrack, lazy, net_local_displacement, rotated, slice_interleave_backtrack, take_local_time,
     total_local_time, BoxProgram, Lazy, TakeLocalTime,

@@ -1,62 +1,89 @@
-//! Stepping differential: `Motion`, which maps each local direction
-//! through the agent's frame once per run (its direction table), against
-//! a reference stepper that evaluates `orientation.to_absolute(dir).unit()`
-//! on every `go`.
+//! Stepping differential: `Motion`, which steps lowered instructions
+//! (from the shared tape of a compiled program, or lowered on the fly
+//! from an instruction iterator), against a reference stepper that sums
+//! the scaled durations one instruction at a time and evaluates
+//! `orientation.to_absolute(dir).unit()` on every `go`.
 //!
 //! Every segment's `start`, `end`, `from` and `vel` must agree bit for
 //! bit, over:
 //! - every instance of the benchmark's `sweep_aur` spec (AUR, the five
-//!   Theorem 3.2 classes, 20k segments) and `resweep_pool` spec
-//!   (Dedicated, `type1,type2,s1,s2`, 2k segments), seeds 1–3 at n = 64;
-//!   on `sweep_aur`'s, `Motion` steps through both the owned replay
-//!   (`cursor()`) and the borrowed one the solver uses (`iter()`);
-//! - type-3 instances with `τ ≠ 1`;
-//! - a mirrored, rotated frame (`χ = −1`, `φ ≠ 0`);
-//! - a program with more distinct directions than the table holds;
+//!   Theorem 3.2 classes, 20k segments), seeds 1–3 at n = 64, both
+//!   agents: over the tape at `σ = 1` and at a `σ > 1` (the engine's for
+//!   the run, or 3 where the engine's is 1), and lowered on the fly from
+//!   `CompiledProgram::cursor` (what rvbench steps) at `σ = 1`; agent A
+//!   is the reference agent, which reads its positions off the tape;
+//! - every instance of the `resweep_pool` spec (Dedicated,
+//!   `type1,type2,s1,s2`, 2k segments), seeds 1–3 at n = 64;
+//! - type-3 instances with `τ ≠ 1`, and a mirrored, rotated frame
+//!   (`χ = −1`, `φ ≠ 0`), over the tape;
+//! - a compiled program longer than `MAX_MATERIALIZED`, where the cached
+//!   tape hands over to the tail lowered on the fly, with directions
+//!   first seen past the cap;
+//! - programs with more distinct directions than a motion's direction
+//!   table holds, introduced while the tape is being lowered (so a run
+//!   meets ids that were not interned when it started), over the tape and
+//!   lowered on the fly;
 //! - directions whose `q` has a denominator beyond `i128`.
 //!
-//! Each agent is stepped for the spec's whole segment budget, more than
-//! the engine pulls from either agent in one run.
+//! The reference runs on the raw generator's instructions, not on a
+//! replay of the tape, so a lowering fault cannot hide in both. Each
+//! agent is stepped for the spec's whole segment budget, more than the
+//! engine pulls from either agent in one run.
 //!
 //! A second differential checks the time scale the engine runs in: on
 //! every `sweep_aur` instance whose clock rate τ is not dyadic,
-//! `Motion::scaled(attrs, program, σ)` (σ the odd part of the τ and wake
+//! `Motion::scaled(attrs, tape, σ)` (σ the odd part of the τ and wake
 //! denominators' lcm, as the engine picks it) must yield segments whose
 //! `start`/`end` are exactly `σ` times those of `Motion::new`, with
 //! bit-identical `from` and `vel`.
 
 use rv_baselines::{beeline, canonical_march};
 use rv_core::batch::mix_seed;
-use rv_core::{compiled_aur, recommend, CampaignSpec, DedicatedChoice, Instance, SolverSpec};
+use rv_core::{
+    almost_universal_rv, compiled_aur, recommend, CampaignSpec, DedicatedChoice, Instance,
+    SolverSpec,
+};
 use rv_geometry::{Angle, Chirality, Orientation, Vec2};
 use rv_model::{generate_seeded, TargetClass};
 use rv_numeric::{ratio, Ratio};
-use rv_trajectory::{AgentAttrs, Instr, Motion, Segment, DIR_SLOTS};
+use rv_trajectory::{
+    AgentAttrs, CompiledProgram, Instr, Motion, Segment, StepSource, DIR_SLOTS, MAX_MATERIALIZED,
+};
 use std::borrow::Borrow;
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::OnceLock;
 
 /// The per-`go` stepper `Motion` replaced: the same kinematics with the
-/// direction mapped through the frame on every `go`.
+/// clock summed one scaled duration at a time and the direction mapped
+/// through the frame on every `go`.
 struct Reference<P> {
     program: P,
     attrs: AgentAttrs,
     orientation: Orientation,
     unit_len_f64: f64,
     speed_f64: f64,
+    /// Clock units per local time unit, `τσ`.
+    rate: Ratio,
     clock: Ratio,
     pos: Vec2,
     halted: bool,
     emitted_wake: bool,
 }
 
-impl<P: Iterator<Item = Instr>> Reference<P> {
-    fn new(attrs: AgentAttrs, program: P) -> Reference<P> {
+impl<P> Reference<P>
+where
+    P: Iterator,
+    P::Item: Borrow<Instr>,
+{
+    fn scaled(attrs: AgentAttrs, program: P, sigma: u32) -> Reference<P> {
+        let sigma = Ratio::from_int(u64::from(sigma));
         Reference {
             program,
             orientation: attrs.orientation(),
             unit_len_f64: attrs.unit_len().to_f64(),
             speed_f64: attrs.speed.to_f64(),
-            clock: attrs.wake.clone(),
+            rate: &attrs.tau * &sigma,
+            clock: &attrs.wake * &sigma,
             pos: attrs.origin,
             attrs,
             halted: false,
@@ -65,7 +92,11 @@ impl<P: Iterator<Item = Instr>> Reference<P> {
     }
 }
 
-impl<P: Iterator<Item = Instr>> Iterator for Reference<P> {
+impl<P> Iterator for Reference<P>
+where
+    P: Iterator,
+    P::Item: Borrow<Instr>,
+{
     type Item = Segment;
 
     fn next(&mut self) -> Option<Segment> {
@@ -77,26 +108,26 @@ impl<P: Iterator<Item = Instr>> Iterator for Reference<P> {
             if self.attrs.wake.is_positive() {
                 return Some(Segment {
                     start: Ratio::zero(),
-                    end: Some(self.attrs.wake.clone()),
+                    end: Some(self.clock.clone()),
                     from: self.attrs.origin,
                     vel: Vec2::ZERO,
                 });
             }
         }
         loop {
-            match self.program.next() {
-                None => {
-                    self.halted = true;
-                    return Some(Segment {
-                        start: self.clock.clone(),
-                        end: None,
-                        from: self.pos,
-                        vel: Vec2::ZERO,
-                    });
-                }
-                Some(instr) if instr.is_empty() => continue,
-                Some(Instr::Wait { dur }) => {
-                    let end = &self.clock + &(&dur * &self.attrs.tau);
+            let Some(item) = self.program.next() else {
+                self.halted = true;
+                return Some(Segment {
+                    start: self.clock.clone(),
+                    end: None,
+                    from: self.pos,
+                    vel: Vec2::ZERO,
+                });
+            };
+            match item.borrow() {
+                instr if instr.is_empty() => continue,
+                Instr::Wait { dur } => {
+                    let end = &self.clock + &(dur * &self.rate);
                     let start = std::mem::replace(&mut self.clock, end);
                     return Some(Segment {
                         start,
@@ -105,10 +136,10 @@ impl<P: Iterator<Item = Instr>> Iterator for Reference<P> {
                         vel: Vec2::ZERO,
                     });
                 }
-                Some(Instr::Go { dir, dist }) => {
-                    let unit = self.orientation.to_absolute(&dir).unit();
+                Instr::Go { dir, dist } => {
+                    let unit = self.orientation.to_absolute(dir).unit();
                     let abs_len = dist.to_f64() * self.unit_len_f64;
-                    let end = &self.clock + &(&dist * &self.attrs.tau);
+                    let end = &self.clock + &(dist * &self.rate);
                     let from = self.pos;
                     let start = std::mem::replace(&mut self.clock, end);
                     self.pos = from + unit * abs_len;
@@ -128,49 +159,73 @@ fn same_bits(a: Vec2, b: Vec2) -> bool {
     a.x.to_bits() == b.x.to_bits() && a.y.to_bits() == b.y.to_bits()
 }
 
-/// Steps `Motion` and the reference side by side for up to `segments`
-/// segments of `attrs` running the program `make` builds, panicking at
-/// the first segment that differs.
-fn assert_same_steps<P, F>(label: &str, attrs: &AgentAttrs, make: F, segments: usize)
-where
-    P: Iterator<Item = Instr>,
-    F: Fn() -> P,
+/// Steps `Motion::scaled(attrs, program, sigma)` and the reference over
+/// `same`, a second copy of the same instruction stream, side by side for
+/// up to `segments` segments, panicking at the first segment that
+/// differs.
+fn assert_steps_over<P, Q>(
+    label: &str,
+    attrs: &AgentAttrs,
+    sigma: u32,
+    program: P,
+    same: Q,
+    segments: usize,
+) where
+    P: StepSource,
+    Q: Iterator,
+    Q::Item: Borrow<Instr>,
 {
-    assert_steps_over(label, attrs, make(), make(), segments);
-}
-
-/// Steps `Motion` over `program` and the reference over `same`, a second
-/// copy of the same instruction stream.
-fn assert_steps_over<P, Q>(label: &str, attrs: &AgentAttrs, program: P, same: Q, segments: usize)
-where
-    P: Iterator,
-    P::Item: Borrow<Instr>,
-    Q: Iterator<Item = Instr>,
-{
-    let memo = Motion::new(attrs.clone(), program);
-    let reference = Reference::new(attrs.clone(), same);
+    let stepped_motion = Motion::scaled(attrs.clone(), program, sigma);
+    let reference = Reference::scaled(attrs.clone(), same, sigma);
     let mut stepped = 0;
-    for (k, (m, r)) in memo.zip(reference).take(segments).enumerate() {
+    for (k, (m, r)) in stepped_motion.zip(reference).take(segments).enumerate() {
         assert!(
             m.start == r.start
                 && m.end == r.end
                 && same_bits(m.from, r.from)
                 && same_bits(m.vel, r.vel),
-            "{label}: segment {k} differs\n  memoized:  {m:?}\n  reference: {r:?}"
+            "{label} σ={sigma}: segment {k} differs\n  motion:    {m:?}\n  reference: {r:?}"
         );
         stepped += 1;
     }
     assert!(stepped > 0, "{label}: no segments");
 }
 
-/// Both agents of `inst` under the program pair `make` builds.
+/// Both agents of `inst` over owned programs `make` builds, lowered on
+/// the fly.
 fn assert_instance<P, F>(label: &str, inst: &Instance, make: F, segments: usize)
 where
     P: Iterator<Item = Instr>,
     F: Fn() -> P,
 {
-    assert_same_steps(&format!("{label} A"), &inst.agent_a(), &make, segments);
-    assert_same_steps(&format!("{label} B"), &inst.agent_b(), &make, segments);
+    for (agent, attrs) in [("A", inst.agent_a()), ("B", inst.agent_b())] {
+        let label = format!("{label} {agent}");
+        assert_steps_over(&label, &attrs, 1, make(), make(), segments);
+    }
+}
+
+/// The raw AUR generator's instructions, enough of them for `segments`
+/// segments: the reference's side of every AUR check.
+fn aur_prefix(segments: usize) -> &'static [Instr] {
+    static PREFIX: OnceLock<Vec<Instr>> = OnceLock::new();
+    let prefix = PREFIX.get_or_init(|| {
+        let mut moving = 0;
+        almost_universal_rv()
+            .take_while(|instr| {
+                moving += usize::from(!instr.is_empty());
+                moving <= 2 * 20_000
+            })
+            .collect()
+    });
+    assert!(prefix.len() >= segments, "the AUR prefix is too short");
+    prefix
+}
+
+/// Agent `attrs` over the compiled AUR tape against the reference over
+/// the raw generator.
+fn assert_aur_tape(label: &str, attrs: &AgentAttrs, sigma: u32, segments: usize) {
+    let raw = aur_prefix(segments).iter();
+    assert_steps_over(label, attrs, sigma, compiled_aur().tape(), raw, segments);
 }
 
 /// The program both agents run under `Dedicated` (as its solver picks it).
@@ -180,7 +235,10 @@ fn assert_dedicated(label: &str, inst: &Instance, segments: usize) {
         DedicatedChoice::Beeline => beeline(inst),
         DedicatedChoice::CanonicalMarch => canonical_march(inst),
         DedicatedChoice::Aur => {
-            return assert_instance(label, inst, || compiled_aur().cursor(), segments);
+            for (agent, attrs) in [("A", inst.agent_a()), ("B", inst.agent_b())] {
+                assert_aur_tape(&format!("{label} {agent}"), &attrs, 1, segments);
+            }
+            return;
         }
     };
     assert_instance(label, inst, || program.clone().into_iter(), segments);
@@ -207,24 +265,6 @@ const AUR_CLASSES: [TargetClass; 5] = [
     TargetClass::Type4Rotation,
 ];
 
-#[test]
-fn sweep_aur_spec_steps_identically() {
-    let spec = CampaignSpec::new(SolverSpec::Aur, AUR_CLASSES.to_vec(), 20_000);
-    let segments = spec.segments as usize;
-    each_spec_instance(&spec, |label, inst| {
-        assert_instance(label, inst, || compiled_aur().cursor(), segments);
-        for (agent, attrs) in [("A", inst.agent_a()), ("B", inst.agent_b())] {
-            assert_steps_over(
-                &format!("{label} {agent} borrowed"),
-                &attrs,
-                compiled_aur().iter(),
-                compiled_aur().cursor(),
-                segments,
-            );
-        }
-    });
-}
-
 /// The odd part of `r`'s denominator (which fits: the generator's are at
 /// most 12).
 fn odd_denominator(r: &Ratio) -> u32 {
@@ -239,23 +279,57 @@ fn gcd(mut x: u32, mut y: u32) -> u32 {
     x
 }
 
+/// The time scale the engine picks for `inst` (agent A contributes 1).
+fn run_sigma(inst: &Instance) -> u32 {
+    let (odd_tau, odd_wake) = (odd_denominator(&inst.tau), odd_denominator(&inst.t));
+    odd_tau / gcd(odd_tau, odd_wake) * odd_wake
+}
+
+#[test]
+fn sweep_aur_spec_steps_identically() {
+    let spec = CampaignSpec::new(SolverSpec::Aur, AUR_CLASSES.to_vec(), 20_000);
+    let segments = spec.segments as usize;
+    let scaled = run_sigma_share(&spec);
+    assert!(scaled > 0, "no sweep_aur run has σ > 1");
+    each_spec_instance(&spec, |label, inst| {
+        let sigma = match run_sigma(inst) {
+            1 => 3,
+            sigma => sigma,
+        };
+        for (agent, attrs) in [("A", inst.agent_a()), ("B", inst.agent_b())] {
+            let label = format!("{label} {agent}");
+            assert_aur_tape(&format!("{label} tape"), &attrs, 1, segments);
+            assert_aur_tape(&format!("{label} tape"), &attrs, sigma, segments);
+            let raw = aur_prefix(segments).iter();
+            let cursor = compiled_aur().cursor();
+            assert_steps_over(&format!("{label} cursor"), &attrs, 1, cursor, raw, segments);
+        }
+    });
+}
+
+/// How many of `spec`'s seed 1–3 runs the engine counts at `σ > 1`.
+fn run_sigma_share(spec: &CampaignSpec) -> usize {
+    (1..=3)
+        .flat_map(|seed| (0..64).map(move |index| (seed, index)))
+        .filter(|&(seed, index)| run_sigma(&spec.instance(seed, index)) > 1)
+        .count()
+}
+
 #[test]
 fn sweep_aur_non_dyadic_tau_steps_scale_exactly() {
     let spec = CampaignSpec::new(SolverSpec::Aur, AUR_CLASSES.to_vec(), 20_000);
     let segments = spec.segments as usize;
     let scaled_runs = AtomicUsize::new(0);
     each_spec_instance(&spec, |label, inst| {
-        let odd_tau = odd_denominator(&inst.tau);
-        if odd_tau == 1 {
+        if odd_denominator(&inst.tau) == 1 {
             return;
         }
-        let odd_wake = odd_denominator(&inst.t);
-        let sigma = odd_tau / gcd(odd_tau, odd_wake) * odd_wake;
+        let sigma = run_sigma(inst);
         let factor = Ratio::from_int(u64::from(sigma));
         let times = |t: &Ratio| t * &factor;
         for (agent, attrs) in [("A", inst.agent_a()), ("B", inst.agent_b())] {
-            let scaled = Motion::scaled(attrs.clone(), compiled_aur().iter(), sigma);
-            let unit = Motion::new(attrs, compiled_aur().iter());
+            let scaled = Motion::scaled(attrs.clone(), compiled_aur().tape(), sigma);
+            let unit = Motion::new(attrs, compiled_aur().tape());
             for (k, (s, u)) in scaled.zip(unit).take(segments).enumerate() {
                 assert!(
                     s.start == times(&u.start)
@@ -295,7 +369,7 @@ fn type3_with_slow_or_fast_clocks_steps_identically() {
         .collect();
     rv_core::par_map(0, insts.len(), |i| {
         let label = format!("type-3 τ={} #{i}", insts[i].tau);
-        assert_instance(&label, &insts[i], || compiled_aur().cursor(), 20_000);
+        assert_aur_tape(&format!("{label} B"), &insts[i].agent_b(), 1, 20_000);
     });
 }
 
@@ -314,12 +388,50 @@ fn mirrored_rotated() -> AgentAttrs {
 #[test]
 fn mirrored_rotated_frame_steps_identically() {
     let attrs = mirrored_rotated();
-    assert_same_steps(
-        "AUR, χ=−1 φ=3π/8",
-        &attrs,
-        || compiled_aur().cursor(),
-        20_000,
-    );
+    for sigma in [1, 3] {
+        assert_aur_tape("AUR, χ=−1 φ=3π/8", &attrs, sigma, 20_000);
+    }
+}
+
+/// Every frame and time scale the synthetic programs below run in: the
+/// reference agent (which reads its positions off a tape) and a
+/// mirrored, rotated one, each at `σ = 1` and `σ = 3`.
+fn frames() -> [(AgentAttrs, u32); 4] {
+    let reference = AgentAttrs::reference();
+    [
+        (reference.clone(), 1),
+        (reference, 3),
+        (mirrored_rotated(), 1),
+        (mirrored_rotated(), 3),
+    ]
+}
+
+/// Steps every frame over `program` lowered on the fly and over a
+/// compiled tape of it, against the reference over the raw program.
+fn assert_program_steps_identically(label: &str, program: &[Instr], segments: usize) {
+    let owned = program.to_vec();
+    let compiled = CompiledProgram::new(move || Box::new(owned.clone().into_iter()));
+    for (f, (attrs, sigma)) in frames().iter().enumerate() {
+        let label = format!("{label}, frame {f}");
+        let raw = || program.iter();
+        assert_steps_over(
+            &format!("{label} on the fly"),
+            attrs,
+            *sigma,
+            raw(),
+            raw(),
+            segments,
+        );
+        let tape = compiled.tape();
+        assert_steps_over(
+            &format!("{label} tape"),
+            attrs,
+            *sigma,
+            tape,
+            raw(),
+            segments,
+        );
+    }
 }
 
 /// `go` along each direction in turn, `rounds` times over, with a wait
@@ -341,18 +453,32 @@ fn more_directions_than_table_slots_step_identically() {
     let dirs: Vec<Angle> = (0..2 * DIR_SLOTS as i64)
         .map(|k| Angle::pi_frac(k, DIR_SLOTS as i64))
         .collect();
+    // All directions in the first round, then a program that introduces
+    // one new direction every 40 instructions, across several tape
+    // chunks, and keeps revisiting the older ones.
     let prog = round_robin(&dirs, 4);
-    let frames = [AgentAttrs::reference(), mirrored_rotated()];
-    for (f, attrs) in frames.iter().enumerate() {
-        let label = format!("{} directions, frame {f}", dirs.len());
-        assert_same_steps(&label, attrs, || prog.clone().into_iter(), prog.len() + 2);
-    }
+    assert_program_steps_identically("round robin", &prog, prog.len() + 2);
+    let creeping: Vec<Instr> = (0..dirs.len() * 40)
+        .map(|i| {
+            let newest = i / 40;
+            let k = if i % 2 == 0 {
+                newest
+            } else {
+                i * 7 % (newest + 1)
+            };
+            match i % 9 {
+                8 => Instr::wait(ratio(1 + (i % 3) as i64, 4)),
+                _ => Instr::go_angle(dirs[k].clone(), ratio((i % 5) as i64, 8)),
+            }
+        })
+        .collect();
+    assert_program_steps_identically("creeping", &creeping, creeping.len() + 2);
 }
 
 #[test]
 fn directions_beyond_i128_step_identically() {
     // `q = 1/2^200` and `q = 1 + 1/2^130` have denominators no i128
-    // holds: they are mapped on every `go`, between table hits.
+    // holds: they are interned and mapped like any other direction.
     let dirs = [
         Angle::from_ratio_pi(Ratio::pow2(-200)),
         Angle::quarter(),
@@ -360,9 +486,26 @@ fn directions_beyond_i128_step_identically() {
         Angle::pi_frac(1, 8),
     ];
     let prog = round_robin(&dirs, 6);
-    let frames = [AgentAttrs::reference(), mirrored_rotated()];
-    for (f, attrs) in frames.iter().enumerate() {
-        let label = format!("wide keys, frame {f}");
-        assert_same_steps(&label, attrs, || prog.clone().into_iter(), prog.len() + 2);
-    }
+    assert_program_steps_identically("wide keys", &prog, prog.len() + 2);
+}
+
+#[test]
+fn tape_crossing_the_materialization_cap_steps_identically() {
+    // Waits, zero-length instructions, and directions first seen past
+    // the cap, where the cached tape hands over to the tail lowered on
+    // the fly.
+    let n = MAX_MATERIALIZED + 3_000;
+    let program: Vec<Instr> = (0..n)
+        .map(|k| {
+            let len = ratio((k % 9) as i64, 8);
+            match k % 6 {
+                5 => Instr::wait(len),
+                _ if k > MAX_MATERIALIZED => {
+                    Instr::go_angle(Angle::pi_frac((k % 5) as i64, 5), len)
+                }
+                _ => Instr::go_angle(Angle::pi_frac((k % 13) as i64, 16), len),
+            }
+        })
+        .collect();
+    assert_program_steps_identically("past the cap", &program, n + 2);
 }
