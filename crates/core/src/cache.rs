@@ -10,9 +10,10 @@
 //!
 //! Executors take a cache through `.cache(..)`
 //! ([`crate::exec::PoolExecutor::cache`],
-//! [`crate::exec::LocalExecutor::cache`]) and share one replay prepass
-//! and one write-through path: the pool keeps one entry per executed
-//! unit, the local backend one entry for the whole campaign `0..n`.
+//! [`crate::exec::LocalExecutor::cache`]) and share one write path,
+//! [`ResultCache::store_lines`]: the pool stores each executed unit's
+//! record lines as its worker streamed them, the local backend encodes
+//! its whole campaign `0..n` once through [`ResultCache::store`].
 //!
 //! # Entry layout
 //!
@@ -76,7 +77,7 @@ use crate::shard::{CampaignSpec, UnitDone};
 use crate::wire::{self, Line, WireError};
 use std::fmt;
 use std::fs;
-use std::io;
+use std::io::{self, IoSlice, Write};
 use std::ops::Range;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -106,7 +107,11 @@ pub struct CacheKey(u128);
 impl CacheKey {
     /// Derives the key for `(spec, seed, range)`.
     pub fn derive(spec: &CampaignSpec, seed: u64, range: &Range<usize>) -> CacheKey {
-        let line = wire::encode_campaign_spec(spec, seed);
+        CacheKey::of_line(&wire::encode_campaign_spec(spec, seed), seed, range)
+    }
+
+    /// The key over an already encoded canonical `campaign_spec` line.
+    fn of_line(line: &str, seed: u64, range: &Range<usize>) -> CacheKey {
         let mut state = fnv1a(FNV_OFFSET, line.as_bytes());
         state = fnv1a(state, &seed.to_le_bytes());
         state = fnv1a(state, &(range.start as u64).to_le_bytes());
@@ -336,31 +341,29 @@ impl ResultCache {
         seed: u64,
         range: &Range<usize>,
     ) -> Result<Option<CachedShard>, CacheError> {
-        let key = CacheKey::derive(spec, seed, range);
-        let path = self.entry_path(key);
+        let spec_line = wire::encode_campaign_spec(spec, seed);
+        let path = self.entry_path(CacheKey::of_line(&spec_line, seed, range));
         let text = match fs::read_to_string(&path) {
             Ok(text) => text,
             Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(None),
             Err(source) => return Err(CacheError::Io { path, source }),
         };
-        self.decode_entry(&path, &text, spec, seed, range).map(Some)
+        self.decode_entry(&path, &text, &spec_line, range).map(Some)
     }
 
     /// Decodes and validates one entry body against the expected
-    /// `(spec, seed, range)`.
+    /// canonical `campaign_spec` line and range.
     fn decode_entry(
         &self,
         path: &Path,
         text: &str,
-        spec: &CampaignSpec,
-        seed: u64,
+        expected_spec_line: &str,
         range: &Range<usize>,
     ) -> Result<CachedShard, CacheError> {
         let layout = |what: String| CacheError::Layout {
             path: path.to_path_buf(),
             what,
         };
-        let expected_spec_line = wire::encode_campaign_spec(spec, seed);
         let mut lines = text
             .lines()
             .enumerate()
@@ -485,6 +488,23 @@ impl ResultCache {
         }
     }
 
+    /// Whether an entry for `(spec, seed, range)` exists: a stat of its
+    /// path, nothing read or validated. An absent entry counts the miss
+    /// its [`ResultCache::lookup`] would have counted, so probing every
+    /// unit and then looking up the present ones counts exactly as
+    /// looking up every unit. The pool's prepass probes first, hands
+    /// the absent units to its workers at once, and loads the present
+    /// ones while they run.
+    pub fn probe(&self, spec: &CampaignSpec, seed: u64, range: &Range<usize>) -> bool {
+        let present = self
+            .entry_path(CacheKey::derive(spec, seed, range))
+            .exists();
+        if !present {
+            self.misses.fetch_add(1, Ordering::Relaxed);
+        }
+        present
+    }
+
     /// Stores a finished shard for `(spec, seed, range)`.
     ///
     /// `records` must be the shard's full record list in index order and
@@ -492,10 +512,8 @@ impl ResultCache {
     /// Only the records are written (a load folds the stats from them);
     /// `acc` is an input check. Inputs that do not cover the range are
     /// rejected with [`CacheError::Layout`] rather than poisoning the
-    /// cache. The entry is written to a temporary file and published with
-    /// an atomic rename, so concurrent readers (and writers racing on the
-    /// same key, which by content addressing write identical bytes) are
-    /// safe.
+    /// cache. The records are encoded once and published by
+    /// [`ResultCache::store_lines`].
     pub fn store(
         &self,
         spec: &CampaignSpec,
@@ -504,11 +522,9 @@ impl ResultCache {
         records: &[(usize, RunRecord)],
         acc: &StatsAccumulator,
     ) -> Result<CacheKey, CacheError> {
-        let key = CacheKey::derive(spec, seed, range);
-        let path = self.entry_path(key);
         if records.len() != range.len() || acc.len() != range.len() {
             return Err(CacheError::Layout {
-                path,
+                path: self.entry_path(CacheKey::derive(spec, seed, range)),
                 what: format!(
                     "refusing to store {} records / {}-record accumulator \
                      for a range of {}",
@@ -518,15 +534,50 @@ impl ResultCache {
                 ),
             });
         }
-
-        let mut body = wire::encode_campaign_spec(spec, seed);
-        body.push('\n');
+        let mut lines = String::new();
         for (index, rec) in records {
-            wire::push_record(&mut body, *index, rec);
-            body.push('\n');
+            wire::push_record(&mut lines, *index, rec);
+            lines.push('\n');
         }
-        wire::push_unit_done(&mut body, 0, range.start);
-        body.push('\n');
+        self.store_lines(spec, seed, range, &lines)
+    }
+
+    /// Stores a finished shard for `(spec, seed, range)` from its encoded
+    /// record lines: `lines` holds one `record` line per index of the
+    /// range, in index order, each ending in `\n` — what a pool gather
+    /// validated, byte for byte as the worker streamed it. The one path
+    /// that writes entries.
+    ///
+    /// A line count that does not match the range is rejected with
+    /// [`CacheError::Layout`]. The entry is written to a temporary file
+    /// and published with an atomic rename, so concurrent readers (and
+    /// writers racing on the same key, which by content addressing write
+    /// identical bytes) are safe.
+    pub fn store_lines(
+        &self,
+        spec: &CampaignSpec,
+        seed: u64,
+        range: &Range<usize>,
+        lines: &str,
+    ) -> Result<CacheKey, CacheError> {
+        let mut head = wire::encode_campaign_spec(spec, seed);
+        let key = CacheKey::of_line(&head, seed, range);
+        let path = self.entry_path(key);
+        let count = lines.bytes().filter(|&b| b == b'\n').count();
+        if count != range.len() || !(lines.is_empty() || lines.ends_with('\n')) {
+            return Err(CacheError::Layout {
+                path,
+                what: format!(
+                    "refusing to store {count} record lines for a range of {}",
+                    range.len()
+                ),
+            });
+        }
+
+        head.push('\n');
+        let mut tail = String::new();
+        wire::push_unit_done(&mut tail, 0, range.start);
+        tail.push('\n');
 
         // Unique per process *and* per call, so concurrent writers never
         // share a temporary file.
@@ -540,7 +591,29 @@ impl ResultCache {
             path: path.to_path_buf(),
             source,
         };
-        fs::write(&tmp, body.as_bytes()).map_err(|e| io_err(&tmp, e))?;
+        // One gathered write of the three parts: the record lines are
+        // never copied into a body buffer.
+        let written = fs::File::create(&tmp).and_then(|mut file| {
+            let mut parts = [
+                IoSlice::new(head.as_bytes()),
+                IoSlice::new(lines.as_bytes()),
+                IoSlice::new(tail.as_bytes()),
+            ];
+            let mut rest = &mut parts[..];
+            while !rest.is_empty() {
+                match file.write_vectored(rest) {
+                    Ok(0) => return Err(io::ErrorKind::WriteZero.into()),
+                    Ok(k) => IoSlice::advance_slices(&mut rest, k),
+                    Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                    Err(e) => return Err(e),
+                }
+            }
+            Ok(())
+        });
+        if let Err(e) = written {
+            let _ = fs::remove_file(&tmp);
+            return Err(io_err(&tmp, e));
+        }
         if let Err(e) = fs::rename(&tmp, &path) {
             let _ = fs::remove_file(&tmp);
             return Err(io_err(&path, e));
@@ -624,6 +697,48 @@ mod tests {
             .unwrap_err();
         assert!(matches!(err, CacheError::Layout { .. }), "{err}");
         assert!(cache.lookup(&spec, 1, &(0..3)).is_none());
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn probe_counts_a_miss_only_for_an_absent_entry() {
+        let dir = tmp_dir("probe");
+        let cache = ResultCache::open(&dir).unwrap();
+        let spec = spec();
+        let report = spec.run_local(3, 4);
+        let pairs: Vec<(usize, RunRecord)> = report.records.into_iter().enumerate().collect();
+        assert!(!cache.probe(&spec, 3, &(0..4)), "cold");
+        cache
+            .store(
+                &spec,
+                3,
+                &(0..4),
+                &pairs,
+                &CachedShard::of(pairs.clone()).acc,
+            )
+            .unwrap();
+        assert!(cache.probe(&spec, 3, &(0..4)), "stored");
+        assert!(cache.lookup(&spec, 3, &(0..4)).is_some());
+        // A probe plus a lookup of the present entry count as one lookup.
+        let stats = cache.stats();
+        assert_eq!((stats.hits, stats.misses, stats.stores), (1, 1, 1));
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn store_lines_rejects_a_line_count_off_the_range() {
+        let dir = tmp_dir("lines");
+        let cache = ResultCache::open(&dir).unwrap();
+        let spec = spec();
+        let line = wire::encode_record(0, &spec.run_local(1, 1).records[0]);
+        for lines in [String::new(), format!("{line}\n{line}\n"), line.clone()] {
+            let err = cache.store_lines(&spec, 1, &(0..1), &lines).unwrap_err();
+            assert!(matches!(err, CacheError::Layout { .. }), "{err}");
+        }
+        cache
+            .store_lines(&spec, 1, &(0..1), &format!("{line}\n"))
+            .unwrap();
+        assert_eq!(cache.lookup(&spec, 1, &(0..1)).unwrap().records.len(), 1);
         let _ = fs::remove_dir_all(&dir);
     }
 

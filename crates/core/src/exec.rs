@@ -19,7 +19,9 @@
 //!   record lines, a `unit_telemetry` line (wall time + attempt — a side
 //!   channel, see [`Executor::take_worker_telemetry`]), and a `unit_done`
 //!   line that ends it. The driver folds each unit's stats from the
-//!   records it gathered; no statistics cross the pipe.
+//!   records it gathered; no statistics cross the pipe. Sessions are
+//!   pipelined: one more task line waits behind the running one, so a
+//!   worker starts its next unit while the driver settles the last.
 //!
 //! Both take a result cache ([`crate::cache`]) through `.cache(..)`;
 //! the local engine's whole campaign is one unit `0..n`.
@@ -37,7 +39,8 @@
 //! and every `task` line carries its attempt number so workers can
 //! implement deterministic failure injection (the `rv-shard` binary's
 //! `--flaky` mode). A failed unit re-queues with the next attempt
-//! number; the slot that ran it is torn down and respawns onto a worker
+//! number (a task queued behind it on the same session never started,
+//! and re-queues uncharged); the slot that ran it is torn down and respawns onto a worker
 //! command not yet observed failing ([`PoolExecutor::add_command`]), so
 //! a dead host's units re-scatter onto the survivors. A unit's records
 //! are buffered per attempt and released to the caller's [`RecordSink`]
@@ -71,7 +74,7 @@ use std::ops::Range;
 use std::path::PathBuf;
 use std::process::{Child, ChildStdin, ChildStdout, Command, Stdio};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 
 /// A uniform way to run the seeded campaign `(spec, seed, 0..n)`.
@@ -209,10 +212,9 @@ impl LocalExecutor {
         self
     }
 
-    /// Runs the campaign as the one-unit plan `0..n` through the pool's
-    /// [`cache_prepass`] and [`CachedShard::write_through`], so a cache
-    /// entry is keyed, stored and replayed exactly as a pool unit over
-    /// the same range would be.
+    /// Runs the campaign as the one-unit plan `0..n`, so a cache entry is
+    /// keyed, stored and replayed exactly as a pool unit over the same
+    /// range would be.
     fn run_unit(
         &self,
         spec: &CampaignSpec,
@@ -223,10 +225,13 @@ impl LocalExecutor {
     ) -> Result<Vec<Option<CachedShard>>, ExecError> {
         let whole = 0..n;
         let cache = self.cache.as_deref();
-        let mut slots = vec![None];
-        let units = std::slice::from_ref(&whole);
-        if cache_prepass(cache, spec, seed, units, &sink, keep_records, &mut slots)?.is_empty() {
-            return Ok(slots);
+        if let Some(cache) = cache {
+            if sink.as_ref().is_some_and(|s| s.is_closed()) {
+                return Err(ExecError::SinkClosed);
+            }
+            if let Some(hit) = cache.lookup(spec, seed, &whole) {
+                return Ok(vec![Some(release(hit, &sink, keep_records))]);
+            }
         }
         let mut campaign = spec.campaign().threads(self.threads);
         if let Some(sink) = sink {
@@ -237,9 +242,15 @@ impl LocalExecutor {
             .into_iter()
             .enumerate()
             .collect();
-        let outcome = CachedShard::of(records);
-        slots[0] = Some(outcome.write_through(cache, spec, seed, &whole, keep_records));
-        Ok(slots)
+        let mut outcome = CachedShard::of(records);
+        if let Some(cache) = cache {
+            // A full disk must not fail the run.
+            let _ = cache.store(spec, seed, &whole, &outcome.records, &outcome.acc);
+        }
+        if !keep_records {
+            outcome.records = Vec::new();
+        }
+        Ok(vec![Some(outcome)])
     }
 }
 
@@ -395,11 +406,16 @@ impl WorkerCommand {
 /// campaign *and* across repeated [`Executor::execute`] calls on the
 /// same executor value (sessions survive between runs).
 ///
+/// Each session holds up to two task lines, the running unit and the
+/// next, so a worker never waits on the driver while the shared queue
+/// is long. With a cache attached, absent units go to the workers at
+/// once and the calling thread replays the cached ones meanwhile.
+///
 /// Fault tolerance: per-unit retry budgets, exactly-once sink release
 /// on unit success, prompt kill-on-abort, and failover across the
 /// registered worker commands. A worker that dies mid-unit is torn down
 /// and its slot respawned on the next unit; the failed unit re-queues
-/// with the next attempt number.
+/// with the next attempt number, the unit queued behind it with its own.
 ///
 /// ```no_run
 /// use rv_core::exec::{Executor, PoolExecutor, WorkerCommand};
@@ -523,11 +539,17 @@ impl PoolExecutor {
     /// The scatter/gather core: one drain thread per worker slot, each
     /// pulling `(unit, attempt)` tasks off the shared queue and feeding
     /// them to its persistent worker (spawning/respawning the worker as
-    /// needed). Unit outcomes land in `slots` indexed by unit, which are
-    /// contiguous and ascending by construction. With `keep_records`
-    /// false, each unit's record buffer is dropped right after its sink
-    /// release, so stats-only gathers hold O(unit size) memory instead
-    /// of O(n).
+    /// needed), up to [`SESSION_DEPTH`] tasks ahead. Unit outcomes land in
+    /// `slots` indexed by unit, which are contiguous and ascending by
+    /// construction. With `keep_records` false, each unit's record buffer
+    /// is dropped right after its sink release, so stats-only gathers
+    /// hold O(unit size) memory instead of O(n).
+    ///
+    /// The cache prepass overlaps the workers: units whose entry file is
+    /// absent are queued at once, and this thread loads and replays the
+    /// present entries while the drain threads run the rest. A present
+    /// entry that fails to load (evicted if corrupt) is queued like a
+    /// miss, so the queue stays open until the replay is done.
     fn scatter_gather(
         &self,
         spec: &CampaignSpec,
@@ -555,113 +577,55 @@ impl PoolExecutor {
         }
         lock(&self.telemetry).clear();
 
-        // Cache fast path: cached units replay into their slots before
-        // any worker is fed; a fully warm run touches no worker session
-        // (and spawns none that were not already running).
-        let mut slot_init: Vec<Option<CachedShard>> = vec![None; units.len()];
-        let pending = cache_prepass(
-            self.cache.as_deref(),
+        let cache = self.cache.as_deref();
+        let mut misses = VecDeque::new();
+        let mut present = Vec::new();
+        for (k, range) in units.iter().enumerate() {
+            match cache {
+                Some(cache) if cache.probe(spec, seed, range) => present.push(k),
+                _ => misses.push_back((k, 0)),
+            }
+        }
+        let run = Gather {
+            exec: self,
             spec,
             seed,
-            &units,
-            &sink,
+            units: &units,
+            sink: &sink,
             keep_records,
-            &mut slot_init,
-        )?;
-
-        // task = (index into units, attempt number)
-        let queue: Mutex<VecDeque<(usize, u32)>> = Mutex::new(pending);
-        let slots: Mutex<Vec<Option<CachedShard>>> = Mutex::new(slot_init);
-        let failed: Mutex<Vec<bool>> = Mutex::new(vec![false; self.commands.len()]);
-        let fatal: Mutex<Option<ExecError>> = Mutex::new(None);
-        let kills = KillSwitch::new();
+            queue: TaskQueue::new(misses, !present.is_empty()),
+            slots: Mutex::new(vec![None; units.len()]),
+            failed: Mutex::new(vec![false; self.commands.len()]),
+            fatal: Mutex::new(None),
+            kills: KillSwitch::new(),
+        };
 
         std::thread::scope(|scope| {
-            let queue = &queue;
-            let slots = &slots;
-            let failed = &failed;
-            let fatal = &fatal;
-            let kills = &kills;
-            let units = &units;
-            let sink = &sink;
-            for (widx, slot) in pool.iter_mut().enumerate() {
-                scope.spawn(move || loop {
-                    let (k, attempt) = {
-                        if lock(fatal).is_some() {
-                            break;
-                        }
-                        // A closed sink means the consumer is gone for
-                        // good: fail the run and kill in-flight workers
-                        // rather than drain the rest of the queue into
-                        // the void.
-                        if sink.as_ref().is_some_and(|s| s.is_closed()) {
-                            let mut f = lock(fatal);
-                            if f.is_none() {
-                                *f = Some(ExecError::SinkClosed);
-                                drop(f);
-                                kills.abort();
-                            }
-                            break;
-                        }
-                        match lock(queue).pop_front() {
-                            Some(t) => t,
-                            None => break,
-                        }
-                    };
-                    let task = UnitTask {
-                        task_id: k as u32,
-                        attempt,
-                        range: units[k].clone(),
-                    };
-                    let spawn = || {
-                        let command = self.pick_worker(widx as u32, attempt, failed);
-                        PoolWorker::spawn(&self.commands[command], command, kills)
-                            .map_err(|e| (command, e))
-                    };
-                    match run_pool_unit(slot, &spawn, spec, seed, &task, kills) {
-                        Ok((outcome, unit_telemetry)) => {
-                            // Success releases the unit's buffered records
-                            // to the caller's sink exactly once; a failed
-                            // attempt's partial stream was never forwarded.
-                            if let Some(sink) = sink {
-                                for (index, rec) in &outcome.records {
-                                    sink.record(*index, rec);
-                                }
-                            }
-                            lock(slots)[k] = Some(outcome.write_through(
-                                self.cache.as_deref(),
-                                spec,
-                                seed,
-                                &units[k],
-                                keep_records,
-                            ));
-                            lock(&self.telemetry).push((widx, unit_telemetry));
-                        }
-                        Err((command, last)) => {
-                            lock(failed)[command] = true;
-                            if attempt >= self.retries {
-                                let mut f = lock(fatal);
-                                if f.is_none() {
-                                    *f = Some(ExecError::Exhausted {
-                                        shard_id: task.task_id,
-                                        attempts: attempt + 1,
-                                        last,
-                                    });
-                                    // In-flight siblings are killed, not
-                                    // waited out: the run is already lost.
-                                    drop(f);
-                                    kills.abort();
-                                }
-                                break;
-                            }
-                            lock(queue).push_back((k, attempt + 1));
-                        }
-                    }
-                });
+            let run = &run;
+            let drains: Vec<_> = pool
+                .iter_mut()
+                .enumerate()
+                .map(|(widx, slot)| scope.spawn(move || run.drain(widx, slot)))
+                .collect();
+            {
+                // Closes the queue however the replay ends, so no drain
+                // thread waits on it forever.
+                let _closing = Closing(&run.queue);
+                if let Some(cache) = cache {
+                    run.replay(cache, &present);
+                }
+            }
+            // An explicit join waits for each thread to exit, not only for
+            // its closure to return, so the next execution's threads find
+            // their allocator arenas free instead of creating more.
+            for drain in drains {
+                if let Err(panic) = drain.join() {
+                    std::panic::resume_unwind(panic);
+                }
             }
         });
 
-        if let Some(err) = fatal.into_inner().unwrap_or_else(|e| e.into_inner()) {
+        if let Some(err) = run.fatal.into_inner().unwrap_or_else(|e| e.into_inner()) {
             // Abort killed workers indiscriminately; none of the
             // surviving sessions can be trusted to be line-aligned, so
             // the next execution starts from a clean pool.
@@ -670,7 +634,322 @@ impl PoolExecutor {
             }
             return Err(err);
         }
-        Ok(slots.into_inner().unwrap_or_else(|e| e.into_inner()))
+        Ok(run.slots.into_inner().unwrap_or_else(|e| e.into_inner()))
+    }
+}
+
+/// Task lines a worker session holds at once: the unit its worker is
+/// running and one queued behind it, so the worker starts its next unit
+/// as soon as it answers one, while the driver gathers, delivers and
+/// stores the answer. Every task line is under 100 bytes, far inside a
+/// pipe buffer, so a queued line never blocks either side.
+const SESSION_DEPTH: usize = 2;
+
+/// A pool task: `(index into the unit plan, attempt number)`.
+type Task = (usize, u32);
+
+/// The pool's shared task queue. It stays open while the cache prepass
+/// replays entries (a present entry that fails to load joins it as a
+/// miss), so a drain thread that finds it empty waits instead of
+/// exiting until the prepass closes it.
+struct TaskQueue {
+    state: Mutex<QueueState>,
+    ready: Condvar,
+}
+
+struct QueueState {
+    tasks: VecDeque<Task>,
+    open: bool,
+}
+
+impl TaskQueue {
+    fn new(tasks: VecDeque<Task>, open: bool) -> TaskQueue {
+        TaskQueue {
+            state: Mutex::new(QueueState { tasks, open }),
+            ready: Condvar::new(),
+        }
+    }
+
+    /// The next task, waiting while the queue is empty but still open;
+    /// `None` once it is empty and closed.
+    fn next(&self) -> Option<Task> {
+        let mut state = lock(&self.state);
+        loop {
+            if let Some(task) = state.tasks.pop_front() {
+                return Some(task);
+            }
+            if !state.open {
+                return None;
+            }
+            state = self.ready.wait(state).unwrap_or_else(|e| e.into_inner());
+        }
+    }
+
+    /// A task to queue behind a running one, taken only while more than
+    /// `keep` tasks wait: the last few go to whichever worker frees up
+    /// first, so the tail stays balanced.
+    fn ahead(&self, keep: usize) -> Option<Task> {
+        let mut state = lock(&self.state);
+        if state.tasks.len() > keep {
+            state.tasks.pop_front()
+        } else {
+            None
+        }
+    }
+
+    /// Queues a task at the back: a cache miss, or a failed unit's next
+    /// attempt.
+    fn push(&self, task: Task) {
+        lock(&self.state).tasks.push_back(task);
+        self.ready.notify_one();
+    }
+
+    /// Returns a task that was sent to a worker which never started it
+    /// to the front of the queue, at the same attempt: it cost nothing.
+    fn give_back(&self, task: Task) {
+        lock(&self.state).tasks.push_front(task);
+        self.ready.notify_one();
+    }
+
+    /// No more tasks will join except retries: waiting threads wake, and
+    /// exit once the queue is empty.
+    fn close(&self) {
+        lock(&self.state).open = false;
+        self.ready.notify_all();
+    }
+}
+
+/// Closes a [`TaskQueue`] when dropped.
+struct Closing<'a>(&'a TaskQueue);
+
+impl Drop for Closing<'_> {
+    fn drop(&mut self) {
+        self.0.close();
+    }
+}
+
+/// One pool execution's shared state, borrowed by the drain threads and
+/// the replaying caller.
+struct Gather<'a> {
+    exec: &'a PoolExecutor,
+    spec: &'a CampaignSpec,
+    seed: u64,
+    units: &'a [Range<usize>],
+    sink: &'a Option<Arc<dyn RecordSink>>,
+    keep_records: bool,
+    queue: TaskQueue,
+    slots: Mutex<Vec<Option<CachedShard>>>,
+    /// Per worker command: observed failing.
+    failed: Mutex<Vec<bool>>,
+    /// The error that ends the run; set once.
+    fatal: Mutex<Option<ExecError>>,
+    kills: KillSwitch,
+}
+
+impl Gather<'_> {
+    /// Records the run's fatal error (the first one wins) and kills every
+    /// in-flight worker: the run is already lost.
+    fn fail(&self, err: ExecError) {
+        let mut fatal = lock(&self.fatal);
+        if fatal.is_none() {
+            *fatal = Some(err);
+            drop(fatal);
+            self.kills.abort();
+        }
+    }
+
+    /// Whether the run should stop: it failed, or the caller's sink
+    /// closed (the consumer is gone for good, so the run fails and kills
+    /// in-flight workers rather than drain the rest into the void).
+    fn stopped(&self) -> bool {
+        if lock(&self.fatal).is_some() {
+            return true;
+        }
+        if self.sink.as_ref().is_some_and(|s| s.is_closed()) {
+            self.fail(ExecError::SinkClosed);
+            return true;
+        }
+        false
+    }
+
+    fn task(&self, (k, attempt): Task) -> UnitTask {
+        UnitTask {
+            task_id: k as u32,
+            attempt,
+            range: self.units[k].clone(),
+        }
+    }
+
+    /// The cache half of the prepass, on the calling thread: loads and
+    /// replays each present unit while the workers run the absent ones.
+    /// An entry that fails to load was evicted (if corrupt) and counted
+    /// as a miss by [`ResultCache::lookup`], and is queued like one.
+    fn replay(&self, cache: &ResultCache, present: &[usize]) {
+        for &k in present {
+            if self.stopped() {
+                return;
+            }
+            match cache.lookup(self.spec, self.seed, &self.units[k]) {
+                Some(hit) => {
+                    lock(&self.slots)[k] = Some(release(hit, self.sink, self.keep_records))
+                }
+                None => self.queue.push((k, 0)),
+            }
+        }
+    }
+
+    /// One drain thread: keeps its worker slot's session fed with up to
+    /// [`SESSION_DEPTH`] tasks and gathers their answers in order, until
+    /// the queue is closed and empty and nothing is in flight, or the run
+    /// fails.
+    ///
+    /// When the worker fails a unit, that unit is charged one attempt;
+    /// the tasks queued behind it were never started and go back to the
+    /// queue at their own attempt numbers.
+    fn drain(&self, widx: usize, slot: &mut Option<PoolWorker>) {
+        let mut sent: VecDeque<Task> = VecDeque::with_capacity(SESSION_DEPTH);
+        let mut lines = String::new();
+        loop {
+            if self.stopped() {
+                return;
+            }
+            if sent.is_empty() {
+                let Some(task) = self.queue.next() else {
+                    return;
+                };
+                match self.send_first(widx, slot, &self.task(task)) {
+                    Ok(()) => sent.push_back(task),
+                    Err((command, last)) => {
+                        if self.charge(task, command, last) {
+                            continue;
+                        }
+                        return;
+                    }
+                }
+            }
+            while sent.len() < SESSION_DEPTH {
+                let Some(task) = self.queue.ahead(self.exec.workers) else {
+                    break;
+                };
+                let queued = slot
+                    .as_mut()
+                    .is_some_and(|w| w.send(self.spec, self.seed, &self.task(task)).is_ok());
+                if !queued {
+                    // The session broke under the running task; its
+                    // gather below tells how.
+                    self.queue.give_back(task);
+                    break;
+                }
+                sent.push_back(task);
+            }
+            let Some(task) = sent.pop_front() else {
+                continue;
+            };
+            let command = slot.as_ref().map_or(0, |w| w.command);
+            match gather_unit(slot, &self.task(task), &self.kills, &mut lines) {
+                Ok((shard, telemetry)) => self.settle(widx, task.0, shard, telemetry, &lines),
+                Err(last) => {
+                    for unstarted in sent.drain(..).rev() {
+                        self.queue.give_back(unstarted);
+                    }
+                    if !self.charge(task, command, last) {
+                        return;
+                    }
+                }
+            }
+        }
+    }
+
+    /// Sends a drain thread's first task to its worker: spawns it (via
+    /// [`PoolExecutor::pick_worker`]) if the slot is empty, re-opens the
+    /// session if the campaign changed, and writes the task line. A
+    /// failure carries the index of the worker command it happened on,
+    /// so the caller can steer the slot's respawn away from it.
+    ///
+    /// One transparent respawn: a *reused* worker may have died between
+    /// units (its host rebooted, an operator killed it), which surfaces
+    /// as a write error on the task line. That costs a respawn, not an
+    /// attempt — a fresh worker failing the same write is a real error.
+    fn send_first(
+        &self,
+        widx: usize,
+        slot: &mut Option<PoolWorker>,
+        task: &UnitTask,
+    ) -> Result<(), (usize, ShardError)> {
+        loop {
+            let fresh = slot.is_none();
+            let w = match slot {
+                Some(w) => w,
+                None => {
+                    let exec = self.exec;
+                    let command = exec.pick_worker(widx as u32, task.attempt, &self.failed);
+                    let spawned = PoolWorker::spawn(&exec.commands[command], command, &self.kills)
+                        .map_err(|e| (command, e))?;
+                    slot.insert(spawned)
+                }
+            };
+            match w.send(self.spec, self.seed, task) {
+                Ok(()) => return Ok(()),
+                // A fresh worker that died before reading its task breaks
+                // the pipe; the exit status the gather reaps is strictly
+                // more informative than EPIPE.
+                Err(e) if fresh && e.kind() == std::io::ErrorKind::BrokenPipe => return Ok(()),
+                Err(e) => {
+                    let command = w.command;
+                    *slot = None;
+                    if fresh {
+                        let shard_id = task.task_id;
+                        return Err((
+                            command,
+                            ShardError::Io {
+                                shard_id,
+                                source: e,
+                            },
+                        ));
+                    }
+                    // The next pass respawns (fresh), so this costs one
+                    // respawn, never more.
+                }
+            }
+        }
+    }
+
+    /// Charges a failed attempt of `task`, which ran on worker command
+    /// `command`: the unit re-queues with the next attempt number, or,
+    /// out of budget, fails the run. Returns whether the drain goes on.
+    fn charge(&self, (k, attempt): Task, command: usize, last: ShardError) -> bool {
+        lock(&self.failed)[command] = true;
+        if attempt >= self.exec.retries {
+            self.fail(ExecError::Exhausted {
+                shard_id: k as u32,
+                attempts: attempt + 1,
+                last,
+            });
+            return false;
+        }
+        self.queue.push((k, attempt + 1));
+        true
+    }
+
+    /// Settles a gathered unit: success releases its records to the
+    /// caller's sink exactly once (a failed attempt's partial stream was
+    /// never forwarded), then writes its record lines through to the
+    /// cache. A full disk must not fail the run, so store errors are
+    /// ignored.
+    fn settle(
+        &self,
+        widx: usize,
+        k: usize,
+        shard: CachedShard,
+        telemetry: UnitTelemetry,
+        lines: &str,
+    ) {
+        let shard = release(shard, self.sink, self.keep_records);
+        if let Some(cache) = self.exec.cache.as_deref() {
+            let _ = cache.store_lines(self.spec, self.seed, &self.units[k], lines);
+        }
+        lock(&self.slots)[k] = Some(shard);
+        lock(&self.exec.telemetry).push((widx, telemetry));
     }
 }
 
@@ -928,6 +1207,33 @@ impl PoolWorker {
         })
     }
 
+    /// Writes `task`'s line to the session, preceded by a `campaign_spec`
+    /// line when the session holds another campaign. The worker answers
+    /// tasks strictly in the order it reads them, so a line may be
+    /// written while an earlier task is still running.
+    fn send(&mut self, spec: &CampaignSpec, seed: u64, task: &UnitTask) -> std::io::Result<()> {
+        let rekey = !self
+            .session
+            .as_ref()
+            .is_some_and(|(held, held_seed)| *held_seed == seed && held == spec);
+        let mut lines = String::new();
+        if rekey {
+            lines.push_str(&wire::encode_campaign_spec(spec, seed));
+            lines.push('\n');
+        }
+        lines.push_str(&wire::encode_task(task));
+        lines.push('\n');
+        let Some(stdin) = self.stdin.as_mut() else {
+            return Err(std::io::ErrorKind::BrokenPipe.into());
+        };
+        stdin.write_all(lines.as_bytes())?;
+        stdin.flush()?;
+        if rekey {
+            self.session = Some((spec.clone(), seed));
+        }
+        Ok(())
+    }
+
     /// Reaps the worker after its stdout hit EOF (it has exited or is
     /// exiting, so this does not stall) and returns `(exit code, what it
     /// wrote to stderr)`.
@@ -959,86 +1265,20 @@ impl Drop for PoolWorker {
     }
 }
 
-/// Runs one unit on the drain thread's persistent worker: spawn it (via
-/// `spawn`) if the slot is empty, (re-)open the session if the campaign
-/// changed, write the task line, and gather the answer
-/// ([`gather_unit`]). A failure carries the index of the worker command
-/// it happened on, so the caller can steer the slot's respawn away from
-/// it.
-///
-/// One transparent respawn: a *reused* worker may have died between
-/// units (its host rebooted, an operator killed it), which surfaces as a
-/// write error on the task line. That costs a respawn, not an attempt —
-/// a fresh worker failing the same write is a real error.
-fn run_pool_unit(
-    slot: &mut Option<PoolWorker>,
-    spawn: &dyn Fn() -> Result<PoolWorker, (usize, ShardError)>,
-    spec: &CampaignSpec,
-    seed: u64,
-    task: &UnitTask,
-    kills: &KillSwitch,
-) -> Result<(CachedShard, UnitTelemetry), (usize, ShardError)> {
-    let command = loop {
-        let fresh = slot.is_none();
-        if fresh {
-            *slot = Some(spawn()?);
-        }
-        // rv-lint: allow(panic) — unreachable: the `fresh` branch above
-        // fills the slot before this runs.
-        let w = slot.as_mut().expect("slot was just filled");
-        let mut lines = String::new();
-        if w.session.as_ref() != Some(&(spec.clone(), seed)) {
-            lines.push_str(&wire::encode_campaign_spec(spec, seed));
-            lines.push('\n');
-        }
-        lines.push_str(&wire::encode_task(task));
-        lines.push('\n');
-        // rv-lint: allow(panic) — unreachable: `stdin` is Some from spawn
-        // until `Drop` takes it, and dropping consumes the worker.
-        let stdin = w.stdin.as_mut().expect("stdin open until shutdown");
-        match stdin
-            .write_all(lines.as_bytes())
-            .and_then(|()| stdin.flush())
-        {
-            Ok(()) => {
-                w.session = Some((spec.clone(), seed));
-                break w.command;
-            }
-            // A fresh worker that died before reading its task breaks
-            // the pipe; the exit status the gather reaps below is
-            // strictly more informative than EPIPE.
-            Err(e) if fresh && e.kind() == std::io::ErrorKind::BrokenPipe => break w.command,
-            Err(e) => {
-                let command = w.command;
-                *slot = None;
-                if fresh {
-                    let shard_id = task.task_id;
-                    return Err((
-                        command,
-                        ShardError::Io {
-                            shard_id,
-                            source: e,
-                        },
-                    ));
-                }
-                // The next pass respawns (fresh), so this costs one
-                // respawn, never more.
-            }
-        }
-    };
-    gather_unit(slot, task, kills).map_err(|e| (command, e))
-}
-
 /// Reads one unit's answer off the slot's live worker — record lines
 /// until the `unit_done` line — validates identity and exactly-once
 /// index coverage against the task, and folds the unit's accumulator
-/// from its records. Any failure tears the worker down (`*slot = None`
-/// — its `Drop` kills and reaps it), so the next unit on this thread
-/// starts from a fresh process.
+/// from its records. On success `lines` holds the record lines exactly
+/// as the worker streamed them, in index order, each ending in `\n`:
+/// what the cache stores (the drain thread reuses one buffer across
+/// its units). Any failure tears the worker down (`*slot = None` — its
+/// `Drop` kills and reaps it), so the next unit on this thread starts
+/// from a fresh process.
 fn gather_unit(
     slot: &mut Option<PoolWorker>,
     task: &UnitTask,
     kills: &KillSwitch,
+    lines: &mut String,
 ) -> Result<(CachedShard, UnitTelemetry), ShardError> {
     let shard_id = task.task_id;
     let io = |source| ShardError::Io { shard_id, source };
@@ -1050,28 +1290,37 @@ fn gather_unit(
         Fail(ShardError),
     }
 
-    // rv-lint: allow(panic) — unreachable: the caller's handshake only
-    // returns with the slot filled.
-    let w = slot.as_mut().expect("worker is live after handshake");
+    let Some(w) = slot.as_mut() else {
+        return Err(protocol("no live worker to gather from".into()));
+    };
+    lines.clear();
     let streamed = (|| {
         let mut unit_telemetry: Option<UnitTelemetry> = None;
         let mut records: Vec<(usize, RunRecord)> = Vec::with_capacity(task.range.len());
-        let mut line = String::new();
+        // The record lines as streamed, trailing whitespace trimmed and
+        // each ended by `\n`; `spans[j]` locates the line of `records[j]`.
+        let raw = &mut *lines;
+        let mut spans: Vec<Range<usize>> = Vec::with_capacity(task.range.len());
         loop {
-            line.clear();
-            if w.stdout
-                .read_line(&mut line)
-                .map_err(|e| ReadFail::Fail(io(e)))?
-                == 0
-            {
+            let start = raw.len();
+            if w.stdout.read_line(raw).map_err(|e| ReadFail::Fail(io(e)))? == 0 {
                 return Err(ReadFail::Eof);
             }
-            if line.trim().is_empty() {
+            let line = raw[start..].trim_end();
+            let end = start + line.len();
+            if line.trim_start().is_empty() {
+                raw.truncate(start);
                 continue;
             }
-            match wire::decode_line(line.trim_end())
-                .map_err(|source| ReadFail::Fail(ShardError::Wire { shard_id, source }))?
-            {
+            let decoded = wire::decode_line(line)
+                .map_err(|source| ReadFail::Fail(ShardError::Wire { shard_id, source }))?;
+            // Only record lines stay in `raw`.
+            raw.truncate(if matches!(decoded, Line::Record { .. }) {
+                end
+            } else {
+                start
+            });
+            match decoded {
                 Line::Record { index, record } => {
                     if !task.range.contains(&index) {
                         return Err(ReadFail::Fail(protocol(format!(
@@ -1079,7 +1328,9 @@ fn gather_unit(
                             task.range
                         ))));
                     }
+                    raw.push('\n');
                     records.push((index, record));
+                    spans.push(start..end);
                 }
                 Line::UnitTelemetry(t) => {
                     if t.task_id != task.task_id || t.attempt != task.attempt {
@@ -1096,7 +1347,7 @@ fn gather_unit(
                     }
                 }
                 Line::UnitDone(d) => {
-                    return Ok((d, unit_telemetry, records));
+                    return Ok((d, unit_telemetry, records, spans));
                 }
                 other => {
                     return Err(ReadFail::Fail(protocol(format!(
@@ -1107,16 +1358,14 @@ fn gather_unit(
         }
     })();
 
-    let (done, unit_telemetry, mut records) = match streamed {
+    let (done, unit_telemetry, mut records, spans) = match streamed {
         Ok(ok) => ok,
         Err(ReadFail::Eof) => {
-            // rv-lint: allow(panic) — unreachable: the slot was live for
-            // the streaming read that just hit EOF; nothing clears it
-            // between there and here.
-            let (code, stderr) = slot.take().expect("worker is live").reap();
+            let code_stderr = slot.take().map(PoolWorker::reap);
             if kills.aborted() {
                 return Err(protocol("unit aborted by a failing sibling".into()));
             }
+            let (code, stderr) = code_stderr.unwrap_or_default();
             return Err(ShardError::Worker {
                 shard_id,
                 code,
@@ -1146,12 +1395,23 @@ fn gather_unit(
             done.start, task.range.start
         )));
     }
-    let Some(unit_telemetry) = unit_telemetry else {
+    let Some(telemetry) = unit_telemetry else {
         return Err(fail("unit finished without a unit_telemetry line".into()));
     };
     // The streamed records must be a permutation of exactly the unit
-    // range — one record per index, no duplicates, no gaps.
-    records.sort_by_key(|(index, _)| *index);
+    // range — one record per index, no duplicates, no gaps. A worker
+    // with one thread streams them in order already.
+    if !records.is_sorted_by_key(|(index, _)| *index) {
+        let mut order: Vec<usize> = (0..records.len()).collect();
+        order.sort_by_key(|&j| records[j].0);
+        let mut sorted = String::with_capacity(lines.len());
+        for &j in &order {
+            sorted.push_str(&lines[spans[j].clone()]);
+            sorted.push('\n');
+        }
+        *lines = sorted;
+        records.sort_by_key(|(index, _)| *index);
+    }
     if records.len() != task.range.len() {
         return Err(fail(format!(
             "expected {} record lines, streamed {}",
@@ -1169,77 +1429,26 @@ fn gather_unit(
             )));
         }
     }
-    Ok((CachedShard::of(records), unit_telemetry))
+    Ok((CachedShard::of(records), telemetry))
 }
 
-impl CachedShard {
-    /// Settles a freshly executed unit: writes it through to `cache`
-    /// under `(spec, seed, range)`, then drops the record buffer unless
-    /// the caller keeps records. A full disk must not fail the run, so
-    /// store errors are ignored.
-    fn write_through(
-        mut self,
-        cache: Option<&ResultCache>,
-        spec: &CampaignSpec,
-        seed: u64,
-        range: &Range<usize>,
-        keep_records: bool,
-    ) -> CachedShard {
-        if let Some(cache) = cache {
-            let _ = cache.store(spec, seed, range, &self.records, &self.acc);
-        }
-        if !keep_records {
-            self.records = Vec::new();
-        }
-        self
-    }
-}
-
-/// The cache fast path: probes each planned unit range, replays hits
-/// straight into `slots` (releasing their records to `sink` exactly
-/// once, just as a gathered unit would), and returns the queue of
-/// misses still needing execution. Corrupt entries were already evicted
-/// by [`ResultCache::lookup`], so they come back as plain misses.
-///
-/// The drain loops' sink contract holds here too: `sink.is_closed()`
-/// is checked per unit, so a consumer that hangs up mid-replay of a
-/// large warm run aborts with [`ExecError::SinkClosed`] instead of
-/// receiving the rest of the replay.
-fn cache_prepass(
-    cache: Option<&ResultCache>,
-    spec: &CampaignSpec,
-    seed: u64,
-    ranges: &[Range<usize>],
+/// Releases a finished unit — replayed from the cache or gathered from a
+/// worker — to the caller's sink, exactly once per index, then drops its
+/// record buffer unless the caller keeps records.
+fn release(
+    mut shard: CachedShard,
     sink: &Option<Arc<dyn RecordSink>>,
     keep_records: bool,
-    slots: &mut [Option<CachedShard>],
-) -> Result<VecDeque<(usize, u32)>, ExecError> {
-    let Some(cache) = cache else {
-        return Ok((0..ranges.len()).map(|k| (k, 0)).collect());
-    };
-    let mut misses = VecDeque::new();
-    for (k, range) in ranges.iter().enumerate() {
-        if sink.as_ref().is_some_and(|s| s.is_closed()) {
-            return Err(ExecError::SinkClosed);
-        }
-        match cache.lookup(spec, seed, range) {
-            Some(mut hit) => {
-                if let Some(sink) = sink {
-                    for (index, rec) in &hit.records {
-                        sink.record(*index, rec);
-                    }
-                }
-                if !keep_records {
-                    hit.records = Vec::new();
-                }
-                if let Some(slot) = slots.get_mut(k) {
-                    *slot = Some(hit);
-                }
-            }
-            None => misses.push_back((k, 0)),
+) -> CachedShard {
+    if let Some(sink) = sink {
+        for (index, rec) in &shard.records {
+            sink.record(*index, rec);
         }
     }
-    Ok(misses)
+    if !keep_records {
+        shard.records = Vec::new();
+    }
+    shard
 }
 
 /// Reassembles the per-unit outcomes into the campaign report: records

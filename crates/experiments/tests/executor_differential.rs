@@ -14,7 +14,7 @@
 //! concurrent retries, and the CLI transports are exercised against real
 //! processes too.
 
-use rv_core::cache::ResultCache;
+use rv_core::cache::{CacheKey, ResultCache};
 use rv_core::exec::{
     backend, worker_command, ExecError, Executor, LocalExecutor, PoolExecutor, WorkerCommand,
 };
@@ -333,6 +333,127 @@ fn abort_kills_in_flight_workers_promptly() {
     assert!(
         elapsed < std::time::Duration::from_secs(15),
         "abort should kill the in-flight sleep worker promptly, took {elapsed:?}"
+    );
+}
+
+// ---------------------------------------------------------------------------
+// Pipelined sessions: each drain thread keeps one task line queued behind
+// the running one while the shared queue is long. These run with at least
+// 3 units per worker so the queue-ahead path is taken. The `pipelined_`
+// prefix routes them into CI's fault-injection step (see
+// `.github/workflows/ci.yml`).
+// ---------------------------------------------------------------------------
+
+#[test]
+fn pipelined_flaky_workers_recover_without_charging_queued_tasks() {
+    // A `--flaky` worker dies on its running task's attempt 0 with the
+    // next task already queued on its stdin. The running unit is charged
+    // one attempt; the queued one never started and must go back at
+    // attempt 0, so with one retry every unit still recovers, and every
+    // unit's successful attempt is exactly 1: its own failed attempt 0
+    // plus nothing charged for waiting behind a sibling.
+    let spec = mixed_spec();
+    let (seed, n, unit) = (0x919E, 24, 2);
+    let flaky = WorkerCommand::new(WORKER).arg("worker").arg("--flaky");
+    for workers in [1usize, 2, 4] {
+        let ctx = format!("pipelined flaky pool, {workers} workers");
+        let exec = PoolExecutor::new(flaky.clone())
+            .workers(workers)
+            .unit(unit)
+            .retries(1);
+        assert_backend_matches(&exec, &spec, seed, n, &ctx);
+        let telemetry = exec.take_worker_telemetry();
+        let ids: Vec<u32> = telemetry.iter().map(|(_, t)| t.task_id).collect();
+        let units = n.div_ceil(unit) as u32;
+        assert_eq!(
+            ids,
+            (0..units).collect::<Vec<_>>(),
+            "{ctx}: one success per unit"
+        );
+        for (_, t) in &telemetry {
+            // Above 1, a queued task was charged for its sibling's death.
+            assert_eq!(
+                t.attempt, 1,
+                "{ctx}: unit {} succeeded on that attempt",
+                t.task_id
+            );
+        }
+    }
+}
+
+#[test]
+fn pipelined_flaky_workers_deliver_exactly_once_at_1_2_4_workers() {
+    // Failed attempts with a queued task behind them, across several
+    // drain threads: the sink still sees every index exactly once.
+    let spec = mixed_spec();
+    let (seed, n) = (0x0E1A, 24);
+    let local = spec.run_local(seed, n);
+    let flaky = WorkerCommand::new(WORKER).arg("worker").arg("--flaky");
+    for workers in [1usize, 2, 4] {
+        let ctx = format!("{workers} workers");
+        let exec = PoolExecutor::new(flaky.clone())
+            .workers(workers)
+            .unit(2)
+            .retries(1);
+        let sink = Arc::new(VecSink::new());
+        let stats = exec
+            .execute_stats(&spec, seed, n, Some(sink.clone() as Arc<dyn RecordSink>))
+            .unwrap_or_else(|e| panic!("{ctx}: {e}"));
+        assert_byte_identical(&stats, &local.stats, &ctx);
+        let mut seen = vec![0usize; n];
+        for (idx, rec) in &sink.take() {
+            seen[*idx] += 1;
+            assert_eq!(rec, &local.records[*idx], "{ctx}: index {idx}");
+        }
+        assert!(
+            seen.iter().all(|&count| count == 1),
+            "{ctx}: deliveries per index {seen:?}"
+        );
+    }
+}
+
+#[cfg(unix)]
+#[test]
+fn pipelined_abort_kills_workers_with_two_tasks_in_flight() {
+    if !Path::new("/bin/sh").exists() {
+        eprintln!("skipping: /bin/sh not available");
+        return;
+    }
+    // Slot 0's worker reads the session opener and two task lines — the
+    // running task and the one queued behind it — records that it saw
+    // both, then wedges for 30 s without answering. Slot 1's worker dies
+    // after a second with no retry budget, which dooms the run. The
+    // driver must kill the wedged worker instead of waiting it out.
+    let marker = std::env::temp_dir().join(format!("rv-pipelined-abort-{}", std::process::id()));
+    let _ = fs::remove_file(&marker);
+    let wedged = WorkerCommand::new("/bin/sh").arg("-c").arg(format!(
+        "read spec; read first; read second; echo queued > '{}'; exec sleep 30",
+        marker.display()
+    ));
+    let dying = WorkerCommand::new("/bin/sh")
+        .arg("-c")
+        .arg("sleep 1; exit 7");
+    let exec = PoolExecutor::new(wedged)
+        .add_command(dying)
+        .workers(2)
+        .unit(2)
+        .retries(0);
+    let started = std::time::Instant::now();
+    let err = exec.execute(&mixed_spec(), 3, 24, None).unwrap_err();
+    let elapsed = started.elapsed();
+    let saw_two = fs::read_to_string(&marker).is_ok_and(|m| m.trim() == "queued");
+    let _ = fs::remove_file(&marker);
+    match err {
+        ExecError::Exhausted {
+            last: ShardError::Worker { code, .. },
+            ..
+        } => assert_eq!(code, Some(7)),
+        other => panic!("expected the dying worker's exhaustion, got {other}"),
+    }
+    assert!(saw_two, "the wedged worker's session held two task lines");
+    assert!(
+        elapsed < std::time::Duration::from_secs(15),
+        "abort should kill the wedged worker promptly, took {elapsed:?}"
     );
 }
 
@@ -912,6 +1033,103 @@ fn cache_warm_reruns_replay_byte_identically_and_execute_zero_shards() {
         "cached units never ran, so none may report telemetry"
     );
     let _ = fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn cache_half_cached_pool_evicts_a_corrupt_entry_and_runs_it_once() {
+    // The overlapped prepass: absent units go to the workers at once,
+    // present ones replay on the calling thread while they run, and a
+    // present entry that fails to load is evicted and queued like a
+    // miss. The cache counts stay exactly per unit.
+    let spec = mixed_spec();
+    let (seed, n, unit) = (0xC0AA, 24, 3);
+    let dir = cache_dir("half");
+
+    // An earlier sweep cached the first half: units 0..4.
+    let cold_cache = Arc::new(ResultCache::open(&dir).expect("open cold"));
+    PoolExecutor::new(worker_cmd())
+        .workers(2)
+        .unit(unit)
+        .cache(Arc::clone(&cold_cache))
+        .execute_stats(&spec, seed, n / 2, None)
+        .expect("prefill");
+    assert_eq!(cold_cache.stats().stores, 4);
+
+    // Corrupt unit 1's entry (indices 3..6).
+    let corrupt = cold_cache.entry_path(CacheKey::derive(&spec, seed, &(3..6)));
+    fs::write(&corrupt, b"not a cache entry\n").expect("corrupt the entry");
+
+    let cache = Arc::new(ResultCache::open(&dir).expect("open half"));
+    let exec = PoolExecutor::new(worker_cmd())
+        .workers(2)
+        .unit(unit)
+        .cache(Arc::clone(&cache));
+    assert_backend_matches(&exec, &spec, seed, n, "half cached, one corrupt");
+    let s = cache.stats();
+    assert_eq!(
+        (s.hits, s.misses, s.stores, s.evictions),
+        (3, 5, 5, 1),
+        "{s:?}"
+    );
+    let ran: Vec<u32> = exec
+        .take_worker_telemetry()
+        .iter()
+        .map(|(_, t)| t.task_id)
+        .collect();
+    assert_eq!(
+        ran,
+        vec![1, 4, 5, 6, 7],
+        "the corrupt unit ran exactly once"
+    );
+
+    // The corrupt unit was republished: a warm rerun replays everything.
+    let warm = Arc::new(ResultCache::open(&dir).expect("open warm"));
+    let exec = PoolExecutor::new(WorkerCommand::new("/nonexistent/rv-shard-half-proof"))
+        .workers(2)
+        .unit(unit)
+        .cache(Arc::clone(&warm));
+    assert_backend_matches(&exec, &spec, seed, n, "warm after repair");
+    assert_eq!((warm.stats().hits, warm.stats().misses), (8, 0));
+    let _ = fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn cache_pool_entries_are_byte_identical_to_local_entries() {
+    // The pool stores each unit's record lines as its worker streamed
+    // them (re-sorted by index: a two-thread worker may finish them out
+    // of order); the local backend encodes its records. Over the same
+    // range both must write the same bytes.
+    let spec = mixed_spec();
+    let (seed, n) = (0xB17E, 12);
+    let key = CacheKey::derive(&spec, seed, &(0..n));
+    let local_dir = cache_dir("bytes-local");
+    let pool_dir = cache_dir("bytes-pool");
+
+    let local_cache = Arc::new(ResultCache::open(&local_dir).expect("open local"));
+    LocalExecutor::new()
+        .cache(Arc::clone(&local_cache))
+        .execute(&spec, seed, n, None)
+        .expect("local run");
+    let pool_cache = Arc::new(ResultCache::open(&pool_dir).expect("open pool"));
+    let worker = WorkerCommand::new(WORKER)
+        .arg("worker")
+        .arg("--threads")
+        .arg("2");
+    PoolExecutor::new(worker)
+        .unit(n)
+        .cache(Arc::clone(&pool_cache))
+        .execute(&spec, seed, n, None)
+        .expect("pool run");
+
+    let local = fs::read(local_cache.entry_path(key)).expect("local entry");
+    let pool = fs::read(pool_cache.entry_path(key)).expect("pool entry");
+    assert_eq!(
+        String::from_utf8_lossy(&pool),
+        String::from_utf8_lossy(&local),
+        "pool and local entries differ"
+    );
+    let _ = fs::remove_dir_all(&local_dir);
+    let _ = fs::remove_dir_all(&pool_dir);
 }
 
 #[test]

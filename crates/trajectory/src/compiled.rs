@@ -82,8 +82,8 @@ struct Chunk {
 struct Source {
     /// The live generator; `None` before the first pull and once drained.
     generator: Option<BoxProgram>,
-    /// The lowering, standing after the last filled chunk.
-    lowering: Lowering,
+    /// Every direction interned so far.
+    interned: Vec<Dir>,
     /// The directory snapshot of the last filled chunk.
     dirs: Arc<[Dir]>,
     /// The program has ended: no chunk past the filled ones will exist.
@@ -109,7 +109,8 @@ impl CompiledProgram {
             factory: Box::new(factory),
             source: Mutex::new(Source {
                 generator: None,
-                lowering: Lowering::new(),
+                // rv-lint: allow(hot) — once per compiled program.
+                interned: Vec::new(),
                 dirs: Arc::new([]),
                 drained: false,
             }),
@@ -170,12 +171,21 @@ impl CompiledProgram {
         // is full and the generator stands exactly at this chunk.
         debug_assert!(idx == 0 || self.chunks[idx - 1].get().map(|c| c.steps.len()) == Some(CHUNK));
         let generator = source.generator.get_or_insert_with(|| (self.factory)());
-        let mut steps = Vec::with_capacity(CHUNK);
+        // Each step is lowered from the one before it, the previous
+        // chunk's last for the first, and moved into the chunk: an
+        // exact prefix time is computed once and never copied.
+        let start = Step::start();
+        let before = idx
+            .checked_sub(1)
+            .and_then(|prev| self.chunks[prev].get()?.steps.last());
+        let mut steps: Vec<Step> = Vec::with_capacity(CHUNK);
         for instr in generator.by_ref().take(CHUNK) {
-            source.lowering.push(&instr);
-            // rv-lint: allow(hot) — cache fill: one copy per instruction per
-            // process, not per replayed step.
-            steps.push(source.lowering.step.clone());
+            let step = steps
+                .last()
+                .or(before)
+                .unwrap_or(&start)
+                .after(&mut source.interned, &instr);
+            steps.push(step);
         }
         if steps.len() < CHUNK {
             source.generator = None;
@@ -184,8 +194,8 @@ impl CompiledProgram {
         if steps.is_empty() {
             return Fetch::Exhausted;
         }
-        if source.dirs.len() < source.lowering.dirs.len() {
-            source.dirs = Arc::from(source.lowering.dirs.as_slice());
+        if source.dirs.len() < source.interned.len() {
+            source.dirs = Arc::from(source.interned.as_slice());
         }
         let chunk = Chunk {
             steps: steps.into_boxed_slice(),

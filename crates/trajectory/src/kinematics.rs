@@ -213,35 +213,26 @@ pub struct Lowering {
     pub(crate) step: Step,
 }
 
-impl Lowering {
-    /// A lowering at the start of a program.
-    pub(crate) fn new() -> Lowering {
-        Lowering {
-            // rv-lint: allow(hot) — once per Motion; allocates only when an
-            // on-the-fly program interns its first direction.
-            dirs: Vec::new(),
-            step: Step {
-                dir: WAIT,
-                empty: true,
-                len: 0.0,
-                prefix: Ratio::zero(),
-                ref_end: Vec2::ZERO,
-            },
+impl Step {
+    /// The step before a program's first instruction: prefix time 0 at
+    /// the origin.
+    pub(crate) fn start() -> Step {
+        Step {
+            dir: WAIT,
+            empty: true,
+            len: 0.0,
+            prefix: Ratio::zero(),
+            ref_end: Vec2::ZERO,
         }
     }
 
-    /// Lowers the next instruction into `self.step`.
-    pub(crate) fn push(&mut self, instr: &Instr) {
-        let Lowering { dirs, step } = self;
-        step.empty = instr.is_empty();
-        match instr {
-            Instr::Wait { dur } => {
-                step.dir = WAIT;
-                step.len = 0.0;
-                if !step.empty {
-                    step.prefix = &step.prefix + dur;
-                }
-            }
+    /// Lowers `instr`, the instruction after this step's, interning its
+    /// direction into `dirs`. The one lowering function: a motion's
+    /// on-the-fly lowering and a compiled program's chunk fill both call
+    /// it, and the fill moves the result into its chunk.
+    pub(crate) fn after(&self, dirs: &mut Vec<Dir>, instr: &Instr) -> Step {
+        let (dir, len, dur) = match instr {
+            Instr::Wait { dur } => (WAIT, 0.0, dur),
             Instr::Go { dir, dist } => {
                 let id = match dirs.iter().position(|d| d.angle == *dir) {
                     Some(id) => id,
@@ -254,14 +245,46 @@ impl Lowering {
                         dirs.len() - 1
                     }
                 };
-                step.dir = u32::try_from(id).expect("fewer than 2^32 directions");
-                step.len = dist.to_f64();
-                if !step.empty {
-                    step.prefix = &step.prefix + dist;
-                    step.ref_end += dirs[id].unit * step.len;
-                }
+                let id = u32::try_from(id).expect("fewer than 2^32 directions");
+                (id, dist.to_f64(), dist)
             }
+        };
+        let empty = instr.is_empty();
+        let mut ref_end = self.ref_end;
+        let prefix = if empty {
+            // rv-lint: allow(hot) — zero-duration instructions only; every
+            // other step computes a fresh prefix sum.
+            self.prefix.clone()
+        } else {
+            if dir != WAIT {
+                ref_end += dirs[dir as usize].unit * len;
+            }
+            &self.prefix + dur
+        };
+        Step {
+            dir,
+            empty,
+            len,
+            prefix,
+            ref_end,
         }
+    }
+}
+
+impl Lowering {
+    /// A lowering at the start of a program.
+    pub(crate) fn new() -> Lowering {
+        Lowering {
+            // rv-lint: allow(hot) — once per Motion; allocates only when an
+            // on-the-fly program interns its first direction.
+            dirs: Vec::new(),
+            step: Step::start(),
+        }
+    }
+
+    /// Lowers the next instruction into `self.step`.
+    pub(crate) fn push(&mut self, instr: &Instr) {
+        self.step = self.step.after(&mut self.dirs, instr);
     }
 }
 
