@@ -10,7 +10,9 @@
 
 use criterion::{black_box, Criterion};
 use rv_core::batch::{mix_seed, RunRecord};
-use rv_core::{compiled_aur, json, par_map, wire, Aur, Budget, Solver, StatsAccumulator};
+use rv_core::{
+    compiled_aur, json, par_map, wire, Aur, Budget, FixedPair, Solver, StatsAccumulator,
+};
 use rv_model::{generate_seeded, Classification, Instance, TargetClass};
 use rv_numeric::{ratio, Int, Ratio};
 use rv_sim::{BudgetReason, Outcome};
@@ -124,9 +126,10 @@ fn bench_hotpath(c: &mut Criterion) {
     });
 
     // The kinematic compiler on what `Aur::solve` steps: agent B of a
-    // τ = 2 instance (so σ = 1) over the first 4096 segments of the
-    // shared `AlmostUniversalRV` step tape, mapping direction ids through
-    // its direction table.
+    // τ = 2 instance over the first 4096 segments of the shared
+    // `AlmostUniversalRV` step tape, mapping direction ids through its
+    // direction table, through the `Iterator` view (exact `Ratio` times
+    // built from the tick clock).
     let inst = Instance::builder()
         .position(ratio(2, 1), ratio(1, 2))
         .r(ratio(2, 1))
@@ -163,6 +166,32 @@ fn bench_hotpath(c: &mut Criterion) {
             b.iter(|| black_box(Aur.solve(&infeasible, &budget)).segments)
         });
     }
+
+    // Latecomers (the GATHER(2) baseline of `t6` and `f10`), lowered on
+    // the fly, on `t6`'s first geometry woken at 9/10 of its boundary
+    // delay, which it cannot meet (Lemma 3.8): a fifth of `t6`'s
+    // 200k-segment failure budget. Phase k plays 2^k directions, so the
+    // run interns about 8k of them through the directory's hash index.
+    let base = Instance::builder()
+        .position(ratio(3, 1), ratio(1, 1))
+        .r(ratio(1, 2))
+        .build()
+        .expect("valid instance");
+    let boundary = base.initial_dist() - base.r.to_f64();
+    let late = Instance {
+        t: &Ratio::from_f64_exact(boundary).expect("finite") * &ratio(9, 10),
+        ..base
+    };
+    let latecomers = FixedPair::symmetric("latecomers", |_| rv_baselines::latecomers());
+    let budget = Budget::default().segments(40_000);
+    let report = latecomers.solve(&late, &budget);
+    assert!(
+        matches!(report.outcome, Outcome::Budget(BudgetReason::Segments)),
+        "the Latecomers row must exhaust its segment budget"
+    );
+    g.bench_function("latecomers_exhaust_40k", |b| {
+        b.iter(|| black_box(latecomers.solve(&late, &budget)).segments)
+    });
 
     // The accumulator fold: push 4096 synthetic records and finish.
     let records: Vec<RunRecord> = (0..4096u64)

@@ -15,8 +15,11 @@
 //! the first use of each direction id in B's direction table runs the
 //! general `φ − θ` transform under the counter, while agent A, the
 //! reference agent, reads its positions off the tape. It runs twice:
-//! with `τ = 2`, and with `τ = 5/3`, whose run the engine counts in units
-//! of `1/5` (its scaled time path).
+//! with `τ = 2`, and with `τ = 5/3`, whose run counts ticks over a scale
+//! with an odd factor (the non-dyadic time path).
+//!
+//! Past one agent's 23k-th instruction the clocks leave i128, and there
+//! the count is pinned instead: exactly two allocations per segment.
 //!
 //! Besides the comparison, each solve has an absolute cap of zero
 //! allocations, the count measured for both runs before the step tape
@@ -150,6 +153,38 @@ fn assert_event_loop_allocates_nothing(tau: Ratio) {
         deep_allocs, 0,
         "τ = {}: one solve allocated; the per-run cap is zero",
         inst.tau
+    );
+}
+
+/// Allocations per segment of the `Big`-clock regime, past one agent's
+/// 23k-th instruction: the extra allocations of a 70k-segment solve over
+/// a 50k-segment one, both on the far-apart instance above with `τ = 2`.
+/// The tick engine makes two per segment: the `Int` product of the
+/// ending agent's end tick, and the copy its motion keeps as the next
+/// segment's start.
+#[test]
+fn big_clock_regime_allocation_count_is_pinned() {
+    let inst = Instance::builder()
+        .position(ratio(5_000, 1), ratio(1, 2))
+        .r(ratio(1, 2))
+        .tau(ratio(2, 1))
+        .phi(Angle::pi_frac(3, 8))
+        .chirality(Chirality::Minus)
+        .build()
+        .unwrap();
+    let (shallow, deep) = (50_000, 70_000);
+    let warm = Aur.solve(&inst, &Budget::default().segments(deep));
+    assert!(matches!(
+        warm.outcome,
+        Outcome::Budget(BudgetReason::Segments)
+    ));
+    let (shallow_allocs, a) = counted(|| Aur.solve(&inst, &Budget::default().segments(shallow)));
+    let (deep_allocs, b) = counted(|| Aur.solve(&inst, &Budget::default().segments(deep)));
+    assert_eq!(b.segments - a.segments, deep - shallow);
+    assert_eq!(
+        deep_allocs - shallow_allocs,
+        2 * (deep - shallow),
+        "allocations over 20k Big-regime segments moved"
     );
 }
 

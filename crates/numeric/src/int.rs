@@ -124,11 +124,44 @@ impl Int {
         }
     }
 
-    /// Magnitude limbs of `self` (allocates for the small case).
-    fn magnitude(&self) -> Vec<u64> {
+    /// Trimmed magnitude limbs of `self`, borrowed (a small value's live
+    /// in `buf`): the operators read operands through this, so only the
+    /// result allocates.
+    fn limbs<'a>(&'a self, buf: &'a mut [u64; 2]) -> &'a [u64] {
         match self {
-            Int::Small(v) => mag::from_u128(v.unsigned_abs()),
-            Int::Big { mag, .. } => mag.clone(),
+            Int::Small(v) => {
+                let m = v.unsigned_abs();
+                *buf = [m as u64, (m >> 64) as u64];
+                let len = 2 - buf.iter().rev().take_while(|&&l| l == 0).count();
+                &buf[..len]
+            }
+            Int::Big { mag, .. } => mag,
+        }
+    }
+
+    /// `self − other` when it fits in `i128`, without allocating: limb by
+    /// limb when an operand is `Big` (two nearby big clocks have a small
+    /// difference). `None` when it does not fit, and also when the
+    /// operands' signs differ and one is `Big`.
+    pub fn sub_small(&self, other: &Int) -> Option<i128> {
+        if let (Int::Small(a), Int::Small(b)) = (self, other) {
+            return a.checked_sub(*b);
+        }
+        let neg = self.is_negative();
+        if neg != other.is_negative() {
+            return None;
+        }
+        let (mut ba, mut bb) = ([0; 2], [0; 2]);
+        let (ma, mb) = (self.limbs(&mut ba), other.limbs(&mut bb));
+        // |self| − |other|, and whether it is negative.
+        let (d, flip) = match mag::cmp(ma, mb) {
+            Ordering::Less => (mag::sub_to_u128(mb, ma)?, true),
+            _ => (mag::sub_to_u128(ma, mb)?, false),
+        };
+        if neg != flip {
+            (d <= 1 << 127).then(|| (d as i128).wrapping_neg())
+        } else {
+            i128::try_from(d).ok()
         }
     }
 
@@ -170,7 +203,8 @@ impl Int {
                 if k < 127 && abs.leading_zeros() as u64 > k {
                     Int::Small(v << k)
                 } else {
-                    Int::from_sign_mag(*v < 0, mag::shl(&mag::from_u128(abs), k))
+                    let mut buf = [0; 2];
+                    Int::from_sign_mag(*v < 0, mag::shl(self.limbs(&mut buf), k))
                 }
             }
             Int::Big { neg, mag } => Int::from_sign_mag(*neg, mag::shl(mag, k)),
@@ -183,14 +217,16 @@ impl Int {
         match self {
             Int::Small(v) => {
                 let shifted = if k >= 128 { 0 } else { v.unsigned_abs() >> k };
-                Int::from_sign_mag(*v < 0 && shifted != 0, mag::from_u128(shifted))
+                // Only |i128::MIN| >> 0 wraps, and negates back to itself.
+                let m = shifted as i128;
+                Int::Small(if *v < 0 { m.wrapping_neg() } else { m })
             }
             Int::Big { neg, mag } => Int::from_sign_mag(*neg, mag::shr(mag, k)),
         }
     }
 
     /// Trailing zero bits of the magnitude; `None` for zero.
-    fn trailing_zeros(&self) -> Option<u64> {
+    pub(crate) fn trailing_zeros(&self) -> Option<u64> {
         match self {
             Int::Small(0) => None,
             Int::Small(v) => Some(v.unsigned_abs().trailing_zeros() as u64),
@@ -241,6 +277,17 @@ impl Int {
         }
     }
 
+    /// Least common multiple of magnitudes; `lcm(0, x) = 0`.
+    pub fn lcm(&self, other: &Int) -> Int {
+        if self.is_zero() || other.is_zero() {
+            return Int::ZERO;
+        }
+        if self == other || *other == Int::ONE {
+            return self.abs();
+        }
+        (&self.div_rem(&self.gcd(other)).0 * other).abs()
+    }
+
     /// Euclidean-style division: returns `(quotient, remainder)` with the
     /// quotient truncated toward zero and `remainder` carrying the sign of
     /// `self` (matching Rust's `/` and `%` on primitives).
@@ -251,7 +298,8 @@ impl Int {
                 return (Int::Small(q), Int::Small(r));
             }
         }
-        let (qm, rm) = mag::divrem(&self.magnitude(), &other.magnitude());
+        let (mut ba, mut bb) = ([0; 2], [0; 2]);
+        let (qm, rm) = mag::divrem(self.limbs(&mut ba), other.limbs(&mut bb));
         let q_neg = self.is_negative() != other.is_negative();
         (
             Int::from_sign_mag(q_neg, qm),
@@ -446,17 +494,23 @@ impl Add for &Int {
                 return Int::Small(s);
             }
         }
-        // Sign-magnitude addition.
-        let (an, bm) = (self.is_negative(), rhs.is_negative());
-        let (ma, mb) = (self.magnitude(), rhs.magnitude());
-        if an == bm {
-            Int::from_sign_mag(an, mag::add(&ma, &mb))
-        } else {
-            match mag::cmp(&ma, &mb) {
-                Ordering::Equal => Int::ZERO,
-                Ordering::Greater => Int::from_sign_mag(an, mag::sub(&ma, &mb)),
-                Ordering::Less => Int::from_sign_mag(bm, mag::sub(&mb, &ma)),
-            }
+        signed_add(self, rhs, rhs.is_negative())
+    }
+}
+
+/// `a + b` by sign and magnitude, with `b`'s sign given as `b_neg` (so
+/// subtraction flips it without negating `b`). Only the result allocates.
+fn signed_add(a: &Int, b: &Int, b_neg: bool) -> Int {
+    let an = a.is_negative();
+    let (mut ba, mut bb) = ([0; 2], [0; 2]);
+    let (ma, mb) = (a.limbs(&mut ba), b.limbs(&mut bb));
+    if an == b_neg {
+        Int::from_sign_mag(an, mag::add(ma, mb))
+    } else {
+        match mag::cmp(ma, mb) {
+            Ordering::Equal => Int::ZERO,
+            Ordering::Greater => Int::from_sign_mag(an, mag::sub(ma, mb)),
+            Ordering::Less => Int::from_sign_mag(b_neg, mag::sub(mb, ma)),
         }
     }
 }
@@ -469,7 +523,7 @@ impl Sub for &Int {
                 return Int::Small(s);
             }
         }
-        self + &(-rhs)
+        signed_add(self, rhs, !rhs.is_negative())
     }
 }
 
@@ -485,7 +539,8 @@ impl Mul for &Int {
             return Int::ZERO;
         }
         let neg = self.is_negative() != rhs.is_negative();
-        Int::from_sign_mag(neg, mag::mul(&self.magnitude(), &rhs.magnitude()))
+        let (mut ba, mut bb) = ([0; 2], [0; 2]);
+        Int::from_sign_mag(neg, mag::mul(self.limbs(&mut ba), rhs.limbs(&mut bb)))
     }
 }
 

@@ -46,7 +46,7 @@ mod mag;
 mod ratio;
 
 pub use int::Int;
-pub use ratio::Ratio;
+pub use ratio::{Ratio, TickScale};
 
 /// Convenience: builds `p/q` as a [`Ratio`].
 ///

@@ -94,6 +94,28 @@ pub fn sub(a: &[u64], b: &[u64]) -> Vec<u64> {
     out
 }
 
+/// `a - b` as a `u128`, or `None` when it does not fit; requires
+/// `a >= b`. Allocation-free, for differences of nearby big values.
+pub fn sub_to_u128(a: &[u64], b: &[u64]) -> Option<u128> {
+    debug_assert!(cmp(a, b) != Ordering::Less, "mag::sub_to_u128 underflow");
+    let mut low = 0u128;
+    let mut borrow = 0u64;
+    for (i, &limb) in a.iter().enumerate() {
+        let s = b.get(i).copied().unwrap_or(0);
+        let (x, b1) = limb.overflowing_sub(s);
+        let (x, b2) = x.overflowing_sub(borrow);
+        borrow = (b1 as u64) + (b2 as u64);
+        match i {
+            0 => low = x as u128,
+            1 => low |= (x as u128) << 64,
+            _ if x != 0 => return None,
+            _ => {}
+        }
+    }
+    debug_assert_eq!(borrow, 0);
+    Some(low)
+}
+
 /// Schoolbook multiplication with `u128` partial products.
 pub fn mul(a: &[u64], b: &[u64]) -> Vec<u64> {
     if a.is_empty() || b.is_empty() {

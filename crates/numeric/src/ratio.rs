@@ -21,33 +21,43 @@
 //!   arithmetic and reduced by their shared trailing zeros: no gcd and
 //!   no division. Other inputs cross-multiply and reduce by a binary gcd.
 //! - **Overflow falls back.** If an i128 step overflows, the kernel gives
-//!   up and the `Int` path computes the result. `Big` operands always
-//!   take the `Int` path.
+//!   up and the `Int` path computes the result.
+//! - **`Big` dyadics stay dyadic.** `+` and `−` of `Big` operands whose
+//!   denominators are powers of two align by a limb shift, add, and
+//!   reduce by trailing zeros: no gcd, no division (a compiled tape's
+//!   prefix times pass i128 after about 23k AUR instructions). Other
+//!   `Big` operands take the `Int` path.
+//! - **Construction reduces the same way.** [`Ratio::new`] reduces a
+//!   power-of-two denominator by the shared trailing zeros (inlined at
+//!   the call when both components are i128s: a motion's time view
+//!   builds two per segment) and any other by a gcd.
 //!
 //! # Projections to `f64`
 //!
-//! The engine projects exact offsets (`cur − start`, `end − cur`) to
-//! `f64` on every interval, in clock units of `1/σ` for an integer time
-//! scale `σ ≥ 1`. [`Ratio::sub_div_to_f64`] fuses the subtraction, the
-//! unscaling and the projection, bit-identical to
-//! `((a − b)/σ).to_f64()`:
-//! - **Dyadic operands** are aligned by the same checked shift as the add
-//!   kernel and subtracted with checked arithmetic, giving the exact
-//!   difference `N·2^−e`. Then:
-//!   - for `σ = 1` it returns `(N as f64)·2^−e`. Rounding commutes with a
-//!     power-of-two scale and the result stays normal for `e ≤ 126`, so
-//!     this is the rounding of the exact difference, which is what the
-//!     canonical `Ratio` projects to;
-//!   - for `σ > 1` and `|N| ≤ 2^53` it returns `(N as f64)·2^−e / σ`.
+//! The engine counts time in integer ticks over one scale `S = 2^E·σ`
+//! (`σ` odd) per run and projects each exact offset `(Ta − Tb)/S` to
+//! `f64` on every interval. [`TickScale::diff_to_f64`] equals
+//! `Ratio::new(Ta − Tb, S).to_f64()` bit for bit:
+//! - **The difference** `N = Ta − Tb` is taken in i128, limb by limb and
+//!   without allocating when a tick is `Big`, and reduced by the trailing
+//!   zeros it shares with `2^E`: `N/S = N'/(2^E'·σ)`.
+//! - **Direct path**, only when `S` fits in i128 and `σ ≤ 2^53` (split
+//!   once, when the [`TickScale`] is built):
+//!   - for `σ = 1` it returns `(N' as f64)·2^−E'`. The canonical ratio is
+//!     `N'/2^E'`, whose projection divides the rounded `N'` by an exact
+//!     power of two; rounding commutes with that scale and the result
+//!     stays normal for `E' ≤ 126`, so the bits are the same;
+//!   - for `σ > 1` and `|N'| ≤ 2^53` it returns `(N' as f64 / σ)·2^−E'`.
 //!     Both operands of the division are exact doubles, so it rounds the
-//!     exact quotient once. The canonical quotient `n/d` has `|n| ≤ |N|`
-//!     and `d = 2^k·(odd part of σ)`, both exact doubles, so its
-//!     projection rounds the same exact value. A wider `N` would round
-//!     twice, so it falls back.
+//!     exact quotient once, and the power-of-two scale is exact. The
+//!     canonical ratio `n/d` has `|n| ≤ |N'|` and `d = 2^E'·(σ/g)`, both
+//!     exact doubles, so its projection rounds the same exact value. A
+//!     wider `N'` would round twice, so it falls back.
 //!
 //!   No `Ratio` is built.
-//! - **Anything else** (a non-dyadic or `Big` operand, an i128 overflow,
-//!   or the wide `N` above) builds the quotient and projects it.
+//! - **Anything else** (a difference outside i128, a scale past i128 or
+//!   with an odd part past `2^53`, or the wide `N'` above) builds the
+//!   canonical ratio and projects it.
 //!
 //! [`Ratio::to_f64`] of an all-inline ratio divides the two components'
 //! nearest doubles, as the `Int` path does, converting through `i64`
@@ -83,8 +93,24 @@ impl Ratio {
     }
 
     /// Builds `num/den` in canonical form. Panics if `den == 0`.
+    #[inline]
     pub fn new(num: Int, den: Int) -> Ratio {
+        match (&num, &den) {
+            (Int::Small(n), Int::Small(d)) if *d > 0 && is_pow2(*d) => {
+                from_dyadic(*n, d.trailing_zeros())
+            }
+            _ => Ratio::new_general(num, den),
+        }
+    }
+
+    /// [`Ratio::new`] past its inline dyadic case.
+    fn new_general(num: Int, den: Int) -> Ratio {
         assert!(!den.is_zero(), "Ratio with zero denominator");
+        if let (Int::Small(n), Int::Small(d)) = (&num, &den) {
+            if *d > 0 {
+                return from_small(*n, *d);
+            }
+        }
         let mut r = Ratio { num, den };
         r.normalize();
         r
@@ -155,6 +181,16 @@ impl Ratio {
         // 6.6% of agent B's segment ends on the benchmark's AUR sweep are
         // integers; the arithmetic kernels avoid this function anyway.)
         if self.den == Int::ONE {
+            return;
+        }
+        // A power-of-two denominator shares only trailing zeros with the
+        // numerator: shift them out, no gcd.
+        if let Some(e) = pow2_exponent(&self.den) {
+            let s = self.num.trailing_zeros().unwrap_or(0).min(e);
+            if s > 0 {
+                self.num = self.num.shr_magnitude(s);
+                self.den = Int::pow2(e - s);
+            }
             return;
         }
         let g = self.num.gcd(&self.den);
@@ -343,24 +379,75 @@ impl Ratio {
         let dtop = self.den.shr_magnitude(ds).to_f64();
         scale_by_pow2(ntop / dtop, ns as i64 - ds as i64)
     }
+}
 
-    /// `((self − other)/sigma).to_f64()`, bit for bit, without building
-    /// the quotient when both operands are inline dyadics whose aligned
-    /// difference fits in 53 bits, or `sigma == 1` (see the module docs).
-    /// Panics if `sigma == 0`.
-    pub fn sub_div_to_f64(&self, other: &Ratio, sigma: u32) -> f64 {
-        assert!(sigma > 0, "time scale must be positive");
-        if let Some(v) =
-            small_parts(self, other).and_then(|(a, b, c, d)| dyadic_sub_div_f64(a, b, c, d, sigma))
-        {
-            return v;
-        }
-        let diff = self - other;
-        if sigma == 1 {
-            return diff.to_f64();
-        }
-        (&diff / &Ratio::from_int(u64::from(sigma))).to_f64()
+/// A positive denominator `S = 2^E·σ` (`σ` odd) over which the tick
+/// projection divides, split once into the parts it reads (see the
+/// module docs).
+#[derive(Clone, Debug)]
+pub struct TickScale {
+    den: Int,
+    /// `E` and `σ` as an exact double, when `S` fits in i128 and `σ` is
+    /// an exact double: the direct path's precondition on `S`.
+    direct: Option<(u32, f64)>,
+}
+
+impl TickScale {
+    /// The scale `den`. Panics if `den` is not positive.
+    pub fn new(den: Int) -> TickScale {
+        assert!(den.is_positive(), "tick scale must be positive");
+        let direct = match den {
+            Int::Small(d) => {
+                let e = d.trailing_zeros();
+                let odd = d >> e;
+                (odd <= EXACT).then_some((e, odd as f64))
+            }
+            Int::Big { .. } => None,
+        };
+        TickScale { den, direct }
     }
+
+    /// The denominator `S`.
+    pub fn den(&self) -> &Int {
+        &self.den
+    }
+
+    /// The denominator `S`, by value.
+    pub fn into_den(self) -> Int {
+        self.den
+    }
+
+    /// `Ratio::new(a − b, S).to_f64()`, bit for bit, building no `Ratio`
+    /// where the module docs prove the direct path.
+    pub fn diff_to_f64(&self, a: &Int, b: &Int) -> f64 {
+        if let (Some(n), Some((e, odd))) = (a.sub_small(b), self.direct) {
+            if let Some(v) = direct_f64(n, e, odd) {
+                return v;
+            }
+        }
+        Ratio::new(a - b, self.den.clone()).to_f64()
+    }
+}
+
+/// Every integer of magnitude at most `EXACT` is an exact double.
+const EXACT: i128 = 1 << 53;
+
+/// `(n/(2^e·odd)).to_f64()` of the canonical ratio, for an odd `odd ≤
+/// 2^53` given as a double, or `None` where rounding once is not proven
+/// to give the same bits: the reduced numerator is not an exact double
+/// and `odd > 1` (see the module docs).
+fn direct_f64(n: i128, e: u32, odd: f64) -> Option<f64> {
+    if n == 0 {
+        return Some(0.0);
+    }
+    let s = n.trailing_zeros().min(e);
+    let (n, e) = (n >> s, e - s);
+    // 2^−e for e ≤ 126 is a normal double: biased exponent 1023 − e.
+    let scale = f64::from_bits(u64::from(1023 - e) << 52);
+    if odd == 1.0 {
+        return Some(small_to_f64(n) * scale);
+    }
+    (n.unsigned_abs() <= EXACT as u128).then(|| small_to_f64(n) / odd * scale)
 }
 
 /// The nearest double to `v`; through `i64` when it fits (the same
@@ -370,24 +457,6 @@ fn small_to_f64(v: i128) -> f64 {
         Ok(w) => w as f64,
         Err(_) => v as f64,
     }
-}
-
-/// `(a/b − c/d)/sigma` projected to `f64` for power-of-two `b`, `d`, or
-/// `None` if either is not a power of two, the aligned difference leaves
-/// i128, or `sigma > 1` and the difference is wider than 53 bits.
-fn dyadic_sub_div_f64(a: i128, b: i128, c: i128, d: i128, sigma: u32) -> Option<f64> {
-    if !(is_pow2(b) && is_pow2(d)) {
-        return None;
-    }
-    let (eb, ed) = (b.trailing_zeros(), d.trailing_zeros());
-    let (x, y) = align_dyadic(a, eb, c, ed)?;
-    let n = x.checked_sub(y)?;
-    if sigma > 1 && n.unsigned_abs() > 1 << 53 {
-        return None;
-    }
-    // 2^−e for e ≤ 126 is a normal double: biased exponent 1023 − e.
-    let scale = f64::from_bits(u64::from(1023 - eb.max(ed)) << 52);
-    Some(small_to_f64(n) * scale / f64::from(sigma))
 }
 
 /// `x · y` as a 256-bit `(hi, lo)` pair — exact products of unsigned
@@ -457,6 +526,9 @@ impl Add for &Ratio {
         if let Some(sum) = small_parts(self, rhs).and_then(|(a, b, c, d)| small_add(a, b, c, d)) {
             return sum;
         }
+        if let Some(sum) = big_dyadic_add(self, rhs, false) {
+            return sum;
+        }
         if self.den == rhs.den {
             return Ratio::new(&self.num + &rhs.num, self.den.clone());
         }
@@ -473,6 +545,9 @@ impl Sub for &Ratio {
         let small =
             small_parts(self, rhs).and_then(|(a, b, c, d)| small_add(a, b, c.checked_neg()?, d));
         if let Some(diff) = small {
+            return diff;
+        }
+        if let Some(diff) = big_dyadic_add(self, rhs, true) {
             return diff;
         }
         if self.den == rhs.den {
@@ -563,6 +638,7 @@ fn from_small(num: i128, den: i128) -> Ratio {
 
 /// Lowest-terms `num / 2^e`: the gcd with a power of two is the shared
 /// trailing zeros, so no division is needed.
+#[inline]
 fn from_dyadic(num: i128, e: u32) -> Ratio {
     debug_assert!(e <= 126);
     if num == 0 {
@@ -573,6 +649,27 @@ fn from_dyadic(num: i128, e: u32) -> Ratio {
         num: Int::Small(num >> s),
         den: Int::Small(1 << (e - s)),
     }
+}
+
+/// The exponent `e` of a power-of-two denominator `d = 2^e`.
+fn pow2_exponent(d: &Int) -> Option<u64> {
+    let e = d.trailing_zeros()?;
+    (d.bits() == e + 1).then_some(e)
+}
+
+/// The dyadic add kernel for `Big` components: lowest-terms `lhs + rhs`
+/// (`lhs − rhs` if `sub`) when both denominators are powers of two,
+/// aligned by a limb shift and reduced by trailing zeros in
+/// [`Ratio::new`] (no gcd, no division); `None` otherwise.
+fn big_dyadic_add(lhs: &Ratio, rhs: &Ratio, sub: bool) -> Option<Ratio> {
+    let (eb, ed) = (pow2_exponent(&lhs.den)?, pow2_exponent(&rhs.den)?);
+    let combine = |x: &Int, y: &Int| if sub { x - y } else { x + y };
+    let sum = match eb.cmp(&ed) {
+        Ordering::Equal => combine(&lhs.num, &rhs.num),
+        Ordering::Greater => combine(&lhs.num, &rhs.num.shl(eb - ed)),
+        Ordering::Less => combine(&lhs.num.shl(ed - eb), &rhs.num),
+    };
+    Some(Ratio::new(sum, Int::pow2(eb.max(ed))))
 }
 
 /// True iff the positive denominator `d` is a power of two.

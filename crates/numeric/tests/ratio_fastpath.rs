@@ -1,20 +1,23 @@
 //! Differential property tests for `Ratio`'s allocation-free paths:
-//! `cmp_ref`, `min_ref`, the two i128 kernels behind `+ − *` and
-//! `+= −= *=`, and the projections `to_f64` and `sub_div_to_f64` (the
-//! difference `a − b`, and the time-scaled one `(a − b)/σ`). Results
-//! must agree *exactly* (value and canonical form, or `f64` bits) on
-//! every operand mix: both inline (`i128`) components, dyadic `k/2^e`
-//! operands up to `e = 126`, numerators near ±2^127 and ±2^63, big
-//! operands, and the promotion boundary where an i128 result spills to
-//! limbs.
+//! `Ratio::new`'s reduction, `cmp_ref`, `min_ref`, the i128 kernels and
+//! the `Big` dyadic add kernel behind `+ − *` and `+= −= *=`, and the
+//! projections `to_f64` and `TickScale::diff_to_f64` (the tick offset
+//! `(Ta − Tb)/S` the engine projects, over `S` the common denominator of
+//! both operands times an odd factor `σ`). Results must agree *exactly*
+//! (value and canonical form, or `f64` bits) on every operand mix: both
+//! inline (`i128`) components, dyadic `k/2^e` operands up to `e = 126`,
+//! numerators near ±2^127 and ±2^63, big operands, and the promotion
+//! boundary where an i128 result spills to limbs.
 //!
 //! The arithmetic reference is built from `Int` operations only
-//! (`Ratio::new(a·d + c·b, b·d)`, normalised by `Int::gcd`), so it shares
-//! no code with the kernels it checks. Anything that diverges here is a
+//! (`Ratio::new(a·d + c·b, b·d)`, whose reduction is itself checked
+//! against `Int::gcd`), so it shares no code with the kernels it checks;
+//! the projection reference is the canonical
+//! `Ratio::new(Ta − Tb, S).to_f64()`. Anything that diverges here is a
 //! silent ordering or rounding bug on the solver's per-event path.
 
 use proptest::prelude::*;
-use rv_numeric::{Int, Ratio};
+use rv_numeric::{Int, Ratio, TickScale};
 use std::cmp::Ordering;
 
 /// Operands spanning the small path, the big path, and the i128→Big
@@ -63,6 +66,14 @@ fn dyadic_strategy() -> impl Strategy<Value = Ratio> {
         let n = if odd { n | 1 } else { n };
         Ratio::new(Int::from(n), Int::pow2(e))
     })
+}
+
+/// Dyadic `n / 2^e` with a numerator or denominator past i128 (the tape's
+/// prefix times past the 23k-th AUR instruction, and wider), for the
+/// `Big` dyadic add kernel.
+fn big_dyadic_strategy() -> impl Strategy<Value = Ratio> {
+    let exp = prop_oneof![0u64..=8, 120u64..=300];
+    (int_strategy(), exp).prop_map(|(n, e)| Ratio::new(n, Int::pow2(e)))
 }
 
 /// Operands for the kernel tests: mostly dyadic (the clock case), mixed
@@ -153,14 +164,40 @@ fn int_to_f64(x: &Ratio) -> Option<f64> {
         .then(|| x.numer().to_f64() / x.denom().to_f64())
 }
 
-/// `sub_div_to_f64(b, 1)` against the built difference, and `to_f64` against the
-/// `Int` projections, bit for bit.
+/// Clock values `a` and `b` in units of `1/σ` as ticks over `S = D·σ`,
+/// `D` their denominators' lcm, and `S`: `(Ta − Tb)/S = (a − b)/σ`.
+fn ticks(a: &Ratio, b: &Ratio, sigma: u32) -> (Int, Int, Int) {
+    let d = a.denom().lcm(b.denom());
+    let tick = |x: &Ratio| x.numer() * &d.div_rem(x.denom()).0;
+    (tick(a), tick(b), &d * &Int::from(u64::from(sigma)))
+}
+
+/// `TickScale::new(s).diff_to_f64(ta, tb)` against `Ratio::new(ta − tb,
+/// s).to_f64()`, bit for bit; returns the projection.
+fn assert_tick_projection(ta: &Int, tb: &Int, s: &Int) -> Result<f64, TestCaseError> {
+    let got = TickScale::new(s.clone()).diff_to_f64(ta, tb);
+    let want = Ratio::new(ta - tb, s.clone()).to_f64();
+    prop_assert_eq!(
+        got.to_bits(),
+        want.to_bits(),
+        "diff_to_f64({:?}, {:?}, {:?})",
+        ta,
+        tb,
+        s
+    );
+    Ok(got)
+}
+
+/// The tick projection of `a − b` against the built difference, and
+/// `to_f64` against the `Int` projections, bit for bit.
 fn assert_projections(a: &Ratio, b: &Ratio) -> Result<(), TestCaseError> {
     let diff = a - b;
+    let (ta, tb, s) = ticks(a, b, 1);
+    let got = assert_tick_projection(&ta, &tb, &s)?;
     prop_assert_eq!(
-        a.sub_div_to_f64(b, 1).to_bits(),
+        got.to_bits(),
         diff.to_f64().to_bits(),
-        "sub_div_to_f64({:?}, {:?}, 1)",
+        "ticks of {:?} − {:?}",
         a,
         b
     );
@@ -172,7 +209,7 @@ fn assert_projections(a: &Ratio, b: &Ratio) -> Result<(), TestCaseError> {
     Ok(())
 }
 
-/// `sub_div_to_f64(σ)` against the built quotient `((a − b)/σ)` and
+/// The tick projection of `(a − b)/σ` against the built quotient and
 /// against its `Int`-only projection, bit for bit.
 fn assert_scaled_projection(a: &Ratio, b: &Ratio, sigma: u32) -> Result<(), TestCaseError> {
     let diff = a - b;
@@ -180,13 +217,14 @@ fn assert_scaled_projection(a: &Ratio, b: &Ratio, sigma: u32) -> Result<(), Test
         diff.numer().clone(),
         diff.denom() * &Int::from(u64::from(sigma)),
     );
-    let got = a.sub_div_to_f64(b, sigma).to_bits();
+    let (ta, tb, s) = ticks(a, b, sigma);
+    let got = assert_tick_projection(&ta, &tb, &s)?.to_bits();
     prop_assert_eq!(
         got,
         (&diff / &Ratio::from_int(u64::from(sigma)))
             .to_f64()
             .to_bits(),
-        "sub_div_to_f64({:?}, {:?}, {})",
+        "ticks of ({:?} − {:?})/{}",
         a,
         b,
         sigma
@@ -212,6 +250,26 @@ fn sigma_strategy() -> impl Strategy<Value = u32> {
         prop_oneof![Just(3u32), Just(5), Just(7), Just(9), Just(11), Just(3465)],
         (0u32..1 << 15).prop_map(|k| 2 * k + 1),
         1u32..=u32::MAX,
+    ]
+}
+
+/// Tick scales `S = 2^E·σ`: `E` anywhere up to 126 and often near it,
+/// `σ` odd up to 2^16, and scales past i128 or with a wide odd part,
+/// which take the fallback.
+fn tick_scale_strategy() -> impl Strategy<Value = Int> {
+    prop_oneof![
+        (0u64..=126, 0u32..1 << 15).prop_map(|(e, k)| {
+            let odd = Int::from(u64::from(2 * k + 1));
+            let s = &Int::pow2(e) * &odd;
+            if s.to_i128().is_some() {
+                s
+            } else {
+                Int::pow2(e)
+            }
+        }),
+        (100u64..=126).prop_map(Int::pow2),
+        (0u64..=60).prop_map(|e| &Int::pow2(e) * &Int::from((1i128 << 61) - 1)),
+        (127u64..=200, 0u32..8).prop_map(|(e, k)| &Int::pow2(e) * &Int::from(u64::from(2 * k + 1))),
     ]
 }
 
@@ -241,8 +299,45 @@ fn cmp_reference(lhs: &Ratio, rhs: &Ratio) -> Ordering {
     }
 }
 
+/// `n/d` in lowest terms with a positive denominator, from `Int::gcd`
+/// and `Int::div_rem` alone: the reference for `Ratio::new`.
+fn reduced(n: &Int, d: &Int) -> (Int, Int) {
+    if n.is_zero() {
+        return (Int::ZERO, Int::ONE);
+    }
+    let g = n.gcd(d);
+    let (n, d) = (n.div_rem(&g).0, d.div_rem(&g).0);
+    if d.is_negative() {
+        (-&n, -&d)
+    } else {
+        (n, d)
+    }
+}
+
+/// Nonzero denominators: any `Int`, and `±2^e` inline and past i128.
+fn denom_strategy() -> impl Strategy<Value = Int> {
+    prop_oneof![
+        int_strategy().prop_filter("nonzero", |d| !d.is_zero()),
+        (0u64..200, any::<bool>()).prop_map(|(e, neg)| {
+            let d = Int::pow2(e);
+            if neg {
+                -&d
+            } else {
+                d
+            }
+        }),
+    ]
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(384))]
+
+    #[test]
+    fn new_matches_gcd_reduction(n in int_strategy(), d in denom_strategy()) {
+        let r = Ratio::new(n.clone(), d.clone());
+        let (num, den) = reduced(&n, &d);
+        prop_assert_eq!((r.numer(), r.denom()), (&num, &den), "{}/{}", n, d);
+    }
 
     #[test]
     fn cmp_ref_matches_cross_multiplication(a in ratio_strategy(), b in ratio_strategy()) {
@@ -312,6 +407,28 @@ proptest! {
     #[test]
     fn dyadic_kernels_match_int_reference(a in dyadic_strategy(), b in dyadic_strategy()) {
         assert_kernels(&a, &b)?;
+    }
+
+    #[test]
+    fn big_dyadic_kernels_match_int_reference(
+        a in big_dyadic_strategy(),
+        b in prop_oneof![big_dyadic_strategy(), dyadic_strategy()],
+    ) {
+        assert_kernels(&a, &b)?;
+        assert_kernels(&b, &a)?;
+    }
+
+    #[test]
+    fn tick_projections_match_canonical_bits(
+        tb in int_strategy(),
+        k in prop_oneof![any::<i64>().prop_map(Int::from), int_strategy()],
+        s in tick_scale_strategy(),
+    ) {
+        // `ta` a small or arbitrary distance from `tb`: near ticks (the
+        // engine's offsets, also between two `Big` clocks) and far ones.
+        let ta = &tb + &k;
+        assert_tick_projection(&ta, &tb, &s)?;
+        assert_tick_projection(&tb, &ta, &s)?;
     }
 
     #[test]
@@ -454,8 +571,9 @@ fn projection_edges_match_reference_bits() {
     }
     // The engine's equal operands: the difference is `+0.0`.
     for a in &operands {
+        let (ta, tb, s) = ticks(a, a, 1);
         assert_eq!(
-            a.sub_div_to_f64(a, 1).to_bits(),
+            TickScale::new(s).diff_to_f64(&ta, &tb).to_bits(),
             0.0f64.to_bits(),
             "{a:?} − itself"
         );
@@ -553,5 +671,111 @@ fn scaled_projection_edges_match_reference_bits() {
     }
     for (a, b) in others.iter().zip(others.iter().rev()) {
         check(a, b, 3);
+    }
+}
+
+#[test]
+fn tick_projection_edges_match_canonical_bits() {
+    let check = |ta: &Int, tb: &Int, s: &Int| {
+        if let Err(e) = assert_tick_projection(ta, tb, s) {
+            panic!("({ta:?} − {tb:?})/{s:?}: {e:?}");
+        }
+    };
+    let p53 = 1i128 << 53;
+    // Differences around 2^53, shifted by trailing zeros that the scale's
+    // power of two reduces away (or does not), over odd σ and `E` up to
+    // 126.
+    let cores = [p53 - 1, p53, p53 + 1, p53 + 3, 3 * p53 + 5, -(p53 + 1)];
+    let sigmas = [1i128, 3, 5, 11, 3465, 65_535];
+    for e in (0..=126u32).step_by(7).chain(118..=126) {
+        for &sigma in &sigmas {
+            let Some(s) = (1i128 << e).checked_mul(sigma) else {
+                continue;
+            };
+            let s = Int::from(s);
+            for &core in &cores {
+                for t in [0u32, 1, 5, 30, 60, 70] {
+                    let Some(n) = core.checked_mul(1 << t) else {
+                        continue;
+                    };
+                    for base in [0i128, 7, -(1 << 100)] {
+                        let Some(top) = base.checked_add(n) else {
+                            continue;
+                        };
+                        check(&Int::from(top), &Int::from(base), &s);
+                    }
+                }
+            }
+        }
+    }
+    // Every odd σ up to 2^16 at the 2^53 guard, with and without a power
+    // of two in the scale.
+    for k in 0..1i128 << 15 {
+        let sigma = 2 * k + 1;
+        for e in [0, 40, 110] {
+            let s = Int::from(sigma << e);
+            for n in [p53 - 1, p53, p53 + 1, (p53 + 1) << 3] {
+                check(&Int::from(n), &Int::ZERO, &s);
+            }
+        }
+    }
+    // `Big` ticks whose difference is small, on both signs and across the
+    // i128 boundary.
+    let big = Int::pow2(200);
+    let max = Int::from(i128::MAX);
+    for s in [
+        Int::ONE,
+        Int::from(3),
+        Int::pow2(5),
+        Int::from(3i128 << 120),
+    ] {
+        for k in [0i64, 1, -1, 1 << 40, -(1 << 53) - 1] {
+            let near = &big + &Int::from(k);
+            check(&near, &big, &s);
+            check(&big, &near, &s);
+            check(&-&near, &-&big, &s);
+            let edge = &max + &Int::from(k);
+            check(&edge, &max, &s);
+            check(&max, &edge, &s);
+        }
+        check(&big, &-&big, &s);
+        check(&Int::ZERO, &-&(&max + &Int::ONE), &s);
+    }
+    // Scales that take the fallback: past i128, or an odd part wider
+    // than 53 bits.
+    for s in [
+        Int::pow2(127),
+        &Int::pow2(140) * &Int::from(3),
+        Int::from((1i128 << 61) - 1),
+        Int::from(((1i128 << 61) - 1) << 40),
+    ] {
+        for n in [1i128, -3, p53 + 1, i128::MAX] {
+            check(&Int::from(n), &Int::ZERO, &s);
+            check(&(&big + &Int::from(n)), &big, &s);
+        }
+    }
+}
+
+#[test]
+fn big_dyadic_kernel_edges_match_int_reference() {
+    let dy = |n: Int, e: u64| Ratio::new(n, Int::pow2(e));
+    let big = Int::pow2(200);
+    let cases = [
+        // The tape fill: a `Big` prefix time plus a short duration.
+        (dy(&big + &Int::from(3), 5), dy(Int::from(1), 5)),
+        (dy(&big + &Int::ONE, 2), dy(Int::from(3), 5)),
+        (dy(big.clone(), 0), dy(Int::from(-1), 3)),
+        // Sums that cancel to zero, to an integer, or back into i128.
+        (dy(big.clone(), 4), dy(-&big, 4)),
+        (dy(&big + &Int::ONE, 1), dy(Int::ONE, 1)),
+        (dy(&big + &Int::from(5), 0), dy(-&big, 0)),
+        // Denominators past i128.
+        (dy(Int::ONE, 140), dy(Int::ONE, 140)),
+        (dy(Int::from(3), 300), dy(big.clone(), 2)),
+    ];
+    for (a, b) in &cases {
+        if let Err(e) = assert_kernels(a, b).and_then(|()| assert_kernels(b, a)) {
+            panic!("{a:?} ∘ {b:?}: {e:?}");
+        }
     }
 }

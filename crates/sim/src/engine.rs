@@ -14,74 +14,50 @@
 //! sees first and freezes; the simulation continues until the distance
 //! reaches the smaller radius `r2`, which is the rendezvous.
 //!
-//! # Time scale
+//! # Integer ticks
 //!
-//! Each run counts time in units of `1/σ` for one integer `σ`: the lcm of
-//! the odd parts of the denominators of both agents' `τ` and wake time,
-//! or 1 if any of these is `Big` or the lcm exceeds `MAX_TIME_SCALE`.
-//! Both [`Motion`]s are built with [`Motion::scaled`], so every clock is
-//! dyadic (AUR's durations are) and stays on `Ratio`'s gcd-free kernels
-//! even when `τ` is not. `σ = 1` is the same loop. A motion computes each
-//! segment end as `wake·σ + (τσ)·P_k` from the prefix local time `P_k` of
-//! its step; for the reference agent at `σ = 1` that is the step's own
-//! `P_k`. The contract:
-//! - **Exact order.** Scaling by `σ > 0` preserves the order of event
-//!   times; the time cap is scaled once, and the Section 5 freeze
-//!   happens at `cur + σ·s`.
-//! - **Same f64 bits.** Every offset is projected by
-//!   [`Ratio::sub_div_to_f64`], bit-identical to `((a − b)/σ).to_f64()`,
-//!   which is the unscaled offset's projection.
-//! - **Unscaled outputs.** The meeting's `base` is the exact `cur/σ`;
-//!   `min_dist_time` and trace times project `cur/σ`. No report byte
-//!   depends on `σ`.
+//! Each run counts time in integer ticks of `1/S` seconds, for one
+//! positive integer `S = 2^E·σ` (`σ` odd) that is a common denominator of
+//! every clock of the run. Setup picks the coarsest such `S` for both
+//! agents' wake times and clock rates and the time cap. A [`Motion`]
+//! computes each segment end as the tick `wake·S + (τS)·P_k` from the
+//! prefix local time `P_k` of its step, one i128 multiply-add on the
+//! common path. When a step's `P_k`, or the Section 5 freeze's exact
+//! offset, needs a finer tick, the run refines `S` by the missing factor
+//! and multiplies its few live clocks by it. The contract:
+//! - **Exact order.** Ticks are exact, so ordering two event times
+//!   compares two `Int`s; the time cap is counted in ticks as well.
+//! - **Same f64 bits.** Every offset `(Ta − Tb)/S` is projected by
+//!   [`TickScale::diff_to_f64`], bit-identical to
+//!   `Ratio::new(Ta − Tb, S).to_f64()`: the projection of the exact
+//!   offset, whatever `S` is.
+//! - **Unscaled outputs.** The meeting's `base` is the exact `cur/S`;
+//!   `min_dist_time` and trace times project `cur/S`. No report byte
+//!   depends on `S`.
+//! - **Where a `Ratio` is built.** At setup, at a refinement, in the
+//!   projection's fallback (a difference or scale past its direct path),
+//!   for the freeze's offset, and for the meeting's `base`. The interval
+//!   loop and a motion's step run on `Int` ticks.
 
 use crate::config::{BudgetReason, SimConfig};
 use crate::outcome::{Meeting, Outcome, SimReport, SimTime, TraceSample};
 use rv_geometry::{first_within, min_dist_on_interval, Vec2};
-use rv_numeric::Ratio;
+use rv_numeric::{Int, Ratio, TickScale};
 use rv_trajectory::{AgentAttrs, Instr, Motion, Segment, StepSource};
 
-/// The largest time scale a run uses. Scaling adds at most 16 bits to
-/// the exact clocks; the generator's clock rates need at most 11.
-const MAX_TIME_SCALE: u32 = 1 << 16;
-
-/// The time scale `σ` of a run (see the module docs).
-fn time_scale(a: &AgentAttrs, b: &AgentAttrs) -> u32 {
-    let gcd = |mut x: u64, mut y: u64| {
-        while y != 0 {
-            (x, y) = (y, x % y);
-        }
-        x
-    };
-    let mut sigma = 1u64;
-    for r in [&a.tau, &a.wake, &b.tau, &b.wake] {
-        let (Some(_), Some(den)) = (r.numer().to_i128(), r.denom().to_i128()) else {
-            return 1;
-        };
-        let Ok(odd) = u64::try_from(den >> den.trailing_zeros()) else {
-            return 1;
-        };
-        sigma = sigma / gcd(sigma, odd) * odd;
-        if sigma > u64::from(MAX_TIME_SCALE) {
-            return 1;
-        }
-    }
-    sigma as u32
-}
-
-struct AgentState<M> {
-    motion: M,
-    seg: Segment,
+struct AgentState<P> {
+    motion: Motion<P>,
+    seg: Segment<Int>,
     /// True when `seg.start` is the engine's current time: the agent
     /// was just initialized, advanced, or frozen.
     starts_now: bool,
 }
 
-impl<M: Iterator<Item = Segment>> AgentState<M> {
+impl<P: StepSource> AgentState<P> {
     /// The agent at time zero, where its first segment starts.
-    fn new(mut motion: M) -> AgentState<M> {
+    fn new(mut motion: Motion<P>) -> AgentState<P> {
         let seg = motion
-            .next()
+            .next_ticks()
             .expect("a motion always yields at least the halt segment");
         debug_assert!(seg.start.is_zero());
         AgentState {
@@ -95,16 +71,25 @@ impl<M: Iterator<Item = Segment>> AgentState<M> {
     fn advance(&mut self) {
         self.seg = self
             .motion
-            .next()
+            .next_ticks()
             .expect("finite segments always have a successor");
     }
 
-    /// Position at exact time `cur` (in units of `1/sigma`; must lie
-    /// within the current segment).
-    fn pos_at(&self, cur: &Ratio, sigma: u32) -> Vec2 {
+    /// Counts every tick of the agent `m` times finer.
+    fn rescale(&mut self, m: &Int) {
+        self.motion.rescale(m);
+        self.seg.start *= m;
+        if let Some(end) = &mut self.seg.end {
+            *end *= m;
+        }
+    }
+
+    /// Position at tick `cur` (must lie within the current segment) on a
+    /// clock of `scale` ticks per second.
+    fn pos_at(&self, cur: &Int, scale: &TickScale) -> Vec2 {
         if self.seg.is_stationary() {
             // Idle segment: the offset is irrelevant; skip the exact
-            // subtraction (which allocates once clocks go past i128).
+            // subtraction.
             return self.seg.from;
         }
         // A segment that starts now has offset exactly zero; the f64
@@ -113,14 +98,14 @@ impl<M: Iterator<Item = Segment>> AgentState<M> {
         let offset = if self.starts_now {
             0.0
         } else {
-            cur.sub_div_to_f64(&self.seg.start, sigma)
+            scale.diff_to_f64(cur, &self.seg.start)
         };
         self.seg.pos_at_offset(offset)
     }
 
     /// Replaces the remaining motion with an eternal halt at `pos`/`time`
     /// (the new current time).
-    fn freeze(&mut self, time: Ratio, pos: Vec2) {
+    fn freeze(&mut self, time: Int, pos: Vec2) {
         self.seg = Segment {
             start: time,
             end: None,
@@ -128,6 +113,44 @@ impl<M: Iterator<Item = Segment>> AgentState<M> {
             vel: Vec2::ZERO,
         };
         self.starts_now = true;
+    }
+}
+
+/// The run's clocks that live outside the two motions, in ticks.
+struct Clock {
+    /// Ticks per second: the common denominator `S` of every clock.
+    scale: TickScale,
+    /// The current time.
+    cur: Int,
+    /// The time cap, if any.
+    max: Option<Int>,
+}
+
+impl Clock {
+    /// Counts every tick of the run `m` times finer, `other`'s included.
+    fn rescale<P: StepSource>(&mut self, m: &Int, other: &mut AgentState<P>) {
+        self.scale = TickScale::new(self.scale.den() * m);
+        for t in std::iter::once(&mut self.cur).chain(&mut self.max) {
+            *t *= m;
+        }
+        other.rescale(m);
+    }
+
+    /// Adopts the refinement `agent`'s motion made while stepping, if it
+    /// made one, into the rest of the run.
+    fn follow<P: StepSource, Q: StepSource>(
+        &mut self,
+        agent: &mut AgentState<P>,
+        other: &mut AgentState<Q>,
+    ) {
+        if let Some(m) = agent.motion.take_growth() {
+            self.rescale(&m, other);
+        }
+    }
+
+    /// Projects tick `t` to absolute f64 seconds.
+    fn seconds(&self, t: &Int) -> f64 {
+        self.scale.diff_to_f64(t, &Int::ZERO)
     }
 }
 
@@ -235,8 +258,8 @@ where
 /// Simulates the two agents until rendezvous or budget exhaustion, each
 /// running a [`StepSource`]: a program of owned or borrowed instructions
 /// (`Instr`, `&Instr`), or the tape of a compiled program. Picks the run's
-/// time scale and compiles each program into its scaled [`Motion`] (see
-/// the module docs).
+/// tick and compiles each program into a [`Motion`] counting it (see the
+/// module docs).
 pub fn simulate_programs<PA, PB>(
     attrs_a: AgentAttrs,
     prog_a: PA,
@@ -255,14 +278,34 @@ where
         "visibility radii must be positive"
     );
 
-    let sigma = time_scale(&attrs_a, &attrs_b);
-    let scale = Ratio::from_int(u64::from(sigma));
-    // Projects a (scaled) time to absolute f64 seconds.
-    let zero = Ratio::zero();
-    let unscaled_f64 = |t: &Ratio| t.sub_div_to_f64(&zero, sigma);
-    let max_time = cfg.max_time.as_ref().map(|t| t * &scale);
-    let mut a = AgentState::new(Motion::scaled(attrs_a, prog_a, sigma));
-    let mut b = AgentState::new(Motion::scaled(attrs_b, prog_b, sigma));
+    // One tick for the run: the coarsest that counts both agents' wake
+    // times and clock rates and the time cap.
+    let mut motion_a = Motion::new(attrs_a, prog_a);
+    let mut motion_b = Motion::new(attrs_b, prog_b);
+    let cap = cfg.max_time.as_ref();
+    let scale = motion_a
+        .unit()
+        .lcm(motion_b.unit())
+        .lcm(cap.map_or(&Int::ONE, Ratio::denom));
+    let refine = |unit: &Int| {
+        if *unit == scale {
+            Int::ONE
+        } else {
+            scale.div_rem(unit).0
+        }
+    };
+    let (ma, mb) = (refine(motion_a.unit()), refine(motion_b.unit()));
+    motion_a.rescale(&ma);
+    motion_b.rescale(&mb);
+    let mut clock = Clock {
+        max: cap.map(|t| t.numer() * &refine(t.denom())),
+        cur: Int::ZERO,
+        scale: TickScale::new(scale),
+    };
+    let mut a = AgentState::new(motion_a);
+    let mut b = AgentState::new(motion_b);
+    clock.follow(&mut a, &mut b);
+    clock.follow(&mut b, &mut a);
     let mut segments: u64 = 2;
 
     let r_small = cfg.radius_small();
@@ -275,7 +318,6 @@ where
     // hunt continues for r_small.
     let mut big_pending = asymmetric;
 
-    let mut cur = Ratio::zero();
     let mut min_dist = f64::INFINITY;
     let mut min_dist_time = 0.0;
     let mut tracer = Tracer::new(cfg.trace_samples);
@@ -292,9 +334,10 @@ where
         };
 
     loop {
+        let cur = &clock.cur;
         // --- Time budget check at the interval boundary. ---
-        if let Some(mt) = &max_time {
-            if &cur >= mt {
+        if let Some(mt) = &clock.max {
+            if cur >= mt {
                 return report(
                     Outcome::Budget(BudgetReason::Time),
                     min_dist,
@@ -307,15 +350,15 @@ where
 
         // --- Interval end: earliest of the two segment ends and budget.
         // Everything stays borrowed: the bound is a reference into the
-        // live segments (or the configured cap), and which agent(s) end
-        // the interval is decided here so the advance step below can
-        // `take()` the end instead of re-comparing clones.
+        // live segments (or the cap), and which agent(s) end the interval
+        // is decided here so the advance step below can `take()` the end
+        // instead of re-comparing copies.
         let (mut a_ends, mut b_ends) = (false, false);
         match (&a.seg.end, &b.seg.end) {
             (None, None) => {}
             (Some(_), None) => a_ends = true,
             (None, Some(_)) => b_ends = true,
-            (Some(ea), Some(eb)) => match ea.cmp_ref(eb) {
+            (Some(ea), Some(eb)) => match ea.cmp(eb) {
                 std::cmp::Ordering::Less => a_ends = true,
                 std::cmp::Ordering::Greater => b_ends = true,
                 std::cmp::Ordering::Equal => {
@@ -324,13 +367,13 @@ where
                 }
             },
         }
-        let seg_bound: Option<&Ratio> = if a_ends {
+        let seg_bound: Option<&Int> = if a_ends {
             a.seg.end.as_ref()
         } else {
             b.seg.end.as_ref()
         };
         let mut time_capped = false;
-        let bound: Option<&Ratio> = match (&max_time, seg_bound) {
+        let bound: Option<&Int> = match (&clock.max, seg_bound) {
             (Some(mt), Some(be)) if be <= mt => Some(be),
             (Some(mt), _) => {
                 time_capped = true;
@@ -340,17 +383,17 @@ where
         };
 
         // --- Geometry of the interval. ---
-        let pa = a.pos_at(&cur, sigma);
-        let pb = b.pos_at(&cur, sigma);
+        let pa = a.pos_at(cur, &clock.scale);
+        let pb = b.pos_at(cur, &clock.scale);
         let rel0 = pb - pa;
         let rel_vel = b.seg.vel - a.seg.vel;
         let dt = match bound {
             None => f64::INFINITY,
-            Some(be) => be.sub_div_to_f64(&cur, sigma),
+            Some(be) => clock.scale.diff_to_f64(be, cur),
         };
         // Campaign runs trace nothing: skip the exact-to-f64 projection.
         if tracer.cap > 0 {
-            tracer.record(unscaled_f64(&cur), pa, pb);
+            tracer.record(clock.seconds(cur), pa, pb);
         }
 
         // --- Threshold detection. ---
@@ -365,12 +408,14 @@ where
             let d = hit_a.dist(hit_b);
             if d < min_dist {
                 min_dist = d;
-                min_dist_time = unscaled_f64(&cur) + s;
+                min_dist_time = clock.seconds(cur) + s;
             }
             if !big_pending {
+                // Rendezvous exit: the run's clocks move into the exact
+                // base `cur/S`.
+                let Clock { cur, scale, .. } = clock;
                 let time = SimTime {
-                    // Rendezvous exit: runs once per simulation.
-                    base: &cur / &scale,
+                    base: Ratio::new(cur, scale.into_den()),
                     offset: s,
                 };
                 tracer.record_final(time.to_f64(), hit_a, hit_b);
@@ -387,9 +432,16 @@ where
                     tracer,
                 );
             }
-            // Section 5: the far-sighted agent sees first and freezes.
+            // Section 5: the far-sighted agent sees first and freezes at
+            // `cur + s`, on a tick fine enough to count the exact `s`.
             let s_exact = Ratio::from_f64_exact(s).unwrap_or_else(Ratio::zero);
-            let t_hit = &cur + &(&scale * &s_exact);
+            let den = s_exact.denom();
+            let m = den.div_rem(&den.gcd(clock.scale.den())).0;
+            if m != Int::ONE {
+                clock.rescale(&m, &mut a);
+                b.rescale(&m);
+            }
+            let t_hit = &clock.cur + &(s_exact.numer() * &clock.scale.den().div_rem(den).0);
             if cfg.radius_a >= cfg.radius_b {
                 // rv-lint: allow(hot) — asymmetric freeze fires at most once
                 // per run (big_pending is cleared right below).
@@ -401,7 +453,7 @@ where
                 a.starts_now = false;
             }
             big_pending = false;
-            cur = t_hit;
+            clock.cur = t_hit;
             continue;
         }
 
@@ -409,7 +461,7 @@ where
         let m = min_dist_on_interval(rel0, rel_vel, dt);
         if m.min_dist < min_dist {
             min_dist = m.min_dist;
-            min_dist_time = unscaled_f64(&cur) + m.argmin;
+            min_dist_time = clock.seconds(cur) + m.argmin;
             // Improvements are exactly the points figure F9 needs; record
             // them (capped like all samples).
             tracer.record(
@@ -440,19 +492,22 @@ where
             );
         }
         // The ending agent's segment end becomes the new clock by move,
-        // not clone — its segment is replaced right after anyway.
+        // not copy — its segment is replaced right after anyway. A motion
+        // that refined its tick while stepping refines the whole run.
         if a_ends {
-            cur = a.seg.end.take().expect("a_ends ⇒ end present");
+            clock.cur = a.seg.end.take().expect("a_ends ⇒ end present");
             a.advance();
-            debug_assert_eq!(a.seg.start, cur);
+            clock.follow(&mut a, &mut b);
+            debug_assert_eq!(a.seg.start, clock.cur);
             segments += 1;
         }
         if b_ends {
             if !a_ends {
-                cur = b.seg.end.take().expect("b_ends ⇒ end present");
+                clock.cur = b.seg.end.take().expect("b_ends ⇒ end present");
             }
             b.advance();
-            debug_assert_eq!(b.seg.start, cur);
+            clock.follow(&mut b, &mut a);
+            debug_assert_eq!(b.seg.start, clock.cur);
             segments += 1;
         }
         a.starts_now = a_ends;

@@ -41,7 +41,7 @@
 //! cached.
 
 use crate::instr::Instr;
-use crate::kinematics::{Dir, Lowering, Step, StepSource};
+use crate::kinematics::{Dir, Directory, Lowering, Step, StepSource};
 use crate::program::BoxProgram;
 use rv_numeric::Ratio;
 use std::sync::{Arc, Mutex, OnceLock};
@@ -83,7 +83,7 @@ struct Source {
     /// The live generator; `None` before the first pull and once drained.
     generator: Option<BoxProgram>,
     /// Every direction interned so far.
-    interned: Vec<Dir>,
+    interned: Directory,
     /// The directory snapshot of the last filled chunk.
     dirs: Arc<[Dir]>,
     /// The program has ended: no chunk past the filled ones will exist.
@@ -109,8 +109,7 @@ impl CompiledProgram {
             factory: Box::new(factory),
             source: Mutex::new(Source {
                 generator: None,
-                // rv-lint: allow(hot) — once per compiled program.
-                interned: Vec::new(),
+                interned: Directory::default(),
                 dirs: Arc::new([]),
                 drained: false,
             }),
@@ -194,7 +193,7 @@ impl CompiledProgram {
         if steps.is_empty() {
             return Fetch::Exhausted;
         }
-        if source.dirs.len() < source.interned.len() {
+        if source.dirs.len() < source.interned.as_slice().len() {
             source.dirs = Arc::from(source.interned.as_slice());
         }
         let chunk = Chunk {
@@ -261,7 +260,7 @@ impl<'a> Tape<'a> {
                         .get()
                         .expect("a capped cache is full");
                     let lowering = Lowering {
-                        dirs: last.dirs.to_vec(),
+                        dirs: Directory::from(last.dirs.to_vec()),
                         // rv-lint: allow(hot) — once per reader that passes
                         // the cap.
                         step: last.steps[CHUNK - 1].clone(),
@@ -283,7 +282,7 @@ impl StepSource for Tape<'_> {
                     .as_mut()
                     .expect("tail instructions come from the tail");
                 tail.lowering.push(&instr);
-                Some((&tail.lowering.step, &tail.lowering.dirs))
+                Some((&tail.lowering.step, tail.lowering.dirs.as_slice()))
             }
         }
     }
@@ -428,7 +427,7 @@ mod tests {
         for (k, instr) in direct.iter().enumerate() {
             fresh.push(instr);
             let (step, dirs) = tape.next_step(&mut idle).expect("as long as the program");
-            assert!(dirs.len() >= fresh.dirs.len(), "step {k}");
+            assert!(dirs.len() >= fresh.dirs.as_slice().len(), "step {k}");
             assert_eq!(step.bits(), fresh.step.bits(), "step {k}");
         }
         assert!(tape.next_step(&mut idle).is_none());

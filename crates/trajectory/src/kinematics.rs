@@ -10,18 +10,25 @@
 //! Event times are exact rationals; positions are `f64` accumulated per
 //! segment (cardinal directions contribute exact displacements).
 //!
-//! # Time scale
+//! # Ticks
 //!
-//! A [`Motion`] built by [`Motion::scaled`] with an integer time scale
-//! `σ ≥ 1` keeps its exact clock in units of `1/σ`: instruction `k` ends
-//! at `wake·σ + (τσ)·P_k`, where `P_k` is the program's prefix local time
-//! through instruction `k`. Every segment `start`/`end` is then exactly
-//! `σ` times the one [`Motion::new`] (`σ = 1`) yields; `from` and `vel` do
-//! not depend on `σ`. A simulator that picks `σ` as the lcm of the odd
-//! parts of its agents' clock-rate and wake denominators keeps every clock
-//! dyadic, on `Ratio`'s gcd-free kernels, even when `τ` is not. The
-//! product equals the sequential sum `wake·σ + Σ d_i·(τσ)` exactly, so the
-//! clocks and their canonical `Ratio` bits are those of summing.
+//! A [`Motion`] counts its clock in integer ticks, [`Motion::unit`] of
+//! them per time unit. Instruction `k` ends at tick `base + rate·P_k`,
+//! with `base = wake·unit`, `rate = τ·unit` and `P_k` the program's
+//! prefix local time through instruction `k`: an i128 multiply-add when
+//! `P_k`'s power-of-two denominator divides `rate`, `Int` arithmetic
+//! (spilling past i128, with no gcd) otherwise. `unit` starts as the
+//! coarsest that makes `base` and `rate` integers. A step whose `P_k`
+//! needs a finer tick refines it first, multiplying the motion's tick
+//! counts by the missing factor, and reports that factor through
+//! [`Motion::take_growth`]; [`Motion::rescale`] refines a motion from
+//! outside, so that two motions can share one tick. The product equals
+//! the sequential sum `wake + Σ d_i·τ` exactly.
+//!
+//! [`Motion::next_ticks`] yields segments timed in ticks, what the
+//! engine steps. The [`Iterator`] yields the same segments with
+//! `start`/`end` as exact `Ratio`s, ticks over `unit`, converted at the
+//! edge; they do not depend on the tick. Neither do `from` and `vel`.
 //!
 //! # Steps
 //!
@@ -40,9 +47,14 @@
 //! [`CompiledProgram`](crate::CompiledProgram), lowered once per process
 //! by the same function. An agent whose attributes equal
 //! [`AgentAttrs::reference`] takes its positions from the steps and its
-//! velocities from the directory: no f64 arithmetic, and at `σ = 1` no
-//! exact arithmetic either. Any other agent maps directions through its
-//! direction table.
+//! velocities from the directory: no f64 arithmetic. Any other agent
+//! maps directions through its direction table.
+//!
+//! A lowering interns each `go`'s exact angle into its directory once:
+//! by a scan while the directory holds at most [`DIR_SLOTS`] directions
+//! (AUR's and Dedicated's programs), through a hash index from angle to
+//! id past that (Latecomers plays `2^k` directions in phase `k`), so
+//! lowering stays O(1) per instruction.
 //!
 //! # Direction table
 //!
@@ -66,8 +78,10 @@
 
 use crate::instr::Instr;
 use rv_geometry::{Angle, Chirality, Orientation, Vec2};
-use rv_numeric::Ratio;
+use rv_numeric::{Int, Ratio};
 use std::borrow::Borrow;
+use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, DefaultHasher};
 
 /// The private attributes of an agent (Section 1.2).
 #[derive(Clone, Debug)]
@@ -130,20 +144,22 @@ impl AgentAttrs {
     }
 }
 
-/// One constant-velocity piece of an agent's motion.
+/// One constant-velocity piece of an agent's motion, timed in `T`: exact
+/// `Ratio` time for the [`Motion`] iterator, `Int` ticks for
+/// [`Motion::next_ticks`].
 #[derive(Clone, Debug)]
-pub struct Segment {
-    /// Absolute start time (exact).
-    pub start: Ratio,
-    /// Absolute end time (exact); `None` means the agent halts forever.
-    pub end: Option<Ratio>,
+pub struct Segment<T = Ratio> {
+    /// Start time (exact).
+    pub start: T,
+    /// End time (exact); `None` means the agent halts forever.
+    pub end: Option<T>,
     /// Position at `start`.
     pub from: Vec2,
     /// Constant velocity over the segment (zero while waiting/halted).
     pub vel: Vec2,
 }
 
-impl Segment {
+impl<T> Segment<T> {
     /// Position at `start + offset` (offset in absolute seconds, f64).
     ///
     /// Written so that waiting segments with astronomically long durations
@@ -203,11 +219,74 @@ pub struct Dir {
     unit: Vec2,
 }
 
+/// The directions a lowering has interned, in id order (see the module
+/// docs).
+#[derive(Debug, Default)]
+pub(crate) struct Directory {
+    dirs: Vec<Dir>,
+    /// Angle to id, built once `dirs` passes [`DIR_SLOTS`] entries; empty
+    /// (and unallocated) before that, while a scan is cheaper. Keyed
+    /// without per-map random state: a motion builds a directory per run.
+    index: HashMap<Angle, u32, BuildHasherDefault<DefaultHasher>>,
+}
+
+impl Directory {
+    /// Every interned direction; an id indexes it.
+    pub(crate) fn as_slice(&self) -> &[Dir] {
+        &self.dirs
+    }
+
+    /// The id of `angle`, interning it if it is new.
+    fn intern(&mut self, angle: &Angle) -> u32 {
+        let known = if self.index.is_empty() {
+            self.dirs.iter().position(|d| d.angle == *angle)
+        } else {
+            self.index.get(angle).map(|&id| id as usize)
+        };
+        if let Some(id) = known {
+            return id as u32;
+        }
+        let id = u32::try_from(self.dirs.len()).expect("fewer than 2^32 directions");
+        let unit = Orientation::identity().to_absolute(angle).unit();
+        // rv-lint: allow(hot) — interning: once per distinct direction of
+        // the program, not per instruction.
+        let angle = angle.clone();
+        self.dirs.push(Dir { angle, unit });
+        self.index_new();
+        id
+    }
+
+    /// Indexes the directions not indexed yet, once there are more than
+    /// [`DIR_SLOTS`] of them.
+    fn index_new(&mut self) {
+        if self.dirs.len() <= DIR_SLOTS {
+            return;
+        }
+        let indexed = self.index.len();
+        for (dir, id) in self.dirs[indexed..].iter().zip(indexed as u32..) {
+            // rv-lint: allow(hot) — indexing: once per distinct direction
+            // past the first DIR_SLOTS, not per instruction.
+            self.index.insert(dir.angle.clone(), id);
+        }
+    }
+}
+
+impl From<Vec<Dir>> for Directory {
+    fn from(dirs: Vec<Dir>) -> Directory {
+        let mut directory = Directory {
+            dirs,
+            index: HashMap::default(),
+        };
+        directory.index_new();
+        directory
+    }
+}
+
 /// Lowers instructions into steps, one at a time (see the module docs).
 #[derive(Debug)]
 pub struct Lowering {
     /// Every direction interned so far; a step's id indexes it.
-    pub(crate) dirs: Vec<Dir>,
+    pub(crate) dirs: Directory,
     /// The last lowered step, which carries the running prefix time and
     /// reference position.
     pub(crate) step: Step,
@@ -230,24 +309,10 @@ impl Step {
     /// direction into `dirs`. The one lowering function: a motion's
     /// on-the-fly lowering and a compiled program's chunk fill both call
     /// it, and the fill moves the result into its chunk.
-    pub(crate) fn after(&self, dirs: &mut Vec<Dir>, instr: &Instr) -> Step {
+    pub(crate) fn after(&self, dirs: &mut Directory, instr: &Instr) -> Step {
         let (dir, len, dur) = match instr {
             Instr::Wait { dur } => (WAIT, 0.0, dur),
-            Instr::Go { dir, dist } => {
-                let id = match dirs.iter().position(|d| d.angle == *dir) {
-                    Some(id) => id,
-                    None => {
-                        let unit = Orientation::identity().to_absolute(dir).unit();
-                        // rv-lint: allow(hot) — interning: once per distinct
-                        // direction of the program, not per instruction.
-                        let angle = dir.clone();
-                        dirs.push(Dir { angle, unit });
-                        dirs.len() - 1
-                    }
-                };
-                let id = u32::try_from(id).expect("fewer than 2^32 directions");
-                (id, dist.to_f64(), dist)
-            }
+            Instr::Go { dir, dist } => (dirs.intern(dir), dist.to_f64(), dist),
         };
         let empty = instr.is_empty();
         let mut ref_end = self.ref_end;
@@ -257,7 +322,7 @@ impl Step {
             self.prefix.clone()
         } else {
             if dir != WAIT {
-                ref_end += dirs[dir as usize].unit * len;
+                ref_end += dirs.dirs[dir as usize].unit * len;
             }
             &self.prefix + dur
         };
@@ -275,9 +340,7 @@ impl Lowering {
     /// A lowering at the start of a program.
     pub(crate) fn new() -> Lowering {
         Lowering {
-            // rv-lint: allow(hot) — once per Motion; allocates only when an
-            // on-the-fly program interns its first direction.
-            dirs: Vec::new(),
+            dirs: Directory::default(),
             step: Step::start(),
         }
     }
@@ -304,7 +367,7 @@ where
 {
     fn next_step<'s>(&'s mut self, lowering: &'s mut Lowering) -> Option<(&'s Step, &'s [Dir])> {
         lowering.push(self.next()?.borrow());
-        Some((&lowering.step, &lowering.dirs))
+        Some((&lowering.step, lowering.dirs.as_slice()))
     }
 }
 
@@ -366,6 +429,109 @@ fn is_reference(attrs: &AgentAttrs) -> bool {
         && attrs.wake.is_zero()
 }
 
+/// A motion's exact clock, counted in integer ticks (see the module docs).
+struct Ticks {
+    /// Ticks per time unit.
+    unit: Int,
+    /// The wake time: `wake·unit`.
+    base: Int,
+    /// Ticks per local time unit: `τ·unit`.
+    rate: Int,
+    /// The start of the next segment.
+    now: Int,
+    /// The factor the tick was refined by since [`Motion::take_growth`]
+    /// last ran, if it was.
+    grown: Option<Int>,
+}
+
+impl Ticks {
+    /// The clock of an agent waking at `wake` with `rate` time units per
+    /// local time unit, on the coarsest tick that counts both.
+    fn new(wake: &Ratio, rate: &Ratio) -> Ticks {
+        let unit = wake.denom().lcm(rate.denom());
+        let ticks = |r: &Ratio| match r.denom() {
+            // rv-lint: allow(hot) — once per Motion construction; skips a
+            // division.
+            den if *den == unit => r.numer().clone(),
+            den => r.numer() * &unit.div_rem(den).0,
+        };
+        let base = ticks(wake);
+        Ticks {
+            rate: ticks(rate),
+            // rv-lint: allow(hot) — once per Motion construction.
+            now: base.clone(),
+            base,
+            unit,
+            grown: None,
+        }
+    }
+
+    /// Multiplies every tick count by `m`.
+    fn rescale(&mut self, m: &Int) {
+        if *m == Int::ONE {
+            return;
+        }
+        for t in [
+            &mut self.unit,
+            &mut self.base,
+            &mut self.rate,
+            &mut self.now,
+        ] {
+            *t = &*t * m;
+        }
+    }
+
+    /// Refines the tick `m` times and records the refinement.
+    fn refine(&mut self, m: Int) {
+        self.rescale(&m);
+        self.grown = Some(match self.grown.take() {
+            Some(g) => &g * &m,
+            None => m,
+        });
+    }
+
+    /// The tick at which a step of prefix local time `prefix` ends,
+    /// `base + rate·prefix`: one i128 multiply-add on the common path,
+    /// `Int` arithmetic (no gcd) once the prefix passes i128.
+    fn end_of(&mut self, prefix: &Ratio) -> Int {
+        let per_den = self.per_den(prefix.denom());
+        if let (Int::Small(n), Int::Small(q), Int::Small(base)) =
+            (prefix.numer(), &per_den, &self.base)
+        {
+            if let Some(t) = q.checked_mul(*n).and_then(|t| t.checked_add(*base)) {
+                return Int::Small(t);
+            }
+        }
+        let t = &per_den * prefix.numer();
+        if self.base.is_zero() {
+            t
+        } else {
+            &self.base + &t
+        }
+    }
+
+    /// `rate/den`, refining the tick first if `den` does not divide
+    /// `rate`: by a power of two, without dividing, for a power-of-two
+    /// `den`, and by `den/gcd(den, rate)` otherwise.
+    fn per_den(&mut self, den: &Int) -> Int {
+        if let (Int::Small(d), Int::Small(rate)) = (den, &self.rate) {
+            let (e, tz) = (d.trailing_zeros(), rate.trailing_zeros());
+            if *d == 1 << e {
+                if tz >= e {
+                    return Int::Small(rate >> e);
+                }
+                self.refine(Int::pow2(u64::from(e - tz)));
+                return self.rate.shr_magnitude(u64::from(e));
+            }
+        }
+        let m = den.div_rem(&den.gcd(&self.rate)).0;
+        if m != Int::ONE {
+            self.refine(m);
+        }
+        self.rate.div_rem(den).0
+    }
+}
+
 /// Lazily compiles a program into motion segments. The program is any
 /// [`StepSource`]: an iterator of `Instr` or `&Instr`, or a compiled
 /// program's [`Tape`](crate::Tape).
@@ -378,17 +544,7 @@ pub struct Motion<P> {
     /// directions through `table`.
     reference: bool,
     table: DirTable,
-    /// The scaled wake time `wake·σ`.
-    base: Ratio,
-    /// Clock units per local time unit: `τσ`.
-    rate: Ratio,
-    /// True when `rate == 1` (`τ = 1/σ`), letting prefix times pass
-    /// through without a rational multiply (otherwise a gcd-free dyadic
-    /// kernel call when `τσ` is dyadic, a cross-reduced gcd multiply when
-    /// it is not).
-    rate_is_one: bool,
-    /// The exact clock, in units of `1/σ`.
-    clock: Ratio,
+    ticks: Ticks,
     pos: Vec2,
     /// Set once the final infinite segment has been emitted.
     halted: bool,
@@ -397,29 +553,14 @@ pub struct Motion<P> {
 }
 
 impl<P: StepSource> Motion<P> {
-    /// Builds the motion of `attrs` executing `program`, in absolute time
-    /// (`Motion::scaled(attrs, program, 1)`).
+    /// Builds the motion of `attrs` executing `program`, in absolute time.
     pub fn new(attrs: AgentAttrs, program: P) -> Motion<P> {
-        Motion::scaled(attrs, program, 1)
-    }
-
-    /// Builds the motion of `attrs` executing `program`, with its clock in
-    /// units of `1/sigma` (see the module docs). Panics if `sigma == 0`.
-    pub fn scaled(attrs: AgentAttrs, program: P, sigma: u32) -> Motion<P> {
-        assert!(sigma > 0, "time scale must be positive");
-        let sigma = Ratio::from_int(u64::from(sigma));
-        let rate = &attrs.tau * &sigma;
-        let base = &attrs.wake * &sigma;
         Motion {
             program,
             lowering: Lowering::new(),
             reference: is_reference(&attrs),
             table: DirTable::new(&attrs),
-            // rv-lint: allow(hot) — once per Motion construction.
-            clock: base.clone(),
-            base,
-            rate_is_one: rate.is_one(),
-            rate,
+            ticks: Ticks::new(&attrs.wake, &attrs.tau),
             pos: attrs.origin,
             halted: false,
             emitted_wake: false,
@@ -431,27 +572,44 @@ impl<P: StepSource> Motion<P> {
         self.pos
     }
 
-    /// Current clock, in units of `1/σ` (start of the next segment).
-    pub fn clock(&self) -> &Ratio {
-        &self.clock
+    /// Ticks per time unit: a tick of this motion lasts `1/unit`.
+    pub fn unit(&self) -> &Int {
+        &self.ticks.unit
     }
-}
 
-impl<P: StepSource> Iterator for Motion<P> {
-    type Item = Segment;
+    /// Multiplies every tick count by `m > 0`: the clock counts ticks
+    /// `m` times finer, and every time it yields keeps its value.
+    pub fn rescale(&mut self, m: &Int) {
+        self.ticks.rescale(m);
+    }
 
-    fn next(&mut self) -> Option<Segment> {
+    /// The factor the motion refined its tick by since the last call, if
+    /// it did (a step's prefix time did not fit the tick).
+    pub fn take_growth(&mut self) -> Option<Int> {
+        self.ticks.grown.take()
+    }
+
+    /// The next segment, timed in ticks (the [`Iterator`] yields the same
+    /// segments in time units).
+    pub fn next_ticks(&mut self) -> Option<Segment<Int>> {
+        self.step(|t, _| t)
+    }
+
+    /// The next segment, each of its ticks `t` mapped to `time(t, unit)`.
+    #[inline]
+    fn step<T>(&mut self, time: impl Fn(Int, &Int) -> T) -> Option<Segment<T>> {
         if self.halted {
             return None;
         }
         if !self.emitted_wake {
             self.emitted_wake = true;
-            // The clock still reads the (scaled) wake time.
-            if self.clock.is_positive() {
+            // The clock still reads the wake time.
+            if self.ticks.now.is_positive() {
+                let unit = &self.ticks.unit;
                 return Some(Segment {
-                    start: Ratio::zero(),
+                    start: time(Int::ZERO, unit),
                     // rv-lint: allow(hot) — wake segment, once per run.
-                    end: Some(self.clock.clone()),
+                    end: Some(time(self.ticks.now.clone(), unit)),
                     from: self.pos,
                     vel: Vec2::ZERO,
                 });
@@ -460,10 +618,9 @@ impl<P: StepSource> Iterator for Motion<P> {
         loop {
             let Some((step, dirs)) = self.program.next_step(&mut self.lowering) else {
                 self.halted = true;
+                let start = std::mem::replace(&mut self.ticks.now, Int::ZERO);
                 return Some(Segment {
-                    // rv-lint: allow(hot) — final halt segment, once per
-                    // run.
-                    start: self.clock.clone(),
+                    start: time(start, &self.ticks.unit),
                     end: None,
                     from: self.pos,
                     vel: Vec2::ZERO,
@@ -472,15 +629,7 @@ impl<P: StepSource> Iterator for Motion<P> {
             if step.empty {
                 continue;
             }
-            let end = match (self.rate_is_one, self.base.is_zero()) {
-                // rv-lint: allow(hot) — the reference agent's whole clock at
-                // σ = 1: the end time is the step's prefix time; a memcpy on
-                // the inline-i128 path.
-                (true, true) => step.prefix.clone(),
-                (true, false) => &self.base + &step.prefix,
-                (false, true) => &step.prefix * &self.rate,
-                (false, false) => &self.base + &(&step.prefix * &self.rate),
-            };
+            let end = self.ticks.end_of(&step.prefix);
             let from = self.pos;
             let vel = if step.dir == WAIT {
                 Vec2::ZERO
@@ -492,17 +641,30 @@ impl<P: StepSource> Iterator for Motion<P> {
                 self.pos = from + unit * (step.len * self.table.unit_len_f64);
                 vel
             };
-            let start = std::mem::replace(&mut self.clock, end);
+            let start = std::mem::replace(&mut self.ticks.now, end);
+            let unit = &self.ticks.unit;
             return Some(Segment {
-                start,
+                start: time(start, unit),
                 // rv-lint: allow(hot) — irreducible: the segment end and the
                 // running clock are two owners of one value; on the
-                // inline-i128 path this clone is a memcpy.
-                end: Some(self.clock.clone()),
+                // inline-i128 path this clone is a copy.
+                end: Some(time(self.ticks.now.clone(), unit)),
                 from,
                 vel,
             });
         }
+    }
+}
+
+impl<P: StepSource> Iterator for Motion<P> {
+    type Item = Segment;
+
+    /// The next segment in time units: its ticks over `unit`, converted
+    /// as the segment is built.
+    fn next(&mut self) -> Option<Segment> {
+        // rv-lint: allow(hot) — the time-unit view, built at the edge; the
+        // engine steps `next_ticks`.
+        self.step(|t, unit| Ratio::new(t, unit.clone()))
     }
 }
 
@@ -683,10 +845,32 @@ mod tests {
             let mut m = Motion::new(attrs_b(), prog.into_iter());
             m.by_ref().for_each(drop);
             assert!(!m.reference);
-            (m.lowering.dirs.len(), m.table.filled.count_ones() as usize)
+            (
+                m.lowering.dirs.as_slice().len(),
+                m.table.filled.count_ones() as usize,
+            )
         };
         assert_eq!(interned(5), (6, 6));
         assert_eq!(interned(DIR_SLOTS as i64), (DIR_SLOTS + 1, DIR_SLOTS));
+    }
+
+    #[test]
+    fn directory_is_indexed_only_past_the_table_capacity() {
+        let mut dirs = Directory::default();
+        let angle = |k: i64| Angle::pi_frac(k, 1024);
+        for k in 0..DIR_SLOTS as i64 {
+            assert_eq!(dirs.intern(&angle(k)), k as u32);
+        }
+        assert!(dirs.index.is_empty());
+        for k in DIR_SLOTS as i64..300 {
+            assert_eq!(dirs.intern(&angle(k)), k as u32);
+            assert_eq!(dirs.index.len(), dirs.as_slice().len());
+        }
+        for k in (0..300).rev() {
+            assert_eq!(dirs.intern(&angle(k)), k as u32);
+        }
+        let copy = Directory::from(dirs.as_slice().to_vec());
+        assert_eq!(copy.index, dirs.index);
     }
 
     #[test]

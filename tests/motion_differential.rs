@@ -1,17 +1,16 @@
 //! Stepping differential: `Motion`, which steps lowered instructions
 //! (from the shared tape of a compiled program, or lowered on the fly
 //! from an instruction iterator), against a reference stepper that sums
-//! the scaled durations one instruction at a time and evaluates
+//! the clock-rate-scaled durations one instruction at a time and evaluates
 //! `orientation.to_absolute(dir).unit()` on every `go`.
 //!
 //! Every segment's `start`, `end`, `from` and `vel` must agree bit for
 //! bit, over:
 //! - every instance of the benchmark's `sweep_aur` spec (AUR, the five
 //!   Theorem 3.2 classes, 20k segments), seeds 1–3 at n = 64, both
-//!   agents: over the tape at `σ = 1` and at a `σ > 1` (the engine's for
-//!   the run, or 3 where the engine's is 1), and lowered on the fly from
-//!   `CompiledProgram::cursor` (what rvbench steps) at `σ = 1`; agent A
-//!   is the reference agent, which reads its positions off the tape;
+//!   agents: over the tape, and lowered on the fly from
+//!   `CompiledProgram::cursor` (what rvbench steps); agent A is the
+//!   reference agent, which reads its positions off the tape;
 //! - every instance of the `resweep_pool` spec (Dedicated,
 //!   `type1,type2,s1,s2`, 2k segments), seeds 1–3 at n = 64;
 //! - type-3 instances with `τ ≠ 1`, and a mirrored, rotated frame
@@ -23,6 +22,9 @@
 //!   table holds, introduced while the tape is being lowered (so a run
 //!   meets ids that were not interned when it started), over the tape and
 //!   lowered on the fly;
+//! - a program with `2^k` directions in phase `k`, like Latecomers', whose
+//!   directory is looked up through its hash index, over the tape and
+//!   lowered on the fly;
 //! - directions whose `q` has a denominator beyond `i128`.
 //!
 //! The reference runs on the raw generator's instructions, not on a
@@ -30,12 +32,13 @@
 //! agent is stepped for the spec's whole segment budget, more than the
 //! engine pulls from either agent in one run.
 //!
-//! A second differential checks the time scale the engine runs in: on
-//! every `sweep_aur` instance whose clock rate τ is not dyadic,
-//! `Motion::scaled(attrs, tape, σ)` (σ the odd part of the τ and wake
-//! denominators' lcm, as the engine picks it) must yield segments whose
-//! `start`/`end` are exactly `σ` times those of `Motion::new`, with
-//! bit-identical `from` and `vel`.
+//! A second differential checks the tick the engine runs on: on every
+//! `sweep_aur` instance whose clock rate τ is not dyadic, each agent's
+//! motion is rescaled to the run's tick (the lcm of both motions' ticks,
+//! as the engine picks it), rescaled once more mid-run, as a refinement
+//! does, and stepped on its ticks. Each segment must start at the tick
+//! the previous one ended, multiplied by every refinement since, and
+//! equal the segment of the motion left alone in exact time.
 
 use rv_baselines::{beeline, canonical_march};
 use rv_core::batch::mix_seed;
@@ -45,7 +48,7 @@ use rv_core::{
 };
 use rv_geometry::{Angle, Chirality, Orientation, Vec2};
 use rv_model::{generate_seeded, TargetClass};
-use rv_numeric::{ratio, Ratio};
+use rv_numeric::{ratio, Int, Ratio};
 use rv_trajectory::{
     AgentAttrs, CompiledProgram, Instr, Motion, Segment, StepSource, DIR_SLOTS, MAX_MATERIALIZED,
 };
@@ -54,7 +57,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
 
 /// The per-`go` stepper `Motion` replaced: the same kinematics with the
-/// clock summed one scaled duration at a time and the direction mapped
+/// clock summed one `τ`-scaled duration at a time and the direction mapped
 /// through the frame on every `go`.
 struct Reference<P> {
     program: P,
@@ -62,7 +65,7 @@ struct Reference<P> {
     orientation: Orientation,
     unit_len_f64: f64,
     speed_f64: f64,
-    /// Clock units per local time unit, `τσ`.
+    /// Time units per local time unit, `τ`.
     rate: Ratio,
     clock: Ratio,
     pos: Vec2,
@@ -75,15 +78,14 @@ where
     P: Iterator,
     P::Item: Borrow<Instr>,
 {
-    fn scaled(attrs: AgentAttrs, program: P, sigma: u32) -> Reference<P> {
-        let sigma = Ratio::from_int(u64::from(sigma));
+    fn new(attrs: AgentAttrs, program: P) -> Reference<P> {
         Reference {
             program,
             orientation: attrs.orientation(),
             unit_len_f64: attrs.unit_len().to_f64(),
             speed_f64: attrs.speed.to_f64(),
-            rate: &attrs.tau * &sigma,
-            clock: &attrs.wake * &sigma,
+            rate: attrs.tau.clone(),
+            clock: attrs.wake.clone(),
             pos: attrs.origin,
             attrs,
             halted: false,
@@ -159,24 +161,18 @@ fn same_bits(a: Vec2, b: Vec2) -> bool {
     a.x.to_bits() == b.x.to_bits() && a.y.to_bits() == b.y.to_bits()
 }
 
-/// Steps `Motion::scaled(attrs, program, sigma)` and the reference over
+/// Steps `Motion::new(attrs, program)` and the reference over
 /// `same`, a second copy of the same instruction stream, side by side for
 /// up to `segments` segments, panicking at the first segment that
 /// differs.
-fn assert_steps_over<P, Q>(
-    label: &str,
-    attrs: &AgentAttrs,
-    sigma: u32,
-    program: P,
-    same: Q,
-    segments: usize,
-) where
+fn assert_steps_over<P, Q>(label: &str, attrs: &AgentAttrs, program: P, same: Q, segments: usize)
+where
     P: StepSource,
     Q: Iterator,
     Q::Item: Borrow<Instr>,
 {
-    let stepped_motion = Motion::scaled(attrs.clone(), program, sigma);
-    let reference = Reference::scaled(attrs.clone(), same, sigma);
+    let stepped_motion = Motion::new(attrs.clone(), program);
+    let reference = Reference::new(attrs.clone(), same);
     let mut stepped = 0;
     for (k, (m, r)) in stepped_motion.zip(reference).take(segments).enumerate() {
         assert!(
@@ -184,7 +180,7 @@ fn assert_steps_over<P, Q>(
                 && m.end == r.end
                 && same_bits(m.from, r.from)
                 && same_bits(m.vel, r.vel),
-            "{label} σ={sigma}: segment {k} differs\n  motion:    {m:?}\n  reference: {r:?}"
+            "{label}: segment {k} differs\n  motion:    {m:?}\n  reference: {r:?}"
         );
         stepped += 1;
     }
@@ -200,7 +196,7 @@ where
 {
     for (agent, attrs) in [("A", inst.agent_a()), ("B", inst.agent_b())] {
         let label = format!("{label} {agent}");
-        assert_steps_over(&label, &attrs, 1, make(), make(), segments);
+        assert_steps_over(&label, &attrs, make(), make(), segments);
     }
 }
 
@@ -223,9 +219,9 @@ fn aur_prefix(segments: usize) -> &'static [Instr] {
 
 /// Agent `attrs` over the compiled AUR tape against the reference over
 /// the raw generator.
-fn assert_aur_tape(label: &str, attrs: &AgentAttrs, sigma: u32, segments: usize) {
+fn assert_aur_tape(label: &str, attrs: &AgentAttrs, segments: usize) {
     let raw = aur_prefix(segments).iter();
-    assert_steps_over(label, attrs, sigma, compiled_aur().tape(), raw, segments);
+    assert_steps_over(label, attrs, compiled_aur().tape(), raw, segments);
 }
 
 /// The program both agents run under `Dedicated` (as its solver picks it).
@@ -236,7 +232,7 @@ fn assert_dedicated(label: &str, inst: &Instance, segments: usize) {
         DedicatedChoice::CanonicalMarch => canonical_march(inst),
         DedicatedChoice::Aur => {
             for (agent, attrs) in [("A", inst.agent_a()), ("B", inst.agent_b())] {
-                assert_aur_tape(&format!("{label} {agent}"), &attrs, 1, segments);
+                assert_aur_tape(&format!("{label} {agent}"), &attrs, segments);
             }
             return;
         }
@@ -265,84 +261,88 @@ const AUR_CLASSES: [TargetClass; 5] = [
     TargetClass::Type4Rotation,
 ];
 
-/// The odd part of `r`'s denominator (which fits: the generator's are at
-/// most 12).
-fn odd_denominator(r: &Ratio) -> u32 {
-    let d = r.denom().to_i128().expect("small denominator");
-    u32::try_from(d >> d.trailing_zeros()).expect("small denominator")
-}
-
-fn gcd(mut x: u32, mut y: u32) -> u32 {
-    while y != 0 {
-        (x, y) = (y, x % y);
-    }
-    x
-}
-
-/// The time scale the engine picks for `inst` (agent A contributes 1).
-fn run_sigma(inst: &Instance) -> u32 {
-    let (odd_tau, odd_wake) = (odd_denominator(&inst.tau), odd_denominator(&inst.t));
-    odd_tau / gcd(odd_tau, odd_wake) * odd_wake
-}
-
 #[test]
 fn sweep_aur_spec_steps_identically() {
     let spec = CampaignSpec::new(SolverSpec::Aur, AUR_CLASSES.to_vec(), 20_000);
     let segments = spec.segments as usize;
-    let scaled = run_sigma_share(&spec);
-    assert!(scaled > 0, "no sweep_aur run has σ > 1");
     each_spec_instance(&spec, |label, inst| {
-        let sigma = match run_sigma(inst) {
-            1 => 3,
-            sigma => sigma,
-        };
         for (agent, attrs) in [("A", inst.agent_a()), ("B", inst.agent_b())] {
             let label = format!("{label} {agent}");
-            assert_aur_tape(&format!("{label} tape"), &attrs, 1, segments);
-            assert_aur_tape(&format!("{label} tape"), &attrs, sigma, segments);
+            assert_aur_tape(&format!("{label} tape"), &attrs, segments);
             let raw = aur_prefix(segments).iter();
             let cursor = compiled_aur().cursor();
-            assert_steps_over(&format!("{label} cursor"), &attrs, 1, cursor, raw, segments);
+            assert_steps_over(&format!("{label} cursor"), &attrs, cursor, raw, segments);
         }
     });
 }
 
-/// How many of `spec`'s seed 1–3 runs the engine counts at `σ > 1`.
-fn run_sigma_share(spec: &CampaignSpec) -> usize {
-    (1..=3)
-        .flat_map(|seed| (0..64).map(move |index| (seed, index)))
-        .filter(|&(seed, index)| run_sigma(&spec.instance(seed, index)) > 1)
-        .count()
+/// Steps `rescaled` on its ticks as the engine does, against `alone`
+/// over the same program: `rescaled` first refines its tick by `first`
+/// and later by 3, and the tick counts held from before each refinement
+/// (or one the motion makes itself) are multiplied by its factor. Each
+/// segment must start at the previous end, last the same exact time as
+/// `alone`'s and move identically.
+fn assert_rescales_exactly<P: StepSource>(
+    label: &str,
+    mut rescaled: Motion<P>,
+    mut alone: Motion<P>,
+    first: &Int,
+    segments: usize,
+) {
+    let refine = |motion: &mut Motion<P>, held: &mut Int, m: &Int| {
+        let unit = motion.unit() * m;
+        motion.rescale(m);
+        assert_eq!(motion.unit(), &unit, "{label}: rescale by {m}");
+        *held *= m;
+    };
+    let mut held = Int::ZERO;
+    refine(&mut rescaled, &mut held, first);
+    for k in 0..segments {
+        if k == segments / 2 {
+            refine(&mut rescaled, &mut held, &Int::from(3u64));
+        }
+        let (Some(s), Some(u)) = (rescaled.next_ticks(), alone.next()) else {
+            panic!("{label}: segment {k} missing");
+        };
+        if let Some(m) = rescaled.take_growth() {
+            held *= &m;
+        }
+        let time = |t: &Int| Ratio::new(t.clone(), rescaled.unit().clone());
+        assert!(
+            s.start == held
+                && time(&s.start) == u.start
+                && s.end.as_ref().map(time) == u.end
+                && same_bits(s.from, u.from)
+                && same_bits(s.vel, u.vel),
+            "{label}: segment {k} differs\n  rescaled: {s:?} (held {held})\n  alone:    {u:?}"
+        );
+        held = s.end.unwrap_or(Int::ZERO);
+    }
 }
 
 #[test]
 fn sweep_aur_non_dyadic_tau_steps_scale_exactly() {
     let spec = CampaignSpec::new(SolverSpec::Aur, AUR_CLASSES.to_vec(), 20_000);
     let segments = spec.segments as usize;
-    let scaled_runs = AtomicUsize::new(0);
+    let rescaled_runs = AtomicUsize::new(0);
     each_spec_instance(&spec, |label, inst| {
-        if odd_denominator(&inst.tau) == 1 {
+        let den = inst.tau.denom().to_i128().expect("small denominator");
+        if den & (den - 1) == 0 {
             return;
         }
-        let sigma = run_sigma(inst);
-        let factor = Ratio::from_int(u64::from(sigma));
-        let times = |t: &Ratio| t * &factor;
-        for (agent, attrs) in [("A", inst.agent_a()), ("B", inst.agent_b())] {
-            let scaled = Motion::scaled(attrs.clone(), compiled_aur().tape(), sigma);
-            let unit = Motion::new(attrs, compiled_aur().tape());
-            for (k, (s, u)) in scaled.zip(unit).take(segments).enumerate() {
-                assert!(
-                    s.start == times(&u.start)
-                        && s.end == u.end.as_ref().map(times)
-                        && same_bits(s.from, u.from)
-                        && same_bits(s.vel, u.vel),
-                    "{label} {agent} σ={sigma}: segment {k} differs\n  scaled: {s:?}\n  σ = 1:  {u:?}"
-                );
-            }
+        // The run's tick, as the engine picks it: the lcm of both
+        // motions' ticks.
+        let motion = |attrs: AgentAttrs| Motion::new(attrs, compiled_aur().tape());
+        let (a, b) = (motion(inst.agent_a()), motion(inst.agent_b()));
+        let run_tick = a.unit().lcm(b.unit());
+        for (agent, rescaled, attrs) in [("A", a, inst.agent_a()), ("B", b, inst.agent_b())] {
+            let first = run_tick.div_rem(rescaled.unit()).0;
+            let label = format!("{label} {agent}");
+            assert_rescales_exactly(&label, rescaled, motion(attrs), &first, segments);
         }
-        scaled_runs.fetch_add(1, Ordering::Relaxed);
+        rescaled_runs.fetch_add(1, Ordering::Relaxed);
     });
-    assert!(scaled_runs.into_inner() > 0, "no non-dyadic τ instance");
+    assert!(rescaled_runs.into_inner() > 0, "no non-dyadic τ instance");
 }
 
 #[test]
@@ -369,7 +369,7 @@ fn type3_with_slow_or_fast_clocks_steps_identically() {
         .collect();
     rv_core::par_map(0, insts.len(), |i| {
         let label = format!("type-3 τ={} #{i}", insts[i].tau);
-        assert_aur_tape(&format!("{label} B"), &insts[i].agent_b(), 1, 20_000);
+        assert_aur_tape(&format!("{label} B"), &insts[i].agent_b(), 20_000);
     });
 }
 
@@ -387,23 +387,13 @@ fn mirrored_rotated() -> AgentAttrs {
 
 #[test]
 fn mirrored_rotated_frame_steps_identically() {
-    let attrs = mirrored_rotated();
-    for sigma in [1, 3] {
-        assert_aur_tape("AUR, χ=−1 φ=3π/8", &attrs, sigma, 20_000);
-    }
+    assert_aur_tape("AUR, χ=−1 φ=3π/8", &mirrored_rotated(), 20_000);
 }
 
-/// Every frame and time scale the synthetic programs below run in: the
-/// reference agent (which reads its positions off a tape) and a
-/// mirrored, rotated one, each at `σ = 1` and `σ = 3`.
-fn frames() -> [(AgentAttrs, u32); 4] {
-    let reference = AgentAttrs::reference();
-    [
-        (reference.clone(), 1),
-        (reference, 3),
-        (mirrored_rotated(), 1),
-        (mirrored_rotated(), 3),
-    ]
+/// Every frame the synthetic programs below run in: the reference agent
+/// (which reads its positions off a tape) and a mirrored, rotated one.
+fn frames() -> [AgentAttrs; 2] {
+    [AgentAttrs::reference(), mirrored_rotated()]
 }
 
 /// Steps every frame over `program` lowered on the fly and over a
@@ -411,23 +401,20 @@ fn frames() -> [(AgentAttrs, u32); 4] {
 fn assert_program_steps_identically(label: &str, program: &[Instr], segments: usize) {
     let owned = program.to_vec();
     let compiled = CompiledProgram::new(move || Box::new(owned.clone().into_iter()));
-    for (f, (attrs, sigma)) in frames().iter().enumerate() {
+    for (f, attrs) in frames().iter().enumerate() {
         let label = format!("{label}, frame {f}");
         let raw = || program.iter();
         assert_steps_over(
             &format!("{label} on the fly"),
             attrs,
-            *sigma,
             raw(),
             raw(),
             segments,
         );
-        let tape = compiled.tape();
         assert_steps_over(
             &format!("{label} tape"),
             attrs,
-            *sigma,
-            tape,
+            compiled.tape(),
             raw(),
             segments,
         );
@@ -473,6 +460,25 @@ fn more_directions_than_table_slots_step_identically() {
         })
         .collect();
     assert_program_steps_identically("creeping", &creeping, creeping.len() + 2);
+}
+
+#[test]
+fn doubling_directions_per_phase_step_identically() {
+    // Latecomers' shape: phase k goes along 2^k directions `jπ/2^(k−1)`,
+    // half of them first seen in that phase, so the directory passes the
+    // table's capacity in phase 6 and holds 1024 directions at the end.
+    let mut prog = Vec::new();
+    for k in 1..=10 {
+        let n = 1i64 << k;
+        for j in 0..n {
+            prog.push(Instr::go_angle(
+                Angle::pi_frac(j, n / 2),
+                ratio(1 + j % 3, 4),
+            ));
+        }
+        prog.push(Instr::wait(ratio(1, 2)));
+    }
+    assert_program_steps_identically("doubling", &prog, prog.len() + 2);
 }
 
 #[test]
