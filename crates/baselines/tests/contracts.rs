@@ -8,6 +8,7 @@ use rv_model::{Angle, Instance};
 use rv_numeric::{ratio, Ratio};
 use rv_sim::{simulate, SimConfig};
 use rv_trajectory::{AgentAttrs, Instr};
+use std::iter::empty;
 
 fn run_same_program<P: Iterator<Item = Instr>, F: Fn() -> P>(
     inst: &Instance,
@@ -209,7 +210,7 @@ fn cow_path_finds_target_on_the_line() {
         AgentAttrs::reference(),
         cow_path_search(),
         attrs_b,
-        std::iter::empty(),
+        empty::<Instr>(),
         &cfg,
     );
     let m = report.meeting().expect("cow path finds the target");

@@ -12,8 +12,12 @@
 //! ([`crate::exec::PoolExecutor::cache`],
 //! [`crate::exec::LocalExecutor::cache`]) and share one write path,
 //! [`ResultCache::store_lines`]: the pool stores each executed unit's
-//! record lines as its worker streamed them, the local backend encodes
-//! its whole campaign `0..n` once through [`ResultCache::store`].
+//! record lines as its worker answered them, the local backend encodes
+//! its whole campaign `0..n` once through [`ResultCache::store`]. An
+//! entry's body is a worker answer's body: both are written by
+//! [`crate::shard::push_record_lines`] and read by
+//! [`crate::shard::UnitReader`], so a stored unit and an answered one
+//! obey the same rules.
 //!
 //! # Entry layout
 //!
@@ -73,8 +77,8 @@
 //! ```
 
 use crate::batch::{RunRecord, StatsAccumulator};
-use crate::shard::{CampaignSpec, UnitDone};
-use crate::wire::{self, Line, WireError};
+use crate::shard::{push_record_lines, CampaignSpec, UnitReader};
+use crate::wire::{self, WireError};
 use std::fmt;
 use std::fs;
 use std::io::{self, IoSlice, Write};
@@ -394,57 +398,32 @@ impl ResultCache {
             });
         }
 
-        let mut records: Vec<(usize, RunRecord)> = Vec::with_capacity(range.len());
-        let mut done: Option<UnitDone> = None;
+        // The body is a unit body, read by the one reader workers'
+        // answers go through; nothing may follow its `unit_done` line.
+        let mut body = UnitReader::new(range.clone());
+        let mut shard = None;
         for (idx, line) in lines {
-            if done.is_some() {
+            if shard.is_some() {
                 return Err(layout("lines after the unit_done line".into()));
             }
-            match wire::decode_line(line).map_err(|source| CacheError::Wire {
+            let line = wire::decode_line(line).map_err(|source| CacheError::Wire {
                 path: path.to_path_buf(),
                 line: idx + 1,
                 source,
-            })? {
-                Line::Record { index, record } => {
-                    let expected = range.start + records.len();
-                    if index != expected {
-                        return Err(layout(format!(
-                            "record index {index} where {expected} was expected \
-                             (range {range:?})"
-                        )));
-                    }
-                    records.push((index, record));
-                }
-                Line::UnitDone(d) => done = Some(d),
-                other => {
-                    return Err(layout(format!("unexpected line kind: {other:?}")));
-                }
-            }
+            })?;
+            shard = body.push(line).map_err(layout)?;
         }
-        let Some(done) = done else {
-            return Err(CacheError::Truncated {
+        match shard {
+            Some((_, shard)) => Ok(shard),
+            None => Err(CacheError::Truncated {
                 path: path.to_path_buf(),
                 what: format!(
                     "no unit_done line after {} of {} records",
-                    records.len(),
+                    body.taken(),
                     range.len()
                 ),
-            });
-        };
-        if records.len() != range.len() {
-            return Err(layout(format!(
-                "{} records for a range of {}",
-                records.len(),
-                range.len()
-            )));
+            }),
         }
-        if done.start != range.start {
-            return Err(layout(format!(
-                "unit_done starts at {}, expected {}",
-                done.start, range.start
-            )));
-        }
-        Ok(CachedShard::of(records))
     }
 
     /// The total convenience path executors use: load, treating a
@@ -510,9 +489,10 @@ impl ResultCache {
     /// `records` must be the shard's full record list in index order and
     /// `acc` its accumulator — exactly what a validated gather holds.
     /// Only the records are written (a load folds the stats from them);
-    /// `acc` is an input check. Inputs that do not cover the range are
-    /// rejected with [`CacheError::Layout`] rather than poisoning the
-    /// cache. The records are encoded once and published by
+    /// `acc` is an input check. Inputs that do not cover the range in
+    /// index order ([`UnitReader::check`]) are rejected with
+    /// [`CacheError::Layout`] rather than poisoning the cache. The
+    /// records are encoded once and published by
     /// [`ResultCache::store_lines`].
     pub fn store(
         &self,
@@ -522,30 +502,25 @@ impl ResultCache {
         records: &[(usize, RunRecord)],
         acc: &StatsAccumulator,
     ) -> Result<CacheKey, CacheError> {
-        if records.len() != range.len() || acc.len() != range.len() {
+        let mut checked = UnitReader::check(range.clone(), records.iter().map(|(i, _)| *i));
+        if checked.is_ok() && acc.len() != range.len() {
+            checked = Err(format!("a {}-record accumulator", acc.len()));
+        }
+        if let Err(what) = checked {
             return Err(CacheError::Layout {
                 path: self.entry_path(CacheKey::derive(spec, seed, range)),
-                what: format!(
-                    "refusing to store {} records / {}-record accumulator \
-                     for a range of {}",
-                    records.len(),
-                    acc.len(),
-                    range.len()
-                ),
+                what: format!("refusing to store a unit over {range:?}: {what}"),
             });
         }
         let mut lines = String::new();
-        for (index, rec) in records {
-            wire::push_record(&mut lines, *index, rec);
-            lines.push('\n');
-        }
+        push_record_lines(&mut lines, records);
         self.store_lines(spec, seed, range, &lines)
     }
 
     /// Stores a finished shard for `(spec, seed, range)` from its encoded
     /// record lines: `lines` holds one `record` line per index of the
     /// range, in index order, each ending in `\n` — what a pool gather
-    /// validated, byte for byte as the worker streamed it. The one path
+    /// validated, byte for byte as the worker answered it. The one path
     /// that writes entries.
     ///
     /// A line count that does not match the range is rejected with
@@ -697,6 +672,24 @@ mod tests {
             .unwrap_err();
         assert!(matches!(err, CacheError::Layout { .. }), "{err}");
         assert!(cache.lookup(&spec, 1, &(0..3)).is_none());
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn store_rejects_records_of_another_range() {
+        // Twelve records indexed 0..12 have the right count for 12..24
+        // but not its indices: nothing may be written.
+        let dir = tmp_dir("shifted");
+        let cache = ResultCache::open(&dir).unwrap();
+        let spec = spec();
+        let records = spec.run_range(1, 0..12, 1);
+        let acc = CachedShard::of(records.clone()).acc;
+        let range = 12..24;
+        let err = cache.store(&spec, 1, &range, &records, &acc).unwrap_err();
+        assert!(matches!(err, CacheError::Layout { .. }), "{err}");
+        let path = cache.entry_path(CacheKey::derive(&spec, 1, &range));
+        assert!(!path.exists(), "no entry for a refused store");
+        assert_eq!(cache.stats().stores, 0);
         let _ = fs::remove_dir_all(&dir);
     }
 

@@ -16,12 +16,13 @@
 //!   across repeated `execute` calls — sessions survive between runs of
 //!   the same executor value), and heterogeneous workers self-balance
 //!   because fast ones simply steal more units. Each unit answers with
-//!   record lines, a `unit_telemetry` line (wall time + attempt — a side
-//!   channel, see [`Executor::take_worker_telemetry`]), and a `unit_done`
-//!   line that ends it. The driver folds each unit's stats from the
-//!   records it gathered; no statistics cross the pipe. Sessions are
-//!   pipelined: one more task line waits behind the running one, so a
-//!   worker starts its next unit while the driver settles the last.
+//!   record lines in index order, a `unit_telemetry` line (wall time +
+//!   attempt — a side channel, see [`Executor::take_worker_telemetry`]),
+//!   and a `unit_done` line that ends it. The driver folds each unit's
+//!   stats from the records it gathered; no statistics cross the pipe.
+//!   Sessions are pipelined: one more task line waits behind the running
+//!   one, so a worker starts its next unit while the driver settles the
+//!   last.
 //!
 //! Both take a result cache ([`crate::cache`]) through `.cache(..)`;
 //! the local engine's whole campaign is one unit `0..n`.
@@ -59,11 +60,12 @@
 //! pins both backends (and recovery after injected failures) against
 //! the single-process run.
 
-use crate::batch::{CampaignReport, CampaignStats, RunRecord, StatsAccumulator};
+use crate::batch::{CampaignReport, CampaignStats, StatsAccumulator};
 use crate::cache::{CachedShard, ResultCache};
 use crate::json;
 use crate::shard::{
-    plan_units, CampaignRequest, CampaignSpec, ShardError, TransportSpec, UnitTask, UnitTelemetry,
+    plan_units, CampaignRequest, CampaignSpec, ShardError, TransportSpec, UnitReader, UnitTask,
+    UnitTelemetry,
 };
 use crate::stream::RecordSink;
 use crate::wire::{self, Line};
@@ -1265,15 +1267,15 @@ impl Drop for PoolWorker {
     }
 }
 
-/// Reads one unit's answer off the slot's live worker — record lines
-/// until the `unit_done` line — validates identity and exactly-once
-/// index coverage against the task, and folds the unit's accumulator
-/// from its records. On success `lines` holds the record lines exactly
-/// as the worker streamed them, in index order, each ending in `\n`:
-/// what the cache stores (the drain thread reuses one buffer across
-/// its units). Any failure tears the worker down (`*slot = None` — its
-/// `Drop` kills and reaps it), so the next unit on this thread starts
-/// from a fresh process.
+/// Reads one unit's answer off the slot's live worker through a
+/// [`UnitReader`] — record lines in index order over exactly the unit's
+/// range, the `unit_telemetry` line, then the `unit_done` line — and
+/// checks the telemetry and the echoed identity against the task. On
+/// success `lines` holds the record lines exactly as the worker answered
+/// them, each ending in `\n`: what the cache stores (the drain thread
+/// reuses one buffer across its units). Any failure tears the worker
+/// down (`*slot = None` — its `Drop` kills and reaps it), so the next
+/// unit on this thread starts from a fresh process.
 fn gather_unit(
     slot: &mut Option<PoolWorker>,
     task: &UnitTask,
@@ -1281,155 +1283,86 @@ fn gather_unit(
     lines: &mut String,
 ) -> Result<(CachedShard, UnitTelemetry), ShardError> {
     let shard_id = task.task_id;
-    let io = |source| ShardError::Io { shard_id, source };
     let protocol = |what: String| ShardError::Protocol { shard_id, what };
-
-    enum ReadFail {
-        /// The worker closed stdout mid-unit (it died or bailed).
-        Eof,
-        Fail(ShardError),
-    }
-
     let Some(w) = slot.as_mut() else {
         return Err(protocol("no live worker to gather from".into()));
     };
     lines.clear();
-    let streamed = (|| {
-        let mut unit_telemetry: Option<UnitTelemetry> = None;
-        let mut records: Vec<(usize, RunRecord)> = Vec::with_capacity(task.range.len());
-        // The record lines as streamed, trailing whitespace trimmed and
-        // each ended by `\n`; `spans[j]` locates the line of `records[j]`.
-        let raw = &mut *lines;
-        let mut spans: Vec<Range<usize>> = Vec::with_capacity(task.range.len());
-        loop {
-            let start = raw.len();
-            if w.stdout.read_line(raw).map_err(|e| ReadFail::Fail(io(e)))? == 0 {
-                return Err(ReadFail::Eof);
-            }
-            let line = raw[start..].trim_end();
-            let end = start + line.len();
-            if line.trim_start().is_empty() {
-                raw.truncate(start);
-                continue;
-            }
-            let decoded = wire::decode_line(line)
-                .map_err(|source| ReadFail::Fail(ShardError::Wire { shard_id, source }))?;
-            // Only record lines stay in `raw`.
-            raw.truncate(if matches!(decoded, Line::Record { .. }) {
-                end
-            } else {
-                start
-            });
-            match decoded {
-                Line::Record { index, record } => {
-                    if !task.range.contains(&index) {
-                        return Err(ReadFail::Fail(protocol(format!(
-                            "record index {index} outside unit range {:?}",
-                            task.range
-                        ))));
-                    }
-                    raw.push('\n');
-                    records.push((index, record));
-                    spans.push(start..end);
-                }
-                Line::UnitTelemetry(t) => {
-                    if t.task_id != task.task_id || t.attempt != task.attempt {
-                        return Err(ReadFail::Fail(protocol(format!(
-                            "telemetry identifies as task {} attempt {}, expected task {} \
-                             attempt {}",
-                            t.task_id, t.attempt, task.task_id, task.attempt
-                        ))));
-                    }
-                    if unit_telemetry.replace(t).is_some() {
-                        return Err(ReadFail::Fail(protocol(
-                            "duplicate unit_telemetry line".into(),
-                        )));
-                    }
-                }
-                Line::UnitDone(d) => {
-                    return Ok((d, unit_telemetry, records, spans));
-                }
-                other => {
-                    return Err(ReadFail::Fail(protocol(format!(
-                        "unexpected line kind in session: {other:?}"
-                    ))));
-                }
-            }
+    let mut body = UnitReader::new(task.range.clone());
+    let mut telemetry: Option<UnitTelemetry> = None;
+    // `Err(None)`: the worker closed stdout mid-unit (it died or bailed).
+    let read = loop {
+        let start = lines.len();
+        match w.stdout.read_line(lines) {
+            Ok(0) => break Err(None),
+            Ok(_) => {}
+            Err(source) => break Err(Some(ShardError::Io { shard_id, source })),
         }
-    })();
-
-    let (done, unit_telemetry, mut records, spans) = match streamed {
-        Ok(ok) => ok,
-        Err(ReadFail::Eof) => {
-            let code_stderr = slot.take().map(PoolWorker::reap);
+        let line = lines[start..].trim_end();
+        let end = start + line.len();
+        if line.trim_start().is_empty() {
+            lines.truncate(start);
+            continue;
+        }
+        let decoded = match wire::decode_line(line) {
+            Ok(decoded) => decoded,
+            Err(source) => break Err(Some(ShardError::Wire { shard_id, source })),
+        };
+        // Only record lines stay in `lines`.
+        if matches!(decoded, Line::Record { .. }) {
+            lines.truncate(end);
+            lines.push('\n');
+        } else {
+            lines.truncate(start);
+        }
+        if let Line::UnitTelemetry(t) = decoded {
+            if t.task_id != task.task_id || t.attempt != task.attempt {
+                break Err(Some(protocol(format!(
+                    "telemetry identifies as task {} attempt {}, expected task {} attempt {}",
+                    t.task_id, t.attempt, task.task_id, task.attempt
+                ))));
+            }
+            if telemetry.replace(t).is_some() {
+                break Err(Some(protocol("duplicate unit_telemetry line".into())));
+            }
+            body.seal();
+            continue;
+        }
+        match body.push(decoded) {
+            Ok(None) => {}
+            Ok(Some((done, _))) if done.task_id != task.task_id => {
+                let what = format!("unit_done identifies as task {}", done.task_id);
+                break Err(Some(protocol(what)));
+            }
+            Ok(Some((_, shard))) => match telemetry.take() {
+                Some(t) => break Ok((shard, t)),
+                None => {
+                    let what = "unit finished without a unit_telemetry line".into();
+                    break Err(Some(protocol(what)));
+                }
+            },
+            Err(what) => break Err(Some(protocol(what))),
+        }
+    };
+    match read {
+        Ok(ok) => Ok(ok),
+        Err(Some(e)) => {
+            // A misbehaving worker's session is unusable; tear it down.
+            *slot = None;
+            Err(e)
+        }
+        Err(None) => {
+            let (code, stderr) = slot.take().map(PoolWorker::reap).unwrap_or_default();
             if kills.aborted() {
                 return Err(protocol("unit aborted by a failing sibling".into()));
             }
-            let (code, stderr) = code_stderr.unwrap_or_default();
-            return Err(ShardError::Worker {
+            Err(ShardError::Worker {
                 shard_id,
                 code,
                 stderr,
-            });
-        }
-        Err(ReadFail::Fail(e)) => {
-            // A misbehaving worker's session is unusable; tear it down.
-            *slot = None;
-            return Err(e);
-        }
-    };
-
-    let mut fail = |what: String| -> ShardError {
-        *slot = None;
-        ShardError::Protocol { shard_id, what }
-    };
-    if done.task_id != task.task_id {
-        return Err(fail(format!(
-            "unit_done identifies as task {}",
-            done.task_id
-        )));
-    }
-    if done.start != task.range.start {
-        return Err(fail(format!(
-            "unit_done start {} != unit start {}",
-            done.start, task.range.start
-        )));
-    }
-    let Some(telemetry) = unit_telemetry else {
-        return Err(fail("unit finished without a unit_telemetry line".into()));
-    };
-    // The streamed records must be a permutation of exactly the unit
-    // range — one record per index, no duplicates, no gaps. A worker
-    // with one thread streams them in order already.
-    if !records.is_sorted_by_key(|(index, _)| *index) {
-        let mut order: Vec<usize> = (0..records.len()).collect();
-        order.sort_by_key(|&j| records[j].0);
-        let mut sorted = String::with_capacity(lines.len());
-        for &j in &order {
-            sorted.push_str(&lines[spans[j].clone()]);
-            sorted.push('\n');
-        }
-        *lines = sorted;
-        records.sort_by_key(|(index, _)| *index);
-    }
-    if records.len() != task.range.len() {
-        return Err(fail(format!(
-            "expected {} record lines, streamed {}",
-            task.range.len(),
-            records.len()
-        )));
-    }
-    for (k, (index, _)) in records.iter().enumerate() {
-        let expect = task.range.start + k;
-        if *index != expect {
-            return Err(fail(format!(
-                "streamed indices do not cover {:?} exactly once (position {k} holds index \
-                 {index}, expected {expect})",
-                task.range
-            )));
+            })
         }
     }
-    Ok((CachedShard::of(records), telemetry))
 }
 
 /// Releases a finished unit — replayed from the cache or gathered from a

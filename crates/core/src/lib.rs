@@ -76,7 +76,7 @@ pub use shard::{
     UnitTelemetry, UnknownSolver, UnknownTransport,
 };
 pub use solver::{Aur, Dedicated, FixedPair, Solver, Visibility};
-pub use stream::{ChannelSink, JsonLinesSink, RecordSink, VecSink};
+pub use stream::{ChannelSink, RecordSink, VecSink};
 pub use wire::WireError;
 
 // The theorem-level predicates and the search walks are part of the

@@ -1,5 +1,6 @@
 //! Cross-process campaign splitting: a reconstructible [`CampaignSpec`]
-//! plus the index units worker processes execute against it.
+//! plus the index units worker processes execute against it, and the
+//! one format a unit's answer travels and rests in.
 //!
 //! The protocol is deliberately tiny, built entirely on [`crate::wire`]
 //! (schema-3 JSON lines; the normative session grammar lives in
@@ -9,17 +10,22 @@
 //!    the pool (see [`crate::exec::PoolExecutor`]) opens a session on
 //!    each worker with one `campaign_spec` line and hands out units as
 //!    [`UnitTask`] lines.
-//! 2. **Answer** — a worker executes each unit
-//!    ([`CampaignSpec::run_range`]) and answers on stdout with one
-//!    `record` line per finished run, tagged with the *global* campaign
-//!    index, then a [`UnitTelemetry`] line and a [`UnitDone`] line that
-//!    ends the unit — rendered into one [`crate::JsonLinesSink`] buffer
-//!    and written once per unit.
-//! 3. **Gather** — the executor checks that the unit's records cover its
-//!    range exactly once, forwards them to an optional
+//! 2. **Answer** — a worker runs each unit ([`CampaignSpec::run_range`],
+//!    records in index order) and answers on stdout with one `record`
+//!    line per index ([`push_record_lines`]), tagged with the *global*
+//!    campaign index, then a [`UnitTelemetry`] line and a [`UnitDone`]
+//!    line that ends the unit, written once per unit.
+//! 3. **Gather** — the executor reads the answer through a
+//!    [`UnitReader`], which accepts the unit's records only in index
+//!    order over exactly its range, forwards them to an optional
 //!    [`crate::RecordSink`], folds them into the unit's
 //!    [`crate::StatsAccumulator`], merges the unit accumulators in unit
 //!    order, and finishes the merge once.
+//!
+//! A cache entry ([`crate::cache`]) holds the same body — the record
+//! lines [`push_record_lines`] writes, then a `unit_done` line — and is
+//! read back by the same [`UnitReader`], so a worker answer and a stored
+//! entry are one format under one set of rules.
 //!
 //! **Determinism guarantee:** a campaign is a pure function of
 //! `(spec, seed, n)` — instances come from
@@ -33,12 +39,11 @@
 
 use crate::api::Budget;
 use crate::batch::{mix_seed, Campaign, CampaignReport, RunRecord};
-use crate::stream::RecordSink;
-use crate::wire::WireError;
+use crate::cache::CachedShard;
+use crate::wire::{self, Line, WireError};
 use rv_model::{generate_seeded, Instance, TargetClass};
 use std::fmt;
 use std::ops::Range;
-use std::sync::Arc;
 
 /// Which bundled solver a shard runs. Arbitrary [`crate::Solver`] values
 /// cannot cross a process boundary, so the wire format names one of the
@@ -252,8 +257,8 @@ impl CampaignSpec {
     }
 
     /// Executes the global indices `range` of the seeded campaign
-    /// in-process — what a worker does with one unit — reporting every
-    /// record to `sink` *as it lands*, tagged with its global index.
+    /// in-process — what a worker does with one unit — and returns its
+    /// records in index order, each tagged with its global index.
     /// `threads` caps the campaign threads (`0` = all cores): K
     /// same-host workers should each run `cores / K` so the scatter does
     /// not oversubscribe the CPU K-fold. Thread count never changes a
@@ -262,29 +267,144 @@ impl CampaignSpec {
         &self,
         seed: u64,
         range: Range<usize>,
-        sink: Arc<dyn RecordSink>,
         threads: usize,
-    ) {
-        let offset = OffsetSink {
-            base: range.start,
-            inner: sink,
-        };
-        self.campaign()
+    ) -> Vec<(usize, RunRecord)> {
+        let records = self
+            .campaign()
             .threads(threads)
-            .sink(offset)
             .records_seeded(range.len(), |i| self.instance(seed, range.start + i));
+        range.zip(records).collect()
     }
 }
 
-/// Re-indexes a range-local sink stream to global campaign indices.
-struct OffsetSink {
-    base: usize,
-    inner: Arc<dyn RecordSink>,
+/// Appends one `record` line per `(index, record)`, each ending in `\n`,
+/// in the order given: the record lines of a unit body, as a worker
+/// answers them and as a cache entry stores them.
+pub fn push_record_lines(out: &mut String, records: &[(usize, RunRecord)]) {
+    for (index, rec) in records {
+        wire::push_record(out, *index, rec);
+        out.push('\n');
+    }
 }
 
-impl RecordSink for OffsetSink {
-    fn record(&self, index: usize, rec: &RunRecord) {
-        self.inner.record(self.base + index, rec);
+/// The one reader of a unit body: `record` lines whose indices run
+/// `range.start, range.start + 1, …` up to `range.end`, then a
+/// `unit_done` line whose `start` is `range.start`. Lines are pushed one
+/// at a time as they are decoded; the `unit_done` line yields the unit's
+/// [`CachedShard`]. The pool gather reads worker answers through it
+/// (sealing it at the `unit_telemetry` line), and the result cache reads
+/// and checks its entries through it, so both obey the same rules.
+///
+/// Each refusal is a message naming the broken rule; the caller wraps
+/// it in its own typed error ([`ShardError::Protocol`],
+/// [`crate::CacheError::Layout`]).
+#[derive(Debug)]
+pub struct UnitReader {
+    range: Range<usize>,
+    /// The next index a record line must carry.
+    next: usize,
+    records: Vec<(usize, RunRecord)>,
+    /// Set once the record lines are over ([`UnitReader::seal`]).
+    sealed: bool,
+}
+
+impl UnitReader {
+    /// A reader for the unit over `range`, before its first line.
+    pub fn new(range: Range<usize>) -> UnitReader {
+        UnitReader {
+            next: range.start,
+            range,
+            records: Vec::new(),
+            sealed: false,
+        }
+    }
+
+    /// Checks that `indices` run over exactly the range, in order, as a
+    /// body's record lines must: what a cache store checks its input
+    /// against before writing it.
+    pub fn check(
+        range: Range<usize>,
+        indices: impl IntoIterator<Item = usize>,
+    ) -> Result<(), String> {
+        let start = range.start;
+        let mut reader = UnitReader::new(range);
+        for index in indices {
+            reader.take_index(index)?;
+        }
+        reader.take_end(start)
+    }
+
+    /// How many record lines the reader has taken.
+    pub fn taken(&self) -> usize {
+        self.next - self.range.start
+    }
+
+    /// Ends the record lines: any later `record` line is refused. A
+    /// worker answer's `unit_telemetry` line comes after its records.
+    pub fn seal(&mut self) {
+        self.sealed = true;
+    }
+
+    /// Takes one decoded line of the body. `Ok(None)` asks for the next
+    /// line; `Ok(Some(..))` is the end of the body — its `unit_done` and
+    /// the shard folded from its records. Any line but `record` and
+    /// `unit_done` is refused.
+    pub fn push(&mut self, line: Line) -> Result<Option<(UnitDone, CachedShard)>, String> {
+        match line {
+            Line::Record { index, record } => {
+                self.take_index(index)?;
+                if self.records.is_empty() {
+                    self.records.reserve_exact(self.range.len());
+                }
+                self.records.push((index, record));
+                Ok(None)
+            }
+            Line::UnitDone(done) => {
+                self.take_end(done.start)?;
+                let records = std::mem::take(&mut self.records);
+                Ok(Some((done, CachedShard::of(records))))
+            }
+            other => Err(format!("unexpected line kind: {other:?}")),
+        }
+    }
+
+    fn take_index(&mut self, index: usize) -> Result<(), String> {
+        if self.sealed {
+            return Err(format!(
+                "record index {index} after the unit_telemetry line"
+            ));
+        }
+        if self.next == self.range.end {
+            return Err(format!(
+                "record index {index} past the end of range {:?}",
+                self.range
+            ));
+        }
+        if index != self.next {
+            return Err(format!(
+                "record index {index} where {} was expected (range {:?})",
+                self.next, self.range
+            ));
+        }
+        self.next += 1;
+        Ok(())
+    }
+
+    fn take_end(&self, start: usize) -> Result<(), String> {
+        if self.next != self.range.end {
+            return Err(format!(
+                "{} records for a range of {}",
+                self.taken(),
+                self.range.len()
+            ));
+        }
+        if start != self.range.start {
+            return Err(format!(
+                "unit_done starts at {start}, expected {}",
+                self.range.start
+            ));
+        }
+        Ok(())
     }
 }
 
@@ -426,7 +546,6 @@ impl std::error::Error for ShardError {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::stream::VecSink;
 
     fn spec() -> CampaignSpec {
         CampaignSpec::new(
@@ -517,10 +636,7 @@ mod tests {
         let seed = 0x5EED;
         let n = 10;
         let local = c.run_local(seed, n);
-        let sink = Arc::new(VecSink::new());
-        c.run_range(seed, 4..9, sink.clone(), 0);
-        let mut seen = sink.take();
-        seen.sort_by_key(|(i, _)| *i);
+        let seen = c.run_range(seed, 4..9, 0);
         let indices: Vec<usize> = seen.iter().map(|(i, _)| *i).collect();
         assert_eq!(indices, vec![4, 5, 6, 7, 8]);
         for (i, rec) in &seen {

@@ -59,7 +59,7 @@ use crate::aur::almost_universal_rv;
 use rv_baselines::{beeline, canonical_march};
 use rv_model::Instance;
 use rv_numeric::Ratio;
-use rv_sim::{simulate, simulate_programs, SimReport};
+use rv_sim::{simulate, SimReport};
 use rv_trajectory::Instr;
 use std::sync::Arc;
 
@@ -125,7 +125,7 @@ impl Solver for Aur {
         // agent, reads its positions off the tape, and agent B indexes
         // its direction table by the tape's direction ids.
         let program = crate::aur::compiled_aur();
-        simulate_programs(
+        simulate(
             inst.agent_a(),
             program.tape(),
             inst.agent_b(),

@@ -1,28 +1,24 @@
 //! Streaming observation of campaign runs: the [`RecordSink`] observer
-//! and the bundled [`ChannelSink`] / [`VecSink`] / [`JsonLinesSink`]
-//! impls.
+//! and the bundled [`ChannelSink`] / [`VecSink`] impls.
 //!
 //! A [`crate::batch::Campaign`] can carry a sink; its workers call
 //! [`RecordSink::record`] for every finished run, *as it lands* and from
 //! whatever thread computed it. This is the async/streaming front-end the
 //! batch engine was missing: a server can forward records to clients
 //! while the campaign is still running instead of waiting for the final
-//! [`crate::batch::CampaignReport`], and a shard worker can stream
-//! schema-3 wire lines back to its parent process ([`JsonLinesSink`],
-//! see [`crate::shard`]).
+//! [`crate::batch::CampaignReport`]. (A shard worker needs no sink: it
+//! answers each unit's records in index order, see [`crate::shard`].)
 //!
 //! Contract: every index in `0..n` is reported exactly once, tagged with
 //! its input index (arrival *order* is scheduling-dependent; the index is
 //! what makes the stream re-orderable). The final report is unaffected by
 //! the sink — records still land in input order and the stats fold is
 //! unchanged. The contract holds across process boundaries too: the
-//! subprocess executors ([`crate::exec`]) buffer each shard's stream and
-//! release it to the caller's sink only when the shard succeeds, so a
+//! pool executor ([`crate::exec`]) buffers each unit's answer and
+//! releases it to the caller's sink only when the unit succeeds, so a
 //! retried worker's partial output never produces duplicate deliveries.
 
 use crate::batch::RunRecord;
-use crate::wire;
-use std::io::Write;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::Mutex;
@@ -137,85 +133,6 @@ impl RecordSink for VecSink {
     }
 }
 
-/// A [`RecordSink`] that writes every record as a schema-3 wire line
-/// ([`wire::encode_record`], newline-terminated, flushed) to a writer —
-/// the stdout streaming half of the shard worker protocol
-/// (see [`crate::shard`]). Over a `Vec<u8>` it is a batch buffer: the
-/// session worker renders a whole unit answer into one and hands it to
-/// stdout with [`JsonLinesSink::drain_to`], one write per unit.
-///
-/// Writes from concurrent campaign workers are serialised behind a mutex,
-/// so lines never interleave. Write failures cannot propagate out of a
-/// sink; they latch [`JsonLinesSink::failed`] instead (mirroring
-/// [`ChannelSink`]'s hangup latch).
-pub struct JsonLinesSink<W: Write + Send> {
-    out: Mutex<W>,
-    failed: AtomicBool,
-}
-
-impl<W: Write + Send> JsonLinesSink<W> {
-    /// Wraps a writer (e.g. [`std::io::stdout()`]).
-    pub fn new(out: W) -> JsonLinesSink<W> {
-        JsonLinesSink {
-            out: Mutex::new(out),
-            failed: AtomicBool::new(false),
-        }
-    }
-
-    /// Whether any line failed to write (latches like
-    /// [`ChannelSink::is_disconnected`]).
-    pub fn failed(&self) -> bool {
-        self.failed.load(Ordering::Relaxed)
-    }
-
-    /// Writes one pre-encoded wire line (newline-terminated, flushed)
-    /// through the same mutex as the record stream, so protocol lines —
-    /// a session worker's `unit_telemetry` / `unit_done` answers —
-    /// never interleave with concurrently streamed records. Failures
-    /// latch [`JsonLinesSink::failed`], like record writes.
-    pub fn write_line(&self, line: &str) {
-        let mut out = self.out.lock().unwrap_or_else(|e| e.into_inner());
-        let wrote = writeln!(out, "{line}").and_then(|()| out.flush());
-        if wrote.is_err() {
-            self.failed.store(true, Ordering::Relaxed);
-        }
-    }
-
-    /// Unwraps the writer.
-    pub fn into_inner(self) -> W {
-        self.out.into_inner().unwrap_or_else(|e| e.into_inner())
-    }
-}
-
-impl JsonLinesSink<Vec<u8>> {
-    /// Writes every buffered line to `out` with one `write_all` and one
-    /// `flush`, then empties the buffer (keeping its capacity). The lines
-    /// keep the order they were buffered in.
-    pub fn drain_to(&self, out: &mut impl Write) -> std::io::Result<()> {
-        let mut buf = self.out.lock().unwrap_or_else(|e| e.into_inner());
-        let wrote = out.write_all(&buf).and_then(|()| out.flush());
-        buf.clear();
-        wrote
-    }
-}
-
-impl<W: Write + Send> RecordSink for JsonLinesSink<W> {
-    fn record(&self, index: usize, rec: &RunRecord) {
-        let line = wire::encode_record(index, rec);
-        let mut out = self.out.lock().unwrap_or_else(|e| e.into_inner());
-        let wrote = writeln!(out, "{line}").and_then(|()| out.flush());
-        if wrote.is_err() {
-            self.failed.store(true, Ordering::Relaxed);
-        }
-    }
-
-    /// A writer that has failed once is a closed consumer
-    /// ([`JsonLinesSink::failed`]).
-    fn is_closed(&self) -> bool {
-        self.failed()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -255,79 +172,5 @@ mod tests {
         let vec_sink = VecSink::new();
         vec_sink.record(0, &rec(0));
         assert!(!vec_sink.is_closed(), "VecSink can never lose its consumer");
-
-        let broken = JsonLinesSink::new(Broken);
-        assert!(!broken.is_closed());
-        broken.record(0, &rec(0));
-        assert!(broken.is_closed(), "write failure closes the sink");
-    }
-
-    #[test]
-    fn json_lines_sink_writes_decodable_lines() {
-        let sink = JsonLinesSink::new(Vec::new());
-        sink.record(3, &rec(7));
-        sink.record(4, &rec(8));
-        assert!(!sink.failed());
-        let bytes = sink.into_inner();
-        let text = String::from_utf8(bytes).unwrap();
-        let lines: Vec<&str> = text.lines().collect();
-        assert_eq!(lines.len(), 2);
-        assert_eq!(wire::decode_record(lines[0]).unwrap(), (3, rec(7)));
-        assert_eq!(wire::decode_record(lines[1]).unwrap(), (4, rec(8)));
-    }
-
-    /// Counts `write` calls, keeping every byte.
-    #[derive(Default)]
-    struct Writes {
-        bytes: Vec<u8>,
-        calls: usize,
-    }
-
-    impl Write for Writes {
-        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-            self.calls += 1;
-            self.bytes.extend_from_slice(buf);
-            Ok(buf.len())
-        }
-        fn flush(&mut self) -> std::io::Result<()> {
-            Ok(())
-        }
-    }
-
-    #[test]
-    fn drain_to_writes_a_batch_once_in_order() {
-        let sink = JsonLinesSink::new(Vec::new());
-        sink.record(3, &rec(7));
-        sink.record(4, &rec(8));
-        sink.write_line("tail");
-        let mut out = Writes::default();
-        sink.drain_to(&mut out).unwrap();
-        assert_eq!(out.calls, 1, "one write per batch");
-        let want = format!(
-            "{}\n{}\ntail\n",
-            wire::encode_record(3, &rec(7)),
-            wire::encode_record(4, &rec(8))
-        );
-        assert_eq!(String::from_utf8(out.bytes).unwrap(), want);
-        assert!(sink.into_inner().is_empty(), "a drain empties the buffer");
-    }
-
-    /// A writer that always fails, to exercise the failure latch.
-    struct Broken;
-    impl Write for Broken {
-        fn write(&mut self, _: &[u8]) -> std::io::Result<usize> {
-            Err(std::io::Error::other("broken pipe"))
-        }
-        fn flush(&mut self) -> std::io::Result<()> {
-            Ok(())
-        }
-    }
-
-    #[test]
-    fn json_lines_sink_latches_write_failures() {
-        let sink = JsonLinesSink::new(Broken);
-        assert!(!sink.failed());
-        sink.record(0, &rec(0)); // must not panic
-        assert!(sink.failed());
     }
 }

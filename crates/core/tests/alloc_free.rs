@@ -43,14 +43,13 @@
 
 use rv_core::shard::{CampaignSpec, SolverSpec, UnitDone};
 use rv_core::wire::{self, Line};
-use rv_core::{Aur, Budget, ResultCache, RunRecord, Solver, StatsAccumulator, VecSink};
+use rv_core::{Aur, Budget, ResultCache, RunRecord, Solver, StatsAccumulator};
 use rv_geometry::{Angle, Chirality};
 use rv_model::{Classification, Instance, TargetClass};
 use rv_numeric::{ratio, Ratio};
 use rv_sim::{BudgetReason, Outcome};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
-use std::sync::Arc;
 
 struct CountingAlloc;
 
@@ -242,9 +241,7 @@ fn record_codec_allocates_at_most_once_per_line() {
         2_000,
     );
     let range = 0..128;
-    let sink = Arc::new(VecSink::new());
-    spec.run_range(1, range.clone(), sink.clone(), 1);
-    let records = sink.take_sorted();
+    let records = spec.run_range(1, range.clone(), 1);
     let acc = StatsAccumulator::of(records.iter().map(|(_, rec)| rec));
     let dir = std::env::temp_dir().join(format!("rv-alloc-free-{}", std::process::id()));
     let cache = ResultCache::open(&dir).expect("cache dir");

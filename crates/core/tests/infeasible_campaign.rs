@@ -11,11 +11,9 @@
 //! `rv-shard` binary).
 
 use rv_core::shard::{plan_units, CampaignSpec, SolverSpec, UnitDone, UnitTask};
-use rv_core::stream::VecSink;
 use rv_core::wire::{self, Line, Value};
 use rv_core::{CampaignStats, StatsAccumulator};
 use rv_model::TargetClass;
-use std::sync::Arc;
 
 fn all_infeasible() -> CampaignSpec {
     CampaignSpec::new(
@@ -141,10 +139,8 @@ fn in_process_scatter_gather_over_the_wire_is_byte_identical() {
                 other => panic!("wrong kind: {other:?}"),
             };
             assert_eq!(task, sent);
-            let sink = Arc::new(VecSink::new());
-            session.run_range(session_seed, task.range.clone(), sink.clone(), 0);
-            let mut lines: Vec<String> = sink
-                .take()
+            let mut lines: Vec<String> = session
+                .run_range(session_seed, task.range.clone(), 0)
                 .iter()
                 .map(|(i, rec)| wire::encode_record(*i, rec))
                 .collect();

@@ -6,10 +6,10 @@
 //! rv-shard worker [--threads T] [--flaky]
 //!     Speak the schema-3 session protocol on stdin/stdout. The first
 //!     line must be a campaign_spec line, which opens the session; each
-//!     subsequent task line executes one index unit (record lines, then
-//!     a unit_telemetry line, then a unit_done line), a new
-//!     campaign_spec line re-keys the session, and stdin EOF ends it
-//!     with exit 0. A bad or missing opener — including the retired
+//!     subsequent task line executes one index unit (record lines in
+//!     index order, then a unit_telemetry line, then a unit_done line),
+//!     a new campaign_spec line re-keys the session, and stdin EOF ends
+//!     it with exit 0. A bad or missing opener — including the retired
 //!     one-shot work order — exits 2. With --flaky, every task
 //!     whose line carries attempt 0 fails deterministically (exit 3,
 //!     after writing one genuine record) — a test mode proving driver
@@ -43,12 +43,12 @@
 use rv_core::cache::{CacheError, ResultCache};
 use rv_core::exec::{self, UtilizationReport, WorkerCommand};
 use rv_core::shard::{
-    CampaignRequest, CampaignSpec, SolverSpec, TransportSpec, UnitDone, UnitTelemetry,
+    push_record_lines, CampaignRequest, CampaignSpec, SolverSpec, TransportSpec, UnitDone,
+    UnitTelemetry,
 };
-use rv_core::wire::Line;
-use rv_core::{wire, JsonLinesSink, RecordSink};
+use rv_core::wire::{self, Line};
 use rv_model::TargetClass;
-use std::io::{BufRead, StdinLock};
+use std::io::{BufRead, StdinLock, Write};
 use std::sync::Arc;
 
 fn main() {
@@ -118,15 +118,14 @@ fn worker(args: &[String]) {
 
 /// The session worker protocol (the `PoolExecutor` side): keyed by the
 /// opening `campaign_spec` line, each `task` line executes one index
-/// unit and answers with record lines, one `unit_telemetry` line, and
-/// one `unit_done` line. A fresh `campaign_spec` line re-keys the
-/// session in place; stdin EOF is the graceful shutdown (exit 0).
+/// unit and answers with record lines in index order, one
+/// `unit_telemetry` line, and one `unit_done` line. A fresh
+/// `campaign_spec` line re-keys the session in place; stdin EOF is the
+/// graceful shutdown (exit 0).
 ///
-/// Each unit's answer is rendered into one buffer and written to stdout
-/// with a single `write_all` and `flush`: the driver holds a unit's
-/// records until its `unit_done` anyway, so batching changes neither the
-/// bytes nor their order, only the number of writes (one per unit, not
-/// one per record).
+/// Each unit's answer — its records in index order, then its telemetry
+/// and `unit_done` lines — is encoded into one buffer and written to
+/// stdout with a single `write_all` and `flush`.
 ///
 /// With `flaky`, a task line carrying attempt 0 writes ONE genuine
 /// record (a partial stream the driver must discard wholesale —
@@ -134,9 +133,8 @@ fn worker(args: &[String]) {
 /// >= 1 run clean, so exactly one retry per unit recovers the campaign.
 fn session(mut input: StdinLock<'_>, spec: CampaignSpec, seed: u64, threads: usize, flaky: bool) {
     let mut session = (spec, seed);
-    // The per-unit answer buffer; records land in it as each run
-    // finishes, from whichever campaign thread computed them.
-    let sink = Arc::new(JsonLinesSink::new(Vec::new()));
+    // The per-unit answer buffer, reused across units.
+    let mut answer = String::new();
     let mut stdout = std::io::stdout().lock();
     let mut line = String::new();
     loop {
@@ -159,33 +157,40 @@ fn session(mut input: StdinLock<'_>, spec: CampaignSpec, seed: u64, threads: usi
             Ok(Line::CampaignSpec { spec, seed }) => session = (spec, seed),
             Ok(Line::Task(task)) => {
                 let (spec, seed) = &session;
+                answer.clear();
                 if flaky && task.attempt == 0 {
-                    let start = task.range.start;
-                    if !task.range.is_empty() {
-                        spec.run_range(*seed, start..start + 1, sink.clone(), 1);
-                    }
-                    let _ = sink.drain_to(&mut stdout);
+                    let first = task.range.start..task.range.end.min(task.range.start + 1);
+                    push_record_lines(&mut answer, &spec.run_range(*seed, first, 1));
+                    let _ = stdout
+                        .write_all(answer.as_bytes())
+                        .and_then(|()| stdout.flush());
                     eprintln!("rv-shard worker: injected flaky failure (attempt 0)");
                     std::process::exit(3);
                 }
                 let started = std::time::Instant::now();
-                spec.run_range(
-                    *seed,
-                    task.range.clone(),
-                    sink.clone() as Arc<dyn RecordSink>,
-                    threads,
+                push_record_lines(
+                    &mut answer,
+                    &spec.run_range(*seed, task.range.clone(), threads),
                 );
                 let telemetry = UnitTelemetry {
                     task_id: task.task_id,
                     attempt: task.attempt,
                     wall_ns: started.elapsed().as_nanos() as u64,
                 };
-                sink.write_line(&wire::encode_unit_telemetry(&telemetry));
-                sink.write_line(&wire::encode_unit_done(&UnitDone {
-                    task_id: task.task_id,
-                    start: task.range.start,
-                }));
-                if let Err(e) = sink.drain_to(&mut stdout) {
+                for tail in [
+                    wire::encode_unit_telemetry(&telemetry),
+                    wire::encode_unit_done(&UnitDone {
+                        task_id: task.task_id,
+                        start: task.range.start,
+                    }),
+                ] {
+                    answer.push_str(&tail);
+                    answer.push('\n');
+                }
+                if let Err(e) = stdout
+                    .write_all(answer.as_bytes())
+                    .and_then(|()| stdout.flush())
+                {
                     eprintln!("rv-shard worker: unit answer write failed: {e}");
                     std::process::exit(1);
                 }

@@ -19,10 +19,11 @@ use rv_core::exec::{
     backend, worker_command, ExecError, Executor, LocalExecutor, PoolExecutor, WorkerCommand,
 };
 use rv_core::shard::{
-    CampaignRequest, CampaignSpec, ShardError, SolverSpec, TransportSpec, UnitTask,
+    CampaignRequest, CampaignSpec, ShardError, SolverSpec, TransportSpec, UnitDone, UnitTask,
+    UnitTelemetry,
 };
 use rv_core::stream::VecSink;
-use rv_core::{wire, CampaignReport, CampaignStats, RecordSink};
+use rv_core::{wire, CampaignReport, CampaignStats, RecordSink, StatsAccumulator};
 use rv_model::TargetClass;
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -455,6 +456,98 @@ fn pipelined_abort_kills_workers_with_two_tasks_in_flight() {
         elapsed < std::time::Duration::from_secs(15),
         "abort should kill the wedged worker promptly, took {elapsed:?}"
     );
+}
+
+/// A correct worker's answer to the one task `0..n` of `(spec, seed)`
+/// (task 0, attempt 0): its record lines in index order, then its
+/// `unit_telemetry` and `unit_done` lines.
+fn one_unit_answer(spec: &CampaignSpec, seed: u64, n: usize) -> (Vec<String>, String, String) {
+    let records = spec
+        .run_range(seed, 0..n, 1)
+        .iter()
+        .map(|(index, rec)| wire::encode_record(*index, rec))
+        .collect();
+    let telemetry = wire::encode_unit_telemetry(&UnitTelemetry {
+        task_id: 0,
+        attempt: 0,
+        wall_ns: 1,
+    });
+    let done = wire::encode_unit_done(&UnitDone {
+        task_id: 0,
+        start: 0,
+    });
+    (records, telemetry, done)
+}
+
+/// Runs the one-unit campaign `0..n` of [`mixed_spec`] first on a
+/// `/bin/sh` worker that answers with `answer`'s lines: a misordered
+/// answer must fail its attempt with a typed `Protocol` error. Then,
+/// with the real worker added as a second command and one retry, the
+/// refused attempt fails over and the run matches the single-process
+/// run byte for byte.
+#[cfg(unix)]
+fn assert_misordered_answer_is_refused(tag: &str, seed: u64, n: usize, answer: &[String]) {
+    let spec = &mixed_spec();
+    let path = std::env::temp_dir().join(format!("rv-misordered-{tag}-{}", std::process::id()));
+    fs::write(&path, format!("{}\n", answer.join("\n"))).unwrap();
+    let scripted = || {
+        WorkerCommand::new("/bin/sh")
+            .arg("-c")
+            .arg(format!("read spec; read task; cat '{}'", path.display()))
+    };
+    let err = PoolExecutor::new(scripted())
+        .unit(n)
+        .execute(spec, seed, n, None)
+        .unwrap_err();
+    match err {
+        ExecError::Exhausted {
+            last: ShardError::Protocol { .. },
+            attempts: 1,
+            ..
+        } => {}
+        other => panic!("{tag}: expected a Protocol error, got {other}"),
+    }
+    let exec = PoolExecutor::new(scripted())
+        .add_command(worker_cmd())
+        .unit(n)
+        .retries(1);
+    assert_backend_matches(&exec, spec, seed, n, tag);
+    let attempts: Vec<u32> = exec
+        .take_worker_telemetry()
+        .iter()
+        .map(|(_, t)| t.attempt)
+        .collect();
+    assert_eq!(attempts, vec![1], "{tag}: the first attempt was refused");
+    let _ = fs::remove_file(&path);
+}
+
+#[cfg(unix)]
+#[test]
+fn misordered_answer_with_swapped_records_is_refused_and_recovers() {
+    if !Path::new("/bin/sh").exists() {
+        eprintln!("skipping: /bin/sh not available");
+        return;
+    }
+    // Every index once, the count right, but records 0 and 1 swapped.
+    let (mut answer, telemetry, done) = one_unit_answer(&mixed_spec(), 29, 6);
+    answer.swap(0, 1);
+    answer.extend([telemetry, done]);
+    assert_misordered_answer_is_refused("swapped", 29, 6, &answer);
+}
+
+#[cfg(unix)]
+#[test]
+fn misordered_answer_with_a_record_after_telemetry_is_refused_and_recovers() {
+    if !Path::new("/bin/sh").exists() {
+        eprintln!("skipping: /bin/sh not available");
+        return;
+    }
+    // Every index once and in order, but the last record follows the
+    // unit_telemetry line.
+    let (mut answer, telemetry, done) = one_unit_answer(&mixed_spec(), 29, 6);
+    let last = answer.pop().unwrap();
+    answer.extend([telemetry, last, done]);
+    assert_misordered_answer_is_refused("after-telemetry", 29, 6, &answer);
 }
 
 #[test]
@@ -911,10 +1004,13 @@ fn session_worker_serves_units_and_exits_0_on_eof() {
     );
     let stdout = String::from_utf8(out.stdout).unwrap();
     let local = spec.run_local(seed, 5);
-    // Records within a unit arrive in any order (WIRE.md: `index` is the
-    // reordering key), but a unit's records are exactly its range and
-    // all precede that unit's telemetry and unit_done lines.
+    // A unit's records are exactly its range in ascending index order,
+    // all before that unit's telemetry and unit_done lines, and their
+    // bytes are the record lines of the cache entry for that range.
+    let dir = cache_dir("session-answer");
+    let cache = ResultCache::open(&dir).expect("open cache");
     let mut unit_records = Vec::new();
+    let mut unit_lines = String::new();
     let mut unit_counts = Vec::new();
     let mut telemetry = Vec::new();
     let mut done = Vec::new();
@@ -924,18 +1020,27 @@ fn session_worker_serves_units_and_exits_0_on_eof() {
                 assert_eq!(record, local.records[index], "index {index}");
                 assert_eq!(telemetry.len(), done.len(), "record after telemetry");
                 unit_records.push(index);
+                unit_lines.push_str(line);
+                unit_lines.push('\n');
             }
             wire::Line::UnitTelemetry(t) => telemetry.push(t),
             wire::Line::UnitDone(d) => {
                 let (task_id, range) = &tasks[done.len()];
-                unit_records.sort_unstable();
                 assert_eq!(
                     unit_records,
                     range.clone().collect::<Vec<_>>(),
-                    "task {task_id}: records must be exactly its range"
+                    "task {task_id}: records must be its range in index order"
                 );
+                let records = spec.run_range(seed, range.clone(), 1);
+                let acc = StatsAccumulator::of(records.iter().map(|(_, rec)| rec));
+                let key = cache.store(&spec, seed, range, &records, &acc).unwrap();
+                let entry = fs::read_to_string(cache.entry_path(key)).unwrap();
+                let body: Vec<&str> = entry.lines().collect();
+                let stored = format!("{}\n", body[1..body.len() - 1].join("\n"));
+                assert_eq!(unit_lines, stored, "task {task_id}: answer vs cache entry");
                 unit_counts.push(unit_records.len());
                 unit_records.clear();
+                unit_lines.clear();
                 assert_eq!(telemetry.len(), done.len() + 1, "telemetry before done");
                 assert_eq!((d.task_id, d.start), (*task_id, range.start));
                 done.push(d);
@@ -943,6 +1048,7 @@ fn session_worker_serves_units_and_exits_0_on_eof() {
             other => panic!("unexpected session answer: {other:?}"),
         }
     }
+    let _ = fs::remove_dir_all(&dir);
     assert!(unit_records.is_empty(), "records after the last unit_done");
     assert_eq!(
         telemetry.iter().map(|t| t.task_id).collect::<Vec<_>>(),
@@ -1095,10 +1201,9 @@ fn cache_half_cached_pool_evicts_a_corrupt_entry_and_runs_it_once() {
 
 #[test]
 fn cache_pool_entries_are_byte_identical_to_local_entries() {
-    // The pool stores each unit's record lines as its worker streamed
-    // them (re-sorted by index: a two-thread worker may finish them out
-    // of order); the local backend encodes its records. Over the same
-    // range both must write the same bytes.
+    // The pool stores each unit's record lines as its worker answered
+    // them; the local backend encodes its records. Over the same range
+    // both must write the same bytes.
     let spec = mixed_spec();
     let (seed, n) = (0xB17E, 12);
     let key = CacheKey::derive(&spec, seed, &(0..n));

@@ -43,7 +43,7 @@ use crate::config::{BudgetReason, SimConfig};
 use crate::outcome::{Meeting, Outcome, SimReport, SimTime, TraceSample};
 use rv_geometry::{first_within, min_dist_on_interval, Vec2};
 use rv_numeric::{Int, Ratio, TickScale};
-use rv_trajectory::{AgentAttrs, Instr, Motion, Segment, StepSource};
+use rv_trajectory::{AgentAttrs, Motion, Segment, StepSource};
 
 struct AgentState<P> {
     motion: Motion<P>,
@@ -238,29 +238,12 @@ impl Tracer {
     }
 }
 
-/// Simulates the two agents until rendezvous or budget exhaustion.
-///
-/// [`simulate_programs`] over owned instructions.
-pub fn simulate<PA, PB>(
-    attrs_a: AgentAttrs,
-    prog_a: PA,
-    attrs_b: AgentAttrs,
-    prog_b: PB,
-    cfg: &SimConfig,
-) -> SimReport
-where
-    PA: Iterator<Item = Instr>,
-    PB: Iterator<Item = Instr>,
-{
-    simulate_programs(attrs_a, prog_a, attrs_b, prog_b, cfg)
-}
-
 /// Simulates the two agents until rendezvous or budget exhaustion, each
 /// running a [`StepSource`]: a program of owned or borrowed instructions
 /// (`Instr`, `&Instr`), or the tape of a compiled program. Picks the run's
 /// tick and compiles each program into a [`Motion`] counting it (see the
 /// module docs).
-pub fn simulate_programs<PA, PB>(
+pub fn simulate<PA, PB>(
     attrs_a: AgentAttrs,
     prog_a: PA,
     attrs_b: AgentAttrs,
@@ -529,6 +512,8 @@ mod tests {
     use super::*;
     use rv_geometry::{Angle, Compass};
     use rv_numeric::ratio;
+    use rv_trajectory::Instr;
+    use std::iter::empty;
 
     fn attrs_at(x: f64, wake: Ratio) -> AgentAttrs {
         AgentAttrs {
@@ -546,9 +531,9 @@ mod tests {
     fn trivial_meet_at_time_zero() {
         let report = simulate(
             AgentAttrs::reference(),
-            std::iter::empty(),
+            empty::<Instr>(),
             attrs_at(1.5, Ratio::zero()),
-            std::iter::empty(),
+            empty::<Instr>(),
             &cfg(2),
         );
         let m = report.meeting().expect("should meet immediately");
@@ -564,7 +549,7 @@ mod tests {
             AgentAttrs::reference(),
             prog_a.into_iter(),
             attrs_at(10.0, Ratio::zero()),
-            std::iter::empty(),
+            empty::<Instr>(),
             &cfg(2),
         );
         let m = report.meeting().unwrap();
@@ -576,9 +561,9 @@ mod tests {
     fn both_halted_is_reported() {
         let report = simulate(
             AgentAttrs::reference(),
-            std::iter::empty(),
+            empty::<Instr>(),
             attrs_at(10.0, Ratio::zero()),
-            std::iter::empty(),
+            empty::<Instr>(),
             &cfg(1),
         );
         assert!(!report.met());
@@ -604,7 +589,7 @@ mod tests {
             AgentAttrs::reference(),
             prog_a,
             attrs_at(10.0, Ratio::zero()),
-            std::iter::empty(),
+            empty::<Instr>(),
             &config,
         );
         assert!(matches!(
@@ -629,7 +614,7 @@ mod tests {
             AgentAttrs::reference(),
             prog_a,
             attrs_at(10.0, Ratio::zero()),
-            std::iter::empty(),
+            empty::<Instr>(),
             &config,
         );
         assert!(matches!(
@@ -653,7 +638,7 @@ mod tests {
         };
         let report = simulate(
             AgentAttrs::reference(),
-            std::iter::empty(),
+            empty::<Instr>(),
             attrs_b,
             prog_b.into_iter(),
             &cfg(1),
@@ -671,7 +656,7 @@ mod tests {
         ];
         let report = simulate(
             AgentAttrs::reference(),
-            std::iter::empty(),
+            empty::<Instr>(),
             attrs_at(10.0, Ratio::zero()),
             prog_b.into_iter(),
             &cfg(1),
@@ -701,7 +686,7 @@ mod tests {
             AgentAttrs::reference(),
             prog_a.into_iter(),
             attrs_b,
-            std::iter::empty(),
+            empty::<Instr>(),
             &cfg(2),
         );
         let m = report.meeting().unwrap();
@@ -752,7 +737,7 @@ mod tests {
             AgentAttrs::reference(),
             prog_a.into_iter(),
             attrs_b,
-            std::iter::empty(),
+            empty::<Instr>(),
             &cfg(1),
         );
         assert!(!report.met());
@@ -815,7 +800,7 @@ mod tests {
             AgentAttrs::reference(),
             prog_a,
             attrs_at(10.0, Ratio::zero()),
-            std::iter::empty(),
+            empty::<Instr>(),
             &config,
         );
         assert_eq!(report.trace.len(), 1);
@@ -835,7 +820,7 @@ mod tests {
             AgentAttrs::reference(),
             prog_a,
             attrs_at(10.0, Ratio::zero()),
-            std::iter::empty(),
+            empty::<Instr>(),
             &config,
         );
         assert!(!report.trace.is_empty());

@@ -16,5 +16,5 @@ mod engine;
 mod outcome;
 
 pub use config::{BudgetReason, SimConfig};
-pub use engine::{simulate, simulate_programs};
+pub use engine::simulate;
 pub use outcome::{Meeting, Outcome, SimReport, SimTime, TraceSample};

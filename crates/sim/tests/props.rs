@@ -11,6 +11,7 @@ use rv_geometry::{Angle, Chirality, Vec2};
 use rv_numeric::Ratio;
 use rv_sim::{simulate, Outcome, SimConfig};
 use rv_trajectory::{AgentAttrs, Instr, Motion};
+use std::iter::empty;
 
 fn instr_strategy() -> impl Strategy<Value = Instr> {
     prop_oneof![
@@ -152,7 +153,7 @@ proptest! {
             AgentAttrs::reference(),
             prog_a.into_iter(),
             attrs_b.clone(),
-            std::iter::empty(),
+            empty::<Instr>(),
             &cfg,
         );
         let initial = attrs_b.origin.norm();
@@ -173,7 +174,7 @@ proptest! {
             AgentAttrs::reference(),
             prog_a.into_iter().cycle().take(2_000),
             attrs_b,
-            std::iter::empty(),
+            empty::<Instr>(),
             &cfg,
         );
         prop_assert!(report.trace.len() <= cap + 1);
@@ -193,7 +194,7 @@ proptest! {
             AgentAttrs::reference(),
             prog_a.into_iter(),
             attrs_b,
-            std::iter::empty(),
+            empty::<Instr>(),
             &cfg,
         );
         // Finite programs against a halted agent must end in BothHalted or

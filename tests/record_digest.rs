@@ -49,7 +49,7 @@ use rv_core::wire::{encode_campaign_report, encode_record, encode_unit_done};
 use rv_core::{
     almost_universal_rv, planar_cow_walk, solve_pair, Aur, Budget, CampaignReport, CampaignSpec,
     FixedPair, Instance, Outcome, ResultCache, RunRecord, SimReport, Solver, SolverSpec,
-    StatsAccumulator, VecSink, Visibility,
+    StatsAccumulator, Visibility,
 };
 use rv_geometry::Vec2;
 use rv_model::{generate_seeded, TargetClass};
@@ -289,9 +289,7 @@ fn run_unit(
     seed: u64,
     range: std::ops::Range<usize>,
 ) -> (Vec<(usize, RunRecord)>, StatsAccumulator) {
-    let sink = std::sync::Arc::new(VecSink::new());
-    spec.run_range(seed, range, sink.clone(), 1);
-    let records = sink.take_sorted();
+    let records = spec.run_range(seed, range, 1);
     let acc = StatsAccumulator::of(records.iter().map(|(_, rec)| rec));
     (records, acc)
 }
