@@ -10,13 +10,14 @@
 //!
 //! Executors take a cache through `.cache(..)`
 //! ([`crate::exec::PoolExecutor::cache`],
-//! [`crate::exec::LocalExecutor::cache`]) and share one write path,
-//! [`ResultCache::store_lines`]: the pool stores each executed unit's
-//! record lines as its worker answered them, the local backend encodes
-//! its whole campaign `0..n` once through [`ResultCache::store`]. An
-//! entry's body is a worker answer's body: both are written by
-//! [`crate::shard::push_record_lines`] and read by
-//! [`crate::shard::UnitReader`], so a stored unit and an answered one
+//! [`crate::exec::LocalExecutor::cache`]) and share one write path, the
+//! crate-private `ResultCache::store_lines`: the pool stores each
+//! executed unit's record lines as its worker answered them (and its
+//! [`crate::shard::UnitReader`] checked them), the local backend encodes
+//! its whole campaign `0..n` once through [`ResultCache::store`], which
+//! checks the records the same way. An entry's body is a worker answer's
+//! body: both are written by [`crate::shard::push_record_lines`] and read
+//! by [`crate::shard::UnitReader`], so a stored unit and an answered one
 //! obey the same rules.
 //!
 //! # Entry layout
@@ -492,8 +493,8 @@ impl ResultCache {
     /// `acc` is an input check. Inputs that do not cover the range in
     /// index order ([`UnitReader::check`]) are rejected with
     /// [`CacheError::Layout`] rather than poisoning the cache. The
-    /// records are encoded once and published by
-    /// [`ResultCache::store_lines`].
+    /// records are encoded once and published by the one path that
+    /// writes entries.
     pub fn store(
         &self,
         spec: &CampaignSpec,
@@ -521,14 +522,15 @@ impl ResultCache {
     /// record lines: `lines` holds one `record` line per index of the
     /// range, in index order, each ending in `\n` — what a pool gather
     /// validated, byte for byte as the worker answered it. The one path
-    /// that writes entries.
+    /// that writes entries; crate-private, because it trusts the lines'
+    /// indices to its callers, which have checked them.
     ///
     /// A line count that does not match the range is rejected with
     /// [`CacheError::Layout`]. The entry is written to a temporary file
     /// and published with an atomic rename, so concurrent readers (and
     /// writers racing on the same key, which by content addressing write
     /// identical bytes) are safe.
-    pub fn store_lines(
+    pub(crate) fn store_lines(
         &self,
         spec: &CampaignSpec,
         seed: u64,

@@ -121,9 +121,8 @@ impl Solver for Aur {
     fn solve(&self, inst: &Instance, budget: &Budget) -> SimReport {
         let cfg = budget.sim_config(inst.r.clone(), inst.r.clone());
         // Step both agents over the process-wide tape of the compiled
-        // program instead of regenerating it: agent A, the reference
-        // agent, reads its positions off the tape, and agent B indexes
-        // its direction table by the tape's direction ids.
+        // program instead of regenerating it: each agent indexes its
+        // direction table by the tape's direction ids.
         let program = crate::aur::compiled_aur();
         simulate(
             inst.agent_a(),

@@ -14,9 +14,9 @@
 //! Agent B runs in a rotated, mirrored frame (`φ = 3π/8`, `χ = −1`), so
 //! the first use of each direction id in B's direction table runs the
 //! general `φ − θ` transform under the counter, while agent A, the
-//! reference agent, reads its positions off the tape. It runs twice:
-//! with `τ = 2`, and with `τ = 5/3`, whose run counts ticks over a scale
-//! with an odd factor (the non-dyadic time path).
+//! reference agent, fills its table through the identity frame. It runs
+//! twice: with `τ = 2`, and with `τ = 5/3`, whose run counts ticks over a
+//! scale with an odd factor (the non-dyadic time path).
 //!
 //! Past one agent's 23k-th instruction the clocks leave i128, and there
 //! the count is pinned instead: exactly two allocations per segment.

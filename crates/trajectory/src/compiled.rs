@@ -9,9 +9,9 @@
 //! [`Motion`](crate::Motion) uses on the fly (see the kinematics module
 //! docs). It replays the program two ways:
 //! - [`tape`](CompiledProgram::tape) lends the stored steps to a
-//!   [`Motion`](crate::Motion): the engine's hot path. The reference agent
-//!   reads its positions off the tape; any other agent indexes its
-//!   direction table by the step's direction id.
+//!   [`Motion`](crate::Motion): the engine's hot path. Every agent, the
+//!   reference agent included, indexes its direction table by the step's
+//!   direction id.
 //! - [`cursor`](CompiledProgram::cursor) rebuilds owned `Instr`s from the
 //!   tape, for callers that need a plain `Iterator<Item = Instr>`. A `go`
 //!   takes its exact angle from the directory, and every length or
@@ -21,10 +21,9 @@
 //!
 //! **Storage.** Chunk `k` holds the steps of instructions `k·CHUNK..` and
 //! a shared snapshot of the direction directory (each direction's exact
-//! angle and reference unit vector) as it stood once the chunk was
-//! lowered. The directory only grows, so the snapshot resolves every id
-//! in its chunk; a chunk that interns no new direction shares the
-//! previous chunk's snapshot.
+//! angle) as it stood once the chunk was lowered. The directory only
+//! grows, so the snapshot resolves every id in its chunk; a chunk that
+//! interns no new direction shares the previous chunk's snapshot.
 //!
 //! The cache extends lazily, chunk by chunk, exactly as far as the
 //! deepest reader has walked — a 100-instruction probe materializes one
@@ -32,17 +31,18 @@
 //! is filled once, under the generator mutex, and read lock-free after
 //! that. Past [`MAX_MATERIALIZED`] instructions the cache stops growing
 //! and a reader falls back to a fresh generator skipped forward to its
-//! position: a tape lowers it on the fly, resuming the lowering after the
-//! cache's last step (so ids, prefix times and reference positions carry
-//! on exactly), and a cursor yields its instructions as they come. The
-//! stream is identical either way, the deep tail just is not cached. This
-//! bounds resident memory for pathological budgets while keeping the
+//! position, which the tape lowers on the fly, resuming the lowering after
+//! the cache's last step (so ids and prefix times carry on exactly). A
+//! cursor rebuilds its instructions from these steps as from cached ones.
+//! The stream is identical either way, the deep tail just is not cached.
+//! This bounds resident memory for pathological budgets while keeping the
 //! common campaign depths (tens of thousands of instructions) fully
 //! cached.
 
 use crate::instr::Instr;
-use crate::kinematics::{Dir, Directory, Lowering, Step, StepSource};
+use crate::kinematics::{Directory, Lowering, Step, StepSource};
 use crate::program::BoxProgram;
+use rv_geometry::Angle;
 use rv_numeric::Ratio;
 use std::sync::{Arc, Mutex, OnceLock};
 
@@ -75,7 +75,7 @@ pub struct CompiledProgram {
 /// their direction ids index.
 struct Chunk {
     steps: Box<[Step]>,
-    dirs: Arc<[Dir]>,
+    dirs: Arc<[Angle]>,
 }
 
 /// The generator behind the cache.
@@ -85,7 +85,7 @@ struct Source {
     /// Every direction interned so far.
     interned: Directory,
     /// The directory snapshot of the last filled chunk.
-    dirs: Arc<[Dir]>,
+    dirs: Arc<[Angle]>,
     /// The program has ended: no chunk past the filled ones will exist.
     drained: bool,
 }
@@ -214,7 +214,7 @@ pub struct Tape<'a> {
     /// The rest of the current chunk's steps.
     steps: std::slice::Iter<'a, Step>,
     /// The current chunk's directory.
-    dirs: &'a [Dir],
+    dirs: &'a [Angle],
     /// Index of the chunk to fetch once `steps` runs out.
     next_chunk: usize,
     /// Past the materialization cap: a fresh generator and the lowering
@@ -227,22 +227,13 @@ struct Tail {
     lowering: Lowering,
 }
 
-/// What a tape holds next.
-enum Next<'a> {
-    /// A cached step and the directory its id indexes.
-    Cached(&'a Step, &'a [Dir]),
-    /// An instruction of the fresh generator past the cap.
-    Tail(Instr),
-}
-
-impl<'a> Tape<'a> {
-    fn walk(&mut self) -> Option<Next<'a>> {
-        loop {
+impl Tape<'_> {
+    /// The next step and the directory its id indexes: lent from the
+    /// cache, or lowered on the fly past the cap.
+    fn walk(&mut self) -> Option<(&Step, &[Angle])> {
+        while self.tail.is_none() {
             if let Some(step) = self.steps.next() {
-                return Some(Next::Cached(step, self.dirs));
-            }
-            if let Some(tail) = self.tail.as_mut() {
-                return tail.program.next().map(Next::Tail);
+                return Some((step, self.dirs));
             }
             match self.program.fetch(self.next_chunk) {
                 Fetch::Chunk(chunk) => {
@@ -269,22 +260,15 @@ impl<'a> Tape<'a> {
                 }
             }
         }
+        let tail = self.tail.as_mut()?;
+        tail.lowering.push(&tail.program.next()?);
+        Some((&tail.lowering.step, tail.lowering.dirs.as_slice()))
     }
 }
 
 impl StepSource for Tape<'_> {
-    fn next_step<'s>(&'s mut self, _: &'s mut Lowering) -> Option<(&'s Step, &'s [Dir])> {
-        match self.walk()? {
-            Next::Cached(step, dirs) => Some((step, dirs)),
-            Next::Tail(instr) => {
-                let tail = self
-                    .tail
-                    .as_mut()
-                    .expect("tail instructions come from the tail");
-                tail.lowering.push(&instr);
-                Some((&tail.lowering.step, tail.lowering.dirs.as_slice()))
-            }
-        }
+    fn next_step<'s>(&'s mut self, _: &'s mut Lowering) -> Option<(&'s Step, &'s [Angle])> {
+        self.walk()
     }
 }
 
@@ -300,24 +284,18 @@ impl Iterator for Cursor<'_> {
     type Item = Instr;
 
     fn next(&mut self) -> Option<Instr> {
-        match self.tape.walk()? {
-            Next::Cached(step, dirs) => {
-                let instr = step.instr(&self.prefix, dirs);
-                // rv-lint: allow(hot) — the owned replay's contract: one
-                // exact prefix per rebuilt instruction; motions step the
-                // tape itself.
-                self.prefix = step.prefix.clone();
-                Some(instr)
-            }
-            Next::Tail(instr) => Some(instr),
-        }
+        let (step, dirs) = self.tape.walk()?;
+        let instr = step.instr(&self.prefix, dirs);
+        // rv-lint: allow(hot) — the owned replay's contract: one exact
+        // prefix per rebuilt instruction; motions step the tape itself.
+        self.prefix = step.prefix.clone();
+        Some(instr)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rv_geometry::Angle;
     use rv_numeric::ratio;
     use std::sync::atomic::{AtomicUsize, Ordering};
     use std::sync::Arc;
@@ -394,17 +372,18 @@ mod tests {
         let n = (MAX_MATERIALIZED + 2 * CHUNK + 5) as i64;
         let compiled = CompiledProgram::new(move || counting_program(n));
         let direct: Vec<Instr> = counting_program(n).collect();
-        // The cached head is lent, the tail past the cap is generated.
+        // The cached head is lent, the tail past the cap is lowered on
+        // the fly.
         let mut tape = compiled.tape();
-        let (mut lent, mut owned) = (0, 0);
-        while let Some(next) = tape.walk() {
-            match next {
-                Next::Cached(..) => lent += 1,
-                Next::Tail(_) => owned += 1,
+        let (mut lent, mut lowered) = (0, 0);
+        while tape.walk().is_some() {
+            match tape.tail {
+                None => lent += 1,
+                Some(_) => lowered += 1,
             }
         }
         assert_eq!(
-            (lent, owned),
+            (lent, lowered),
             (MAX_MATERIALIZED, direct.len() - MAX_MATERIALIZED)
         );
         assert_eq!(compiled.cursor().collect::<Vec<_>>(), direct);

@@ -35,19 +35,15 @@
 //! A [`Motion`] does not step `Instr`s: one function lowers every
 //! instruction into a `Step` that holds
 //! - an interned direction id (into the lowering's directory of exact
-//!   angles, each with its unit vector), or a wait tag;
+//!   angles), or a wait tag;
 //! - the f64 local length `dist.to_f64()`;
-//! - the exact prefix local time `P_k`;
-//! - the reference agent's f64 end position, accumulated exactly as the
-//!   stepper accumulates any agent's position.
+//! - the exact prefix local time `P_k`.
 //!
 //! Zero-duration instructions are lowered too and yield no segment. A
 //! motion reads its steps from a [`StepSource`]: an iterator of `Instr`s,
 //! lowered on the fly into the motion's own lowering, or the tape of a
 //! [`CompiledProgram`](crate::CompiledProgram), lowered once per process
-//! by the same function. An agent whose attributes equal
-//! [`AgentAttrs::reference`] takes its positions from the steps and its
-//! velocities from the directory: no f64 arithmetic. Any other agent
+//! by the same function. Every agent, the reference agent A included,
 //! maps directions through its direction table.
 //!
 //! A lowering interns each `go`'s exact angle into its directory once:
@@ -61,9 +57,8 @@
 //! Programs draw their directions from a small alphabet: Algorithm 1 only
 //! ever moves along the axes of the frames `Rot(jπ/2^i)`, so a 20k-segment
 //! AUR run uses 16 distinct local directions (32 after about 100k
-//! instructions). Each non-reference [`Motion`] keeps a table from a
-//! direction id to the absolute unit vector and velocity it produces. Its
-//! contract:
+//! instructions). Each [`Motion`] keeps a table from a direction id to
+//! the absolute unit vector and velocity it produces. Its contract:
 //!
 //! - **Indexed.** The step's direction id is the table index: no key
 //!   conversion, no scan.
@@ -193,37 +188,27 @@ pub struct Step {
     /// The exact prefix local time `P_k`: the local durations of every
     /// instruction up to and including this one.
     pub(crate) prefix: Ratio,
-    /// The reference agent's position after this step.
-    ref_end: Vec2,
 }
 
 impl Step {
     /// The instruction this step was lowered from, given the prefix time
     /// of the step before it and the directory its id indexes.
-    pub(crate) fn instr(&self, before: &Ratio, dirs: &[Dir]) -> Instr {
+    pub(crate) fn instr(&self, before: &Ratio, dirs: &[Angle]) -> Instr {
         let dur = &self.prefix - before;
         match self.dir {
             WAIT => Instr::wait(dur),
             // rv-lint: allow(hot) — the owned replay's contract: one angle
             // per rebuilt instruction; motions index the directory.
-            id => Instr::go_angle(dirs[id as usize].angle.clone(), dur),
+            id => Instr::go_angle(dirs[id as usize].clone(), dur),
         }
     }
-}
-
-/// An interned direction: the exact local angle and the reference
-/// agent's unit vector along it.
-#[derive(Clone, Debug)]
-pub struct Dir {
-    angle: Angle,
-    unit: Vec2,
 }
 
 /// The directions a lowering has interned, in id order (see the module
 /// docs).
 #[derive(Debug, Default)]
 pub(crate) struct Directory {
-    dirs: Vec<Dir>,
+    dirs: Vec<Angle>,
     /// Angle to id, built once `dirs` passes [`DIR_SLOTS`] entries; empty
     /// (and unallocated) before that, while a scan is cheaper. Keyed
     /// without per-map random state: a motion builds a directory per run.
@@ -232,14 +217,14 @@ pub(crate) struct Directory {
 
 impl Directory {
     /// Every interned direction; an id indexes it.
-    pub(crate) fn as_slice(&self) -> &[Dir] {
+    pub(crate) fn as_slice(&self) -> &[Angle] {
         &self.dirs
     }
 
     /// The id of `angle`, interning it if it is new.
     fn intern(&mut self, angle: &Angle) -> u32 {
         let known = if self.index.is_empty() {
-            self.dirs.iter().position(|d| d.angle == *angle)
+            self.dirs.iter().position(|d| d == angle)
         } else {
             self.index.get(angle).map(|&id| id as usize)
         };
@@ -247,11 +232,9 @@ impl Directory {
             return id as u32;
         }
         let id = u32::try_from(self.dirs.len()).expect("fewer than 2^32 directions");
-        let unit = Orientation::identity().to_absolute(angle).unit();
         // rv-lint: allow(hot) — interning: once per distinct direction of
         // the program, not per instruction.
-        let angle = angle.clone();
-        self.dirs.push(Dir { angle, unit });
+        self.dirs.push(angle.clone());
         self.index_new();
         id
     }
@@ -263,16 +246,16 @@ impl Directory {
             return;
         }
         let indexed = self.index.len();
-        for (dir, id) in self.dirs[indexed..].iter().zip(indexed as u32..) {
+        for (angle, id) in self.dirs[indexed..].iter().zip(indexed as u32..) {
             // rv-lint: allow(hot) — indexing: once per distinct direction
             // past the first DIR_SLOTS, not per instruction.
-            self.index.insert(dir.angle.clone(), id);
+            self.index.insert(angle.clone(), id);
         }
     }
 }
 
-impl From<Vec<Dir>> for Directory {
-    fn from(dirs: Vec<Dir>) -> Directory {
+impl From<Vec<Angle>> for Directory {
+    fn from(dirs: Vec<Angle>) -> Directory {
         let mut directory = Directory {
             dirs,
             index: HashMap::default(),
@@ -287,21 +270,18 @@ impl From<Vec<Dir>> for Directory {
 pub struct Lowering {
     /// Every direction interned so far; a step's id indexes it.
     pub(crate) dirs: Directory,
-    /// The last lowered step, which carries the running prefix time and
-    /// reference position.
+    /// The last lowered step, which carries the running prefix time.
     pub(crate) step: Step,
 }
 
 impl Step {
-    /// The step before a program's first instruction: prefix time 0 at
-    /// the origin.
+    /// The step before a program's first instruction: prefix time 0.
     pub(crate) fn start() -> Step {
         Step {
             dir: WAIT,
             empty: true,
             len: 0.0,
             prefix: Ratio::zero(),
-            ref_end: Vec2::ZERO,
         }
     }
 
@@ -315,15 +295,11 @@ impl Step {
             Instr::Go { dir, dist } => (dirs.intern(dir), dist.to_f64(), dist),
         };
         let empty = instr.is_empty();
-        let mut ref_end = self.ref_end;
         let prefix = if empty {
             // rv-lint: allow(hot) — zero-duration instructions only; every
             // other step computes a fresh prefix sum.
             self.prefix.clone()
         } else {
-            if dir != WAIT {
-                ref_end += dirs.dirs[dir as usize].unit * len;
-            }
             &self.prefix + dur
         };
         Step {
@@ -331,7 +307,6 @@ impl Step {
             empty,
             len,
             prefix,
-            ref_end,
         }
     }
 }
@@ -357,7 +332,7 @@ impl Lowering {
 pub trait StepSource {
     /// The next step and the directory its direction id indexes.
     /// `lowering` is the motion's own, for a source lowered on the fly.
-    fn next_step<'s>(&'s mut self, lowering: &'s mut Lowering) -> Option<(&'s Step, &'s [Dir])>;
+    fn next_step<'s>(&'s mut self, lowering: &'s mut Lowering) -> Option<(&'s Step, &'s [Angle])>;
 }
 
 impl<I> StepSource for I
@@ -365,7 +340,7 @@ where
     I: Iterator,
     I::Item: Borrow<Instr>,
 {
-    fn next_step<'s>(&'s mut self, lowering: &'s mut Lowering) -> Option<(&'s Step, &'s [Dir])> {
+    fn next_step<'s>(&'s mut self, lowering: &'s mut Lowering) -> Option<(&'s Step, &'s [Angle])> {
         lowering.push(self.next()?.borrow());
         Some((&lowering.step, lowering.dirs.as_slice()))
     }
@@ -378,7 +353,7 @@ pub const DIR_SLOTS: usize = 32;
 // One bit of `DirTable::filled` per slot.
 const _: () = assert!(DIR_SLOTS <= u32::BITS as usize);
 
-/// The direction table of a non-reference agent: for direction id `k`,
+/// The direction table of an agent: for direction id `k`,
 /// the absolute unit vector and velocity, filled on first use.
 struct DirTable {
     orientation: Orientation,
@@ -402,12 +377,12 @@ impl DirTable {
 
     /// The absolute unit vector and velocity of direction `id`, bit for
     /// bit `orientation.to_absolute(dir).unit()` and that times the speed.
-    fn get(&mut self, id: u32, dirs: &[Dir]) -> (Vec2, Vec2) {
+    fn get(&mut self, id: u32, dirs: &[Angle]) -> (Vec2, Vec2) {
         let id = id as usize;
         if id < DIR_SLOTS && self.filled >> id & 1 == 1 {
             return self.slots[id];
         }
-        let unit = self.orientation.to_absolute(&dirs[id].angle).unit();
+        let unit = self.orientation.to_absolute(&dirs[id]).unit();
         let entry = (unit, unit * self.speed_f64);
         if id < DIR_SLOTS {
             self.slots[id] = entry;
@@ -415,18 +390,6 @@ impl DirTable {
         }
         entry
     }
-}
-
-/// True when `attrs` equal [`AgentAttrs::reference`], the origin bit for
-/// bit (a `-0.0` coordinate would change the positions' bits).
-fn is_reference(attrs: &AgentAttrs) -> bool {
-    attrs.origin.x.to_bits() == 0
-        && attrs.origin.y.to_bits() == 0
-        && attrs.phi.is_zero()
-        && attrs.chi.is_plus()
-        && attrs.tau.is_one()
-        && attrs.speed.is_one()
-        && attrs.wake.is_zero()
 }
 
 /// A motion's exact clock, counted in integer ticks (see the module docs).
@@ -539,10 +502,6 @@ pub struct Motion<P> {
     program: P,
     /// Lowers the program's instructions on the fly (idle on a tape).
     lowering: Lowering,
-    /// True for the reference agent, which takes its positions from the
-    /// steps and its velocities from the directory; any other agent maps
-    /// directions through `table`.
-    reference: bool,
     table: DirTable,
     ticks: Ticks,
     pos: Vec2,
@@ -558,18 +517,12 @@ impl<P: StepSource> Motion<P> {
         Motion {
             program,
             lowering: Lowering::new(),
-            reference: is_reference(&attrs),
             table: DirTable::new(&attrs),
             ticks: Ticks::new(&attrs.wake, &attrs.tau),
             pos: attrs.origin,
             halted: false,
             emitted_wake: false,
         }
-    }
-
-    /// Current absolute position (after all segments yielded so far).
-    pub fn position(&self) -> Vec2 {
-        self.pos
     }
 
     /// Ticks per time unit: a tick of this motion lasts `1/unit`.
@@ -633,9 +586,6 @@ impl<P: StepSource> Motion<P> {
             let from = self.pos;
             let vel = if step.dir == WAIT {
                 Vec2::ZERO
-            } else if self.reference {
-                self.pos = step.ref_end;
-                dirs[step.dir as usize].unit
             } else {
                 let (unit, vel) = self.table.get(step.dir, dirs);
                 self.pos = from + unit * (step.len * self.table.unit_len_f64);
@@ -670,15 +620,13 @@ impl<P: StepSource> Iterator for Motion<P> {
 
 #[cfg(test)]
 impl Step {
-    /// Every field, the f64s as bits.
-    pub(crate) fn bits(&self) -> (u32, bool, u64, Ratio, [u64; 2]) {
-        let end = [self.ref_end.x.to_bits(), self.ref_end.y.to_bits()];
+    /// Every field, the f64 as bits.
+    pub(crate) fn bits(&self) -> (u32, bool, u64, Ratio) {
         (
             self.dir,
             self.empty,
             self.len.to_bits(),
             self.prefix.clone(),
-            end,
         )
     }
 }
@@ -844,7 +792,6 @@ mod tests {
                 .collect();
             let mut m = Motion::new(attrs_b(), prog.into_iter());
             m.by_ref().for_each(drop);
-            assert!(!m.reference);
             (
                 m.lowering.dirs.as_slice().len(),
                 m.table.filled.count_ones() as usize,
@@ -871,21 +818,6 @@ mod tests {
         }
         let copy = Directory::from(dirs.as_slice().to_vec());
         assert_eq!(copy.index, dirs.index);
-    }
-
-    #[test]
-    fn only_the_exact_reference_attributes_step_as_the_reference() {
-        assert!(is_reference(&AgentAttrs::reference()));
-        let negative_zero = AgentAttrs {
-            origin: Vec2::new(-0.0, 0.0),
-            ..AgentAttrs::reference()
-        };
-        assert!(!is_reference(&negative_zero));
-        assert!(!is_reference(&AgentAttrs {
-            wake: ratio(1, 2),
-            ..AgentAttrs::reference()
-        }));
-        assert!(!is_reference(&attrs_b()));
     }
 
     #[test]

@@ -10,7 +10,8 @@
 //!   Theorem 3.2 classes, 20k segments), seeds 1–3 at n = 64, both
 //!   agents: over the tape, and lowered on the fly from
 //!   `CompiledProgram::cursor` (what rvbench steps); agent A is the
-//!   reference agent, which reads its positions off the tape;
+//!   reference agent, which maps its directions through its direction
+//!   table like agent B;
 //! - every instance of the `resweep_pool` spec (Dedicated,
 //!   `type1,type2,s1,s2`, 2k segments), seeds 1–3 at n = 64;
 //! - type-3 instances with `τ ≠ 1`, and a mirrored, rotated frame
@@ -25,7 +26,9 @@
 //! - a program with `2^k` directions in phase `k`, like Latecomers', whose
 //!   directory is looked up through its hash index, over the tape and
 //!   lowered on the fly;
-//! - directions whose `q` has a denominator beyond `i128`.
+//! - directions whose `q` has a denominator beyond `i128`;
+//! - the reference attributes with a `-0.0` origin coordinate, over the
+//!   tape and lowered on the fly.
 //!
 //! The reference runs on the raw generator's instructions, not on a
 //! replay of the tape, so a lowering fault cannot hide in both. Each
@@ -390,10 +393,16 @@ fn mirrored_rotated_frame_steps_identically() {
     assert_aur_tape("AUR, χ=−1 φ=3π/8", &mirrored_rotated(), 20_000);
 }
 
-/// Every frame the synthetic programs below run in: the reference agent
-/// (which reads its positions off a tape) and a mirrored, rotated one.
-fn frames() -> [AgentAttrs; 2] {
-    [AgentAttrs::reference(), mirrored_rotated()]
+/// Every frame the synthetic programs below run in: the reference agent,
+/// the reference attributes with a `-0.0` origin coordinate (a sign bit
+/// its positions must carry exactly as the reference stepper's do), and a
+/// mirrored, rotated one.
+fn frames() -> [AgentAttrs; 3] {
+    let negative_zero = AgentAttrs {
+        origin: Vec2::new(-0.0, 0.0),
+        ..AgentAttrs::reference()
+    };
+    [AgentAttrs::reference(), negative_zero, mirrored_rotated()]
 }
 
 /// Steps every frame over `program` lowered on the fly and over a
