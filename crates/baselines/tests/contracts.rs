@@ -6,7 +6,7 @@ use rv_baselines::{beeline, canonical_march, cgkk, cow_path_search, latecomers};
 use rv_geometry::{Chirality, Vec2};
 use rv_model::{Angle, Instance};
 use rv_numeric::{ratio, Ratio};
-use rv_sim::{simulate, SimConfig};
+use rv_sim::{simulate, Budget};
 use rv_trajectory::{AgentAttrs, Instr};
 use std::iter::empty;
 
@@ -15,8 +15,15 @@ fn run_same_program<P: Iterator<Item = Instr>, F: Fn() -> P>(
     prog: F,
     max_segments: u64,
 ) -> rv_sim::SimReport {
-    let cfg = SimConfig::with_radius(inst.r.clone()).max_segments(max_segments);
-    simulate(inst.agent_a(), prog(), inst.agent_b(), prog(), &cfg)
+    let budget = Budget::default().segments(max_segments);
+    simulate(
+        inst.agent_a(),
+        prog(),
+        inst.agent_b(),
+        prog(),
+        (&inst.r, &inst.r),
+        &budget,
+    )
 }
 
 // --- CGKK contract -----------------------------------------------------
@@ -128,13 +135,13 @@ fn beeline_meets_at_exactly_r_on_the_boundary() {
         .build()
         .unwrap();
     let prog = beeline(&inst);
-    let cfg = SimConfig::with_radius(inst.r.clone()).max_segments(10_000);
     let report = simulate(
         inst.agent_a(),
         prog.clone().into_iter(),
         inst.agent_b(),
         prog.into_iter(),
-        &cfg,
+        (&inst.r, &inst.r),
+        &Budget::default().segments(10_000),
     );
     let m = report.meeting().expect("beeline must meet");
     assert!((m.time.to_f64() - 4.0).abs() < 1e-6);
@@ -159,13 +166,13 @@ fn canonical_march_meets_rotated_mirror_boundary() {
         rv_model::Classification::ExceptionS2
     );
     let prog = canonical_march(&inst);
-    let cfg = SimConfig::with_radius(inst.r.clone()).max_segments(10_000);
     let report = simulate(
         inst.agent_a(),
         prog.clone().into_iter(),
         inst.agent_b(),
         prog.into_iter(),
-        &cfg,
+        (&inst.r, &inst.r),
+        &Budget::default().segments(10_000),
     );
     let m = report.meeting().expect("march must meet");
     assert!(
@@ -185,13 +192,13 @@ fn canonical_march_respects_non_dyadic_offsets() {
         .build()
         .unwrap();
     let prog = canonical_march(&inst);
-    let cfg = SimConfig::with_radius(inst.r.clone()).max_segments(10_000);
     let report = simulate(
         inst.agent_a(),
         prog.clone().into_iter(),
         inst.agent_b(),
         prog.into_iter(),
-        &cfg,
+        (&inst.r, &inst.r),
+        &Budget::default().segments(10_000),
     );
     assert!(report.met(), "{}", report.outcome);
 }
@@ -205,13 +212,13 @@ fn cow_path_finds_target_on_the_line() {
         origin: Vec2::new(9.0, 0.0),
         ..AgentAttrs::reference()
     };
-    let cfg = SimConfig::with_radius(Ratio::one()).max_segments(1_000);
     let report = simulate(
         AgentAttrs::reference(),
         cow_path_search(),
         attrs_b,
         empty::<Instr>(),
-        &cfg,
+        (&Ratio::one(), &Ratio::one()),
+        &Budget::default().segments(1_000),
     );
     let m = report.meeting().expect("cow path finds the target");
     // Doubling search: total distance ≤ 9·(target dist); here the first

@@ -1,88 +1,11 @@
-//! Top-level rendezvous API: the [`Budget`], the dedicated-algorithm
-//! [`Recommendation`], and thin one-liner wrappers over the first-class
-//! [`crate::Solver`] impls for callers who just want a report.
+//! Top-level rendezvous API: the dedicated-algorithm [`Recommendation`],
+//! and thin one-liner wrappers over the first-class [`crate::Solver`]
+//! impls for callers who just want a report.
 
 use crate::solver::{Aur, Dedicated, Solver};
 use rv_model::{classify, Classification, Instance};
-use rv_numeric::Ratio;
-use rv_sim::{simulate, SimConfig, SimReport};
+use rv_sim::{simulate, Budget, SimReport};
 use rv_trajectory::Instr;
-
-/// Resource budget for a simulation run.
-#[derive(Clone, Debug)]
-pub struct Budget {
-    /// Cap on processed motion segments (the real cost driver; phase `i`
-    /// of Algorithm 1 costs Θ(i·2^(3i)) segments).
-    pub max_segments: u64,
-    /// Optional cap on simulated absolute time.
-    pub max_time: Option<Ratio>,
-    /// Distance-trace samples to record (0 = off).
-    pub trace_samples: usize,
-    /// Relative detection slack (see `rv_sim::SimConfig`).
-    pub detection_slack: f64,
-}
-
-impl Default for Budget {
-    fn default() -> Budget {
-        Budget {
-            max_segments: 3_000_000,
-            max_time: None,
-            trace_samples: 0,
-            detection_slack: 1e-9,
-        }
-    }
-}
-
-impl Budget {
-    /// Budget sized to reach (roughly) phase `i` of Algorithm 1,
-    /// saturating to `u64::MAX` once the phase cost exceeds `u64` (from
-    /// `i = 20` on — exactly the deep-phase range the asynchronous
-    /// regimes need, where an unchecked shift would wrap).
-    pub fn for_phase(i: u32) -> Budget {
-        // Phase i costs ≈ (3i+1)·2^(3i+2) segments (block 1 dominates);
-        // sum over phases ≈ double the last one. ×2 agents.
-        let base = 3 * i as u64 + 1;
-        let shift = 3 * i as u64 + 2;
-        let per_phase = if shift >= u64::BITS as u64 || base > (u64::MAX >> shift) {
-            u64::MAX
-        } else {
-            base << shift
-        };
-        Budget {
-            max_segments: per_phase.saturating_mul(8).max(10_000),
-            ..Budget::default()
-        }
-    }
-
-    /// Sets the segment cap.
-    pub fn segments(mut self, n: u64) -> Budget {
-        self.max_segments = n;
-        self
-    }
-
-    /// Sets the simulated-time cap.
-    pub fn time(mut self, t: Ratio) -> Budget {
-        self.max_time = Some(t);
-        self
-    }
-
-    /// Enables distance tracing.
-    pub fn trace(mut self, samples: usize) -> Budget {
-        self.trace_samples = samples;
-        self
-    }
-
-    pub(crate) fn sim_config(&self, r_a: Ratio, r_b: Ratio) -> SimConfig {
-        SimConfig {
-            radius_a: r_a,
-            radius_b: r_b,
-            detection_slack: self.detection_slack,
-            max_time: self.max_time.clone(),
-            max_segments: self.max_segments,
-            trace_samples: self.trace_samples,
-        }
-    }
-}
 
 /// Runs `AlmostUniversalRV` on both agents of `inst` (Theorem 3.2's
 /// algorithm) until rendezvous or budget exhaustion. One-liner wrapper
@@ -104,8 +27,15 @@ where
     PA: Iterator<Item = Instr>,
     PB: Iterator<Item = Instr>,
 {
-    let cfg = budget.sim_config(inst.r.clone(), inst.r.clone());
-    simulate(inst.agent_a(), prog_a, inst.agent_b(), prog_b, &cfg)
+    let radii = (&inst.r, &inst.r);
+    simulate(
+        inst.agent_a(),
+        prog_a,
+        inst.agent_b(),
+        prog_b,
+        radii,
+        budget,
+    )
 }
 
 /// The dedicated algorithm a full-knowledge solver would pick for this
@@ -171,10 +101,7 @@ pub fn solve_dedicated(inst: &Instance, budget: &Budget) -> SimReport {
 mod tests {
     use super::*;
     use rv_geometry::{Angle, Chirality};
-    use rv_numeric::ratio;
-
-    // `Budget::for_phase` saturation/extreme coverage lives in
-    // `tests/edge_budgets.rs` (consolidated with the `mix_seed` edges).
+    use rv_numeric::{ratio, Ratio};
 
     #[test]
     fn trivial_instance_meets_instantly() {

@@ -29,11 +29,11 @@
 //! per-index seeds with [`mix_seed`], which (unlike a plain xor) maps
 //! distinct `(seed, index)` pairs to well-separated RNG seeds.
 
-use crate::api::Budget;
 use crate::json;
 use crate::parallel::par_map;
 use crate::solver::{Aur, Dedicated, Solver};
 use crate::stream::RecordSink;
+use crate::Budget;
 use rv_model::{classify, Classification, Instance};
 use rv_sim::SimReport;
 use std::sync::Arc;
@@ -870,8 +870,7 @@ mod tests {
         }
     }
 
-    // `mix_seed` edge-case coverage lives in `tests/edge_budgets.rs`
-    // (consolidated with the `Budget::for_phase` extremes).
+    // `mix_seed` edge-case coverage lives in `tests/edge_budgets.rs`.
 
     fn synthetic(time: Option<f64>, segments: u64) -> RunRecord {
         RunRecord {

@@ -124,11 +124,6 @@ impl CacheKey {
         CacheKey(state)
     }
 
-    /// The raw 128-bit hash.
-    pub fn as_u128(&self) -> u128 {
-        self.0
-    }
-
     /// The entry file name this key addresses (`<32 hex digits>.jsonl`).
     pub fn file_name(&self) -> String {
         format!("{:032x}.jsonl", self.0)

@@ -57,9 +57,7 @@ pub mod solver;
 pub mod stream;
 pub mod wire;
 
-pub use api::{
-    recommend, solve, solve_dedicated, solve_pair, Budget, DedicatedChoice, Recommendation,
-};
+pub use api::{recommend, solve, solve_dedicated, solve_pair, DedicatedChoice, Recommendation};
 pub use aur::{
     almost_universal_rv, aur_phase, block1, block2, block3, block4, compiled_aur, phase_duration,
     MAX_PHASE,
@@ -85,4 +83,4 @@ pub use rv_baselines::{linear_cow_walk, planar_cow_walk};
 pub use rv_model::{
     aur_guaranteed, classify, classify_with_eps, feasible, Classification, Instance,
 };
-pub use rv_sim::{Outcome, SimReport};
+pub use rv_sim::{Budget, Outcome, SimReport};

@@ -37,10 +37,10 @@
 //! and re-scattered units. The `executor_differential` suite pins
 //! exactly that, subprocesses and fault injection included.
 
-use crate::api::Budget;
 use crate::batch::{mix_seed, Campaign, CampaignReport, RunRecord};
 use crate::cache::CachedShard;
 use crate::wire::{self, Line, WireError};
+use crate::Budget;
 use rv_model::{generate_seeded, Instance, TargetClass};
 use std::fmt;
 use std::ops::Range;

@@ -53,13 +53,13 @@
 //! assert_eq!(campaign.run(&instances).stats.met, 4);
 //! ```
 
-use crate::api::{recommend, Budget, DedicatedChoice};
+use crate::api::{recommend, DedicatedChoice};
 #[cfg(test)]
 use crate::aur::almost_universal_rv;
 use rv_baselines::{beeline, canonical_march};
 use rv_model::Instance;
 use rv_numeric::Ratio;
-use rv_sim::{simulate, SimReport};
+use rv_sim::{simulate, Budget, SimReport};
 use rv_trajectory::Instr;
 use std::sync::Arc;
 
@@ -119,7 +119,6 @@ pub struct Aur;
 
 impl Solver for Aur {
     fn solve(&self, inst: &Instance, budget: &Budget) -> SimReport {
-        let cfg = budget.sim_config(inst.r.clone(), inst.r.clone());
         // Step both agents over the process-wide tape of the compiled
         // program instead of regenerating it: each agent indexes its
         // direction table by the tape's direction ids.
@@ -129,7 +128,8 @@ impl Solver for Aur {
             program.tape(),
             inst.agent_b(),
             program.tape(),
-            &cfg,
+            (&inst.r, &inst.r),
+            budget,
         )
     }
 
@@ -148,14 +148,14 @@ pub struct Dedicated;
 
 impl Solver for Dedicated {
     fn solve(&self, inst: &Instance, budget: &Budget) -> SimReport {
-        let cfg = budget.sim_config(inst.r.clone(), inst.r.clone());
         let run_pair = |pa: Vec<Instr>, pb: Vec<Instr>| {
             simulate(
                 inst.agent_a(),
                 pa.into_iter(),
                 inst.agent_b(),
                 pb.into_iter(),
-                &cfg,
+                (&inst.r, &inst.r),
+                budget,
             )
         };
         match recommend(inst).solver {
@@ -236,13 +236,13 @@ impl FixedPair {
 impl Solver for FixedPair {
     fn solve(&self, inst: &Instance, budget: &Budget) -> SimReport {
         let (r_a, r_b) = self.visibility.radii(inst);
-        let cfg = budget.sim_config(r_a, r_b);
         simulate(
             inst.agent_a(),
             (self.prog)(inst),
             inst.agent_b(),
             (self.prog)(inst),
-            &cfg,
+            (&r_a, &r_b),
+            budget,
         )
     }
 
@@ -329,7 +329,8 @@ mod tests {
             almost_universal_rv(),
             inst.agent_b(),
             almost_universal_rv(),
-            &budget.sim_config(inst.r.clone(), &inst.r * &quarter),
+            (&inst.r, &(&inst.r * &quarter)),
+            &budget,
         );
         same_report(&pair.solve(&inst, &budget), &direct);
     }

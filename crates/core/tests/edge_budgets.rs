@@ -1,48 +1,9 @@
-//! Consolidated edge-case coverage for the two deterministic scalar
-//! helpers every campaign leans on: [`Budget::for_phase`] (saturation at
-//! deep phases) and [`mix_seed`] (collision structure at the extremes).
-//! Formerly scattered across `api.rs` / `batch.rs` unit tests.
+//! Edge-case coverage for [`mix_seed`], the deterministic scalar helper
+//! every campaign leans on (collision structure at the extremes).
+//! Formerly scattered across `batch.rs` unit tests.
 
 use rv_core::batch::mix_seed;
-use rv_core::Budget;
 use std::collections::HashSet;
-
-#[test]
-fn for_phase_saturates_instead_of_overflowing() {
-    // Regression: `(3i+1) << (3i+2)` panicked in debug (wrapped in
-    // release) from i = 21 on; i = 20 already overflows the top bits.
-    assert_eq!(Budget::for_phase(19).max_segments, u64::MAX);
-    assert_eq!(Budget::for_phase(20).max_segments, u64::MAX);
-    assert_eq!(Budget::for_phase(21).max_segments, u64::MAX);
-    assert_eq!(Budget::for_phase(u32::MAX).max_segments, u64::MAX);
-}
-
-#[test]
-fn for_phase_small_phases_keep_exact_sizing() {
-    assert_eq!(Budget::for_phase(0).max_segments, 10_000);
-    assert_eq!(Budget::for_phase(3).max_segments, (10u64 << 11) * 8);
-}
-
-#[test]
-fn for_phase_schedule_is_monotone_non_decreasing() {
-    let mut prev = 0u64;
-    for i in 0..64 {
-        let b = Budget::for_phase(i).max_segments;
-        assert!(b >= prev, "phase {i}: {b} < {prev}");
-        prev = b;
-    }
-}
-
-#[test]
-fn for_phase_saturation_boundary_is_exact() {
-    // Phase 17 is the last exactly-sized budget: (3·17+1)·2^(3·17+2)·8
-    // = 52·2^56 fits. Phase 18's per-phase cost still fits a u64 but the
-    // ×8 agent factor saturates it; phase 19's per-phase cost itself
-    // exceeds u64 (58 > u64::MAX >> 59).
-    assert_eq!(Budget::for_phase(17).max_segments, 52u64 << 56);
-    assert_eq!(Budget::for_phase(18).max_segments, u64::MAX);
-    assert_eq!(Budget::for_phase(19).max_segments, u64::MAX);
-}
 
 #[test]
 fn mix_seed_has_no_trivial_collisions() {

@@ -137,7 +137,7 @@ fn cmd_experiments(args: &[String]) {
         }
         eprintln!("  {id} done in {:?}", start.elapsed());
     }
-    summary.push_str(&format!("\nTotal wall time: {:?}\n", total.elapsed()));
+    // Wall time goes to stderr only, never into an artifact.
     ctx.write("summary.md", &summary);
     eprintln!("all done in {:?}; artifacts in {out_dir}/", total.elapsed());
 }

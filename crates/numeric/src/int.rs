@@ -52,12 +52,6 @@ impl Int {
         Int::Big { neg, mag }
     }
 
-    /// Constructs from an `i128`.
-    #[inline]
-    pub fn from_i128(v: i128) -> Int {
-        Int::Small(v)
-    }
-
     /// Constructs from a `u128` (promotes to `Big` above `i128::MAX`).
     #[inline]
     pub fn from_u128(v: u128) -> Int {

@@ -1,76 +1,48 @@
-//! Simulation configuration and budgets.
+//! The run budget: when a run stops without rendezvous.
 
-use rv_numeric::Ratio;
-
-/// Configuration for a two-agent rendezvous simulation.
+/// Resource budget for a simulation run.
 #[derive(Clone, Debug)]
-pub struct SimConfig {
-    /// Visibility radius of agent A (distance at which A sees B).
-    pub radius_a: Ratio,
-    /// Visibility radius of agent B. Equal radii give the paper's base
-    /// model; unequal radii give the Section 5 extension.
-    pub radius_b: Ratio,
+pub struct Budget {
+    /// Cap on processed motion segments (the real cost driver; phase `i`
+    /// of Algorithm 1 costs Θ(i·2^(3i)) segments).
+    pub max_segments: u64,
+    /// Record a distance-over-time trace with at most this many samples
+    /// (0 disables tracing).
+    pub trace_samples: usize,
     /// Relative slack on rendezvous detection: a crossing of
     /// `r·(1 + slack)` counts as reaching distance `r`. Needed because the
     /// boundary instances (`S1`, `S2`) meet at distance *exactly* `r`,
     /// which is a measure-zero event in floating point.
     pub detection_slack: f64,
-    /// Absolute simulated-time budget (exact); `None` = unbounded.
-    pub max_time: Option<Ratio>,
-    /// Budget on the total number of motion segments processed.
-    pub max_segments: u64,
-    /// Record a distance-over-time trace with at most this many samples
-    /// (0 disables tracing).
-    pub trace_samples: usize,
 }
 
-impl SimConfig {
-    /// Equal-radius configuration with the given radius and defaults.
-    pub fn with_radius(r: Ratio) -> SimConfig {
-        SimConfig {
-            radius_a: r.clone(),
-            radius_b: r,
-            detection_slack: 1e-9,
-            max_time: None,
-            max_segments: 2_000_000,
+impl Default for Budget {
+    fn default() -> Budget {
+        Budget {
+            max_segments: 3_000_000,
             trace_samples: 0,
+            detection_slack: 1e-9,
         }
     }
+}
 
-    /// Sets the simulated-time budget.
-    pub fn max_time(mut self, t: Ratio) -> SimConfig {
-        self.max_time = Some(t);
-        self
-    }
-
-    /// Sets the segment budget.
-    pub fn max_segments(mut self, n: u64) -> SimConfig {
+impl Budget {
+    /// Sets the segment cap.
+    pub fn segments(mut self, n: u64) -> Budget {
         self.max_segments = n;
         self
     }
 
     /// Enables distance tracing.
-    pub fn trace(mut self, samples: usize) -> SimConfig {
+    pub fn trace(mut self, samples: usize) -> Budget {
         self.trace_samples = samples;
         self
-    }
-
-    /// The larger of the two radii.
-    pub fn radius_big(&self) -> Ratio {
-        self.radius_a.clone().max(self.radius_b.clone())
-    }
-
-    /// The smaller of the two radii (rendezvous distance, Section 5).
-    pub fn radius_small(&self) -> Ratio {
-        self.radius_a.clone().min(self.radius_b.clone())
     }
 }
 
 /// Why a simulation stopped without rendezvous.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum BudgetReason {
-    /// The simulated-time budget was reached.
-    Time,
     /// The segment budget was reached.
     Segments,
     /// Both agents halted (programs exhausted) outside visibility range —

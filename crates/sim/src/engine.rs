@@ -19,14 +19,14 @@
 //! Each run counts time in integer ticks of `1/S` seconds, for one
 //! positive integer `S = 2^E·σ` (`σ` odd) that is a common denominator of
 //! every clock of the run. Setup picks the coarsest such `S` for both
-//! agents' wake times and clock rates and the time cap. A [`Motion`]
-//! computes each segment end as the tick `wake·S + (τS)·P_k` from the
-//! prefix local time `P_k` of its step, one i128 multiply-add on the
-//! common path. When a step's `P_k`, or the Section 5 freeze's exact
-//! offset, needs a finer tick, the run refines `S` by the missing factor
-//! and multiplies its few live clocks by it. The contract:
+//! agents' wake times and clock rates. A [`Motion`] computes each segment
+//! end as the tick `wake·S + (τS)·P_k` from the prefix local time `P_k`
+//! of its step, one i128 multiply-add on the common path. When a step's
+//! `P_k`, or the Section 5 freeze's exact offset, needs a finer tick, the
+//! run refines `S` by the missing factor and multiplies its few live
+//! clocks by it. The contract:
 //! - **Exact order.** Ticks are exact, so ordering two event times
-//!   compares two `Int`s; the time cap is counted in ticks as well.
+//!   compares two `Int`s.
 //! - **Same f64 bits.** Every offset `(Ta − Tb)/S` is projected by
 //!   [`TickScale::diff_to_f64`], bit-identical to
 //!   `Ratio::new(Ta − Tb, S).to_f64()`: the projection of the exact
@@ -39,7 +39,7 @@
 //!   for the freeze's offset, and for the meeting's `base`. The interval
 //!   loop and a motion's step run on `Int` ticks.
 
-use crate::config::{BudgetReason, SimConfig};
+use crate::config::{Budget, BudgetReason};
 use crate::outcome::{Meeting, Outcome, SimReport, SimTime, TraceSample};
 use rv_geometry::{first_within, min_dist_on_interval, Vec2};
 use rv_numeric::{Int, Ratio, TickScale};
@@ -122,17 +122,13 @@ struct Clock {
     scale: TickScale,
     /// The current time.
     cur: Int,
-    /// The time cap, if any.
-    max: Option<Int>,
 }
 
 impl Clock {
     /// Counts every tick of the run `m` times finer, `other`'s included.
     fn rescale<P: StepSource>(&mut self, m: &Int, other: &mut AgentState<P>) {
         self.scale = TickScale::new(self.scale.den() * m);
-        for t in std::iter::once(&mut self.cur).chain(&mut self.max) {
-            *t *= m;
-        }
+        self.cur *= m;
         other.rescale(m);
     }
 
@@ -240,15 +236,18 @@ impl Tracer {
 
 /// Simulates the two agents until rendezvous or budget exhaustion, each
 /// running a [`StepSource`]: a program of owned or borrowed instructions
-/// (`Instr`, `&Instr`), or the tape of a compiled program. Picks the run's
-/// tick and compiles each program into a [`Motion`] counting it (see the
-/// module docs).
+/// (`Instr`, `&Instr`), or the tape of a compiled program, with the
+/// visibility radii `(radius_a, radius_b)` of A and B: equal radii give
+/// the paper's base model, unequal ones the Section 5 extension. Picks
+/// the run's tick and compiles each program into a [`Motion`] counting it
+/// (see the module docs).
 pub fn simulate<PA, PB>(
     attrs_a: AgentAttrs,
     prog_a: PA,
     attrs_b: AgentAttrs,
     prog_b: PB,
-    cfg: &SimConfig,
+    (radius_a, radius_b): (&Ratio, &Ratio),
+    budget: &Budget,
 ) -> SimReport
 where
     PA: StepSource,
@@ -257,19 +256,15 @@ where
     debug_assert!(attrs_a.validate().is_ok());
     debug_assert!(attrs_b.validate().is_ok());
     assert!(
-        cfg.radius_a.is_positive() && cfg.radius_b.is_positive(),
+        radius_a.is_positive() && radius_b.is_positive(),
         "visibility radii must be positive"
     );
 
     // One tick for the run: the coarsest that counts both agents' wake
-    // times and clock rates and the time cap.
+    // times and clock rates.
     let mut motion_a = Motion::new(attrs_a, prog_a);
     let mut motion_b = Motion::new(attrs_b, prog_b);
-    let cap = cfg.max_time.as_ref();
-    let scale = motion_a
-        .unit()
-        .lcm(motion_b.unit())
-        .lcm(cap.map_or(&Int::ONE, Ratio::denom));
+    let scale = motion_a.unit().lcm(motion_b.unit());
     let refine = |unit: &Int| {
         if *unit == scale {
             Int::ONE
@@ -281,7 +276,6 @@ where
     motion_a.rescale(&ma);
     motion_b.rescale(&mb);
     let mut clock = Clock {
-        max: cap.map(|t| t.numer() * &refine(t.denom())),
         cur: Int::ZERO,
         scale: TickScale::new(scale),
     };
@@ -291,19 +285,23 @@ where
     clock.follow(&mut b, &mut a);
     let mut segments: u64 = 2;
 
-    let r_small = cfg.radius_small();
-    let r_big = cfg.radius_big();
-    let detect_small = r_small.to_f64() * (1.0 + cfg.detection_slack);
-    let detect_big = r_big.to_f64() * (1.0 + cfg.detection_slack);
-    let asymmetric = r_small != r_big;
+    // Section 5: the agent with the larger radius is far-sighted.
+    let a_far = radius_a >= radius_b;
+    let (r_big, r_small) = if a_far {
+        (radius_a, radius_b)
+    } else {
+        (radius_b, radius_a)
+    };
+    let detect_small = r_small.to_f64() * (1.0 + budget.detection_slack);
+    let detect_big = r_big.to_f64() * (1.0 + budget.detection_slack);
     // While `big_pending`, the next threshold to cross is r_big (the
     // far-sighted agent's sight). Once crossed, that agent freezes and the
     // hunt continues for r_small.
-    let mut big_pending = asymmetric;
+    let mut big_pending = r_small != r_big;
 
     let mut min_dist = f64::INFINITY;
     let mut min_dist_time = 0.0;
-    let mut tracer = Tracer::new(cfg.trace_samples);
+    let mut tracer = Tracer::new(budget.trace_samples);
 
     let report =
         |outcome: Outcome, min_dist: f64, min_dist_time: f64, segments: u64, tracer: Tracer| {
@@ -318,24 +316,11 @@ where
 
     loop {
         let cur = &clock.cur;
-        // --- Time budget check at the interval boundary. ---
-        if let Some(mt) = &clock.max {
-            if cur >= mt {
-                return report(
-                    Outcome::Budget(BudgetReason::Time),
-                    min_dist,
-                    min_dist_time,
-                    segments,
-                    tracer,
-                );
-            }
-        }
-
-        // --- Interval end: earliest of the two segment ends and budget.
+        // --- Interval end: the earlier of the two segment ends.
         // Everything stays borrowed: the bound is a reference into the
-        // live segments (or the cap), and which agent(s) end the interval
-        // is decided here so the advance step below can `take()` the end
-        // instead of re-comparing copies.
+        // live segments, and which agent(s) end the interval is decided
+        // here so the advance step below can `take()` the end instead of
+        // re-comparing copies.
         let (mut a_ends, mut b_ends) = (false, false);
         match (&a.seg.end, &b.seg.end) {
             (None, None) => {}
@@ -350,19 +335,10 @@ where
                 }
             },
         }
-        let seg_bound: Option<&Int> = if a_ends {
+        let bound: Option<&Int> = if a_ends {
             a.seg.end.as_ref()
         } else {
             b.seg.end.as_ref()
-        };
-        let mut time_capped = false;
-        let bound: Option<&Int> = match (&clock.max, seg_bound) {
-            (Some(mt), Some(be)) if be <= mt => Some(be),
-            (Some(mt), _) => {
-                time_capped = true;
-                Some(mt)
-            }
-            (None, sb) => sb,
         };
 
         // --- Geometry of the interval. ---
@@ -425,7 +401,7 @@ where
                 b.rescale(&m);
             }
             let t_hit = &clock.cur + &(s_exact.numer() * &clock.scale.den().div_rem(den).0);
-            if cfg.radius_a >= cfg.radius_b {
+            if a_far {
                 // rv-lint: allow(hot) — asymmetric freeze fires at most once
                 // per run (big_pending is cleared right below).
                 a.freeze(t_hit.clone(), hit_a);
@@ -465,15 +441,6 @@ where
                 tracer,
             );
         }
-        if time_capped {
-            return report(
-                Outcome::Budget(BudgetReason::Time),
-                min_dist,
-                min_dist_time,
-                segments,
-                tracer,
-            );
-        }
         // The ending agent's segment end becomes the new clock by move,
         // not copy — its segment is replaced right after anyway. A motion
         // that refined its tick while stepping refines the whole run.
@@ -495,7 +462,7 @@ where
         }
         a.starts_now = a_ends;
         b.starts_now = b_ends;
-        if segments > cfg.max_segments {
+        if segments > budget.max_segments {
             return report(
                 Outcome::Budget(BudgetReason::Segments),
                 min_dist,
@@ -523,10 +490,6 @@ mod tests {
         }
     }
 
-    fn cfg(r: i64) -> SimConfig {
-        SimConfig::with_radius(ratio(r, 1))
-    }
-
     #[test]
     fn trivial_meet_at_time_zero() {
         let report = simulate(
@@ -534,7 +497,8 @@ mod tests {
             empty::<Instr>(),
             attrs_at(1.5, Ratio::zero()),
             empty::<Instr>(),
-            &cfg(2),
+            (&ratio(2, 1), &ratio(2, 1)),
+            &Budget::default(),
         );
         let m = report.meeting().expect("should meet immediately");
         assert_eq!(m.time.to_f64(), 0.0);
@@ -550,7 +514,8 @@ mod tests {
             prog_a.into_iter(),
             attrs_at(10.0, Ratio::zero()),
             empty::<Instr>(),
-            &cfg(2),
+            (&ratio(2, 1), &ratio(2, 1)),
+            &Budget::default(),
         );
         let m = report.meeting().unwrap();
         assert!((m.time.to_f64() - 8.0).abs() < 1e-6);
@@ -564,7 +529,8 @@ mod tests {
             empty::<Instr>(),
             attrs_at(10.0, Ratio::zero()),
             empty::<Instr>(),
-            &cfg(1),
+            (&ratio(1, 1), &ratio(1, 1)),
+            &Budget::default(),
         );
         assert!(!report.met());
         assert!(matches!(
@@ -572,32 +538,6 @@ mod tests {
             Outcome::Budget(BudgetReason::BothHalted)
         ));
         assert_eq!(report.min_dist, 10.0);
-    }
-
-    #[test]
-    fn time_budget_stops_simulation() {
-        // A oscillates forever but never reaches B.
-        let prog_a = std::iter::repeat_with(|| {
-            vec![
-                Instr::go(Compass::East, ratio(1, 1)),
-                Instr::go(Compass::West, ratio(1, 1)),
-            ]
-        })
-        .flatten();
-        let config = cfg(1).max_time(ratio(100, 1));
-        let report = simulate(
-            AgentAttrs::reference(),
-            prog_a,
-            attrs_at(10.0, Ratio::zero()),
-            empty::<Instr>(),
-            &config,
-        );
-        assert!(matches!(
-            report.outcome,
-            Outcome::Budget(BudgetReason::Time)
-        ));
-        // Closest approach: A reaches x = 1 ⇒ distance 9.
-        assert!((report.min_dist - 9.0).abs() < 1e-9);
     }
 
     #[test]
@@ -609,13 +549,13 @@ mod tests {
             ]
         })
         .flatten();
-        let config = cfg(1).max_segments(50);
         let report = simulate(
             AgentAttrs::reference(),
             prog_a,
             attrs_at(10.0, Ratio::zero()),
             empty::<Instr>(),
-            &config,
+            (&ratio(1, 1), &ratio(1, 1)),
+            &Budget::default().segments(50),
         );
         assert!(matches!(
             report.outcome,
@@ -641,7 +581,8 @@ mod tests {
             empty::<Instr>(),
             attrs_b,
             prog_b.into_iter(),
-            &cfg(1),
+            (&ratio(1, 1), &ratio(1, 1)),
+            &Budget::default(),
         );
         let m = report.meeting().unwrap();
         assert!((m.time.to_f64() - 13.0).abs() < 1e-6);
@@ -659,7 +600,8 @@ mod tests {
             empty::<Instr>(),
             attrs_at(10.0, Ratio::zero()),
             prog_b.into_iter(),
-            &cfg(1),
+            (&ratio(1, 1), &ratio(1, 1)),
+            &Budget::default(),
         );
         let m = report.meeting().unwrap();
         // Meeting time: 2^200 + 9 up to the detection slack (the crossing
@@ -687,7 +629,8 @@ mod tests {
             prog_a.into_iter(),
             attrs_b,
             empty::<Instr>(),
-            &cfg(2),
+            (&ratio(2, 1), &ratio(2, 1)),
+            &Budget::default(),
         );
         let m = report.meeting().unwrap();
         // Entry when horizontal gap = √(4−1) = √3.
@@ -705,17 +648,13 @@ mod tests {
             Instr::wait(ratio(10, 1)),
             Instr::go(Compass::West, ratio(100, 1)),
         ];
-        let config = SimConfig {
-            radius_a: ratio(4, 1),
-            radius_b: ratio(1, 1),
-            ..SimConfig::with_radius(ratio(1, 1))
-        };
         let report = simulate(
             AgentAttrs::reference(),
             prog_a.into_iter(),
             attrs_at(10.0, Ratio::zero()),
             prog_b.into_iter(),
-            &config,
+            (&ratio(4, 1), &ratio(1, 1)),
+            &Budget::default(),
         );
         let m = report.meeting().unwrap();
         // A freezes at t = 6 (x = 6); B starts moving at t = 10 from x=10,
@@ -723,6 +662,40 @@ mod tests {
         assert!((m.time.to_f64() - 13.0).abs() < 1e-6);
         assert!((m.pos_a - Vec2::new(6.0, 0.0)).norm() < 1e-6);
         assert!((m.pos_b - Vec2::new(7.0, 0.0)).norm() < 1e-6);
+    }
+
+    #[test]
+    fn asymmetric_radii_freeze_b_then_close() {
+        // The mirror case: r_a = 1, r_b = 4 (B far-sighted). B walks
+        // toward A and stops as soon as distance ≤ 4 (at x = 4); A then
+        // walks toward B's frozen position until distance ≤ 1 (A reaches
+        // x = 3). Swapped radii would freeze A instead and let B walk on
+        // to x = 1 by t = 9.
+        let prog_a = vec![
+            Instr::wait(ratio(10, 1)),
+            Instr::go(Compass::East, ratio(100, 1)),
+        ];
+        // B's frame is rotated π so its East is absolute West.
+        let attrs_b = AgentAttrs {
+            origin: Vec2::new(10.0, 0.0),
+            phi: Angle::half(),
+            ..AgentAttrs::reference()
+        };
+        let prog_b = vec![Instr::go(Compass::East, ratio(100, 1))];
+        let report = simulate(
+            AgentAttrs::reference(),
+            prog_a.into_iter(),
+            attrs_b,
+            prog_b.into_iter(),
+            (&ratio(1, 1), &ratio(4, 1)),
+            &Budget::default(),
+        );
+        let m = report.meeting().unwrap();
+        // B freezes at t = 6 (x = 4); A starts moving at t = 10 from x = 0,
+        // reaches distance 1 (x = 3) at t = 13.
+        assert!((m.time.to_f64() - 13.0).abs() < 1e-6);
+        assert!((m.pos_a - Vec2::new(3.0, 0.0)).norm() < 1e-6);
+        assert!((m.pos_b - Vec2::new(4.0, 0.0)).norm() < 1e-6);
     }
 
     #[test]
@@ -738,7 +711,8 @@ mod tests {
             prog_a.into_iter(),
             attrs_b,
             empty::<Instr>(),
-            &cfg(1),
+            (&ratio(1, 1), &ratio(1, 1)),
+            &Budget::default(),
         );
         assert!(!report.met());
         assert!((report.min_dist - 5.0).abs() < 1e-9);
@@ -795,13 +769,13 @@ mod tests {
             ]
         })
         .flatten();
-        let config = cfg(1).max_time(ratio(100, 1)).trace(1);
         let report = simulate(
             AgentAttrs::reference(),
             prog_a,
             attrs_at(10.0, Ratio::zero()),
             empty::<Instr>(),
-            &config,
+            (&ratio(1, 1), &ratio(1, 1)),
+            &Budget::default().segments(100).trace(1),
         );
         assert_eq!(report.trace.len(), 1);
     }
@@ -815,13 +789,13 @@ mod tests {
             ]
         })
         .flatten();
-        let config = cfg(1).max_time(ratio(10000, 1)).trace(64);
         let report = simulate(
             AgentAttrs::reference(),
             prog_a,
             attrs_at(10.0, Ratio::zero()),
             empty::<Instr>(),
-            &config,
+            (&ratio(1, 1), &ratio(1, 1)),
+            &Budget::default().segments(10_000).trace(64),
         );
         assert!(!report.trace.is_empty());
         assert!(report.trace.len() <= 64);
@@ -849,7 +823,8 @@ mod tests {
             square(),
             attrs_at(10.0, Ratio::zero()),
             square(),
-            &cfg(1),
+            (&ratio(1, 1), &ratio(1, 1)),
+            &Budget::default(),
         );
         assert!(!report.met());
         assert!((report.min_dist - 10.0).abs() < 1e-9);

@@ -6,7 +6,7 @@
 //! interval the first radius crossing is found in closed form from the
 //! quadratic distance function. Supports per-agent radii (the Section 5
 //! extension), stop-on-sight freezing, distance traces for figures, and
-//! time/segment budgets.
+//! a segment [`Budget`].
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -15,6 +15,6 @@ mod config;
 mod engine;
 mod outcome;
 
-pub use config::{BudgetReason, SimConfig};
+pub use config::{Budget, BudgetReason};
 pub use engine::simulate;
 pub use outcome::{Meeting, Outcome, SimReport, SimTime, TraceSample};

@@ -9,7 +9,7 @@
 use proptest::prelude::*;
 use rv_geometry::{Angle, Chirality, Vec2};
 use rv_numeric::Ratio;
-use rv_sim::{simulate, Outcome, SimConfig};
+use rv_sim::{simulate, Budget, Outcome};
 use rv_trajectory::{AgentAttrs, Instr, Motion};
 use std::iter::empty;
 
@@ -108,13 +108,13 @@ proptest! {
                                          attrs_b in attrs_strategy(6.0, 2.0),
                                          r_num in 1i64..6) {
         let r = Ratio::frac(r_num, 2);
-        let cfg = SimConfig::with_radius(r.clone()).max_segments(10_000);
         let report = simulate(
             attrs_a.clone(),
             prog_a.clone().into_iter(),
             attrs_b.clone(),
             prog_b.clone().into_iter(),
-            &cfg,
+            (&r, &r),
+            &Budget::default().segments(10_000),
         );
         let horizon = 40.0;
         let brute = brute_force_first_meet(
@@ -148,13 +148,14 @@ proptest! {
     #[test]
     fn min_dist_never_above_initial(prog_a in program_strategy(),
                                     attrs_b in attrs_strategy(8.0, 1.0)) {
-        let cfg = SimConfig::with_radius(Ratio::frac(1, 4)).max_segments(5_000);
+        let r = Ratio::frac(1, 4);
         let report = simulate(
             AgentAttrs::reference(),
             prog_a.into_iter(),
             attrs_b.clone(),
             empty::<Instr>(),
-            &cfg,
+            (&r, &r),
+            &Budget::default().segments(5_000),
         );
         let initial = attrs_b.origin.norm();
         prop_assert!(report.min_dist <= initial + 1e-9);
@@ -167,15 +168,13 @@ proptest! {
             origin: Vec2::new(50.0, 0.0),
             ..AgentAttrs::reference()
         };
-        let cfg = SimConfig::with_radius(Ratio::one())
-            .max_segments(3_000)
-            .trace(cap);
         let report = simulate(
             AgentAttrs::reference(),
             prog_a.into_iter().cycle().take(2_000),
             attrs_b,
             empty::<Instr>(),
-            &cfg,
+            (&Ratio::one(), &Ratio::one()),
+            &Budget::default().segments(3_000).trace(cap),
         );
         prop_assert!(report.trace.len() <= cap + 1);
         for w in report.trace.windows(2) {
@@ -189,13 +188,13 @@ proptest! {
             origin: Vec2::new(100.0, 0.0),
             ..AgentAttrs::reference()
         };
-        let cfg = SimConfig::with_radius(Ratio::one()).max_segments(500);
         let report = simulate(
             AgentAttrs::reference(),
             prog_a.into_iter(),
             attrs_b,
             empty::<Instr>(),
-            &cfg,
+            (&Ratio::one(), &Ratio::one()),
+            &Budget::default().segments(500),
         );
         // Finite programs against a halted agent must end in BothHalted or
         // Segments (never hang); meeting is impossible at distance 100 with
