@@ -18,8 +18,9 @@
 //! twice: with `τ = 2`, and with `τ = 5/3`, whose run counts ticks over a
 //! scale with an odd factor (the non-dyadic time path).
 //!
-//! Past one agent's 23k-th instruction the clocks leave i128, and there
-//! the count is pinned instead: exactly two allocations per segment.
+//! Past one agent's 23k-th instruction the run's clock leaves i128, and
+//! there the count is pinned instead: exactly two allocations per
+//! segment, both where the engine places a motion's leg on that clock.
 //!
 //! Besides the comparison, each solve has an absolute cap of zero
 //! allocations, the count measured for both runs before the step tape
@@ -158,9 +159,11 @@ fn assert_event_loop_allocates_nothing(tau: Ratio) {
 /// Allocations per segment of the `Big`-clock regime, past one agent's
 /// 23k-th instruction: the extra allocations of a 70k-segment solve over
 /// a 50k-segment one, both on the far-apart instance above with `τ = 2`.
-/// The tick engine makes two per segment: the `Int` product of the
-/// ending agent's end tick, and the copy its motion keeps as the next
-/// segment's start.
+/// The engine makes two per segment, both where it places the leg the
+/// ending agent's motion yields: the copy of the run's clock that is the
+/// segment's start, and the `Int` sum `cur + len` that is its end. The
+/// leg's length, `τ·d_k` ticks of one instruction's duration, stays an
+/// i128.
 #[test]
 fn big_clock_regime_allocation_count_is_pinned() {
     let inst = Instance::builder()

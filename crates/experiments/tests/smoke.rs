@@ -1,6 +1,8 @@
-//! Smoke tests: every experiment must run end-to-end at a tiny scale and
-//! produce its declared artifacts. The statistically meaningful runs live
-//! in the `experiments` binary; these tests only guard the plumbing.
+//! Smoke tests: the cheap experiments must run end-to-end at a tiny scale
+//! and produce their declared artifacts. `reproduction_digest.rs` runs
+//! every id and pins the bytes it writes; the statistically meaningful
+//! runs live in the `experiments` binary. These tests only guard the
+//! plumbing.
 
 use rv_experiments::exp::{run_one, ALL_IDS};
 use rv_experiments::report::Ctx;
@@ -62,28 +64,4 @@ fn all_ids_are_known() {
     assert!(ALL_IDS.contains(&"t7"));
     assert!(ALL_IDS.contains(&"f10"));
     assert_eq!(ALL_IDS.len(), 17);
-}
-
-// The remaining experiments involve thousands of simulations even at tiny
-// scale; they are exercised by `cargo run -p rv-experiments` and kept
-// behind `--ignored` here so `cargo test` stays fast while CI can still
-// opt in with `cargo test -- --ignored`.
-#[test]
-#[ignore = "heavy: run with --ignored (or use the experiments binary)"]
-fn table_experiments_produce_artifacts() {
-    let (ctx, dir) = tmp_ctx("tables");
-    for id in ["t1", "t2", "t3", "t5", "t6", "t7"] {
-        assert_artifacts(&ctx, id);
-    }
-    let _ = std::fs::remove_dir_all(dir);
-}
-
-#[test]
-#[ignore = "heavy: run with --ignored (or use the experiments binary)"]
-fn figure_experiments_produce_artifacts() {
-    let (ctx, dir) = tmp_ctx("figures");
-    for id in ["f4", "f6", "f9"] {
-        assert_artifacts(&ctx, id);
-    }
-    let _ = std::fs::remove_dir_all(dir);
 }

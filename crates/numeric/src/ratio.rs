@@ -22,11 +22,11 @@
 //!   no division. Other inputs cross-multiply and reduce by a binary gcd.
 //! - **Overflow falls back.** If an i128 step overflows, the kernel gives
 //!   up and the `Int` path computes the result.
-//! - **`Big` dyadics stay dyadic.** `+` and `−` of `Big` operands whose
-//!   denominators are powers of two align by a limb shift, add, and
-//!   reduce by trailing zeros: no gcd, no division (a compiled tape's
-//!   prefix times pass i128 after about 23k AUR instructions). Other
-//!   `Big` operands take the `Int` path.
+//! - **`Big` operands take the `Int` path.** `+` and `−` cross-multiply
+//!   (or add over a shared denominator) and [`Ratio::new`] reduces.
+//!   Neither the engine nor the step tape adds exact times past i128:
+//!   steps carry each instruction's own duration, and the engine counts
+//!   time in integer ticks.
 //! - **Construction reduces the same way.** [`Ratio::new`] reduces a
 //!   power-of-two denominator by the shared trailing zeros (inlined at
 //!   the call when both components are i128s: a motion's time view
@@ -526,9 +526,6 @@ impl Add for &Ratio {
         if let Some(sum) = small_parts(self, rhs).and_then(|(a, b, c, d)| small_add(a, b, c, d)) {
             return sum;
         }
-        if let Some(sum) = big_dyadic_add(self, rhs, false) {
-            return sum;
-        }
         if self.den == rhs.den {
             return Ratio::new(&self.num + &rhs.num, self.den.clone());
         }
@@ -545,9 +542,6 @@ impl Sub for &Ratio {
         let small =
             small_parts(self, rhs).and_then(|(a, b, c, d)| small_add(a, b, c.checked_neg()?, d));
         if let Some(diff) = small {
-            return diff;
-        }
-        if let Some(diff) = big_dyadic_add(self, rhs, true) {
             return diff;
         }
         if self.den == rhs.den {
@@ -655,21 +649,6 @@ fn from_dyadic(num: i128, e: u32) -> Ratio {
 fn pow2_exponent(d: &Int) -> Option<u64> {
     let e = d.trailing_zeros()?;
     (d.bits() == e + 1).then_some(e)
-}
-
-/// The dyadic add kernel for `Big` components: lowest-terms `lhs + rhs`
-/// (`lhs − rhs` if `sub`) when both denominators are powers of two,
-/// aligned by a limb shift and reduced by trailing zeros in
-/// [`Ratio::new`] (no gcd, no division); `None` otherwise.
-fn big_dyadic_add(lhs: &Ratio, rhs: &Ratio, sub: bool) -> Option<Ratio> {
-    let (eb, ed) = (pow2_exponent(&lhs.den)?, pow2_exponent(&rhs.den)?);
-    let combine = |x: &Int, y: &Int| if sub { x - y } else { x + y };
-    let sum = match eb.cmp(&ed) {
-        Ordering::Equal => combine(&lhs.num, &rhs.num),
-        Ordering::Greater => combine(&lhs.num, &rhs.num.shl(eb - ed)),
-        Ordering::Less => combine(&lhs.num.shl(ed - eb), &rhs.num),
-    };
-    Some(Ratio::new(sum, Int::pow2(eb.max(ed))))
 }
 
 /// True iff the positive denominator `d` is a power of two.

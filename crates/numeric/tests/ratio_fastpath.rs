@@ -1,6 +1,6 @@
 //! Differential property tests for `Ratio`'s allocation-free paths:
-//! `Ratio::new`'s reduction, `cmp_ref`, `min_ref`, the i128 kernels and
-//! the `Big` dyadic add kernel behind `+ − *` and `+= −= *=`, and the
+//! `Ratio::new`'s reduction, `cmp_ref`, `min_ref`, the i128 kernels behind
+//! `+ − *` and `+= −= *=` (and the `Int` path on `Big` dyadics), and the
 //! projections `to_f64` and `TickScale::diff_to_f64` (the tick offset
 //! `(Ta − Tb)/S` the engine projects, over `S` the common denominator of
 //! both operands times an odd factor `σ`). Results must agree *exactly*
@@ -68,9 +68,9 @@ fn dyadic_strategy() -> impl Strategy<Value = Ratio> {
     })
 }
 
-/// Dyadic `n / 2^e` with a numerator or denominator past i128 (the tape's
-/// prefix times past the 23k-th AUR instruction, and wider), for the
-/// `Big` dyadic add kernel.
+/// Dyadic `n / 2^e` with a numerator or denominator past i128 (exact AUR
+/// times past the 23k-th instruction, and wider), which `+ − *` take
+/// through the `Int` path.
 fn big_dyadic_strategy() -> impl Strategy<Value = Ratio> {
     let exp = prop_oneof![0u64..=8, 120u64..=300];
     (int_strategy(), exp).prop_map(|(n, e)| Ratio::new(n, Int::pow2(e)))
@@ -761,7 +761,7 @@ fn big_dyadic_kernel_edges_match_int_reference() {
     let dy = |n: Int, e: u64| Ratio::new(n, Int::pow2(e));
     let big = Int::pow2(200);
     let cases = [
-        // The tape fill: a `Big` prefix time plus a short duration.
+        // A `Big` exact time plus a short duration.
         (dy(&big + &Int::from(3), 5), dy(Int::from(1), 5)),
         (dy(&big + &Int::ONE, 2), dy(Int::from(3), 5)),
         (dy(big.clone(), 0), dy(Int::from(-1), 3)),

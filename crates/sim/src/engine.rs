@@ -19,12 +19,16 @@
 //! Each run counts time in integer ticks of `1/S` seconds, for one
 //! positive integer `S = 2^E·σ` (`σ` odd) that is a common denominator of
 //! every clock of the run. Setup picks the coarsest such `S` for both
-//! agents' wake times and clock rates. A [`Motion`] computes each segment
-//! end as the tick `wake·S + (τS)·P_k` from the prefix local time `P_k`
-//! of its step, one i128 multiply-add on the common path. When a step's
-//! `P_k`, or the Section 5 freeze's exact offset, needs a finer tick, the
-//! run refines `S` by the missing factor and multiplies its few live
-//! clocks by it. The contract:
+//! agents' wake times and clock rates. The engine's clock `cur` is the
+//! run's only absolute time. A [`Motion`] yields each segment as a
+//! [`Leg`]: its length `(τS)·d_k` ticks, from the exact local duration
+//! `d_k` of its step (one i128 multiply on the common path), and no start
+//! time. The engine places the leg at `cur`, ending at `cur + len` (one
+//! i128 add while `cur` fits). When a step's `d_k`, or the Section 5
+//! freeze's exact offset, needs a finer tick, the run refines `S` by the
+//! missing factor and multiplies its few live clocks by it; a leg is
+//! placed only once the run has adopted its motion's refinement, so `cur`
+//! and `len` count the same tick. The contract:
 //! - **Exact order.** Ticks are exact, so ordering two event times
 //!   compares two `Int`s.
 //! - **Same f64 bits.** Every offset `(Ta − Tb)/S` is projected by
@@ -43,10 +47,11 @@ use crate::config::{Budget, BudgetReason};
 use crate::outcome::{Meeting, Outcome, SimReport, SimTime, TraceSample};
 use rv_geometry::{first_within, min_dist_on_interval, Vec2};
 use rv_numeric::{Int, Ratio, TickScale};
-use rv_trajectory::{AgentAttrs, Motion, Segment, StepSource};
+use rv_trajectory::{AgentAttrs, Leg, Motion, Segment, StepSource};
 
 struct AgentState<P> {
     motion: Motion<P>,
+    /// The current segment, placed on the run's clock.
     seg: Segment<Int>,
     /// True when `seg.start` is the engine's current time: the agent
     /// was just initialized, advanced, or frozen.
@@ -54,25 +59,19 @@ struct AgentState<P> {
 }
 
 impl<P: StepSource> AgentState<P> {
-    /// The agent at time zero, where its first segment starts.
-    fn new(mut motion: Motion<P>) -> AgentState<P> {
-        let seg = motion
-            .next_ticks()
-            .expect("a motion always yields at least the halt segment");
-        debug_assert!(seg.start.is_zero());
+    /// The agent at time zero, before [`Clock::advance`] places its first
+    /// segment: it stands at tick 0 until then.
+    fn new(motion: Motion<P>) -> AgentState<P> {
         AgentState {
             motion,
-            seg,
+            seg: Segment {
+                start: Int::ZERO,
+                end: Some(Int::ZERO),
+                from: Vec2::ZERO,
+                vel: Vec2::ZERO,
+            },
             starts_now: true,
         }
-    }
-
-    /// Moves to the next segment.
-    fn advance(&mut self) {
-        self.seg = self
-            .motion
-            .next_ticks()
-            .expect("finite segments always have a successor");
     }
 
     /// Counts every tick of the agent `m` times finer.
@@ -116,7 +115,7 @@ impl<P: StepSource> AgentState<P> {
     }
 }
 
-/// The run's clocks that live outside the two motions, in ticks.
+/// The run's clock, in ticks: the only absolute time of the run.
 struct Clock {
     /// Ticks per second: the common denominator `S` of every clock.
     scale: TickScale,
@@ -132,16 +131,38 @@ impl Clock {
         other.rescale(m);
     }
 
-    /// Adopts the refinement `agent`'s motion made while stepping, if it
-    /// made one, into the rest of the run.
-    fn follow<P: StepSource, Q: StepSource>(
+    /// Moves `agent` to its next segment, placed at `cur`. A motion that
+    /// refined its tick while stepping refines the whole run first, so the
+    /// leg's length and `cur` count the same tick.
+    #[inline]
+    fn advance<P: StepSource, Q: StepSource>(
         &mut self,
         agent: &mut AgentState<P>,
         other: &mut AgentState<Q>,
     ) {
+        let Leg { len, from, vel } = agent
+            .motion
+            .next_ticks()
+            .expect("finite segments always have a successor");
         if let Some(m) = agent.motion.take_growth() {
             self.rescale(&m, other);
         }
+        let end = len.map(|len| match (&self.cur, &len) {
+            (Int::Small(c), Int::Small(l)) => match c.checked_add(*l) {
+                Some(end) => Int::Small(end),
+                None => &self.cur + &len,
+            },
+            _ => &self.cur + &len,
+        });
+        agent.seg = Segment {
+            // rv-lint: allow(hot) — irreducible: the segment start and the
+            // run's clock are two owners of one value; on the inline-i128
+            // path this clone is a copy.
+            start: self.cur.clone(),
+            end,
+            from,
+            vel,
+        };
     }
 
     /// Projects tick `t` to absolute f64 seconds.
@@ -281,8 +302,8 @@ where
     };
     let mut a = AgentState::new(motion_a);
     let mut b = AgentState::new(motion_b);
-    clock.follow(&mut a, &mut b);
-    clock.follow(&mut b, &mut a);
+    clock.advance(&mut a, &mut b);
+    clock.advance(&mut b, &mut a);
     let mut segments: u64 = 2;
 
     // Section 5: the agent with the larger radius is far-sighted.
@@ -442,22 +463,17 @@ where
             );
         }
         // The ending agent's segment end becomes the new clock by move,
-        // not copy — its segment is replaced right after anyway. A motion
-        // that refined its tick while stepping refines the whole run.
+        // not copy — its segment is replaced right after anyway.
         if a_ends {
             clock.cur = a.seg.end.take().expect("a_ends ⇒ end present");
-            a.advance();
-            clock.follow(&mut a, &mut b);
-            debug_assert_eq!(a.seg.start, clock.cur);
+            clock.advance(&mut a, &mut b);
             segments += 1;
         }
         if b_ends {
             if !a_ends {
                 clock.cur = b.seg.end.take().expect("b_ends ⇒ end present");
             }
-            b.advance();
-            clock.follow(&mut b, &mut a);
-            debug_assert_eq!(b.seg.start, clock.cur);
+            clock.advance(&mut b, &mut a);
             segments += 1;
         }
         a.starts_now = a_ends;

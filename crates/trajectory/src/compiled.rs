@@ -15,9 +15,9 @@
 //! - [`cursor`](CompiledProgram::cursor) rebuilds owned `Instr`s from the
 //!   tape, for callers that need a plain `Iterator<Item = Instr>`. A `go`
 //!   takes its exact angle from the directory, and every length or
-//!   duration is the exact difference `P_k − P_{k−1}` of consecutive
-//!   prefix times. Zero-duration instructions stay on the tape, so the
-//!   rebuilt stream is the generator's, instruction for instruction.
+//!   duration is the step's exact local duration `d_k`. Zero-duration
+//!   instructions stay on the tape, so the rebuilt stream is the
+//!   generator's, instruction for instruction.
 //!
 //! **Storage.** Chunk `k` holds the steps of instructions `k·CHUNK..` and
 //! a shared snapshot of the direction directory (each direction's exact
@@ -31,8 +31,8 @@
 //! is filled once, under the generator mutex, and read lock-free after
 //! that. Past [`MAX_MATERIALIZED`] instructions the cache stops growing
 //! and a reader falls back to a fresh generator skipped forward to its
-//! position, which the tape lowers on the fly, resuming the lowering after
-//! the cache's last step (so ids and prefix times carry on exactly). A
+//! position, which the tape lowers on the fly into a lowering that starts
+//! from the cache's directory (so direction ids carry on exactly). A
 //! cursor rebuilds its instructions from these steps as from cached ones.
 //! The stream is identical either way, the deep tail just is not cached.
 //! This bounds resident memory for pathological budgets while keeping the
@@ -43,7 +43,6 @@ use crate::instr::Instr;
 use crate::kinematics::{Directory, Lowering, Step, StepSource};
 use crate::program::BoxProgram;
 use rv_geometry::Angle;
-use rv_numeric::Ratio;
 use std::sync::{Arc, Mutex, OnceLock};
 
 /// Instructions per cache chunk.
@@ -132,10 +131,7 @@ impl CompiledProgram {
     /// A fresh iterator over the program from the beginning that yields
     /// owned instructions, rebuilt from the tape.
     pub fn cursor(&self) -> Cursor<'_> {
-        Cursor {
-            tape: self.tape(),
-            prefix: Ratio::zero(),
-        }
+        Cursor { tape: self.tape() }
     }
 
     /// Number of instructions materialized so far (cache growth probe).
@@ -170,21 +166,9 @@ impl CompiledProgram {
         // is full and the generator stands exactly at this chunk.
         debug_assert!(idx == 0 || self.chunks[idx - 1].get().map(|c| c.steps.len()) == Some(CHUNK));
         let generator = source.generator.get_or_insert_with(|| (self.factory)());
-        // Each step is lowered from the one before it, the previous
-        // chunk's last for the first, and moved into the chunk: an
-        // exact prefix time is computed once and never copied.
-        let start = Step::start();
-        let before = idx
-            .checked_sub(1)
-            .and_then(|prev| self.chunks[prev].get()?.steps.last());
         let mut steps: Vec<Step> = Vec::with_capacity(CHUNK);
         for instr in generator.by_ref().take(CHUNK) {
-            let step = steps
-                .last()
-                .or(before)
-                .unwrap_or(&start)
-                .after(&mut source.interned, &instr);
-            steps.push(step);
+            steps.push(Step::lower(&mut source.interned, &instr));
         }
         if steps.len() < CHUNK {
             source.generator = None;
@@ -217,8 +201,8 @@ pub struct Tape<'a> {
     dirs: &'a [Angle],
     /// Index of the chunk to fetch once `steps` runs out.
     next_chunk: usize,
-    /// Past the materialization cap: a fresh generator and the lowering
-    /// that continues the cache's.
+    /// Past the materialization cap: a fresh generator and a lowering
+    /// over the cache's directory.
     tail: Option<Tail>,
 }
 
@@ -244,7 +228,7 @@ impl Tape<'_> {
                 Fetch::Exhausted => return None,
                 Fetch::Capped => {
                     // Replay a fresh generator skipped past the (full)
-                    // cache, and lower it on from the cache's last step.
+                    // cache, and lower it with the cache's directions.
                     let mut program = (self.program.factory)();
                     program.by_ref().take(MAX_MATERIALIZED).for_each(drop);
                     let last = self.program.chunks[SLOTS - 1]
@@ -252,17 +236,14 @@ impl Tape<'_> {
                         .expect("a capped cache is full");
                     let lowering = Lowering {
                         dirs: Directory::from(last.dirs.to_vec()),
-                        // rv-lint: allow(hot) — once per reader that passes
-                        // the cap.
-                        step: last.steps[CHUNK - 1].clone(),
+                        step: None,
                     };
                     self.tail = Some(Tail { program, lowering });
                 }
             }
         }
         let tail = self.tail.as_mut()?;
-        tail.lowering.push(&tail.program.next()?);
-        Some((&tail.lowering.step, tail.lowering.dirs.as_slice()))
+        Some(tail.lowering.push(&tail.program.next()?))
     }
 }
 
@@ -276,8 +257,6 @@ impl StepSource for Tape<'_> {
 /// instructions rebuilt from its tape (see [`CompiledProgram::cursor`]).
 pub struct Cursor<'a> {
     tape: Tape<'a>,
-    /// The prefix time of the last rebuilt step.
-    prefix: Ratio,
 }
 
 impl Iterator for Cursor<'_> {
@@ -285,18 +264,14 @@ impl Iterator for Cursor<'_> {
 
     fn next(&mut self) -> Option<Instr> {
         let (step, dirs) = self.tape.walk()?;
-        let instr = step.instr(&self.prefix, dirs);
-        // rv-lint: allow(hot) — the owned replay's contract: one exact
-        // prefix per rebuilt instruction; motions step the tape itself.
-        self.prefix = step.prefix.clone();
-        Some(instr)
+        Some(step.instr(dirs))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rv_numeric::ratio;
+    use rv_numeric::{ratio, Ratio};
     use std::sync::atomic::{AtomicUsize, Ordering};
     use std::sync::Arc;
 
@@ -307,12 +282,10 @@ mod tests {
     /// The tape as a motion reads it, rebuilt into instructions.
     fn replayed(compiled: &CompiledProgram) -> Vec<Instr> {
         let mut tape = compiled.tape();
-        let mut idle = Lowering::new();
-        let mut before = Ratio::zero();
+        let mut idle = Lowering::default();
         let mut out = Vec::new();
         while let Some((step, dirs)) = tape.next_step(&mut idle) {
-            out.push(step.instr(&before, dirs));
-            before = step.prefix.clone();
+            out.push(step.instr(dirs));
         }
         out
     }
@@ -395,19 +368,19 @@ mod tests {
     #[test]
     fn tape_lowers_the_tail_past_the_cap_on_from_the_cache() {
         // Directions first seen past the cap get the ids the cache would
-        // have given them, and the prefix times carry on exactly.
+        // have given them, and every step equals a fresh lowering's.
         let n = MAX_MATERIALIZED + CHUNK + 3;
         let compiled = CompiledProgram::new(move || mixed_program(n, MAX_MATERIALIZED));
         let direct: Vec<Instr> = mixed_program(n, MAX_MATERIALIZED).collect();
         assert_eq!(replayed(&compiled), direct);
-        let mut fresh = Lowering::new();
+        let mut fresh = Lowering::default();
         let mut tape = compiled.tape();
-        let mut idle = Lowering::new();
+        let mut idle = Lowering::default();
         for (k, instr) in direct.iter().enumerate() {
-            fresh.push(instr);
+            let (want, known) = fresh.push(instr);
             let (step, dirs) = tape.next_step(&mut idle).expect("as long as the program");
-            assert!(dirs.len() >= fresh.dirs.as_slice().len(), "step {k}");
-            assert_eq!(step.bits(), fresh.step.bits(), "step {k}");
+            assert!(dirs.len() >= known.len(), "step {k}");
+            assert_eq!(step.bits(), want.bits(), "step {k}");
         }
         assert!(tape.next_step(&mut idle).is_none());
     }
@@ -440,7 +413,7 @@ mod tests {
             let compiled = CompiledProgram::new(move || counting_program(n));
             let mut cursor = compiled.cursor();
             let mut tape = compiled.tape();
-            let mut idle = Lowering::new();
+            let mut idle = Lowering::default();
             assert_eq!(cursor.by_ref().count(), n as usize);
             let mut stepped = 0;
             while tape.next_step(&mut idle).is_some() {

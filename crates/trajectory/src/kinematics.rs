@@ -12,23 +12,26 @@
 //!
 //! # Ticks
 //!
-//! A [`Motion`] counts its clock in integer ticks, [`Motion::unit`] of
-//! them per time unit. Instruction `k` ends at tick `base + rate·P_k`,
-//! with `base = wake·unit`, `rate = τ·unit` and `P_k` the program's
-//! prefix local time through instruction `k`: an i128 multiply-add when
-//! `P_k`'s power-of-two denominator divides `rate`, `Int` arithmetic
-//! (spilling past i128, with no gcd) otherwise. `unit` starts as the
-//! coarsest that makes `base` and `rate` integers. A step whose `P_k`
-//! needs a finer tick refines it first, multiplying the motion's tick
-//! counts by the missing factor, and reports that factor through
+//! A [`Motion`] counts time in integer ticks, [`Motion::unit`] of them
+//! per time unit, and keeps no absolute clock: it yields each segment as
+//! a [`Leg`], its length in ticks with no start time, and whoever steps
+//! it places the legs end to end (the engine on its run clock, the
+//! [`Iterator`] view on a tick count of its own). Instruction `k` lasts
+//! `rate·d_k` ticks, with `rate = τ·unit` and `d_k` its exact local
+//! duration: an i128 multiply when `d_k`'s power-of-two denominator
+//! divides `rate`, `Int` arithmetic (with no gcd) otherwise. The wake
+//! segment lasts `wake·unit` ticks. `unit` starts as the coarsest that
+//! makes `wake·unit` and `rate` integers. A step whose `d_k` needs a
+//! finer tick refines it first, multiplying the motion's tick counts by
+//! the missing factor, and reports that factor through
 //! [`Motion::take_growth`]; [`Motion::rescale`] refines a motion from
-//! outside, so that two motions can share one tick. The product equals
-//! the sequential sum `wake + Σ d_i·τ` exactly.
+//! outside, so that two motions can share one tick. Summed from the
+//! wake, the lengths equal the sequential sum `wake + Σ d_i·τ` exactly.
 //!
-//! [`Motion::next_ticks`] yields segments timed in ticks, what the
-//! engine steps. The [`Iterator`] yields the same segments with
-//! `start`/`end` as exact `Ratio`s, ticks over `unit`, converted at the
-//! edge; they do not depend on the tick. Neither do `from` and `vel`.
+//! [`Motion::next_ticks`] yields the legs, what the engine steps. The
+//! [`Iterator`] yields the same segments with `start`/`end` as exact
+//! `Ratio`s, its summed ticks over `unit`, converted at the edge; they do
+//! not depend on the tick. Neither do `from` and `vel`.
 //!
 //! # Steps
 //!
@@ -37,8 +40,9 @@
 //! - an interned direction id (into the lowering's directory of exact
 //!   angles), or a wait tag;
 //! - the f64 local length `dist.to_f64()`;
-//! - the exact prefix local time `P_k`.
+//! - the exact local duration `d_k`.
 //!
+//! A step depends on its instruction alone, not on the steps before it.
 //! Zero-duration instructions are lowered too and yield no segment. A
 //! motion reads its steps from a [`StepSource`]: an iterator of `Instr`s,
 //! lowered on the fly into the motion's own lowering, or the tape of a
@@ -140,8 +144,8 @@ impl AgentAttrs {
 }
 
 /// One constant-velocity piece of an agent's motion, timed in `T`: exact
-/// `Ratio` time for the [`Motion`] iterator, `Int` ticks for
-/// [`Motion::next_ticks`].
+/// `Ratio` time for the [`Motion`] iterator, `Int` ticks on the engine's
+/// clock.
 #[derive(Clone, Debug)]
 pub struct Segment<T = Ratio> {
     /// Start time (exact).
@@ -173,6 +177,18 @@ impl<T> Segment<T> {
     }
 }
 
+/// One segment as [`Motion::next_ticks`] yields it: a length in ticks and
+/// no start time, since a leg starts where the one before it ended.
+#[derive(Clone, Debug)]
+pub struct Leg {
+    /// Length in ticks; `None` means the agent halts forever.
+    pub len: Option<Int>,
+    /// Position at the start.
+    pub from: Vec2,
+    /// Constant velocity over the leg (zero while waiting/halted).
+    pub vel: Vec2,
+}
+
 /// The direction id of a `wait` step.
 const WAIT: u32 = u32::MAX;
 
@@ -181,20 +197,37 @@ const WAIT: u32 = u32::MAX;
 pub struct Step {
     /// Direction id of a `go` into the lowering's directory, or [`WAIT`].
     dir: u32,
-    /// True for a zero-duration instruction, which yields no segment.
-    empty: bool,
     /// The f64 local length of a `go`, `dist.to_f64()`; 0 for a `wait`.
     len: f64,
-    /// The exact prefix local time `P_k`: the local durations of every
-    /// instruction up to and including this one.
-    pub(crate) prefix: Ratio,
+    /// The exact local duration `d_k`; zero for a zero-duration
+    /// instruction, which yields no segment.
+    dur: Ratio,
 }
 
 impl Step {
-    /// The instruction this step was lowered from, given the prefix time
-    /// of the step before it and the directory its id indexes.
-    pub(crate) fn instr(&self, before: &Ratio, dirs: &[Angle]) -> Instr {
-        let dur = &self.prefix - before;
+    /// Lowers `instr`, interning its direction into `dirs`. The one
+    /// lowering function: a motion's on-the-fly lowering and a compiled
+    /// program's chunk fill both call it.
+    pub(crate) fn lower(dirs: &mut Directory, instr: &Instr) -> Step {
+        let (dir, len, dur) = match instr {
+            Instr::Wait { dur } => (WAIT, 0.0, dur),
+            Instr::Go { dir, dist } => (dirs.intern(dir), dist.to_f64(), dist),
+        };
+        Step {
+            dir,
+            len,
+            // rv-lint: allow(hot) — lowering: once per instruction (once
+            // per process on a tape); the step owns its duration.
+            dur: dur.clone(),
+        }
+    }
+
+    /// The instruction this step was lowered from, given the directory its
+    /// id indexes.
+    pub(crate) fn instr(&self, dirs: &[Angle]) -> Instr {
+        // rv-lint: allow(hot) — the owned replay's contract: one exact
+        // duration per rebuilt instruction; motions step the tape itself.
+        let dur = self.dur.clone();
         match self.dir {
             WAIT => Instr::wait(dur),
             // rv-lint: allow(hot) — the owned replay's contract: one angle
@@ -266,63 +299,20 @@ impl From<Vec<Angle>> for Directory {
 }
 
 /// Lowers instructions into steps, one at a time (see the module docs).
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct Lowering {
     /// Every direction interned so far; a step's id indexes it.
     pub(crate) dirs: Directory,
-    /// The last lowered step, which carries the running prefix time.
-    pub(crate) step: Step,
-}
-
-impl Step {
-    /// The step before a program's first instruction: prefix time 0.
-    pub(crate) fn start() -> Step {
-        Step {
-            dir: WAIT,
-            empty: true,
-            len: 0.0,
-            prefix: Ratio::zero(),
-        }
-    }
-
-    /// Lowers `instr`, the instruction after this step's, interning its
-    /// direction into `dirs`. The one lowering function: a motion's
-    /// on-the-fly lowering and a compiled program's chunk fill both call
-    /// it, and the fill moves the result into its chunk.
-    pub(crate) fn after(&self, dirs: &mut Directory, instr: &Instr) -> Step {
-        let (dir, len, dur) = match instr {
-            Instr::Wait { dur } => (WAIT, 0.0, dur),
-            Instr::Go { dir, dist } => (dirs.intern(dir), dist.to_f64(), dist),
-        };
-        let empty = instr.is_empty();
-        let prefix = if empty {
-            // rv-lint: allow(hot) — zero-duration instructions only; every
-            // other step computes a fresh prefix sum.
-            self.prefix.clone()
-        } else {
-            &self.prefix + dur
-        };
-        Step {
-            dir,
-            empty,
-            len,
-            prefix,
-        }
-    }
+    /// The last lowered step, if any.
+    pub(crate) step: Option<Step>,
 }
 
 impl Lowering {
-    /// A lowering at the start of a program.
-    pub(crate) fn new() -> Lowering {
-        Lowering {
-            dirs: Directory::default(),
-            step: Step::start(),
-        }
-    }
-
-    /// Lowers the next instruction into `self.step`.
-    pub(crate) fn push(&mut self, instr: &Instr) {
-        self.step = self.step.after(&mut self.dirs, instr);
+    /// Lowers `instr` into `self.step` and returns it with the directory
+    /// its id indexes.
+    pub(crate) fn push(&mut self, instr: &Instr) -> (&Step, &[Angle]) {
+        let step = self.step.insert(Step::lower(&mut self.dirs, instr));
+        (step, self.dirs.as_slice())
     }
 }
 
@@ -341,8 +331,7 @@ where
     I::Item: Borrow<Instr>,
 {
     fn next_step<'s>(&'s mut self, lowering: &'s mut Lowering) -> Option<(&'s Step, &'s [Angle])> {
-        lowering.push(self.next()?.borrow());
-        Some((&lowering.step, lowering.dirs.as_slice()))
+        Some(lowering.push(self.next()?.borrow()))
     }
 }
 
@@ -392,23 +381,25 @@ impl DirTable {
     }
 }
 
-/// A motion's exact clock, counted in integer ticks (see the module docs).
+/// A motion's tick counts (see the module docs).
 struct Ticks {
     /// Ticks per time unit.
     unit: Int,
-    /// The wake time: `wake·unit`.
-    base: Int,
     /// Ticks per local time unit: `τ·unit`.
     rate: Int,
-    /// The start of the next segment.
-    now: Int,
+    /// The wake segment's length, `wake·unit`, until it is yielded;
+    /// `None` after that, or for an agent awake at time 0.
+    wake: Option<Int>,
+    /// The [`Iterator`] view's clock: the ticks its segments have summed
+    /// to. [`Motion::next_ticks`] leaves it alone.
+    elapsed: Int,
     /// The factor the tick was refined by since [`Motion::take_growth`]
     /// last ran, if it was.
     grown: Option<Int>,
 }
 
 impl Ticks {
-    /// The clock of an agent waking at `wake` with `rate` time units per
+    /// The ticks of an agent waking at `wake` with `rate` time units per
     /// local time unit, on the coarsest tick that counts both.
     fn new(wake: &Ratio, rate: &Ratio) -> Ticks {
         let unit = wake.denom().lcm(rate.denom());
@@ -418,12 +409,10 @@ impl Ticks {
             den if *den == unit => r.numer().clone(),
             den => r.numer() * &unit.div_rem(den).0,
         };
-        let base = ticks(wake);
         Ticks {
             rate: ticks(rate),
-            // rv-lint: allow(hot) — once per Motion construction.
-            now: base.clone(),
-            base,
+            wake: Some(ticks(wake)).filter(Int::is_positive),
+            elapsed: Int::ZERO,
             unit,
             grown: None,
         }
@@ -434,12 +423,8 @@ impl Ticks {
         if *m == Int::ONE {
             return;
         }
-        for t in [
-            &mut self.unit,
-            &mut self.base,
-            &mut self.rate,
-            &mut self.now,
-        ] {
+        let counts = [&mut self.unit, &mut self.rate, &mut self.elapsed];
+        for t in counts.into_iter().chain(&mut self.wake) {
             *t = &*t * m;
         }
     }
@@ -453,24 +438,17 @@ impl Ticks {
         });
     }
 
-    /// The tick at which a step of prefix local time `prefix` ends,
-    /// `base + rate·prefix`: one i128 multiply-add on the common path,
-    /// `Int` arithmetic (no gcd) once the prefix passes i128.
-    fn end_of(&mut self, prefix: &Ratio) -> Int {
-        let per_den = self.per_den(prefix.denom());
-        if let (Int::Small(n), Int::Small(q), Int::Small(base)) =
-            (prefix.numer(), &per_den, &self.base)
-        {
-            if let Some(t) = q.checked_mul(*n).and_then(|t| t.checked_add(*base)) {
+    /// The length in ticks of a step of local duration `dur`,
+    /// `rate·dur`: one i128 multiply on the common path, `Int` arithmetic
+    /// (no gcd) past it.
+    fn len_of(&mut self, dur: &Ratio) -> Int {
+        let per_den = self.per_den(dur.denom());
+        if let (Int::Small(n), Int::Small(q)) = (dur.numer(), &per_den) {
+            if let Some(t) = q.checked_mul(*n) {
                 return Int::Small(t);
             }
         }
-        let t = &per_den * prefix.numer();
-        if self.base.is_zero() {
-            t
-        } else {
-            &self.base + &t
-        }
+        &per_den * dur.numer()
     }
 
     /// `rate/den`, refining the tick first if `den` does not divide
@@ -507,8 +485,6 @@ pub struct Motion<P> {
     pos: Vec2,
     /// Set once the final infinite segment has been emitted.
     halted: bool,
-    /// Pending wake segment (emitted first when the agent wakes late).
-    emitted_wake: bool,
 }
 
 impl<P: StepSource> Motion<P> {
@@ -516,12 +492,11 @@ impl<P: StepSource> Motion<P> {
     pub fn new(attrs: AgentAttrs, program: P) -> Motion<P> {
         Motion {
             program,
-            lowering: Lowering::new(),
+            lowering: Lowering::default(),
             table: DirTable::new(&attrs),
             ticks: Ticks::new(&attrs.wake, &attrs.tau),
             pos: attrs.origin,
             halted: false,
-            emitted_wake: false,
         }
     }
 
@@ -537,52 +512,39 @@ impl<P: StepSource> Motion<P> {
     }
 
     /// The factor the motion refined its tick by since the last call, if
-    /// it did (a step's prefix time did not fit the tick).
+    /// it did (a step's duration did not fit the tick).
     pub fn take_growth(&mut self) -> Option<Int> {
         self.ticks.grown.take()
     }
 
-    /// The next segment, timed in ticks (the [`Iterator`] yields the same
-    /// segments in time units).
-    pub fn next_ticks(&mut self) -> Option<Segment<Int>> {
-        self.step(|t, _| t)
-    }
-
-    /// The next segment, each of its ticks `t` mapped to `time(t, unit)`.
+    /// The next segment as a leg: its length in ticks, starting where the
+    /// previous one ended (the [`Iterator`] yields the same segments in
+    /// time units).
     #[inline]
-    fn step<T>(&mut self, time: impl Fn(Int, &Int) -> T) -> Option<Segment<T>> {
+    pub fn next_ticks(&mut self) -> Option<Leg> {
         if self.halted {
             return None;
         }
-        if !self.emitted_wake {
-            self.emitted_wake = true;
-            // The clock still reads the wake time.
-            if self.ticks.now.is_positive() {
-                let unit = &self.ticks.unit;
-                return Some(Segment {
-                    start: time(Int::ZERO, unit),
-                    // rv-lint: allow(hot) — wake segment, once per run.
-                    end: Some(time(self.ticks.now.clone(), unit)),
-                    from: self.pos,
-                    vel: Vec2::ZERO,
-                });
-            }
+        if let Some(wake) = self.ticks.wake.take() {
+            return Some(Leg {
+                len: Some(wake),
+                from: self.pos,
+                vel: Vec2::ZERO,
+            });
         }
         loop {
             let Some((step, dirs)) = self.program.next_step(&mut self.lowering) else {
                 self.halted = true;
-                let start = std::mem::replace(&mut self.ticks.now, Int::ZERO);
-                return Some(Segment {
-                    start: time(start, &self.ticks.unit),
-                    end: None,
+                return Some(Leg {
+                    len: None,
                     from: self.pos,
                     vel: Vec2::ZERO,
                 });
             };
-            if step.empty {
+            if step.dur.is_zero() {
                 continue;
             }
-            let end = self.ticks.end_of(&step.prefix);
+            let len = self.ticks.len_of(&step.dur);
             let from = self.pos;
             let vel = if step.dir == WAIT {
                 Vec2::ZERO
@@ -591,14 +553,8 @@ impl<P: StepSource> Motion<P> {
                 self.pos = from + unit * (step.len * self.table.unit_len_f64);
                 vel
             };
-            let start = std::mem::replace(&mut self.ticks.now, end);
-            let unit = &self.ticks.unit;
-            return Some(Segment {
-                start: time(start, unit),
-                // rv-lint: allow(hot) — irreducible: the segment end and the
-                // running clock are two owners of one value; on the
-                // inline-i128 path this clone is a copy.
-                end: Some(time(self.ticks.now.clone(), unit)),
+            return Some(Leg {
+                len: Some(len),
                 from,
                 vel,
             });
@@ -609,25 +565,33 @@ impl<P: StepSource> Motion<P> {
 impl<P: StepSource> Iterator for Motion<P> {
     type Item = Segment;
 
-    /// The next segment in time units: its ticks over `unit`, converted
-    /// as the segment is built.
+    /// The next segment in time units: the legs' lengths summed in ticks
+    /// from time 0, over `unit`, converted as the segment is built.
     fn next(&mut self) -> Option<Segment> {
+        let Leg { len, from, vel } = self.next_ticks()?;
+        let ticks = &mut self.ticks;
         // rv-lint: allow(hot) — the time-unit view, built at the edge; the
         // engine steps `next_ticks`.
-        self.step(|t, unit| Ratio::new(t, unit.clone()))
+        let start = Ratio::new(ticks.elapsed.clone(), ticks.unit.clone());
+        let end = len.map(|len| {
+            ticks.elapsed += &len;
+            // rv-lint: allow(hot) — same time-unit view as above.
+            Ratio::new(ticks.elapsed.clone(), ticks.unit.clone())
+        });
+        Some(Segment {
+            start,
+            end,
+            from,
+            vel,
+        })
     }
 }
 
 #[cfg(test)]
 impl Step {
     /// Every field, the f64 as bits.
-    pub(crate) fn bits(&self) -> (u32, bool, u64, Ratio) {
-        (
-            self.dir,
-            self.empty,
-            self.len.to_bits(),
-            self.prefix.clone(),
-        )
+    pub(crate) fn bits(&self) -> (u32, u64, Ratio) {
+        (self.dir, self.len.to_bits(), self.dur.clone())
     }
 }
 

@@ -18,7 +18,7 @@ mod program;
 
 pub use compiled::{CompiledProgram, Cursor, Tape, MAX_MATERIALIZED};
 pub use instr::Instr;
-pub use kinematics::{AgentAttrs, Motion, Segment, StepSource, DIR_SLOTS};
+pub use kinematics::{AgentAttrs, Leg, Motion, Segment, StepSource, DIR_SLOTS};
 pub use program::{
     backtrack, lazy, net_local_displacement, rotated, slice_interleave_backtrack, take_local_time,
     total_local_time, BoxProgram, Lazy, TakeLocalTime,

@@ -1,8 +1,10 @@
 //! Stepping differential: `Motion`, which steps lowered instructions
 //! (from the shared tape of a compiled program, or lowered on the fly
-//! from an instruction iterator), against a reference stepper that sums
-//! the clock-rate-scaled durations one instruction at a time and evaluates
-//! `orientation.to_absolute(dir).unit()` on every `go`.
+//! from an instruction iterator) into legs of `τ·d_k` ticks that its
+//! `Iterator` view places end to end, against a reference stepper that
+//! sums the clock-rate-scaled durations as exact `Ratio`s one instruction
+//! at a time and evaluates `orientation.to_absolute(dir).unit()` on every
+//! `go`.
 //!
 //! Every segment's `start`, `end`, `from` and `vel` must agree bit for
 //! bit, over:
@@ -16,6 +18,10 @@
 //!   `type1,type2,s1,s2`, 2k segments), seeds 1–3 at n = 64;
 //! - type-3 instances with `τ ≠ 1`, and a mirrored, rotated frame
 //!   (`χ = −1`, `φ ≠ 0`), over the tape;
+//! - AUR past its first giant wait, `wait(2^135)` at instruction 22,987,
+//!   for 50k segments, where every exact time lies outside `i128`: a
+//!   mirrored, rotated frame with `τ = 2` and with `τ = 5/3`, over the
+//!   tape and lowered on the fly from `CompiledProgram::cursor`;
 //! - a compiled program longer than `MAX_MATERIALIZED`, where the cached
 //!   tape hands over to the tail lowered on the fly, with directions
 //!   first seen past the cap;
@@ -39,9 +45,10 @@
 //! `sweep_aur` instance whose clock rate τ is not dyadic, each agent's
 //! motion is rescaled to the run's tick (the lcm of both motions' ticks,
 //! as the engine picks it), rescaled once more mid-run, as a refinement
-//! does, and stepped on its ticks. Each segment must start at the tick
-//! the previous one ended, multiplied by every refinement since, and
-//! equal the segment of the motion left alone in exact time.
+//! does, and stepped on its ticks. Each leg is placed, as the engine
+//! places it, at the tick the previous one ended, multiplied by every
+//! refinement since; placed, it must equal the segment of the motion left
+//! alone in exact time.
 
 use rv_baselines::{beeline, canonical_march};
 use rv_core::batch::mix_seed;
@@ -203,6 +210,10 @@ where
     }
 }
 
+/// The most segments any AUR check steps: past the first giant wait,
+/// `wait(2^135)`, instruction 22,987 counting from 0.
+const DEEPEST_AUR: usize = 50_000;
+
 /// The raw AUR generator's instructions, enough of them for `segments`
 /// segments: the reference's side of every AUR check.
 fn aur_prefix(segments: usize) -> &'static [Instr] {
@@ -212,7 +223,7 @@ fn aur_prefix(segments: usize) -> &'static [Instr] {
         almost_universal_rv()
             .take_while(|instr| {
                 moving += usize::from(!instr.is_empty());
-                moving <= 2 * 20_000
+                moving <= DEEPEST_AUR
             })
             .collect()
     });
@@ -281,10 +292,10 @@ fn sweep_aur_spec_steps_identically() {
 
 /// Steps `rescaled` on its ticks as the engine does, against `alone`
 /// over the same program: `rescaled` first refines its tick by `first`
-/// and later by 3, and the tick counts held from before each refinement
-/// (or one the motion makes itself) are multiplied by its factor. Each
-/// segment must start at the previous end, last the same exact time as
-/// `alone`'s and move identically.
+/// and later by 3, and the tick count held from before each refinement
+/// (or one the motion makes itself) is multiplied by its factor. Each
+/// leg, placed at the held count (the previous leg's end), must start
+/// and end at `alone`'s exact times and move identically.
 fn assert_rescales_exactly<P: StepSource>(
     label: &str,
     mut rescaled: Motion<P>,
@@ -310,16 +321,16 @@ fn assert_rescales_exactly<P: StepSource>(
         if let Some(m) = rescaled.take_growth() {
             held *= &m;
         }
+        let end = s.len.as_ref().map(|len| &held + len);
         let time = |t: &Int| Ratio::new(t.clone(), rescaled.unit().clone());
         assert!(
-            s.start == held
-                && time(&s.start) == u.start
-                && s.end.as_ref().map(time) == u.end
+            time(&held) == u.start
+                && end.as_ref().map(time) == u.end
                 && same_bits(s.from, u.from)
                 && same_bits(s.vel, u.vel),
             "{label}: segment {k} differs\n  rescaled: {s:?} (held {held})\n  alone:    {u:?}"
         );
-        held = s.end.unwrap_or(Int::ZERO);
+        held = end.unwrap_or(Int::ZERO);
     }
 }
 
@@ -391,6 +402,27 @@ fn mirrored_rotated() -> AgentAttrs {
 #[test]
 fn mirrored_rotated_frame_steps_identically() {
     assert_aur_tape("AUR, χ=−1 φ=3π/8", &mirrored_rotated(), 20_000);
+}
+
+#[test]
+fn aur_past_the_giant_wait_steps_identically() {
+    // From the giant wait on, every exact time lies outside i128.
+    let wait = Instr::wait(Ratio::pow2(135));
+    assert_eq!(
+        aur_prefix(DEEPEST_AUR).iter().position(|i| *i == wait),
+        Some(22_987)
+    );
+    for tau in [ratio(2, 1), ratio(5, 3)] {
+        let attrs = AgentAttrs {
+            tau,
+            ..mirrored_rotated()
+        };
+        let label = format!("AUR, τ = {}", attrs.tau);
+        assert_aur_tape(&format!("{label} tape"), &attrs, DEEPEST_AUR);
+        let raw = aur_prefix(DEEPEST_AUR).iter();
+        let cursor = compiled_aur().cursor();
+        assert_steps_over(&format!("{label} cursor"), &attrs, cursor, raw, DEEPEST_AUR);
+    }
 }
 
 /// Every frame the synthetic programs below run in: the reference agent,

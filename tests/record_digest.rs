@@ -24,7 +24,11 @@
 //! - the records of the first 8 type-3 instances from `mix_seed(3, i)`
 //!   running `wait(2^140)` then `planar_cow_walk(3)`, so every clock and
 //!   every offset the engine projects lies outside `i128` (AUR's first
-//!   such wait is instruction 22,987, past `sweep_aur`'s budget).
+//!   such wait is instruction 22,987, past `sweep_aur`'s budget);
+//! - AUR campaigns over the infeasible shift and mirror classes at a
+//!   200k-segment budget, seeds 1 and 2 at n = 4, records and report:
+//!   no run meets, so every run steps far past that first giant wait
+//!   (constants computed while tape steps still carried prefix times).
 //!
 //! A second group pins the bytes of every encoder that renders into one
 //! growing buffer rather than through `format!` and `join`, with stats
@@ -259,6 +263,22 @@ fn big_clock_cow_walk_digest_is_pinned() {
         h.0,
         0x44b6_736d_3daf_7be2,
     );
+}
+
+/// AUR campaigns whose runs exhaust 200k segments, far past the first
+/// giant wait: every clock from there on lies outside `i128`.
+#[test]
+fn aur_past_the_giant_wait_digests_are_pinned() {
+    let classes = vec![TargetClass::InfeasibleShift, TargetClass::InfeasibleMirror];
+    let spec = CampaignSpec::new(SolverSpec::Aur, classes, 200_000);
+    for (seed, want) in [(1, 0xba20_38ba_2edb_fc0f), (2, 0x2555_7d6e_242e_42d0)] {
+        let report = spec.run_local(seed, 4);
+        check(
+            &format!("AUR infeasible, 200k segments, seed {seed}"),
+            digest(&report, true),
+            want,
+        );
+    }
 }
 
 /// The unit `range` of `spec` at `seed`, run in-process: its records in
